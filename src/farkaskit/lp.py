@@ -3,11 +3,19 @@
 Solves min c.x subject to G x <= h, E x = e (variables free unless flagged
 nonnegative) and extracts, from the final tableau, either an optimal point
 with dual multipliers, a feasible point with an unbounded improving ray, or
-a Farkas certificate of infeasibility. The tableau is stored dense, but each
-pivot updates a row only at the nonzero columns of the pivot row, which is
-what keeps tall, sparse programs (one row per grid node) cheap. Bland's rule
-in both phases, so termination is guaranteed and the outcome is
-deterministic.
+a Farkas certificate of infeasibility. Bland's rule in both phases, so
+termination is guaranteed and the outcome is deterministic.
+
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the two
+reduced-cost rows included, is a dense list of plain integer numerators, its
+right-hand side last, over one positive integer denominator, kept in lowest
+terms by one gcd per update. Signs and the ratio test (by
+cross-multiplication) are read off the integers, so every pivot decision is
+the exact comparison a rational tableau would make. A pivot leaves the rows
+with a zero in the entering column untouched, and changes each other row's
+numerators only at the nonzero columns of the pivot row before rescaling,
+which keeps tall, sparse programs (one row per grid node) cheap. Rationals
+appear only at the boundary: the input data and the outcome.
 
 Dual sign convention, used everywhere downstream:
 
@@ -21,9 +29,10 @@ nonneg variables), mu >= 0, h.mu + e.nu < 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import InvariantViolation
-from .rational import NEG_INF, ONE, ZERO, as_q_matrix, as_q_vector
+from .rational import NEG_INF, ONE, ZERO, Q, as_q_matrix, as_q_vector
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -102,6 +111,20 @@ def _dot(a, b):
     return s
 
 
+def _scaled(entries, width):
+    """Rationals given as (column, value) pairs, as a row of `width` integer
+    numerators (zero elsewhere) over the lcm of their denominators, so that
+    numerators and denominator share no factor."""
+    # lcm of a list, not of a generator: a tuple built from a generator is
+    # resized, and the interpreter then keeps such tuples on its free lists
+    # (about 1 MB more peak memory over some 10^5 solves)
+    d = lcm(*[v.denominator for _, v in entries])
+    row = [0] * width
+    for j, v in entries:
+        row[j] = int(v.numerator * (d // v.denominator))
+    return row, int(d)
+
+
 def solve(lp: LinearProgram) -> LPOutcome:
     n = lp.n
     mG = len(lp.G)
@@ -123,35 +146,13 @@ def solve(lp: LinearProgram) -> LPOutcome:
     slack0 = len(col_sign)
     nreal = slack0 + mG
 
-    # Standardized rows (rhs made nonnegative by row flips, sigma tracks the
-    # flip), inequality rows first in original order, then equality rows.
-    T = []
-    rhs = []
-    sigma = []
-    for i in range(m):
-        orig = lp.G[i] if i < mG else lp.E[i - mG]
-        b = lp.h[i] if i < mG else lp.e[i - mG]
-        coeffs = [ZERO] * nreal
-        for cidx, (j, s) in enumerate(col_sign):
-            v = orig[j]
-            if v:
-                coeffs[cidx] = v if s > 0 else -v
-        if i < mG:
-            coeffs[slack0 + i] = ONE
-        if b < ZERO:
-            coeffs = [-v for v in coeffs]
-            b = -b
-            sigma.append(-1)
-        else:
-            sigma.append(1)
-        T.append(coeffs)
-        rhs.append(b)
-
     # Artificial columns on every equality row and every flipped inequality
     # row (whose slack coefficient is -1 and cannot start basic). They also
     # stay in the tableau through phase 2 as probe columns: the maintained
     # reduced cost of the artificial of row k is exactly -y_k, which is how
     # equality duals are read off without forming a basis inverse.
+    sigma = [-1 if (lp.h[i] if i < mG else lp.e[i - mG]) < ZERO else 1
+             for i in range(m)]
     art_col = [None] * m
     nart = 0
     for i in range(m):
@@ -159,84 +160,128 @@ def solve(lp: LinearProgram) -> LPOutcome:
             art_col[i] = nreal + nart
             nart += 1
     ncols = nreal + nart
+    RHS = ncols
+
+    # Standardized rows (rhs made nonnegative by row flips, sigma tracks the
+    # flip), inequality rows first in original order, then equality rows.
+    # Row i holds the values T[i][j] / D[i]: integer numerators with the
+    # right-hand side as entry RHS, over one positive denominator sharing no
+    # factor with them.
+    T = []
+    D = []
     for i in range(m):
-        T[i].extend([ZERO] * nart)
+        orig = lp.G[i] if i < mG else lp.E[i - mG]
+        entries = [(cidx, orig[j] if s > 0 else -orig[j])
+                   for cidx, (j, s) in enumerate(col_sign) if orig[j]]
+        if i < mG:
+            entries.append((slack0 + i, ONE))
+        b = lp.h[i] if i < mG else lp.e[i - mG]
+        if b:
+            entries.append((RHS, b))
+        Ti, d = _scaled(entries, ncols + 1)
+        if sigma[i] < 0:
+            Ti = [-v for v in Ti]
         if art_col[i] is not None:
-            T[i][art_col[i]] = ONE
+            Ti[art_col[i]] = d
+        T.append(Ti)
+        D.append(d)
 
     basis = [art_col[i] if art_col[i] is not None else slack0 + i for i in range(m)]
 
-    # Reduced-cost rows for both phases, maintained through every pivot.
-    z2 = [ZERO] * ncols
-    for cidx, (j, s) in enumerate(col_sign):
-        z2[cidx] = lp.c[j] if s > 0 else -lp.c[j]
-    z2val = ZERO
-    z1 = [ZERO] * ncols
-    z1val = ZERO
-    for i in range(m):
-        if art_col[i] is not None:
-            Ti = T[i]
-            for jc in range(ncols):
-                if Ti[jc]:
-                    z1[jc] -= Ti[jc]
-            z1val += rhs[i]
-    for i in range(m):
-        if art_col[i] is not None:
-            z1[art_col[i]] += ONE
+    # Reduced-cost rows for both phases, kept as rows Z1 and Z2 of the
+    # tableau after the m constraint rows and maintained through every pivot.
+    # Their entry RHS is minus the current objective value, so it is updated
+    # like any other column.
+    #
+    # Phase 1 minimizes the sum of the artificials: minus the sum of their
+    # rows, zero at the artificial columns.
+    art_rows = [i for i in range(m) if art_col[i] is not None]
+    d1 = lcm(*[D[i] for i in art_rows])
+    z1 = [0] * (ncols + 1)
+    for i in art_rows:
+        f = d1 // D[i]
+        for j, v in enumerate(T[i]):
+            if v:
+                z1[j] -= f * v
+    for i in art_rows:
+        z1[art_col[i]] += d1
+    g = gcd(d1, *z1)
+    T.append([v // g for v in z1])
+    D.append(d1 // g)
+    z2, d2 = _scaled([(cidx, lp.c[j] if s > 0 else -lp.c[j])
+                      for cidx, (j, s) in enumerate(col_sign) if lp.c[j]],
+                     ncols + 1)
+    T.append(z2)
+    D.append(d2)
+    Z1, Z2 = m, m + 1
+
+    def eliminate(N, d, f, p, nz):
+        # N/d minus f/d times the pivot row nz/p: (N*p - f*nz) / (d*p),
+        # with the common factor of f and p taken out first and the result
+        # reduced to lowest terms
+        g = gcd(f, p)
+        if g > 1:
+            f //= g
+            p //= g
+        if p > 1:
+            N = [v * p for v in N]
+            d *= p
+        for j, b in nz:
+            N[j] -= f * b
+        if d > 1:
+            g = gcd(d, *N)
+            if g > 1:
+                N = [v // g for v in N]
+                d //= g
+        return N, d
 
     def pivot(r, q):
-        nonlocal z1val, z2val
         rowr = T[r]
-        piv = rowr[q]
-        if piv != ONE:
-            inv = ONE / piv
-            rowr = [v * inv for v in rowr]
-            T[r] = rowr
-            rhs[r] = rhs[r] * inv
-        br = rhs[r]
-        # Columns where the pivot row is zero are left unchanged by the
-        # elimination, so each row is updated in place at the others only.
+        p = rowr[q]
+        if p < 0:
+            rowr = [-v for v in rowr]
+            p = -p
+        g = gcd(*rowr)
+        if g > 1:
+            rowr = [v // g for v in rowr]
+            p //= g
+        T[r] = rowr
+        D[r] = p
+        # Rows with a zero in column q are left unchanged by the elimination,
+        # and each other row changes only at the nonzero columns of the
+        # pivot row before it is brought back to lowest terms.
         nz = [(j, b) for j, b in enumerate(rowr) if b]
-        for i in range(m):
+        for i in range(m + 2):
             if i == r:
                 continue
-            Ti = T[i]
-            f = Ti[q]
+            f = T[i][q]
             if f:
-                for j, b in nz:
-                    Ti[j] -= f * b
-                if br:
-                    rhs[i] -= f * br
-        f = z1[q]
-        if f:
-            for j, b in nz:
-                z1[j] -= f * b
-            z1val += f * br
-        f = z2[q]
-        if f:
-            for j, b in nz:
-                z2[j] -= f * b
-            z2val += f * br
+                T[i], D[i] = eliminate(T[i], D[i], f, p, nz)
         basis[r] = q
 
     def ratio_row(q):
-        # Bland leaving rule: min ratio, ties broken by smallest basic column.
-        best_key = None
+        # Bland leaving rule: min ratio rhs_i / t_i, compared by
+        # cross-multiplication, ties broken by smallest basic column.
         best_row = None
         for i in range(m):
-            t = T[i][q]
-            if t > ZERO:
-                key = (rhs[i] / t, basis[i])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_row = i
+            Ti = T[i]
+            t = Ti[q]
+            if t > 0:
+                if best_row is None:
+                    best_row, bn, bt = i, Ti[RHS], t
+                    continue
+                lhs = Ti[RHS] * bt
+                rhs = bn * t
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best_row]):
+                    best_row, bn, bt = i, Ti[RHS], t
         return best_row
 
     # Phase 1: min sum of artificials, every column eligible.
     while True:
+        z1 = T[Z1]
         q = None
         for j in range(ncols):
-            if z1[j] < ZERO:
+            if z1[j] < 0:
                 q = j
                 break
         if q is None:
@@ -246,11 +291,12 @@ def solve(lp: LinearProgram) -> LPOutcome:
             raise InvariantViolation("phase-1 objective cannot be unbounded")
         pivot(r, q)
 
-    if z1val > ZERO:
+    z1, d1 = T[Z1], D[Z1]
+    if z1[RHS] < 0:
         # The phase-1 duals, read off the probe columns, are a Farkas
         # certificate for the original system.
-        mu = [z1[slack0 + i] for i in range(mG)]
-        nu = [sigma[mG + k] * (z1[art_col[mG + k]] - ONE) for k in range(mE)]
+        mu = [Q(z1[slack0 + i], d1) for i in range(mG)]
+        nu = [Q(sigma[mG + k] * (z1[art_col[mG + k]] - d1), d1) for k in range(mE)]
         return LPOutcome(INFEASIBLE, farkas_ineq=mu, farkas_eq=nu)
 
     # Drive basic artificials (all at value 0 now) out of the basis. A row
@@ -264,7 +310,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
                     break
 
     def current_x():
-        val = {basis[i]: rhs[i] for i in range(m)}
+        val = {basis[i]: Q(T[i][RHS], D[i]) for i in range(m)}
         x = []
         for p, mcol in var_cols:
             v = val.get(p, ZERO)
@@ -275,15 +321,17 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
     # Phase 2: artificial columns are ineligible to enter.
     while True:
+        z2 = T[Z2]
         q = None
         for j in range(nreal):
-            if z2[j] < ZERO:
+            if z2[j] < 0:
                 q = j
                 break
         if q is None:
-            mu = [z2[slack0 + i] for i in range(mG)]
-            nu = [sigma[mG + k] * z2[art_col[mG + k]] for k in range(mE)]
-            return LPOutcome(OPTIMAL, x=current_x(), value=z2val,
+            d2 = D[Z2]
+            mu = [Q(z2[slack0 + i], d2) for i in range(mG)]
+            nu = [Q(sigma[mG + k] * z2[art_col[mG + k]], d2) for k in range(mE)]
+            return LPOutcome(OPTIMAL, x=current_x(), value=Q(-z2[RHS], d2),
                              dual_ineq=mu, dual_eq=nu)
         r = ratio_row(q)
         if r is None:
@@ -291,7 +339,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
             for i in range(m):
                 t = T[i][q]
                 if t:
-                    dz[basis[i]] = -t
+                    dz[basis[i]] = Q(-t, D[i])
             ray = []
             for p, mcol in var_cols:
                 v = dz.get(p, ZERO)

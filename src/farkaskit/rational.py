@@ -1,10 +1,11 @@
 """Exact rational scalars and the two extended values +oo / -oo.
 
-Everything in this package computes over exact rationals. gmpy2.mpq is about
-5x faster than fractions.Fraction in pivot-heavy loops, so it is used when it
-is installed. Without gmpy2 the package runs on fractions.Fraction, a
-supported path: every result is the same, and the wall-clock budgets of the
-acceptance tests hold on it.
+Everything in this package computes over exact rationals. `Q` is gmpy2.mpq
+when gmpy2 is installed (the optional `fast` extra) and fractions.Fraction
+otherwise; every result is the same either way. The simplex kernel pivots in
+plain integers and meets `Q` only in its input and its outcome, so the
+choice matters mostly outside it, and the wall-clock budgets of the
+acceptance tests hold on the Fraction fallback.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,41 @@ def test_beale_cycling_example_terminates():
     assert out.value == Q(-1, 20)
 
 
+def test_beale_1955_cycling_example_ties_in_ratio_test():
+    # Beale's original cycling example: the first entering column meets two
+    # zero right-hand sides, so the cross-multiplied ratio test ties and
+    # Bland's smallest-basic-column tie-break decides the leaving row
+    lp = LinearProgram(
+        c=[Q(-3, 4), 20, Q(-1, 2), 6],
+        G=[[Q(1, 4), -8, -1, 9],
+           [Q(1, 2), -12, Q(-1, 2), 3],
+           [0, 0, 1, 0]],
+        h=[0, 0, 1],
+        E=[], e=[],
+        nonneg=[True, True, True, True],
+    )
+    pivots = []
+
+    def count_pivots(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "pivot":
+            pivots.append(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(count_pivots)
+    try:
+        out = solve(lp)
+    finally:
+        sys.setprofile(previous)
+    assert verify_certificate(lp, out)
+    assert out.status == OPTIMAL
+    assert out.value == Q(-5, 4)
+    assert out.x == [1, 0, 1, 0]
+    assert out.dual_ineq == [0, Q(3, 2), Q(5, 4)]
+    # the smallest-basic-column tie-break takes six pivots here; breaking
+    # the tie the other way reaches the same optimum in two
+    assert len(pivots) == 6
+
+
 def test_mixed_flags_duals():
     # min -x - 2y, x free in [-1, 5] via rows, y >= 0 flagged, y <= 2
     lp = LinearProgram(c=[-1, -2],
@@ -217,6 +253,76 @@ def test_box_instances_match_corner_enumeration():
         assert out.status == OPTIMAL
         expect, _ = brute_force_box_min(c, bounds)
         assert out.value == expect
+
+
+def _mixed_fraction(rng):
+    den = rng.choice((1, 7, 360, rng.randint(2, 10**6), 10**6))
+    return Q(rng.randint(-20 * den, 20 * den), den)
+
+
+def _mixed_denominator_lp(rng):
+    # fractional data with denominators up to 10^6, some rows (and their
+    # right-hand sides) scaled by an integer above 2^64, equality rows and
+    # mixed sign flags; half the draws plant a point so that every status
+    # occurs, and right-hand sides of both signs (flipped rows) occur in both
+    n = rng.randint(2, 12)
+    me = rng.randint(0, min(4, n - 1))
+    mg = rng.randint(1, 20 - me)
+    c = [_mixed_fraction(rng) for _ in range(n)]
+    G = [[_mixed_fraction(rng) for _ in range(n)] for _ in range(mg)]
+    E = [[_mixed_fraction(rng) for _ in range(n)] for _ in range(me)]
+    if rng.random() < 0.5:
+        x0 = [abs(_mixed_fraction(rng)) for _ in range(n)]
+        h = [sum(a * b for a, b in zip(row, x0)) + abs(_mixed_fraction(rng)) / 8
+             for row in G]
+        e = [sum(a * b for a, b in zip(row, x0)) for row in E]
+    else:
+        h = [_mixed_fraction(rng) for _ in range(mg)]
+        e = [_mixed_fraction(rng) for _ in range(me)]
+    for rows, rhs in ((G, h), (E, e)):
+        for i in range(len(rows)):
+            if rng.random() < 0.25:
+                k = 2**64 + rng.randint(1, 2**64)
+                rows[i] = [k * v for v in rows[i]]
+                rhs[i] *= k
+    return LinearProgram(c=c, G=G, h=h, E=E, e=e,
+                         nonneg=[rng.random() < 0.5 for _ in range(n)])
+
+
+def _float_rows(rows, rhs):
+    # each row over its largest magnitude, so huge scale factors do not
+    # reach the float solver (which reads |b| >= 1e20 as infinite)
+    A, b = [], []
+    for row, bi in zip(rows, rhs):
+        s = max(abs(v) for v in [*row, bi]) or 1
+        A.append([float(v / s) for v in row])
+        b.append(float(bi / s))
+    return A or None, b or None
+
+
+def test_mixed_denominator_programs_match_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    highs_status = {OPTIMAL: 0, INFEASIBLE: 2, UNBOUNDED: 3}
+    seen = set()
+    for seed in range(60):
+        lp = _mixed_denominator_lp(random.Random(seed))
+        out = solve(lp)
+        assert verify_certificate(lp, out), seed
+        scalars = [v for f in (out.x, out.dual_ineq, out.dual_eq, out.ray,
+                               out.farkas_ineq, out.farkas_eq) if f for v in f]
+        if out.status == OPTIMAL:
+            scalars.append(out.value)
+        assert all(isinstance(v, Q) for v in scalars), seed
+        A_ub, b_ub = _float_rows(lp.G, lp.h)
+        A_eq, b_eq = _float_rows(lp.E, lp.e)
+        res = linprog([float(v) for v in lp.c], A_ub=A_ub, b_ub=b_ub,
+                      A_eq=A_eq, b_eq=b_eq, method="highs",
+                      bounds=[(0, None) if f else (None, None) for f in lp.nonneg])
+        assert res.status == highs_status[out.status], (seed, out.status, res.message)
+        if out.status == OPTIMAL:
+            assert res.fun == pytest.approx(float(out.value), rel=1e-6, abs=1e-6), seed
+        seen.add(out.status)
+    assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
 
 
 @st.composite

@@ -19,15 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lp, sets
-from .rational import INF, NEG_INF, ONE, ZERO, as_q_matrix, as_q_vector, is_finite
-
-
-def _dot(a, b):
-    s = ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
+from .rational import INF, NEG_INF, ONE, ZERO, as_q_matrix, as_q_vector, dot, is_finite
 
 
 @dataclass
@@ -63,7 +55,7 @@ class PiecewiseAffine:
         x = as_q_vector(x)
         if self.domain is not None and not self.domain.contains(x):
             return INF
-        return max(_dot(a, x) + b for a, b in zip(self.slopes, self.offsets))
+        return max(dot(a, x) + b for a, b in zip(self.slopes, self.offsets))
 
     def tilted(self, shift, lift=ZERO) -> "PiecewiseAffine":
         """x -> f(x) - shift . x - lift, same domain."""
@@ -245,7 +237,7 @@ def normal_cone_at(p: sets.Polyhedron, point) -> sets.GeneratedSet:
         raise ValueError("normal cone requested at a point outside the set")
     rays = []
     for row, rhs in zip(p.G, p.h):
-        if _dot(row, point) == rhs:
+        if dot(row, point) == rhs:
             rays.append(list(row))
     for row in p.E:
         rays.append(list(row))

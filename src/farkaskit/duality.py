@@ -5,7 +5,10 @@ target's preimage. Its Lagrangian dual maximizes
 
     -( f*(u) + sigma_ground(v) + sigma_target(lam) )
 
-over the linked triples u + v = -map^T lam. Weak duality always bounds the
+over the linked triples u + v = -map^T lam. That is the program of the full
+certificate search in `engine` (one linear program over the multipliers of
+the polyhedral epigraphs of f*, sigma_ground and sigma_target), with its
+budget row as the cost to minimize. Weak duality always bounds the
 dual value by the primal one and is asserted on every solve. Strong duality
 (dual attainment at the primal value) is governed by the same closedness
 criterion as the dual Farkas characterization; with polyhedral data the
@@ -18,12 +21,13 @@ necessarily infeasible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import calculus, engine, lp, sets
 from .engine import FarkasInstance
 from .errors import InvariantViolation
-from .rational import INF, NEG_INF, ONE, Q, ZERO, as_q_vector, is_finite
+from .rational import (INF, NEG_INF, ONE, Q, ZERO, as_q_vector, dot, is_finite,
+                       transpose_apply)
 
 OPTIMAL = lp.OPTIMAL
 UNBOUNDED = lp.UNBOUNDED
@@ -67,67 +71,9 @@ class DualSolution:
 
 
 def _dual_lp(inst: FarkasInstance):
-    """Variables are the epigraph multipliers of the three summands; the
-    objective is the summed upper bound, minimized. Returns the LP pieces
-    plus the extractors for (u, lam)."""
-    f = inst.objective
-    k = len(f.slopes)
-    gf, hf, ef, eef = inst.domain_rows()
-    c_set, t = inst.ground, inst.target_polyhedron()
-    blocks = [k, len(gf), len(ef), len(c_set.G), len(c_set.E),
-              len(t.G), len(t.E)]
-    total = sum(blocks)
-    off = [sum(blocks[:i]) for i in range(len(blocks))]
-
-    def place(values, block, row):
-        for idx, val in enumerate(values):
-            row[off[block] + idx] = val
-
-    E, e = [], []
-    for j in range(inst.n):
-        row = [ZERO] * total
-        place([a[j] for a in f.slopes], 0, row)
-        place([g[j] for g in gf], 1, row)
-        place([r[j] for r in ef], 2, row)
-        place([g[j] for g in c_set.G], 3, row)
-        place([r[j] for r in c_set.E], 4, row)
-        place([engine._transpose_apply_row(inst.matrix, g)[j]
-               for g in t.G], 5, row)
-        place([engine._transpose_apply_row(inst.matrix, r)[j]
-               for r in t.E], 6, row)
-        E.append(row)
-        e.append(ZERO)
-    row = [ZERO] * total
-    place([ONE] * k, 0, row)
-    E.append(row)
-    e.append(ONE)
-    cost = [ZERO] * total
-    place([-b for b in f.offsets], 0, cost)
-    place(hf, 1, cost)
-    place(eef, 2, cost)
-    place(c_set.h, 3, cost)
-    place(c_set.e, 4, cost)
-    place(t.h, 5, cost)
-    place(t.e, 6, cost)
-    nonneg = ([True] * k + [True] * len(gf) + [False] * len(ef)
-              + [True] * len(c_set.G) + [False] * len(c_set.E)
-              + [True] * len(t.G) + [False] * len(t.E))
-
-    def extract(w):
-        theta = w[off[0]:off[0] + k]
-        mu_f = w[off[1]:off[1] + len(gf)]
-        nu_f = w[off[2]:off[2] + len(ef)]
-        eta = w[off[5]:off[5] + len(t.G)]
-        zeta = w[off[6]:off[6] + len(t.E)]
-        u = [sum((th * a[j] for th, a in zip(theta, f.slopes) if th), ZERO)
-             + (engine._transpose_apply(gf, mu_f)[j] if gf else ZERO)
-             + (engine._transpose_apply(ef, nu_f)[j] if ef else ZERO)
-             for j in range(inst.n)]
-        lam = [sum((et * g[i] for et, g in zip(eta, t.G) if et), ZERO)
-               + sum((zt * r[i] for zt, r in zip(zeta, t.E) if zt), ZERO)
-               for i in range(inst.m)]
-        return u, lam
-
+    """The full certificate program of `engine`, with its budget row as the
+    cost to minimize. Returns the LP plus the extractor for (u, lam)."""
+    E, e, cost, nonneg, extract = engine._full_program(inst)
     return lp.LinearProgram(c=cost, G=[], h=[], E=E, e=e, nonneg=nonneg), \
         extract
 
@@ -218,22 +164,20 @@ def _subdifferential_route(inst: FarkasInstance, point, fx) -> bool:
     map^T N(target, map x), as one LP feasibility question."""
     f = inst.objective
     active = [a for a, b in zip(f.slopes, f.offsets)
-              if engine._dot(a, point) + b == fx]
+              if dot(a, point) + b == fx]
     cols = [list(a) for a in active]
     nonneg = [True] * len(active)
     simplex_flags = [True] * len(active)
 
     def add_cone(rows_g, rhs_g, rows_e, rhs_e, at, mapped=False):
         for row, rhs in zip(rows_g, rhs_g):
-            if engine._dot(row, at) == rhs:
-                col = engine._transpose_apply_row(inst.matrix, row) \
-                    if mapped else list(row)
+            if dot(row, at) == rhs:
+                col = inst.adjoint(row) if mapped else list(row)
                 cols.append(col)
                 nonneg.append(True)
                 simplex_flags.append(False)
         for row in rows_e:
-            col = engine._transpose_apply_row(inst.matrix, row) \
-                if mapped else list(row)
+            col = inst.adjoint(row) if mapped else list(row)
             cols.append(col)
             nonneg.append(False)
             simplex_flags.append(False)
@@ -290,11 +234,16 @@ def check_optimality(inst: FarkasInstance, point) -> OptimalityReport:
 
 @dataclass
 class StableDualityReport:
+    """per_tilt holds the StrongDualityReport of each checked tilt, in the
+    order of the tilts; it is detail for callers and left out of the CLI's
+    JSON form."""
+
     tilts_checked: int
     all_strong: bool
     containment_points: int
     criterion_holds: bool = True
     note: str | None = None
+    per_tilt: list = field(default_factory=list, metadata={"json": False})
 
 
 def default_dual_tilts(n: int, count: int = 25, seed: int = 0):
@@ -309,8 +258,8 @@ def _sum_point_sample(inst: FarkasInstance, rng):
     if not any(weights):
         weights[0] = ONE
     total = sum(weights, ZERO)
-    z = [sum((w * p[j] for w, p in zip(weights, conj.points) if w), ZERO)
-         / total for j in range(inst.n + 1)]
+    z = [v / total
+         for v in transpose_apply(conj.points, weights, inst.n + 1)]
     for ray in conj.rays:
         c = Q(rng.randint(0, 2))
         if c:
@@ -350,6 +299,7 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
                 "containment sampling only")
         return StableDualityReport(tilts_checked=0, all_strong=True,
                                    containment_points=n_points, note=note)
+    per_tilt = []
     for shift in tilts:
         tilted = FarkasInstance(
             ground=inst.ground, matrix=inst.matrix, target=inst.target,
@@ -358,5 +308,7 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
         if not rep.equal:
             raise InvariantViolation(
                 f"strong duality failed under tilt {shift}")
+        per_tilt.append(rep)
     return StableDualityReport(tilts_checked=len(tilts), all_strong=True,
-                               containment_points=n_points, note=note)
+                               containment_points=n_points, note=note,
+                               per_tilt=per_tilt)

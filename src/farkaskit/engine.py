@@ -29,27 +29,9 @@ from enum import Enum
 from . import calculus, lp, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
-from .rational import INF, NEG_INF, ONE, Q, ZERO, as_q_matrix, as_q_vector, is_finite
-from .sets import Box, Polyhedron
-
-
-def _dot(a, b):
-    s = ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
-
-
-def _mat_vec(rows, x):
-    return [_dot(row, x) for row in rows]
-
-
-def _transpose_apply(rows, lam):
-    """map^T lam for a row-list matrix."""
-    n = len(rows[0]) if rows else 0
-    return [sum((row[j] * l for row, l in zip(rows, lam) if l), ZERO)
-            for j in range(n)]
+from .rational import (INF, NEG_INF, ONE, Q, ZERO, as_q_matrix, is_finite,
+                       mat_vec, transpose_apply)
+from .sets import Box, Polyhedron, whole_space_polyhedron
 
 
 class TriVerdict(Enum):
@@ -105,11 +87,10 @@ class FarkasInstance:
         return len(self.matrix)
 
     def apply(self, x):
-        return _mat_vec(self.matrix, x)
+        return mat_vec(self.matrix, x)
 
     def adjoint(self, lam):
-        return _transpose_apply(self.matrix, lam) if self.matrix else \
-            [ZERO] * self.n
+        return transpose_apply(self.matrix, lam, self.n)
 
     def target_polyhedron(self) -> Polyhedron:
         if isinstance(self.target, Box):
@@ -127,29 +108,17 @@ class FarkasInstance:
         t = self.target_polyhedron()
         return Polyhedron(
             dim=self.n,
-            G=[_transpose_apply_row(self.matrix, r) for r in t.G], h=t.h,
-            E=[_transpose_apply_row(self.matrix, r) for r in t.E], e=t.e)
+            G=[self.adjoint(r) for r in t.G], h=t.h,
+            E=[self.adjoint(r) for r in t.E], e=t.e)
 
     def feasible_polyhedron(self) -> Polyhedron:
         """ground intersected with the preimage of target."""
-        b = self.preimage_polyhedron()
-        return Polyhedron(dim=self.n,
-                          G=self.ground.G + b.G, h=self.ground.h + b.h,
-                          E=self.ground.E + b.E, e=self.ground.e + b.e)
+        return self.ground.intersect(self.preimage_polyhedron())
 
-    def domain_rows(self):
-        """Inequality/equality rows of dom objective (empty if unrestricted)."""
+    def domain(self) -> Polyhedron:
+        """dom objective, the whole space when it is unrestricted."""
         d = self.objective.domain
-        if d is None:
-            return [], [], [], []
-        return d.G, d.h, d.E, d.e
-
-
-def _transpose_apply_row(rows, r):
-    """row r (over y) composed with the map: (r . A)_j."""
-    n = len(rows[0]) if rows else 0
-    return [sum((r[i] * rows[i][j] for i in range(len(rows)) if r[i]), ZERO)
-            for j in range(n)]
+        return whole_space_polyhedron(self.n) if d is None else d
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +148,7 @@ def residual_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
     """{(map(x) - d, r) : x in ground and dom f, d in target, r >= f(x)}
     in R^{m+1}; the reduced primal set whose conic hull carries the
     reduced criterion. Requires ground to meet dom f."""
-    gf, hf, ef, eef = inst.domain_rows()
-    meet = Polyhedron(dim=inst.n, G=inst.ground.G + gf, h=inst.ground.h + hf,
-                      E=inst.ground.E + ef, e=inst.ground.e + eef)
+    meet = inst.ground.intersect(inst.objective.domain)
     if meet.is_empty():
         raise ValueError("ground set misses the objective's domain")
     n, m = inst.n, inst.m
@@ -229,7 +196,7 @@ def decoupled_residual_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
     n, m = inst.n, inst.m
     f = inst.objective
     t = inst.target_polyhedron()
-    gf, hf, ef, eef = inst.domain_rows()
+    dom = inst.domain()
     dim = n + m + 1
     wd = 2 * n + m  # witness (x, v, d)
     zeros_n = [ZERO] * n
@@ -253,7 +220,7 @@ def decoupled_residual_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
         eq_z.append([ZERO] * dim)
         eq_w.append(list(r) + zeros_n + zeros_m)
         eq_rhs.append(rhs)
-    for r, rhs in zip(ef, eef):
+    for r, rhs in zip(dom.E, dom.e):
         eq_z.append([ZERO] * dim)
         eq_w.append(zeros_n + list(r) + zeros_m)
         eq_rhs.append(rhs)
@@ -272,7 +239,7 @@ def decoupled_residual_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
         ineq_z.append([ZERO] * dim)
         ineq_w.append(list(r) + zeros_n + zeros_m)
         ineq_rhs.append(rhs)
-    for r, rhs in zip(gf, hf):
+    for r, rhs in zip(dom.G, dom.h):
         ineq_z.append([ZERO] * dim)
         ineq_w.append(zeros_n + list(r) + zeros_m)
         ineq_rhs.append(rhs)
@@ -347,75 +314,71 @@ def _validate_certificate(inst: FarkasInstance, cert: Certificate):
         raise InvariantViolation("certificate value budget exceeded")
 
 
+def _multiplier_program(f: PiecewiseAffine, blocks):
+    """The linked-multiplier program behind every certificate search.
+
+    Its variables are weights theta >= 0 on f's pieces (a_i, b_i), then one
+    multiplier per row of each block polyhedron, >= 0 on an inequality row
+    and free on an equality row. The equality rows are the n cancellation
+    rows u + sum over blocks of rows^T mu = 0, with u = sum theta_i a_i,
+    then sum theta_i = 1. The budget row (-b on theta, the right-hand sides
+    on the multipliers) bounds f*(u) plus each block's support function at
+    its rows^T mu from above, tightly for the best multipliers: a
+    certificate asks budget . w <= 0, and the dual program minimizes it.
+    Returns (E, e, budget, nonneg, split); split(w) cuts a solution into
+    theta and one slice per block, its G rows then its E rows."""
+    cols = [(a, -b, True) for a, b in zip(f.slopes, f.offsets)]
+    for p in blocks:
+        cols += [(r, rhs, True) for r, rhs in zip(p.G, p.h)]
+        cols += [(r, rhs, False) for r, rhs in zip(p.E, p.e)]
+    k = len(f.slopes)
+    E = [[r[j] for r, _, _ in cols] for j in range(f.dim)]
+    E.append([ONE] * k + [ZERO] * (len(cols) - k))
+    e = [ZERO] * f.dim + [ONE]
+    cuts = [0, k]
+    for p in blocks:
+        cuts.append(cuts[-1] + len(p.G) + len(p.E))
+
+    def split(w):
+        return [w[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    return (E, e, [rhs for _, rhs, _ in cols], [flag for _, _, flag in cols],
+            split)
+
+
+def _full_program(inst: FarkasInstance):
+    """The program of the full triple: blocks dom f, ground and the
+    preimage of target. Returns (E, e, budget, nonneg, extract), where
+    extract(w) gives (u, lam)."""
+    f, dom, t = inst.objective, inst.domain(), inst.target_polyhedron()
+    E, e, budget, nonneg, split = _multiplier_program(
+        f, [dom, inst.ground, inst.preimage_polyhedron()])
+
+    def extract(w):
+        theta, mu_dom, _, mu_t = split(w)
+        return (transpose_apply(f.slopes + dom.G + dom.E, theta + mu_dom,
+                                inst.n),
+                transpose_apply(t.G + t.E, mu_t, inst.m))
+
+    return E, e, budget, nonneg, extract
+
+
 def find_certificate(inst: FarkasInstance) -> Certificate | None:
     """Search for (u, v, lam) with f*(u) + sigma_ground(v) +
     sigma_target(lam) <= 0 and u + v = -map^T lam, as one feasibility LP
     over the dual representations of all three epigraphs."""
-    f = inst.objective
-    k = len(f.slopes)
-    gf, hf, ef, eef = inst.domain_rows()
-    c_set, t = inst.ground, inst.target_polyhedron()
-    blocks = [k, len(gf), len(ef), len(c_set.G), len(c_set.E),
-              len(t.G), len(t.E)]
-    total = sum(blocks)
-    off = [sum(blocks[:i]) for i in range(len(blocks))]
-
-    def place(values, block, row):
-        for idx, val in enumerate(values):
-            row[off[block] + idx] = val
-
-    E, e = [], []
-    for j in range(inst.n):
-        row = [ZERO] * total
-        place([a[j] for a in f.slopes], 0, row)
-        place([g[j] for g in gf], 1, row)
-        place([r[j] for r in ef], 2, row)
-        place([g[j] for g in c_set.G], 3, row)
-        place([r[j] for r in c_set.E], 4, row)
-        adj_g = [_transpose_apply_row(inst.matrix, g)[j] for g in t.G]
-        adj_e = [_transpose_apply_row(inst.matrix, r)[j] for r in t.E]
-        place(adj_g, 5, row)
-        place(adj_e, 6, row)
-        E.append(row)
-        e.append(ZERO)
-    row = [ZERO] * total
-    place([ONE] * k, 0, row)
-    E.append(row)
-    e.append(ONE)
-    budget = [ZERO] * total
-    place([-b for b in f.offsets], 0, budget)
-    place(hf, 1, budget)
-    place(eef, 2, budget)
-    place(c_set.h, 3, budget)
-    place(c_set.e, 4, budget)
-    place(t.h, 5, budget)
-    place(t.e, 6, budget)
-    nonneg = ([True] * k + [True] * len(gf) + [False] * len(ef)
-              + [True] * len(c_set.G) + [False] * len(c_set.E)
-              + [True] * len(t.G) + [False] * len(t.E))
-    out = lp.solve(lp.LinearProgram(c=[ZERO] * total, G=[budget], h=[ZERO],
-                                    E=E, e=e, nonneg=nonneg))
+    E, e, budget, nonneg, extract = _full_program(inst)
+    out = lp.solve(lp.LinearProgram(c=[ZERO] * len(budget), G=[budget],
+                                    h=[ZERO], E=E, e=e, nonneg=nonneg))
     if out.status == lp.INFEASIBLE:
         return None
-    w = out.x
-    theta = w[off[0]:off[0] + k]
-    mu_f = w[off[1]:off[1] + len(gf)]
-    nu_f = w[off[2]:off[2] + len(ef)]
-    eta = w[off[5]:off[5] + len(t.G)]
-    zeta = w[off[6]:off[6] + len(t.E)]
-    u = [sum((th * a[j] for th, a in zip(theta, f.slopes) if th), ZERO)
-         + (_transpose_apply(gf, mu_f)[j] if gf else ZERO)
-         + (_transpose_apply(ef, nu_f)[j] if ef else ZERO)
-         for j in range(inst.n)]
-    lam_y = [sum((et * g[i] for et, g in zip(eta, t.G) if et), ZERO)
-             + sum((zt * r[i] for zt, r in zip(zeta, t.E) if zt), ZERO)
-             for i in range(inst.m)]
-    v = [-a - b for a, b in zip(u, inst.adjoint(lam_y))]
+    u, lam = extract(out.x)
+    v = [-a - b for a, b in zip(u, inst.adjoint(lam))]
     cert = Certificate(
-        u=u, v=v, lam=lam_y,
-        conjugate_value=calculus.fenchel_value(f, u),
-        ground_support=sets.support(c_set.to_lifted(), v),
-        target_support=inst.target_support(lam_y))
+        u=u, v=v, lam=lam,
+        conjugate_value=calculus.fenchel_value(inst.objective, u),
+        ground_support=sets.support(inst.ground.to_lifted(), v),
+        target_support=inst.target_support(lam))
     _validate_certificate(inst, cert)
     return cert
 
@@ -447,57 +410,22 @@ def _restricted_conjugate(inst: FarkasInstance, w):
 
 
 def find_reduced_certificate(inst: FarkasInstance) -> ReducedCertificate | None:
-    f = inst.objective
-    gf, hf, ef, eef = inst.domain_rows()
-    c_set, t = inst.ground, inst.target_polyhedron()
-    meet = Polyhedron(dim=inst.n, G=c_set.G + gf, h=c_set.h + hf,
-                      E=c_set.E + ef, e=c_set.e + eef)
+    meet = inst.ground.intersect(inst.objective.domain)
     if meet.is_empty():
         # the restriction is identically +infinity, so its conjugate is
         # -infinity everywhere and lam = 0 certifies trivially
         lam = [ZERO] * inst.m
         return ReducedCertificate(lam=lam, restricted_conjugate=NEG_INF,
                                   target_support=inst.target_support(lam))
-    k = len(f.slopes)
-    blocks = [k, len(meet.G), len(meet.E), len(t.G), len(t.E)]
-    total = sum(blocks)
-    off = [sum(blocks[:i]) for i in range(len(blocks))]
-
-    def place(values, block, row):
-        for idx, val in enumerate(values):
-            row[off[block] + idx] = val
-
-    E, e = [], []
-    for j in range(inst.n):
-        row = [ZERO] * total
-        place([a[j] for a in f.slopes], 0, row)
-        place([g[j] for g in meet.G], 1, row)
-        place([r[j] for r in meet.E], 2, row)
-        place([_transpose_apply_row(inst.matrix, g)[j] for g in t.G], 3, row)
-        place([_transpose_apply_row(inst.matrix, r)[j] for r in t.E], 4, row)
-        E.append(row)
-        e.append(ZERO)
-    row = [ZERO] * total
-    place([ONE] * k, 0, row)
-    E.append(row)
-    e.append(ONE)
-    budget = [ZERO] * total
-    place([-b for b in f.offsets], 0, budget)
-    place(meet.h, 1, budget)
-    place(meet.e, 2, budget)
-    place(t.h, 3, budget)
-    place(t.e, 4, budget)
-    nonneg = ([True] * k + [True] * len(meet.G) + [False] * len(meet.E)
-              + [True] * len(t.G) + [False] * len(t.E))
-    out = lp.solve(lp.LinearProgram(c=[ZERO] * total, G=[budget], h=[ZERO],
-                                    E=E, e=e, nonneg=nonneg))
+    E, e, budget, nonneg, split = _multiplier_program(
+        inst.objective, [meet, inst.preimage_polyhedron()])
+    out = lp.solve(lp.LinearProgram(c=[ZERO] * len(budget), G=[budget],
+                                    h=[ZERO], E=E, e=e, nonneg=nonneg))
     if out.status == lp.INFEASIBLE:
         return None
-    eta = out.x[off[3]:off[3] + len(t.G)]
-    zeta = out.x[off[4]:off[4] + len(t.E)]
-    lam = [sum((et * g[i] for et, g in zip(eta, t.G) if et), ZERO)
-           + sum((zt * r[i] for zt, r in zip(zeta, t.E) if zt), ZERO)
-           for i in range(inst.m)]
+    _, _, mu_t = split(out.x)
+    t = inst.target_polyhedron()
+    lam = transpose_apply(t.G + t.E, mu_t, inst.m)
     cert = ReducedCertificate(
         lam=lam,
         restricted_conjugate=_restricted_conjugate(
@@ -605,10 +533,7 @@ def check_dual_criterion(inst: FarkasInstance, n_random: int = 8,
     their f*-sum matching the restricted conjugate) are sampled and
     enforced. Requires a feasible point inside dom f."""
     feas = inst.feasible_polyhedron()
-    gf, hf, ef, eef = inst.domain_rows()
-    meet = Polyhedron(dim=inst.n, G=feas.G + gf, h=feas.h + hf,
-                      E=feas.E + ef, e=feas.e + eef)
-    if meet.is_empty():
+    if feas.intersect(inst.objective.domain).is_empty():
         raise ValueError("no feasible point inside the objective's domain")
     omega = sets.minkowski_sum(
         sets.as_lifted(calculus.conjugate_epigraph(inst.objective)),
@@ -695,11 +620,7 @@ def check_stability(inst: FarkasInstance, tilts=None,
     the objective exactly when epi f* + cone is closed everywhere, which
     polyhedrality grants; each sampled tilt is verified outright.
     Requires a feasible point inside dom f."""
-    feas = inst.feasible_polyhedron()
-    gf, hf, ef, eef = inst.domain_rows()
-    meet = Polyhedron(dim=inst.n, G=feas.G + gf, h=feas.h + hf,
-                      E=feas.E + ef, e=feas.e + eef)
-    if meet.is_empty():
+    if inst.feasible_polyhedron().intersect(inst.objective.domain).is_empty():
         raise ValueError("no feasible point inside the objective's domain")
     if tilts is None:
         tilts = default_tilts(inst.n, seed=seed)

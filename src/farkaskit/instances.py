@@ -12,7 +12,7 @@ from . import calculus, sets
 from .calculus import PiecewiseAffine
 from .engine import FarkasInstance
 from .lp import LinearProgram
-from .rational import ONE, Q, ZERO
+from .rational import ONE, Q, ZERO, mat_vec
 from .semiinf import GridSystem
 
 
@@ -83,8 +83,7 @@ def _random_frame(rng: random.Random):
     anchor = [Q(rng.randint(-2, 2)) for _ in range(n)]
     ground_pairs = _box_around(rng, anchor, 2)
     matrix = [[_rint(rng) for _ in range(n)] for _ in range(m)]
-    image = [sum((row[j] * anchor[j] for j in range(n)), ZERO)
-             for row in matrix]
+    image = mat_vec(matrix, anchor)
     return n, m, anchor, ground_pairs, matrix, image
 
 
@@ -163,10 +162,7 @@ def sample_feasible_points(inst: FarkasInstance, rng: random.Random,
                            count: int = 2):
     """Distinct feasible points inside dom f: optimal vertices of random
     linear objectives over the feasible set, plus midpoints of pairs."""
-    feas = inst.feasible_polyhedron()
-    gd, hd, ed, eed = inst.domain_rows()
-    feas = sets.Polyhedron(dim=inst.n, G=feas.G + gd, h=feas.h + hd,
-                           E=feas.E + ed, e=feas.e + eed)
+    feas = inst.feasible_polyhedron().intersect(inst.objective.domain)
     points = []
     seen = set()
 

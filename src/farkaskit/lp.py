@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import InvariantViolation
-from .rational import NEG_INF, ONE, ZERO, Q, as_q_matrix, as_q_vector
+from .rational import NEG_INF, ONE, ZERO, Q, as_q_matrix, as_q_vector, dot
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -101,14 +101,6 @@ class LPOutcome:
     ray: list | None = None
     farkas_ineq: list | None = None
     farkas_eq: list | None = None
-
-
-def _dot(a, b):
-    s = ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
 
 
 def _scaled(entries, width):
@@ -357,10 +349,10 @@ def _point_feasible(lp, x):
         if lp.nonneg[j] and x[j] < ZERO:
             return False
     for row, b in zip(lp.G, lp.h):
-        if _dot(row, x) > b:
+        if dot(row, x) > b:
             return False
     for row, b in zip(lp.E, lp.e):
-        if _dot(row, x) != b:
+        if dot(row, x) != b:
             return False
     return True
 
@@ -399,24 +391,24 @@ def verify_certificate(lp: LinearProgram, out: LPOutcome) -> bool:
             return False
         if not _point_feasible(lp, out.x):
             return False
-        if _dot(lp.c, out.x) != out.value:
+        if dot(lp.c, out.x) != out.value:
             return False
         if any(v < ZERO for v in out.dual_ineq):
             return False
         if not _stationarity(lp, out.dual_ineq, out.dual_eq, lp.c):
             return False
-        return out.value == -(_dot(lp.h, out.dual_ineq) + _dot(lp.e, out.dual_eq))
+        return out.value == -(dot(lp.h, out.dual_ineq) + dot(lp.e, out.dual_eq))
     if out.status == UNBOUNDED:
         d = out.ray
         if d is None or len(d) != lp.n or not _point_feasible(lp, out.x):
             return False
-        if any(_dot(row, d) > ZERO for row in lp.G):
+        if any(dot(row, d) > ZERO for row in lp.G):
             return False
-        if any(_dot(row, d) != ZERO for row in lp.E):
+        if any(dot(row, d) != ZERO for row in lp.E):
             return False
         if any(lp.nonneg[j] and d[j] < ZERO for j in range(lp.n)):
             return False
-        return _dot(lp.c, d) < ZERO
+        return dot(lp.c, d) < ZERO
     if out.status == INFEASIBLE:
         mu, nu = out.farkas_ineq, out.farkas_eq
         if mu is None or nu is None:
@@ -428,5 +420,5 @@ def verify_certificate(lp: LinearProgram, out: LPOutcome) -> bool:
         zero = [ZERO] * lp.n
         if not _stationarity(lp, mu, nu, zero):
             return False
-        return _dot(lp.h, mu) + _dot(lp.e, nu) < ZERO
+        return dot(lp.h, mu) + dot(lp.e, nu) < ZERO
     return False

@@ -29,17 +29,9 @@ from dataclasses import dataclass
 from . import duality, lp, semiinf, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
-from .rational import NEG_INF, ONE, Q, ZERO, as_q, as_q_vector, q_str
+from .rational import NEG_INF, ONE, Q, ZERO, as_q, as_q_vector, dot, q_str
 from .semiinf import GridSystem, SignedMultiplier
 from .sets import whole_space_polyhedron
-
-
-def _dot(a, b):
-    s = ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
 
 
 def uniform_nodes(count: int):
@@ -158,11 +150,11 @@ def solve_eps(problem: ApproxProblem, epsilon) -> FrontierRow:
     value = -out.value
     n = problem.degree_bound
     coeffs = [-v for v in out.dual_eq[:n]]
-    if _dot(problem.objective_slope(), coeffs) != value:
+    if dot(problem.objective_slope(), coeffs) != value:
         raise InvariantViolation(
             "recovered coefficients miss the optimal value")
     for t, g in zip(problem.nodes, problem.values):
-        p = _dot(problem.vandermonde_row(t), coeffs)
+        p = dot(problem.vandermonde_row(t), coeffs)
         if not (g <= p <= g + epsilon):
             raise InvariantViolation("recovered coefficients leave the band")
     _, lam = extract(out.x)

@@ -72,8 +72,11 @@ def as_q(value):
     """Coerce an int, 'p/q' string, or rational to an exact rational.
 
     Floats are rejected on purpose: a float input has already lost the value
-    the caller meant, and every consumer here requires exactness.
+    the caller meant, and every consumer here requires exactness. A value
+    that is already a `Q` is returned as it is.
     """
+    if type(value) is Q:
+        return value
     if isinstance(value, bool):
         raise TypeError("booleans are not rational scalars")
     if isinstance(value, _QTYPES):
@@ -114,3 +117,29 @@ def as_q_matrix(rows):
         if any(len(r) != width for r in mat):
             raise ValueError("ragged matrix")
     return mat
+
+
+def dot(a, b):
+    """a . b over exact rationals, skipping zero terms."""
+    s = ZERO
+    for x, y in zip(a, b):
+        if x and y:
+            s += x * y
+    return s
+
+
+def mat_vec(rows, x):
+    """The row-list matrix applied to x."""
+    return [dot(row, x) for row in rows]
+
+
+def transpose_apply(rows, weights, width):
+    """rows^T weights: sum_i weights[i] * rows[i], a vector of `width`
+    entries (zeros when there are no rows)."""
+    out = [ZERO] * width
+    for row, w in zip(rows, weights):
+        if w:
+            for j, a in enumerate(row):
+                if a:
+                    out[j] += w * a
+    return out

@@ -18,19 +18,7 @@ from dataclasses import dataclass, field
 
 from . import lp
 from .errors import InvariantViolation
-from .rational import INF, NEG_INF, ONE, Q, ZERO, as_q_matrix, as_q_vector
-
-
-def _dot(a, b):
-    s = ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
-
-
-def _mat_vec(rows, x):
-    return [_dot(row, x) for row in rows]
+from .rational import INF, NEG_INF, ONE, Q, ZERO, as_q_matrix, as_q_vector, dot
 
 
 @dataclass
@@ -107,12 +95,12 @@ def member(s: LiftedSet, z) -> bool:
     if len(z) != s.dim:
         raise ValueError("point dimension mismatch")
     if s.witness_dim == 0:
-        return (all(_dot(r, z) <= b for r, b in zip(s.ineq_z, s.ineq_rhs))
-                and all(_dot(r, z) == b for r, b in zip(s.eq_z, s.eq_rhs)))
+        return (all(dot(r, z) <= b for r, b in zip(s.ineq_z, s.ineq_rhs))
+                and all(dot(r, z) == b for r, b in zip(s.eq_z, s.eq_rhs)))
     prog = lp.LinearProgram(
         c=[ZERO] * s.witness_dim,
-        G=s.ineq_w, h=[b - _dot(r, z) for r, b in zip(s.ineq_z, s.ineq_rhs)],
-        E=s.eq_w, e=[b - _dot(r, z) for r, b in zip(s.eq_z, s.eq_rhs)],
+        G=s.ineq_w, h=[b - dot(r, z) for r, b in zip(s.ineq_z, s.ineq_rhs)],
+        E=s.eq_w, e=[b - dot(r, z) for r, b in zip(s.eq_z, s.eq_rhs)],
         nonneg=s.witness_nonneg)
     return lp.solve(prog).status != lp.INFEASIBLE
 
@@ -126,8 +114,8 @@ def recession_member(s: LiftedSet, d) -> bool:
         raise ValueError("direction dimension mismatch")
     prog = lp.LinearProgram(
         c=[ZERO] * s.witness_dim,
-        G=s.ineq_w, h=[-_dot(r, d) for r in s.ineq_z],
-        E=s.eq_w, e=[-_dot(r, d) for r in s.eq_z],
+        G=s.ineq_w, h=[-dot(r, d) for r in s.ineq_z],
+        E=s.eq_w, e=[-dot(r, d) for r in s.eq_z],
         nonneg=s.witness_nonneg)
     return lp.solve(prog).status != lp.INFEASIBLE
 
@@ -183,9 +171,9 @@ def translate(s: LiftedSet, v) -> LiftedSet:
     v = as_q_vector(v)
     return LiftedSet(dim=s.dim, witness_dim=s.witness_dim,
                      ineq_z=s.ineq_z, ineq_w=s.ineq_w,
-                     ineq_rhs=[b + _dot(r, v) for r, b in zip(s.ineq_z, s.ineq_rhs)],
+                     ineq_rhs=[b + dot(r, v) for r, b in zip(s.ineq_z, s.ineq_rhs)],
                      eq_z=s.eq_z, eq_w=s.eq_w,
-                     eq_rhs=[b + _dot(r, v) for r, b in zip(s.eq_z, s.eq_rhs)],
+                     eq_rhs=[b + dot(r, v) for r, b in zip(s.eq_z, s.eq_rhs)],
                      witness_nonneg=s.witness_nonneg)
 
 
@@ -242,9 +230,9 @@ def cone_member_strict(s: LiftedSet, z) -> bool:
     # max tau s.t. tau * z in S (witnessed); tau > 0 iff z in R+ S
     prog = lp.LinearProgram(
         c=[-ONE] + [ZERO] * s.witness_dim,
-        G=[[_dot(rz, z)] + list(rw) for rz, rw in zip(s.ineq_z, s.ineq_w)],
+        G=[[dot(rz, z)] + list(rw) for rz, rw in zip(s.ineq_z, s.ineq_w)],
         h=s.ineq_rhs,
-        E=[[_dot(rz, z)] + list(rw) for rz, rw in zip(s.eq_z, s.eq_w)],
+        E=[[dot(rz, z)] + list(rw) for rz, rw in zip(s.eq_z, s.eq_w)],
         e=s.eq_rhs,
         nonneg=[True] + list(s.witness_nonneg))
     out = lp.solve(prog)
@@ -396,8 +384,16 @@ class Polyhedron:
 
     def contains(self, x) -> bool:
         x = as_q_vector(x)
-        return (all(_dot(r, x) <= b for r, b in zip(self.G, self.h))
-                and all(_dot(r, x) == b for r, b in zip(self.E, self.e)))
+        return (all(dot(r, x) <= b for r, b in zip(self.G, self.h))
+                and all(dot(r, x) == b for r, b in zip(self.E, self.e)))
+
+    def intersect(self, other: Polyhedron | None) -> Polyhedron:
+        """This set meet `other`, with this set's rows first; None stands
+        for the whole space."""
+        if other is None:
+            return self
+        return Polyhedron(dim=self.dim, G=self.G + other.G, h=self.h + other.h,
+                          E=self.E + other.E, e=self.e + other.e)
 
     def to_lifted(self) -> LiftedSet:
         return LiftedSet(dim=self.dim,

@@ -179,6 +179,17 @@ class TestOptimalityStable:
         assert "tilts checked: 4" in res.output
         assert "all strong: yes" in res.output
 
+    def test_stable_json_table_without_per_tilt_reports(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["stable", write(tmp_path, ALL_HOLDS),
+                                       "--tilts", "3", "--json"])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        # the per-tilt reports feed the table and stay out of the report
+        assert "per_tilt" not in doc["report"]
+        assert [row["equal"] for row in doc["table"]] == [True] * 3
+        assert [row["primal"] for row in doc["table"]] == \
+            [row["dual"] for row in doc["table"]]
+
     def test_stable_file_tilts_override(self, runner, tmp_path):
         doc = json.loads(json.dumps(ALL_HOLDS))
         doc["tilts"] = [[[0, 0], 0], [[1, 0], 0], [["1/2", "1/2"], 1]]

@@ -178,10 +178,22 @@ class TestStableStrongDuality:
             bounded_instance(), tilts=[[Q(1), Q(0)], [Q(-2), Q(3)]])
         assert rep.tilts_checked == 2
 
+    def test_per_tilt_reports_match_a_fresh_solve(self):
+        inst = bounded_instance()
+        shifts = [[Q(1), Q(0)], [Q(-2), Q(3)], [Q(0), Q(1, 2)]]
+        rep = duality.check_stable_strong_duality(inst, tilts=shifts)
+        assert len(rep.per_tilt) == len(shifts)
+        for shift, row in zip(shifts, rep.per_tilt):
+            fresh = duality.check_strong_duality(FarkasInstance(
+                ground=inst.ground, matrix=inst.matrix, target=inst.target,
+                objective=inst.objective.tilted(shift)))
+            assert row == fresh
+
     def test_infeasible_primal_noted(self):
         rep = duality.check_stable_strong_duality(
             infeasible_dual_infeasible(), seed=1)
         assert rep.tilts_checked == 0
+        assert rep.per_tilt == []
         assert rep.note is not None
         assert rep.containment_points == 20
 

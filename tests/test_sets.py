@@ -64,6 +64,18 @@ class TestMembership:
         with pytest.raises(ValueError):
             sets.member(s, [1, 2, 3])
 
+    def test_intersect_keeps_row_order(self):
+        band = sets.Polyhedron(dim=2, G=[[1, 0]], h=[1], E=[[0, 1]], e=[1])
+        meet = triangle_poly().intersect(band)
+        assert meet.G == [[-1, 0], [0, -1], [1, 1], [1, 0]]
+        assert meet.h == [0, 0, 2, 1]
+        assert meet.E == [[0, 1]] and meet.e == [1]
+        assert meet.contains([1, 1]) and not meet.contains([Q(3, 2), 0])
+
+    def test_intersect_with_whole_space_is_the_set(self):
+        tri = triangle_poly()
+        assert tri.intersect(None) is tri
+
 
 class TestSupport:
     def test_triangle_supports(self):

@@ -250,10 +250,10 @@ def default_dual_tilts(n: int, count: int = 25, seed: int = 0):
     return [shift for shift, _ in engine.default_tilts(n, count, seed)]
 
 
-def _sum_point_sample(inst: FarkasInstance, rng):
-    """A random point of epi f* + certificate cone, built from generators."""
-    f = inst.objective
-    conj = calculus.conjugate_epigraph(f)
+def _sum_point_sample(inst: FarkasInstance, rng, conj, ground_rays):
+    """A random point of epi f* + certificate cone, built from the generators
+    `conj` of epi f* and the ray generators `ground_rays` of the ground's
+    support epigraph."""
     weights = [Q(rng.randint(0, 3)) for _ in conj.points]
     if not any(weights):
         weights[0] = ONE
@@ -264,7 +264,7 @@ def _sum_point_sample(inst: FarkasInstance, rng):
         c = Q(rng.randint(0, 2))
         if c:
             z = [a + c * b for a, b in zip(z, ray)]
-    for ray in calculus.support_epigraph_generators(inst.ground):
+    for ray in ground_rays:
         c = Q(rng.randint(0, 2))
         if c:
             z = [a + c * b for a, b in zip(z, ray)]
@@ -288,8 +288,10 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
     rng = random.Random(seed + 1)
     restricted = calculus.restricted_conjugate_epigraph(
         inst.objective, inst.feasible_polyhedron())
+    conj = calculus.conjugate_epigraph(inst.objective)
+    ground_rays = calculus.support_epigraph_generators(inst.ground)
     for _ in range(n_points):
-        z = _sum_point_sample(inst, rng)
+        z = _sum_point_sample(inst, rng, conj, ground_rays)
         if not sets.member(restricted, z):
             raise InvariantViolation(
                 "a sum point escapes the restricted conjugate epigraph")

@@ -670,8 +670,8 @@ def check_sublevel(inst: FarkasInstance) -> SublevelReport:
         raise ValueError("sublevel check needs a nonempty feasible set")
     lifted = feas.to_lifted()
     maximum = NEG_INF
-    for a, b in zip(inst.objective.slopes, inst.objective.offsets):
-        s = sets.support(lifted, a)
+    for s, b in zip(sets.supports(lifted, inst.objective.slopes),
+                    inst.objective.offsets):
         val = s if s is INF else s + b
         if val > maximum:
             maximum = val

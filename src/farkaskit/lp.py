@@ -6,8 +6,17 @@ with dual multipliers, a feasible point with an unbounded improving ray, or
 a Farkas certificate of infeasibility. Bland's rule in both phases, so
 termination is guaranteed and the outcome is deterministic.
 
-The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the two
-reduced-cost rows included, is a dense list of plain integer numerators, its
+Phase 1 reads only the constraints (G, h, E, e and the sign flags): it finds
+a feasible basis, or a Farkas certificate, without looking at c. Phase 2 then
+forms the reduced-cost row of c from that basis, c - sum_i c_basis[i] T[i],
+and pivots on it. Reduced costs depend on the basis only, so this is the row
+that carrying c through phase 1 would give, and each pivot updates the
+constraint rows plus one objective row. `solve_each` runs phase 1 once for a
+list of costs and a phase 2 per cost, each on its own copy of the feasible
+tableau; `solve` is the same code with one cost and no copy.
+
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
+objective row included, is a dense list of plain integer numerators, its
 right-hand side last, over one positive integer denominator, kept in lowest
 terms by one gcd per update. Signs and the ratio test (by
 cross-multiplication) are read off the integers, so every pivot decision is
@@ -28,6 +37,7 @@ nonneg variables), mu >= 0, h.mu + e.nu < 0.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -117,117 +127,109 @@ def _scaled(entries, width):
     return row, int(d)
 
 
-def solve(lp: LinearProgram) -> LPOutcome:
-    n = lp.n
-    mG = len(lp.G)
-    mE = len(lp.E)
-    m = mG + mE
-
-    # Real-column layout: variable columns (split in +/- parts unless the
-    # variable is flagged nonnegative), then one slack per inequality row.
-    col_sign = []  # (variable index, +1/-1) per variable column
-    var_cols = []  # per variable: (plus column, minus column or None)
-    for j in range(n):
-        p = len(col_sign)
-        col_sign.append((j, 1))
-        if lp.nonneg[j]:
-            var_cols.append((p, None))
-        else:
-            col_sign.append((j, -1))
-            var_cols.append((p, p + 1))
-    slack0 = len(col_sign)
-    nreal = slack0 + mG
-
-    # Artificial columns on every equality row and every flipped inequality
-    # row (whose slack coefficient is -1 and cannot start basic). They also
-    # stay in the tableau through phase 2 as probe columns: the maintained
-    # reduced cost of the artificial of row k is exactly -y_k, which is how
-    # equality duals are read off without forming a basis inverse.
-    sigma = [-1 if (lp.h[i] if i < mG else lp.e[i - mG]) < ZERO else 1
-             for i in range(m)]
-    art_col = [None] * m
-    nart = 0
-    for i in range(m):
-        if i >= mG or sigma[i] < 0:
-            art_col[i] = nreal + nart
-            nart += 1
-    ncols = nreal + nart
-    RHS = ncols
-
-    # Standardized rows (rhs made nonnegative by row flips, sigma tracks the
-    # flip), inequality rows first in original order, then equality rows.
-    # Row i holds the values T[i][j] / D[i]: integer numerators with the
-    # right-hand side as entry RHS, over one positive denominator sharing no
-    # factor with them.
-    T = []
-    D = []
-    for i in range(m):
-        orig = lp.G[i] if i < mG else lp.E[i - mG]
-        entries = [(cidx, orig[j] if s > 0 else -orig[j])
-                   for cidx, (j, s) in enumerate(col_sign) if orig[j]]
-        if i < mG:
-            entries.append((slack0 + i, ONE))
-        b = lp.h[i] if i < mG else lp.e[i - mG]
-        if b:
-            entries.append((RHS, b))
-        Ti, d = _scaled(entries, ncols + 1)
-        if sigma[i] < 0:
-            Ti = [-v for v in Ti]
-        if art_col[i] is not None:
-            Ti[art_col[i]] = d
-        T.append(Ti)
-        D.append(d)
-
-    basis = [art_col[i] if art_col[i] is not None else slack0 + i for i in range(m)]
-
-    # Reduced-cost rows for both phases, kept as rows Z1 and Z2 of the
-    # tableau after the m constraint rows and maintained through every pivot.
-    # Their entry RHS is minus the current objective value, so it is updated
-    # like any other column.
-    #
-    # Phase 1 minimizes the sum of the artificials: minus the sum of their
-    # rows, zero at the artificial columns.
-    art_rows = [i for i in range(m) if art_col[i] is not None]
-    d1 = lcm(*[D[i] for i in art_rows])
-    z1 = [0] * (ncols + 1)
-    for i in art_rows:
-        f = d1 // D[i]
-        for j, v in enumerate(T[i]):
-            if v:
-                z1[j] -= f * v
-    for i in art_rows:
-        z1[art_col[i]] += d1
-    g = gcd(d1, *z1)
-    T.append([v // g for v in z1])
-    D.append(d1 // g)
-    z2, d2 = _scaled([(cidx, lp.c[j] if s > 0 else -lp.c[j])
-                      for cidx, (j, s) in enumerate(col_sign) if lp.c[j]],
-                     ncols + 1)
-    T.append(z2)
-    D.append(d2)
-    Z1, Z2 = m, m + 1
-
-    def eliminate(N, d, f, p, nz):
-        # N/d minus f/d times the pivot row nz/p: (N*p - f*nz) / (d*p),
-        # with the common factor of f and p taken out first and the result
-        # reduced to lowest terms
-        g = gcd(f, p)
+def _eliminate(N, d, f, p, nz):
+    """The row N/d minus f/d times the pivot row nz/p, where nz lists the
+    pivot row's nonzero (column, numerator) pairs: (N*p - f*nz) / (d*p), with
+    the common factor of f and p taken out first and the result reduced to
+    lowest terms. Updates N in place when p comes down to 1."""
+    g = gcd(f, p)
+    if g > 1:
+        f //= g
+        p //= g
+    if p > 1:
+        N = [v * p for v in N]
+        d *= p
+    for j, b in nz:
+        N[j] -= f * b
+    if d > 1:
+        g = gcd(d, *N)
         if g > 1:
-            f //= g
-            p //= g
-        if p > 1:
-            N = [v * p for v in N]
-            d *= p
-        for j, b in nz:
-            N[j] -= f * b
-        if d > 1:
-            g = gcd(d, *N)
-            if g > 1:
-                N = [v // g for v in N]
-                d //= g
-        return N, d
+            N = [v // g for v in N]
+            d //= g
+    return N, d
 
-    def pivot(r, q):
+
+class _Tableau:
+    """The standardized constraint rows of a program, their basis, and one
+    objective row after them (row m): the phase-1 row while phase 1 runs,
+    then the reduced costs of one cost vector in phase 2. Row i holds the
+    values T[i][j] / D[i]: integer numerators with the right-hand side as
+    entry RHS, over one positive denominator sharing no factor with them."""
+
+    def __init__(self, lp: LinearProgram):
+        self.mG = mG = len(lp.G)
+        self.mE = mE = len(lp.E)
+        self.m = m = mG + mE
+
+        # Real-column layout: variable columns (split in +/- parts unless the
+        # variable is flagged nonnegative), then one slack per inequality row.
+        self.col_sign = col_sign = []  # (variable index, +1/-1) per column
+        self.var_cols = var_cols = []  # per variable: (plus, minus or None)
+        for j in range(lp.n):
+            p = len(col_sign)
+            col_sign.append((j, 1))
+            if lp.nonneg[j]:
+                var_cols.append((p, None))
+            else:
+                col_sign.append((j, -1))
+                var_cols.append((p, p + 1))
+        self.slack0 = slack0 = len(col_sign)
+        self.nreal = nreal = slack0 + mG
+
+        # Artificial columns on every equality row and every flipped
+        # inequality row (whose slack coefficient is -1 and cannot start
+        # basic). They also stay in the tableau through phase 2 as probe
+        # columns: the reduced cost of the artificial of row k is exactly
+        # -y_k, which is how equality duals are read off without forming a
+        # basis inverse.
+        self.sigma = sigma = [
+            -1 if (lp.h[i] if i < mG else lp.e[i - mG]) < ZERO else 1
+            for i in range(m)]
+        self.art_col = art_col = [None] * m
+        nart = 0
+        for i in range(m):
+            if i >= mG or sigma[i] < 0:
+                art_col[i] = nreal + nart
+                nart += 1
+        self.ncols = ncols = nreal + nart
+        self.RHS = RHS = ncols
+
+        # Standardized rows (rhs made nonnegative by row flips, sigma tracks
+        # the flip), inequality rows first in original order, then equality
+        # rows.
+        self.T = T = []
+        self.D = D = []
+        for i in range(m):
+            orig = lp.G[i] if i < mG else lp.E[i - mG]
+            entries = [(cidx, orig[j] if s > 0 else -orig[j])
+                       for cidx, (j, s) in enumerate(col_sign) if orig[j]]
+            if i < mG:
+                entries.append((slack0 + i, ONE))
+            b = lp.h[i] if i < mG else lp.e[i - mG]
+            if b:
+                entries.append((RHS, b))
+            Ti, d = _scaled(entries, ncols + 1)
+            if sigma[i] < 0:
+                Ti = [-v for v in Ti]
+            if art_col[i] is not None:
+                Ti[art_col[i]] = d
+            T.append(Ti)
+            D.append(d)
+        self.basis = [art_col[i] if art_col[i] is not None else slack0 + i
+                      for i in range(m)]
+
+    def copy(self) -> _Tableau:
+        """The same tableau with rows of its own: `pivot` changes rows in
+        place, so each phase 2 after the first runs on a copy."""
+        twin = copy.copy(self)
+        twin.T = [row[:] for row in self.T]
+        twin.D = self.D[:]
+        twin.basis = self.basis[:]
+        return twin
+
+    def pivot(self, r, q):
+        # pivot-counting profile hooks find this method by its name
+        T, D = self.T, self.D
         rowr = T[r]
         p = rowr[q]
         if p < 0:
@@ -243,19 +245,20 @@ def solve(lp: LinearProgram) -> LPOutcome:
         # and each other row changes only at the nonzero columns of the
         # pivot row before it is brought back to lowest terms.
         nz = [(j, b) for j, b in enumerate(rowr) if b]
-        for i in range(m + 2):
+        for i in range(len(T)):
             if i == r:
                 continue
             f = T[i][q]
             if f:
-                T[i], D[i] = eliminate(T[i], D[i], f, p, nz)
-        basis[r] = q
+                T[i], D[i] = _eliminate(T[i], D[i], f, p, nz)
+        self.basis[r] = q
 
-    def ratio_row(q):
+    def ratio_row(self, q):
         # Bland leaving rule: min ratio rhs_i / t_i, compared by
         # cross-multiplication, ties broken by smallest basic column.
+        T, basis, RHS = self.T, self.basis, self.RHS
         best_row = None
-        for i in range(m):
+        for i in range(self.m):
             Ti = T[i]
             t = Ti[q]
             if t > 0:
@@ -268,78 +271,149 @@ def solve(lp: LinearProgram) -> LPOutcome:
                     best_row, bn, bt = i, Ti[RHS], t
         return best_row
 
-    # Phase 1: min sum of artificials, every column eligible.
-    while True:
-        z1 = T[Z1]
-        q = None
-        for j in range(ncols):
-            if z1[j] < 0:
-                q = j
-                break
-        if q is None:
-            break
-        r = ratio_row(q)
-        if r is None:
-            raise InvariantViolation("phase-1 objective cannot be unbounded")
-        pivot(r, q)
-
-    z1, d1 = T[Z1], D[Z1]
-    if z1[RHS] < 0:
-        # The phase-1 duals, read off the probe columns, are a Farkas
-        # certificate for the original system.
-        mu = [Q(z1[slack0 + i], d1) for i in range(mG)]
-        nu = [Q(sigma[mG + k] * (z1[art_col[mG + k]] - d1), d1) for k in range(mE)]
-        return LPOutcome(INFEASIBLE, farkas_ineq=mu, farkas_eq=nu)
-
-    # Drive basic artificials (all at value 0 now) out of the basis. A row
-    # with no real-column entry left is inert: no later pivot can touch it.
-    for i in range(m):
-        if basis[i] >= nreal:
-            Ti = T[i]
-            for j in range(nreal):
-                if Ti[j]:
-                    pivot(i, j)
+    def _run(self, ncand):
+        # Bland entering rule on the objective row: the first of the first
+        # `ncand` columns with a negative reduced cost, until none is left;
+        # returns the entering column with no leaving row, if one occurs.
+        z = self.T[self.m]
+        while True:
+            q = None
+            for j in range(ncand):
+                if z[j] < 0:
+                    q = j
                     break
+            if q is None:
+                return None
+            r = self.ratio_row(q)
+            if r is None:
+                return q
+            self.pivot(r, q)
+            z = self.T[self.m]
 
-    def current_x():
-        val = {basis[i]: Q(T[i][RHS], D[i]) for i in range(m)}
+    def phase1(self):
+        """Drive the artificials to zero and out of the basis, leaving no
+        objective row. Returns the Farkas pair (mu, nu) when the system is
+        infeasible, else None."""
+        T, D, m = self.T, self.D, self.m
+        # Minimize the sum of the artificials: minus the sum of their rows,
+        # zero at the artificial columns. Entry RHS of an objective row is
+        # minus the current objective value, updated like any other column.
+        art_rows = [i for i in range(m) if self.art_col[i] is not None]
+        d1 = lcm(*[D[i] for i in art_rows])
+        z1 = [0] * (self.ncols + 1)
+        for i in art_rows:
+            f = d1 // D[i]
+            for j, v in enumerate(T[i]):
+                if v:
+                    z1[j] -= f * v
+        for i in art_rows:
+            z1[self.art_col[i]] += d1
+        g = gcd(d1, *z1)
+        T.append([v // g for v in z1])
+        D.append(d1 // g)
+        if self._run(self.ncols) is not None:
+            raise InvariantViolation("phase-1 objective cannot be unbounded")
+        z1, d1 = T.pop(), D.pop()
+        if z1[self.RHS] < 0:
+            # The phase-1 duals, read off the probe columns, are a Farkas
+            # certificate for the original system.
+            mG, sigma, art_col = self.mG, self.sigma, self.art_col
+            mu = [Q(z1[self.slack0 + i], d1) for i in range(mG)]
+            nu = [Q(sigma[mG + k] * (z1[art_col[mG + k]] - d1), d1)
+                  for k in range(self.mE)]
+            return mu, nu
+        # Drive basic artificials (all at value 0 now) out of the basis. A
+        # row with no real-column entry left is inert: no later pivot can
+        # touch it.
+        basis = self.basis
+        for i in range(m):
+            if basis[i] >= self.nreal:
+                Ti = T[i]
+                for j in range(self.nreal):
+                    if Ti[j]:
+                        self.pivot(i, j)
+                        break
+        return None
+
+    def phase2(self, c) -> LPOutcome:
+        """Minimize c.x from the feasible basis phase 1 left; artificial
+        columns are ineligible to enter."""
+        T, D, basis, m, RHS = self.T, self.D, self.basis, self.m, self.RHS
+        # Reduced costs c - sum_i c_basis[i] T[i]/D[i]: eliminate the cost
+        # row's entry at each basic column (slacks and artificials cost 0).
+        # A row in lowest terms over a positive denominator is unique, and
+        # reduced costs depend on the basis only, so this is the row that
+        # carrying the cost through phase 1 would give.
+        z, d = _scaled([(cidx, c[j] if s > 0 else -c[j])
+                        for cidx, (j, s) in enumerate(self.col_sign) if c[j]],
+                       self.ncols + 1)
+        for i in range(m):
+            f = z[basis[i]]
+            if f:
+                z, d = _eliminate(z, d, f, D[i],
+                                  [(j, b) for j, b in enumerate(T[i]) if b])
+        T.append(z)
+        D.append(d)
+        q = self._run(self.nreal)
+        z, d = T.pop(), D.pop()
+        if q is None:
+            mG, sigma, art_col = self.mG, self.sigma, self.art_col
+            mu = [Q(z[self.slack0 + i], d) for i in range(mG)]
+            nu = [Q(sigma[mG + k] * z[art_col[mG + k]], d)
+                  for k in range(self.mE)]
+            return LPOutcome(OPTIMAL, x=self._x(), value=Q(-z[RHS], d),
+                             dual_ineq=mu, dual_eq=nu)
+        dz = {q: ONE}
+        for i in range(m):
+            t = T[i][q]
+            if t:
+                dz[basis[i]] = Q(-t, D[i])
+        return LPOutcome(UNBOUNDED, x=self._x(), value=NEG_INF,
+                         ray=self._per_variable(dz))
+
+    def _per_variable(self, by_col):
+        # a column vector (as {column: value}) in the program's variables
         x = []
-        for p, mcol in var_cols:
-            v = val.get(p, ZERO)
+        for p, mcol in self.var_cols:
+            v = by_col.get(p, ZERO)
             if mcol is not None:
-                v = v - val.get(mcol, ZERO)
+                v = v - by_col.get(mcol, ZERO)
             x.append(v)
         return x
 
-    # Phase 2: artificial columns are ineligible to enter.
-    while True:
-        z2 = T[Z2]
-        q = None
-        for j in range(nreal):
-            if z2[j] < 0:
-                q = j
-                break
-        if q is None:
-            d2 = D[Z2]
-            mu = [Q(z2[slack0 + i], d2) for i in range(mG)]
-            nu = [Q(sigma[mG + k] * z2[art_col[mG + k]], d2) for k in range(mE)]
-            return LPOutcome(OPTIMAL, x=current_x(), value=Q(-z2[RHS], d2),
-                             dual_ineq=mu, dual_eq=nu)
-        r = ratio_row(q)
-        if r is None:
-            dz = {q: ONE}
-            for i in range(m):
-                t = T[i][q]
-                if t:
-                    dz[basis[i]] = Q(-t, D[i])
-            ray = []
-            for p, mcol in var_cols:
-                v = dz.get(p, ZERO)
-                if mcol is not None:
-                    v = v - dz.get(mcol, ZERO)
-                ray.append(v)
-            return LPOutcome(UNBOUNDED, x=current_x(), value=NEG_INF, ray=ray)
-        pivot(r, q)
+    def _x(self):
+        T, D, RHS = self.T, self.D, self.RHS
+        return self._per_variable({q: Q(T[i][RHS], D[i])
+                                   for i, q in enumerate(self.basis)})
+
+
+def _solve(lp: LinearProgram, costs) -> list:
+    tab = _Tableau(lp)
+    farkas = tab.phase1()
+    if farkas is not None:
+        mu, nu = farkas
+        return [LPOutcome(INFEASIBLE, farkas_ineq=list(mu), farkas_eq=list(nu))
+                for _ in costs]
+    last = len(costs) - 1
+    return [(tab if k == last else tab.copy()).phase2(c)
+            for k, c in enumerate(costs)]
+
+
+def solve(lp: LinearProgram) -> LPOutcome:
+    """min lp.c . x over lp's constraints."""
+    return _solve(lp, [lp.c])[0]
+
+
+def solve_each(lp: LinearProgram, costs) -> list:
+    """One outcome per cost vector in `costs`, each equal to `solve` on lp
+    with that cost in place of lp.c (which is not read). Phase 1 runs once
+    for all of them; an infeasible system gives its Farkas outcome for
+    every cost."""
+    costs = [as_q_vector(c) for c in costs]
+    for c in costs:
+        if len(c) != lp.n:
+            raise ValueError("cost width != number of variables")
+    return _solve(lp, costs)
 
 
 def _point_feasible(lp, x):

@@ -125,7 +125,24 @@ def support(s: LiftedSet, d):
     d = as_q_vector(d)
     if len(d) != s.dim:
         raise ValueError("direction dimension mismatch")
-    out = lp.solve(_joint_lp(s, [-v for v in d], [ZERO] * s.witness_dim))
+    return _support_value(
+        lp.solve(_joint_lp(s, [-v for v in d], [ZERO] * s.witness_dim)))
+
+
+def supports(s: LiftedSet, directions) -> list:
+    """[support(s, d) for d in directions], from one feasible basis of the
+    set's rows: phase 1 runs once and each direction is a phase 2 only."""
+    costs = []
+    for d in directions:
+        d = as_q_vector(d)
+        if len(d) != s.dim:
+            raise ValueError("direction dimension mismatch")
+        costs.append([-v for v in d] + [ZERO] * s.witness_dim)
+    prog = _joint_lp(s, [ZERO] * s.dim, [ZERO] * s.witness_dim)
+    return [_support_value(out) for out in lp.solve_each(prog, costs)]
+
+
+def _support_value(out):
     if out.status == lp.INFEASIBLE:
         return NEG_INF
     if out.status == lp.UNBOUNDED:
@@ -352,13 +369,11 @@ def probe_directions(dim: int, n_random: int = 0, seed: int = 0):
 
 def support_mismatches(a: LiftedSet, b: LiftedSet, directions):
     """Directions where sup over A and sup over B differ."""
-    bad = []
-    for d in directions:
-        sa = support(a, d)
-        sb = support(b, d)
-        if sa != sb:
-            bad.append((list(d), sa, sb))
-    return bad
+    directions = list(directions)
+    return [(list(d), sa, sb)
+            for d, sa, sb in zip(directions, supports(a, directions),
+                                 supports(b, directions))
+            if sa != sb]
 
 
 @dataclass

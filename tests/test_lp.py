@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +15,7 @@ from farkaskit.lp import (
     UNBOUNDED,
     LinearProgram,
     solve,
+    solve_each,
     verify_certificate,
 )
 from farkaskit.rational import NEG_INF, Q, ZERO
@@ -129,7 +129,7 @@ def test_beale_cycling_example_terminates():
     assert out.value == Q(-1, 20)
 
 
-def test_beale_1955_cycling_example_ties_in_ratio_test():
+def test_beale_1955_cycling_example_ties_in_ratio_test(count_pivots):
     # Beale's original cycling example: the first entering column meets two
     # zero right-hand sides, so the cross-multiplied ratio test ties and
     # Bland's smallest-basic-column tie-break decides the leaving row
@@ -142,18 +142,7 @@ def test_beale_1955_cycling_example_ties_in_ratio_test():
         E=[], e=[],
         nonneg=[True, True, True, True],
     )
-    pivots = []
-
-    def count_pivots(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "pivot":
-            pivots.append(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(count_pivots)
-    try:
-        out = solve(lp)
-    finally:
-        sys.setprofile(previous)
+    out, pivots = count_pivots(solve, lp)
     assert verify_certificate(lp, out)
     assert out.status == OPTIMAL
     assert out.value == Q(-5, 4)
@@ -161,7 +150,31 @@ def test_beale_1955_cycling_example_ties_in_ratio_test():
     assert out.dual_ineq == [0, Q(3, 2), Q(5, 4)]
     # the smallest-basic-column tie-break takes six pivots here; breaking
     # the tie the other way reaches the same optimum in two
-    assert len(pivots) == 6
+    assert pivots == 6
+
+
+def _klee_minty(d):
+    # max sum 2^(d-j) x_j  s.t.  sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^i, x >= 0,
+    # as a minimization; the optimum is the vertex x = 5^d e_d
+    G = [[2 ** (i - j + 1) for j in range(1, i)] + [1] + [0] * (d - i)
+         for i in range(1, d + 1)]
+    return LinearProgram(c=[-(2 ** (d - j)) for j in range(1, d + 1)],
+                         G=G, h=[5 ** i for i in range(1, d + 1)], E=[], e=[],
+                         nonneg=[True] * d)
+
+
+@pytest.mark.parametrize("d, pivots", [(3, 5), (4, 9), (5, 15)])
+def test_klee_minty_cube_bland_path(count_pivots, d, pivots):
+    # Bland's rule on the Klee-Minty cube (Klee & Minty 1972; Bland 1977):
+    # every slack starts basic, so phase 1 makes no pivot, and the value and
+    # the length of the phase-2 path from the origin are pinned
+    lp = _klee_minty(d)
+    out, made = count_pivots(solve, lp)
+    assert verify_certificate(lp, out)
+    assert out.status == OPTIMAL
+    assert out.value == -(5 ** d)
+    assert out.x == [0] * (d - 1) + [5 ** d]
+    assert made == pivots
 
 
 def test_mixed_flags_duals():
@@ -323,6 +336,78 @@ def test_mixed_denominator_programs_match_highs():
             assert res.fun == pytest.approx(float(out.value), rel=1e-6, abs=1e-6), seed
         seen.add(out.status)
     assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
+
+
+def _small_fraction(rng):
+    den = rng.choice((1, 1, 2, 3, 7, 360))
+    return Q(rng.randint(-6 * den, 6 * den), den)
+
+
+def _shared_constraints(rng):
+    # rows over n variables: inequality rows with right-hand sides of both
+    # signs (flipped rows), equality rows, sometimes a multiple of the first
+    # equality row (a redundant row that stays inert after phase 1), mixed
+    # sign flags; half the draws plant a point so that feasible systems occur
+    n = rng.randint(1, 6)
+    G = [[_small_fraction(rng) for _ in range(n)]
+         for _ in range(rng.randint(0, 6))]
+    E = [[_small_fraction(rng) for _ in range(n)]
+         for _ in range(rng.randint(0, 3))]
+    nonneg = [rng.random() < 0.5 for _ in range(n)]
+    if rng.random() < 0.5:
+        x0 = [abs(_small_fraction(rng)) if f else _small_fraction(rng)
+              for f in nonneg]
+        h = [sum(a * b for a, b in zip(row, x0)) + abs(_small_fraction(rng))
+             for row in G]
+        e = [sum(a * b for a, b in zip(row, x0)) for row in E]
+    else:
+        h = [_small_fraction(rng) for _ in G]
+        e = [_small_fraction(rng) for _ in E]
+    redundant = bool(E) and rng.random() < 0.4
+    if redundant:
+        k = _small_fraction(rng) or Q(2)
+        E.append([k * v for v in E[0]])
+        e.append(k * e[0])
+    return n, G, h, E, e, nonneg, redundant
+
+
+def test_solve_each_matches_solve_per_cost():
+    rng = random.Random(20261018)
+    statuses = set()
+    flipped = redundant_feasible = 0
+    for _ in range(400):
+        n, G, h, E, e, nonneg, redundant = _shared_constraints(rng)
+        costs = [[_small_fraction(rng) for _ in range(n)] for _ in range(3)]
+        costs.append([ZERO] * n)
+        rng.shuffle(costs)
+        shared = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e, nonneg=nonneg)
+        outs = solve_each(shared, costs)
+        assert len(outs) == len(costs)
+        for c, out in zip(costs, outs):
+            lp = LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg)
+            assert out == solve(lp)
+            assert verify_certificate(lp, out)
+            statuses.add(out.status)
+        flipped += any(b < 0 for b in h)
+        redundant_feasible += redundant and outs[0].status != INFEASIBLE
+    assert statuses == {OPTIMAL, UNBOUNDED, INFEASIBLE}
+    assert flipped and redundant_feasible
+
+
+def test_solve_each_outcomes_are_independent():
+    lp = LinearProgram(c=[0, 0], G=[[1, 0], [0, 1]], h=[1, 1], E=[], e=[],
+                       nonneg=[True, True])
+    outs = solve_each(lp, [[-1, 0], [0, -1], [-1, 0]])
+    assert [o.x for o in outs] == [[1, 0], [0, 1], [1, 0]]
+    outs[0].x[0] = Q(5)
+    assert outs[2].x == [1, 0]
+    infeasible = LinearProgram(c=[0], G=[[1], [-1]], h=[1, -2], E=[], e=[])
+    a, b = solve_each(infeasible, [[1], [-1]])
+    assert a == b == solve(infeasible)
+    assert a.farkas_ineq is not b.farkas_ineq
+    assert solve_each(lp, []) == []
+    with pytest.raises(ValueError):
+        solve_each(lp, [[1]])
 
 
 @st.composite

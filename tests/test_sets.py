@@ -7,7 +7,7 @@ boxes, a shifted segment) so every assertion is checkable by hand.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farkaskit import sets
+from farkaskit import calculus, sets
 from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, Q
 
@@ -332,3 +332,33 @@ class TestGeneratedProperties:
         if g.rays:
             pushed = [a + 2 * r for a, r in zip(mid, g.rays[0])]
             assert sets.member(s, pushed)
+
+
+def test_supports_run_phase_1_once(count_pivots):
+    # the support sweep of a fixed cone: the image of a polyhedron's support
+    # epigraph, whose equality rows start phase 1 on artificials
+    p = sets.Polyhedron(dim=2, G=[[1, 2], [-3, 1], [1, -1], [0, -1]],
+                        h=[4, 3, 2, 1])
+    cone = sets.linear_image(calculus.support_epigraph(p),
+                             [[2, -1, 0], [1, 3, 0], [0, 0, 1]])
+    dirs = sets.probe_directions(3, n_random=50, seed=11)[:50]
+    assert len(dirs) == 50
+    values, swept = count_pivots(sets.supports, cone, dirs)
+    singles = [count_pivots(sets.support, cone, d) for d in dirs]
+    assert values == [v for v, _ in singles]
+    assert INF in values and Q(0) in values
+    # a zero cost makes no phase-2 pivot, so this is one phase-1 run
+    _, phase1 = count_pivots(sets.is_empty, cone)
+    per_direction = sum(n for _, n in singles)
+    assert (phase1, swept, per_direction) == (6, 148, 442)
+    assert swept == phase1 + sum(n - phase1 for _, n in singles)
+
+
+def test_supports_checks_every_direction():
+    s = sets.Polyhedron(dim=2, G=[[1, 0], [0, 1]], h=[1, 2]).to_lifted()
+    assert sets.supports(s, [[1, 0], [0, 1], [-1, 0]]) == [1, 2, INF]
+    assert sets.supports(sets.empty_set(2), [[1, 0], [0, -1]]) == \
+        [NEG_INF, NEG_INF]
+    assert sets.supports(s, []) == []
+    with pytest.raises(ValueError):
+        sets.supports(s, [[1, 0], [1, 0, 0]])

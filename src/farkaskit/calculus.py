@@ -16,10 +16,11 @@ by row surgery and single LPs rather than by approximation:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from . import lp, sets
-from .rational import INF, NEG_INF, ONE, ZERO, as_q_matrix, as_q_vector, dot, is_finite
+from .rational import INF, NEG_INF, ONE, ZERO, as_q, as_q_matrix, as_q_vector, dot
 
 
 @dataclass
@@ -58,13 +59,17 @@ class PiecewiseAffine:
         return max(dot(a, x) + b for a, b in zip(self.slopes, self.offsets))
 
     def tilted(self, shift, lift=ZERO) -> "PiecewiseAffine":
-        """x -> f(x) - shift . x - lift, same domain."""
+        """x -> f(x) - shift . x - lift, same domain. The domain was checked
+        when f was built, so the copy skips the constructor's checks."""
         shift = as_q_vector(shift)
-        return PiecewiseAffine(
-            dim=self.dim,
-            slopes=[[a - s for a, s in zip(row, shift)] for row in self.slopes],
-            offsets=[b - lift for b in self.offsets],
-            domain=self.domain)
+        if len(shift) != self.dim:
+            raise ValueError("shift dimension mismatch")
+        lift = as_q(lift)
+        twin = copy.copy(self)
+        twin.slopes = [[a - s for a, s in zip(row, shift)]
+                       for row in self.slopes]
+        twin.offsets = [b - lift for b in self.offsets]
+        return twin
 
 
 @dataclass
@@ -92,8 +97,9 @@ def _stacked_rows(f: PiecewiseAffine, over: sets.Polyhedron):
     return G, h, E, e
 
 
-def minimize_over(f: PiecewiseAffine, over: sets.Polyhedron) -> Minimum:
-    """Minimize f over a polyhedron (intersected with dom f), exactly."""
+def _epigraph_program(f: PiecewiseAffine, over: sets.Polyhedron):
+    """The rows of min t over (x, t) subject to x in `over` and dom f and
+    a.x + b <= t for every piece (a, b) of f, with no cost set."""
     if f.dim != over.dim:
         raise ValueError("dimension mismatch")
     n = f.dim
@@ -103,11 +109,16 @@ def minimize_over(f: PiecewiseAffine, over: sets.Polyhedron) -> Minimum:
     for a, b in zip(f.slopes, f.offsets):
         rows.append(list(a) + [-ONE])
         rhs.append(-b)
-    prog = lp.LinearProgram(c=[ZERO] * n + [ONE],
+    return lp.LinearProgram(c=[ZERO] * n + [ONE],
                             G=rows, h=rhs,
                             E=[row + [ZERO] for row in E], e=e,
                             nonneg=[False] * (n + 1))
-    out = lp.solve(prog)
+
+
+def minimize_over(f: PiecewiseAffine, over: sets.Polyhedron) -> Minimum:
+    """Minimize f over a polyhedron (intersected with dom f), exactly."""
+    n = f.dim
+    out = lp.solve(_epigraph_program(f, over))
     if out.status == lp.INFEASIBLE:
         return Minimum(value=INF)
     if out.status == lp.UNBOUNDED:
@@ -115,16 +126,40 @@ def minimize_over(f: PiecewiseAffine, over: sets.Polyhedron) -> Minimum:
     return Minimum(value=out.value, point=out.x[:n])
 
 
+def fenchel_values(f: PiecewiseAffine, points) -> list:
+    """[f*(u) for u in points], INF where the sup is unbounded.
+
+    f*(u) = sup_x (u . x - f(x)) = -min (t - u . x) over f's own epigraph
+    rows (a.x + b <= t per piece, plus dom f). Only the cost (-u, 1)
+    depends on u, so one `lp.solve_each` serves every point: phase 1 runs
+    once per f. The minimum is unique, so each value is the one a program
+    per point would give. A tilt needs no program of its own either: the
+    conjugate of f - s.x - l at u is f*(u + s) + l."""
+    n = f.dim
+    costs = []
+    for u in points:
+        u = as_q_vector(u)
+        if len(u) != n:
+            raise ValueError("point dimension mismatch")
+        costs.append([-v for v in u] + [ONE])
+    if not costs:
+        return []
+    values = []
+    for out in lp.solve_each(
+            _epigraph_program(f, sets.whole_space_polyhedron(n)), costs):
+        if out.status == lp.UNBOUNDED:
+            values.append(INF)
+        elif out.status == lp.INFEASIBLE:
+            # unreachable for a proper function; kept as a guard
+            values.append(NEG_INF)
+        else:
+            values.append(-out.value)
+    return values
+
+
 def fenchel_value(f: PiecewiseAffine, u):
     """f*(u) = sup_x (u . x - f(x)); INF when the sup is unbounded."""
-    u = as_q_vector(u)
-    m = minimize_over(f.tilted(u), sets.whole_space_polyhedron(f.dim))
-    if m.value is NEG_INF:
-        return INF
-    if m.value is INF:
-        # unreachable for a proper function; kept as a guard
-        return NEG_INF
-    return -m.value
+    return fenchel_values(f, [u])[0]
 
 
 def support_epigraph(p) -> sets.LiftedSet:
@@ -211,35 +246,3 @@ def restricted_conjugate_epigraph(f: PiecewiseAffine,
                           ineq_z=ineq_z, ineq_w=ineq_w, ineq_rhs=[ZERO],
                           eq_z=eq_z, eq_w=eq_w, eq_rhs=eq_rhs,
                           witness_nonneg=[True] * (k + n_ineq) + [False] * n_eq)
-
-
-def barrier_cone_member(p: sets.Polyhedron, direction) -> bool:
-    """Whether sigma_P is finite along `direction` (membership in the
-    barrier cone). Errors on an empty set, where every support value is
-    -infinity and the cone degenerates."""
-    if p.is_empty():
-        raise ValueError("barrier cone of an empty set")
-    return is_finite(sets.support(p.to_lifted(), direction))
-
-
-def recession_cone(p: sets.Polyhedron) -> sets.Polyhedron:
-    """Directions along which P recedes: same rows, zero right-hand sides."""
-    return sets.Polyhedron(dim=p.dim,
-                           G=[list(r) for r in p.G], h=[ZERO] * len(p.G),
-                           E=[list(r) for r in p.E], e=[ZERO] * len(p.E))
-
-
-def normal_cone_at(p: sets.Polyhedron, point) -> sets.GeneratedSet:
-    """Outer normals to P at a point of P: the cone spanned by the active
-    inequality rows plus both signs of every equality row."""
-    point = as_q_vector(point)
-    if not p.contains(point):
-        raise ValueError("normal cone requested at a point outside the set")
-    rays = []
-    for row, rhs in zip(p.G, p.h):
-        if dot(row, point) == rhs:
-            rays.append(list(row))
-    for row in p.E:
-        rays.append(list(row))
-        rays.append([-v for v in row])
-    return sets.GeneratedSet(dim=p.dim, points=[[ZERO] * p.dim], rays=rays)

@@ -16,6 +16,16 @@ criterion set is closed, so whenever the primal value is not +infinity the
 attainment is forced and its absence raises InvariantViolation. An
 unbounded primal counts as strong duality by convention, with the dual then
 necessarily infeasible.
+
+Tilting f by s (f_s = f - s.x) only translates epi f*, since
+f_s*(u) = f*(u + s), so tilts need no conjugate program of their own. The
+duality checks run as batches over tilts, in three steps: (1) each tilt's
+primal and multiplier program, one LP each, over one preimage and feasible
+polyhedron per check; (2) the conjugate values of all optimal duals from
+one `calculus.fenchel_values` call on the untilted f, and their ground
+supports from one `sets.supports` sweep; (3) the forced identities of each
+tilt, in tilt order. `solve_dual` and `check_strong_duality` are the
+one-tilt case of the same steps.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import calculus, engine, lp, sets
+from .calculus import PiecewiseAffine
 from .engine import FarkasInstance
 from .errors import InvariantViolation
 from .rational import (INF, NEG_INF, ONE, Q, ZERO, as_q_vector, dot, is_finite,
@@ -47,7 +58,11 @@ class PrimalSolution:
 
 
 def solve_primal(inst: FarkasInstance) -> PrimalSolution:
-    best = calculus.minimize_over(inst.objective, inst.feasible_polyhedron())
+    return _primal_over(inst.objective, inst.feasible_polyhedron())
+
+
+def _primal_over(f: PiecewiseAffine, feasible: sets.Polyhedron):
+    best = calculus.minimize_over(f, feasible)
     if best.value is INF:
         return PrimalSolution(status=INFEASIBLE, value=INF)
     if best.value is NEG_INF:
@@ -70,22 +85,36 @@ class DualSolution:
     lam: list | None = None
 
 
-def _dual_lp(inst: FarkasInstance):
-    """The full certificate program of `engine`, with its budget row as the
-    cost to minimize. Returns the LP plus the extractor for (u, lam)."""
-    E, e, cost, nonneg, extract = engine._full_program(inst)
+def _dual_lp(inst: FarkasInstance, preimage: sets.Polyhedron):
+    """The full certificate program of `engine` over inst's `preimage`,
+    with its budget row as the cost to minimize. Returns the LP plus the
+    extractor for (u, lam)."""
+    E, e, cost, nonneg, extract = engine._full_program(inst, preimage)
     return lp.LinearProgram(c=cost, G=[], h=[], E=E, e=e, nonneg=nonneg), \
         extract
 
 
-def solve_dual(inst: FarkasInstance,
-               primal_value=None) -> DualSolution:
-    """Maximize the dual; weak duality against the primal value is always
-    asserted (the primal is solved here if its value is not supplied)."""
-    if primal_value is None:
-        primal_value = solve_primal(inst).value
-    program, extract = _dual_lp(inst)
-    out = lp.solve(program)
+def _solve_duals(inst: FarkasInstance, shifts,
+                 preimage: sets.Polyhedron) -> list:
+    """Steps 1 and 2 of the dual of each tilt f - shift . x: the multiplier
+    program of `engine`, with its budget row as the cost to minimize, one
+    LP per tilt; then the linked triples of the optimal ones with their
+    values, in one batch. Returns (outcome, engine.Certificate or None) per
+    tilt, unchecked."""
+    outs, found = [], []
+    for shift in shifts:
+        program, extract = _dual_lp(inst.tilted(shift), preimage)
+        out = lp.solve(program)
+        outs.append(out)
+        found.append(extract(out.x) if out.status == OPTIMAL else None)
+    tilts = [(shift, ZERO) for shift in shifts]
+    return list(zip(outs, engine._certificates(inst, tilts, found)))
+
+
+def _checked_dual(out, triple, primal_value) -> DualSolution:
+    """Step 3 for one dual: the DualSolution of the multiplier program's
+    outcome `out` and its valued triple, with the forced identities
+    (recomputed value, weak duality against `primal_value`) asserted."""
     if out.status == INFEASIBLE:
         return DualSolution(status=INFEASIBLE, value=NEG_INF)
     if out.status == UNBOUNDED:
@@ -93,11 +122,8 @@ def solve_dual(inst: FarkasInstance,
             raise InvariantViolation(
                 "dual unbounded above a finite or unbounded primal")
         return DualSolution(status=UNBOUNDED, value=INF)
-    u, lam = extract(out.x)
-    v = [-a - b for a, b in zip(u, inst.adjoint(lam))]
-    conj = calculus.fenchel_value(inst.objective, u)
-    gsup = sets.support(inst.ground.to_lifted(), v)
-    tsup = inst.target_support(lam)
+    conj, gsup, tsup = (triple.conjugate_value, triple.ground_support,
+                        triple.target_support)
     if not (is_finite(conj) and is_finite(gsup) and is_finite(tsup)):
         raise InvariantViolation("dual solution with infinite component")
     if conj + gsup + tsup != out.value:
@@ -106,7 +132,19 @@ def solve_dual(inst: FarkasInstance,
     value = -(conj + gsup + tsup)
     if primal_value is not INF and not (value <= primal_value):
         raise InvariantViolation("weak duality violated")
-    return DualSolution(status=OPTIMAL, value=value, u=u, v=v, lam=lam)
+    return DualSolution(status=OPTIMAL, value=value, u=triple.u, v=triple.v,
+                        lam=triple.lam)
+
+
+def solve_dual(inst: FarkasInstance,
+               primal_value=None) -> DualSolution:
+    """Maximize the dual; weak duality against the primal value is always
+    asserted (the primal is solved here if its value is not supplied)."""
+    if primal_value is None:
+        primal_value = solve_primal(inst).value
+    (out, triple), = _solve_duals(inst, [[ZERO] * inst.n],
+                                  inst.preimage_polyhedron())
+    return _checked_dual(out, triple, primal_value)
 
 
 @dataclass
@@ -123,9 +161,8 @@ class StrongDualityReport:
     note: str | None = None
 
 
-def check_strong_duality(inst: FarkasInstance) -> StrongDualityReport:
-    primal = solve_primal(inst)
-    dual = solve_dual(inst, primal_value=primal.value)
+def _strong_report(primal: PrimalSolution,
+                   dual: DualSolution) -> StrongDualityReport:
     if primal.value is NEG_INF:
         if dual.status != INFEASIBLE:
             raise InvariantViolation(
@@ -143,6 +180,27 @@ def check_strong_duality(inst: FarkasInstance) -> StrongDualityReport:
             "strong duality must hold: the criterion set is closed and the "
             "primal value is finite")
     return StrongDualityReport(primal=primal, dual=dual, equal=True)
+
+
+def _tilt_reports(inst: FarkasInstance, shifts, preimage: sets.Polyhedron):
+    """check_strong_duality for each tilt f - shift . x of inst, lazily in
+    tilt order; `preimage` is inst's, built once by the caller. Steps 1 and
+    2 (every primal, every dual program, the batched values) run before
+    the first report, and step 3, the checks of one tilt, runs as its
+    report is taken."""
+    feasible = inst.ground.intersect(preimage)
+    primals = [_primal_over(inst.objective.tilted(shift), feasible)
+               for shift in shifts]
+    duals = _solve_duals(inst, shifts, preimage)
+    for primal, (out, triple) in zip(primals, duals):
+        yield _strong_report(
+            primal, _checked_dual(out, triple, primal.value))
+
+
+def check_strong_duality(inst: FarkasInstance) -> StrongDualityReport:
+    report, = _tilt_reports(inst, [[ZERO] * inst.n],
+                            inst.preimage_polyhedron())
+    return report
 
 
 @dataclass
@@ -215,10 +273,7 @@ def check_optimality(inst: FarkasInstance, point) -> OptimalityReport:
         raise ValueError("optimality queried outside the objective's domain")
     primal = solve_primal(inst)
     by_comparison = primal.status == OPTIMAL and primal.value == fx
-    shifted = FarkasInstance(
-        ground=inst.ground, matrix=inst.matrix, target=inst.target,
-        objective=inst.objective.tilted([ZERO] * inst.n, fx))
-    cert = engine.find_certificate(shifted)
+    cert = engine.find_certificate(inst.tilted([ZERO] * inst.n, fx))
     by_certificate = cert is not None
     by_subdiff = _subdifferential_route(inst, point, fx)
     if not (by_comparison == by_certificate == by_subdiff):
@@ -282,12 +337,21 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
     conjugate, so the criterion set only translates and stays closed; with
     a primal value below +infinity every tilt must then close the duality
     gap, and a miss raises. An infeasible primal leaves the tilt grid
-    unforced, which the note records."""
+    unforced, which the note records.
+
+    The tilts run in batches over one preimage and feasible polyhedron:
+    (1) each tilt's primal and multiplier program, one LP each; (2) every
+    conjugate value from one `calculus.fenchel_values` call on the untilted
+    f, by the identity f_s*(u) = f*(u + s) for f_s = f - s.x, and every
+    ground support from one `sets.supports` sweep; (3) the invariant checks
+    of each tilt, in tilt order, giving its StrongDualityReport."""
     if tilts is None:
         tilts = default_dual_tilts(inst.n, seed=seed)
     rng = random.Random(seed + 1)
+    preimage = inst.preimage_polyhedron()
+    feasible = inst.ground.intersect(preimage)
     restricted = calculus.restricted_conjugate_epigraph(
-        inst.objective, inst.feasible_polyhedron())
+        inst.objective, feasible)
     conj = calculus.conjugate_epigraph(inst.objective)
     ground_rays = calculus.support_epigraph_generators(inst.ground)
     for _ in range(n_points):
@@ -296,17 +360,13 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
             raise InvariantViolation(
                 "a sum point escapes the restricted conjugate epigraph")
     note = None
-    if solve_primal(inst).value is INF:
+    if _primal_over(inst.objective, feasible).value is INF:
         note = ("primal infeasible: per-tilt attainment is not forced; "
                 "containment sampling only")
         return StableDualityReport(tilts_checked=0, all_strong=True,
                                    containment_points=n_points, note=note)
     per_tilt = []
-    for shift in tilts:
-        tilted = FarkasInstance(
-            ground=inst.ground, matrix=inst.matrix, target=inst.target,
-            objective=inst.objective.tilted(shift))
-        rep = check_strong_duality(tilted)
+    for shift, rep in zip(tilts, _tilt_reports(inst, tilts, preimage)):
         if not rep.equal:
             raise InvariantViolation(
                 f"strong duality failed under tilt {shift}")

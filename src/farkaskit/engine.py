@@ -22,6 +22,7 @@ live on the primal side, in conic hulls, and those are tested for real.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,8 +30,8 @@ from enum import Enum
 from . import calculus, lp, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
-from .rational import (INF, NEG_INF, ONE, Q, ZERO, as_q_matrix, is_finite,
-                       mat_vec, transpose_apply)
+from .rational import (INF, NEG_INF, ONE, Q, ZERO, as_q, as_q_matrix,
+                       is_finite, mat_vec, transpose_apply)
 from .sets import Box, Polyhedron, whole_space_polyhedron
 
 
@@ -104,8 +105,16 @@ class FarkasInstance:
         return sets.support(self.target.to_lifted(), lam)
 
     def preimage_polyhedron(self) -> Polyhedron:
-        """{x : map(x) in target}, the target pulled back through the map."""
-        t = self.target_polyhedron()
+        """{x : map(x) in target}, the target pulled back through the map.
+        Rows come in the target polyhedron's order; a box's rows are
+        +-e_i, so they pull back to +-A_i with no product to form."""
+        if isinstance(self.target, Box):
+            G, h = [], []
+            for row, (lo, hi) in zip(self.matrix, self.target.bounds):
+                G += [row, [-v for v in row]]
+                h += [hi, -lo]
+            return Polyhedron(dim=self.n, G=G, h=h)
+        t = self.target
         return Polyhedron(
             dim=self.n,
             G=[self.adjoint(r) for r in t.G], h=t.h,
@@ -119,6 +128,14 @@ class FarkasInstance:
         """dom objective, the whole space when it is unrestricted."""
         d = self.objective.domain
         return whole_space_polyhedron(self.n) if d is None else d
+
+    def tilted(self, shift, lift=ZERO) -> "FarkasInstance":
+        """The instance with objective f - shift . x - lift. Ground, map and
+        target are shared, and the constructor's emptiness LPs, already
+        passed by this instance, are not solved again."""
+        twin = copy.copy(self)
+        twin.objective = self.objective.tilted(shift, lift)
+        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +288,19 @@ def check_nonnegativity(inst: FarkasInstance) -> NonnegativityReport:
     feas = inst.feasible_polyhedron()
     if feas.is_empty():
         return NonnegativityReport(verdict=TriVerdict.VACUOUS, minimum=INF)
-    best = calculus.minimize_over(inst.objective, feas)
+    return _nonnegativity_over(inst.objective, feas)
+
+
+def _nonnegativity_over(f: PiecewiseAffine, feas: Polyhedron):
+    """The verdict of check_nonnegativity for f over a nonempty feasible
+    set `feas`."""
+    best = calculus.minimize_over(f, feas)
     if best.value is INF or best.value >= ZERO:
         return NonnegativityReport(verdict=TriVerdict.TRUE, minimum=best.value)
     if best.value is NEG_INF:
         point = best.point
         step = ONE
-        while inst.objective.value(point) >= ZERO:
+        while f.value(point) >= ZERO:
             point = [p + step * r for p, r in zip(point, best.ray)]
             step *= 2
         return NonnegativityReport(verdict=TriVerdict.FALSE,
@@ -346,13 +369,14 @@ def _multiplier_program(f: PiecewiseAffine, blocks):
             split)
 
 
-def _full_program(inst: FarkasInstance):
-    """The program of the full triple: blocks dom f, ground and the
-    preimage of target. Returns (E, e, budget, nonneg, extract), where
-    extract(w) gives (u, lam)."""
+def _full_program(inst: FarkasInstance, preimage: Polyhedron):
+    """The program of the full triple: blocks dom f, ground and `preimage`,
+    the preimage of target (built once by callers that solve many tilts of
+    one instance). Returns (E, e, budget, nonneg, extract), where extract(w)
+    gives (u, lam)."""
     f, dom, t = inst.objective, inst.domain(), inst.target_polyhedron()
     E, e, budget, nonneg, split = _multiplier_program(
-        f, [dom, inst.ground, inst.preimage_polyhedron()])
+        f, [dom, inst.ground, preimage])
 
     def extract(w):
         theta, mu_dom, _, mu_t = split(w)
@@ -363,23 +387,55 @@ def _full_program(inst: FarkasInstance):
     return E, e, budget, nonneg, extract
 
 
+def _certificates(inst: FarkasInstance, tilts, found) -> list:
+    """The linked triples of the tilts f - shift . x - lift of inst, with
+    their recomputed values: found[k] is (u, lam) from the multiplier
+    program of inst.tilted(*tilts[k]), or None, which stays None. The
+    conjugate of a tilt is f*(u + shift) + lift, so every conjugate value
+    comes from one `fenchel_values` call on the untilted f, and every
+    ground support from one `sets.supports` sweep. Not validated."""
+    hits = [k for k, x in enumerate(found) if x is not None]
+    us = [found[k][0] for k in hits]
+    lams = [found[k][1] for k in hits]
+    vs = [[-a - b for a, b in zip(u, inst.adjoint(lam))]
+          for u, lam in zip(us, lams)]
+    conj = calculus.fenchel_values(
+        inst.objective,
+        [[a + s for a, s in zip(u, tilts[k][0])] for k, u in zip(hits, us)])
+    gsup = sets.supports(inst.ground.to_lifted(), vs)
+    certs = [None] * len(found)
+    for k, u, v, lam, c, g in zip(hits, us, vs, lams, conj, gsup):
+        lift = as_q(tilts[k][1])
+        certs[k] = Certificate(
+            u=u, v=v, lam=lam,
+            conjugate_value=c + lift if is_finite(c) else c,
+            ground_support=g, target_support=inst.target_support(lam))
+    return certs
+
+
+def _find_certificates(inst: FarkasInstance, tilts,
+                       preimage: Polyhedron) -> list:
+    """find_certificate for each tilt (shift, lift) of inst, in tilt order
+    and not yet validated: one feasibility program per tilt, then the
+    values of all found triples in one batch."""
+    found = []
+    for shift, lift in tilts:
+        E, e, budget, nonneg, extract = _full_program(
+            inst.tilted(shift, lift), preimage)
+        out = lp.solve(lp.LinearProgram(c=[ZERO] * len(budget), G=[budget],
+                                        h=[ZERO], E=E, e=e, nonneg=nonneg))
+        found.append(None if out.status == lp.INFEASIBLE else extract(out.x))
+    return _certificates(inst, tilts, found)
+
+
 def find_certificate(inst: FarkasInstance) -> Certificate | None:
     """Search for (u, v, lam) with f*(u) + sigma_ground(v) +
     sigma_target(lam) <= 0 and u + v = -map^T lam, as one feasibility LP
     over the dual representations of all three epigraphs."""
-    E, e, budget, nonneg, extract = _full_program(inst)
-    out = lp.solve(lp.LinearProgram(c=[ZERO] * len(budget), G=[budget],
-                                    h=[ZERO], E=E, e=e, nonneg=nonneg))
-    if out.status == lp.INFEASIBLE:
-        return None
-    u, lam = extract(out.x)
-    v = [-a - b for a, b in zip(u, inst.adjoint(lam))]
-    cert = Certificate(
-        u=u, v=v, lam=lam,
-        conjugate_value=calculus.fenchel_value(inst.objective, u),
-        ground_support=sets.support(inst.ground.to_lifted(), v),
-        target_support=inst.target_support(lam))
-    _validate_certificate(inst, cert)
+    cert, = _find_certificates(inst, [([ZERO] * inst.n, ZERO)],
+                               inst.preimage_polyhedron())
+    if cert is not None:
+        _validate_certificate(inst, cert)
     return cert
 
 
@@ -619,17 +675,24 @@ def check_stability(inst: FarkasInstance, tilts=None,
     """Stable version: the equivalence must survive every affine tilt of
     the objective exactly when epi f* + cone is closed everywhere, which
     polyhedrality grants; each sampled tilt is verified outright.
-    Requires a feasible point inside dom f."""
-    if inst.feasible_polyhedron().intersect(inst.objective.domain).is_empty():
+    Requires a feasible point inside dom f.
+
+    Tilting moves neither the feasible set nor dom f, so the one emptiness
+    LP of that requirement serves every tilt. Each tilt then solves its
+    minimum and its certificate program, the certificates' values come in
+    one batch, and the checks run in tilt order."""
+    preimage = inst.preimage_polyhedron()
+    feas = inst.ground.intersect(preimage)
+    if feas.intersect(inst.objective.domain).is_empty():
         raise ValueError("no feasible point inside the objective's domain")
     if tilts is None:
         tilts = default_tilts(inst.n, seed=seed)
-    for shift, lift in tilts:
-        tilted = FarkasInstance(ground=inst.ground, matrix=inst.matrix,
-                                target=inst.target,
-                                objective=inst.objective.tilted(shift, lift))
-        rep = check_nonnegativity(tilted)
-        cert = find_certificate(tilted)
+    reports = [_nonnegativity_over(inst.objective.tilted(shift, lift), feas)
+               for shift, lift in tilts]
+    certs = _find_certificates(inst, tilts, preimage)
+    for (shift, lift), rep, cert in zip(tilts, reports, certs):
+        if cert is not None:
+            _validate_certificate(inst, cert)
         if rep.verdict.holds != (cert is not None):
             raise InvariantViolation(
                 f"tilt {shift}, {lift}: equivalence broke although the "

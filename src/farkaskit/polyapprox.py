@@ -138,7 +138,7 @@ def solve_eps(problem: ApproxProblem, epsilon) -> FrontierRow:
     if not check_consistency(problem, epsilon):
         raise ValueError(f"no polynomial fits the band at {epsilon}")
     inst = semiinf.to_instance(to_grid(problem, epsilon))
-    program, extract = duality._dual_lp(inst)
+    program, extract = duality._dual_lp(inst, inst.preimage_polyhedron())
     out = lp.solve(program)
     if out.status == lp.INFEASIBLE:
         # no multiplier satisfies the moment conditions, so nothing bounds

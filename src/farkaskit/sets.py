@@ -138,6 +138,8 @@ def supports(s: LiftedSet, directions) -> list:
         if len(d) != s.dim:
             raise ValueError("direction dimension mismatch")
         costs.append([-v for v in d] + [ZERO] * s.witness_dim)
+    if not costs:
+        return []
     prog = _joint_lp(s, [ZERO] * s.dim, [ZERO] * s.witness_dim)
     return [_support_value(out) for out in lp.solve_each(prog, costs)]
 

@@ -9,10 +9,9 @@ from farkaskit import lp
 sys.path.insert(0, str(Path(__file__).parent))
 
 
-@pytest.fixture
-def count_pivots():
-    """run(fn, *args) -> (fn(*args), the number of simplex pivots it made),
-    counted by a profile hook on calls of the LP kernel's `pivot`."""
+def _counter(name):
+    """run(fn, *args) -> (fn(*args), the number of calls of the LP kernel
+    method `name` it made), counted by a profile hook."""
 
     def run(fn, *args):
         calls = 0
@@ -20,7 +19,7 @@ def count_pivots():
         def hook(frame, event, arg):
             nonlocal calls
             code = frame.f_code
-            if (event == "call" and code.co_name == "pivot"
+            if (event == "call" and code.co_name == name
                     and code.co_filename == lp.__file__):
                 calls += 1
 
@@ -33,3 +32,16 @@ def count_pivots():
         return result, calls
 
     return run
+
+
+@pytest.fixture
+def count_pivots():
+    """run(fn, *args) -> (fn(*args), the number of simplex pivots it made)."""
+    return _counter("pivot")
+
+
+@pytest.fixture
+def count_phase1():
+    """run(fn, *args) -> (fn(*args), the number of simplex phase-1 runs it
+    made): one per constraint set solved, however many costs share it."""
+    return _counter("phase1")

@@ -6,10 +6,12 @@ conjugate epigraph of a max of pieces is the hull of (slope, -offset) points
 plus the vertical ray.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farkaskit import calculus, sets
+from farkaskit import calculus, instances, sets
 from farkaskit.rational import INF, NEG_INF, Q
 
 
@@ -124,6 +126,59 @@ class TestFenchel:
         if star is not INF:
             pairing = sum(a * b for a, b in zip(u, x))
             assert f.value(x) + star >= pairing
+
+
+def conjugate_by_minimum(f, u):
+    """f*(u) the per-point way, one program per point: minus the minimum
+    of the tilted f - u.x over the whole space."""
+    m = calculus.minimize_over(f.tilted(u), sets.whole_space_polyhedron(f.dim))
+    return INF if m.value is NEG_INF else -m.value
+
+
+class TestFenchelValues:
+    def test_matches_one_program_per_point(self):
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            anchor = [Q(rng.randint(-2, 2)) for _ in range(n)]
+            f = instances.random_objective(rng, n, anchor)
+            points = [[Q(rng.randint(-8, 8), rng.randint(1, 2))
+                       for _ in range(n)] for _ in range(6)]
+            # each slope is a point where the conjugate is finite
+            points += [list(a) for a in f.slopes]
+            values = calculus.fenchel_values(f, points)
+            assert values == [conjugate_by_minimum(f, u) for u in points]
+            seen.add("domain" if f.domain is not None else "whole")
+            seen.update("inf" if v is INF else "finite" for v in values)
+        assert seen == {"domain", "whole", "inf", "finite"}
+
+    def test_one_phase_1_for_all_points(self, count_phase1):
+        f = calculus.PiecewiseAffine(dim=2, slopes=[[1, 0], [0, 1], [-1, -1]],
+                                     offsets=[0, 1, 2])
+        points = [[Q(a), Q(b)] for a in range(-2, 3) for b in range(-2, 3)]
+        values, runs = count_phase1(calculus.fenchel_values, f, points)
+        assert runs == 1
+        assert values == [calculus.fenchel_value(f, u) for u in points]
+
+    def test_no_points_and_bad_width(self, count_phase1):
+        assert count_phase1(calculus.fenchel_values, abs_fn(), []) == ([], 0)
+        with pytest.raises(ValueError):
+            calculus.fenchel_values(abs_fn(), [[1, 2]])
+
+
+class TestTilt:
+    def test_tilt_of_restricted_function_solves_nothing(self, count_phase1):
+        f = calculus.PiecewiseAffine(dim=1, slopes=[[1], [-2]], offsets=[0, 3],
+                                     domain=interval(0, 3))
+        g, runs = count_phase1(f.tilted, [Q(1, 2)], Q(3))
+        assert runs == 0
+        assert g == calculus.PiecewiseAffine(
+            dim=1, slopes=[[Q(1, 2)], [Q(-5, 2)]], offsets=[-3, 0],
+            domain=interval(0, 3))
+        assert f.slopes == [[1], [-2]] and f.offsets == [0, 3]
+        with pytest.raises(ValueError):
+            f.tilted([1, 2])
 
 
 class TestConjugateEpigraph:

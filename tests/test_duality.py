@@ -1,9 +1,12 @@
 """Primal/dual solving, strong duality, optimality, and stability."""
 
+import copy
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farkaskit import duality, engine
+from farkaskit import duality, engine, instances
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.duality import INFEASIBLE, OPTIMAL, UNBOUNDED
 from farkaskit.engine import FarkasInstance
@@ -206,6 +209,93 @@ class TestStableStrongDuality:
                                       domain=Box([(0, 3)]).to_polyhedron()))
         rep = duality.check_stable_strong_duality(inst, seed=6)
         assert rep.all_strong
+
+
+def _with_equality_row(p: Polyhedron) -> Polyhedron:
+    """A box polyhedron with its first coordinate also pinned by an equality
+    row to the midpoint of its bounds, so it stays nonempty."""
+    row = [Q(1)] + [Q(0)] * (p.dim - 1)
+    return Polyhedron(dim=p.dim, G=p.G, h=p.h, E=p.E + [row],
+                      e=p.e + [(p.h[0] - p.h[1]) / 2])
+
+
+def _tilt_pool():
+    """About 60 seeded instances: domain-restricted objectives, polyhedral
+    targets with equality rows, grounds open upwards (so some primals are
+    unbounded) and infeasible ones."""
+    rng = random.Random(606)
+    for k in range(15):
+        inst = instances.random_feasible_instance(rng)
+        yield inst
+        yield FarkasInstance(
+            ground=_with_equality_row(inst.ground), matrix=inst.matrix,
+            target=_with_equality_row(inst.target_polyhedron()),
+            objective=inst.objective)
+        ground = inst.ground
+        yield FarkasInstance(
+            ground=Polyhedron(dim=ground.dim, G=ground.G[1::2],
+                              h=ground.h[1::2]),
+            matrix=inst.matrix, target=inst.target, objective=inst.objective)
+        yield instances.random_infeasible_instance(rng)
+
+
+def test_per_tilt_matches_fresh_solves_on_seeded_instances():
+    seen = set()
+    for k, inst in enumerate(_tilt_pool()):
+        shifts = duality.default_dual_tilts(inst.n, count=6, seed=k)
+        rep = duality.check_stable_strong_duality(inst, tilts=shifts,
+                                                  n_points=2)
+        fresh = [duality.check_strong_duality(FarkasInstance(
+            ground=inst.ground, matrix=inst.matrix, target=inst.target,
+            objective=inst.objective.tilted(shift))) for shift in shifts]
+        if rep.tilts_checked == 0:
+            # an infeasible primal checks no tilt; the tilted instances
+            # still give the fresh reports
+            assert rep.per_tilt == []
+            assert all(r.primal.status == INFEASIBLE for r in fresh)
+            assert fresh == [duality.check_strong_duality(inst.tilted(shift))
+                             for shift in shifts]
+            seen.add("infeasible")
+            continue
+        assert rep.per_tilt == fresh
+        seen.update(r.primal.status for r in fresh)
+        if inst.objective.domain is not None:
+            seen.add("domain")
+        if isinstance(inst.target, Polyhedron) and inst.target.E:
+            seen.add("equality rows")
+    assert seen == {OPTIMAL, UNBOUNDED, "infeasible", "domain",
+                    "equality rows"}
+
+
+def test_tilted_instance_solves_nothing(count_phase1):
+    rng = random.Random(8)
+    for _ in range(20):
+        inst = instances.random_feasible_instance(rng)
+        shift = [Q(rng.randint(-2, 2), 2) for _ in range(inst.n)]
+        lift = Q(rng.randint(-2, 2))
+        before = copy.deepcopy(inst)
+        tilted, runs = count_phase1(inst.tilted, shift, lift)
+        assert runs == 0
+        assert tilted == FarkasInstance(
+            ground=inst.ground, matrix=inst.matrix, target=inst.target,
+            objective=inst.objective.tilted(shift, lift))
+        assert tilted.ground is inst.ground and tilted.target is inst.target
+        assert inst == before
+
+
+def test_stable_check_solves_each_constraint_set_once(count_phase1,
+                                                      count_pivots):
+    # counted with the instance's construction: 149 phase-1 runs when each
+    # tilt was built as a new instance and posed its conjugate and ground
+    # support as programs of their own; 260 pivots before and after
+    def check():
+        return duality.check_stable_strong_duality(bounded_instance(), seed=2)
+
+    rep, runs = count_phase1(check)
+    assert rep.tilts_checked == 25
+    assert runs <= 76
+    _, pivots = count_pivots(check)
+    assert pivots <= 260
 
 
 small_int = st.integers(min_value=-2, max_value=2)

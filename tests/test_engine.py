@@ -1,5 +1,7 @@
 """Engine checks against hand-worked instances and random consistency."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -291,6 +293,33 @@ class TestBuildersAreFaithful:
         assert sets.support_mismatches(cone, feas, dirs) == []
 
 
+    def test_box_preimage_matches_polyhedral_target(self):
+        # the box rows +-e_i pull back to +-A_i: same rows, same order and
+        # the same values as pulling the box's polyhedron back row by row
+        rng = random.Random(17)
+        for k in range(60):
+            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            matrix = [[Q(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in range(n)] for _ in range(m)]
+            if k % 3 == 0:
+                matrix[rng.randrange(m)] = [Q(0)] * n
+            bounds = []
+            for _ in range(m):
+                lo = Q(rng.randint(-3, 3), rng.randint(1, 3))
+                bounds.append((lo, lo if rng.random() < 0.3
+                               else lo + rng.randint(0, 4)))
+            box = Box(bounds)
+            ground = Box([(-1, 1)] * n).to_polyhedron()
+            f = PiecewiseAffine(dim=n, slopes=[[0] * n], offsets=[0])
+            fast = FarkasInstance(ground=ground, matrix=matrix, target=box,
+                                  objective=f).preimage_polyhedron()
+            generic = FarkasInstance(ground=ground, matrix=matrix,
+                                     target=box.to_polyhedron(),
+                                     objective=f).preimage_polyhedron()
+            assert fast == generic
+            assert repr(fast) == repr(generic)
+
+
 class TestExistence:
     def test_feasible(self):
         rep = engine.check_existence(basic_instance())
@@ -324,6 +353,15 @@ class TestStability:
     def test_hypothesis_error(self):
         with pytest.raises(ValueError):
             engine.check_stability(vacuous_no_cert())
+
+    def test_one_emptiness_check_for_all_tilts(self, count_phase1):
+        # counted with the instance's construction: 128 phase-1 runs when
+        # each tilt was a new instance with its own emptiness checks,
+        # conjugate and ground support programs
+        rep, runs = count_phase1(
+            lambda: engine.check_stability(basic_instance(), seed=3))
+        assert rep.tilts_checked == 25
+        assert runs <= 54
 
 
 class TestSublevel:

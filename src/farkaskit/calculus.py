@@ -84,34 +84,21 @@ class Minimum:
     ray: list | None = None
 
 
-def _stacked_rows(f: PiecewiseAffine, over: sets.Polyhedron):
-    G = [list(r) for r in over.G]
-    h = list(over.h)
-    E = [list(r) for r in over.E]
-    e = list(over.e)
-    if f.domain is not None:
-        G += [list(r) for r in f.domain.G]
-        h += list(f.domain.h)
-        E += [list(r) for r in f.domain.E]
-        e += list(f.domain.e)
-    return G, h, E, e
-
-
 def _epigraph_program(f: PiecewiseAffine, over: sets.Polyhedron):
     """The rows of min t over (x, t) subject to x in `over` and dom f and
     a.x + b <= t for every piece (a, b) of f, with no cost set."""
     if f.dim != over.dim:
         raise ValueError("dimension mismatch")
     n = f.dim
-    G, h, E, e = _stacked_rows(f, over)
-    rows = [row + [ZERO] for row in G]
-    rhs = list(h)
+    p = over.intersect(f.domain)
+    rows = [row + [ZERO] for row in p.G]
+    rhs = list(p.h)
     for a, b in zip(f.slopes, f.offsets):
         rows.append(list(a) + [-ONE])
         rhs.append(-b)
     return lp.LinearProgram(c=[ZERO] * n + [ONE],
                             G=rows, h=rhs,
-                            E=[row + [ZERO] for row in E], e=e,
+                            E=[row + [ZERO] for row in p.E], e=p.e,
                             nonneg=[False] * (n + 1))
 
 
@@ -162,6 +149,60 @@ def fenchel_value(f: PiecewiseAffine, u):
     return fenchel_values(f, [u])[0]
 
 
+def multiplier_program(dim: int, pieces, blocks):
+    """The linked-multiplier program behind every conjugate, support and
+    certificate set.
+
+    Its variables are weights theta >= 0 on the pieces (a_i, b_i) of a max
+    of affine functions in R^dim, then one multiplier per row of each block
+    polyhedron, >= 0 on an inequality row and free on an equality row. The
+    equality rows are the dim cancellation rows u + sum over blocks of
+    rows^T mu = 0, with u = sum theta_i a_i, then sum theta_i = 1 when there
+    are pieces. The budget row (-b on theta, the right-hand sides on the
+    multipliers) bounds the conjugate of the max at u plus each block's
+    support function at its rows^T mu from above, tightly for the best
+    multipliers; with no pieces it bounds the support function of the
+    blocks' meet at their summed rows^T mu. A certificate asks
+    budget . w <= 0, and the dual program minimizes it. Returns
+    (E, e, budget, nonneg, split); split(w) cuts a solution into theta and
+    one slice per block, its G rows then its E rows."""
+    cols = [(a, -b, True) for a, b in pieces]
+    for p in blocks:
+        cols += [(r, rhs, True) for r, rhs in zip(p.G, p.h)]
+        cols += [(r, rhs, False) for r, rhs in zip(p.E, p.e)]
+    k = len(pieces)
+    E = [[r[j] for r, _, _ in cols] for j in range(dim)]
+    e = [ZERO] * dim
+    if k:
+        E.append([ONE] * k + [ZERO] * (len(cols) - k))
+        e.append(ONE)
+    cuts = [0, k]
+    for p in blocks:
+        cuts.append(cuts[-1] + len(p.G) + len(p.E))
+
+    def split(w):
+        return [w[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    return (E, e, [rhs for _, rhs, _ in cols], [flag for _, _, flag in cols],
+            split)
+
+
+def _dual_epigraph(dim: int, pieces, blocks) -> sets.LiftedSet:
+    """{(u, r) : budget . w <= r for some multipliers w of
+    `multiplier_program` whose pieces and rows sum to u}: the epigraph of
+    (max of the pieces + indicator of the blocks' meet)*, or of the meet's
+    support function when there are no pieces. Exact by LP duality when
+    the meet is nonempty, which callers check."""
+    E, e, budget, nonneg, _ = multiplier_program(dim, pieces, blocks)
+    eq_z = [[ONE if k == j else ZERO for k in range(dim + 1)]
+            for j in range(dim)] + [[ZERO] * (dim + 1)] * (len(E) - dim)
+    eq_w = [[-v for v in row] for row in E[:dim]] + E[dim:]
+    return sets.LiftedSet(dim=dim + 1, witness_dim=len(budget),
+                          ineq_z=[[ZERO] * dim + [-ONE]], ineq_w=[budget],
+                          ineq_rhs=[ZERO], eq_z=eq_z, eq_w=eq_w, eq_rhs=e,
+                          witness_nonneg=nonneg)
+
+
 def support_epigraph(p) -> sets.LiftedSet:
     """Epigraph of the support function of a Polyhedron or Box, as a lifted
     set over (direction, value). Exact: for a nonempty polyhedron the LP dual
@@ -171,22 +212,7 @@ def support_epigraph(p) -> sets.LiftedSet:
         p = p.to_polyhedron()
     if p.is_empty():
         return sets.whole_space(p.dim + 1)
-    n = p.dim
-    n_ineq, n_eq = len(p.G), len(p.E)
-    wd = n_ineq + n_eq
-    eq_z, eq_w, eq_rhs = [], [], []
-    for j in range(n):
-        row = [ZERO] * (n + 1)
-        row[j] = ONE
-        eq_z.append(row)
-        eq_w.append([-g[j] for g in p.G] + [-r[j] for r in p.E])
-        eq_rhs.append(ZERO)
-    ineq_z = [[ZERO] * n + [-ONE]]
-    ineq_w = [list(p.h) + list(p.e)]
-    return sets.LiftedSet(dim=n + 1, witness_dim=wd,
-                          ineq_z=ineq_z, ineq_w=ineq_w, ineq_rhs=[ZERO],
-                          eq_z=eq_z, eq_w=eq_w, eq_rhs=eq_rhs,
-                          witness_nonneg=[True] * n_ineq + [False] * n_eq)
+    return _dual_epigraph(p.dim, [], [p])
 
 
 def support_epigraph_generators(p: sets.Polyhedron) -> list:
@@ -222,27 +248,7 @@ def restricted_conjugate_epigraph(f: PiecewiseAffine,
     the whole space."""
     if f.dim != over.dim:
         raise ValueError("dimension mismatch")
-    n = f.dim
-    G, h, E, e = _stacked_rows(f, over)
-    if sets.Polyhedron(dim=n, G=G, h=h, E=E, e=e).is_empty():
-        return sets.whole_space(n + 1)
-    k = len(f.slopes)
-    n_ineq, n_eq = len(G), len(E)
-    wd = k + n_ineq + n_eq
-    eq_z, eq_w, eq_rhs = [], [], []
-    for j in range(n):
-        row = [ZERO] * (n + 1)
-        row[j] = ONE
-        eq_z.append(row)
-        eq_w.append([-a[j] for a in f.slopes]
-                    + [-g[j] for g in G] + [-r[j] for r in E])
-        eq_rhs.append(ZERO)
-    eq_z.append([ZERO] * (n + 1))
-    eq_w.append([ONE] * k + [ZERO] * (n_ineq + n_eq))
-    eq_rhs.append(ONE)
-    ineq_z = [[ZERO] * n + [-ONE]]
-    ineq_w = [[-b for b in f.offsets] + list(h) + list(e)]
-    return sets.LiftedSet(dim=n + 1, witness_dim=wd,
-                          ineq_z=ineq_z, ineq_w=ineq_w, ineq_rhs=[ZERO],
-                          eq_z=eq_z, eq_w=eq_w, eq_rhs=eq_rhs,
-                          witness_nonneg=[True] * (k + n_ineq) + [False] * n_eq)
+    meet = over.intersect(f.domain)
+    if meet.is_empty():
+        return sets.whole_space(f.dim + 1)
+    return _dual_epigraph(f.dim, list(zip(f.slopes, f.offsets)), [meet])

@@ -6,9 +6,10 @@ target's preimage. Its Lagrangian dual maximizes
     -( f*(u) + sigma_ground(v) + sigma_target(lam) )
 
 over the linked triples u + v = -map^T lam. That is the program of the full
-certificate search in `engine` (one linear program over the multipliers of
-the polyhedral epigraphs of f*, sigma_ground and sigma_target), with its
-budget row as the cost to minimize. Weak duality always bounds the
+certificate search in `engine`, `calculus.multiplier_program` over the
+blocks dom f, ground and the target's preimage (one linear program over the
+multipliers of the polyhedral epigraphs of f*, sigma_ground and
+sigma_target), with its budget row as the cost to minimize. Weak duality always bounds the
 dual value by the primal one and is asserted on every solve. Strong duality
 (dual attainment at the primal value) is governed by the same closedness
 criterion as the dual Farkas characterization; with polyhedral data the

@@ -109,11 +109,7 @@ class FarkasInstance:
         Rows come in the target polyhedron's order; a box's rows are
         +-e_i, so they pull back to +-A_i with no product to form."""
         if isinstance(self.target, Box):
-            G, h = [], []
-            for row, (lo, hi) in zip(self.matrix, self.target.bounds):
-                G += [row, [-v for v in row]]
-                h += [hi, -lo]
-            return Polyhedron(dim=self.n, G=G, h=h)
+            return self.target.pullback(self.matrix, self.n)
         t = self.target
         return Polyhedron(
             dim=self.n,
@@ -161,6 +157,44 @@ def certificate_cone(inst: FarkasInstance) -> sets.LiftedSet:
                               multiplier_cone(inst))
 
 
+def _unit(i: int, size: int, sign=ONE) -> list:
+    return [sign if k == i else ZERO for k in range(size)]
+
+
+def _graph_epigraph(f: PiecewiseAffine, links, blocks, at: int):
+    """{(links . w, r) : w = (w_0, w_1, ...), each w_g in blocks[g], and
+    r >= f(w_at)} as a lifted set with witness w. Its rows are the link
+    rows, the blocks' equality rows, one row per piece of f, then the
+    blocks' inequality rows."""
+    starts = [0]
+    for p in blocks:
+        starts.append(starts[-1] + p.dim)
+
+    def placed(g, row):
+        return ([ZERO] * starts[g] + list(row)
+                + [ZERO] * (starts[-1] - starts[g + 1]))
+
+    dim = len(links) + 1
+    flat = [ZERO] * dim
+    eq_z = [_unit(i, dim) for i in range(len(links))]
+    eq_w = [[-v for v in link] for link in links]
+    eq_rhs = [ZERO] * len(links)
+    for g, p in enumerate(blocks):
+        eq_z += [flat] * len(p.E)
+        eq_w += [placed(g, r) for r in p.E]
+        eq_rhs += p.e
+    ineq_z = [[ZERO] * (dim - 1) + [-ONE]] * len(f.slopes)
+    ineq_w = [placed(at, a) for a in f.slopes]
+    ineq_rhs = [-b for b in f.offsets]
+    for g, p in enumerate(blocks):
+        ineq_z += [flat] * len(p.G)
+        ineq_w += [placed(g, r) for r in p.G]
+        ineq_rhs += p.h
+    return sets.LiftedSet(dim=dim, witness_dim=starts[-1],
+                          ineq_z=ineq_z, ineq_w=ineq_w, ineq_rhs=ineq_rhs,
+                          eq_z=eq_z, eq_w=eq_w, eq_rhs=eq_rhs)
+
+
 def residual_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
     """{(map(x) - d, r) : x in ground and dom f, d in target, r >= f(x)}
     in R^{m+1}; the reduced primal set whose conic hull carries the
@@ -168,42 +202,10 @@ def residual_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
     meet = inst.ground.intersect(inst.objective.domain)
     if meet.is_empty():
         raise ValueError("ground set misses the objective's domain")
-    n, m = inst.n, inst.m
-    f = inst.objective
-    t = inst.target_polyhedron()
-    wd = n + m  # witness (x, d)
-    eq_z, eq_w, eq_rhs = [], [], []
-    for i in range(m):
-        row_z = [ZERO] * (m + 1)
-        row_z[i] = ONE
-        eq_z.append(row_z)
-        eq_w.append([-v for v in inst.matrix[i]]
-                    + [ONE if k == i else ZERO for k in range(m)])
-        eq_rhs.append(ZERO)
-    for r, rhs in zip(meet.E, meet.e):
-        eq_z.append([ZERO] * (m + 1))
-        eq_w.append(list(r) + [ZERO] * m)
-        eq_rhs.append(rhs)
-    for r, rhs in zip(t.E, t.e):
-        eq_z.append([ZERO] * (m + 1))
-        eq_w.append([ZERO] * n + list(r))
-        eq_rhs.append(rhs)
-    ineq_z, ineq_w, ineq_rhs = [], [], []
-    for a, b in zip(f.slopes, f.offsets):
-        ineq_z.append([ZERO] * m + [-ONE])
-        ineq_w.append(list(a) + [ZERO] * m)
-        ineq_rhs.append(-b)
-    for r, rhs in zip(meet.G, meet.h):
-        ineq_z.append([ZERO] * (m + 1))
-        ineq_w.append(list(r) + [ZERO] * m)
-        ineq_rhs.append(rhs)
-    for r, rhs in zip(t.G, t.h):
-        ineq_z.append([ZERO] * (m + 1))
-        ineq_w.append([ZERO] * n + list(r))
-        ineq_rhs.append(rhs)
-    return sets.LiftedSet(dim=m + 1, witness_dim=wd,
-                          ineq_z=ineq_z, ineq_w=ineq_w, ineq_rhs=ineq_rhs,
-                          eq_z=eq_z, eq_w=eq_w, eq_rhs=eq_rhs)
+    links = [row + _unit(i, inst.m, -ONE)
+             for i, row in enumerate(inst.matrix)]
+    return _graph_epigraph(inst.objective, links,
+                           [meet, inst.target_polyhedron()], at=0)
 
 
 def decoupled_residual_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
@@ -211,62 +213,13 @@ def decoupled_residual_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
     r >= f(v)} in R^{n+m+1}; the decoupled primal set whose conic hull
     carries the first closedness criterion."""
     n, m = inst.n, inst.m
-    f = inst.objective
-    t = inst.target_polyhedron()
-    dom = inst.domain()
-    dim = n + m + 1
-    wd = 2 * n + m  # witness (x, v, d)
-    zeros_n = [ZERO] * n
-    zeros_m = [ZERO] * m
-    eq_z, eq_w, eq_rhs = [], [], []
-    for j in range(n):
-        row_z = [ZERO] * dim
-        row_z[j] = ONE
-        eq_z.append(row_z)
-        ej = [ONE if k == j else ZERO for k in range(n)]
-        eq_w.append([-v for v in ej] + ej + zeros_m)
-        eq_rhs.append(ZERO)
-    for i in range(m):
-        row_z = [ZERO] * dim
-        row_z[n + i] = ONE
-        eq_z.append(row_z)
-        eq_w.append([-v for v in inst.matrix[i]] + zeros_n
-                    + [ONE if k == i else ZERO for k in range(m)])
-        eq_rhs.append(ZERO)
-    for r, rhs in zip(inst.ground.E, inst.ground.e):
-        eq_z.append([ZERO] * dim)
-        eq_w.append(list(r) + zeros_n + zeros_m)
-        eq_rhs.append(rhs)
-    for r, rhs in zip(dom.E, dom.e):
-        eq_z.append([ZERO] * dim)
-        eq_w.append(zeros_n + list(r) + zeros_m)
-        eq_rhs.append(rhs)
-    for r, rhs in zip(t.E, t.e):
-        eq_z.append([ZERO] * dim)
-        eq_w.append(zeros_n + zeros_n + list(r))
-        eq_rhs.append(rhs)
-    ineq_z, ineq_w, ineq_rhs = [], [], []
-    for a, b in zip(f.slopes, f.offsets):
-        row_z = [ZERO] * dim
-        row_z[-1] = -ONE
-        ineq_z.append(row_z)
-        ineq_w.append(zeros_n + list(a) + zeros_m)
-        ineq_rhs.append(-b)
-    for r, rhs in zip(inst.ground.G, inst.ground.h):
-        ineq_z.append([ZERO] * dim)
-        ineq_w.append(list(r) + zeros_n + zeros_m)
-        ineq_rhs.append(rhs)
-    for r, rhs in zip(dom.G, dom.h):
-        ineq_z.append([ZERO] * dim)
-        ineq_w.append(zeros_n + list(r) + zeros_m)
-        ineq_rhs.append(rhs)
-    for r, rhs in zip(t.G, t.h):
-        ineq_z.append([ZERO] * dim)
-        ineq_w.append(zeros_n + zeros_n + list(r))
-        ineq_rhs.append(rhs)
-    return sets.LiftedSet(dim=dim, witness_dim=wd,
-                          ineq_z=ineq_z, ineq_w=ineq_w, ineq_rhs=ineq_rhs,
-                          eq_z=eq_z, eq_w=eq_w, eq_rhs=eq_rhs)
+    links = ([_unit(j, n) + _unit(j, n, -ONE) + [ZERO] * m
+              for j in range(n)]
+             + [row + [ZERO] * n + _unit(i, m, -ONE)
+                for i, row in enumerate(inst.matrix)])
+    return _graph_epigraph(
+        inst.objective, links,
+        [inst.ground, inst.domain(), inst.target_polyhedron()], at=1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,46 +290,14 @@ def _validate_certificate(inst: FarkasInstance, cert: Certificate):
         raise InvariantViolation("certificate value budget exceeded")
 
 
-def _multiplier_program(f: PiecewiseAffine, blocks):
-    """The linked-multiplier program behind every certificate search.
-
-    Its variables are weights theta >= 0 on f's pieces (a_i, b_i), then one
-    multiplier per row of each block polyhedron, >= 0 on an inequality row
-    and free on an equality row. The equality rows are the n cancellation
-    rows u + sum over blocks of rows^T mu = 0, with u = sum theta_i a_i,
-    then sum theta_i = 1. The budget row (-b on theta, the right-hand sides
-    on the multipliers) bounds f*(u) plus each block's support function at
-    its rows^T mu from above, tightly for the best multipliers: a
-    certificate asks budget . w <= 0, and the dual program minimizes it.
-    Returns (E, e, budget, nonneg, split); split(w) cuts a solution into
-    theta and one slice per block, its G rows then its E rows."""
-    cols = [(a, -b, True) for a, b in zip(f.slopes, f.offsets)]
-    for p in blocks:
-        cols += [(r, rhs, True) for r, rhs in zip(p.G, p.h)]
-        cols += [(r, rhs, False) for r, rhs in zip(p.E, p.e)]
-    k = len(f.slopes)
-    E = [[r[j] for r, _, _ in cols] for j in range(f.dim)]
-    E.append([ONE] * k + [ZERO] * (len(cols) - k))
-    e = [ZERO] * f.dim + [ONE]
-    cuts = [0, k]
-    for p in blocks:
-        cuts.append(cuts[-1] + len(p.G) + len(p.E))
-
-    def split(w):
-        return [w[a:b] for a, b in zip(cuts, cuts[1:])]
-
-    return (E, e, [rhs for _, rhs, _ in cols], [flag for _, _, flag in cols],
-            split)
-
-
 def _full_program(inst: FarkasInstance, preimage: Polyhedron):
     """The program of the full triple: blocks dom f, ground and `preimage`,
     the preimage of target (built once by callers that solve many tilts of
     one instance). Returns (E, e, budget, nonneg, extract), where extract(w)
     gives (u, lam)."""
     f, dom, t = inst.objective, inst.domain(), inst.target_polyhedron()
-    E, e, budget, nonneg, split = _multiplier_program(
-        f, [dom, inst.ground, preimage])
+    E, e, budget, nonneg, split = calculus.multiplier_program(
+        inst.n, list(zip(f.slopes, f.offsets)), [dom, inst.ground, preimage])
 
     def extract(w):
         theta, mu_dom, _, mu_t = split(w)
@@ -473,8 +394,10 @@ def find_reduced_certificate(inst: FarkasInstance) -> ReducedCertificate | None:
         lam = [ZERO] * inst.m
         return ReducedCertificate(lam=lam, restricted_conjugate=NEG_INF,
                                   target_support=inst.target_support(lam))
-    E, e, budget, nonneg, split = _multiplier_program(
-        inst.objective, [meet, inst.preimage_polyhedron()])
+    f = inst.objective
+    E, e, budget, nonneg, split = calculus.multiplier_program(
+        inst.n, list(zip(f.slopes, f.offsets)),
+        [meet, inst.preimage_polyhedron()])
     out = lp.solve(lp.LinearProgram(c=[ZERO] * len(budget), G=[budget],
                                     h=[ZERO], E=E, e=e, nonneg=nonneg))
     if out.status == lp.INFEASIBLE:
@@ -510,21 +433,13 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-def _closed_regarding_probe(s: sets.LiftedSet, point):
-    strict = sets.cone_member_strict(s, point)
-    closure = sets.member(sets.conic_hull_closure(s), point)
-    if strict and not closure:
-        raise InvariantViolation("a conic hull escaped its own closure")
-    return strict, closure
-
-
 def check_primal_criterion(inst: FarkasInstance) -> CheckReport:
     """First characterization: the implication is equivalent to the
     certificate's existence exactly when the conic hull of the decoupled
     residual set is closed at the depth probe (0, 0, -1)."""
     probe = [ZERO] * (inst.n + inst.m) + [-ONE]
-    strict, closure = _closed_regarding_probe(
-        decoupled_residual_epigraph(inst), probe)
+    (_, strict, closure), = sets.cone_closed_regarding(
+        decoupled_residual_epigraph(inst), [probe])
     criterion = strict or not closure
     rep = check_nonnegativity(inst)
     cert = find_certificate(inst)
@@ -548,7 +463,8 @@ def check_reduced_criterion(inst: FarkasInstance) -> CheckReport:
     against the reduced certificate, criterion on the conic hull of the
     residual set at (0, -1). Requires ground to meet dom f."""
     probe = [ZERO] * inst.m + [-ONE]
-    strict, closure = _closed_regarding_probe(residual_epigraph(inst), probe)
+    (_, strict, closure), = sets.cone_closed_regarding(
+        residual_epigraph(inst), [probe])
     criterion = strict or not closure
     rep = check_nonnegativity(inst)
     reduced = find_reduced_certificate(inst)

@@ -92,25 +92,15 @@ def to_grid(problem: ApproxProblem, epsilon) -> GridSystem:
                                   offsets=[ZERO]))
 
 
-def _band_rows(problem: ApproxProblem, epsilon):
-    G, h = [], []
-    for t, g in zip(problem.nodes, problem.values):
-        row = problem.vandermonde_row(t)
-        G.append(row)
-        h.append(g + epsilon)
-        G.append([-v for v in row])
-        h.append(-g)
-    return G, h
-
-
 def check_consistency(problem: ApproxProblem, epsilon) -> bool:
     """Whether some polynomial fits the eps band, decided by a direct LP
     and by the depth probe against the moment cone; the two must agree."""
     epsilon = as_q(epsilon)
     n = problem.degree_bound
-    G, h = _band_rows(problem, epsilon)
-    out = lp.solve(lp.LinearProgram(c=[ZERO] * n, G=G, h=h, E=[], e=[],
-                                    nonneg=[False] * n))
+    band = sets.Box([(g, g + epsilon) for g in problem.values]).pullback(
+        [problem.vandermonde_row(t) for t in problem.nodes], n)
+    out = lp.solve(lp.LinearProgram(c=[ZERO] * n, G=band.G, h=band.h,
+                                    E=[], e=[], nonneg=[False] * n))
     direct = out.status != lp.INFEASIBLE
     n_cone = semiinf.moment_cone(to_grid(problem, epsilon))
     with_vert = sets.as_lifted(sets.GeneratedSet(

@@ -174,12 +174,15 @@ def check_moment_sandwich(system: GridSystem, n_random: int = 20,
     n_vert = sets.as_lifted(sets.GeneratedSet(
         dim=dim, points=n_cone.points, rays=n_cone.rays + [vert]))
     rng = random.Random(seed)
-    for _ in range(n_random):
-        lam = [Q(rng.randint(-3, 3)) for _ in range(system.size)]
+    lams = [[Q(rng.randint(-3, 3)) for _ in range(system.size)]
+            for _ in range(n_random)]
+    # LPs over the box's rows: inst.target_support is box_support's closed
+    # form again, so it could not catch a wrong one
+    lp_sups = sets.supports(inst.target_polyhedron().to_lifted(), lams)
+    for lam, lp_sup in zip(lams, lp_sups):
         sm = decompose(lam)
         assert sm.value() == as_q_vector(lam)
         sup = box_support(system, sm)
-        lp_sup = inst.target_support(lam)
         if sup != lp_sup:
             raise InvariantViolation(
                 "closed-form box support differs from the LP value")

@@ -185,17 +185,6 @@ def minkowski_sum(a: LiftedSet, b: LiftedSet) -> LiftedSet:
                                     + list(b.witness_nonneg))
 
 
-def translate(s: LiftedSet, v) -> LiftedSet:
-    """S + {v}."""
-    v = as_q_vector(v)
-    return LiftedSet(dim=s.dim, witness_dim=s.witness_dim,
-                     ineq_z=s.ineq_z, ineq_w=s.ineq_w,
-                     ineq_rhs=[b + dot(r, v) for r, b in zip(s.ineq_z, s.ineq_rhs)],
-                     eq_z=s.eq_z, eq_w=s.eq_w,
-                     eq_rhs=[b + dot(r, v) for r, b in zip(s.eq_z, s.eq_rhs)],
-                     witness_nonneg=s.witness_nonneg)
-
-
 def linear_image(s: LiftedSet, M) -> LiftedSet:
     """{M z : z in S}; M given as a list of rows over R^dim."""
     M = as_q_matrix(M)
@@ -458,16 +447,20 @@ class Box:
             s += v * (hi if v > ZERO else lo)
         return s
 
+    def pullback(self, rows, dim: int) -> Polyhedron:
+        """{x in R^dim : lo_i <= rows[i] . x <= hi_i}, the box pulled back
+        through the map with these rows. Each bound gives two inequality
+        rows in turn: rows[i] with right-hand side hi_i, then -rows[i] with
+        -lo_i."""
+        if len(rows) != self.dim:
+            raise ValueError("one map row per box bound required")
+        G, h = [], []
+        for row, (lo, hi) in zip(rows, self.bounds):
+            G += [row, [-v for v in row]]
+            h += [hi, -lo]
+        return Polyhedron(dim=dim, G=G, h=h)
+
     def to_polyhedron(self) -> Polyhedron:
         n = self.dim
-        G, h = [], []
-        for j, (lo, hi) in enumerate(self.bounds):
-            row = [ZERO] * n
-            row[j] = ONE
-            G.append(row)
-            h.append(hi)
-            row = [ZERO] * n
-            row[j] = -ONE
-            G.append(row)
-            h.append(-lo)
-        return Polyhedron(dim=n, G=G, h=h)
+        return self.pullback(
+            [[ONE if k == j else ZERO for k in range(n)] for j in range(n)], n)

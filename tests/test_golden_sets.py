@@ -1,0 +1,117 @@
+"""The rows of every derived set, hashed and pinned.
+
+The residual epigraphs, the multiplier and certificate cones, the support
+and restricted conjugate epigraphs and the full certificate program are
+all row surgery on the instance data, and the LP kernel sees those rows
+exactly as they are built. Two builders that describe the same set with
+rows in another order, or with another sign flag, give the same verdicts
+but other pivots, so other certificates. This test hashes the repr of
+every such set (entries, row order, witness flags) over a seeded pool of
+feasible, infeasible and equality-pinned instances, plus instances whose
+ground misses dom f, and compares the hash with the recorded one.
+
+To re-record after an intended change of rows, print `_digest()[0]` and
+replace GOLDEN, saying in the change why the rows moved.
+"""
+
+import functools
+import hashlib
+import random
+
+from farkaskit import calculus, engine, instances, polyapprox, semiinf
+from farkaskit.calculus import PiecewiseAffine
+from farkaskit.engine import FarkasInstance
+from farkaskit.rational import Q
+from farkaskit.sets import Box, whole_space_polyhedron
+
+from test_golden_certificates import _pinned
+
+GOLDEN = "76f5d7781ea93a5cc8e67afb9564eb20d862e421b421f7f3dd13e05476728a12"
+POOL = 40  # instances of each kind
+
+
+def _missed(inst: FarkasInstance) -> FarkasInstance:
+    """The same instance with f's domain moved off the ground box."""
+    f = inst.objective
+    far = Box([(Q(10), Q(11))] * f.dim).to_polyhedron()
+    return FarkasInstance(
+        ground=inst.ground, matrix=inst.matrix, target=inst.target,
+        objective=PiecewiseAffine(dim=f.dim, slopes=f.slopes,
+                                  offsets=f.offsets, domain=far))
+
+
+def _pool():
+    rng = random.Random(20261)
+    for k in range(POOL):
+        inst = instances.random_feasible_instance(rng)
+        yield inst
+        if k % 2 == 0:
+            yield _pinned(inst)
+        inst = instances.random_infeasible_instance(rng)
+        yield inst
+        if k % 2 == 1:
+            yield _pinned(inst)
+        if k % 4 == 0:
+            yield _missed(inst)
+    for k in range(POOL // 4):
+        yield semiinf.to_instance(instances.random_grid(rng))
+
+
+def _sets(inst: FarkasInstance):
+    f = inst.objective
+    pre = inst.preimage_polyhedron()
+    feas = inst.ground.intersect(pre)
+    yield "preimage", pre
+    yield "decoupled", engine.decoupled_residual_epigraph(inst)
+    try:
+        yield "residual", engine.residual_epigraph(inst)
+    except ValueError as err:
+        yield "residual error", str(err)
+    yield "multiplier cone", engine.multiplier_cone(inst)
+    yield "certificate cone", engine.certificate_cone(inst)
+    yield "target support", calculus.support_epigraph(inst.target)
+    for p in (inst.ground, pre, feas):
+        yield "support", calculus.support_epigraph(p)
+    for over in (inst.ground, feas, whole_space_polyhedron(inst.n)):
+        yield "restricted", calculus.restricted_conjugate_epigraph(f, over)
+    yield "full program", engine._full_program(inst, pre)[:4]
+
+
+def _band():
+    nodes = polyapprox.uniform_nodes(5)
+    problem = polyapprox.ApproxProblem(
+        degree_bound=3, nodes=nodes, values=[t * t for t in nodes],
+        epsilons=[Q(1, 10)])
+    inst = semiinf.to_instance(polyapprox.to_grid(problem, Q(1, 10)))
+    yield "band preimage", inst.preimage_polyhedron()
+
+
+@functools.lru_cache(maxsize=None)
+def _digest():
+    """The hash over every set's repr, and the kinds of data the pool
+    reached on the way."""
+    h = hashlib.sha256()
+    seen = set()
+    for inst in _pool():
+        if inst.ground.E and inst.target_polyhedron().E:
+            seen.add("pinned")
+        if inst.objective.domain is not None and inst.objective.domain.E:
+            seen.add("pinned domain")
+        if isinstance(inst.target, Box):
+            seen.add("box target")
+        for tag, obj in _sets(inst):
+            if tag == "residual error":
+                seen.add("missed domain")
+            h.update(repr((tag, obj)).encode() + b"\n")
+    for tag, obj in _band():
+        h.update(repr((tag, obj)).encode() + b"\n")
+    return h.hexdigest(), frozenset(seen)
+
+
+def test_pool_reaches_every_block():
+    assert _digest()[1] == {"pinned", "pinned domain", "box target",
+                              "missed domain"}
+
+
+def test_set_rows_match_recorded_hash():
+    assert _digest()[0] == GOLDEN

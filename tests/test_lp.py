@@ -19,6 +19,7 @@ from farkaskit.lp import (
     verify_certificate,
 )
 from farkaskit.rational import NEG_INF, Q, ZERO
+from farkaskit.sets import Box
 
 from oracles import brute_force_box_min
 
@@ -204,7 +205,9 @@ def test_tall_band_feasibility_program_certifies():
     problem = polyapprox.ApproxProblem(
         degree_bound=3, nodes=nodes, values=[t * t for t in nodes],
         epsilons=[Q(1, 100)])
-    G, h = polyapprox._band_rows(problem, Q(1, 100))
+    band = Box([(g, g + Q(1, 100)) for g in problem.values]).pullback(
+        [problem.vandermonde_row(t) for t in nodes], 3)
+    G, h = band.G, band.h
     lp = LinearProgram(c=[ZERO] * 3, G=G, h=h, E=[], e=[],
                        nonneg=[False] * 3)
     out = solve(lp)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from farkaskit import calculus, engine, semiinf, sets
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.engine import TriVerdict
+from farkaskit.errors import InvariantViolation
 from farkaskit.rational import Q, ZERO
 from farkaskit.semiinf import GridRow, GridSystem, SignedMultiplier
 from farkaskit.sets import Box, Polyhedron
@@ -92,6 +93,21 @@ class TestMomentCone:
         assert rep.verdict == "consistent"
         assert rep.generators_checked == 4
         assert rep.graph_points_checked == 20
+
+    def test_sandwich_consults_an_lp(self, monkeypatch):
+        # the same wrong closed form in both places, one too large when two
+        # or more entries are nonzero: only an LP value can tell
+        grid_support, box_support = semiinf.box_support, Box.support
+
+        def bump(values):
+            return Q(1) if sum(1 for v in values if v) >= 2 else ZERO
+
+        monkeypatch.setattr(semiinf, "box_support", lambda system, sm:
+                            grid_support(system, sm) + bump(sm.value()))
+        monkeypatch.setattr(Box, "support",
+                            lambda self, d: box_support(self, d) + bump(d))
+        with pytest.raises(InvariantViolation, match="LP value"):
+            semiinf.check_moment_sandwich(simple_grid(), seed=5)
 
     def test_grid_cone_matches_generic(self):
         g = simple_grid()

@@ -149,18 +149,13 @@ class TestMinkowskiAndImages:
         tri = triangle_poly().to_lifted()
         point = sets.as_lifted(sets.GeneratedSet(dim=2, points=[[1, -1]]))
         summed = sets.minkowski_sum(tri, point)
-        shifted = sets.translate(tri, [1, -1])
+        # conv{(1,-1), (3,-1), (1,1)}: the triangle moved by (1, -1)
+        shifted = sets.Polyhedron(dim=2, G=[[-1, 0], [0, -1], [1, 1]],
+                                  h=[-1, 1, 2]).to_lifted()
         dirs = sets.probe_directions(2, n_random=4, seed=3)
         assert sets.support_mismatches(summed, shifted, dirs) == []
         assert sets.member(summed, [1, -1]) and sets.member(shifted, [1, -1])
         assert not sets.member(summed, [0, 0])
-
-    def test_translate_support_shifts_linearly(self):
-        tri = triangle_poly().to_lifted()
-        shifted = sets.translate(tri, [1, 1])
-        assert sets.support(shifted, [1, 1]) == Q(4)
-        assert sets.member(shifted, [1, 1])
-        assert not sets.member(shifted, [0, 0])
 
     def test_sum_with_empty_is_empty(self):
         tri = triangle_poly().to_lifted()
@@ -285,6 +280,18 @@ class TestProbesAndBoxes:
         assert box.contains([Q(1, 3)])
         assert not box.contains([Q(1, 2)])
         assert box.support([6]) == Q(2)
+
+    def test_pullback_row_order(self):
+        # each bound gives row <= hi, then -row <= -lo; the identity map
+        # gives the box's own polyhedron
+        box = sets.Box(bounds=[(-1, 2), (0, 3)])
+        p = box.pullback([[1, 1], [2, -1]], 2)
+        assert p.G == [[1, 1], [-1, -1], [2, -1], [-2, 1]]
+        assert p.h == [2, 1, 3, 0]
+        assert p.contains([1, 1]) and not p.contains([2, 1])
+        assert box.to_polyhedron() == box.pullback([[1, 0], [0, 1]], 2)
+        with pytest.raises(ValueError):
+            box.pullback([[1, 1]], 2)
 
 
 @st.composite

@@ -20,13 +20,14 @@ necessarily infeasible.
 
 Tilting f by s (f_s = f - s.x) only translates epi f*, since
 f_s*(u) = f*(u + s), so tilts need no conjugate program of their own. The
-duality checks run as batches over tilts, in three steps: (1) each tilt's
-primal and multiplier program, one LP each, over one preimage and feasible
-polyhedron per check; (2) the conjugate values of all optimal duals from
-one `calculus.fenchel_values` call on the untilted f, and their ground
-supports from one `sets.supports` sweep; (3) the forced identities of each
-tilt, in tilt order. `solve_dual` and `check_strong_duality` are the
-one-tilt case of the same steps.
+duality checks run as batches over tilts, in three steps: (1) each
+distinct tilt's primal and multiplier program, one LP each, over the
+preimage and feasible polyhedron the instance keeps for all its tilts;
+(2) the conjugate values of all optimal duals from one
+`calculus.fenchel_values` call on the untilted f, and their ground supports
+from one `sets.supports` sweep; (3) the forced identities of each tilt, in
+tilt order. `solve_dual` and `check_strong_duality` are the one-tilt case
+of the same steps.
 """
 
 from __future__ import annotations
@@ -86,17 +87,15 @@ class DualSolution:
     lam: list | None = None
 
 
-def _dual_lp(inst: FarkasInstance, preimage: sets.Polyhedron):
-    """The full certificate program of `engine` over inst's `preimage`,
-    with its budget row as the cost to minimize. Returns the LP plus the
-    extractor for (u, lam)."""
-    E, e, cost, nonneg, extract = engine._full_program(inst, preimage)
+def dual_program(inst: FarkasInstance):
+    """The full certificate program of `engine`, with its budget row as the
+    cost to minimize. Returns the LP plus the extractor for (u, lam)."""
+    E, e, cost, nonneg, extract = engine._full_program(inst)
     return lp.LinearProgram(c=cost, G=[], h=[], E=E, e=e, nonneg=nonneg), \
         extract
 
 
-def _solve_duals(inst: FarkasInstance, shifts,
-                 preimage: sets.Polyhedron) -> list:
+def _solve_duals(inst: FarkasInstance, shifts) -> list:
     """Steps 1 and 2 of the dual of each tilt f - shift . x: the multiplier
     program of `engine`, with its budget row as the cost to minimize, one
     LP per tilt; then the linked triples of the optimal ones with their
@@ -104,7 +103,7 @@ def _solve_duals(inst: FarkasInstance, shifts,
     tilt, unchecked."""
     outs, found = [], []
     for shift in shifts:
-        program, extract = _dual_lp(inst.tilted(shift), preimage)
+        program, extract = dual_program(inst.tilted(shift))
         out = lp.solve(program)
         outs.append(out)
         found.append(extract(out.x) if out.status == OPTIMAL else None)
@@ -143,8 +142,7 @@ def solve_dual(inst: FarkasInstance,
     asserted (the primal is solved here if its value is not supplied)."""
     if primal_value is None:
         primal_value = solve_primal(inst).value
-    (out, triple), = _solve_duals(inst, [[ZERO] * inst.n],
-                                  inst.preimage_polyhedron())
+    (out, triple), = _solve_duals(inst, [[ZERO] * inst.n])
     return _checked_dual(out, triple, primal_value)
 
 
@@ -183,24 +181,23 @@ def _strong_report(primal: PrimalSolution,
     return StrongDualityReport(primal=primal, dual=dual, equal=True)
 
 
-def _tilt_reports(inst: FarkasInstance, shifts, preimage: sets.Polyhedron):
+def _tilt_reports(inst: FarkasInstance, shifts):
     """check_strong_duality for each tilt f - shift . x of inst, lazily in
-    tilt order; `preimage` is inst's, built once by the caller. Steps 1 and
-    2 (every primal, every dual program, the batched values) run before
-    the first report, and step 3, the checks of one tilt, runs as its
-    report is taken."""
-    feasible = inst.ground.intersect(preimage)
+    tilt order. Steps 1 and 2 (the primal and dual program of each distinct
+    shift, the batched values) run before the first report, and step 3,
+    the checks of one tilt, runs as its report is taken."""
+    distinct, at = engine._distinct(shifts)
+    feasible = inst.feasible_polyhedron()
     primals = [_primal_over(inst.objective.tilted(shift), feasible)
-               for shift in shifts]
-    duals = _solve_duals(inst, shifts, preimage)
-    for primal, (out, triple) in zip(primals, duals):
-        yield _strong_report(
-            primal, _checked_dual(out, triple, primal.value))
+               for shift in distinct]
+    duals = _solve_duals(inst, distinct)
+    for k in at:
+        (out, triple), primal = duals[k], primals[k]
+        yield _strong_report(primal, _checked_dual(out, triple, primal.value))
 
 
 def check_strong_duality(inst: FarkasInstance) -> StrongDualityReport:
-    report, = _tilt_reports(inst, [[ZERO] * inst.n],
-                            inst.preimage_polyhedron())
+    report, = _tilt_reports(inst, [[ZERO] * inst.n])
     return report
 
 
@@ -220,40 +217,17 @@ class OptimalityReport:
 
 def _subdifferential_route(inst: FarkasInstance, point, fx) -> bool:
     """0 in conv(active slopes) + N(dom f, x) + N(ground, x) +
-    map^T N(target, map x), as one LP feasibility question."""
+    map^T N(target, map x), as one LP feasibility question: the multiplier
+    program of the active pieces over the rows of dom f, ground and the
+    preimage (whose normal cone is map^T N(target, map x)) tight at x."""
     f = inst.objective
-    active = [a for a, b in zip(f.slopes, f.offsets)
+    active = [(a, b) for a, b in zip(f.slopes, f.offsets)
               if dot(a, point) + b == fx]
-    cols = [list(a) for a in active]
-    nonneg = [True] * len(active)
-    simplex_flags = [True] * len(active)
-
-    def add_cone(rows_g, rhs_g, rows_e, rhs_e, at, mapped=False):
-        for row, rhs in zip(rows_g, rhs_g):
-            if dot(row, at) == rhs:
-                col = inst.adjoint(row) if mapped else list(row)
-                cols.append(col)
-                nonneg.append(True)
-                simplex_flags.append(False)
-        for row in rows_e:
-            col = inst.adjoint(row) if mapped else list(row)
-            cols.append(col)
-            nonneg.append(False)
-            simplex_flags.append(False)
-
-    if f.domain is not None:
-        add_cone(f.domain.G, f.domain.h, f.domain.E, f.domain.e, point)
-    add_cone(inst.ground.G, inst.ground.h, inst.ground.E, inst.ground.e,
-             point)
-    t = inst.target_polyhedron()
-    image = inst.apply(point)
-    add_cone(t.G, t.h, t.E, t.e, image, mapped=True)
-    total = len(cols)
-    E = [[cols[c][j] for c in range(total)] for j in range(inst.n)]
-    e = [ZERO] * inst.n
-    E.append([ONE if flag else ZERO for flag in simplex_flags])
-    e.append(ONE)
-    out = lp.solve(lp.LinearProgram(c=[ZERO] * total, G=[], h=[],
+    E, e, _, nonneg, _ = calculus.multiplier_program(
+        inst.n, active, [p.active_at(point) for p in
+                         (inst.domain(), inst.ground,
+                          inst.preimage_polyhedron())])
+    out = lp.solve(lp.LinearProgram(c=[ZERO] * len(nonneg), G=[], h=[],
                                     E=E, e=e, nonneg=nonneg))
     return out.status != INFEASIBLE
 
@@ -316,11 +290,7 @@ def _sum_point_sample(inst: FarkasInstance, rng, conj, ground_rays):
     total = sum(weights, ZERO)
     z = [v / total
          for v in transpose_apply(conj.points, weights, inst.n + 1)]
-    for ray in conj.rays:
-        c = Q(rng.randint(0, 2))
-        if c:
-            z = [a + c * b for a, b in zip(z, ray)]
-    for ray in ground_rays:
+    for ray in conj.rays + ground_rays:
         c = Q(rng.randint(0, 2))
         if c:
             z = [a + c * b for a, b in zip(z, ray)]
@@ -338,19 +308,12 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
     conjugate, so the criterion set only translates and stays closed; with
     a primal value below +infinity every tilt must then close the duality
     gap, and a miss raises. An infeasible primal leaves the tilt grid
-    unforced, which the note records.
-
-    The tilts run in batches over one preimage and feasible polyhedron:
-    (1) each tilt's primal and multiplier program, one LP each; (2) every
-    conjugate value from one `calculus.fenchel_values` call on the untilted
-    f, by the identity f_s*(u) = f*(u + s) for f_s = f - s.x, and every
-    ground support from one `sets.supports` sweep; (3) the invariant checks
-    of each tilt, in tilt order, giving its StrongDualityReport."""
+    unforced, which the note records. The tilts run in the three batched
+    steps of the module docstring, giving each its StrongDualityReport."""
     if tilts is None:
         tilts = default_dual_tilts(inst.n, seed=seed)
     rng = random.Random(seed + 1)
-    preimage = inst.preimage_polyhedron()
-    feasible = inst.ground.intersect(preimage)
+    feasible = inst.feasible_polyhedron()
     restricted = calculus.restricted_conjugate_epigraph(
         inst.objective, feasible)
     conj = calculus.conjugate_epigraph(inst.objective)
@@ -360,18 +323,16 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
         if not sets.member(restricted, z):
             raise InvariantViolation(
                 "a sum point escapes the restricted conjugate epigraph")
-    note = None
     if _primal_over(inst.objective, feasible).value is INF:
-        note = ("primal infeasible: per-tilt attainment is not forced; "
-                "containment sampling only")
-        return StableDualityReport(tilts_checked=0, all_strong=True,
-                                   containment_points=n_points, note=note)
+        return StableDualityReport(
+            tilts_checked=0, all_strong=True, containment_points=n_points,
+            note="primal infeasible: per-tilt attainment is not forced; "
+                 "containment sampling only")
     per_tilt = []
-    for shift, rep in zip(tilts, _tilt_reports(inst, tilts, preimage)):
+    for shift, rep in zip(tilts, _tilt_reports(inst, tilts)):
         if not rep.equal:
             raise InvariantViolation(
                 f"strong duality failed under tilt {shift}")
         per_tilt.append(rep)
     return StableDualityReport(tilts_checked=len(tilts), all_strong=True,
-                               containment_points=n_points, note=note,
-                               per_tilt=per_tilt)
+                               containment_points=n_points, per_tilt=per_tilt)

@@ -32,7 +32,7 @@ from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
 from .rational import (INF, NEG_INF, ONE, Q, ZERO, as_q, as_q_matrix,
                        is_finite, mat_vec, transpose_apply)
-from .sets import Box, Polyhedron, whole_space_polyhedron
+from .sets import Box, Polyhedron, kept, whole_space_polyhedron
 
 
 class TriVerdict(Enum):
@@ -51,7 +51,9 @@ class TriVerdict(Enum):
 class FarkasInstance:
     """Standing data: ground set in R^n, map rows (m x n), target set in
     R^m, and the tested function. Ground and target must be nonempty and the
-    function proper, which the constructor enforces."""
+    function proper, which the constructor enforces. The derived sets are
+    built on first use and kept, with their points, so the data must not
+    change after construction; tilted copies share those already built."""
 
     ground: Polyhedron
     matrix: list
@@ -93,6 +95,7 @@ class FarkasInstance:
     def adjoint(self, lam):
         return transpose_apply(self.matrix, lam, self.n)
 
+    @kept
     def target_polyhedron(self) -> Polyhedron:
         if isinstance(self.target, Box):
             return self.target.to_polyhedron()
@@ -104,6 +107,7 @@ class FarkasInstance:
             return self.target.support(lam)
         return sets.support(self.target.to_lifted(), lam)
 
+    @kept
     def preimage_polyhedron(self) -> Polyhedron:
         """{x : map(x) in target}, the target pulled back through the map.
         Rows come in the target polyhedron's order; a box's rows are
@@ -116,19 +120,27 @@ class FarkasInstance:
             G=[self.adjoint(r) for r in t.G], h=t.h,
             E=[self.adjoint(r) for r in t.E], e=t.e)
 
+    @kept
     def feasible_polyhedron(self) -> Polyhedron:
         """ground intersected with the preimage of target."""
         return self.ground.intersect(self.preimage_polyhedron())
 
+    @kept
     def domain(self) -> Polyhedron:
         """dom objective, the whole space when it is unrestricted."""
         d = self.objective.domain
         return whole_space_polyhedron(self.n) if d is None else d
 
+    @kept
+    def ground_in_domain(self) -> Polyhedron:
+        """ground intersected with dom objective (ground itself when the
+        objective is unrestricted)."""
+        return self.ground.intersect(self.objective.domain)
+
     def tilted(self, shift, lift=ZERO) -> "FarkasInstance":
-        """The instance with objective f - shift . x - lift. Ground, map and
-        target are shared, and the constructor's emptiness LPs, already
-        passed by this instance, are not solved again."""
+        """The instance with objective f - shift . x - lift. Ground, map,
+        target and the derived sets kept so far are shared, and neither the
+        constructor's emptiness LPs nor any kept point is solved again."""
         twin = copy.copy(self)
         twin.objective = self.objective.tilted(shift, lift)
         return twin
@@ -199,7 +211,7 @@ def residual_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
     """{(map(x) - d, r) : x in ground and dom f, d in target, r >= f(x)}
     in R^{m+1}; the reduced primal set whose conic hull carries the
     reduced criterion. Requires ground to meet dom f."""
-    meet = inst.ground.intersect(inst.objective.domain)
+    meet = inst.ground_in_domain()
     if meet.is_empty():
         raise ValueError("ground set misses the objective's domain")
     links = [row + _unit(i, inst.m, -ONE)
@@ -290,14 +302,14 @@ def _validate_certificate(inst: FarkasInstance, cert: Certificate):
         raise InvariantViolation("certificate value budget exceeded")
 
 
-def _full_program(inst: FarkasInstance, preimage: Polyhedron):
-    """The program of the full triple: blocks dom f, ground and `preimage`,
-    the preimage of target (built once by callers that solve many tilts of
-    one instance). Returns (E, e, budget, nonneg, extract), where extract(w)
-    gives (u, lam)."""
+def _full_program(inst: FarkasInstance):
+    """The program of the full triple: blocks dom f, ground and the
+    preimage of target. Returns (E, e, budget, nonneg, extract), where
+    extract(w) gives (u, lam)."""
     f, dom, t = inst.objective, inst.domain(), inst.target_polyhedron()
     E, e, budget, nonneg, split = calculus.multiplier_program(
-        inst.n, list(zip(f.slopes, f.offsets)), [dom, inst.ground, preimage])
+        inst.n, list(zip(f.slopes, f.offsets)),
+        [dom, inst.ground, inst.preimage_polyhedron()])
 
     def extract(w):
         theta, mu_dom, _, mu_t = split(w)
@@ -334,15 +346,13 @@ def _certificates(inst: FarkasInstance, tilts, found) -> list:
     return certs
 
 
-def _find_certificates(inst: FarkasInstance, tilts,
-                       preimage: Polyhedron) -> list:
+def _find_certificates(inst: FarkasInstance, tilts) -> list:
     """find_certificate for each tilt (shift, lift) of inst, in tilt order
     and not yet validated: one feasibility program per tilt, then the
     values of all found triples in one batch."""
     found = []
     for shift, lift in tilts:
-        E, e, budget, nonneg, extract = _full_program(
-            inst.tilted(shift, lift), preimage)
+        E, e, budget, nonneg, extract = _full_program(inst.tilted(shift, lift))
         out = lp.solve(lp.LinearProgram(c=[ZERO] * len(budget), G=[budget],
                                         h=[ZERO], E=E, e=e, nonneg=nonneg))
         found.append(None if out.status == lp.INFEASIBLE else extract(out.x))
@@ -353,8 +363,7 @@ def find_certificate(inst: FarkasInstance) -> Certificate | None:
     """Search for (u, v, lam) with f*(u) + sigma_ground(v) +
     sigma_target(lam) <= 0 and u + v = -map^T lam, as one feasibility LP
     over the dual representations of all three epigraphs."""
-    cert, = _find_certificates(inst, [([ZERO] * inst.n, ZERO)],
-                               inst.preimage_polyhedron())
+    cert, = _find_certificates(inst, [([ZERO] * inst.n, ZERO)])
     if cert is not None:
         _validate_certificate(inst, cert)
     return cert
@@ -387,7 +396,7 @@ def _restricted_conjugate(inst: FarkasInstance, w):
 
 
 def find_reduced_certificate(inst: FarkasInstance) -> ReducedCertificate | None:
-    meet = inst.ground.intersect(inst.objective.domain)
+    meet = inst.ground_in_domain()
     if meet.is_empty():
         # the restriction is identically +infinity, so its conjugate is
         # -infinity everywhere and lam = 0 certifies trivially
@@ -433,66 +442,51 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-def check_primal_criterion(inst: FarkasInstance) -> CheckReport:
-    """First characterization: the implication is equivalent to the
-    certificate's existence exactly when the conic hull of the decoupled
-    residual set is closed at the depth probe (0, 0, -1)."""
-    probe = [ZERO] * (inst.n + inst.m) + [-ONE]
-    (_, strict, closure), = sets.cone_closed_regarding(
-        decoupled_residual_epigraph(inst), [probe])
+def _criterion_report(inst: FarkasInstance, epigraph, probe, cert,
+                      kind: str) -> CheckReport:
+    """A primal characterization: the implication is equivalent to the
+    existence of `cert`, found by the `kind` ("primal" or "reduced") search,
+    exactly when the conic hull of `epigraph` is closed at `probe`."""
+    (_, strict, closure), = sets.cone_closed_regarding(epigraph, [probe])
     criterion = strict or not closure
     rep = check_nonnegativity(inst)
-    cert = find_certificate(inst)
     if strict == rep.verdict.holds:
         raise InvariantViolation(
             "depth probe membership must mirror a negative feasible value")
     if cert is not None and not rep.verdict.holds:
+        named = "certificate" if kind == "primal" else f"{kind} certificate"
         raise InvariantViolation(
-            "certificate present although the implication fails")
+            f"{named} present although the implication fails")
     if criterion != ((not rep.verdict.holds) or (cert is not None)):
         raise InvariantViolation(
-            "primal closedness criterion disagrees with the equivalence")
+            f"{kind} closedness criterion disagrees with the equivalence")
     return CheckReport(nonnegativity=rep, certificate=cert,
                        criterion_holds=criterion, probe_point=probe,
                        details={"probe_in_cone": strict,
                                 "probe_in_closure": closure})
 
 
+def check_primal_criterion(inst: FarkasInstance) -> CheckReport:
+    """First characterization: the implication is equivalent to the
+    certificate's existence exactly when the conic hull of the decoupled
+    residual set is closed at the depth probe (0, 0, -1)."""
+    return _criterion_report(
+        inst, decoupled_residual_epigraph(inst),
+        [ZERO] * (inst.n + inst.m) + [-ONE], find_certificate(inst),
+        "primal")
+
+
 def check_reduced_criterion(inst: FarkasInstance) -> CheckReport:
     """Second characterization, in the target space: same equivalence
     against the reduced certificate, criterion on the conic hull of the
     residual set at (0, -1). Requires ground to meet dom f."""
-    probe = [ZERO] * inst.m + [-ONE]
-    (_, strict, closure), = sets.cone_closed_regarding(
-        residual_epigraph(inst), [probe])
-    criterion = strict or not closure
-    rep = check_nonnegativity(inst)
+    epigraph = residual_epigraph(inst)
     reduced = find_reduced_certificate(inst)
-    full = find_certificate(inst)
-    if strict == rep.verdict.holds:
-        raise InvariantViolation(
-            "depth probe membership must mirror a negative feasible value")
-    if reduced is not None and not rep.verdict.holds:
-        raise InvariantViolation(
-            "reduced certificate present although the implication fails")
-    if (full is None) != (reduced is None):
+    if (find_certificate(inst) is None) != (reduced is None):
         raise InvariantViolation(
             "full and reduced certificates must coexist when ground meets dom f")
-    if criterion != ((not rep.verdict.holds) or (reduced is not None)):
-        raise InvariantViolation(
-            "reduced closedness criterion disagrees with the equivalence")
-    return CheckReport(nonnegativity=rep, certificate=reduced,
-                       criterion_holds=criterion, probe_point=probe,
-                       details={"probe_in_cone": strict,
-                                "probe_in_closure": closure})
-
-
-def _probe_equal_or_raise(a, b, directions, what):
-    bad = sets.support_mismatches(a, b, directions)
-    if bad:
-        d, sa, sb = bad[0]
-        raise InvariantViolation(
-            f"{what}: support {sa} vs {sb} along {d}")
+    return _criterion_report(inst, epigraph, [ZERO] * inst.m + [-ONE],
+                             reduced, "reduced")
 
 
 def check_dual_criterion(inst: FarkasInstance, n_random: int = 8,
@@ -521,15 +515,15 @@ def check_dual_criterion(inst: FarkasInstance, n_random: int = 8,
         raise InvariantViolation(
             "closed dual criterion requires the equivalence to hold")
     dirs = sets.probe_directions(inst.n + 1, n_random=n_random, seed=seed)
-    preimage = inst.preimage_polyhedron()
-    if not preimage.is_empty():
-        _probe_equal_or_raise(
-            multiplier_cone(inst), calculus.support_epigraph(preimage), dirs,
-            "multiplier cone vs preimage support epigraph")
-    _probe_equal_or_raise(
+    # the preimage holds the feasible point the hypothesis asks for
+    sets.require_equal_supports(
+        multiplier_cone(inst),
+        calculus.support_epigraph(inst.preimage_polyhedron()), dirs,
+        "multiplier cone vs preimage support epigraph")
+    sets.require_equal_supports(
         certificate_cone(inst), calculus.support_epigraph(feas), dirs,
         "certificate cone vs feasible support epigraph")
-    _probe_equal_or_raise(
+    sets.require_equal_supports(
         omega, calculus.restricted_conjugate_epigraph(inst.objective, feas),
         dirs, "epi f* + cone vs restricted conjugate epigraph")
     return CheckReport(nonnegativity=rep, certificate=cert,
@@ -551,7 +545,7 @@ def check_existence(inst: FarkasInstance) -> ExistenceReport:
     """Feasibility decided twice: a direct LP, and the dual route testing
     whether (0, -1) escapes the certificate cone. Their forced agreement is
     checked, as is the map-only variant against the multiplier cone."""
-    point = sets.a_point_of(inst.feasible_polyhedron().to_lifted())
+    point = inst.feasible_polyhedron().a_point()
     direct = point is not None
     depth = [ZERO] * inst.n + [-ONE]
     via_cone = not sets.member(certificate_cone(inst), depth)
@@ -577,6 +571,15 @@ def default_tilts(n: int, count: int = 25, seed: int = 0):
     return tilts
 
 
+def _distinct(tilts):
+    """(the distinct tilts in first-seen order, the position among them
+    of each tilt), for shifts or (shift, lift) pairs: tilts of equal repr
+    pose equal programs, so each distinct one needs solving once."""
+    where = {}
+    at = [where.setdefault(repr(t), len(where)) for t in tilts]
+    return [tilts[at.index(k)] for k in range(len(where))], at
+
+
 @dataclass
 class StabilityReport:
     criterion_holds: bool
@@ -594,19 +597,20 @@ def check_stability(inst: FarkasInstance, tilts=None,
     Requires a feasible point inside dom f.
 
     Tilting moves neither the feasible set nor dom f, so the one emptiness
-    LP of that requirement serves every tilt. Each tilt then solves its
-    minimum and its certificate program, the certificates' values come in
-    one batch, and the checks run in tilt order."""
-    preimage = inst.preimage_polyhedron()
-    feas = inst.ground.intersect(preimage)
+    LP of that requirement serves every tilt. Each distinct tilt then
+    solves its minimum and its certificate program, the certificates'
+    values come in one batch, and the checks run in tilt order."""
+    feas = inst.feasible_polyhedron()
     if feas.intersect(inst.objective.domain).is_empty():
         raise ValueError("no feasible point inside the objective's domain")
     if tilts is None:
         tilts = default_tilts(inst.n, seed=seed)
+    distinct, at = _distinct(tilts)
     reports = [_nonnegativity_over(inst.objective.tilted(shift, lift), feas)
-               for shift, lift in tilts]
-    certs = _find_certificates(inst, tilts, preimage)
-    for (shift, lift), rep, cert in zip(tilts, reports, certs):
+               for shift, lift in distinct]
+    certs = _find_certificates(inst, distinct)
+    for (shift, lift), k in zip(tilts, at):
+        rep, cert = reports[k], certs[k]
         if cert is not None:
             _validate_certificate(inst, cert)
         if rep.verdict.holds != (cert is not None):

@@ -99,14 +99,10 @@ def check_consistency(problem: ApproxProblem, epsilon) -> bool:
     n = problem.degree_bound
     band = sets.Box([(g, g + epsilon) for g in problem.values]).pullback(
         [problem.vandermonde_row(t) for t in problem.nodes], n)
-    out = lp.solve(lp.LinearProgram(c=[ZERO] * n, G=band.G, h=band.h,
-                                    E=[], e=[], nonneg=[False] * n))
-    direct = out.status != lp.INFEASIBLE
-    n_cone = semiinf.moment_cone(to_grid(problem, epsilon))
-    with_vert = sets.as_lifted(sets.GeneratedSet(
-        dim=n + 1, points=n_cone.points,
-        rays=n_cone.rays + [[ZERO] * n + [ONE]]))
-    probe_escapes = not sets.member(with_vert, [ZERO] * n + [-ONE])
+    direct = not band.is_empty()
+    probe_escapes = not sets.member(
+        semiinf.lifted_moment_cone(to_grid(problem, epsilon)),
+        [ZERO] * n + [-ONE])
     if direct != probe_escapes:
         raise InvariantViolation(
             "feasibility LP and the moment cone probe disagree")
@@ -128,7 +124,7 @@ def solve_eps(problem: ApproxProblem, epsilon) -> FrontierRow:
     if not check_consistency(problem, epsilon):
         raise ValueError(f"no polynomial fits the band at {epsilon}")
     inst = semiinf.to_instance(to_grid(problem, epsilon))
-    program, extract = duality._dual_lp(inst, inst.preimage_polyhedron())
+    program, extract = duality.dual_program(inst)
     out = lp.solve(program)
     if out.status == lp.INFEASIBLE:
         # no multiplier satisfies the moment conditions, so nothing bounds

@@ -130,6 +130,15 @@ def moment_cone(system: GridSystem) -> sets.GeneratedSet:
                              points=[[ZERO] * (system.n + 1)], rays=rays)
 
 
+def lifted_moment_cone(system: GridSystem) -> sets.LiftedSet:
+    """The moment cone plus the vertical ray (0, 1), as a lifted set: the
+    form that coincides with the multiplier cone."""
+    cone = moment_cone(system)
+    return sets.as_lifted(sets.GeneratedSet(
+        dim=system.n + 1, points=cone.points,
+        rays=cone.rays + [[ZERO] * system.n + [ONE]]))
+
+
 def grid_certificate_cone(system: GridSystem) -> sets.LiftedSet:
     """Moment cone plus the ground support epigraph: the grid-shaped form
     of the certificate cone (the epigraph's vertical rays absorb the gap
@@ -155,7 +164,6 @@ def check_moment_sandwich(system: GridSystem, n_random: int = 20,
     supports along the probe grid."""
     inst = to_instance(system)
     mult_cone = engine.multiplier_cone(inst)
-    dim = system.n + 1
     for t, row in enumerate(system.rows):
         for sign, val in ((ONE, row.upper), (-ONE, row.lower)):
             lam = [ZERO] * system.size
@@ -169,10 +177,7 @@ def check_moment_sandwich(system: GridSystem, n_random: int = 20,
             if not sets.member(mult_cone, gen):
                 raise InvariantViolation(
                     "moment cone generator escapes the multiplier cone")
-    vert = [ZERO] * (dim - 1) + [ONE]
-    n_cone = moment_cone(system)
-    n_vert = sets.as_lifted(sets.GeneratedSet(
-        dim=dim, points=n_cone.points, rays=n_cone.rays + [vert]))
+    n_vert = lifted_moment_cone(system)
     rng = random.Random(seed)
     lams = [[Q(rng.randint(-3, 3)) for _ in range(system.size)]
             for _ in range(n_random)]
@@ -190,14 +195,10 @@ def check_moment_sandwich(system: GridSystem, n_random: int = 20,
         if not sets.member(n_vert, graph):
             raise InvariantViolation(
                 "multiplier graph point escapes the lifted moment cone")
-    dirs = sets.probe_directions(dim, n_random=min(n_random, 10),
+    dirs = sets.probe_directions(system.n + 1, n_random=min(n_random, 10),
                                  seed=seed + 1)
-    bad = sets.support_mismatches(n_vert, mult_cone, dirs)
-    if bad:
-        d, sa, sb = bad[0]
-        raise InvariantViolation(
-            f"moment cone and multiplier cone supports differ: "
-            f"{sa} vs {sb} along {d}")
+    sets.require_equal_supports(n_vert, mult_cone, dirs,
+                                "moment cone vs multiplier cone")
     return SandwichReport(generators_checked=2 * system.size,
                           graph_points_checked=n_random,
                           probe_directions=len(dirs))
@@ -222,13 +223,9 @@ def check_grid_dual(system: GridSystem, n_random: int = 8,
     inst = to_instance(system)
     rep = engine.check_dual_criterion(inst, n_random=n_random, seed=seed)
     dirs = sets.probe_directions(system.n + 1, n_random=n_random, seed=seed)
-    bad = sets.support_mismatches(grid_certificate_cone(system),
-                                  engine.certificate_cone(inst), dirs)
-    if bad:
-        d, sa, sb = bad[0]
-        raise InvariantViolation(
-            f"grid certificate cone differs from the generic one: "
-            f"{sa} vs {sb} along {d}")
+    sets.require_equal_supports(
+        grid_certificate_cone(system), engine.certificate_cone(inst), dirs,
+        "grid certificate cone vs generic certificate cone")
     rep.details["moment_cone_probes"] = len(dirs)
     return rep
 

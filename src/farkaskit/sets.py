@@ -13,6 +13,7 @@ both of which the homogenized representation captures exactly.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -59,6 +60,20 @@ class LiftedSet:
             raise ValueError("witness flag count != witness_dim")
 
 
+def kept(method):
+    """A method of no arguments whose first result is kept in the object's
+    __dict__, for later calls and for copy.copy or copy.deepcopy of it."""
+    key = "_kept_" + method.__name__
+
+    @functools.wraps(method)
+    def get(self):
+        if key not in self.__dict__:
+            self.__dict__[key] = method(self)
+        return self.__dict__[key]
+
+    return get
+
+
 def empty_set(dim: int) -> LiftedSet:
     return LiftedSet(dim=dim, ineq_z=[[ZERO] * dim], ineq_w=[[]], ineq_rhs=[-1])
 
@@ -78,8 +93,7 @@ def _joint_lp(s: LiftedSet, c_z, c_w):
 
 
 def is_empty(s: LiftedSet) -> bool:
-    out = lp.solve(_joint_lp(s, [ZERO] * s.dim, [ZERO] * s.witness_dim))
-    return out.status == lp.INFEASIBLE
+    return a_point_of(s) is None
 
 
 def a_point_of(s: LiftedSet):
@@ -367,9 +381,19 @@ def support_mismatches(a: LiftedSet, b: LiftedSet, directions):
             if sa != sb]
 
 
+def require_equal_supports(a: LiftedSet, b: LiftedSet, directions, what):
+    """Raise InvariantViolation, naming `what`, at the first direction
+    where the supports of A and B differ."""
+    bad = support_mismatches(a, b, directions)
+    if bad:
+        d, sa, sb = bad[0]
+        raise InvariantViolation(f"{what}: support {sa} vs {sb} along {d}")
+
+
 @dataclass
 class Polyhedron:
-    """Plain H-form set {x : G x <= h, E x = e} (no witnesses)."""
+    """Plain H-form set {x : G x <= h, E x = e} (no witnesses). It keeps
+    its point, solved once, so its rows must not change after construction."""
 
     dim: int
     G: list = field(default_factory=list)
@@ -401,6 +425,14 @@ class Polyhedron:
         return Polyhedron(dim=self.dim, G=self.G + other.G, h=self.h + other.h,
                           E=self.E + other.E, e=self.e + other.e)
 
+    def active_at(self, x) -> Polyhedron:
+        """The inequality rows tight at x and all equality rows: the rows
+        whose multipliers span the normal cone at x."""
+        tight = [k for k, (r, b) in enumerate(zip(self.G, self.h))
+                 if dot(r, x) == b]
+        return Polyhedron(dim=self.dim, G=[self.G[k] for k in tight],
+                          h=[self.h[k] for k in tight], E=self.E, e=self.e)
+
     def to_lifted(self) -> LiftedSet:
         return LiftedSet(dim=self.dim,
                          ineq_z=self.G, ineq_w=[[] for _ in self.G],
@@ -408,8 +440,17 @@ class Polyhedron:
                          eq_z=self.E, eq_w=[[] for _ in self.E],
                          eq_rhs=self.e)
 
+    @kept
+    def _point(self):
+        return a_point_of(self.to_lifted())
+
+    def a_point(self):
+        """Some point of this set, as a new list, or None when it is empty:
+        one LP, solved on the first call only."""
+        return None if self.is_empty() else list(self._point())
+
     def is_empty(self) -> bool:
-        return is_empty(self.to_lifted())
+        return self._point() is None
 
 
 def whole_space_polyhedron(dim: int) -> Polyhedron:

@@ -1,12 +1,13 @@
 """Primal/dual solving, strong duality, optimality, and stability."""
 
 import copy
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farkaskit import duality, engine, instances
+from farkaskit import duality, engine, instances, lp
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.duality import INFEASIBLE, OPTIMAL, UNBOUNDED
 from farkaskit.engine import FarkasInstance
@@ -287,15 +288,66 @@ def test_stable_check_solves_each_constraint_set_once(count_phase1,
                                                       count_pivots):
     # counted with the instance's construction: 149 phase-1 runs when each
     # tilt was built as a new instance and posed its conjugate and ground
-    # support as programs of their own; 260 pivots before and after
+    # support as programs of their own (260 pivots before and after), 76
+    # when a repeated shift was solved again (177 pivots once it was not)
     def check():
         return duality.check_stable_strong_duality(bounded_instance(), seed=2)
 
     rep, runs = count_phase1(check)
     assert rep.tilts_checked == 25
-    assert runs <= 76
+    assert runs <= 53
     _, pivots = count_pivots(check)
     assert pivots <= 260
+
+
+OPTIMALITY_PROGRAMS = ("dd53ef6cd942668b31090823b0be993d"
+                       "79f87a22288c764390aab2f80edc1e79")
+
+
+def _optimality_programs():
+    """sha256 over the sorted reprs of every program `lp.solve` receives
+    inside check_optimality, at the minimizer and two sampled feasible
+    points of each feasible instance of the tilt pool, and the kinds of
+    data reached on the way."""
+    rng = random.Random(707)
+    cases, seen = [], set()
+    for inst in _tilt_pool():
+        if inst.feasible_polyhedron().is_empty():
+            continue
+        points = instances.sample_feasible_points(inst, rng)
+        primal = duality.solve_primal(inst)
+        if primal.status == OPTIMAL:
+            points.insert(0, primal.point)
+        cases.append((inst, points))
+    programs = []
+    solve = lp.solve
+
+    def recording(program):
+        programs.append(repr(program))
+        return solve(program)
+
+    lp.solve = recording
+    try:
+        for inst, points in cases:
+            for point in points:
+                rep = duality.check_optimality(inst, point)
+                seen.add("optimal" if rep.optimal else "suboptimal")
+                if inst.objective.domain is not None:
+                    seen.add("domain")
+                if inst.ground.E and inst.target_polyhedron().E:
+                    seen.add("equality rows")
+    finally:
+        lp.solve = solve
+    digest = hashlib.sha256("\n".join(sorted(programs)).encode())
+    return digest.hexdigest(), seen
+
+
+def test_optimality_programs_match_recorded_hash():
+    # pins the rows of the primal, certificate and subdifferential programs
+    # (entries, column order, sign flags), which decide the pivots taken
+    digest, seen = _optimality_programs()
+    assert seen == {"optimal", "suboptimal", "domain", "equality rows"}
+    assert digest == OPTIMALITY_PROGRAMS
 
 
 small_int = st.integers(min_value=-2, max_value=2)

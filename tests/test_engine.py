@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farkaskit import calculus, engine, sets
+from farkaskit import calculus, duality, engine, sets
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.engine import FarkasInstance, TriVerdict
 from farkaskit.errors import InvariantViolation
@@ -357,11 +357,12 @@ class TestStability:
     def test_one_emptiness_check_for_all_tilts(self, count_phase1):
         # counted with the instance's construction: 128 phase-1 runs when
         # each tilt was a new instance with its own emptiness checks,
-        # conjugate and ground support programs
+        # conjugate and ground support programs, 54 when a repeated tilt
+        # was solved again
         rep, runs = count_phase1(
             lambda: engine.check_stability(basic_instance(), seed=3))
         assert rep.tilts_checked == 25
-        assert runs <= 54
+        assert runs <= 52
 
 
 class TestSublevel:
@@ -408,6 +409,56 @@ class TestSublevel:
         rep = engine.check_sublevel(inst)
         assert rep.maximum is INF
         assert not rep.nonpositive and not rep.epigraph_contained
+
+
+class TestKeptSets:
+    DERIVED = ("target_polyhedron", "domain", "preimage_polyhedron",
+               "feasible_polyhedron", "ground_in_domain")
+
+    def test_same_object_on_repeat_calls_and_tilts(self):
+        inst = basic_instance()
+        for name in self.DERIVED:
+            kept = getattr(inst, name)()
+            assert getattr(inst, name)() is kept
+            twin = inst.tilted([Q(1), Q(-1)], Q(2))
+            assert getattr(twin, name)() is kept
+            assert getattr(twin.tilted([Q(0), Q(1)]), name)() is kept
+
+    def test_second_emptiness_check_solves_nothing(self, count_phase1):
+        inst = basic_instance()
+        for p in (inst.preimage_polyhedron(), inst.feasible_polyhedron()):
+            _, runs = count_phase1(p.is_empty)
+            assert runs == 1
+            assert count_phase1(p.is_empty) == (False, 0)
+        # the constructor already solved the ground's emptiness
+        assert count_phase1(inst.ground_in_domain().is_empty) == (False, 0)
+
+    def test_ground_in_domain(self):
+        inst = basic_instance()
+        assert inst.ground_in_domain() is inst.ground
+        dom = Polyhedron(dim=2, G=[[1, 1]], h=[1], E=[], e=[])
+        restricted = FarkasInstance(
+            ground=unit_square(), matrix=inst.matrix, target=inst.target,
+            objective=PiecewiseAffine(dim=2, slopes=[[1, 1]], offsets=[0],
+                                      domain=dom))
+        assert restricted.ground_in_domain() == \
+            restricted.ground.intersect(dom)
+
+    def test_checks_share_the_kept_sets(self, count_phase1):
+        # counted with the instance's construction: 20 and 13 phase-1 runs
+        # when every check rebuilt these sets and solved their emptiness
+        # LPs again
+        def primal_existence_duality():
+            inst = basic_instance()
+            engine.check_primal_criterion(inst)
+            engine.check_existence(inst)
+            duality.check_strong_duality(inst)
+
+        _, runs = count_phase1(primal_existence_duality)
+        assert runs <= 17
+        _, runs = count_phase1(
+            lambda: engine.check_reduced_criterion(basic_instance()))
+        assert runs <= 11
 
 
 class TestInstanceValidation:

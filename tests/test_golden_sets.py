@@ -74,7 +74,7 @@ def _sets(inst: FarkasInstance):
         yield "support", calculus.support_epigraph(p)
     for over in (inst.ground, feas, whole_space_polyhedron(inst.n)):
         yield "restricted", calculus.restricted_conjugate_epigraph(f, over)
-    yield "full program", engine._full_program(inst, pre)[:4]
+    yield "full program", engine._full_program(inst)[:4]
 
 
 def _band():

@@ -63,10 +63,10 @@ class TestSplitAndSupport:
 
     def test_box_support_matches_lp(self):
         g = simple_grid()
-        inst = semiinf.to_instance(g)
+        box = semiinf.to_instance(g).target_polyhedron().to_lifted()
         for lam in ([0, 0], [1, 1], [-2, 5], [Q(1, 2), Q(-7, 3)]):
             sm = semiinf.decompose(lam)
-            assert semiinf.box_support(g, sm) == inst.target_support(lam)
+            assert semiinf.box_support(g, sm) == sets.support(box, lam)
 
     def test_length_checked(self):
         with pytest.raises(ValueError):
@@ -79,8 +79,8 @@ class TestSplitAndSupport:
         g = simple_grid()
         sm = semiinf.decompose(lam)
         assert sm.value() == [Q(v) for v in lam]
-        assert semiinf.box_support(g, sm) == \
-            semiinf.to_instance(g).target_support(lam)
+        box = semiinf.to_instance(g).target_polyhedron().to_lifted()
+        assert semiinf.box_support(g, sm) == sets.support(box, lam)
 
 
 class TestMomentCone:

@@ -4,6 +4,8 @@ Reference values are hand computations on small figures (a triangle, unit
 boxes, a shifted segment) so every assertion is checkable by hand.
 """
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -268,6 +270,11 @@ class TestProbesAndBoxes:
         box = sets.Box(bounds=[(0, 2), (0, 2)]).to_polyhedron().to_lifted()
         bad = sets.support_mismatches(tri, box, [[1, 1], [1, 0]])
         assert bad == [([Q(1), Q(1)], Q(2), Q(4))]
+        sets.require_equal_supports(tri, tri, [[1, 1], [1, 0]], "same")
+        with pytest.raises(InvariantViolation,
+                           match=r"^triangle vs box: support 2 vs 4 along"):
+            sets.require_equal_supports(tri, box, [[1, 0], [1, 1]],
+                                        "triangle vs box")
 
     def test_box_validation(self):
         with pytest.raises(ValueError):
@@ -292,6 +299,20 @@ class TestProbesAndBoxes:
         assert box.to_polyhedron() == box.pullback([[1, 0], [0, 1]], 2)
         with pytest.raises(ValueError):
             box.pullback([[1, 1]], 2)
+
+
+def test_polyhedron_solves_its_point_once(count_phase1):
+    tri = triangle_poly()
+    point, runs = count_phase1(tri.a_point)
+    assert runs == 1 and tri.contains(point)
+    assert count_phase1(tri.is_empty) == (False, 0)
+    point[0] += 5  # the caller's own list, not the kept point
+    again, runs = count_phase1(tri.a_point)
+    assert runs == 0 and tri.contains(again)
+    empty = sets.Polyhedron(dim=1, G=[[1], [-1]], h=[0, -1])
+    assert count_phase1(empty.a_point) == (None, 1)
+    assert count_phase1(empty.is_empty) == (True, 0)
+    assert count_phase1(copy.deepcopy(empty).is_empty) == (True, 0)
 
 
 @st.composite

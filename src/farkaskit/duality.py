@@ -313,9 +313,7 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
     if tilts is None:
         tilts = default_dual_tilts(inst.n, seed=seed)
     rng = random.Random(seed + 1)
-    feasible = inst.feasible_polyhedron()
-    restricted = calculus.restricted_conjugate_epigraph(
-        inst.objective, feasible)
+    restricted = engine.restricted_epigraph(inst)
     conj = calculus.conjugate_epigraph(inst.objective)
     ground_rays = calculus.support_epigraph_generators(inst.ground)
     for _ in range(n_points):
@@ -323,7 +321,9 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
         if not sets.member(restricted, z):
             raise InvariantViolation(
                 "a sum point escapes the restricted conjugate epigraph")
-    if _primal_over(inst.objective, feasible).value is INF:
+    # the primal is infeasible exactly when the feasible set misses dom f,
+    # and that meet's emptiness is kept from the restricted epigraph
+    if inst.feasible_in_domain().is_empty():
         return StableDualityReport(
             tilts_checked=0, all_strong=True, containment_points=n_points,
             note="primal infeasible: per-tilt attainment is not forced; "

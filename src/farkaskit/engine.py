@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import calculus, lp, sets
@@ -137,6 +137,12 @@ class FarkasInstance:
         objective is unrestricted)."""
         return self.ground.intersect(self.objective.domain)
 
+    @kept
+    def feasible_in_domain(self) -> Polyhedron:
+        """the feasible polyhedron intersected with dom objective (the
+        feasible polyhedron itself when the objective is unrestricted)."""
+        return self.feasible_polyhedron().intersect(self.objective.domain)
+
     def tilted(self, shift, lift=ZERO) -> "FarkasInstance":
         """The instance with objective f - shift . x - lift. Ground, map,
         target and the derived sets kept so far are shared, and neither the
@@ -167,6 +173,16 @@ def certificate_cone(inst: FarkasInstance) -> sets.LiftedSet:
     origin is exactly the existence of a certificate."""
     return sets.minkowski_sum(calculus.support_epigraph(inst.ground),
                               multiplier_cone(inst))
+
+
+def restricted_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
+    """epi (f + indicator of the feasible set)*, built on the kept meet of
+    the feasible set with dom f. That meet already holds dom f's rows, so
+    f enters without its domain, and the meet's emptiness LP is the one
+    the instance keeps."""
+    return calculus.restricted_conjugate_epigraph(
+        replace(inst.objective, domain=None),
+        inst.feasible_in_domain())
 
 
 def _unit(i: int, size: int, sign=ONE) -> list:
@@ -498,9 +514,9 @@ def check_dual_criterion(inst: FarkasInstance, n_random: int = 8,
     support epigraph, the certificate cone matching the feasible set's, and
     their f*-sum matching the restricted conjugate) are sampled and
     enforced. Requires a feasible point inside dom f."""
-    feas = inst.feasible_polyhedron()
-    if feas.intersect(inst.objective.domain).is_empty():
+    if inst.feasible_in_domain().is_empty():
         raise ValueError("no feasible point inside the objective's domain")
+    feas = inst.feasible_polyhedron()
     omega = sets.minkowski_sum(
         sets.as_lifted(calculus.conjugate_epigraph(inst.objective)),
         certificate_cone(inst))
@@ -524,8 +540,8 @@ def check_dual_criterion(inst: FarkasInstance, n_random: int = 8,
         certificate_cone(inst), calculus.support_epigraph(feas), dirs,
         "certificate cone vs feasible support epigraph")
     sets.require_equal_supports(
-        omega, calculus.restricted_conjugate_epigraph(inst.objective, feas),
-        dirs, "epi f* + cone vs restricted conjugate epigraph")
+        omega, restricted_epigraph(inst), dirs,
+        "epi f* + cone vs restricted conjugate epigraph")
     return CheckReport(nonnegativity=rep, certificate=cert,
                        criterion_holds=True, probe_point=origin,
                        details={"origin_in_sum": origin_in,
@@ -600,9 +616,9 @@ def check_stability(inst: FarkasInstance, tilts=None,
     LP of that requirement serves every tilt. Each distinct tilt then
     solves its minimum and its certificate program, the certificates'
     values come in one batch, and the checks run in tilt order."""
-    feas = inst.feasible_polyhedron()
-    if feas.intersect(inst.objective.domain).is_empty():
+    if inst.feasible_in_domain().is_empty():
         raise ValueError("no feasible point inside the objective's domain")
+    feas = inst.feasible_polyhedron()
     if tilts is None:
         tilts = default_tilts(inst.n, seed=seed)
     distinct, at = _distinct(tilts)

@@ -162,7 +162,7 @@ def sample_feasible_points(inst: FarkasInstance, rng: random.Random,
                            count: int = 2):
     """Distinct feasible points inside dom f: optimal vertices of random
     linear objectives over the feasible set, plus midpoints of pairs."""
-    feas = inst.feasible_polyhedron().intersect(inst.objective.domain)
+    feas = inst.feasible_in_domain()
     points = []
     seen = set()
 

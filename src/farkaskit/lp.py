@@ -12,8 +12,8 @@ forms the reduced-cost row of c from that basis, c - sum_i c_basis[i] T[i],
 and pivots on it. Reduced costs depend on the basis only, so this is the row
 that carrying c through phase 1 would give, and each pivot updates the
 constraint rows plus one objective row. `solve_each` runs phase 1 once for a
-list of costs and a phase 2 per cost, each on its own copy of the feasible
-tableau; `solve` is the same code with one cost and no copy.
+list of costs and a phase 2 per distinct cost, each on its own copy of the
+feasible tableau; `solve` is the same code with one cost and no copy.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
 objective row included, is a dense list of plain integer numerators, its
@@ -38,7 +38,7 @@ nonneg variables), mu >= 0, h.mu + e.nu < 0.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, lcm
 
 from .errors import InvariantViolation
@@ -407,13 +407,29 @@ def solve(lp: LinearProgram) -> LPOutcome:
 def solve_each(lp: LinearProgram, costs) -> list:
     """One outcome per cost vector in `costs`, each equal to `solve` on lp
     with that cost in place of lp.c (which is not read). Phase 1 runs once
-    for all of them; an infeasible system gives its Farkas outcome for
-    every cost."""
-    costs = [as_q_vector(c) for c in costs]
+    for all of them and phase 2 once per distinct cost: a repeated cost
+    gets a copy of the outcome of its first occurrence. An infeasible
+    system gives its Farkas outcome for every cost."""
+    where = {}
+    at = []
     for c in costs:
+        c = tuple(as_q_vector(c))
         if len(c) != lp.n:
             raise ValueError("cost width != number of variables")
-    return _solve(lp, costs)
+        at.append(where.setdefault(c, len(where)))
+    outs = _solve(lp, list(where))
+    given = [False] * len(outs)
+    result = []
+    for k in at:
+        out = outs[k]
+        if given[k]:
+            # lists of its own; the rationals in them are immutable
+            out = replace(out, **{
+                name: list(v) for name, v in vars(out).items()
+                if isinstance(v, list)})
+        result.append(out)
+        given[k] = True
+    return result
 
 
 def _point_feasible(lp, x):

@@ -8,7 +8,11 @@ tolerance eps caps the overshoot:
     g(t) <= sum_i x_i t^{i-1} <= g(t) + eps     at every grid node.
 
 Each tolerance is one instance of the grid machinery: Vandermonde rows,
-interval bounds [g, g + eps], free ground space. Solving works on the dual
+interval bounds [g, g + eps], free ground space. Whether any polynomial
+fits the band is decided first, on that grid system, by the exchange
+method of `semiinf.band_point` (a few rows solved at a time, the answer
+certified against every node) and by the moment cone probe, which must
+agree. Solving works on the dual
 side, whose program has only degree_bound + 1 rows: the node multipliers
 come out directly and satisfy the moment conditions
 
@@ -93,19 +97,17 @@ def to_grid(problem: ApproxProblem, epsilon) -> GridSystem:
 
 
 def check_consistency(problem: ApproxProblem, epsilon) -> bool:
-    """Whether some polynomial fits the eps band, decided by a direct LP
-    and by the depth probe against the moment cone; the two must agree."""
-    epsilon = as_q(epsilon)
-    n = problem.degree_bound
-    band = sets.Box([(g, g + epsilon) for g in problem.values]).pullback(
-        [problem.vandermonde_row(t) for t in problem.nodes], n)
-    direct = not band.is_empty()
+    """Whether some polynomial fits the eps band, decided by the exchange
+    method (`semiinf.band_point`) and by the depth probe against the
+    moment cone, both on one grid system; the two must agree."""
+    system = to_grid(problem, epsilon)
+    direct = semiinf.band_point(system) is not None
     probe_escapes = not sets.member(
-        semiinf.lifted_moment_cone(to_grid(problem, epsilon)),
-        [ZERO] * n + [-ONE])
+        semiinf.lifted_moment_cone(system),
+        [ZERO] * problem.degree_bound + [-ONE])
     if direct != probe_escapes:
         raise InvariantViolation(
-            "feasibility LP and the moment cone probe disagree")
+            "exchange method and the moment cone probe disagree")
     return direct
 
 

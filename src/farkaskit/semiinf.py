@@ -13,17 +13,27 @@ graph plus vertical rays, and adding the verticals makes the two coincide.
 check_moment_sandwich verifies that sandwich computationally; the three
 check_grid_* entry points delegate to the generic engine checks on the
 embedded instance.
+
+Whether the band {x in ground : alpha_t <= <a_t, x> <= beta_t for all t} is
+nonempty is decided by an exchange (cutting-plane) method, the classic one
+for semi-infinite systems (Hettich & Kortanek, SIAM Review 35, 1993): solve
+a small working set of rows, add the most violated row of the whole grid,
+repeat. A point that satisfies every row, or a Farkas vector that is zero
+off the working set, certifies the whole system, and both are checked by
+substitution against all of it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
-from . import calculus, engine, sets
+from . import calculus, engine, lp, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
-from .rational import ONE, Q, ZERO, as_q, as_q_vector
+from .rational import ONE, Q, ZERO, as_q, as_q_vector, dot
 from .sets import Box, Polyhedron
 
 
@@ -75,6 +85,90 @@ def to_instance(system: GridSystem) -> engine.FarkasInstance:
         matrix=[r.functional for r in system.rows],
         target=Box([(r.lower, r.upper) for r in system.rows]),
         objective=system.objective)
+
+
+def _integer_rows(system: GridSystem):
+    """Per node, (A, L, H, s): the row alpha <= a . x <= beta times the lcm
+    s of its denominators, so that A, L and H are integers."""
+    out = []
+    for r in system.rows:
+        data = r.functional + [r.lower, r.upper]
+        s = lcm(*[v.denominator for v in data])
+        ints = [int(v.numerator * (s // v.denominator)) for v in data]
+        out.append((ints[:-2], ints[-2], ints[-1], s))
+    return out
+
+
+def _most_violated(rows, x):
+    """Index of the band row x violates most, in the row order of
+    `Box.pullback` (2t: a_t . x <= beta_t, 2t + 1: -a_t . x <= -alpha_t),
+    or None when x satisfies every node. Violations are compared exactly,
+    in the rows' own units, in integers: x = X / D, and row t's excess
+    over its bound is e / (s_t D) for the integer e below. Ties go to the
+    least row index."""
+    D = lcm(*[v.denominator for v in x])
+    X = [int(v.numerator * (D // v.denominator)) for v in x]
+    best, best_e, best_s = None, 0, 1
+    for t, (A, L, H, s) in enumerate(rows):
+        p = sum(map(mul, A, X))
+        if p > H * D:
+            e, k = p - H * D, 2 * t
+        elif p < L * D:
+            e, k = L * D - p, 2 * t + 1
+        else:
+            continue
+        if e * best_s > best_e * s:
+            best, best_e, best_s = k, e, s
+    return best
+
+
+def band_point(system: GridSystem):
+    """A point of {x in ground : lower_t <= a_t . x <= upper_t at every
+    node}, or None when that band is empty, by the exchange method.
+
+    The working set starts empty, and the ground's rows are in it at every
+    round. Each round solves the working rows (cost 0) and adds the band
+    row the solution violates most. A new row joins each round, so at most
+    2N rounds run; a few more than n is typical. The answer is certified
+    against the whole system: a point by substitution into every node and
+    the ground, an empty band by the working set's Farkas vector, padded
+    with zeros to all rows, through `lp.verify_certificate`. A failed
+    check raises InvariantViolation."""
+    n = system.n
+    full = system.ground.intersect(Box(
+        [(r.lower, r.upper) for r in system.rows]).pullback(
+        [r.functional for r in system.rows], n))
+    first = len(system.ground.G)
+    rows = _integer_rows(system)
+    working = []
+    while True:
+        active = list(range(first)) + [first + k for k in working]
+        out = lp.solve(lp.LinearProgram(
+            c=[ZERO] * n, G=[full.G[i] for i in active],
+            h=[full.h[i] for i in active], E=full.E, e=full.e))
+        if out.status == lp.INFEASIBLE:
+            mu = [ZERO] * len(full.G)
+            for i, v in zip(active, out.farkas_ineq):
+                mu[i] = v
+            whole = lp.LinearProgram(c=[ZERO] * n, G=full.G, h=full.h,
+                                     E=full.E, e=full.e)
+            if not lp.verify_certificate(whole, lp.LPOutcome(
+                    lp.INFEASIBLE, farkas_ineq=mu, farkas_eq=out.farkas_eq)):
+                raise InvariantViolation(
+                    "working-set Farkas vector does not certify the band")
+            return None
+        x = out.x
+        k = _most_violated(rows, x)
+        if k is None:
+            if not (system.ground.contains(x) and all(
+                    r.lower <= dot(r.functional, x) <= r.upper
+                    for r in system.rows)):
+                raise InvariantViolation(
+                    "exchange point misses a row of the band")
+            return x
+        if k in working:
+            raise InvariantViolation("working-set solution violates its rows")
+        working.append(k)
 
 
 @dataclass

@@ -40,3 +40,26 @@ def eval_affine(row, x, shift=ZERO):
     for a, b in zip(row, x):
         val += as_q(a) * as_q(b)
     return val
+
+
+def satisfies_rows(G, h, E, e, x):
+    """Whether G x <= h and E x = e, by direct substitution."""
+    return (all(eval_affine(row, x) <= as_q(b) for row, b in zip(G, h))
+            and all(eval_affine(row, x) == as_q(b) for row, b in zip(E, e)))
+
+
+def certifies_empty(G, h, E, e, mu, nu):
+    """Whether (mu, nu) is a Farkas certificate that {x : G x <= h, E x = e}
+    is empty: mu >= 0, G^T mu + E^T nu = 0 and h . mu + e . nu < 0."""
+    if len(mu) != len(G) or len(nu) != len(E):
+        return False
+    if any(as_q(v) < ZERO for v in mu):
+        return False
+    rows = list(G) + list(E)
+    weights = list(mu) + list(nu)
+    width = len(rows[0]) if rows else 0
+    for j in range(width):
+        if sum((as_q(w) * as_q(row[j]) for w, row in zip(weights, rows)),
+               ZERO) != ZERO:
+            return False
+    return eval_affine(list(h) + list(e), weights) < ZERO

@@ -161,6 +161,17 @@ class TestFenchelValues:
         assert runs == 1
         assert values == [calculus.fenchel_value(f, u) for u in points]
 
+    def test_repeated_points_cost_no_pivots(self, count_pivots):
+        f = calculus.PiecewiseAffine(dim=2, slopes=[[1, 0], [0, 1], [-1, -1]],
+                                     offsets=[0, 1, 2])
+        points = [[Q(a), Q(b)] for a in range(-2, 3) for b in range(-2, 3)]
+        repeated = points + points[::3] + [points[4]] * 3
+        once, pivots = count_pivots(calculus.fenchel_values, f, points)
+        again, pivots_again = count_pivots(calculus.fenchel_values, f,
+                                           repeated)
+        assert pivots_again == pivots
+        assert again == once + once[::3] + [once[4]] * 3
+
     def test_no_points_and_bad_width(self, count_phase1):
         assert count_phase1(calculus.fenchel_values, abs_fn(), []) == ([], 0)
         with pytest.raises(ValueError):

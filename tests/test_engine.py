@@ -413,7 +413,7 @@ class TestSublevel:
 
 class TestKeptSets:
     DERIVED = ("target_polyhedron", "domain", "preimage_polyhedron",
-               "feasible_polyhedron", "ground_in_domain")
+               "feasible_polyhedron", "ground_in_domain", "feasible_in_domain")
 
     def test_same_object_on_repeat_calls_and_tilts(self):
         inst = basic_instance()
@@ -443,6 +443,30 @@ class TestKeptSets:
                                       domain=dom))
         assert restricted.ground_in_domain() == \
             restricted.ground.intersect(dom)
+
+    def test_feasible_in_domain(self, count_phase1):
+        inst = basic_instance()
+        assert inst.feasible_in_domain() is inst.feasible_polyhedron()
+        dom = Polyhedron(dim=2, G=[[1, 1]], h=[1], E=[], e=[])
+
+        def restricted():
+            return FarkasInstance(
+                ground=unit_square(), matrix=inst.matrix, target=inst.target,
+                objective=PiecewiseAffine(dim=2, slopes=[[1, 1]],
+                                          offsets=[0], domain=dom))
+
+        r = restricted()
+        meet = r.feasible_in_domain()
+        assert meet == r.feasible_polyhedron().intersect(dom)
+        assert count_phase1(meet.is_empty) == (False, 1)
+        # the restricted conjugate epigraph reads the kept emptiness
+        _, runs = count_phase1(engine.restricted_epigraph, r)
+        assert runs == 0
+        # counted with the instance's construction: 18 when the dual
+        # criterion built and solved the meet twice
+        _, runs = count_phase1(
+            lambda: engine.check_dual_criterion(restricted(), n_random=2))
+        assert runs <= 17
 
     def test_checks_share_the_kept_sets(self, count_phase1):
         # counted with the instance's construction: 20 and 13 phase-1 runs

@@ -1,9 +1,14 @@
-"""Grid systems: canonical splits, closed-form supports, moment cones."""
+"""Grid systems: canonical splits, closed-form supports, moment cones,
+and the exchange method for band consistency."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farkaskit import calculus, engine, semiinf, sets
+from oracles import certifies_empty, satisfies_rows
+
+from farkaskit import calculus, engine, lp, polyapprox, semiinf, sets
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.engine import TriVerdict
 from farkaskit.errors import InvariantViolation
@@ -192,3 +197,133 @@ def test_random_grids_stay_consistent(g):
     inst = semiinf.to_instance(g)
     if not inst.feasible_polyhedron().is_empty():
         semiinf.check_grid_dual(g, n_random=2, seed=3)
+
+
+def _exchange_system(rng):
+    """A seeded grid system of 1 to 60 nodes in n = 1..4 variables, built
+    around a point x0 it often contains: some rows repeat an earlier
+    functional, some have lower == upper, and the ground is the whole
+    space, a box, or a box with an equality row. One row is pushed off x0
+    in about half of the systems."""
+    n = rng.randint(1, 4)
+    x0 = [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(1, 60)):
+        if rows and rng.random() < 1 / 4:
+            a = rng.choice(rows)[0]
+        else:
+            a = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        v = sum((x * y for x, y in zip(a, x0)), ZERO)
+        lo = v - Q(rng.randint(0, 3), rng.randint(1, 4))
+        hi = v if rng.random() < 1 / 5 else v + Q(rng.randint(0, 3), 2)
+        rows.append((a, lo, hi))
+    if rng.random() < 1 / 2:
+        t = rng.randrange(len(rows))
+        a, lo, hi = rows[t]
+        shift = Q(rng.randint(1, 4), rng.randint(1, 8))
+        rows[t] = (a, hi + shift, hi + shift + Q(rng.randint(0, 1), 4))
+    kind = rng.randrange(3)
+    if kind == 0:
+        ground = sets.whole_space_polyhedron(n)
+    else:
+        ground = Box([(v - rng.randint(0, 2), v + rng.randint(0, 2))
+                      for v in x0]).to_polyhedron()
+        if kind == 2:
+            row = [Q(rng.randint(-2, 2)) for _ in range(n)]
+            ground = ground.intersect(Polyhedron(
+                dim=n, E=[row],
+                e=[sum((x * y for x, y in zip(row, x0)), ZERO)]))
+    return GridSystem(n=n, rows=rows, ground=ground,
+                      objective=PiecewiseAffine(dim=n, slopes=[[ZERO] * n],
+                                                offsets=[ZERO]))
+
+
+def _full_rows(system):
+    """The ground's rows, then the band's in `Box.pullback` order."""
+    band = Box([(r.lower, r.upper) for r in system.rows]).pullback(
+        [r.functional for r in system.rows], system.n)
+    return system.ground.intersect(band)
+
+
+class TestBandPoint:
+    def test_agrees_with_dense_lp_and_certifies(self, monkeypatch):
+        solved, checked = [], []
+        real_solve, real_verify = lp.solve, lp.verify_certificate
+
+        def solve(program):
+            solved.append(program)
+            return real_solve(program)
+
+        def verify(program, out):
+            checked.append((program, out))
+            return real_verify(program, out)
+
+        rng = random.Random(20261018)
+        kinds = set()
+        for _ in range(60):
+            system = _exchange_system(rng)
+            full = _full_rows(system)
+            solved.clear()
+            checked.clear()
+            monkeypatch.setattr(lp, "solve", solve)
+            monkeypatch.setattr(lp, "verify_certificate", verify)
+            x = semiinf.band_point(system)
+            monkeypatch.undo()
+            assert (x is None) == full.is_empty()
+            if x is not None:
+                assert satisfies_rows(full.G, full.h, full.E, full.e, x)
+                assert not checked
+                kinds.add("point")
+                continue
+            (program, out), = checked
+            assert program.G == full.G and program.E == full.E
+            mu, nu = out.farkas_ineq, out.farkas_eq
+            assert certifies_empty(full.G, full.h, full.E, full.e, mu, nu)
+            working = solved[-1]
+            used = {(tuple(full.G[i]), full.h[i])
+                    for i, v in enumerate(mu) if v != ZERO}
+            assert used <= set(zip(map(tuple, working.G), working.h))
+            kinds.add("empty")
+            if len(system.ground.E):
+                kinds.add("equality ground")
+        assert kinds == {"point", "empty", "equality ground"}
+
+    def test_bad_farkas_vector_raises(self, monkeypatch):
+        system = GridSystem(n=1, rows=[([1], 0, 1), ([1], 2, 3)],
+                            ground=sets.whole_space_polyhedron(1),
+                            objective=PiecewiseAffine(dim=1, slopes=[[0]],
+                                                      offsets=[0]))
+        assert semiinf.band_point(system) is None
+        monkeypatch.setattr(lp, "verify_certificate", lambda p, o: False)
+        with pytest.raises(InvariantViolation):
+            semiinf.band_point(system)
+
+    def test_point_is_checked_against_every_row(self, monkeypatch):
+        system = simple_grid()
+        full = _full_rows(system)
+        x = semiinf.band_point(system)
+        assert satisfies_rows(full.G, full.h, full.E, full.e, x)
+        # a scan that sees no violation must not let a bad point through
+        monkeypatch.setattr(semiinf, "_most_violated", lambda rows, x: None)
+        monkeypatch.setattr(lp, "solve", lambda program: lp.LPOutcome(
+            lp.OPTIMAL, x=[Q(9), Q(9)]))
+        with pytest.raises(InvariantViolation):
+            semiinf.band_point(system)
+
+    @pytest.mark.parametrize("values, degree, eps, consistent, bounds", [
+        ("square", 3, Q(1, 100), True, (12, 30)),
+        ("inverse", 4, Q(2, 1000), False, (9, 31)),
+    ])
+    def test_growth_at_1001_nodes(self, count_phase1, count_pivots, values,
+                                  degree, eps, consistent, bounds):
+        # the dense feasibility LP this replaced took one phase 1 with about
+        # one pivot per node (104 and 193 at 101 nodes), each over all rows
+        nodes = polyapprox.uniform_nodes(1001)
+        g = [t * t if values == "square" else 1 / (1 + t) for t in nodes]
+        system = polyapprox.to_grid(
+            polyapprox.ApproxProblem(degree_bound=degree, nodes=nodes,
+                                     values=g, epsilons=[eps]), eps)
+        x, runs = count_phase1(semiinf.band_point, system)
+        _, pivots = count_pivots(semiinf.band_point, system)
+        assert (x is not None) == consistent
+        assert runs <= bounds[0] and pivots <= bounds[1]

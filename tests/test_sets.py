@@ -382,6 +382,19 @@ def test_supports_run_phase_1_once(count_pivots):
     assert swept == phase1 + sum(n - phase1 for _, n in singles)
 
 
+def test_repeated_directions_cost_no_pivots(count_pivots):
+    p = sets.Polyhedron(dim=2, G=[[1, 2], [-3, 1], [1, -1], [0, -1]],
+                        h=[4, 3, 2, 1])
+    cone = sets.linear_image(calculus.support_epigraph(p),
+                             [[2, -1, 0], [1, 3, 0], [0, 0, 1]])
+    dirs = sets.probe_directions(3, n_random=10, seed=11)
+    repeated = dirs + dirs[::2] + [dirs[0]] * 3
+    once, pivots = count_pivots(sets.supports, cone, dirs)
+    again, pivots_again = count_pivots(sets.supports, cone, repeated)
+    assert pivots_again == pivots
+    assert again == once + once[::2] + [once[0]] * 3
+
+
 def test_supports_checks_every_direction():
     s = sets.Polyhedron(dim=2, G=[[1, 0], [0, 1]], h=[1, 2]).to_lifted()
     assert sets.supports(s, [[1, 0], [0, 1], [-1, 0]]) == [1, 2, INF]

@@ -468,8 +468,8 @@ def stable(path, count, as_json):
         if file_tilts is not None:
             shifts = [shift for shift, _ in file_tilts]
         else:
-            shifts = duality.default_dual_tilts(inst.n, count=count,
-                                                seed=seed)
+            shifts = [shift for shift, _ in duality.default_tilts(
+                inst.n, count=count, seed=seed)]
         rep = duality.check_stable_strong_duality(inst, tilts=shifts,
                                                   seed=seed)
         lines = []
@@ -562,9 +562,6 @@ def polyapprox_cmd(path, out, as_json):
 def gallery_cmd(name, as_json):
     """Run one worked example and verify it against its frozen verdicts."""
     def body():
-        if name not in gallery.GALLERY_NAMES:
-            _fail(f"unknown gallery entry {name!r}: choose from"
-                  f" {', '.join(gallery.GALLERY_NAMES)}")
         ok, rep = gallery.verify(name)
         lines = [f"gallery {name}"]
         lines += [f"  {s}" for s in rep.narrative]

@@ -27,7 +27,10 @@ preimage and feasible polyhedron the instance keeps for all its tilts;
 `calculus.fenchel_values` call on the untilted f, and their ground supports
 from one `sets.supports` sweep; (3) the forced identities of each tilt, in
 tilt order. `solve_dual` and `check_strong_duality` are the one-tilt case
-of the same steps.
+of the same steps. The stable Farkas check (`check_stability`) runs the
+same steps over the shifts of its tilts f - s.x - l: a lift l moves the
+minimum and the best dual value of its shift alike, so the statement and
+the certificate of each tilt are read off the shift's two values.
 """
 
 from __future__ import annotations
@@ -107,8 +110,7 @@ def _solve_duals(inst: FarkasInstance, shifts) -> list:
         out = lp.solve(program)
         outs.append(out)
         found.append(extract(out.x) if out.status == OPTIMAL else None)
-    tilts = [(shift, ZERO) for shift in shifts]
-    return list(zip(outs, engine._certificates(inst, tilts, found)))
+    return list(zip(outs, engine._certificates(inst, shifts, found)))
 
 
 def _checked_dual(out, triple, primal_value) -> DualSolution:
@@ -181,12 +183,31 @@ def _strong_report(primal: PrimalSolution,
     return StrongDualityReport(primal=primal, dual=dual, equal=True)
 
 
+def default_tilts(n: int, count: int = 25, seed: int = 0):
+    """(0, 0) followed by seeded integer tilt pairs (shift vector, lift)."""
+    rng = random.Random(seed)
+    tilts = [([ZERO] * n, ZERO)]
+    while len(tilts) < count:
+        tilts.append(([Q(rng.randint(-2, 2)) for _ in range(n)],
+                      Q(rng.randint(-2, 2))))
+    return tilts
+
+
+def _distinct(shifts):
+    """(the distinct shifts in first-seen order, the position among them of
+    each shift): shifts of equal repr pose equal programs, so each distinct
+    one needs solving once."""
+    where = {}
+    at = [where.setdefault(repr(s), len(where)) for s in shifts]
+    return [shifts[at.index(k)] for k in range(len(where))], at
+
+
 def _tilt_reports(inst: FarkasInstance, shifts):
     """check_strong_duality for each tilt f - shift . x of inst, lazily in
     tilt order. Steps 1 and 2 (the primal and dual program of each distinct
     shift, the batched values) run before the first report, and step 3,
     the checks of one tilt, runs as its report is taken."""
-    distinct, at = engine._distinct(shifts)
+    distinct, at = _distinct(shifts)
     feasible = inst.feasible_polyhedron()
     primals = [_primal_over(inst.objective.tilted(shift), feasible)
                for shift in distinct]
@@ -276,10 +297,6 @@ class StableDualityReport:
     per_tilt: list = field(default_factory=list, metadata={"json": False})
 
 
-def default_dual_tilts(n: int, count: int = 25, seed: int = 0):
-    return [shift for shift, _ in engine.default_tilts(n, count, seed)]
-
-
 def _sum_point_sample(inst: FarkasInstance, rng, conj, ground_rays):
     """A random point of epi f* + certificate cone, built from the generators
     `conj` of epi f* and the ray generators `ground_rays` of the ground's
@@ -311,7 +328,7 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
     unforced, which the note records. The tilts run in the three batched
     steps of the module docstring, giving each its StrongDualityReport."""
     if tilts is None:
-        tilts = default_dual_tilts(inst.n, seed=seed)
+        tilts = [shift for shift, _ in default_tilts(inst.n, seed=seed)]
     rng = random.Random(seed + 1)
     restricted = engine.restricted_epigraph(inst)
     conj = calculus.conjugate_epigraph(inst.objective)
@@ -336,3 +353,42 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
         per_tilt.append(rep)
     return StableDualityReport(tilts_checked=len(tilts), all_strong=True,
                                containment_points=n_points, per_tilt=per_tilt)
+
+
+@dataclass
+class StabilityReport:
+    criterion_holds: bool
+    criterion_reason: str
+    tilts_checked: int
+    all_equivalent: bool
+    verdict: str = "consistent"
+
+
+def check_stability(inst: FarkasInstance, tilts=None,
+                    seed: int = 0) -> StabilityReport:
+    """Stable Farkas lemma: the equivalence must survive every affine tilt
+    f - shift . x - lift of the objective exactly when epi f* + cone is
+    closed everywhere, which polyhedrality grants; each sampled tilt is
+    verified outright. Requires a feasible point inside dom f.
+
+    A lift moves the minimum and the best dual value of its shift alike,
+    since (f_s - l)* = f_s* + l, so the check reads the strong-duality pass
+    over the shifts of its tilts: under (shift, lift) the statement holds
+    iff the shift's minimum is at least lift, and a certificate exists iff
+    its best dual value is (an infeasible dual has value -infinity)."""
+    if inst.feasible_in_domain().is_empty():
+        raise ValueError("no feasible point inside the objective's domain")
+    if tilts is None:
+        tilts = default_tilts(inst.n, seed=seed)
+    reports = _tilt_reports(inst, [shift for shift, _ in tilts])
+    for (shift, lift), rep in zip(tilts, reports):
+        if (rep.primal.value >= lift) != (rep.dual.value >= lift):
+            raise InvariantViolation(
+                f"tilt {shift}, {lift}: equivalence broke although the "
+                "criterion set is closed")
+    return StabilityReport(
+        criterion_holds=True,
+        criterion_reason="polyhedral projections are closed, so the "
+                         "criterion set is closed everywhere; full "
+                         "stability is certified on the tilt sample only",
+        tilts_checked=len(tilts), all_equivalent=True)

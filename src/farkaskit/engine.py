@@ -18,20 +18,22 @@ InvariantViolation the instant any mathematically forced agreement fails.
 For fully polyhedral data the dual-side sets are projections of polyhedra,
 hence closed, so their criteria hold structurally; the genuine closure gaps
 live on the primal side, in conic hulls, and those are tested for real.
+The stable version, under every tilt of f, is `duality.check_stability`,
+which reads each tilt off the strong-duality pass instead of posing a
+certificate program per tilt.
 """
 
 from __future__ import annotations
 
 import copy
-import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import calculus, lp, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
-from .rational import (INF, NEG_INF, ONE, Q, ZERO, as_q, as_q_matrix,
-                       is_finite, mat_vec, transpose_apply)
+from .rational import (INF, NEG_INF, ONE, ZERO, as_q_matrix, is_finite,
+                       mat_vec, transpose_apply)
 from .sets import Box, Polyhedron, kept, whole_space_polyhedron
 
 
@@ -269,12 +271,7 @@ def check_nonnegativity(inst: FarkasInstance) -> NonnegativityReport:
     feas = inst.feasible_polyhedron()
     if feas.is_empty():
         return NonnegativityReport(verdict=TriVerdict.VACUOUS, minimum=INF)
-    return _nonnegativity_over(inst.objective, feas)
-
-
-def _nonnegativity_over(f: PiecewiseAffine, feas: Polyhedron):
-    """The verdict of check_nonnegativity for f over a nonempty feasible
-    set `feas`."""
+    f = inst.objective
     best = calculus.minimize_over(f, feas)
     if best.value is INF or best.value >= ZERO:
         return NonnegativityReport(verdict=TriVerdict.TRUE, minimum=best.value)
@@ -336,13 +333,13 @@ def _full_program(inst: FarkasInstance):
     return E, e, budget, nonneg, extract
 
 
-def _certificates(inst: FarkasInstance, tilts, found) -> list:
-    """The linked triples of the tilts f - shift . x - lift of inst, with
-    their recomputed values: found[k] is (u, lam) from the multiplier
-    program of inst.tilted(*tilts[k]), or None, which stays None. The
-    conjugate of a tilt is f*(u + shift) + lift, so every conjugate value
-    comes from one `fenchel_values` call on the untilted f, and every
-    ground support from one `sets.supports` sweep. Not validated."""
+def _certificates(inst: FarkasInstance, shifts, found) -> list:
+    """The linked triples of the tilts f - shift . x of inst, with their
+    recomputed values: found[k] is (u, lam) from the multiplier program of
+    inst.tilted(shifts[k]), or None, which stays None. The conjugate of a
+    tilt is f*(u + shift), so every conjugate value comes from one
+    `fenchel_values` call on the untilted f, and every ground support from
+    one `sets.supports` sweep. Not validated."""
     hits = [k for k, x in enumerate(found) if x is not None]
     us = [found[k][0] for k in hits]
     lams = [found[k][1] for k in hits]
@@ -350,38 +347,27 @@ def _certificates(inst: FarkasInstance, tilts, found) -> list:
           for u, lam in zip(us, lams)]
     conj = calculus.fenchel_values(
         inst.objective,
-        [[a + s for a, s in zip(u, tilts[k][0])] for k, u in zip(hits, us)])
+        [[a + s for a, s in zip(u, shifts[k])] for k, u in zip(hits, us)])
     gsup = sets.supports(inst.ground.to_lifted(), vs)
     certs = [None] * len(found)
     for k, u, v, lam, c, g in zip(hits, us, vs, lams, conj, gsup):
-        lift = as_q(tilts[k][1])
-        certs[k] = Certificate(
-            u=u, v=v, lam=lam,
-            conjugate_value=c + lift if is_finite(c) else c,
-            ground_support=g, target_support=inst.target_support(lam))
+        certs[k] = Certificate(u=u, v=v, lam=lam, conjugate_value=c,
+                               ground_support=g,
+                               target_support=inst.target_support(lam))
     return certs
-
-
-def _find_certificates(inst: FarkasInstance, tilts) -> list:
-    """find_certificate for each tilt (shift, lift) of inst, in tilt order
-    and not yet validated: one feasibility program per tilt, then the
-    values of all found triples in one batch."""
-    found = []
-    for shift, lift in tilts:
-        E, e, budget, nonneg, extract = _full_program(inst.tilted(shift, lift))
-        out = lp.solve(lp.LinearProgram(c=[ZERO] * len(budget), G=[budget],
-                                        h=[ZERO], E=E, e=e, nonneg=nonneg))
-        found.append(None if out.status == lp.INFEASIBLE else extract(out.x))
-    return _certificates(inst, tilts, found)
 
 
 def find_certificate(inst: FarkasInstance) -> Certificate | None:
     """Search for (u, v, lam) with f*(u) + sigma_ground(v) +
     sigma_target(lam) <= 0 and u + v = -map^T lam, as one feasibility LP
     over the dual representations of all three epigraphs."""
-    cert, = _find_certificates(inst, [([ZERO] * inst.n, ZERO)])
-    if cert is not None:
-        _validate_certificate(inst, cert)
+    E, e, budget, nonneg, extract = _full_program(inst)
+    out = lp.solve(lp.LinearProgram(c=[ZERO] * len(budget), G=[budget],
+                                    h=[ZERO], E=E, e=e, nonneg=nonneg))
+    if out.status == lp.INFEASIBLE:
+        return None
+    cert, = _certificates(inst, [[ZERO] * inst.n], [extract(out.x)])
+    _validate_certificate(inst, cert)
     return cert
 
 
@@ -498,7 +484,10 @@ def check_reduced_criterion(inst: FarkasInstance) -> CheckReport:
     residual set at (0, -1). Requires ground to meet dom f."""
     epigraph = residual_epigraph(inst)
     reduced = find_reduced_certificate(inst)
-    if (find_certificate(inst) is None) != (reduced is None):
+    # without a domain, dom f adds no rows and the full program is the one
+    # just solved, so the two can only split when f has a domain
+    if (inst.objective.domain is not None
+            and (find_certificate(inst) is None) != (reduced is None)):
         raise InvariantViolation(
             "full and reduced certificates must coexist when ground meets dom f")
     return _criterion_report(inst, epigraph, [ZERO] * inst.m + [-ONE],
@@ -575,70 +564,6 @@ def check_existence(inst: FarkasInstance) -> ExistenceReport:
             "preimage feasibility and the multiplier cone probe disagree")
     return ExistenceReport(feasible=direct, point=point,
                            preimage_nonempty=b_direct)
-
-
-def default_tilts(n: int, count: int = 25, seed: int = 0):
-    """(0, 0) followed by seeded integer tilt pairs (shift vector, lift)."""
-    rng = random.Random(seed)
-    tilts = [([ZERO] * n, ZERO)]
-    while len(tilts) < count:
-        tilts.append(([Q(rng.randint(-2, 2)) for _ in range(n)],
-                      Q(rng.randint(-2, 2))))
-    return tilts
-
-
-def _distinct(tilts):
-    """(the distinct tilts in first-seen order, the position among them
-    of each tilt), for shifts or (shift, lift) pairs: tilts of equal repr
-    pose equal programs, so each distinct one needs solving once."""
-    where = {}
-    at = [where.setdefault(repr(t), len(where)) for t in tilts]
-    return [tilts[at.index(k)] for k in range(len(where))], at
-
-
-@dataclass
-class StabilityReport:
-    criterion_holds: bool
-    criterion_reason: str
-    tilts_checked: int
-    all_equivalent: bool
-    verdict: str = "consistent"
-
-
-def check_stability(inst: FarkasInstance, tilts=None,
-                    seed: int = 0) -> StabilityReport:
-    """Stable version: the equivalence must survive every affine tilt of
-    the objective exactly when epi f* + cone is closed everywhere, which
-    polyhedrality grants; each sampled tilt is verified outright.
-    Requires a feasible point inside dom f.
-
-    Tilting moves neither the feasible set nor dom f, so the one emptiness
-    LP of that requirement serves every tilt. Each distinct tilt then
-    solves its minimum and its certificate program, the certificates'
-    values come in one batch, and the checks run in tilt order."""
-    if inst.feasible_in_domain().is_empty():
-        raise ValueError("no feasible point inside the objective's domain")
-    feas = inst.feasible_polyhedron()
-    if tilts is None:
-        tilts = default_tilts(inst.n, seed=seed)
-    distinct, at = _distinct(tilts)
-    reports = [_nonnegativity_over(inst.objective.tilted(shift, lift), feas)
-               for shift, lift in distinct]
-    certs = _find_certificates(inst, distinct)
-    for (shift, lift), k in zip(tilts, at):
-        rep, cert = reports[k], certs[k]
-        if cert is not None:
-            _validate_certificate(inst, cert)
-        if rep.verdict.holds != (cert is not None):
-            raise InvariantViolation(
-                f"tilt {shift}, {lift}: equivalence broke although the "
-                "criterion set is closed")
-    return StabilityReport(
-        criterion_holds=True,
-        criterion_reason="polyhedral projections are closed, so the "
-                         "criterion set is closed everywhere; full "
-                         "stability is certified on the tilt sample only",
-        tilts_checked=len(tilts), all_equivalent=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,11 @@ from dataclasses import dataclass
 
 from . import duality, engine, sets
 from .calculus import PiecewiseAffine
-from .engine import FarkasInstance, TriVerdict
+from .engine import FarkasInstance
 from .errors import InputFormatError, InvariantViolation
 from .rational import ZERO, as_q, scalar_text
 
 GALLERY_NAMES = ("g1", "g2", "g3")
-
-_VERDICT_TEXT = {
-    TriVerdict.TRUE: "true",
-    TriVerdict.FALSE: "false",
-    TriVerdict.VACUOUS: "vacuously_true",
-}
 
 
 def _texts(xs):
@@ -77,7 +71,7 @@ def _g1() -> GalleryReport:
         "name": "g1",
         "feasible": existence.feasible,
         "preimage_nonempty": existence.preimage_nonempty,
-        "statement": _VERDICT_TEXT[primal.nonnegativity.verdict],
+        "statement": primal.nonnegativity.verdict.value,
         "minimum": scalar_text(primal.nonnegativity.minimum),
         "certificate": "present" if primal.certificate is not None
         else "absent",
@@ -246,7 +240,7 @@ def _g3() -> GalleryReport:
         "name": "g3",
         "feasible": existence.feasible,
         "preimage_nonempty": existence.preimage_nonempty,
-        "statement": _VERDICT_TEXT[primal.nonnegativity.verdict],
+        "statement": primal.nonnegativity.verdict.value,
         "minimum": scalar_text(primal.nonnegativity.minimum),
         "certificate": "present" if primal.certificate is not None
         else "absent",

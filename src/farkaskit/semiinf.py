@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from . import calculus, engine, lp, sets
+from . import calculus, duality, engine, lp, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
 from .rational import ONE, Q, ZERO, as_q, as_q_vector, dot
@@ -325,8 +325,8 @@ def check_grid_dual(system: GridSystem, n_random: int = 8,
 
 
 def check_grid_stability(system: GridSystem, tilts=None,
-                         seed: int = 0) -> engine.StabilityReport:
+                         seed: int = 0) -> duality.StabilityReport:
     """Stable criterion on the embedded instance (same hypothesis as the
-    dual check)."""
-    return engine.check_stability(to_instance(system), tilts=tilts,
-                                  seed=seed)
+    dual check), read off the strong-duality pass over its shifts."""
+    return duality.check_stability(to_instance(system), tilts=tilts,
+                                   seed=seed)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import lp
 from .errors import InvariantViolation
@@ -122,16 +122,10 @@ def member(s: LiftedSet, z) -> bool:
 def recession_member(s: LiftedSet, d) -> bool:
     """Is d a recession direction of S? (S must be nonempty for this to mean
     anything; the recession cone of a polyhedral projection is the projection
-    of the lifted recession cone, which is what this solves.)"""
-    d = as_q_vector(d)
-    if len(d) != s.dim:
-        raise ValueError("direction dimension mismatch")
-    prog = lp.LinearProgram(
-        c=[ZERO] * s.witness_dim,
-        G=s.ineq_w, h=[-dot(r, d) for r in s.ineq_z],
-        E=s.eq_w, e=[-dot(r, d) for r in s.eq_z],
-        nonneg=s.witness_nonneg)
-    return lp.solve(prog).status != lp.INFEASIBLE
+    of the lifted recession cone: the same rows with zero right-hand
+    sides, so this is membership in that cone.)"""
+    return member(replace(s, ineq_rhs=[ZERO] * len(s.ineq_rhs),
+                          eq_rhs=[ZERO] * len(s.eq_rhs)), d)
 
 
 def support(s: LiftedSet, d):

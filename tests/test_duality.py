@@ -1,6 +1,7 @@
 """Primal/dual solving, strong duality, optimality, and stability."""
 
 import copy
+import dataclasses
 import hashlib
 import random
 
@@ -11,6 +12,7 @@ from farkaskit import duality, engine, instances, lp
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.duality import INFEASIBLE, OPTIMAL, UNBOUNDED
 from farkaskit.engine import FarkasInstance
+from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, Q
 from farkaskit.sets import Box, Polyhedron, whole_space_polyhedron
 
@@ -243,7 +245,8 @@ def _tilt_pool():
 def test_per_tilt_matches_fresh_solves_on_seeded_instances():
     seen = set()
     for k, inst in enumerate(_tilt_pool()):
-        shifts = duality.default_dual_tilts(inst.n, count=6, seed=k)
+        shifts = [shift for shift, _ in
+                  duality.default_tilts(inst.n, count=6, seed=k)]
         rep = duality.check_stable_strong_duality(inst, tilts=shifts,
                                                   n_points=2)
         fresh = [duality.check_strong_duality(FarkasInstance(
@@ -266,6 +269,53 @@ def test_per_tilt_matches_fresh_solves_on_seeded_instances():
             seen.add("equality rows")
     assert seen == {OPTIMAL, UNBOUNDED, "infeasible", "domain",
                     "equality rows"}
+
+
+def test_stability_reading_matches_the_certificate_route():
+    # the reference route: one nonnegativity check and one certificate
+    # program per (shift, lift), against the lift reading of the shift's
+    # strong-duality report, with the boundary lifts min and min + 1/2
+    verdicts = set()
+    for k, inst in enumerate(_tilt_pool()):
+        if inst.feasible_in_domain().is_empty():
+            continue
+        tilts = duality.default_tilts(inst.n, count=6, seed=k)
+        rep = duality.check_stable_strong_duality(
+            inst, tilts=[shift for shift, _ in tilts], n_points=2)
+        checked = []
+        for (shift, lift), row in zip(tilts, rep.per_tilt):
+            lifts = [lift]
+            if row.primal.status == OPTIMAL:
+                lifts += [row.primal.value, row.primal.value + Q(1, 2)]
+            checked += [(shift, lf, row) for lf in lifts]
+        for shift, lift, row in checked:
+            tilted = inst.tilted(shift, lift)
+            holds = engine.check_nonnegativity(tilted).verdict.holds
+            certified = engine.find_certificate(tilted) is not None
+            assert holds == certified == (row.primal.value >= lift) \
+                == (row.dual.value >= lift)
+            verdicts.add(holds)
+        stab = duality.check_stability(
+            inst, tilts=[(shift, lift) for shift, lift, _ in checked])
+        assert stab.all_equivalent
+        assert stab.tilts_checked == len(checked)
+    assert verdicts == {True, False}
+
+
+def test_stability_mismatch_raises(monkeypatch):
+    inst = bounded_instance()
+    tilts = [([Q(0), Q(0)], duality.solve_primal(inst).value + Q(1, 2))]
+    assert duality.check_stability(inst, tilts=tilts).all_equivalent
+    real = duality._tilt_reports
+
+    def one_too_high(inst, shifts):
+        for rep in real(inst, shifts):
+            yield dataclasses.replace(rep, dual=dataclasses.replace(
+                rep.dual, value=rep.dual.value + 1))
+
+    monkeypatch.setattr(duality, "_tilt_reports", one_too_high)
+    with pytest.raises(InvariantViolation, match="equivalence broke"):
+        duality.check_stability(inst, tilts=tilts)
 
 
 def test_tilted_instance_solves_nothing(count_phase1):

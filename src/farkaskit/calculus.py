@@ -113,15 +113,17 @@ def minimize_over(f: PiecewiseAffine, over: sets.Polyhedron) -> Minimum:
     return Minimum(value=out.value, point=out.x[:n])
 
 
-def fenchel_values(f: PiecewiseAffine, points) -> list:
-    """[f*(u) for u in points], INF where the sup is unbounded.
+def fenchel_values(f: PiecewiseAffine, points, over=None) -> list:
+    """[(f + indicator of `over`)*(u) for u in points], f*(u) when `over`
+    is None; INF where the sup is unbounded, NEG_INF when `over` misses
+    dom f.
 
-    f*(u) = sup_x (u . x - f(x)) = -min (t - u . x) over f's own epigraph
-    rows (a.x + b <= t per piece, plus dom f). Only the cost (-u, 1)
-    depends on u, so one `lp.solve_each` serves every point: phase 1 runs
-    once per f. The minimum is unique, so each value is the one a program
-    per point would give. A tilt needs no program of its own either: the
-    conjugate of f - s.x - l at u is f*(u + s) + l."""
+    The conjugate at u is sup_x (u . x - f(x)) = -min (t - u . x) over f's
+    epigraph rows (a.x + b <= t per piece, plus dom f and `over`). Only the
+    cost (-u, 1) depends on u, so one `lp.minima` serves every point: phase
+    1 runs once per f. The minimum is unique, so each value is the one a
+    program per point would give. A tilt needs no program of its own
+    either: the conjugate of f - s.x - l at u is f*(u + s) + l."""
     n = f.dim
     costs = []
     for u in points:
@@ -129,19 +131,9 @@ def fenchel_values(f: PiecewiseAffine, points) -> list:
         if len(u) != n:
             raise ValueError("point dimension mismatch")
         costs.append([-v for v in u] + [ONE])
-    if not costs:
-        return []
-    values = []
-    for out in lp.solve_each(
-            _epigraph_program(f, sets.whole_space_polyhedron(n)), costs):
-        if out.status == lp.UNBOUNDED:
-            values.append(INF)
-        elif out.status == lp.INFEASIBLE:
-            # unreachable for a proper function; kept as a guard
-            values.append(NEG_INF)
-        else:
-            values.append(-out.value)
-    return values
+    if over is None:
+        over = sets.whole_space_polyhedron(n)
+    return [-v for v in lp.minima(_epigraph_program(f, over), costs)]
 
 
 def fenchel_value(f: PiecewiseAffine, u):

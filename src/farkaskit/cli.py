@@ -113,7 +113,8 @@ def load_document(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also undecodable bytes, over-long integers and too-deep nesting
         _fail(f"{path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         _fail(f"{path}: top level must be an object")
@@ -171,7 +172,7 @@ def load_approx(doc: dict) -> polyapprox.ApproxProblem:
     for key in ("degree", "nodes", "values", "epsilons"):
         if key not in block:
             _fail(f"approx: missing key {key!r}")
-    if not isinstance(block["degree"], int):
+    if type(block["degree"]) is not int:  # not a bool either
         _fail("approx.degree: expected an integer")
     try:
         return polyapprox.ApproxProblem(
@@ -433,7 +434,7 @@ def optimality(path, point, as_json):
         inst = load_instance(load_document(path))
         try:
             raw = json.loads(point)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             _fail(f"--point is not valid JSON: {exc}")
         if not isinstance(raw, list):
             _fail("--point must be a JSON array")

@@ -39,7 +39,6 @@ import random
 from dataclasses import dataclass, field
 
 from . import calculus, engine, lp, sets
-from .calculus import PiecewiseAffine
 from .engine import FarkasInstance
 from .errors import InvariantViolation
 from .rational import (INF, NEG_INF, ONE, Q, ZERO, as_q_vector, dot, is_finite,
@@ -63,17 +62,14 @@ class PrimalSolution:
 
 
 def solve_primal(inst: FarkasInstance) -> PrimalSolution:
-    return _primal_over(inst.objective, inst.feasible_polyhedron())
-
-
-def _primal_over(f: PiecewiseAffine, feasible: sets.Polyhedron):
-    best = calculus.minimize_over(f, feasible)
+    best = inst.minimum()
     if best.value is INF:
         return PrimalSolution(status=INFEASIBLE, value=INF)
     if best.value is NEG_INF:
         return PrimalSolution(status=UNBOUNDED, value=NEG_INF,
-                              point=best.point, ray=best.ray)
-    return PrimalSolution(status=OPTIMAL, value=best.value, point=best.point)
+                              point=list(best.point), ray=list(best.ray))
+    return PrimalSolution(status=OPTIMAL, value=best.value,
+                          point=list(best.point))
 
 
 @dataclass
@@ -208,8 +204,7 @@ def _tilt_reports(inst: FarkasInstance, shifts):
     shift, the batched values) run before the first report, and step 3,
     the checks of one tilt, runs as its report is taken."""
     distinct, at = _distinct(shifts)
-    feasible = inst.feasible_polyhedron()
-    primals = [_primal_over(inst.objective.tilted(shift), feasible)
+    primals = [solve_primal(inst if not any(shift) else inst.tilted(shift))
                for shift in distinct]
     duals = _solve_duals(inst, distinct)
     for k in at:

@@ -145,12 +145,22 @@ class FarkasInstance:
         feasible polyhedron itself when the objective is unrestricted)."""
         return self.feasible_polyhedron().intersect(self.objective.domain)
 
+    @kept
+    def minimum(self) -> calculus.Minimum:
+        """The exact minimum of the objective over the feasible set, solved
+        on the first call only: its point and ray are shared, so callers
+        copy them before handing them out."""
+        return calculus.minimize_over(self.objective,
+                                      self.feasible_polyhedron())
+
     def tilted(self, shift, lift=ZERO) -> "FarkasInstance":
         """The instance with objective f - shift . x - lift. Ground, map,
         target and the derived sets kept so far are shared, and neither the
-        constructor's emptiness LPs nor any kept point is solved again."""
+        constructor's emptiness LPs nor any kept point is solved again; the
+        kept minimum, which the tilt changes, is dropped."""
         twin = copy.copy(self)
         twin.objective = self.objective.tilted(shift, lift)
+        twin.__dict__.pop("_kept_minimum", None)
         return twin
 
 
@@ -272,7 +282,7 @@ def check_nonnegativity(inst: FarkasInstance) -> NonnegativityReport:
     if feas.is_empty():
         return NonnegativityReport(verdict=TriVerdict.VACUOUS, minimum=INF)
     f = inst.objective
-    best = calculus.minimize_over(f, feas)
+    best = inst.minimum()
     if best.value is INF or best.value >= ZERO:
         return NonnegativityReport(verdict=TriVerdict.TRUE, minimum=best.value)
     if best.value is NEG_INF:
@@ -282,9 +292,9 @@ def check_nonnegativity(inst: FarkasInstance) -> NonnegativityReport:
             point = [p + step * r for p, r in zip(point, best.ray)]
             step *= 2
         return NonnegativityReport(verdict=TriVerdict.FALSE,
-                                   minimum=NEG_INF, witness=point)
+                                   minimum=NEG_INF, witness=list(point))
     return NonnegativityReport(verdict=TriVerdict.FALSE,
-                               minimum=best.value, witness=best.point)
+                               minimum=best.value, witness=list(best.point))
 
 
 @dataclass
@@ -387,16 +397,6 @@ class ReducedCertificate:
         return self.restricted_conjugate + self.target_support
 
 
-def _restricted_conjugate(inst: FarkasInstance, w):
-    """(f + indicator of ground)*(w), exactly."""
-    best = calculus.minimize_over(inst.objective.tilted(w), inst.ground)
-    if best.value is INF:
-        return NEG_INF
-    if best.value is NEG_INF:
-        return INF
-    return -best.value
-
-
 def find_reduced_certificate(inst: FarkasInstance) -> ReducedCertificate | None:
     meet = inst.ground_in_domain()
     if meet.is_empty():
@@ -418,8 +418,8 @@ def find_reduced_certificate(inst: FarkasInstance) -> ReducedCertificate | None:
     lam = transpose_apply(t.G + t.E, mu_t, inst.m)
     cert = ReducedCertificate(
         lam=lam,
-        restricted_conjugate=_restricted_conjugate(
-            inst, [-v for v in inst.adjoint(lam)]),
+        restricted_conjugate=calculus.fenchel_values(
+            inst.objective, [[-v for v in inst.adjoint(lam)]], inst.ground)[0],
         target_support=inst.target_support(lam))
     if cert.total() > ZERO:
         raise InvariantViolation("reduced certificate budget exceeded")

@@ -14,6 +14,9 @@ that carrying c through phase 1 would give, and each pivot updates the
 constraint rows plus one objective row. `solve_each` runs phase 1 once for a
 list of costs and a phase 2 per distinct cost, each on its own copy of the
 feasible tableau; `solve` is the same code with one cost and no copy.
+`minima` runs the same phases but reads only each final objective row's
+value: it forms no point, ray or multiplier, and a support value, a
+conjugate value or a membership answer needs no more.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
 objective row included, is a dense list of plain integer numerators, its
@@ -42,7 +45,7 @@ from dataclasses import dataclass, replace
 from math import gcd, lcm
 
 from .errors import InvariantViolation
-from .rational import NEG_INF, ONE, ZERO, Q, as_q_matrix, as_q_vector, dot
+from .rational import INF, NEG_INF, ONE, ZERO, Q, as_q_matrix, as_q_vector, dot
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -113,20 +116,6 @@ class LPOutcome:
     farkas_eq: list | None = None
 
 
-def _scaled(entries, width):
-    """Rationals given as (column, value) pairs, as a row of `width` integer
-    numerators (zero elsewhere) over the lcm of their denominators, so that
-    numerators and denominator share no factor."""
-    # lcm of a list, not of a generator: a tuple built from a generator is
-    # resized, and the interpreter then keeps such tuples on its free lists
-    # (about 1 MB more peak memory over some 10^5 solves)
-    d = lcm(*[v.denominator for _, v in entries])
-    row = [0] * width
-    for j, v in entries:
-        row[j] = int(v.numerator * (d // v.denominator))
-    return row, int(d)
-
-
 def _eliminate(N, d, f, p, nz):
     """The row N/d minus f/d times the pivot row nz/p, where nz lists the
     pivot row's nonzero (column, numerator) pairs: (N*p - f*nz) / (d*p), with
@@ -163,17 +152,12 @@ class _Tableau:
 
         # Real-column layout: variable columns (split in +/- parts unless the
         # variable is flagged nonnegative), then one slack per inequality row.
-        self.col_sign = col_sign = []  # (variable index, +1/-1) per column
         self.var_cols = var_cols = []  # per variable: (plus, minus or None)
-        for j in range(lp.n):
-            p = len(col_sign)
-            col_sign.append((j, 1))
-            if lp.nonneg[j]:
-                var_cols.append((p, None))
-            else:
-                col_sign.append((j, -1))
-                var_cols.append((p, p + 1))
-        self.slack0 = slack0 = len(col_sign)
+        p = 0
+        for flag in lp.nonneg:
+            var_cols.append((p, None if flag else p + 1))
+            p += 1 if flag else 2
+        self.slack0 = slack0 = p
         self.nreal = nreal = slack0 + mG
 
         # Artificial columns on every equality row and every flipped
@@ -182,9 +166,8 @@ class _Tableau:
         # columns: the reduced cost of the artificial of row k is exactly
         # -y_k, which is how equality duals are read off without forming a
         # basis inverse.
-        self.sigma = sigma = [
-            -1 if (lp.h[i] if i < mG else lp.e[i - mG]) < ZERO else 1
-            for i in range(m)]
+        rhs = lp.h + lp.e
+        self.sigma = sigma = [-1 if b < ZERO else 1 for b in rhs]
         self.art_col = art_col = [None] * m
         nart = 0
         for i in range(m):
@@ -192,23 +175,17 @@ class _Tableau:
                 art_col[i] = nreal + nart
                 nart += 1
         self.ncols = ncols = nreal + nart
-        self.RHS = RHS = ncols
+        self.RHS = ncols
 
         # Standardized rows (rhs made nonnegative by row flips, sigma tracks
         # the flip), inequality rows first in original order, then equality
         # rows.
         self.T = T = []
         self.D = D = []
-        for i in range(m):
-            orig = lp.G[i] if i < mG else lp.E[i - mG]
-            entries = [(cidx, orig[j] if s > 0 else -orig[j])
-                       for cidx, (j, s) in enumerate(col_sign) if orig[j]]
+        for i, row in enumerate(lp.G + lp.E):
+            Ti, d = self._integer_row(row, rhs[i])
             if i < mG:
-                entries.append((slack0 + i, ONE))
-            b = lp.h[i] if i < mG else lp.e[i - mG]
-            if b:
-                entries.append((RHS, b))
-            Ti, d = _scaled(entries, ncols + 1)
+                Ti[slack0 + i] = d
             if sigma[i] < 0:
                 Ti = [-v for v in Ti]
             if art_col[i] is not None:
@@ -217,6 +194,24 @@ class _Tableau:
             D.append(d)
         self.basis = [art_col[i] if art_col[i] is not None else slack0 + i
                       for i in range(m)]
+
+    def _integer_row(self, values, b):
+        """Values per variable (at its plus column, negated at its minus
+        column) and right-hand side b as a row of integer numerators over
+        the lcm d of their denominators, sharing no factor with d."""
+        # lcm of a list, not of a generator: a tuple built from a generator is
+        # resized, and the interpreter then keeps such tuples on its free lists
+        # (about 1 MB more peak memory over some 10^5 solves)
+        d = int(lcm(b.denominator, *[v.denominator for v in values]))
+        row = [0] * (self.ncols + 1)
+        for (p, mcol), v in zip(self.var_cols, values):
+            if v:
+                a = row[p] = int(v.numerator * (d // v.denominator))
+                if mcol is not None:
+                    row[mcol] = -a
+        if b:
+            row[self.RHS] = int(b.numerator * (d // b.denominator))
+        return row, d
 
     def copy(self) -> _Tableau:
         """The same tableau with rows of its own: `pivot` changes rows in
@@ -292,8 +287,8 @@ class _Tableau:
 
     def phase1(self):
         """Drive the artificials to zero and out of the basis, leaving no
-        objective row. Returns the Farkas pair (mu, nu) when the system is
-        infeasible, else None."""
+        objective row. Returns the final phase-1 row (z, d) when the system
+        is infeasible, else None."""
         T, D, m = self.T, self.D, self.m
         # Minimize the sum of the artificials: minus the sum of their rows,
         # zero at the artificial columns. Entry RHS of an objective row is
@@ -315,13 +310,7 @@ class _Tableau:
             raise InvariantViolation("phase-1 objective cannot be unbounded")
         z1, d1 = T.pop(), D.pop()
         if z1[self.RHS] < 0:
-            # The phase-1 duals, read off the probe columns, are a Farkas
-            # certificate for the original system.
-            mG, sigma, art_col = self.mG, self.sigma, self.art_col
-            mu = [Q(z1[self.slack0 + i], d1) for i in range(mG)]
-            nu = [Q(sigma[mG + k] * (z1[art_col[mG + k]] - d1), d1)
-                  for k in range(self.mE)]
-            return mu, nu
+            return z1, d1
         # Drive basic artificials (all at value 0 now) out of the basis. A
         # row with no real-column entry left is inert: no later pivot can
         # touch it.
@@ -335,19 +324,19 @@ class _Tableau:
                         break
         return None
 
-    def phase2(self, c) -> LPOutcome:
+    def phase2(self, c):
         """Minimize c.x from the feasible basis phase 1 left; artificial
-        columns are ineligible to enter."""
-        T, D, basis, m, RHS = self.T, self.D, self.basis, self.m, self.RHS
+        columns are ineligible to enter. Returns the final reduced-cost row
+        (z, d) and q: None when the minimum -z[RHS] / d is attained, else
+        the entering column with no leaving row (c.x unbounded below)."""
+        T, D, basis = self.T, self.D, self.basis
         # Reduced costs c - sum_i c_basis[i] T[i]/D[i]: eliminate the cost
         # row's entry at each basic column (slacks and artificials cost 0).
         # A row in lowest terms over a positive denominator is unique, and
         # reduced costs depend on the basis only, so this is the row that
         # carrying the cost through phase 1 would give.
-        z, d = _scaled([(cidx, c[j] if s > 0 else -c[j])
-                        for cidx, (j, s) in enumerate(self.col_sign) if c[j]],
-                       self.ncols + 1)
-        for i in range(m):
+        z, d = self._integer_row(c, ZERO)
+        for i in range(self.m):
             f = z[basis[i]]
             if f:
                 z, d = _eliminate(z, d, f, D[i],
@@ -355,16 +344,30 @@ class _Tableau:
         T.append(z)
         D.append(d)
         q = self._run(self.nreal)
-        z, d = T.pop(), D.pop()
+        return T.pop(), D.pop(), q
+
+    def _duals(self, z, d, art):
+        # (mu, nu) read off the probe columns of the objective row z/d,
+        # whose cost at every artificial column is art/d
+        mG, sigma, art_col = self.mG, self.sigma, self.art_col
+        mu = [Q(z[self.slack0 + i], d) for i in range(mG)]
+        nu = [Q(sigma[mG + k] * (z[art_col[mG + k]] - art), d)
+              for k in range(self.mE)]
+        return mu, nu
+
+    def outcome(self, z, d, q, full=True):
+        """Phase 2's result (z, d, q) as an LPOutcome: the optimal point
+        with its duals, or a feasible point with an improving ray; with
+        full=False, only the minimum value (NEG_INF when unbounded)."""
+        if not full:
+            return Q(-z[self.RHS], d) if q is None else NEG_INF
         if q is None:
-            mG, sigma, art_col = self.mG, self.sigma, self.art_col
-            mu = [Q(z[self.slack0 + i], d) for i in range(mG)]
-            nu = [Q(sigma[mG + k] * z[art_col[mG + k]], d)
-                  for k in range(self.mE)]
-            return LPOutcome(OPTIMAL, x=self._x(), value=Q(-z[RHS], d),
+            mu, nu = self._duals(z, d, 0)
+            return LPOutcome(OPTIMAL, x=self._x(), value=Q(-z[self.RHS], d),
                              dual_ineq=mu, dual_eq=nu)
+        T, D, basis = self.T, self.D, self.basis
         dz = {q: ONE}
-        for i in range(m):
+        for i in range(self.m):
             t = T[i][q]
             if t:
                 dz[basis[i]] = Q(-t, D[i])
@@ -373,13 +376,9 @@ class _Tableau:
 
     def _per_variable(self, by_col):
         # a column vector (as {column: value}) in the program's variables
-        x = []
-        for p, mcol in self.var_cols:
-            v = by_col.get(p, ZERO)
-            if mcol is not None:
-                v = v - by_col.get(mcol, ZERO)
-            x.append(v)
-        return x
+        get = by_col.get
+        return [get(p, ZERO) if m is None else get(p, ZERO) - get(m, ZERO)
+                for p, m in self.var_cols]
 
     def _x(self):
         T, D, RHS = self.T, self.D, self.RHS
@@ -387,21 +386,44 @@ class _Tableau:
                                    for i, q in enumerate(self.basis)})
 
 
-def _solve(lp: LinearProgram, costs) -> list:
+def _solve(lp: LinearProgram, costs, full=True) -> list:
+    """Per cost, its outcome, or with full=False its minimum value only
+    (INF when infeasible). Phase 1 runs once, and each cost's phase 2 on
+    its own copy of the feasible tableau (the last on the tableau itself)."""
+    if not costs:
+        return []
     tab = _Tableau(lp)
-    farkas = tab.phase1()
-    if farkas is not None:
-        mu, nu = farkas
+    row = tab.phase1()
+    if row is not None:
+        if not full:
+            return [INF] * len(costs)
+        # the phase-1 duals, where each artificial costs 1 (d over d), are
+        # a Farkas certificate for the system
+        mu, nu = tab._duals(*row, art=row[1])
         return [LPOutcome(INFEASIBLE, farkas_ineq=list(mu), farkas_eq=list(nu))
                 for _ in costs]
     last = len(costs) - 1
-    return [(tab if k == last else tab.copy()).phase2(c)
-            for k, c in enumerate(costs)]
+    tabs = (tab if k == last else tab.copy() for k in range(len(costs)))
+    return [t.outcome(*t.phase2(c), full) for t, c in zip(tabs, costs)]
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """min lp.c . x over lp's constraints."""
     return _solve(lp, [lp.c])[0]
+
+
+def _each(lp: LinearProgram, costs, full) -> list:
+    """The `_solve` result of each cost in `costs` (lp.c is not read), one
+    phase 2 per distinct cost: a repeated cost gets the same object."""
+    where = {}
+    at = []
+    for c in costs:
+        c = tuple(as_q_vector(c))
+        if len(c) != lp.n:
+            raise ValueError("cost width != number of variables")
+        at.append(where.setdefault(c, len(where)))
+    found = _solve(lp, list(where), full)
+    return [found[k] for k in at]
 
 
 def solve_each(lp: LinearProgram, costs) -> list:
@@ -410,26 +432,24 @@ def solve_each(lp: LinearProgram, costs) -> list:
     for all of them and phase 2 once per distinct cost: a repeated cost
     gets a copy of the outcome of its first occurrence. An infeasible
     system gives its Farkas outcome for every cost."""
-    where = {}
-    at = []
-    for c in costs:
-        c = tuple(as_q_vector(c))
-        if len(c) != lp.n:
-            raise ValueError("cost width != number of variables")
-        at.append(where.setdefault(c, len(where)))
-    outs = _solve(lp, list(where))
-    given = [False] * len(outs)
-    result = []
-    for k in at:
-        out = outs[k]
-        if given[k]:
+    outs = _each(lp, costs, True)
+    given = set()
+    for k, out in enumerate(outs):
+        if id(out) in given:
             # lists of its own; the rationals in them are immutable
-            out = replace(out, **{
+            outs[k] = replace(out, **{
                 name: list(v) for name, v in vars(out).items()
                 if isinstance(v, list)})
-        result.append(out)
-        given[k] = True
-    return result
+        given.add(id(out))
+    return outs
+
+
+def minima(lp: LinearProgram, costs) -> list:
+    """min c.x over lp's constraints for each c in `costs` (lp.c is not
+    read): the `solve` value when it is optimal, NEG_INF when unbounded
+    below, INF when the constraints are infeasible. The same phase 1 and
+    phase 2 runs as `solve_each`, with no point, ray or multiplier formed."""
+    return _each(lp, costs, False)
 
 
 def _point_feasible(lp, x):

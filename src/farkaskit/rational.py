@@ -19,6 +19,7 @@ except ImportError:  # supported fallback: the same exact values, only slower
 
 ZERO = Q(0)
 ONE = Q(1)
+MAX_DIGITS = 4300
 
 _QTYPES = (int, type(Q(0)), Fraction)
 
@@ -73,7 +74,9 @@ def as_q(value):
 
     Floats are rejected on purpose: a float input has already lost the value
     the caller meant, and every consumer here requires exactness. A value
-    that is already a `Q` is returned as it is.
+    that is already a `Q` is returned as it is. A literal whose exponent
+    could take it past MAX_DIGITS digits (Python's bound on integer text)
+    is rejected before 10 to that power is formed.
     """
     if type(value) is Q:
         return value
@@ -83,6 +86,9 @@ def as_q(value):
         return Q(value)
     if isinstance(value, str):
         try:
+            mantissa, e, power = value.strip().lower().partition("e")
+            if e and abs(int(power)) + len(mantissa) > MAX_DIGITS:
+                raise ValueError("exponent too large")
             return Q(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
@@ -107,7 +113,7 @@ def scalar_text(x) -> str:
 
 
 def as_q_vector(values):
-    return [as_q(v) for v in values]
+    return [v if type(v) is Q else as_q(v) for v in values]
 
 
 def as_q_matrix(rows):

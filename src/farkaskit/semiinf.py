@@ -34,7 +34,7 @@ from . import calculus, duality, engine, lp, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
 from .rational import ONE, Q, ZERO, as_q, as_q_vector, dot
-from .sets import Box, Polyhedron
+from .sets import Box, Polyhedron, kept
 
 
 @dataclass
@@ -77,9 +77,12 @@ class GridSystem:
         return len(self.rows)
 
 
+@kept
 def to_instance(system: GridSystem) -> engine.FarkasInstance:
     """The grid as a generic instance: rows become the map, the interval
-    bounds become a box target."""
+    bounds become a box target. Built on the first call and kept in the
+    grid, with what the instance keeps, for every later check of it, so the
+    rows must not change."""
     return engine.FarkasInstance(
         ground=system.ground,
         matrix=[r.functional for r in system.rows],

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from . import lp
 from .errors import InvariantViolation
-from .rational import INF, NEG_INF, ONE, Q, ZERO, as_q_matrix, as_q_vector, dot
+from .rational import INF, ONE, Q, ZERO, as_q_matrix, as_q_vector, dot
 
 
 @dataclass
@@ -61,8 +61,9 @@ class LiftedSet:
 
 
 def kept(method):
-    """A method of no arguments whose first result is kept in the object's
-    __dict__, for later calls and for copy.copy or copy.deepcopy of it."""
+    """A method of no arguments (or a function of one object) whose first
+    result is kept in the object's __dict__, for later calls and for
+    copy.copy or copy.deepcopy of it."""
     key = "_kept_" + method.__name__
 
     @functools.wraps(method)
@@ -116,7 +117,7 @@ def member(s: LiftedSet, z) -> bool:
         G=s.ineq_w, h=[b - dot(r, z) for r, b in zip(s.ineq_z, s.ineq_rhs)],
         E=s.eq_w, e=[b - dot(r, z) for r, b in zip(s.eq_z, s.eq_rhs)],
         nonneg=s.witness_nonneg)
-    return lp.solve(prog).status != lp.INFEASIBLE
+    return lp.minima(prog, [prog.c])[0] is not INF
 
 
 def recession_member(s: LiftedSet, d) -> bool:
@@ -130,34 +131,22 @@ def recession_member(s: LiftedSet, d) -> bool:
 
 def support(s: LiftedSet, d):
     """sup {d.z : z in S}; NEG_INF on empty S, INF when unbounded."""
-    d = as_q_vector(d)
-    if len(d) != s.dim:
-        raise ValueError("direction dimension mismatch")
-    return _support_value(
-        lp.solve(_joint_lp(s, [-v for v in d], [ZERO] * s.witness_dim)))
+    return supports(s, [d])[0]
 
 
 def supports(s: LiftedSet, directions) -> list:
     """[support(s, d) for d in directions], from one feasible basis of the
-    set's rows: phase 1 runs once and each direction is a phase 2 only."""
+    set's rows: phase 1 runs once and each direction is a phase 2 only.
+    sup d.z is minus the minimum of -d.z, so an empty set's INF becomes
+    NEG_INF and an unbounded minimum's NEG_INF becomes INF."""
     costs = []
     for d in directions:
         d = as_q_vector(d)
         if len(d) != s.dim:
             raise ValueError("direction dimension mismatch")
         costs.append([-v for v in d] + [ZERO] * s.witness_dim)
-    if not costs:
-        return []
     prog = _joint_lp(s, [ZERO] * s.dim, [ZERO] * s.witness_dim)
-    return [_support_value(out) for out in lp.solve_each(prog, costs)]
-
-
-def _support_value(out):
-    if out.status == lp.INFEASIBLE:
-        return NEG_INF
-    if out.status == lp.UNBOUNDED:
-        return INF
-    return -out.value
+    return [-v for v in lp.minima(prog, costs)]
 
 
 def minkowski_sum(a: LiftedSet, b: LiftedSet) -> LiftedSet:
@@ -251,12 +240,8 @@ def cone_member_strict(s: LiftedSet, z) -> bool:
         E=[[dot(rz, z)] + list(rw) for rz, rw in zip(s.eq_z, s.eq_w)],
         e=s.eq_rhs,
         nonneg=[True] + list(s.witness_nonneg))
-    out = lp.solve(prog)
-    if out.status == lp.INFEASIBLE:
-        return False
-    if out.status == lp.UNBOUNDED:
-        return True
-    return -out.value > ZERO
+    # max tau is -INF = -oo when infeasible, -NEG_INF = +oo when unbounded
+    return -lp.minima(prog, [prog.c])[0] > ZERO
 
 
 def cone_closed_regarding(s: LiftedSet, points):

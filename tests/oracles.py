@@ -48,9 +48,18 @@ def satisfies_rows(G, h, E, e, x):
             and all(eval_affine(row, x) == as_q(b) for row, b in zip(E, e)))
 
 
-def certifies_empty(G, h, E, e, mu, nu):
-    """Whether (mu, nu) is a Farkas certificate that {x : G x <= h, E x = e}
-    is empty: mu >= 0, G^T mu + E^T nu = 0 and h . mu + e . nu < 0."""
+def _column_sum(rows, weights, j):
+    """Entry j of rows^T weights."""
+    return sum((as_q(w) * as_q(row[j]) for w, row in zip(weights, rows)),
+               ZERO)
+
+
+def certifies_empty(G, h, E, e, mu, nu, nonneg=None):
+    """Whether (mu, nu) is a Farkas certificate that {x : G x <= h, E x = e,
+    x_j >= 0 where nonneg[j]} is empty: mu >= 0, s = G^T mu + E^T nu is
+    zero at free variables and >= 0 at flagged ones (all free when nonneg
+    is None), and h . mu + e . nu < 0. Then every x of the set would give
+    0 <= s.x = mu.(G x) + nu.(E x) <= h . mu + e . nu < 0."""
     if len(mu) != len(G) or len(nu) != len(E):
         return False
     if any(as_q(v) < ZERO for v in mu):
@@ -59,7 +68,45 @@ def certifies_empty(G, h, E, e, mu, nu):
     weights = list(mu) + list(nu)
     width = len(rows[0]) if rows else 0
     for j in range(width):
-        if sum((as_q(w) * as_q(row[j]) for w, row in zip(weights, rows)),
-               ZERO) != ZERO:
+        s = _column_sum(rows, weights, j)
+        if s < ZERO or (s != ZERO and not (nonneg and nonneg[j])):
             return False
     return eval_affine(list(h) + list(e), weights) < ZERO
+
+
+def _feasible(G, h, E, e, nonneg, x):
+    return (len(x) == len(nonneg)
+            and all(as_q(v) >= ZERO for v, f in zip(x, nonneg) if f)
+            and satisfies_rows(G, h, E, e, x))
+
+
+def certifies_optimal(c, G, h, E, e, nonneg, x, value, mu, nu):
+    """Whether x minimizes c.x over {x : G x <= h, E x = e, x_j >= 0 where
+    nonneg[j]} with minimum `value`, as the multipliers (mu, nu) prove: x
+    is feasible with c.x = value, mu >= 0, s = c + G^T mu + E^T nu is zero
+    at free variables and >= 0 at flagged ones, and -(h.mu + e.nu) = value.
+    Then every feasible y has c.y = s.y - mu.(G y) - nu.(E y) >= value."""
+    if len(mu) != len(G) or len(nu) != len(E):
+        return False
+    if not _feasible(G, h, E, e, nonneg, x) or eval_affine(c, x) != value:
+        return False
+    if any(as_q(v) < ZERO for v in mu):
+        return False
+    rows = list(G) + list(E)
+    weights = list(mu) + list(nu)
+    for j, flag in enumerate(nonneg):
+        s = as_q(c[j]) + _column_sum(rows, weights, j)
+        if s < ZERO or (s != ZERO and not flag):
+            return False
+    return -eval_affine(list(h) + list(e), weights) == value
+
+
+def certifies_unbounded(c, G, h, E, e, nonneg, x, ray):
+    """Whether x is feasible and `ray` a recession direction (G ray <= 0,
+    E ray = 0, ray_j >= 0 where nonneg[j]) along which c.x falls: then
+    c.x is unbounded below on the set."""
+    zeros_h = [ZERO] * len(G)
+    zeros_e = [ZERO] * len(E)
+    return (_feasible(G, h, E, e, nonneg, x)
+            and _feasible(G, zeros_h, E, zeros_e, nonneg, ray)
+            and eval_affine(c, ray) < ZERO)

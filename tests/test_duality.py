@@ -352,8 +352,12 @@ def test_stable_check_solves_each_constraint_set_once(count_phase1,
     assert pivots <= 161
 
 
-OPTIMALITY_PROGRAMS = ("dd53ef6cd942668b31090823b0be993d"
-                       "79f87a22288c764390aab2f80edc1e79")
+# Every program recorded here is also one the previous kernel interface
+# received through `lp.solve`; the primal minimum, kept by the instance
+# since the pool solved it, and polyhedral target supports, which read
+# `lp.minima`, no longer reach `lp.solve` (89 and 10 programs fewer).
+OPTIMALITY_PROGRAMS = ("1c688c86f7ac97c9a1d8e9e9a29f309f"
+                       "c3a9fe13847723919fe3970896144884")
 
 
 def _optimality_programs():

@@ -469,10 +469,31 @@ class TestKeptSets:
             lambda: engine.check_dual_criterion(restricted(), n_random=2))
         assert runs <= 17
 
+    def test_minimum_is_kept_and_tilts_drop_it(self, count_phase1):
+        inst = basic_instance(offset=-1)
+        assert not inst.feasible_polyhedron().is_empty()
+        best, runs = count_phase1(inst.minimum)
+        assert runs == 1 and count_phase1(inst.minimum) == (best, 0)
+        rep, runs = count_phase1(engine.check_nonnegativity, inst)
+        assert runs == 0 and rep.minimum == best.value == Q(-1)
+        primal, runs = count_phase1(duality.solve_primal, inst)
+        assert runs == 0 and primal.value == Q(-1)
+        assert primal.point == best.point
+        # the witness and the point are copies: changing them leaves the
+        # kept minimum alone
+        rep.witness[0] = primal.point[0] = Q(7)
+        assert inst.minimum().point == [ZERO, ZERO]
+        twin = inst.tilted([Q(1), Q(2)], Q(1))
+        assert twin.minimum() == calculus.minimize_over(
+            twin.objective, twin.feasible_polyhedron())
+        assert twin.minimum().value == Q(-3)
+        assert inst.minimum() is best
+
     def test_checks_share_the_kept_sets(self, count_phase1):
         # counted with the instance's construction: 20 and 13 phase-1 runs
         # when every check rebuilt these sets and solved their emptiness
-        # LPs again
+        # LPs again, 17 when the strong-duality check solved the minimum
+        # that the nonnegativity check had solved
         def primal_existence_duality():
             inst = basic_instance()
             engine.check_primal_criterion(inst)
@@ -480,7 +501,7 @@ class TestKeptSets:
             duality.check_strong_duality(inst)
 
         _, runs = count_phase1(primal_existence_duality)
-        assert runs <= 17
+        assert runs <= 16
         # 11 when a domain-free objective solved the reduced certificate
         # program a second time as the full one
         _, runs = count_phase1(

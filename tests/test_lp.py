@@ -14,14 +14,17 @@ from farkaskit.lp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    _Tableau,
+    minima,
     solve,
     solve_each,
     verify_certificate,
 )
-from farkaskit.rational import NEG_INF, Q, ZERO
+from farkaskit.rational import INF, NEG_INF, Q, ZERO
 from farkaskit.sets import Box
 
-from oracles import brute_force_box_min
+from oracles import (brute_force_box_min, certifies_empty, certifies_optimal,
+                     certifies_unbounded)
 
 
 def _solved(lp):
@@ -411,6 +414,95 @@ def test_solve_each_outcomes_are_independent():
     assert solve_each(lp, []) == []
     with pytest.raises(ValueError):
         solve_each(lp, [[1]])
+
+
+def test_minima_equal_solve_values_and_outcomes_certify():
+    # every sixth draw a mixed-denominator program (its own cost first),
+    # the others shared constraints; each cost list ends with the zero cost
+    # and a repeat of its first cost
+    rng = random.Random(20261019)
+    statuses = set()
+    for k in range(120):
+        if k % 6 == 0:
+            drawn = _mixed_denominator_lp(rng)
+            n, G, h, E, e, nonneg = (drawn.n, drawn.G, drawn.h, drawn.E,
+                                     drawn.e, drawn.nonneg)
+            costs = [drawn.c, [_mixed_fraction(rng) for _ in range(n)]]
+        else:
+            n, G, h, E, e, nonneg, _ = _shared_constraints(rng)
+            costs = [[_small_fraction(rng) for _ in range(n)]
+                     for _ in range(3)]
+        costs += [[ZERO] * n, costs[0]]
+        shared = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e,
+                               nonneg=nonneg)
+        values = minima(shared, costs)
+        assert len(values) == len(costs)
+        for c, value in zip(costs, values):
+            lp = LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg)
+            out = solve(lp)
+            assert verify_certificate(lp, out)
+            if out.status == OPTIMAL:
+                assert certifies_optimal(c, G, h, E, e, nonneg, out.x,
+                                         out.value, out.dual_ineq,
+                                         out.dual_eq)
+                assert value == out.value and type(value) is Q
+            elif out.status == UNBOUNDED:
+                assert certifies_unbounded(c, G, h, E, e, nonneg, out.x,
+                                           out.ray)
+                assert value is NEG_INF
+            else:
+                assert certifies_empty(G, h, E, e, out.farkas_ineq,
+                                       out.farkas_eq, nonneg)
+                assert value is INF
+            statuses.add(out.status)
+    assert statuses == {OPTIMAL, UNBOUNDED, INFEASIBLE}
+
+
+def test_minima_edge_cases(count_phase1, count_pivots):
+    square = LinearProgram(c=[0, 0], G=[[1, 0], [0, 1]], h=[1, 1], E=[],
+                           e=[], nonneg=[True, True])
+    assert count_phase1(minima, square, []) == ([], 0)
+    # a repeated cost: one phase 1, and no phase 2 of its own
+    once = [[-1, 0], [0, -2]]
+    values, runs = count_phase1(minima, square, once + [[-1, 0]])
+    assert values == [Q(-1), Q(-2), Q(-1)] and runs == 1
+    assert (count_pivots(minima, square, once + [[-1, 0]])[1]
+            == count_pivots(minima, square, once)[1])
+    with pytest.raises(ValueError):
+        minima(square, [[1]])
+    ray = LinearProgram(c=[0], G=[[1]], h=[1], E=[], e=[])
+    assert minima(ray, [[1], [-1]]) == [NEG_INF, Q(-1)]
+    infeasible = LinearProgram(c=[0], G=[[1], [-1]], h=[1, -2], E=[], e=[])
+    assert minima(infeasible, [[1], [-1]]) == [INF, INF]
+
+
+def test_tableau_layout_by_hand():
+    # x0 free (columns 0 and 1), x1 nonnegative (column 2); slacks 3 and 4;
+    # artificials on the flipped row (column 5) and the equality row
+    # (column 6); right-hand sides in column 7. Each row is over the lcm of
+    # its denominators: 12 = lcm(2, 3, 4), 10 = lcm(5, 1, 10) and
+    # 24 = lcm(4, 6, 8).
+    lp = LinearProgram(c=[0, 0],
+                       G=[[Q(1, 2), Q(1, 3)], [Q(-2, 5), 1]],
+                       h=[Q(1, 4), Q(-3, 10)],
+                       E=[[Q(3, 4), Q(-1, 6)]], e=[Q(5, 8)],
+                       nonneg=[False, True])
+    tab = _Tableau(lp)
+    assert tab.var_cols == [(0, 1), (2, None)]
+    assert (tab.slack0, tab.nreal, tab.ncols, tab.RHS) == (3, 5, 7, 7)
+    assert tab.sigma == [1, -1, 1] and tab.art_col == [None, 5, 6]
+    assert tab.T == [
+        [6, -6, 4, 12, 0, 0, 0, 3],
+        # -2/5 x0 + x1 + s = -3/10, times -10
+        [4, -4, -10, 0, -10, 10, 0, 3],
+        [18, -18, -4, 0, 0, 0, 24, 15],
+    ]
+    assert tab.D == [12, 10, 24]
+    assert tab.basis == [3, 5, 6]
+    assert all(type(v) is int for row in tab.T for v in row + tab.D)
+    # a phase-2 cost row before elimination: (-1/3, 5/6) over 6
+    assert tab._integer_row([Q(-1, 3), Q(5, 6)], ZERO) == \
+        ([-2, 2, 5, 0, 0, 0, 0, 0], 6)
 
 
 @st.composite

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from farkaskit.rational import Q, ZERO, as_q, dot, mat_vec, transpose_apply
+from farkaskit.rational import (Q, ZERO, as_q, as_q_vector, dot, mat_vec,
+                                transpose_apply)
 
 
 def test_as_q_returns_a_rational_unchanged():
@@ -25,6 +26,23 @@ def test_as_q_converts_ints_strings_and_fractions():
 def test_as_q_rejects_non_rationals(bad, error):
     with pytest.raises(error):
         as_q(bad)
+
+
+def test_as_q_vector_keeps_rationals_and_converts_the_rest():
+    x = Q(3, 7)
+    out = as_q_vector([x, 2, "1/2"])
+    assert out[0] is x and out[1:] == [Q(2), Q(1, 2)]
+    assert all(type(v) is Q for v in out)
+
+
+def test_as_q_bounds_the_digits_of_decimal_literals():
+    # refused before 10 to the exponent is formed: past 4300 digits the
+    # value could not be printed or parsed back
+    assert as_q("1e4299") == Q(10) ** 4299
+    assert as_q(" -2.5E-3 ") == Q(-1, 400)
+    for bad in ("1e4300", "1.5e4298", "1e-99999", "1e" + "9" * 5000):
+        with pytest.raises(ValueError):
+            as_q(bad)
 
 
 def test_dot_and_mat_vec():

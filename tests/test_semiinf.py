@@ -141,6 +141,19 @@ class TestGridChecks:
         assert rep.criterion_holds
         assert rep.details["moment_cone_probes"] > 0
 
+    def test_checks_share_the_embedded_instance(self, count_phase1):
+        g = simple_grid()
+        inst = semiinf.to_instance(g)
+        assert semiinf.to_instance(g) is inst
+        assert inst.matrix == [[1, 0], [1, -1]]
+        assert inst.target.bounds == [(0, 2), (-1, 1)]
+        semiinf.check_grid_dual(g)
+        # after the dual check, the stability check reads the emptiness of
+        # the feasible set meet dom f and the untilted minimum it kept: 38
+        # phase-1 runs on a grid of its own
+        _, runs = count_phase1(semiinf.check_grid_stability, g)
+        assert runs <= 35
+
     def test_certified_grid(self):
         g = GridSystem(
             n=1, rows=[([1], 1, 4)],

@@ -41,7 +41,7 @@ nonneg variables), mu >= 0, h.mu + e.nu < 0.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import InvariantViolation
@@ -355,12 +355,9 @@ class _Tableau:
               for k in range(self.mE)]
         return mu, nu
 
-    def outcome(self, z, d, q, full=True):
+    def outcome(self, z, d, q):
         """Phase 2's result (z, d, q) as an LPOutcome: the optimal point
-        with its duals, or a feasible point with an improving ray; with
-        full=False, only the minimum value (NEG_INF when unbounded)."""
-        if not full:
-            return Q(-z[self.RHS], d) if q is None else NEG_INF
+        with its duals, or a feasible point with an improving ray."""
         if q is None:
             mu, nu = self._duals(z, d, 0)
             return LPOutcome(OPTIMAL, x=self._x(), value=Q(-z[self.RHS], d),
@@ -386,35 +383,23 @@ class _Tableau:
                                    for i, q in enumerate(self.basis)})
 
 
-def _solve(lp: LinearProgram, costs, full=True) -> list:
-    """Per cost, its outcome, or with full=False its minimum value only
-    (INF when infeasible). Phase 1 runs once, and each cost's phase 2 on
-    its own copy of the feasible tableau (the last on the tableau itself)."""
-    if not costs:
-        return []
+def _solve(lp: LinearProgram, costs):
+    """Phase 1, then per cost a phase 2 on its own copy of the feasible
+    tableau (the last on the tableau itself): the tableau, its final
+    phase-1 row (z, d) if lp's constraints are infeasible, else None, and
+    the (tableau, z, d, q) of each phase 2."""
     tab = _Tableau(lp)
     row = tab.phase1()
     if row is not None:
-        if not full:
-            return [INF] * len(costs)
-        # the phase-1 duals, where each artificial costs 1 (d over d), are
-        # a Farkas certificate for the system
-        mu, nu = tab._duals(*row, art=row[1])
-        return [LPOutcome(INFEASIBLE, farkas_ineq=list(mu), farkas_eq=list(nu))
-                for _ in costs]
+        return tab, row, []
     last = len(costs) - 1
     tabs = (tab if k == last else tab.copy() for k in range(len(costs)))
-    return [t.outcome(*t.phase2(c), full) for t, c in zip(tabs, costs)]
+    return tab, None, [(t, *t.phase2(c)) for t, c in zip(tabs, costs)]
 
 
-def solve(lp: LinearProgram) -> LPOutcome:
-    """min lp.c . x over lp's constraints."""
-    return _solve(lp, [lp.c])[0]
-
-
-def _each(lp: LinearProgram, costs, full) -> list:
-    """The `_solve` result of each cost in `costs` (lp.c is not read), one
-    phase 2 per distinct cost: a repeated cost gets the same object."""
+def _each(lp: LinearProgram, costs):
+    """`_solve` of the distinct costs in `costs` (lp.c is not read), and
+    per cost the index of its phase 2."""
     where = {}
     at = []
     for c in costs:
@@ -422,26 +407,28 @@ def _each(lp: LinearProgram, costs, full) -> list:
         if len(c) != lp.n:
             raise ValueError("cost width != number of variables")
         at.append(where.setdefault(c, len(where)))
-    found = _solve(lp, list(where), full)
-    return [found[k] for k in at]
+    return (*_solve(lp, list(where)), at) if where else (None, None, [], [])
+
+
+def solve(lp: LinearProgram) -> LPOutcome:
+    """min lp.c . x over lp's constraints."""
+    return solve_each(lp, [lp.c])[0]
 
 
 def solve_each(lp: LinearProgram, costs) -> list:
     """One outcome per cost vector in `costs`, each equal to `solve` on lp
     with that cost in place of lp.c (which is not read). Phase 1 runs once
-    for all of them and phase 2 once per distinct cost: a repeated cost
-    gets a copy of the outcome of its first occurrence. An infeasible
+    for all of them and phase 2 once per distinct cost; a repeated cost
+    gets its outcome read again, with lists of its own. An infeasible
     system gives its Farkas outcome for every cost."""
-    outs = _each(lp, costs, True)
-    given = set()
-    for k, out in enumerate(outs):
-        if id(out) in given:
-            # lists of its own; the rationals in them are immutable
-            outs[k] = replace(out, **{
-                name: list(v) for name, v in vars(out).items()
-                if isinstance(v, list)})
-        given.add(id(out))
-    return outs
+    tab, row, runs, at = _each(lp, costs)
+    if row is None:
+        return [t.outcome(z, d, q) for t, z, d, q in (runs[k] for k in at)]
+    # the phase-1 duals, where each artificial costs 1 (d over d), are a
+    # Farkas certificate for the system
+    mu, nu = tab._duals(*row, art=row[1])
+    return [LPOutcome(INFEASIBLE, farkas_ineq=list(mu), farkas_eq=list(nu))
+            for _ in at]
 
 
 def minima(lp: LinearProgram, costs) -> list:
@@ -449,7 +436,12 @@ def minima(lp: LinearProgram, costs) -> list:
     read): the `solve` value when it is optimal, NEG_INF when unbounded
     below, INF when the constraints are infeasible. The same phase 1 and
     phase 2 runs as `solve_each`, with no point, ray or multiplier formed."""
-    return _each(lp, costs, False)
+    _, row, runs, at = _each(lp, costs)
+    if row is not None:
+        return [INF] * len(at)
+    values = [NEG_INF if q is not None else Q(-z[t.RHS], d)
+              for t, z, d, q in runs]
+    return [values[k] for k in at]
 
 
 def _point_feasible(lp, x):

@@ -169,8 +169,10 @@ def sweep(problem: ApproxProblem) -> list:
         raise ValueError("no tolerances to sweep")
     rows = [solve_eps(problem, eps) for eps in problem.epsilons]
     for prev, cur in zip(rows, rows[1:]):
-        # NEG_INF orders below every rational and equals only itself
-        if cur.objective > prev.objective:
+        if prev.objective is NEG_INF and cur.objective is not NEG_INF:
+            raise InvariantViolation("frontier objective increased")
+        if cur.objective is not NEG_INF and prev.objective is not NEG_INF \
+                and cur.objective > prev.objective:
             raise InvariantViolation("frontier objective increased")
     return rows
 

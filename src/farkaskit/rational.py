@@ -10,6 +10,7 @@ acceptance tests hold on the Fraction fallback.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 try:
@@ -19,7 +20,6 @@ except ImportError:  # supported fallback: the same exact values, only slower
 
 ZERO = Q(0)
 ONE = Q(1)
-MAX_DIGITS = 4300
 
 _QTYPES = (int, type(Q(0)), Fraction)
 
@@ -74,9 +74,10 @@ def as_q(value):
 
     Floats are rejected on purpose: a float input has already lost the value
     the caller meant, and every consumer here requires exactness. A value
-    that is already a `Q` is returned as it is. A literal whose exponent
-    could take it past MAX_DIGITS digits (Python's bound on integer text)
-    is rejected before 10 to that power is formed.
+    that is already a `Q` is returned as it is. A literal with an exponent
+    is rejected, before 10 to that power is formed, when its numerator or
+    denominator could have more digits than the interpreter's bound on
+    integer text (4300 when that bound is off).
     """
     if type(value) is Q:
         return value
@@ -87,8 +88,11 @@ def as_q(value):
     if isinstance(value, str):
         try:
             mantissa, e, power = value.strip().lower().partition("e")
-            if e and abs(int(power)) + len(mantissa) > MAX_DIGITS:
-                raise ValueError("exponent too large")
+            whole, _, frac = mantissa.partition(".")
+            limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+            if e and len(whole.lstrip("+-0") + frac) + abs(
+                    int(power) - len(frac)) > limit:
+                raise ValueError("too many digits")
             return Q(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc

@@ -352,37 +352,35 @@ def test_stable_check_solves_each_constraint_set_once(count_phase1,
     assert pivots <= 161
 
 
-# Every program recorded here is also one the previous kernel interface
-# received through `lp.solve`; the primal minimum, kept by the instance
-# since the pool solved it, and polyhedral target supports, which read
-# `lp.minima`, no longer reach `lp.solve` (89 and 10 programs fewer).
-OPTIMALITY_PROGRAMS = ("1c688c86f7ac97c9a1d8e9e9a29f309f"
-                       "c3a9fe13847723919fe3970896144884")
+OPTIMALITY_PROGRAMS = ("525573d2942aa63f1518648575ffd2a3"
+                       "2c6571f0cd640230701b79f24d048960")
 
 
 def _optimality_programs():
-    """sha256 over the sorted reprs of every program `lp.solve` receives
-    inside check_optimality, at the minimizer and two sampled feasible
-    points of each feasible instance of the tilt pool, and the kinds of
-    data reached on the way."""
+    """sha256 over the sorted reprs of every program, with its costs, that
+    reaches the kernel (`lp._solve`, behind `solve`, `solve_each` and
+    `minima`) inside check_optimality, at the minimizer and two sampled
+    feasible points of each feasible instance of the tilt pool, and the
+    kinds of data reached on the way."""
     rng = random.Random(707)
     cases, seen = [], set()
     for inst in _tilt_pool():
         if inst.feasible_polyhedron().is_empty():
             continue
         points = instances.sample_feasible_points(inst, rng)
-        primal = duality.solve_primal(inst)
+        # solved on a copy, so that check_optimality poses the primal itself
+        primal = duality.solve_primal(copy.copy(inst))
         if primal.status == OPTIMAL:
             points.insert(0, primal.point)
         cases.append((inst, points))
     programs = []
-    solve = lp.solve
+    solve = lp._solve
 
-    def recording(program):
-        programs.append(repr(program))
-        return solve(program)
+    def recording(program, costs):
+        programs.append(f"{program!r} {costs!r}")
+        return solve(program, costs)
 
-    lp.solve = recording
+    lp._solve = recording
     try:
         for inst, points in cases:
             for point in points:
@@ -393,14 +391,15 @@ def _optimality_programs():
                 if inst.ground.E and inst.target_polyhedron().E:
                     seen.add("equality rows")
     finally:
-        lp.solve = solve
+        lp._solve = solve
     digest = hashlib.sha256("\n".join(sorted(programs)).encode())
     return digest.hexdigest(), seen
 
 
 def test_optimality_programs_match_recorded_hash():
     # pins the rows of the primal, certificate and subdifferential programs
-    # (entries, column order, sign flags), which decide the pivots taken
+    # and their costs (entries, column order, sign flags), which decide the
+    # pivots taken
     digest, seen = _optimality_programs()
     assert seen == {"optimal", "suboptimal", "domain", "equality rows"}
     assert digest == OPTIMALITY_PROGRAMS

@@ -1,5 +1,6 @@
 """Scalar coercion and the shared linear-algebra helpers."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,11 +37,15 @@ def test_as_q_vector_keeps_rationals_and_converts_the_rest():
 
 
 def test_as_q_bounds_the_digits_of_decimal_literals():
-    # refused before 10 to the exponent is formed: past 4300 digits the
-    # value could not be printed or parsed back
-    assert as_q("1e4299") == Q(10) ** 4299
+    # refused before 10 to the exponent is formed: past the interpreter's
+    # bound on integer text the value could not be printed or parsed back
+    limit = sys.get_int_max_str_digits() or 4300
+    assert as_q(f"1e{limit - 1}") == Q(10) ** (limit - 1)
+    assert as_q(f"-001.5e{limit - 1}") == -Q(15) * Q(10) ** (limit - 2)
+    assert as_q(f"1e-{limit - 1}") == Q(1, 10 ** (limit - 1))
     assert as_q(" -2.5E-3 ") == Q(-1, 400)
-    for bad in ("1e4300", "1.5e4298", "1e-99999", "1e" + "9" * 5000):
+    for bad in (f"1e{limit}", f"1.5e{limit}", f"1e-{limit}", "1e-99999",
+                "1e" + "9" * 5000):
         with pytest.raises(ValueError):
             as_q(bad)
 

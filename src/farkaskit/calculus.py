@@ -156,8 +156,9 @@ def multiplier_program(dim: int, pieces, blocks):
     multipliers; with no pieces it bounds the support function of the
     blocks' meet at their summed rows^T mu. A certificate asks
     budget . w <= 0, and the dual program minimizes it. Returns
-    (E, e, budget, nonneg, split); split(w) cuts a solution into theta and
-    one slice per block, its G rows then its E rows."""
+    (program, split): the LP of min budget . w over the equality rows, and
+    split(w), which cuts a solution into theta and one slice per block, its
+    G rows then its E rows."""
     cols = [(a, -b, True) for a, b in pieces]
     for p in blocks:
         cols += [(r, rhs, True) for r, rhs in zip(p.G, p.h)]
@@ -175,8 +176,8 @@ def multiplier_program(dim: int, pieces, blocks):
     def split(w):
         return [w[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    return (E, e, [rhs for _, rhs, _ in cols], [flag for _, _, flag in cols],
-            split)
+    return lp.LinearProgram(c=[rhs for _, rhs, _ in cols], G=[], h=[], E=E,
+                            e=e, nonneg=[flag for _, _, flag in cols]), split
 
 
 def _dual_epigraph(dim: int, pieces, blocks) -> sets.LiftedSet:
@@ -185,14 +186,14 @@ def _dual_epigraph(dim: int, pieces, blocks) -> sets.LiftedSet:
     (max of the pieces + indicator of the blocks' meet)*, or of the meet's
     support function when there are no pieces. Exact by LP duality when
     the meet is nonempty, which callers check."""
-    E, e, budget, nonneg, _ = multiplier_program(dim, pieces, blocks)
+    p, _ = multiplier_program(dim, pieces, blocks)
     eq_z = [[ONE if k == j else ZERO for k in range(dim + 1)]
-            for j in range(dim)] + [[ZERO] * (dim + 1)] * (len(E) - dim)
-    eq_w = [[-v for v in row] for row in E[:dim]] + E[dim:]
-    return sets.LiftedSet(dim=dim + 1, witness_dim=len(budget),
-                          ineq_z=[[ZERO] * dim + [-ONE]], ineq_w=[budget],
-                          ineq_rhs=[ZERO], eq_z=eq_z, eq_w=eq_w, eq_rhs=e,
-                          witness_nonneg=nonneg)
+            for j in range(dim)] + [[ZERO] * (dim + 1)] * (len(p.E) - dim)
+    eq_w = [[-v for v in row] for row in p.E[:dim]] + p.E[dim:]
+    return sets.LiftedSet(dim=dim + 1, witness_dim=p.n,
+                          ineq_z=[[ZERO] * dim + [-ONE]], ineq_w=[p.c],
+                          ineq_rhs=[ZERO], eq_z=eq_z, eq_w=eq_w, eq_rhs=p.e,
+                          witness_nonneg=p.nonneg)
 
 
 def support_epigraph(p) -> sets.LiftedSet:

@@ -19,7 +19,6 @@ from .calculus import PiecewiseAffine
 from .engine import FarkasInstance
 from .errors import InputFormatError, InvariantViolation
 from .rational import as_q, scalar_text
-from .semiinf import GridSystem
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -53,18 +52,13 @@ def _q_matrix(rows, where: str):
     return [_q_vector(r, where) for r in rows]
 
 
-def _polyhedron(block, dim: int | None, where: str) -> sets.Polyhedron:
+def _polyhedron(block, dim: int, where: str) -> sets.Polyhedron:
     if not isinstance(block, dict):
         _fail(f"{where}: expected an object with G/h/E/e")
     G = _q_matrix(block.get("G", []), f"{where}.G")
     h = _q_vector(block.get("h", []), f"{where}.h")
     E = _q_matrix(block.get("E", []), f"{where}.E")
     e = _q_vector(block.get("e", []), f"{where}.e")
-    if dim is None:
-        widths = [len(r) for r in G + E]
-        if not widths:
-            _fail(f"{where}: cannot infer dimension from an empty block")
-        dim = widths[0]
     try:
         return sets.Polyhedron(dim=dim, G=G, h=h, E=E, e=e)
     except ValueError as exc:
@@ -140,7 +134,7 @@ def load_instance(doc: dict) -> FarkasInstance:
         _fail(f"inconsistent instance: {exc}")
 
 
-def load_grid(doc: dict) -> GridSystem:
+def load_grid(doc: dict) -> FarkasInstance:
     if "grid" not in doc or "f" not in doc:
         _fail("grid instances need keys 'grid' and 'f'")
     block = doc["grid"]
@@ -158,7 +152,7 @@ def load_grid(doc: dict) -> GridSystem:
     ground = sets.whole_space_polyhedron(n) if "C" not in doc \
         else _polyhedron(doc["C"], n, "C")
     try:
-        return GridSystem(n=n, rows=rows, ground=ground, objective=objective)
+        return semiinf.grid(rows, ground, objective)
     except ValueError as exc:
         _fail(f"inconsistent grid: {exc}")
 
@@ -505,18 +499,16 @@ def semiinf_cmd(path, mode, as_json):
     """Finite-grid checks: 7-8 split certificate, 7-9 single multiplier,
     9-10 dual criterion plus tilt stability."""
     def body():
-        system = load_grid(load_document(path))
+        inst = load_grid(load_document(path))
         seed = _seed()
-        if mode == "7-8":
-            rep = semiinf.check_grid_primal(system)
+        if mode != "9-10":
+            check = (engine.check_primal_criterion if mode == "7-8"
+                     else engine.check_reduced_criterion)
+            rep = check(inst)
             _emit(as_json, {"mode": mode, "report": rep}, _check_lines(rep))
             return EXIT_OK
-        if mode == "7-9":
-            rep = semiinf.check_grid_reduced(system)
-            _emit(as_json, {"mode": mode, "report": rep}, _check_lines(rep))
-            return EXIT_OK
-        rep = semiinf.check_grid_dual(system, seed=seed)
-        stab = semiinf.check_grid_stability(system, seed=seed)
+        rep = semiinf.check_grid_dual(inst, seed=seed)
+        stab = duality.check_stability(inst, seed=seed)
         lines = _check_lines(rep)
         lines.append(f"stability: {stab.tilts_checked} tilts, "
                      f"all equivalences held: {_yes(stab.all_equivalent)}")

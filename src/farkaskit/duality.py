@@ -5,12 +5,12 @@ target's preimage. Its Lagrangian dual maximizes
 
     -( f*(u) + sigma_ground(v) + sigma_target(lam) )
 
-over the linked triples u + v = -map^T lam. That is the program of the full
-certificate search in `engine`, `calculus.multiplier_program` over the
-blocks dom f, ground and the target's preimage (one linear program over the
-multipliers of the polyhedral epigraphs of f*, sigma_ground and
-sigma_target), with its budget row as the cost to minimize. Weak duality always bounds the
-dual value by the primal one and is asserted on every solve. Strong duality
+over the linked triples u + v = -map^T lam. That is `engine.full_program`,
+the program of the full certificate search: `calculus.multiplier_program`
+over the blocks dom f, ground and the target's preimage (one linear program
+over the multipliers of the polyhedral epigraphs of f*, sigma_ground and
+sigma_target), which minimizes its budget row. Weak duality always bounds
+the dual value by the primal one and is asserted on every solve. Strong duality
 (dual attainment at the primal value) is governed by the same closedness
 criterion as the dual Farkas characterization; with polyhedral data the
 criterion set is closed, so whenever the primal value is not +infinity the
@@ -36,7 +36,7 @@ the certificate of each tilt are read off the shift's two values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import calculus, engine, lp, sets
 from .engine import FarkasInstance
@@ -86,23 +86,14 @@ class DualSolution:
     lam: list | None = None
 
 
-def dual_program(inst: FarkasInstance):
-    """The full certificate program of `engine`, with its budget row as the
-    cost to minimize. Returns the LP plus the extractor for (u, lam)."""
-    E, e, cost, nonneg, extract = engine._full_program(inst)
-    return lp.LinearProgram(c=cost, G=[], h=[], E=E, e=e, nonneg=nonneg), \
-        extract
-
-
 def _solve_duals(inst: FarkasInstance, shifts) -> list:
-    """Steps 1 and 2 of the dual of each tilt f - shift . x: the multiplier
-    program of `engine`, with its budget row as the cost to minimize, one
-    LP per tilt; then the linked triples of the optimal ones with their
-    values, in one batch. Returns (outcome, engine.Certificate or None) per
-    tilt, unchecked."""
+    """Steps 1 and 2 of the dual of each tilt f - shift . x: its
+    `engine.full_program`, one LP per tilt; then the linked triples of the
+    optimal ones with their values, in one batch. Returns (outcome,
+    engine.Certificate or None) per tilt, unchecked."""
     outs, found = [], []
     for shift in shifts:
-        program, extract = dual_program(inst.tilted(shift))
+        program, extract = engine.full_program(inst.tilted(shift))
         out = lp.solve(program)
         outs.append(out)
         found.append(extract(out.x) if out.status == OPTIMAL else None)
@@ -239,12 +230,11 @@ def _subdifferential_route(inst: FarkasInstance, point, fx) -> bool:
     f = inst.objective
     active = [(a, b) for a, b in zip(f.slopes, f.offsets)
               if dot(a, point) + b == fx]
-    E, e, _, nonneg, _ = calculus.multiplier_program(
+    program, _ = calculus.multiplier_program(
         inst.n, active, [p.active_at(point) for p in
                          (inst.domain(), inst.ground,
                           inst.preimage_polyhedron())])
-    out = lp.solve(lp.LinearProgram(c=[ZERO] * len(nonneg), G=[], h=[],
-                                    E=E, e=e, nonneg=nonneg))
+    out = lp.solve(replace(program, c=[ZERO] * program.n))
     return out.status != INFEASIBLE
 
 

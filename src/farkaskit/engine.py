@@ -325,12 +325,14 @@ def _validate_certificate(inst: FarkasInstance, cert: Certificate):
         raise InvariantViolation("certificate value budget exceeded")
 
 
-def _full_program(inst: FarkasInstance):
-    """The program of the full triple: blocks dom f, ground and the
-    preimage of target. Returns (E, e, budget, nonneg, extract), where
-    extract(w) gives (u, lam)."""
+def full_program(inst: FarkasInstance):
+    """The multiplier program of the full triple, over the blocks dom f,
+    ground and the preimage of target, minimizing its budget row: the dual
+    program of `duality` and `polyapprox`, and with `_within_budget` the
+    certificate search. Returns (program, extract), where extract(w) gives
+    (u, lam)."""
     f, dom, t = inst.objective, inst.domain(), inst.target_polyhedron()
-    E, e, budget, nonneg, split = calculus.multiplier_program(
+    program, split = calculus.multiplier_program(
         inst.n, list(zip(f.slopes, f.offsets)),
         [dom, inst.ground, inst.preimage_polyhedron()])
 
@@ -340,7 +342,14 @@ def _full_program(inst: FarkasInstance):
                                 inst.n),
                 transpose_apply(t.G + t.E, mu_t, inst.m))
 
-    return E, e, budget, nonneg, extract
+    return program, extract
+
+
+def _within_budget(program: lp.LinearProgram) -> lp.LPOutcome:
+    """A multiplier program's rows plus its budget row budget . w <= 0,
+    solved with cost 0: whether multipliers within the budget exist."""
+    return lp.solve(replace(program, c=[ZERO] * program.n,
+                            G=program.G + [program.c], h=program.h + [ZERO]))
 
 
 def _certificates(inst: FarkasInstance, shifts, found) -> list:
@@ -371,9 +380,8 @@ def find_certificate(inst: FarkasInstance) -> Certificate | None:
     """Search for (u, v, lam) with f*(u) + sigma_ground(v) +
     sigma_target(lam) <= 0 and u + v = -map^T lam, as one feasibility LP
     over the dual representations of all three epigraphs."""
-    E, e, budget, nonneg, extract = _full_program(inst)
-    out = lp.solve(lp.LinearProgram(c=[ZERO] * len(budget), G=[budget],
-                                    h=[ZERO], E=E, e=e, nonneg=nonneg))
+    program, extract = full_program(inst)
+    out = _within_budget(program)
     if out.status == lp.INFEASIBLE:
         return None
     cert, = _certificates(inst, [[ZERO] * inst.n], [extract(out.x)])
@@ -406,11 +414,10 @@ def find_reduced_certificate(inst: FarkasInstance) -> ReducedCertificate | None:
         return ReducedCertificate(lam=lam, restricted_conjugate=NEG_INF,
                                   target_support=inst.target_support(lam))
     f = inst.objective
-    E, e, budget, nonneg, split = calculus.multiplier_program(
+    program, split = calculus.multiplier_program(
         inst.n, list(zip(f.slopes, f.offsets)),
         [meet, inst.preimage_polyhedron()])
-    out = lp.solve(lp.LinearProgram(c=[ZERO] * len(budget), G=[budget],
-                                    h=[ZERO], E=E, e=e, nonneg=nonneg))
+    out = _within_budget(program)
     if out.status == lp.INFEASIBLE:
         return None
     _, _, mu_t = split(out.x)

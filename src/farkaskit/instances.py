@@ -8,12 +8,11 @@ scale on purpose: the point is exact cross-checking, not throughput.
 
 import random
 
-from . import calculus, sets
+from . import calculus, semiinf, sets
 from .calculus import PiecewiseAffine
 from .engine import FarkasInstance
 from .lp import LinearProgram
 from .rational import ONE, Q, ZERO, mat_vec
-from .semiinf import GridSystem
 
 
 def _rint(rng: random.Random, lo: int = -3, hi: int = 3):
@@ -132,7 +131,7 @@ def random_infeasible_instance(rng: random.Random) -> FarkasInstance:
         objective=random_objective(rng, n, anchor))
 
 
-def random_grid(rng: random.Random) -> GridSystem:
+def random_grid(rng: random.Random) -> FarkasInstance:
     """A finite two-sided inequality grid (n <= 4, at most 6 rows) over a
     free or box ground set."""
     n = rng.randint(1, 4)
@@ -148,8 +147,8 @@ def random_grid(rng: random.Random) -> GridSystem:
     else:
         center = [Q(rng.randint(-2, 2)) for _ in range(n)]
         ground = sets.Box(_box_around(rng, center, 3)).to_polyhedron()
-    return GridSystem(n=n, rows=rows, ground=ground,
-                      objective=random_objective(rng, n, allow_domain=False))
+    return semiinf.grid(rows, ground,
+                        random_objective(rng, n, allow_domain=False))
 
 
 def random_concave_instance(rng: random.Random) -> FarkasInstance:

@@ -143,7 +143,8 @@ class _Tableau:
     objective row after them (row m): the phase-1 row while phase 1 runs,
     then the reduced costs of one cost vector in phase 2. Row i holds the
     values T[i][j] / D[i]: integer numerators with the right-hand side as
-    entry RHS, over one positive denominator sharing no factor with them."""
+    entry RHS, over one positive denominator sharing no factor with them.
+    A constraint row's numerator at its basic column is D[i] itself."""
 
     def __init__(self, lp: LinearProgram):
         self.mG = mG = len(lp.G)
@@ -230,10 +231,8 @@ class _Tableau:
         if p < 0:
             rowr = [-v for v in rowr]
             p = -p
-        g = gcd(*rowr)
-        if g > 1:
-            rowr = [v // g for v in rowr]
-            p //= g
+        # the numerators share no factor: their gcd divides the basic
+        # column's entry D[r], and D[r] shares none with them
         T[r] = rowr
         D[r] = p
         # Rows with a zero in column q are left unchanged by the elimination,

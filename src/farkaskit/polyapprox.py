@@ -7,9 +7,9 @@ tolerance eps caps the overshoot:
 
     g(t) <= sum_i x_i t^{i-1} <= g(t) + eps     at every grid node.
 
-Each tolerance is one instance of the grid machinery: Vandermonde rows,
-interval bounds [g, g + eps], free ground space. Whether any polynomial
-fits the band is decided first, on that grid system, by the exchange
+Each tolerance is one grid (`semiinf.grid`): Vandermonde rows, interval
+bounds [g, g + eps], free ground space. Whether any polynomial fits the
+band is decided first, on that grid, by the exchange
 method of `semiinf.band_point` (a few rows solved at a time, the answer
 certified against every node) and by the moment cone probe, which must
 agree. Solving works on the dual
@@ -30,11 +30,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from . import duality, lp, semiinf, sets
+from . import engine, lp, semiinf, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
 from .rational import NEG_INF, ONE, Q, ZERO, as_q, as_q_vector, dot, q_str
-from .semiinf import GridSystem, SignedMultiplier
+from .semiinf import SignedMultiplier
 from .sets import whole_space_polyhedron
 
 
@@ -84,31 +84,33 @@ class ApproxProblem:
         return [Q(1, i) for i in range(1, self.degree_bound + 1)]
 
 
-def to_grid(problem: ApproxProblem, epsilon) -> GridSystem:
+def to_grid(problem: ApproxProblem, epsilon) -> engine.FarkasInstance:
     epsilon = as_q(epsilon)
-    return GridSystem(
-        n=problem.degree_bound,
-        rows=[(problem.vandermonde_row(t), g, g + epsilon)
-              for t, g in zip(problem.nodes, problem.values)],
-        ground=whole_space_polyhedron(problem.degree_bound),
-        objective=PiecewiseAffine(dim=problem.degree_bound,
-                                  slopes=[problem.objective_slope()],
-                                  offsets=[ZERO]))
+    return semiinf.grid(
+        [(problem.vandermonde_row(t), g, g + epsilon)
+         for t, g in zip(problem.nodes, problem.values)],
+        whole_space_polyhedron(problem.degree_bound),
+        PiecewiseAffine(dim=problem.degree_bound,
+                        slopes=[problem.objective_slope()], offsets=[ZERO]))
 
 
-def check_consistency(problem: ApproxProblem, epsilon) -> bool:
-    """Whether some polynomial fits the eps band, decided by the exchange
-    method (`semiinf.band_point`) and by the depth probe against the
-    moment cone, both on one grid system; the two must agree."""
-    system = to_grid(problem, epsilon)
-    direct = semiinf.band_point(system) is not None
-    probe_escapes = not sets.member(
-        semiinf.lifted_moment_cone(system),
-        [ZERO] * problem.degree_bound + [-ONE])
+def _consistent(inst: engine.FarkasInstance) -> bool:
+    """Whether some polynomial fits the band of the grid, decided by the
+    exchange method (`semiinf.band_point`) and by the depth probe against
+    the moment cone; the two must agree."""
+    direct = semiinf.band_point(inst) is not None
+    probe_escapes = not sets.member(semiinf.lifted_moment_cone(inst),
+                                    [ZERO] * inst.n + [-ONE])
     if direct != probe_escapes:
         raise InvariantViolation(
             "exchange method and the moment cone probe disagree")
     return direct
+
+
+def check_consistency(problem: ApproxProblem, epsilon) -> bool:
+    """Whether some polynomial fits the eps band, decided on its grid by
+    the exchange method and the moment cone probe, which must agree."""
+    return _consistent(to_grid(problem, epsilon))
 
 
 @dataclass
@@ -123,10 +125,10 @@ def solve_eps(problem: ApproxProblem, epsilon) -> FrontierRow:
     """Best objective at one tolerance, with the certifying multipliers.
     Raises ValueError when no polynomial fits the band."""
     epsilon = as_q(epsilon)
-    if not check_consistency(problem, epsilon):
+    inst = to_grid(problem, epsilon)
+    if not _consistent(inst):
         raise ValueError(f"no polynomial fits the band at {epsilon}")
-    inst = semiinf.to_instance(to_grid(problem, epsilon))
-    program, extract = duality.dual_program(inst)
+    program, extract = engine.full_program(inst)
     out = lp.solve(program)
     if out.status == lp.INFEASIBLE:
         # no multiplier satisfies the moment conditions, so nothing bounds

@@ -11,6 +11,7 @@ acceptance tests hold on the Fraction fallback.
 from __future__ import annotations
 
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 try:
@@ -102,8 +103,14 @@ def as_q(value):
 
 
 def q_str(x) -> str:
-    """Canonical 'p/q' (or plain integer) text form, round-trippable by as_q."""
-    return str(x)
+    """Canonical 'p/q' (or plain integer) text form, of any length: the
+    digits come from `Decimal`, which the interpreter's bound on integer
+    text does not limit. It round-trips through as_q only while numerator
+    and denominator stay within that bound."""
+    num = str(Decimal(int(x.numerator)))
+    if x.denominator == 1:
+        return num
+    return f"{num}/{Decimal(int(x.denominator))}"
 
 
 def scalar_text(x) -> str:

@@ -1,18 +1,19 @@
 """Finite grids of two-sided linear constraints alpha_t <= <a_t, x> <= beta_t.
 
-A grid system is the specialization of a Farkas instance where the map rows
-are the functionals a_t and the target is the box prod [alpha_t, beta_t].
-That box is compact, so every multiplier has finite support value, computed
-in closed form from the canonical split lam = plus - minus:
+A grid is a Farkas instance whose map rows are the functionals a_t and
+whose target is the box prod [alpha_t, beta_t]; `grid` builds it, and the
+generic checks of `engine` and `duality` take it as it is. That box is
+compact, so every multiplier has finite support value, computed in closed
+form from the canonical split lam = plus - minus:
 
     sigma(lam) = sum_t (plus_t * beta_t - minus_t * alpha_t).
 
 The grid also carries its moment cone, generated by (a_t, beta_t) and
 (-a_t, -alpha_t): it is sandwiched between the multiplier graph and the
 graph plus vertical rays, and adding the verticals makes the two coincide.
-check_moment_sandwich verifies that sandwich computationally; the three
-check_grid_* entry points delegate to the generic engine checks on the
-embedded instance.
+check_moment_sandwich verifies that sandwich computationally, and
+check_grid_dual adds the moment-cone form of the certificate cone to the
+generic dual criterion.
 
 Whether the band {x in ground : alpha_t <= <a_t, x> <= beta_t for all t} is
 nonempty is decided by an exchange (cutting-plane) method, the classic one
@@ -30,72 +31,31 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from . import calculus, duality, engine, lp, sets
+from . import calculus, engine, lp, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
-from .rational import ONE, Q, ZERO, as_q, as_q_vector, dot
-from .sets import Box, Polyhedron, kept
+from .rational import ONE, Q, ZERO, as_q_vector
+from .sets import Box, Polyhedron
 
 
-@dataclass
-class GridRow:
-    functional: list
-    lower: object
-    upper: object
-
-    def __post_init__(self):
-        self.functional = as_q_vector(self.functional)
-        self.lower = as_q(self.lower)
-        self.upper = as_q(self.upper)
-        if self.lower > self.upper:
-            raise ValueError("grid row with lower bound above upper bound")
-
-
-@dataclass
-class GridSystem:
-    """n variables, one GridRow per grid node, a ground polyhedron, and the
-    tested function."""
-
-    n: int
-    rows: list
-    ground: Polyhedron
-    objective: PiecewiseAffine
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("grid needs at least one row")
-        self.rows = [r if isinstance(r, GridRow) else GridRow(*r)
-                     for r in self.rows]
-        for r in self.rows:
-            if len(r.functional) != self.n:
-                raise ValueError("grid row width != variable count")
-        if self.ground.dim != self.n or self.objective.dim != self.n:
-            raise ValueError("ground or objective dimension mismatch")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-
-@kept
-def to_instance(system: GridSystem) -> engine.FarkasInstance:
-    """The grid as a generic instance: rows become the map, the interval
-    bounds become a box target. Built on the first call and kept in the
-    grid, with what the instance keeps, for every later check of it, so the
-    rows must not change."""
+def grid(rows, ground: Polyhedron,
+         objective: PiecewiseAffine) -> engine.FarkasInstance:
+    """The grid of rows (a_t, alpha_t, beta_t), one per node, over the
+    ground set: the instance with map rows a_t and the box target
+    prod [alpha_t, beta_t]. At least one row is required."""
+    if not rows:
+        raise ValueError("grid needs at least one row")
     return engine.FarkasInstance(
-        ground=system.ground,
-        matrix=[r.functional for r in system.rows],
-        target=Box([(r.lower, r.upper) for r in system.rows]),
-        objective=system.objective)
+        ground=ground, matrix=[a for a, _, _ in rows],
+        target=Box([(lo, hi) for _, lo, hi in rows]), objective=objective)
 
 
-def _integer_rows(system: GridSystem):
+def _integer_rows(inst: engine.FarkasInstance):
     """Per node, (A, L, H, s): the row alpha <= a . x <= beta times the lcm
     s of its denominators, so that A, L and H are integers."""
     out = []
-    for r in system.rows:
-        data = r.functional + [r.lower, r.upper]
+    for a, (lo, hi) in zip(inst.matrix, inst.target.bounds):
+        data = a + [lo, hi]
         s = lcm(*[v.denominator for v in data])
         ints = [int(v.numerator * (s // v.denominator)) for v in data]
         out.append((ints[:-2], ints[-2], ints[-1], s))
@@ -125,27 +85,38 @@ def _most_violated(rows, x):
     return best
 
 
-def band_point(system: GridSystem):
+def band_point(inst: engine.FarkasInstance):
     """A point of {x in ground : lower_t <= a_t . x <= upper_t at every
     node}, or None when that band is empty, by the exchange method.
 
     The working set starts empty, and the ground's rows are in it at every
-    round. Each round solves the working rows (cost 0) and adds the band
-    row the solution violates most. A new row joins each round, so at most
-    2N rounds run; a few more than n is typical. The answer is certified
-    against the whole system: a point by substitution into every node and
-    the ground, an empty band by the working set's Farkas vector, padded
-    with zeros to all rows, through `lp.verify_certificate`. A failed
-    check raises InvariantViolation."""
-    n = system.n
-    full = system.ground.intersect(Box(
-        [(r.lower, r.upper) for r in system.rows]).pullback(
-        [r.functional for r in system.rows], n))
-    first = len(system.ground.G)
-    rows = _integer_rows(system)
+    round. Each round takes a solution of the working rows (cost 0) and
+    adds the band row it violates most; the first round's rows are the
+    ground's alone, so its solution is the ground's kept point, from that
+    same LP, solved when the instance checked the ground. A new row joins
+    each round, so at most 2N rounds run; a few more than n is typical. The
+    answer is certified against the whole system: a point by substitution
+    into every node and the ground, an empty band by the working set's
+    Farkas vector, padded with zeros to all rows, through
+    `lp.verify_certificate`. A failed check raises InvariantViolation."""
+    n = inst.n
+    full = inst.feasible_polyhedron()
+    first = len(inst.ground.G)
+    rows = _integer_rows(inst)
     working = []
+    x = inst.ground.a_point()
     while True:
-        active = list(range(first)) + [first + k for k in working]
+        k = _most_violated(rows, x)
+        if k is None:
+            if not (inst.ground.contains(x)
+                    and inst.target.contains(inst.apply(x))):
+                raise InvariantViolation(
+                    "exchange point misses a row of the band")
+            return x
+        if k in working:
+            raise InvariantViolation("working-set solution violates its rows")
+        working.append(k)
+        active = list(range(first)) + [first + j for j in working]
         out = lp.solve(lp.LinearProgram(
             c=[ZERO] * n, G=[full.G[i] for i in active],
             h=[full.h[i] for i in active], E=full.E, e=full.e))
@@ -161,17 +132,6 @@ def band_point(system: GridSystem):
                     "working-set Farkas vector does not certify the band")
             return None
         x = out.x
-        k = _most_violated(rows, x)
-        if k is None:
-            if not (system.ground.contains(x) and all(
-                    r.lower <= dot(r.functional, x) <= r.upper
-                    for r in system.rows)):
-                raise InvariantViolation(
-                    "exchange point misses a row of the band")
-            return x
-        if k in working:
-            raise InvariantViolation("working-set solution violates its rows")
-        working.append(k)
 
 
 @dataclass
@@ -206,42 +166,43 @@ def decompose(lam) -> SignedMultiplier:
     return SignedMultiplier(plus=plus, minus=minus)
 
 
-def box_support(system: GridSystem, multiplier: SignedMultiplier):
+def box_support(inst: engine.FarkasInstance, multiplier: SignedMultiplier):
     """sigma of the grid's box target at the multiplier, in closed form.
     Always finite: the box is compact, so its barrier cone is everything."""
-    if len(multiplier.plus) != system.size:
+    if len(multiplier.plus) != inst.m:
         raise ValueError("multiplier length != grid size")
     total = ZERO
-    for p, m, row in zip(multiplier.plus, multiplier.minus, system.rows):
-        total += p * row.upper - m * row.lower
+    for p, m, (lo, hi) in zip(multiplier.plus, multiplier.minus,
+                              inst.target.bounds):
+        total += p * hi - m * lo
     return total
 
 
-def moment_cone(system: GridSystem) -> sets.GeneratedSet:
+def moment_cone(inst: engine.FarkasInstance) -> sets.GeneratedSet:
     """cone of {(a_t, beta_t)} and {(-a_t, -alpha_t)} in R^{n+1}."""
     rays = []
-    for r in system.rows:
-        rays.append(list(r.functional) + [r.upper])
-        rays.append([-v for v in r.functional] + [-r.lower])
-    return sets.GeneratedSet(dim=system.n + 1,
-                             points=[[ZERO] * (system.n + 1)], rays=rays)
+    for a, (lo, hi) in zip(inst.matrix, inst.target.bounds):
+        rays.append(list(a) + [hi])
+        rays.append([-v for v in a] + [-lo])
+    return sets.GeneratedSet(dim=inst.n + 1,
+                             points=[[ZERO] * (inst.n + 1)], rays=rays)
 
 
-def lifted_moment_cone(system: GridSystem) -> sets.LiftedSet:
+def lifted_moment_cone(inst: engine.FarkasInstance) -> sets.LiftedSet:
     """The moment cone plus the vertical ray (0, 1), as a lifted set: the
     form that coincides with the multiplier cone."""
-    cone = moment_cone(system)
+    cone = moment_cone(inst)
     return sets.as_lifted(sets.GeneratedSet(
-        dim=system.n + 1, points=cone.points,
-        rays=cone.rays + [[ZERO] * system.n + [ONE]]))
+        dim=inst.n + 1, points=cone.points,
+        rays=cone.rays + [[ZERO] * inst.n + [ONE]]))
 
 
-def grid_certificate_cone(system: GridSystem) -> sets.LiftedSet:
+def grid_certificate_cone(inst: engine.FarkasInstance) -> sets.LiftedSet:
     """Moment cone plus the ground support epigraph: the grid-shaped form
     of the certificate cone (the epigraph's vertical rays absorb the gap
     between the moment cone and the multiplier graph)."""
-    return sets.minkowski_sum(sets.as_lifted(moment_cone(system)),
-                              calculus.support_epigraph(system.ground))
+    return sets.minkowski_sum(sets.as_lifted(moment_cone(inst)),
+                              calculus.support_epigraph(inst.ground))
 
 
 @dataclass
@@ -252,31 +213,30 @@ class SandwichReport:
     verdict: str = "consistent"
 
 
-def check_moment_sandwich(system: GridSystem, n_random: int = 20,
+def check_moment_sandwich(inst: engine.FarkasInstance, n_random: int = 20,
                           seed: int = 0) -> SandwichReport:
     """Verify the moment cone sandwich on the grid: every generator is a
     multiplier graph point (unit multipliers realize it with exact support
     value), every sampled multiplier graph point lies in the moment cone
     once vertical rays are added, and the two cones then have identical
     supports along the probe grid."""
-    inst = to_instance(system)
     mult_cone = engine.multiplier_cone(inst)
-    for t, row in enumerate(system.rows):
-        for sign, val in ((ONE, row.upper), (-ONE, row.lower)):
-            lam = [ZERO] * system.size
+    for t, (a, (lo, hi)) in enumerate(zip(inst.matrix, inst.target.bounds)):
+        for sign, val in ((ONE, hi), (-ONE, lo)):
+            lam = [ZERO] * inst.m
             lam[t] = sign
             sm = decompose(lam)
-            sup = box_support(system, sm)
+            sup = box_support(inst, sm)
             if sup != sign * val:
                 raise InvariantViolation(
                     "unit multiplier support differs from its bound")
-            gen = [sign * v for v in row.functional] + [sup]
+            gen = [sign * v for v in a] + [sup]
             if not sets.member(mult_cone, gen):
                 raise InvariantViolation(
                     "moment cone generator escapes the multiplier cone")
-    n_vert = lifted_moment_cone(system)
+    n_vert = lifted_moment_cone(inst)
     rng = random.Random(seed)
-    lams = [[Q(rng.randint(-3, 3)) for _ in range(system.size)]
+    lams = [[Q(rng.randint(-3, 3)) for _ in range(inst.m)]
             for _ in range(n_random)]
     # LPs over the box's rows: inst.target_support is box_support's closed
     # form again, so it could not catch a wrong one
@@ -284,7 +244,7 @@ def check_moment_sandwich(system: GridSystem, n_random: int = 20,
     for lam, lp_sup in zip(lams, lp_sups):
         sm = decompose(lam)
         assert sm.value() == as_q_vector(lam)
-        sup = box_support(system, sm)
+        sup = box_support(inst, sm)
         if sup != lp_sup:
             raise InvariantViolation(
                 "closed-form box support differs from the LP value")
@@ -292,44 +252,24 @@ def check_moment_sandwich(system: GridSystem, n_random: int = 20,
         if not sets.member(n_vert, graph):
             raise InvariantViolation(
                 "multiplier graph point escapes the lifted moment cone")
-    dirs = sets.probe_directions(system.n + 1, n_random=min(n_random, 10),
+    dirs = sets.probe_directions(inst.n + 1, n_random=min(n_random, 10),
                                  seed=seed + 1)
     sets.require_equal_supports(n_vert, mult_cone, dirs,
                                 "moment cone vs multiplier cone")
-    return SandwichReport(generators_checked=2 * system.size,
+    return SandwichReport(generators_checked=2 * inst.m,
                           graph_points_checked=n_random,
                           probe_directions=len(dirs))
 
 
-def check_grid_primal(system: GridSystem) -> engine.CheckReport:
-    """First criterion on the embedded instance (no extra hypothesis)."""
-    return engine.check_primal_criterion(to_instance(system))
-
-
-def check_grid_reduced(system: GridSystem) -> engine.CheckReport:
-    """Second criterion on the embedded instance; the ground set must meet
-    the objective's domain."""
-    return engine.check_reduced_criterion(to_instance(system))
-
-
-def check_grid_dual(system: GridSystem, n_random: int = 8,
+def check_grid_dual(inst: engine.FarkasInstance, n_random: int = 8,
                     seed: int = 0) -> engine.CheckReport:
-    """Third criterion on the embedded instance, plus the grid-specific
-    identity that the moment-cone form of the certificate cone matches the
-    generic one. Needs a feasible point inside the objective's domain."""
-    inst = to_instance(system)
+    """Third criterion on the grid, plus the grid-specific identity that
+    the moment-cone form of the certificate cone matches the generic one.
+    Needs a feasible point inside the objective's domain."""
     rep = engine.check_dual_criterion(inst, n_random=n_random, seed=seed)
-    dirs = sets.probe_directions(system.n + 1, n_random=n_random, seed=seed)
+    dirs = sets.probe_directions(inst.n + 1, n_random=n_random, seed=seed)
     sets.require_equal_supports(
-        grid_certificate_cone(system), engine.certificate_cone(inst), dirs,
+        grid_certificate_cone(inst), engine.certificate_cone(inst), dirs,
         "grid certificate cone vs generic certificate cone")
     rep.details["moment_cone_probes"] = len(dirs)
     return rep
-
-
-def check_grid_stability(system: GridSystem, tilts=None,
-                         seed: int = 0) -> duality.StabilityReport:
-    """Stable criterion on the embedded instance (same hypothesis as the
-    dual check), read off the strong-duality pass over its shifts."""
-    return duality.check_stability(to_instance(system), tilts=tilts,
-                                   seed=seed)

@@ -144,10 +144,9 @@ def test_criterion_6_moment_cone_sandwich_and_box_support(capsys):
         for k in range(30):
             grid = instances.random_grid(rng)
             semiinf.check_moment_sandwich(grid, n_random=20, seed=SEED + k)
-            box = semiinf.to_instance(grid).target
-            lifted = box.to_polyhedron().to_lifted()
+            lifted = grid.target.to_polyhedron().to_lifted()
             for _ in range(100):
-                lam = [Q(rng.randint(-4, 4)) for _ in range(grid.size)]
+                lam = [Q(rng.randint(-4, 4)) for _ in range(grid.m)]
                 closed = semiinf.box_support(grid, semiinf.decompose(lam))
                 assert closed == sets.support(lifted, lam), \
                     f"grid {k}: closed form vs LP support at {lam}"

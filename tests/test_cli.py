@@ -5,7 +5,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from farkaskit import cli
+from farkaskit import cli, engine
+from farkaskit.rational import ZERO
 
 ALL_HOLDS = {
     "f": {"slopes": [[1, 1]], "offsets": [0]},
@@ -19,6 +20,19 @@ INFEASIBLE = {
     "C": {"G": [], "h": []},
     "A": [[0]],
     "D": {"box": [[1, 1]]},
+}
+
+DOMAIN = dict(ALL_HOLDS, f={"slopes": [[1, 1]], "offsets": [0],
+                            "domain": {"G": [[1, 0]], "h": ["1/2"]}})
+
+POLY_TARGET = dict(ALL_HOLDS, D={"G": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                 "h": [1, 1, 0, 0], "E": [[1, -1]],
+                                 "e": [0]})
+
+UNBOUNDED = {
+    "f": {"slopes": [[1]], "offsets": [0]},
+    "A": [[0]],
+    "D": {"box": [[0, 0]]},
 }
 
 GRID = {
@@ -82,6 +96,18 @@ class TestCheck:
         assert doc["report"]["criterion_holds"] is True
         assert doc["report"]["nonnegativity"]["minimum"] == "0"
 
+    def test_forced_identity_alarm_exits_3(self, runner, tmp_path,
+                                           monkeypatch):
+        # a nonnegativity verdict that contradicts the depth probe
+        monkeypatch.setattr(engine, "check_nonnegativity", lambda inst:
+                            engine.NonnegativityReport(
+                                verdict=engine.TriVerdict.FALSE,
+                                minimum=ZERO, witness=[ZERO, ZERO]))
+        res = runner.invoke(cli.main, ["check", write(tmp_path, ALL_HOLDS),
+                                       "--theorem", "1"])
+        assert res.exit_code == 3
+        assert res.output.startswith("forced-identity alarm: depth probe")
+
     def test_truncated_file(self, runner, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"f": ')
@@ -127,6 +153,22 @@ class TestFeasibleSolveDual:
         assert res.exit_code == 0
         assert "value: 0" in res.output
         assert "point: [0, 0]" in res.output
+
+    def test_solve_unbounded_ray(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["solve", write(tmp_path, UNBOUNDED)])
+        assert res.exit_code == 0
+        assert "status: unbounded" in res.output
+        assert "improving ray: [-1]" in res.output
+
+    def test_solve_prints_values_past_the_digit_limit(self, runner,
+                                                      tmp_path):
+        # the minimum 10^4400 has 4,401 digits, past Python's bound on
+        # integer text, while every input literal stays inside it
+        doc = {"f": {"slopes": [["1e4000"]], "offsets": [0]}, "A": [[1]],
+               "D": {"box": [["1e400", "2e400"]]}}
+        res = runner.invoke(cli.main, ["solve", write(tmp_path, doc)])
+        assert res.exit_code == 0, res.output
+        assert f"value: 1{'0' * 4400}\n" in res.output
 
     def test_solve_infeasible(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["solve", write(tmp_path, INFEASIBLE)])
@@ -219,6 +261,21 @@ class TestSemiinfPolyapproxGallery:
                                        write(tmp_path, ALL_HOLDS), "7-8"])
         assert res.exit_code == 64
 
+    @pytest.mark.parametrize("change, message", [
+        ({"C": {"G": [[1, 0], [-1, 0]], "h": [0, -1]}},
+         "inconsistent grid: empty ground set"),
+        ({"grid": {"rows": [[[1, 0], 2, 0]]}}, "box with lo > hi"),
+        ({"grid": {"rows": [[[1, 0, 0], 0, 1]]}},
+         "map row width != ground dimension"),
+    ])
+    def test_bad_grid_exits_64(self, runner, tmp_path, change, message):
+        res = runner.invoke(cli.main, ["semiinf",
+                                       write(tmp_path, dict(GRID, **change)),
+                                       "7-8"])
+        assert res.exit_code == 64
+        assert res.output.startswith("input error: ")
+        assert message in res.output
+
     def test_polyapprox_writes_csv(self, runner, tmp_path):
         out = tmp_path / "frontier.csv"
         res = runner.invoke(cli.main, ["polyapprox",
@@ -248,11 +305,13 @@ class TestSemiinfPolyapproxGallery:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("doc", [ALL_HOLDS, INFEASIBLE])
+    @pytest.mark.parametrize("doc", [ALL_HOLDS, INFEASIBLE, DOMAIN,
+                                     POLY_TARGET])
     def test_parse_serialize_parse(self, doc):
         inst = cli.load_instance(json.loads(json.dumps(doc)))
         again = cli.load_instance(cli.instance_document(inst))
         assert again == inst
+        assert repr(again) == repr(inst)
 
     def test_bad_seed_env(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("FARKAS_SEED", "zebra")

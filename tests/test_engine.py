@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from farkaskit import calculus, duality, engine, sets
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.engine import FarkasInstance, TriVerdict
+from farkaskit.instances import random_feasible_instance
 from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, Q, ZERO, is_finite
 from farkaskit.sets import Box, Polyhedron
@@ -216,6 +217,36 @@ class TestReducedCriterion:
             engine.check_reduced_criterion(inst)
         with pytest.raises(ValueError):
             engine.residual_epigraph(inst)
+
+
+    def test_full_and_reduced_certificates_coexist(self, monkeypatch):
+        # with a domain meeting the ground, the check also poses the full
+        # certificate search and requires it to agree with the reduced one
+        found, real = [], engine.find_certificate
+
+        def recorded(inst):
+            cert = real(inst)
+            found.append(cert is not None)
+            return cert
+
+        monkeypatch.setattr(engine, "find_certificate", recorded)
+        rng = random.Random(20261020)
+        checked = []
+        while len(checked) < 20:
+            inst = random_feasible_instance(rng)
+            if inst.objective.domain is None:
+                continue
+            rep = engine.check_reduced_criterion(inst)
+            assert found.pop() == (rep.certificate is not None)
+            assert not found
+            checked.append(inst)
+        # the sample reaches both outcomes, and a split is caught
+        assert {bool(engine.check_reduced_criterion(i).certificate)
+                for i in checked} == {True, False}
+        monkeypatch.setattr(engine, "find_certificate", lambda inst: None)
+        with pytest.raises(InvariantViolation, match="coexist"):
+            for inst in checked:
+                engine.check_reduced_criterion(inst)
 
 
 class TestDualCriterion:

@@ -18,7 +18,7 @@ import functools
 import hashlib
 import random
 
-from farkaskit import calculus, engine, instances, polyapprox, semiinf
+from farkaskit import calculus, engine, instances, polyapprox
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.engine import FarkasInstance
 from farkaskit.rational import Q
@@ -54,7 +54,7 @@ def _pool():
         if k % 4 == 0:
             yield _missed(inst)
     for k in range(POOL // 4):
-        yield semiinf.to_instance(instances.random_grid(rng))
+        yield instances.random_grid(rng)
 
 
 def _sets(inst: FarkasInstance):
@@ -74,7 +74,8 @@ def _sets(inst: FarkasInstance):
         yield "support", calculus.support_epigraph(p)
     for over in (inst.ground, feas, whole_space_polyhedron(inst.n)):
         yield "restricted", calculus.restricted_conjugate_epigraph(f, over)
-    yield "full program", engine._full_program(inst)[:4]
+    p, _ = engine.full_program(inst)
+    yield "full program", (p.E, p.e, p.c, p.nonneg)
 
 
 def _band():
@@ -82,7 +83,7 @@ def _band():
     problem = polyapprox.ApproxProblem(
         degree_bound=3, nodes=nodes, values=[t * t for t in nodes],
         epsilons=[Q(1, 10)])
-    inst = semiinf.to_instance(polyapprox.to_grid(problem, Q(1, 10)))
+    inst = polyapprox.to_grid(problem, Q(1, 10))
     yield "band preimage", inst.preimage_polyhedron()
 
 

@@ -53,9 +53,9 @@ def test_random_grid_size_bounds():
     for _ in range(30):
         grid = instances.random_grid(rng)
         assert 1 <= grid.n <= 4
-        assert 1 <= grid.size <= 6
-        for row in grid.rows:
-            assert row.lower <= row.upper
+        assert 1 <= grid.m <= 6
+        for lo, hi in grid.target.bounds:
+            assert lo <= hi
 
 
 def test_concave_instances_have_full_domain():

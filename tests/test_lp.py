@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from farkaskit.lp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    _solve,
     _Tableau,
     minima,
     solve,
@@ -398,6 +400,37 @@ def test_solve_each_matches_solve_per_cost():
         redundant_feasible += redundant and outs[0].status != INFEASIBLE
     assert statuses == {OPTIMAL, UNBOUNDED, INFEASIBLE}
     assert flipped and redundant_feasible
+
+
+def test_rows_keep_basic_entry_and_lowest_terms(monkeypatch):
+    # every constraint row holds its basic column's numerator at D[i] and
+    # shares no factor with D[i], at set-up and after every pivot, so a
+    # pivot row never has a common factor to take out
+    def check(tab):
+        for i in range(tab.m):
+            assert tab.T[i][tab.basis[i]] == tab.D[i] > 0
+            assert gcd(tab.D[i], *tab.T[i]) == 1
+
+    pivot = _Tableau.pivot
+    pivots = 0
+
+    def checked_pivot(tab, r, q):
+        nonlocal pivots
+        pivot(tab, r, q)
+        pivots += 1
+        check(tab)
+
+    monkeypatch.setattr(_Tableau, "pivot", checked_pivot)
+    rng = random.Random(20261019)
+    for _ in range(200):
+        n, G, h, E, e, nonneg, _ = _shared_constraints(rng)
+        lp = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e, nonneg=nonneg)
+        check(_Tableau(lp))
+        costs = [[_small_fraction(rng) for _ in range(n)] for _ in range(2)]
+        tab, _, runs = _solve(lp, costs)
+        for t in [tab] + [run[0] for run in runs]:
+            check(t)
+    assert pivots > 500
 
 
 def test_solve_each_outcomes_are_independent():

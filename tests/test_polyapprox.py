@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from farkaskit import engine, polyapprox, semiinf
+from farkaskit import engine, polyapprox
 from farkaskit.errors import InvariantViolation
 from farkaskit.polyapprox import ApproxProblem, uniform_nodes
 from farkaskit.rational import NEG_INF, Q
@@ -105,8 +105,7 @@ class TestSolve:
                           (vee_problem([1]), Q(1, 4)),
                           (vee_problem([1]), Q(3, 4))):
             mine = polyapprox.check_consistency(prob, eps)
-            system = polyapprox.to_grid(prob, eps)
-            other = engine.check_existence(semiinf.to_instance(system))
+            other = engine.check_existence(polyapprox.to_grid(prob, eps))
             assert mine == other.feasible
 
 

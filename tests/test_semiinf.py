@@ -8,42 +8,40 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import certifies_empty, satisfies_rows
 
-from farkaskit import calculus, engine, lp, polyapprox, semiinf, sets
+from farkaskit import duality, engine, lp, polyapprox, semiinf, sets
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.engine import TriVerdict
 from farkaskit.errors import InvariantViolation
 from farkaskit.rational import Q, ZERO
-from farkaskit.semiinf import GridRow, GridSystem, SignedMultiplier
+from farkaskit.semiinf import SignedMultiplier
 from farkaskit.sets import Box, Polyhedron
 
 
 def simple_grid():
     # 0 <= x1 <= 2, -1 <= x1 - x2 <= 1, ground = [-3,3]^2, f = x1 + x2
-    return GridSystem(
-        n=2,
-        rows=[([1, 0], 0, 2), ([1, -1], -1, 1)],
-        ground=Box([(-3, 3), (-3, 3)]).to_polyhedron(),
-        objective=PiecewiseAffine(dim=2, slopes=[[1, 1]], offsets=[0]))
+    return semiinf.grid(
+        [([1, 0], 0, 2), ([1, -1], -1, 1)],
+        Box([(-3, 3), (-3, 3)]).to_polyhedron(),
+        PiecewiseAffine(dim=2, slopes=[[1, 1]], offsets=[0]))
 
 
 class TestValidation:
     def test_row_bounds_ordered(self):
-        with pytest.raises(ValueError):
-            GridRow([1, 0], 2, 0)
+        with pytest.raises(ValueError, match="lo > hi"):
+            semiinf.grid([([1, 0], 2, 0)],
+                         Box([(0, 1), (0, 1)]).to_polyhedron(),
+                         PiecewiseAffine(dim=2, slopes=[[1, 0]], offsets=[0]))
 
     def test_row_width(self):
-        with pytest.raises(ValueError):
-            GridSystem(n=2, rows=[([1], 0, 1)],
-                       ground=Box([(0, 1), (0, 1)]).to_polyhedron(),
-                       objective=PiecewiseAffine(dim=2, slopes=[[1, 0]],
-                                                 offsets=[0]))
+        with pytest.raises(ValueError, match="row width"):
+            semiinf.grid([([1], 0, 1)],
+                         Box([(0, 1), (0, 1)]).to_polyhedron(),
+                         PiecewiseAffine(dim=2, slopes=[[1, 0]], offsets=[0]))
 
     def test_needs_rows(self):
-        with pytest.raises(ValueError):
-            GridSystem(n=1, rows=[],
-                       ground=Box([(0, 1)]).to_polyhedron(),
-                       objective=PiecewiseAffine(dim=1, slopes=[[1]],
-                                                 offsets=[0]))
+        with pytest.raises(ValueError, match="at least one row"):
+            semiinf.grid([], Box([(0, 1)]).to_polyhedron(),
+                         PiecewiseAffine(dim=1, slopes=[[1]], offsets=[0]))
 
     def test_signed_multiplier_canonical(self):
         SignedMultiplier(plus=[1, 0], minus=[0, 2])
@@ -68,7 +66,7 @@ class TestSplitAndSupport:
 
     def test_box_support_matches_lp(self):
         g = simple_grid()
-        box = semiinf.to_instance(g).target_polyhedron().to_lifted()
+        box = g.target_polyhedron().to_lifted()
         for lam in ([0, 0], [1, 1], [-2, 5], [Q(1, 2), Q(-7, 3)]):
             sm = semiinf.decompose(lam)
             assert semiinf.box_support(g, sm) == sets.support(box, lam)
@@ -84,7 +82,7 @@ class TestSplitAndSupport:
         g = simple_grid()
         sm = semiinf.decompose(lam)
         assert sm.value() == [Q(v) for v in lam]
-        box = semiinf.to_instance(g).target_polyhedron().to_lifted()
+        box = g.target_polyhedron().to_lifted()
         assert semiinf.box_support(g, sm) == sets.support(box, lam)
 
 
@@ -116,16 +114,15 @@ class TestMomentCone:
 
     def test_grid_cone_matches_generic(self):
         g = simple_grid()
-        inst = semiinf.to_instance(g)
         dirs = sets.probe_directions(3, n_random=12, seed=2)
         assert sets.support_mismatches(
             semiinf.grid_certificate_cone(g),
-            engine.certificate_cone(inst), dirs) == []
+            engine.certificate_cone(g), dirs) == []
 
 
 class TestGridChecks:
     def test_primal_consistent(self):
-        rep = semiinf.check_grid_primal(simple_grid())
+        rep = engine.check_primal_criterion(simple_grid())
         assert rep.verdict == "consistent"
         # f = x1 + x2 dips below zero on the feasible region
         assert rep.nonnegativity.verdict is TriVerdict.FALSE
@@ -133,7 +130,7 @@ class TestGridChecks:
         assert rep.criterion_holds
 
     def test_reduced_consistent(self):
-        rep = semiinf.check_grid_reduced(simple_grid())
+        rep = engine.check_reduced_criterion(simple_grid())
         assert rep.verdict == "consistent"
 
     def test_dual_consistent(self):
@@ -142,40 +139,37 @@ class TestGridChecks:
         assert rep.details["moment_cone_probes"] > 0
 
     def test_checks_share_the_embedded_instance(self, count_phase1):
+        # the grid is the instance: rows become the map, bounds the box
         g = simple_grid()
-        inst = semiinf.to_instance(g)
-        assert semiinf.to_instance(g) is inst
-        assert inst.matrix == [[1, 0], [1, -1]]
-        assert inst.target.bounds == [(0, 2), (-1, 1)]
+        assert g.matrix == [[1, 0], [1, -1]]
+        assert g.target.bounds == [(0, 2), (-1, 1)]
         semiinf.check_grid_dual(g)
         # after the dual check, the stability check reads the emptiness of
         # the feasible set meet dom f and the untilted minimum it kept: 38
         # phase-1 runs on a grid of its own
-        _, runs = count_phase1(semiinf.check_grid_stability, g)
+        _, runs = count_phase1(duality.check_stability, g)
         assert runs <= 35
 
     def test_certified_grid(self):
-        g = GridSystem(
-            n=1, rows=[([1], 1, 4)],
-            ground=Box([(0, 10)]).to_polyhedron(),
-            objective=PiecewiseAffine(dim=1, slopes=[[1]], offsets=[-1]))
+        g = semiinf.grid(
+            [([1], 1, 4)], Box([(0, 10)]).to_polyhedron(),
+            PiecewiseAffine(dim=1, slopes=[[1]], offsets=[-1]))
         rep = semiinf.check_grid_dual(g)
         assert rep.certificate is not None
         assert rep.nonnegativity.minimum == 0
-        stab = semiinf.check_grid_stability(g, seed=4)
+        stab = duality.check_stability(g, seed=4)
         assert stab.all_equivalent
 
     def test_infeasible_grid_hypothesis_error(self):
-        g = GridSystem(
-            n=1, rows=[([0], 1, 1)],
-            ground=sets.whole_space_polyhedron(1),
-            objective=PiecewiseAffine(dim=1, slopes=[[-1]], offsets=[0]))
-        rep = semiinf.check_grid_primal(g)
+        g = semiinf.grid(
+            [([0], 1, 1)], sets.whole_space_polyhedron(1),
+            PiecewiseAffine(dim=1, slopes=[[-1]], offsets=[0]))
+        rep = engine.check_primal_criterion(g)
         assert not rep.criterion_holds  # genuine closedness gap
         with pytest.raises(ValueError):
             semiinf.check_grid_dual(g)
         with pytest.raises(ValueError):
-            semiinf.check_grid_stability(g)
+            duality.check_stability(g)
 
 
 @st.composite
@@ -198,22 +192,21 @@ def grids(draw):
                  for _ in range(n)] for _ in range(k)],
         offsets=[draw(st.integers(min_value=-2, max_value=2))
                  for _ in range(k)])
-    return GridSystem(n=n, rows=rows, ground=ground, objective=f)
+    return semiinf.grid(rows, ground, f)
 
 
 @settings(max_examples=25, deadline=None)
 @given(grids())
 def test_random_grids_stay_consistent(g):
     semiinf.check_moment_sandwich(g, n_random=6, seed=9)
-    rep = semiinf.check_grid_primal(g)
+    rep = engine.check_primal_criterion(g)
     assert rep.verdict == "consistent"
-    inst = semiinf.to_instance(g)
-    if not inst.feasible_polyhedron().is_empty():
+    if not g.feasible_polyhedron().is_empty():
         semiinf.check_grid_dual(g, n_random=2, seed=3)
 
 
 def _exchange_system(rng):
-    """A seeded grid system of 1 to 60 nodes in n = 1..4 variables, built
+    """A seeded grid of 1 to 60 nodes in n = 1..4 variables, built
     around a point x0 it often contains: some rows repeat an earlier
     functional, some have lower == upper, and the ground is the whole
     space, a box, or a box with an equality row. One row is pushed off x0
@@ -246,15 +239,14 @@ def _exchange_system(rng):
             ground = ground.intersect(Polyhedron(
                 dim=n, E=[row],
                 e=[sum((x * y for x, y in zip(row, x0)), ZERO)]))
-    return GridSystem(n=n, rows=rows, ground=ground,
-                      objective=PiecewiseAffine(dim=n, slopes=[[ZERO] * n],
-                                                offsets=[ZERO]))
+    return semiinf.grid(rows, ground, PiecewiseAffine(
+        dim=n, slopes=[[ZERO] * n], offsets=[ZERO]))
 
 
 def _full_rows(system):
-    """The ground's rows, then the band's in `Box.pullback` order."""
-    band = Box([(r.lower, r.upper) for r in system.rows]).pullback(
-        [r.functional for r in system.rows], system.n)
+    """The ground's rows, then the band's in `Box.pullback` order, built
+    apart from the grid's kept feasible polyhedron."""
+    band = Box(system.target.bounds).pullback(system.matrix, system.n)
     return system.ground.intersect(band)
 
 
@@ -302,10 +294,10 @@ class TestBandPoint:
         assert kinds == {"point", "empty", "equality ground"}
 
     def test_bad_farkas_vector_raises(self, monkeypatch):
-        system = GridSystem(n=1, rows=[([1], 0, 1), ([1], 2, 3)],
-                            ground=sets.whole_space_polyhedron(1),
-                            objective=PiecewiseAffine(dim=1, slopes=[[0]],
-                                                      offsets=[0]))
+        system = semiinf.grid([([1], 0, 1), ([1], 2, 3)],
+                              sets.whole_space_polyhedron(1),
+                              PiecewiseAffine(dim=1, slopes=[[0]],
+                                              offsets=[0]))
         assert semiinf.band_point(system) is None
         monkeypatch.setattr(lp, "verify_certificate", lambda p, o: False)
         with pytest.raises(InvariantViolation):
@@ -316,8 +308,11 @@ class TestBandPoint:
         full = _full_rows(system)
         x = semiinf.band_point(system)
         assert satisfies_rows(full.G, full.h, full.E, full.e, x)
-        # a scan that sees no violation must not let a bad point through
-        monkeypatch.setattr(semiinf, "_most_violated", lambda rows, x: None)
+        # a scan that sees no violation must not let a bad point through:
+        # the first scan adds a row, and the second passes the LP's point
+        scans = iter([0])
+        monkeypatch.setattr(semiinf, "_most_violated",
+                            lambda rows, x: next(scans, None))
         monkeypatch.setattr(lp, "solve", lambda program: lp.LPOutcome(
             lp.OPTIMAL, x=[Q(9), Q(9)]))
         with pytest.raises(InvariantViolation):

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from math import lcm
 
 from . import calculus, engine, lp, sets
 from .engine import FarkasInstance
 from .errors import InvariantViolation
-from .rational import (INF, NEG_INF, ONE, Q, ZERO, as_q_vector, dot, is_finite,
-                       transpose_apply)
+from .rational import INF, NEG_INF, Q, ZERO, as_q_vector, dot, is_finite
 
 OPTIMAL = lp.OPTIMAL
 UNBOUNDED = lp.UNBOUNDED
@@ -282,23 +282,46 @@ class StableDualityReport:
     per_tilt: list = field(default_factory=list, metadata={"json": False})
 
 
-def _sum_point_sample(inst: FarkasInstance, rng, conj, ground_rays):
-    """A random point of epi f* + certificate cone, built from the generators
-    `conj` of epi f* and the ray generators `ground_rays` of the ground's
-    support epigraph."""
-    weights = [Q(rng.randint(0, 3)) for _ in conj.points]
+def _over_one_denominator(vectors):
+    """(integer numerators, d): the vectors over one denominator d, the lcm
+    of the denominators of all their entries."""
+    d = lcm(*[v.denominator for vec in vectors for v in vec])
+    return ([[int(v.numerator * (d // v.denominator)) for v in vec]
+             for vec in vectors], d)
+
+
+def _combination(vectors, weights, width):
+    """sum_i weights[i] * vectors[i], in integers."""
+    out = [0] * width
+    for vec, w in zip(vectors, weights):
+        if w:
+            for j, a in enumerate(vec):
+                out[j] += w * a
+    return out
+
+
+def _sum_point_sample(inst: FarkasInstance, rng, points, rays, rows):
+    """A random point of epi f* + certificate cone: a convex combination of
+    the points of epi f*, plus nonnegative multiples of its rays and of the
+    ray generators of the ground's support epigraph, plus the multiplier
+    graph point (map^T lam, sigma_target(lam)). The points, the rays and
+    the map's rows each come over one denominator (`_over_one_denominator`),
+    so the point is an integer combination made rational once."""
+    (P, dp), (R, dr), (A, da) = points, rays, rows
+    weights = [rng.randint(0, 3) for _ in P]
     if not any(weights):
-        weights[0] = ONE
-    total = sum(weights, ZERO)
-    z = [v / total
-         for v in transpose_apply(conj.points, weights, inst.n + 1)]
-    for ray in conj.rays + ground_rays:
-        c = Q(rng.randint(0, 2))
-        if c:
-            z = [a + c * b for a, b in zip(z, ray)]
-    lam = [Q(rng.randint(-2, 2)) for _ in range(inst.m)]
-    graph = inst.adjoint(lam) + [inst.target_support(lam)]
-    return [a + b for a, b in zip(z, graph)]
+        weights[0] = 1
+    total = sum(weights)
+    width = inst.n + 1
+    zp = _combination(P, weights, width)
+    zr = _combination(R, [rng.randint(0, 2) for _ in R], width)
+    lam = [rng.randint(-2, 2) for _ in range(inst.m)]
+    za = _combination(A, lam, inst.n) + [0]
+    fp, fr, fa = dr * da, total * dp * da, total * dp * dr
+    den = total * dp * dr * da
+    z = [Q(p * fp + r * fr + a * fa, den) for p, r, a in zip(zp, zr, za)]
+    z[-1] += inst.target_support(lam)
+    return z
 
 
 def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
@@ -317,12 +340,16 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
     rng = random.Random(seed + 1)
     restricted = engine.restricted_epigraph(inst)
     conj = calculus.conjugate_epigraph(inst.objective)
-    ground_rays = calculus.support_epigraph_generators(inst.ground)
-    for _ in range(n_points):
-        z = _sum_point_sample(inst, rng, conj, ground_rays)
-        if not sets.member(restricted, z):
-            raise InvariantViolation(
-                "a sum point escapes the restricted conjugate epigraph")
+    generators = (
+        _over_one_denominator(conj.points),
+        _over_one_denominator(
+            conj.rays + calculus.support_epigraph_generators(inst.ground)),
+        _over_one_denominator(inst.matrix))
+    points = [_sum_point_sample(inst, rng, *generators)
+              for _ in range(n_points)]
+    if not all(sets.members(restricted, points)):
+        raise InvariantViolation(
+            "a sum point escapes the restricted conjugate epigraph")
     # the primal is infeasible exactly when the feasible set misses dom f,
     # and that meet's emptiness is kept from the restricted epigraph
     if inst.feasible_in_domain().is_empty():

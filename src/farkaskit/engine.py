@@ -510,12 +510,18 @@ def check_dual_criterion(inst: FarkasInstance, n_random: int = 8,
     support epigraph, the certificate cone matching the feasible set's, and
     their f*-sum matching the restricted conjugate) are sampled and
     enforced. Requires a feasible point inside dom f."""
+    return _dual_criterion(inst, n_random, seed)[0]
+
+
+def _dual_criterion(inst: FarkasInstance, n_random: int, seed: int):
+    """check_dual_criterion's report, its probe directions and the
+    certificate cone's support values along them."""
     if inst.feasible_in_domain().is_empty():
         raise ValueError("no feasible point inside the objective's domain")
     feas = inst.feasible_polyhedron()
+    cone = certificate_cone(inst)
     omega = sets.minkowski_sum(
-        sets.as_lifted(calculus.conjugate_epigraph(inst.objective)),
-        certificate_cone(inst))
+        sets.as_lifted(calculus.conjugate_epigraph(inst.objective)), cone)
     origin = [ZERO] * (inst.n + 1)
     origin_in = sets.member(omega, origin)
     rep = check_nonnegativity(inst)
@@ -532,18 +538,21 @@ def check_dual_criterion(inst: FarkasInstance, n_random: int = 8,
         multiplier_cone(inst),
         calculus.support_epigraph(inst.preimage_polyhedron()), dirs,
         "multiplier cone vs preimage support epigraph")
-    sets.require_equal_supports(
-        certificate_cone(inst), calculus.support_epigraph(feas), dirs,
+    cone_values = sets.supports(cone, dirs)
+    sets.require_equal_values(
+        dirs, cone_values,
+        sets.supports(calculus.support_epigraph(feas), dirs),
         "certificate cone vs feasible support epigraph")
     sets.require_equal_supports(
         omega, restricted_epigraph(inst), dirs,
         "epi f* + cone vs restricted conjugate epigraph")
-    return CheckReport(nonnegativity=rep, certificate=cert,
-                       criterion_holds=True, probe_point=origin,
-                       details={"origin_in_sum": origin_in,
-                                "criterion_reason":
-                                    "polyhedral projections are closed",
-                                "probe_directions": len(dirs)})
+    report = CheckReport(nonnegativity=rep, certificate=cert,
+                         criterion_holds=True, probe_point=origin,
+                         details={"origin_in_sum": origin_in,
+                                  "criterion_reason":
+                                      "polyhedral projections are closed",
+                                  "probe_directions": len(dirs)})
+    return report, dirs, cone_values
 
 
 @dataclass

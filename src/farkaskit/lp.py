@@ -15,8 +15,26 @@ constraint rows plus one objective row. `solve_each` runs phase 1 once for a
 list of costs and a phase 2 per distinct cost, each on its own copy of the
 feasible tableau; `solve` is the same code with one cost and no copy.
 `minima` runs the same phases but reads only each final objective row's
-value: it forms no point, ray or multiplier, and a support value, a
-conjugate value or a membership answer needs no more.
+value: it forms no point, ray or multiplier, and a support value or a
+conjugate value needs no more.
+
+`feasible_each` decides one set of rows under many right-hand sides, as
+membership sweeps pose them (cost 0, so only feasibility is asked). Phase 1
+runs per right-hand side until one is feasible; its tableau is then kept.
+The starting basis (the artificial of a row, else its slack) is the
+identity, and every pivot is a row operation on the whole tableau, so the
+current columns of those starting basic columns hold B^-1, and a new
+right-hand side b' is B^-1 (sigma b') with the first row flips sigma kept:
+the artificials stay nonbasic at zero, so the flipped rows state the
+original ones. An inert row (a basic artificial, no real entry) with a
+nonzero new value is a row no pivot can meet, so b' is infeasible. Else
+a dual simplex on the same tableau and the same `pivot` restores the
+signs: the least basic column with a negative value leaves, and, every
+reduced cost being 0, every dual ratio ties, so the least real column with
+a negative entry in that row enters (artificials never enter); a row with
+none is infeasible as it stands. This is Bland's rule applied to the dual
+program (Bland 1977), which cannot cycle, so the sweep terminates on
+degenerate data too.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
 objective row included, is a dense list of plain integer numerators, its
@@ -146,7 +164,9 @@ class _Tableau:
     entry RHS, over one positive denominator sharing no factor with them.
     A constraint row's numerator at its basic column is D[i] itself."""
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, rhs=None):
+        # rhs: the right-hand sides to standardize, h then e; lp's own
+        # when None
         self.mG = mG = len(lp.G)
         self.mE = mE = len(lp.E)
         self.m = m = mG + mE
@@ -167,7 +187,8 @@ class _Tableau:
         # columns: the reduced cost of the artificial of row k is exactly
         # -y_k, which is how equality duals are read off without forming a
         # basis inverse.
-        rhs = lp.h + lp.e
+        if rhs is None:
+            rhs = lp.h + lp.e
         self.sigma = sigma = [-1 if b < ZERO else 1 for b in rhs]
         self.art_col = art_col = [None] * m
         nart = 0
@@ -323,6 +344,49 @@ class _Tableau:
                         break
         return None
 
+    def feasible_at(self, b):
+        """Whether the constraint rows with right-hand side b (h entries,
+        then e entries) have a solution, decided from the current basis B
+        (see the module docstring): the right-hand side becomes
+        B^-1 (sigma b), each row over its own denominator again in lowest
+        terms, and a zero-cost dual simplex restores its signs. B is left
+        feasible for b when the answer is True."""
+        T, D, basis, RHS, m = self.T, self.D, self.basis, self.RHS, self.m
+        art_col, slack0 = self.art_col, self.slack0
+        L = lcm(*[v.denominator for v in b])
+        rhs = [(sigma * int(v.numerator * (L // v.denominator)),
+                slack0 + k if art_col[k] is None else art_col[k])
+               for k, (sigma, v) in enumerate(zip(self.sigma, b)) if v]
+        for i in range(m):
+            Ti, d = T[i], D[i] * L
+            value = sum(w * Ti[k] for w, k in rhs)  # over d
+            if L > 1:
+                Ti = [v * L for v in Ti]
+            Ti[RHS] = value
+            g = gcd(d, *Ti)
+            if g > 1:
+                Ti = [v // g for v in Ti]
+                d //= g
+            T[i], D[i] = Ti, d
+        nreal = self.nreal
+        # an inert row (a basic artificial, no real entry) holds a
+        # right-hand side that no pivot can touch
+        if any(basis[i] >= nreal and T[i][RHS] for i in range(m)):
+            return False
+        while True:
+            # Bland's rule on the dual, where every ratio ties at cost 0
+            r = None
+            for i in range(m):
+                if T[i][RHS] < 0 and (r is None or basis[i] < basis[r]):
+                    r = i
+            if r is None:
+                return True
+            Tr = T[r]
+            q = next((j for j in range(nreal) if Tr[j] < 0), None)
+            if q is None:
+                return False
+            self.pivot(r, q)
+
     def phase2(self, c):
         """Minimize c.x from the feasible basis phase 1 left; artificial
         columns are ineligible to enter. Returns the final reduced-cost row
@@ -441,6 +505,30 @@ def minima(lp: LinearProgram, costs) -> list:
     values = [NEG_INF if q is not None else Q(-z[t.RHS], d)
               for t, z, d, q in runs]
     return [values[k] for k in at]
+
+
+def feasible_each(lp: LinearProgram, rhss) -> list:
+    """For each right-hand side b in `rhss` (h entries, then e entries):
+    whether G x <= b[:len(G)], E x = b[len(G):] has a solution under lp's
+    sign flags (lp.c, lp.h and lp.e are not read), the answer of `minima`
+    with a zero cost. Each b runs its own phase 1 until one is feasible;
+    every later b starts from the basis the last one left (see
+    `_Tableau.feasible_at`)."""
+    m = len(lp.G) + len(lp.E)
+    tab = None
+    out = []
+    for b in rhss:
+        b = as_q_vector(b)
+        if len(b) != m:
+            raise ValueError("right-hand side length != number of rows")
+        if tab is not None:
+            out.append(tab.feasible_at(b))
+            continue
+        tab = _Tableau(lp, b)
+        if tab.phase1() is not None:
+            tab = None
+        out.append(tab is not None)
+    return out
 
 
 def _point_feasible(lp, x):

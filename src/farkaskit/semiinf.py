@@ -220,20 +220,25 @@ def check_moment_sandwich(inst: engine.FarkasInstance, n_random: int = 20,
     value), every sampled multiplier graph point lies in the moment cone
     once vertical rays are added, and the two cones then have identical
     supports along the probe grid."""
+    # Each loop decides its points' membership in one sweep, then raises at
+    # the first failed identity in the order of the points, each point's
+    # closed form before its membership.
     mult_cone = engine.multiplier_cone(inst)
+    identities, gens = [], []
     for t, (a, (lo, hi)) in enumerate(zip(inst.matrix, inst.target.bounds)):
         for sign, val in ((ONE, hi), (-ONE, lo)):
             lam = [ZERO] * inst.m
             lam[t] = sign
-            sm = decompose(lam)
-            sup = box_support(inst, sm)
-            if sup != sign * val:
-                raise InvariantViolation(
-                    "unit multiplier support differs from its bound")
-            gen = [sign * v for v in a] + [sup]
-            if not sets.member(mult_cone, gen):
-                raise InvariantViolation(
-                    "moment cone generator escapes the multiplier cone")
+            sup = box_support(inst, decompose(lam))
+            identities.append(sup == sign * val)
+            gens.append([sign * v for v in a] + [sup])
+    for holds, inside in zip(identities, sets.members(mult_cone, gens)):
+        if not holds:
+            raise InvariantViolation(
+                "unit multiplier support differs from its bound")
+        if not inside:
+            raise InvariantViolation(
+                "moment cone generator escapes the multiplier cone")
     n_vert = lifted_moment_cone(inst)
     rng = random.Random(seed)
     lams = [[Q(rng.randint(-3, 3)) for _ in range(inst.m)]
@@ -241,15 +246,18 @@ def check_moment_sandwich(inst: engine.FarkasInstance, n_random: int = 20,
     # LPs over the box's rows: inst.target_support is box_support's closed
     # form again, so it could not catch a wrong one
     lp_sups = sets.supports(inst.target_polyhedron().to_lifted(), lams)
+    identities, graphs = [], []
     for lam, lp_sup in zip(lams, lp_sups):
         sm = decompose(lam)
         assert sm.value() == as_q_vector(lam)
         sup = box_support(inst, sm)
-        if sup != lp_sup:
+        identities.append(sup == lp_sup)
+        graphs.append(inst.adjoint(lam) + [sup])
+    for holds, inside in zip(identities, sets.members(n_vert, graphs)):
+        if not holds:
             raise InvariantViolation(
                 "closed-form box support differs from the LP value")
-        graph = inst.adjoint(lam) + [sup]
-        if not sets.member(n_vert, graph):
+        if not inside:
             raise InvariantViolation(
                 "multiplier graph point escapes the lifted moment cone")
     dirs = sets.probe_directions(inst.n + 1, n_random=min(n_random, 10),
@@ -266,10 +274,9 @@ def check_grid_dual(inst: engine.FarkasInstance, n_random: int = 8,
     """Third criterion on the grid, plus the grid-specific identity that
     the moment-cone form of the certificate cone matches the generic one.
     Needs a feasible point inside the objective's domain."""
-    rep = engine.check_dual_criterion(inst, n_random=n_random, seed=seed)
-    dirs = sets.probe_directions(inst.n + 1, n_random=n_random, seed=seed)
-    sets.require_equal_supports(
-        grid_certificate_cone(inst), engine.certificate_cone(inst), dirs,
+    rep, dirs, cone_values = engine._dual_criterion(inst, n_random, seed)
+    sets.require_equal_values(
+        dirs, sets.supports(grid_certificate_cone(inst), dirs), cone_values,
         "grid certificate cone vs generic certificate cone")
     rep.details["moment_cone_probes"] = len(dirs)
     return rep

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from . import lp
 from .errors import InvariantViolation
-from .rational import INF, ONE, Q, ZERO, as_q_matrix, as_q_vector, dot
+from .rational import ONE, Q, ZERO, as_q_matrix, as_q_vector, dot
 
 
 @dataclass
@@ -106,27 +106,42 @@ def a_point_of(s: LiftedSet):
 
 
 def member(s: LiftedSet, z) -> bool:
-    z = as_q_vector(z)
-    if len(z) != s.dim:
-        raise ValueError("point dimension mismatch")
+    return members(s, [z])[0]
+
+
+def members(s: LiftedSet, points) -> list:
+    """[member(s, z) for z in points]. z is in S iff the witness rows
+    have a solution with right-hand side rhs - (z-block) z, so every point
+    poses the same rows with a right-hand side of its own, and one basis
+    serves them all (`lp.feasible_each`)."""
+    rows = list(zip(s.ineq_z + s.eq_z, s.ineq_rhs + s.eq_rhs))
+    rhss = []
+    for z in points:
+        z = as_q_vector(z)
+        if len(z) != s.dim:
+            raise ValueError("point dimension mismatch")
+        rhss.append([b - dot(r, z) for r, b in rows])
+    mG = len(s.ineq_rhs)
     if s.witness_dim == 0:
-        return (all(dot(r, z) <= b for r, b in zip(s.ineq_z, s.ineq_rhs))
-                and all(dot(r, z) == b for r, b in zip(s.eq_z, s.eq_rhs)))
+        return [all(v >= ZERO for v in b[:mG])
+                and all(v == ZERO for v in b[mG:]) for b in rhss]
     prog = lp.LinearProgram(
-        c=[ZERO] * s.witness_dim,
-        G=s.ineq_w, h=[b - dot(r, z) for r, b in zip(s.ineq_z, s.ineq_rhs)],
-        E=s.eq_w, e=[b - dot(r, z) for r, b in zip(s.eq_z, s.eq_rhs)],
-        nonneg=s.witness_nonneg)
-    return lp.minima(prog, [prog.c])[0] is not INF
+        c=[ZERO] * s.witness_dim, G=s.ineq_w, h=[ZERO] * mG,
+        E=s.eq_w, e=[ZERO] * len(s.eq_rhs), nonneg=s.witness_nonneg)
+    return lp.feasible_each(prog, rhss)
+
+
+def _recession_cone(s: LiftedSet) -> LiftedSet:
+    """S's rows with zero right-hand sides: the lifted recession cone, whose
+    projection is the recession cone of S when S is nonempty."""
+    return replace(s, ineq_rhs=[ZERO] * len(s.ineq_rhs),
+                   eq_rhs=[ZERO] * len(s.eq_rhs))
 
 
 def recession_member(s: LiftedSet, d) -> bool:
     """Is d a recession direction of S? (S must be nonempty for this to mean
-    anything; the recession cone of a polyhedral projection is the projection
-    of the lifted recession cone: the same rows with zero right-hand
-    sides, so this is membership in that cone.)"""
-    return member(replace(s, ineq_rhs=[ZERO] * len(s.ineq_rhs),
-                          eq_rhs=[ZERO] * len(s.eq_rhs)), d)
+    anything: membership in the projection of the lifted recession cone.)"""
+    return members(_recession_cone(s), [d])[0]
 
 
 def support(s: LiftedSet, d):
@@ -250,11 +265,11 @@ def cone_closed_regarding(s: LiftedSet, points):
     Returns [(p, in_cone, in_closure)]; raises InvariantViolation if a point
     were in the cone but not its closure, which is impossible.
     """
+    points = list(points)
     closure = conic_hull_closure(s)
     report = []
-    for p in points:
+    for p, closed in zip(points, members(closure, points)):
         strict = cone_member_strict(s, p)
-        closed = member(closure, p)
         if strict and not closed:
             raise InvariantViolation("a conic hull escaped its own closure")
         report.append((list(p), strict, closed))
@@ -303,10 +318,8 @@ def contains_generated(s: LiftedSet, g: GeneratedSet) -> bool:
         raise ValueError("dimension mismatch")
     if not g.points:
         return True
-    for p in g.points:
-        if not member(s, p):
-            return False
-    return all(recession_member(s, r) for r in g.rays)
+    return (all(members(s, g.points))
+            and all(members(_recession_cone(s), g.rays)))
 
 
 def probe_directions(dim: int, n_random: int = 0, seed: int = 0):
@@ -363,10 +376,18 @@ def support_mismatches(a: LiftedSet, b: LiftedSet, directions):
 def require_equal_supports(a: LiftedSet, b: LiftedSet, directions, what):
     """Raise InvariantViolation, naming `what`, at the first direction
     where the supports of A and B differ."""
-    bad = support_mismatches(a, b, directions)
-    if bad:
-        d, sa, sb = bad[0]
-        raise InvariantViolation(f"{what}: support {sa} vs {sb} along {d}")
+    directions = list(directions)
+    require_equal_values(directions, supports(a, directions),
+                         supports(b, directions), what)
+
+
+def require_equal_values(directions, a_values, b_values, what):
+    """Raise InvariantViolation, naming `what`, at the first direction
+    where two sets' support values (a_values, b_values) differ."""
+    for d, sa, sb in zip(directions, a_values, b_values):
+        if sa != sb:
+            raise InvariantViolation(
+                f"{what}: support {sa} vs {sb} along {list(d)}")
 
 
 @dataclass

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farkaskit import duality, engine, instances, lp
+from farkaskit import duality, engine, instances, lp, sets
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.duality import INFEASIBLE, OPTIMAL, UNBOUNDED
 from farkaskit.engine import FarkasInstance
@@ -341,15 +341,32 @@ def test_stable_check_solves_each_constraint_set_once(count_phase1,
     # support as programs of their own (260 pivots before and after), 76
     # when a repeated shift was solved again (177 pivots once it was not),
     # 53 when the untilted primal was solved twice and a repeated point of
-    # a conjugate or support batch had a phase 2 of its own (177 pivots)
+    # a conjugate or support batch had a phase 2 of its own (177 pivots),
+    # 52 when each sum point ran a phase 1 of its own (161 pivots)
     def check():
         return duality.check_stable_strong_duality(bounded_instance(), seed=2)
 
     rep, runs = count_phase1(check)
     assert rep.tilts_checked == 25
-    assert runs <= 52
+    assert runs <= 33
     _, pivots = count_pivots(check)
-    assert pivots <= 161
+    assert pivots <= 119
+
+
+def test_sum_points_share_one_phase_1(count_phase1, monkeypatch):
+    # the 20 sampled sum points are decided on the basis the first one
+    # leaves: one phase 1 for all of them
+    sweeps = []
+    members = sets.members
+
+    def counted(s, points):
+        got, runs = count_phase1(members, s, points)
+        sweeps.append((len(points), all(got), runs))
+        return got
+
+    monkeypatch.setattr(sets, "members", counted)
+    duality.check_stable_strong_duality(bounded_instance(), seed=2)
+    assert sweeps == [(20, True, 1)]
 
 
 OPTIMALITY_PROGRAMS = ("525573d2942aa63f1518648575ffd2a3"

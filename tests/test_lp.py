@@ -17,6 +17,7 @@ from farkaskit.lp import (
     LinearProgram,
     _solve,
     _Tableau,
+    feasible_each,
     minima,
     solve,
     solve_each,
@@ -430,7 +431,50 @@ def test_rows_keep_basic_entry_and_lowest_terms(monkeypatch):
         tab, _, runs = _solve(lp, costs)
         for t in [tab] + [run[0] for run in runs]:
             check(t)
+        # a new right-hand side is set on a kept basis, then pivoted on
+        feasible_each(lp, [h + e] + [[_small_fraction(rng) for _ in h + e]
+                                     for _ in range(3)])
     assert pivots > 500
+
+
+def test_feasible_each_matches_solve_per_rhs():
+    # sequences of right-hand sides over shared rows: planted points (so a
+    # basis is kept), their moves along seeded directions and random ones,
+    # with signs that differ from the first feasible one's row flips
+    rng = random.Random(20261021)
+    on_kept_basis = set()
+    for _ in range(200):
+        n, G, _, E, _, nonneg, _ = _shared_constraints(rng)
+        rhss = []
+        for _ in range(6):
+            if rng.random() < 0.5:
+                x0 = [abs(_small_fraction(rng)) if f else _small_fraction(rng)
+                      for f in nonneg]
+                rhss.append([sum(a * b for a, b in zip(row, x0))
+                             + abs(_small_fraction(rng)) for row in G]
+                            + [sum(a * b for a, b in zip(row, x0))
+                               for row in E])
+            else:
+                rhss.append([_small_fraction(rng) for _ in G + E])
+        shared = LinearProgram(c=[ZERO] * n, G=G, h=[ZERO] * len(G), E=E,
+                               e=[ZERO] * len(E), nonneg=nonneg)
+        got = feasible_each(shared, rhss)
+        for k, (b, verdict) in enumerate(zip(rhss, got)):
+            h, e = b[:len(G)], b[len(G):]
+            lp = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e,
+                               nonneg=nonneg)
+            out = solve(lp)
+            assert verify_certificate(lp, out)
+            if out.status == INFEASIBLE:
+                assert certifies_empty(G, h, E, e, out.farkas_ineq,
+                                       out.farkas_eq, nonneg)
+            assert verdict == (out.status != INFEASIBLE)
+            if any(got[:k]):
+                on_kept_basis.add(verdict)
+    assert on_kept_basis == {True, False}
+    assert feasible_each(shared, []) == []
+    with pytest.raises(ValueError):
+        feasible_each(shared, [[ZERO] * (len(G) + len(E) + 1)])
 
 
 def test_solve_each_outcomes_are_independent():

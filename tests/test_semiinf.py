@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import certifies_empty, satisfies_rows
 
-from farkaskit import duality, engine, lp, polyapprox, semiinf, sets
+from farkaskit import (duality, engine, instances, lp, polyapprox, semiinf,
+                       sets)
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.engine import TriVerdict
 from farkaskit.errors import InvariantViolation
@@ -149,6 +150,36 @@ class TestGridChecks:
         # phase-1 runs on a grid of its own
         _, runs = count_phase1(duality.check_stability, g)
         assert runs <= 35
+
+    def test_grid_dual_reads_the_criterion_cone_supports(self, monkeypatch):
+        # kernel calls that pose a (program, costs) pair already posed on
+        # the same grid, from its construction through check_grid_dual and
+        # check_stability, on 11 seeded grids: 31 when check_grid_dual swept
+        # the certificate cone again along the criterion's probe directions
+        solve = lp._solve
+        seen, repeats = set(), 0
+
+        def recording(program, costs):
+            nonlocal repeats
+            key = f"{program!r} {costs!r}"
+            repeats += key in seen
+            seen.add(key)
+            return solve(program, costs)
+
+        monkeypatch.setattr(lp, "_solve", recording)
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(30):
+            seen.clear()
+            before = repeats
+            g = instances.random_grid(rng)
+            if g.feasible_in_domain().is_empty():
+                repeats = before
+                continue
+            semiinf.check_grid_dual(g)
+            duality.check_stability(g)
+            checked += 1
+        assert (checked, repeats) == (11, 20)
 
     def test_certified_grid(self):
         g = semiinf.grid(

@@ -5,13 +5,16 @@ boxes, a shifted segment) so every assertion is checkable by hand.
 """
 
 import copy
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farkaskit import calculus, sets
+from farkaskit import calculus, engine, instances, lp, sets
 from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, Q
+
+from oracles import certifies_empty, satisfies_rows
 
 
 def triangle_poly():
@@ -403,3 +406,131 @@ def test_supports_checks_every_direction():
     assert sets.supports(s, []) == []
     with pytest.raises(ValueError):
         sets.supports(s, [[1, 0], [1, 0, 0]])
+
+
+def _membership_rows(s, z):
+    """(G, h, E, e, nonneg) of the witness program of z in S: z is a member
+    iff some w, nonnegative where flagged, has G w <= h and E w = e."""
+    def rhs(rows, b):
+        return [bi - sum((a * v for a, v in zip(r, z)), Q(0))
+                for r, bi in zip(rows, b)]
+    return (s.ineq_w, rhs(s.ineq_z, s.ineq_rhs), s.eq_w,
+            rhs(s.eq_z, s.eq_rhs), s.witness_nonneg)
+
+
+def _solved_verdict(s, z):
+    """Membership of z in S by `lp.solve` of its witness program, each
+    outcome confirmed by the independent oracles."""
+    G, h, E, e, nonneg = _membership_rows(s, z)
+    out = lp.solve(lp.LinearProgram(c=[0] * s.witness_dim, G=G, h=h, E=E,
+                                    e=e, nonneg=nonneg))
+    if out.status == lp.INFEASIBLE:
+        assert certifies_empty(G, h, E, e, out.farkas_ineq, out.farkas_eq,
+                               nonneg)
+        return False
+    assert satisfies_rows(G, h, E, e, out.x)
+    assert all(v >= 0 for v, f in zip(out.x, nonneg) if f)
+    return True
+
+
+def _with_dependent_rows(s, rng):
+    """S cut by two equality rows whose witness parts are proportional
+    (q and k q) and whose z parts are not, both through a point (z0, w0)
+    of S: after phase 1 one of them is an inert row, whose right-hand side
+    is nonzero at every point off the hyperplane the two rows leave."""
+    x = lp.solve(sets._joint_lp(s, [0] * s.dim, [0] * s.witness_dim)).x
+    z0, w0 = x[:s.dim], x[s.dim:]
+    q = [Q(rng.randint(-2, 2)) for _ in range(s.witness_dim)]
+    q[rng.randrange(s.witness_dim)] = Q(1)
+    k = Q(rng.choice([-2, -1, 2, 3]), rng.choice([1, 2]))
+    z1 = [Q(rng.randint(-2, 2)) for _ in range(s.dim)]
+    z2 = [Q(rng.randint(-2, 2)) for _ in range(s.dim)]
+    kq = [k * v for v in q]
+
+    def through(zr, wr):
+        return (sum((a * v for a, v in zip(zr, z0)), Q(0))
+                + sum((a * v for a, v in zip(wr, w0)), Q(0)))
+
+    return sets.LiftedSet(
+        dim=s.dim, witness_dim=s.witness_dim, ineq_z=s.ineq_z,
+        ineq_w=s.ineq_w, ineq_rhs=s.ineq_rhs, eq_z=s.eq_z + [z1, z2],
+        eq_w=s.eq_w + [q, kq],
+        eq_rhs=s.eq_rhs + [through(z1, q), through(z2, kq)],
+        witness_nonneg=s.witness_nonneg)
+
+
+def _test_points(s, rng, count):
+    """Points of a nonempty S (one of its own, moved along seeded
+    directions) and seeded integer points, shuffled: members and
+    non-members both."""
+    zs = [[Q(rng.randint(-3, 3)) for _ in range(s.dim)]
+          for _ in range(count // 3)]
+    z0 = sets.a_point_of(s)
+    zs.append(z0)
+    while len(zs) < count:
+        d = [Q(rng.randint(-2, 2)) for _ in range(s.dim)]
+        t = rng.choice([Q(1, 3), Q(1), Q(2)])
+        zs.append([a + t * b for a, b in zip(z0, d)])
+    rng.shuffle(zs)
+    return zs
+
+
+def test_members_match_a_fresh_member_and_the_kernel():
+    # every lifted-set family the checks sweep, plus sets cut by dependent
+    # equality rows (inert rows) and sets without witnesses
+    rng = random.Random(20261020)
+    verdicts = set()
+    families = set()
+    for _ in range(12):
+        inst = instances.random_feasible_instance(rng)
+        candidates = [
+            ("restricted", lambda: engine.restricted_epigraph(inst)),
+            ("certificate", lambda: engine.certificate_cone(inst)),
+            ("multiplier", lambda: engine.multiplier_cone(inst)),
+            ("support", lambda: calculus.support_epigraph(inst.ground)),
+            ("decoupled", lambda: engine.decoupled_residual_epigraph(inst)),
+            ("no witness", lambda: inst.ground.to_lifted()),
+        ]
+        for name, build in candidates:
+            s = build()
+            if sets.is_empty(s):
+                continue
+            family = [(name, s)]
+            if s.witness_dim:
+                family.append(("dependent rows", _with_dependent_rows(s, rng)))
+            for kind, t in family:
+                points = _test_points(t, rng, 9)
+                got = sets.members(t, points)
+                assert len(got) == len(points)
+                for z, verdict in zip(points, got):
+                    assert verdict == sets.member(t, z) == \
+                        _solved_verdict(t, z)
+                    verdicts.add((kind, verdict))
+                families.add(kind)
+    assert {(kind, v) for kind in families for v in (True, False)} <= verdicts
+    assert len(families) == 7
+    s = engine.certificate_cone(instances.random_feasible_instance(rng))
+    assert sets.members(s, []) == []
+    with pytest.raises(ValueError):
+        sets.members(s, [[0] * s.dim, [0] * (s.dim + 1)])
+
+
+def test_members_on_beale_rows_terminate_and_match(count_pivots):
+    # Beale's cycling example as the witness rows of {z : exists w >= 0,
+    # B w <= h - z}: zero right-hand sides tie the ratio tests, and each
+    # negative entry of h - z starts a dual simplex on the kept basis
+    beale = [[Q(1, 4), -8, -1, 9], [Q(1, 2), -12, Q(-1, 2), 3], [0, 0, 1, 0]]
+    s = sets.LiftedSet(dim=3, witness_dim=4,
+                       ineq_z=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                       ineq_w=beale, ineq_rhs=[0, 0, 1],
+                       witness_nonneg=[True] * 4)
+    rng = random.Random(1955)
+    points = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 2],
+              [1, 1, 2], [-1, 0, 1]]
+    points += [[Q(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+                for _ in range(3)] for _ in range(40)]
+    got, pivots = count_pivots(sets.members, s, points)
+    assert got == [sets.member(s, z) for z in points]
+    assert got == [_solved_verdict(s, z) for z in points]
+    assert True in got and False in got
+    assert pivots < 10 * len(points)

@@ -20,7 +20,7 @@ import copy
 from dataclasses import dataclass
 
 from . import lp, sets
-from .rational import INF, NEG_INF, ONE, ZERO, as_q, as_q_matrix, as_q_vector, dot
+from .rational import INF, ONE, ZERO, as_q, as_q_matrix, as_q_vector, dot
 
 
 @dataclass
@@ -74,11 +74,13 @@ class PiecewiseAffine:
 
 @dataclass
 class Minimum:
-    """Outcome of an exact minimization. value is a rational, INF when the
-    feasible set is empty, NEG_INF when the objective is unbounded below;
-    point is a feasible point whenever one exists (a minimizer when the value
-    is finite) and ray an improving feasible direction when unbounded."""
+    """Outcome of an exact minimization. status is the LP status (optimal,
+    unbounded or infeasible); value is a rational, INF when the feasible
+    set is empty, NEG_INF when the objective is unbounded below; point is a
+    feasible point whenever one exists (a minimizer when the value is
+    finite) and ray an improving feasible direction when unbounded."""
 
+    status: str
     value: object
     point: list | None = None
     ray: list | None = None
@@ -107,10 +109,9 @@ def minimize_over(f: PiecewiseAffine, over: sets.Polyhedron) -> Minimum:
     n = f.dim
     out = lp.solve(_epigraph_program(f, over))
     if out.status == lp.INFEASIBLE:
-        return Minimum(value=INF)
-    if out.status == lp.UNBOUNDED:
-        return Minimum(value=NEG_INF, point=out.x[:n], ray=out.ray[:n])
-    return Minimum(value=out.value, point=out.x[:n])
+        return Minimum(out.status, INF)
+    return Minimum(out.status, out.value, point=out.x[:n],
+                   ray=None if out.ray is None else out.ray[:n])
 
 
 def fenchel_values(f: PiecewiseAffine, points, over=None) -> list:

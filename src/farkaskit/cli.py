@@ -6,6 +6,7 @@ mathematically forced identity failed at runtime (always a bug somewhere),
 violated by the instance.
 """
 
+import functools
 import json
 import os
 import sys
@@ -115,6 +116,12 @@ def load_document(path: str) -> dict:
     return doc
 
 
+def _ground(doc: dict, n: int) -> sets.Polyhedron:
+    if "C" not in doc:
+        return sets.whole_space_polyhedron(n)
+    return _polyhedron(doc["C"], n, "C")
+
+
 def load_instance(doc: dict) -> FarkasInstance:
     for key in ("f", "A", "D"):
         if key not in doc:
@@ -123,8 +130,7 @@ def load_instance(doc: dict) -> FarkasInstance:
     if not matrix:
         _fail("A: at least one row required")
     n = len(matrix[0])
-    ground = sets.whole_space_polyhedron(n) if "C" not in doc \
-        else _polyhedron(doc["C"], n, "C")
+    ground = _ground(doc, n)
     target = _target(doc["D"], len(matrix), "D")
     objective = _objective(doc["f"], "f")
     try:
@@ -148,9 +154,7 @@ def load_grid(doc: dict) -> FarkasInstance:
                      _q(row[1], f"grid.rows[{k}]"),
                      _q(row[2], f"grid.rows[{k}]")))
     objective = _objective(doc["f"], "f")
-    n = objective.dim
-    ground = sets.whole_space_polyhedron(n) if "C" not in doc \
-        else _polyhedron(doc["C"], n, "C")
+    ground = _ground(doc, objective.dim)
     try:
         return semiinf.grid(rows, ground, objective)
     except ValueError as exc:
@@ -296,19 +300,24 @@ def _check_lines(rep: engine.CheckReport):
 
 # --- commands ---------------------------------------------------------------
 
-def _run(body):
-    try:
-        code = body()
-    except InputFormatError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    except InvariantViolation as exc:
-        click.echo(f"forced-identity alarm: {exc}", err=True)
-        sys.exit(EXIT_ALARM)
-    except ValueError as exc:
-        click.echo(f"hypothesis violated: {exc}", err=True)
-        sys.exit(EXIT_HYPOTHESIS)
-    sys.exit(code)
+def _guarded(command):
+    """Run a command body and exit with the code it returns, mapping its
+    errors to exit codes with a one-line message on stderr."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            code = command(*args, **kwargs)
+        except InputFormatError as exc:
+            click.echo(f"input error: {exc}", err=True)
+            sys.exit(EXIT_BAD_INPUT)
+        except InvariantViolation as exc:
+            click.echo(f"forced-identity alarm: {exc}", err=True)
+            sys.exit(EXIT_ALARM)
+        except ValueError as exc:
+            click.echo(f"hypothesis violated: {exc}", err=True)
+            sys.exit(EXIT_HYPOTHESIS)
+        sys.exit(code)
+    return run
 
 
 @click.group()
@@ -324,30 +333,29 @@ def main():
               help="1: split certificate; 2: single multiplier; 3: dual "
                    "criterion set; concave: sublevel containment.")
 @click.option("--json", "as_json", is_flag=True, help="Machine output.")
+@_guarded
 def check(path, which, as_json):
     """Statement vs certificate vs closedness for one instance file."""
-    def body():
-        inst = load_instance(load_document(path))
-        if which == "concave":
-            rep = engine.check_sublevel(inst)
-            _emit(as_json, {"mode": "concave", "report": rep}, [
-                f"sublevel maximum: {scalar_text(rep.maximum)}",
-                f"nonpositive on feasible set: {_yes(rep.nonpositive)}",
-                f"conjugate epigraph contained: "
-                f"{_yes(rep.epigraph_contained)}",
-                f"conditional closedness: {_yes(rep.simili_closed)}",
-                f"verdict: {rep.verdict}",
-            ])
-            return EXIT_OK
-        if which == "1":
-            rep = engine.check_primal_criterion(inst)
-        elif which == "2":
-            rep = engine.check_reduced_criterion(inst)
-        else:
-            rep = engine.check_dual_criterion(inst, seed=_seed())
-        _emit(as_json, {"mode": which, "report": rep}, _check_lines(rep))
+    inst = load_instance(load_document(path))
+    if which == "concave":
+        rep = engine.check_sublevel(inst)
+        _emit(as_json, {"mode": "concave", "report": rep}, [
+            f"sublevel maximum: {scalar_text(rep.maximum)}",
+            f"nonpositive on feasible set: {_yes(rep.nonpositive)}",
+            f"conjugate epigraph contained: "
+            f"{_yes(rep.epigraph_contained)}",
+            f"conditional closedness: {_yes(rep.simili_closed)}",
+            f"verdict: {rep.verdict}",
+        ])
         return EXIT_OK
-    _run(body)
+    if which == "1":
+        rep = engine.check_primal_criterion(inst)
+    elif which == "2":
+        rep = engine.check_reduced_criterion(inst)
+    else:
+        rep = engine.check_dual_criterion(inst, seed=_seed())
+    _emit(as_json, {"mode": which, "report": rep}, _check_lines(rep))
+    return EXIT_OK
 
 
 def _yes(flag: bool) -> str:
@@ -357,64 +365,61 @@ def _yes(flag: bool) -> str:
 @main.command()
 @click.argument("path")
 @click.option("--json", "as_json", is_flag=True, help="Machine output.")
+@_guarded
 def feasible(path, as_json):
     """Decide feasibility twice (direct LP and cone probe); they must agree."""
-    def body():
-        inst = load_instance(load_document(path))
-        rep = engine.check_existence(inst)
-        lines = [f"feasible: {_yes(rep.feasible)}"]
-        if rep.point is not None:
-            lines.append(f"point: {_vec_text(rep.point)}")
-        lines.append(f"preimage nonempty: {_yes(rep.preimage_nonempty)}")
-        _emit(as_json, {"report": rep}, lines)
-        return EXIT_OK if rep.feasible else EXIT_NO
-    _run(body)
+    inst = load_instance(load_document(path))
+    rep = engine.check_existence(inst)
+    lines = [f"feasible: {_yes(rep.feasible)}"]
+    if rep.point is not None:
+        lines.append(f"point: {_vec_text(rep.point)}")
+    lines.append(f"preimage nonempty: {_yes(rep.preimage_nonempty)}")
+    _emit(as_json, {"report": rep}, lines)
+    return EXIT_OK if rep.feasible else EXIT_NO
 
 
 @main.command()
 @click.argument("path")
 @click.option("--json", "as_json", is_flag=True, help="Machine output.")
+@_guarded
 def solve(path, as_json):
     """Minimize the objective over the feasible set, exactly."""
-    def body():
-        inst = load_instance(load_document(path))
-        sol = duality.solve_primal(inst)
-        lines = [f"status: {sol.status}",
-                 f"value: {scalar_text(sol.value)}"]
-        if sol.point is not None:
-            lines.append(f"point: {_vec_text(sol.point)}")
-        if sol.ray is not None:
-            lines.append(f"improving ray: {_vec_text(sol.ray)}")
-        _emit(as_json, {"report": sol}, lines)
-        return EXIT_NO if sol.status == duality.INFEASIBLE else EXIT_OK
-    _run(body)
+    inst = load_instance(load_document(path))
+    sol = duality.solve_primal(inst)
+    lines = [f"status: {sol.status}",
+             f"value: {scalar_text(sol.value)}"]
+    if sol.point is not None:
+        lines.append(f"point: {_vec_text(sol.point)}")
+    if sol.ray is not None:
+        lines.append(f"improving ray: {_vec_text(sol.ray)}")
+    _emit(as_json, {"report": sol}, lines)
+    return EXIT_NO if sol.status == duality.INFEASIBLE else EXIT_OK
 
 
 @main.command()
 @click.argument("path")
 @click.option("--json", "as_json", is_flag=True, help="Machine output.")
+@_guarded
 def dual(path, as_json):
     """Best certified lower bound: the linked-triple maximization."""
-    def body():
-        inst = load_instance(load_document(path))
-        sol = duality.solve_dual(inst)
-        lines = [f"status: {sol.status}",
-                 f"value: {scalar_text(sol.value)}"]
-        payload = {"report": sol}
-        if sol.status == duality.OPTIMAL:
-            split = semiinf.decompose(sol.lam)
-            payload["lam_plus"] = split.plus
-            payload["lam_minus"] = split.minus
-            lines += [
-                f"u: {_vec_text(sol.u)}",
-                f"v: {_vec_text(sol.v)}",
-                f"lam: {_vec_text(sol.lam)}",
-                f"lam split: plus {_vec_text(split.plus)}"
-                f" minus {_vec_text(split.minus)}",
-            ]
-        _emit(as_json, payload, lines)
-        return EXIT_NO if sol.status == duality.INFEASIBLE else EXIT_OK
-    _run(body)
+    inst = load_instance(load_document(path))
+    sol = duality.solve_dual(inst)
+    lines = [f"status: {sol.status}",
+             f"value: {scalar_text(sol.value)}"]
+    payload = {"report": sol}
+    if sol.status == duality.OPTIMAL:
+        split = semiinf.decompose(sol.lam)
+        payload["lam_plus"] = split.plus
+        payload["lam_minus"] = split.minus
+        lines += [
+            f"u: {_vec_text(sol.u)}",
+            f"v: {_vec_text(sol.v)}",
+            f"lam: {_vec_text(sol.lam)}",
+            f"lam split: plus {_vec_text(split.plus)}"
+            f" minus {_vec_text(split.minus)}",
+        ]
+    _emit(as_json, payload, lines)
+    return EXIT_NO if sol.status == duality.INFEASIBLE else EXIT_OK
 
 
 @main.command()
@@ -422,29 +427,28 @@ def dual(path, as_json):
 @click.option("--point", required=True,
               help="Feasible point as a JSON array, e.g. '[0, \"1/2\"]'.")
 @click.option("--json", "as_json", is_flag=True, help="Machine output.")
+@_guarded
 def optimality(path, point, as_json):
     """Three equivalent optimality tests at a feasible point."""
-    def body():
-        inst = load_instance(load_document(path))
-        try:
-            raw = json.loads(point)
-        except (ValueError, RecursionError) as exc:
-            _fail(f"--point is not valid JSON: {exc}")
-        if not isinstance(raw, list):
-            _fail("--point must be a JSON array")
-        at = _q_vector(raw, "--point")
-        rep = duality.check_optimality(inst, at)
-        lines = [
-            f"point: {_vec_text(at)}",
-            f"value: {scalar_text(rep.value)}",
-            f"optimal: {_yes(rep.optimal)}",
-            f"  by value comparison: {_yes(rep.by_comparison)}",
-            f"  by certificate: {_yes(rep.by_certificate)}",
-            f"  by subdifferential: {_yes(rep.by_subdifferential)}",
-        ]
-        _emit(as_json, {"report": rep, "point": at}, lines)
-        return EXIT_OK if rep.optimal else EXIT_NO
-    _run(body)
+    inst = load_instance(load_document(path))
+    try:
+        raw = json.loads(point)
+    except (ValueError, RecursionError) as exc:
+        _fail(f"--point is not valid JSON: {exc}")
+    if not isinstance(raw, list):
+        _fail("--point must be a JSON array")
+    at = _q_vector(raw, "--point")
+    rep = duality.check_optimality(inst, at)
+    lines = [
+        f"point: {_vec_text(at)}",
+        f"value: {scalar_text(rep.value)}",
+        f"optimal: {_yes(rep.optimal)}",
+        f"  by value comparison: {_yes(rep.by_comparison)}",
+        f"  by certificate: {_yes(rep.by_certificate)}",
+        f"  by subdifferential: {_yes(rep.by_subdifferential)}",
+    ]
+    _emit(as_json, {"report": rep, "point": at}, lines)
+    return EXIT_OK if rep.optimal else EXIT_NO
 
 
 @main.command()
@@ -453,117 +457,111 @@ def optimality(path, point, as_json):
               help="Number of seeded tilts (ignored if the file lists its "
                    "own tilts).")
 @click.option("--json", "as_json", is_flag=True, help="Machine output.")
+@_guarded
 def stable(path, count, as_json):
     """Strong duality under every sampled linear tilt of the objective."""
-    def body():
-        doc = load_document(path)
-        inst = load_instance(doc)
-        seed = _seed()
-        file_tilts = load_tilts(doc, inst.n)
-        if file_tilts is not None:
-            shifts = [shift for shift, _ in file_tilts]
-        else:
-            shifts = [shift for shift, _ in duality.default_tilts(
-                inst.n, count=count, seed=seed)]
-        rep = duality.check_stable_strong_duality(inst, tilts=shifts,
-                                                  seed=seed)
-        lines = []
-        table = []
-        if rep.tilts_checked:
-            lines.append("tilt | primal | dual | equal")
-            for shift, row in zip(shifts, rep.per_tilt):
-                table.append({"tilt": shift,
-                              "primal": row.primal.value,
-                              "dual": row.dual.value,
-                              "equal": row.equal})
-                lines.append(
-                    f"{_vec_text(shift)} | {scalar_text(row.primal.value)}"
-                    f" | {scalar_text(row.dual.value)} | {_yes(row.equal)}")
-        lines.append(f"tilts checked: {rep.tilts_checked}")
-        lines.append(f"all strong: {_yes(rep.all_strong)}")
-        lines.append(f"containment sample points: {rep.containment_points}")
-        if rep.note:
-            lines.append(f"note: {rep.note}")
-        _emit(as_json, {"report": rep, "table": table}, lines)
-        if rep.tilts_checked == 0 and rep.note:
-            return EXIT_NO
-        return EXIT_OK
-    _run(body)
+    doc = load_document(path)
+    inst = load_instance(doc)
+    seed = _seed()
+    tilts = load_tilts(doc, inst.n)
+    if tilts is None:
+        tilts = duality.default_tilts(inst.n, count=count, seed=seed)
+    shifts = [shift for shift, _ in tilts]
+    rep = duality.check_stable_strong_duality(inst, tilts=shifts,
+                                              seed=seed)
+    lines = []
+    table = []
+    if rep.tilts_checked:
+        lines.append("tilt | primal | dual | equal")
+        for shift, row in zip(shifts, rep.per_tilt):
+            table.append({"tilt": shift,
+                          "primal": row.primal.value,
+                          "dual": row.dual.value,
+                          "equal": row.equal})
+            lines.append(
+                f"{_vec_text(shift)} | {scalar_text(row.primal.value)}"
+                f" | {scalar_text(row.dual.value)} | {_yes(row.equal)}")
+    lines.append(f"tilts checked: {rep.tilts_checked}")
+    lines.append(f"all strong: {_yes(rep.all_strong)}")
+    lines.append(f"containment sample points: {rep.containment_points}")
+    if rep.note:
+        lines.append(f"note: {rep.note}")
+    _emit(as_json, {"report": rep, "table": table}, lines)
+    if rep.tilts_checked == 0 and rep.note:
+        return EXIT_NO
+    return EXIT_OK
 
 
 @main.command("semiinf")
 @click.argument("path")
 @click.argument("mode", type=click.Choice(["7-8", "7-9", "9-10"]))
 @click.option("--json", "as_json", is_flag=True, help="Machine output.")
+@_guarded
 def semiinf_cmd(path, mode, as_json):
     """Finite-grid checks: 7-8 split certificate, 7-9 single multiplier,
     9-10 dual criterion plus tilt stability."""
-    def body():
-        inst = load_grid(load_document(path))
-        seed = _seed()
-        if mode != "9-10":
-            check = (engine.check_primal_criterion if mode == "7-8"
-                     else engine.check_reduced_criterion)
-            rep = check(inst)
-            _emit(as_json, {"mode": mode, "report": rep}, _check_lines(rep))
-            return EXIT_OK
-        rep = semiinf.check_grid_dual(inst, seed=seed)
-        stab = duality.check_stability(inst, seed=seed)
-        lines = _check_lines(rep)
-        lines.append(f"stability: {stab.tilts_checked} tilts, "
-                     f"all equivalences held: {_yes(stab.all_equivalent)}")
-        _emit(as_json, {"mode": mode, "report": rep, "stability": stab},
-              lines)
+    inst = load_grid(load_document(path))
+    seed = _seed()
+    if mode != "9-10":
+        check = (engine.check_primal_criterion if mode == "7-8"
+                 else engine.check_reduced_criterion)
+        rep = check(inst)
+        _emit(as_json, {"mode": mode, "report": rep}, _check_lines(rep))
         return EXIT_OK
-    _run(body)
+    rep = semiinf.check_grid_dual(inst, seed=seed)
+    stab = duality.check_stability(inst, seed=seed)
+    lines = _check_lines(rep)
+    lines.append(f"stability: {stab.tilts_checked} tilts, "
+                 f"all equivalences held: {_yes(stab.all_equivalent)}")
+    _emit(as_json, {"mode": mode, "report": rep, "stability": stab},
+          lines)
+    return EXIT_OK
 
 
 @main.command("polyapprox")
 @click.argument("path")
 @click.option("--out", required=True, help="CSV output path.")
 @click.option("--json", "as_json", is_flag=True, help="Machine output.")
+@_guarded
 def polyapprox_cmd(path, out, as_json):
     """Cheapest polynomial through a band around tabulated values, per
     tolerance; frontier written as CSV."""
-    def body():
-        problem = load_approx(load_document(path))
-        try:
-            rows = polyapprox.sweep(problem)
-        except ValueError as exc:
-            click.echo(f"infeasible: {exc}", err=True)
-            return EXIT_NO
-        polyapprox.write_frontier(rows, out, problem.degree_bound)
-        lines = []
-        for row in rows:
-            if row.coefficients is None:
-                lines.append(f"epsilon {scalar_text(row.epsilon)}: "
-                             "unbounded below")
-            else:
-                lines.append(
-                    f"epsilon {scalar_text(row.epsilon)}: objective "
-                    f"{scalar_text(row.objective)}, coefficients "
-                    f"{_vec_text(row.coefficients)}")
-        lines.append(f"wrote {out}")
-        _emit(as_json, {"rows": rows, "out": out}, lines)
-        return EXIT_OK
-    _run(body)
+    problem = load_approx(load_document(path))
+    try:
+        rows = polyapprox.sweep(problem)
+    except ValueError as exc:
+        click.echo(f"infeasible: {exc}", err=True)
+        return EXIT_NO
+    polyapprox.write_frontier(rows, out, problem.degree_bound)
+    lines = []
+    for row in rows:
+        if row.coefficients is None:
+            lines.append(f"epsilon {scalar_text(row.epsilon)}: "
+                         "unbounded below")
+        else:
+            lines.append(
+                f"epsilon {scalar_text(row.epsilon)}: objective "
+                f"{scalar_text(row.objective)}, coefficients "
+                f"{_vec_text(row.coefficients)}")
+    lines.append(f"wrote {out}")
+    _emit(as_json, {"rows": rows, "out": out}, lines)
+    return EXIT_OK
 
 
 @main.command("gallery")
 @click.argument("name")
 @click.option("--json", "as_json", is_flag=True, help="Machine output.")
+@_guarded
 def gallery_cmd(name, as_json):
     """Run one worked example and verify it against its frozen verdicts."""
-    def body():
-        ok, rep = gallery.verify(name)
-        lines = [f"gallery {name}"]
-        lines += [f"  {s}" for s in rep.narrative]
-        lines.append(f"verdicts match the frozen fixture: {_yes(ok)}")
-        _emit(as_json, {"name": name, "summary": rep.summary,
-                        "narrative": rep.narrative, "matches_frozen": ok},
-              lines)
-        return EXIT_OK if ok else EXIT_ALARM
-    _run(body)
+    ok, rep = gallery.verify(name)
+    lines = [f"gallery {name}"]
+    lines += [f"  {s}" for s in rep.narrative]
+    lines.append(f"verdicts match the frozen fixture: {_yes(ok)}")
+    _emit(as_json, {"name": name, "summary": rep.summary,
+                    "narrative": rep.narrative, "matches_frozen": ok},
+          lines)
+    return EXIT_OK if ok else EXIT_ALARM
 
 
 if __name__ == "__main__":

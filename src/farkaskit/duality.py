@@ -49,27 +49,15 @@ UNBOUNDED = lp.UNBOUNDED
 INFEASIBLE = lp.INFEASIBLE
 
 
-@dataclass
-class PrimalSolution:
-    """status OPTIMAL carries the exact minimum and a minimizer; UNBOUNDED
-    carries a feasible point and an improving ray; INFEASIBLE means the
-    feasible set misses dom f (value +infinity)."""
-
-    status: str
-    value: object
-    point: list | None = None
-    ray: list | None = None
-
-
-def solve_primal(inst: FarkasInstance) -> PrimalSolution:
+def solve_primal(inst: FarkasInstance) -> calculus.Minimum:
+    """The instance's kept minimum, with its own copies of point and ray:
+    status OPTIMAL carries the exact minimum and a minimizer, UNBOUNDED a
+    feasible point and an improving ray, INFEASIBLE means the feasible set
+    misses dom f (value +infinity)."""
     best = inst.minimum()
-    if best.value is INF:
-        return PrimalSolution(status=INFEASIBLE, value=INF)
-    if best.value is NEG_INF:
-        return PrimalSolution(status=UNBOUNDED, value=NEG_INF,
-                              point=list(best.point), ray=list(best.ray))
-    return PrimalSolution(status=OPTIMAL, value=best.value,
-                          point=list(best.point))
+    return replace(best,
+                   point=None if best.point is None else list(best.point),
+                   ray=None if best.ray is None else list(best.ray))
 
 
 @dataclass
@@ -142,14 +130,14 @@ class StrongDualityReport:
     equivalence is not forced; note then explains the open hypothesis and
     equal reports the factual comparison of the two values."""
 
-    primal: PrimalSolution
+    primal: calculus.Minimum
     dual: DualSolution
     equal: bool
     criterion_holds: bool = True
     note: str | None = None
 
 
-def _strong_report(primal: PrimalSolution,
+def _strong_report(primal: calculus.Minimum,
                    dual: DualSolution) -> StrongDualityReport:
     if primal.value is NEG_INF:
         if dual.status != INFEASIBLE:

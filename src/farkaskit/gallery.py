@@ -56,19 +56,15 @@ def g1_instance() -> FarkasInstance:
         objective=PiecewiseAffine(dim=1, slopes=[[-1]], offsets=[0]))
 
 
-def _g1() -> GalleryReport:
-    inst = g1_instance()
+def _summary(name: str, inst: FarkasInstance, dual: dict) -> dict:
+    """The summary keys g1 and g3 share, with the one dual entry `dual`
+    (its key and value) after the reduced criterion."""
     primal = engine.check_primal_criterion(inst)
     reduced = engine.check_reduced_criterion(inst)
     existence = engine.check_existence(inst)
     pair = duality.check_strong_duality(inst)
-    try:
-        engine.check_dual_criterion(inst)
-        dual_check = "ran"
-    except ValueError as exc:
-        dual_check = f"hypothesis violated: {exc}"
-    summary = {
-        "name": "g1",
+    return {
+        "name": name,
         "feasible": existence.feasible,
         "preimage_nonempty": existence.preimage_nonempty,
         "statement": primal.nonnegativity.verdict.value,
@@ -79,13 +75,23 @@ def _g1() -> GalleryReport:
         else "absent",
         "primal_criterion": _criterion(primal),
         "reduced_criterion": _criterion(reduced),
-        "dual_check": dual_check,
+        **dual,
         "primal_status": pair.primal.status,
         "dual_status": pair.dual.status,
         "primal_value": scalar_text(pair.primal.value),
         "dual_value": scalar_text(pair.dual.value),
         "strong_duality_equal": pair.equal,
     }
+
+
+def _g1() -> GalleryReport:
+    inst = g1_instance()
+    try:
+        engine.check_dual_criterion(inst)
+        dual_check = "ran"
+    except ValueError as exc:
+        dual_check = f"hypothesis violated: {exc}"
+    summary = _summary("g1", inst, {"dual_check": dual_check})
     narrative = [
         "the map sends every point to 0, which the target {1} never meets:"
         " the feasible set is empty",
@@ -230,33 +236,11 @@ def g3_instance() -> FarkasInstance:
 
 def _g3() -> GalleryReport:
     inst = g3_instance()
-    primal = engine.check_primal_criterion(inst)
-    reduced = engine.check_reduced_criterion(inst)
     dual = engine.check_dual_criterion(inst)
-    existence = engine.check_existence(inst)
-    pair = duality.check_strong_duality(inst)
-    optimum = duality.check_optimality(inst, [ZERO, ZERO])
-    summary = {
-        "name": "g3",
-        "feasible": existence.feasible,
-        "preimage_nonempty": existence.preimage_nonempty,
-        "statement": primal.nonnegativity.verdict.value,
-        "minimum": scalar_text(primal.nonnegativity.minimum),
-        "certificate": "present" if primal.certificate is not None
-        else "absent",
-        "reduced_certificate": "present" if reduced.certificate is not None
-        else "absent",
-        "primal_criterion": _criterion(primal),
-        "reduced_criterion": _criterion(reduced),
-        "dual_criterion": _criterion(dual),
-        "primal_status": pair.primal.status,
-        "dual_status": pair.dual.status,
-        "primal_value": scalar_text(pair.primal.value),
-        "dual_value": scalar_text(pair.dual.value),
-        "strong_duality_equal": pair.equal,
-        "optimal_point": _texts(pair.primal.point),
-        "optimality_at_point": optimum.optimal,
-    }
+    summary = _summary("g3", inst, {"dual_criterion": _criterion(dual)})
+    summary["optimal_point"] = _texts(duality.solve_primal(inst).point)
+    summary["optimality_at_point"] = duality.check_optimality(
+        inst, [ZERO, ZERO]).optimal
     narrative = [
         "the box instance passes every check: minimum 0 on the feasible"
         " set, certificate present, all three criteria hold",

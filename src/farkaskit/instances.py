@@ -100,32 +100,18 @@ def random_feasible_instance(rng: random.Random,
         objective=random_objective(rng, n, anchor, allow_domain))
 
 
-def _row_range_over_box(row, pairs):
-    """Exact interval arithmetic: the range of row . x over the box."""
-    lo = ZERO
-    hi = ZERO
-    for a, (left, right) in zip(row, pairs):
-        if a >= 0:
-            lo += a * left
-            hi += a * right
-        else:
-            lo += a * right
-            hi += a * left
-    return lo, hi
-
-
 def random_infeasible_instance(rng: random.Random) -> FarkasInstance:
     """Guaranteed-infeasible variant: one target interval is pushed
     strictly past the exact range of that output coordinate over the
     ground box, so no ground point can reach it."""
     n, m, anchor, ground_pairs, matrix, image = _random_frame(rng)
+    ground = sets.Box(ground_pairs)
     target_pairs = _box_around(rng, image, 3)
     i = rng.randrange(m)
-    _, hi = _row_range_over_box(matrix[i], ground_pairs)
-    lo = hi + ONE + Q(rng.randint(0, 2))
+    lo = ground.support(matrix[i]) + ONE + Q(rng.randint(0, 2))
     target_pairs[i] = (lo, lo + Q(rng.randint(0, 2)))
     return FarkasInstance(
-        ground=sets.Box(ground_pairs).to_polyhedron(),
+        ground=ground.to_polyhedron(),
         matrix=matrix,
         target=sets.Box(target_pairs),
         objective=random_objective(rng, n, anchor))

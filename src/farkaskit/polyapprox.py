@@ -171,10 +171,7 @@ def sweep(problem: ApproxProblem) -> list:
         raise ValueError("no tolerances to sweep")
     rows = [solve_eps(problem, eps) for eps in problem.epsilons]
     for prev, cur in zip(rows, rows[1:]):
-        if prev.objective is NEG_INF and cur.objective is not NEG_INF:
-            raise InvariantViolation("frontier objective increased")
-        if cur.objective is not NEG_INF and prev.objective is not NEG_INF \
-                and cur.objective > prev.objective:
+        if cur.objective > prev.objective:  # NEG_INF orders below all
             raise InvariantViolation("frontier objective increased")
     return rows
 

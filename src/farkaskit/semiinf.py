@@ -249,7 +249,8 @@ def check_moment_sandwich(inst: engine.FarkasInstance, n_random: int = 20,
     identities, graphs = [], []
     for lam, lp_sup in zip(lams, lp_sups):
         sm = decompose(lam)
-        assert sm.value() == as_q_vector(lam)
+        if sm.value() != as_q_vector(lam):
+            raise InvariantViolation("the split does not recompose lam")
         sup = box_support(inst, sm)
         identities.append(sup == lp_sup)
         graphs.append(inst.adjoint(lam) + [sup])

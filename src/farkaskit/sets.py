@@ -83,12 +83,12 @@ def whole_space(dim: int) -> LiftedSet:
     return LiftedSet(dim=dim)
 
 
-def _joint_lp(s: LiftedSet, c_z, c_w):
-    """LP over stacked (z, w) with the set's rows."""
+def _joint_lp(s: LiftedSet):
+    """Feasibility LP over stacked (z, w) with the set's rows."""
     n = s.dim + s.witness_dim
     G = [rz + rw for rz, rw in zip(s.ineq_z, s.ineq_w)]
     E = [rz + rw for rz, rw in zip(s.eq_z, s.eq_w)]
-    return lp.LinearProgram(c=list(c_z) + list(c_w), G=G, h=s.ineq_rhs,
+    return lp.LinearProgram(c=[ZERO] * n, G=G, h=s.ineq_rhs,
                             E=E, e=s.eq_rhs,
                             nonneg=[False] * s.dim + list(s.witness_nonneg))
 
@@ -99,7 +99,7 @@ def is_empty(s: LiftedSet) -> bool:
 
 def a_point_of(s: LiftedSet):
     """Some point of S, or None when S is empty."""
-    out = lp.solve(_joint_lp(s, [ZERO] * s.dim, [ZERO] * s.witness_dim))
+    out = lp.solve(_joint_lp(s))
     if out.status == lp.INFEASIBLE:
         return None
     return out.x[:s.dim]
@@ -160,7 +160,7 @@ def supports(s: LiftedSet, directions) -> list:
         if len(d) != s.dim:
             raise ValueError("direction dimension mismatch")
         costs.append([-v for v in d] + [ZERO] * s.witness_dim)
-    prog = _joint_lp(s, [ZERO] * s.dim, [ZERO] * s.witness_dim)
+    prog = _joint_lp(s)
     return [-v for v in lp.minima(prog, costs)]
 
 
@@ -324,21 +324,14 @@ def contains_generated(s: LiftedSet, g: GeneratedSet) -> bool:
 
 def probe_directions(dim: int, n_random: int = 0, seed: int = 0):
     """The standard probe grid: +-e_i, then +-e_i +- e_j (i < j), then
-    n_random extra seeded integer directions."""
+    n_random extra seeded integer directions. The grid's directions are
+    nonzero and distinct by construction."""
     dirs = []
-    seen = set()
-
-    def push(v):
-        key = tuple(v)
-        if any(x != ZERO for x in v) and key not in seen:
-            seen.add(key)
-            dirs.append(list(v))
-
     for i in range(dim):
         for si in (ONE, -ONE):
             v = [ZERO] * dim
             v[i] = si
-            push(v)
+            dirs.append(v)
     for i in range(dim):
         for j in range(i + 1, dim):
             for si in (ONE, -ONE):
@@ -346,7 +339,8 @@ def probe_directions(dim: int, n_random: int = 0, seed: int = 0):
                     v = [ZERO] * dim
                     v[i] = si
                     v[j] = sj
-                    push(v)
+                    dirs.append(v)
+    seen = {tuple(v) for v in dirs}
     rng = random.Random(seed)
     made = 0
     while made < n_random:

@@ -324,3 +324,27 @@ class TestRoundTrip:
         res = runner.invoke(cli.main, ["check", write(tmp_path, ALL_HOLDS),
                                        "--theorem", "3"])
         assert res.exit_code == 0
+
+
+# the options each command needs besides its input file
+REQUIRED = {
+    "check": ["--theorem", "1"],
+    "optimality": ["--point", "[0]"],
+    "semiinf": ["7-8"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli.main.commands))
+def test_every_command_maps_malformed_input_to_64(runner, tmp_path, name):
+    # a command without the guard would exit 1 with a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"f": ')
+    if name == "gallery":
+        argv = ["gallery", "g9"]
+    elif name == "polyapprox":
+        argv = ["polyapprox", str(bad), "--out", str(tmp_path / "out.csv")]
+    else:
+        argv = [name, str(bad)] + REQUIRED.get(name, [])
+    res = runner.invoke(cli.main, argv)
+    assert res.exit_code == 64, res.output
+    assert res.stderr.startswith("input error: ")

@@ -65,6 +65,21 @@ class TestSolvePrimal:
         assert sol.status == INFEASIBLE
         assert sol.value is INF
 
+    @pytest.mark.parametrize("make", [bounded_instance, unbounded_instance,
+                                      infeasible_dual_infeasible])
+    def test_status_is_the_kept_minimum_status(self, make):
+        inst = make()
+        assert duality.solve_primal(inst).status == inst.minimum().status
+
+    def test_returned_point_and_ray_are_copies(self):
+        for inst in (bounded_instance(), unbounded_instance()):
+            kept = repr(inst.minimum())
+            sol = duality.solve_primal(inst)
+            sol.point[0] += 1
+            if sol.ray is not None:
+                sol.ray[0] += 1
+            assert repr(inst.minimum()) == kept
+
 
 class TestSolveDual:
     def test_attains_primal_value(self):

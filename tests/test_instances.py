@@ -3,7 +3,8 @@
 import random
 
 from farkaskit import instances, lp
-from farkaskit.rational import ZERO
+from farkaskit.rational import Q, ZERO
+from farkaskit.sets import Box
 
 
 def test_random_lp_size_bounds():
@@ -41,11 +42,19 @@ def test_infeasible_instances_are_infeasible():
 
 def test_row_range_is_exact():
     # row (2, -3) over [0,1] x [-1, 2]
-    lo, hi = instances._row_range_over_box(
-        [instances.Q(2), instances.Q(-3)],
-        [(instances.Q(0), instances.Q(1)),
-         (instances.Q(-1), instances.Q(2))])
-    assert (lo, hi) == (-6, 5)
+    row = [Q(2), Q(-3)]
+    box = Box([(Q(0), Q(1)), (Q(-1), Q(2))])
+    assert (-box.support([-v for v in row]), box.support(row)) == (-6, 5)
+
+
+def test_infeasible_targets_lie_past_the_ground_range():
+    rng = random.Random(13)
+    for _ in range(30):
+        inst = instances.random_infeasible_instance(rng)
+        h = inst.ground.h  # hi_j, then -lo_j, per coordinate (Box.pullback)
+        ground = Box([(-lo, hi) for hi, lo in zip(h[0::2], h[1::2])])
+        assert any(lo > ground.support(row)
+                   for row, (lo, _) in zip(inst.matrix, inst.target.bounds))
 
 
 def test_random_grid_size_bounds():

@@ -120,6 +120,23 @@ class TestSweep:
         objs = [r.objective for r in rows]
         assert objs == sorted(objs, reverse=True)
 
+    @pytest.mark.parametrize("objectives, increased", [
+        ((Q(1), Q(2)), True), ((NEG_INF, Q(1)), True),
+        ((Q(2), Q(1)), False), ((Q(1), Q(1)), False),
+        ((Q(1), NEG_INF), False), ((NEG_INF, NEG_INF), False)])
+    def test_increase_is_an_alarm(self, monkeypatch, objectives, increased):
+        rows = iter([polyapprox.FrontierRow(epsilon=eps, objective=obj,
+                                            coefficients=None, dual=None)
+                     for eps, obj in zip((Q(1, 2), Q(1)), objectives)])
+        monkeypatch.setattr(polyapprox, "solve_eps",
+                            lambda problem, eps: next(rows))
+        problem = vee_problem([Q(1, 2), Q(1)])
+        if increased:
+            with pytest.raises(InvariantViolation):
+                polyapprox.sweep(problem)
+        else:
+            assert len(polyapprox.sweep(problem)) == 2
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "frontier.csv"
         rows = polyapprox.sweep(square_problem())

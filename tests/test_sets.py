@@ -438,7 +438,7 @@ def _with_dependent_rows(s, rng):
     (q and k q) and whose z parts are not, both through a point (z0, w0)
     of S: after phase 1 one of them is an inert row, whose right-hand side
     is nonzero at every point off the hyperplane the two rows leave."""
-    x = lp.solve(sets._joint_lp(s, [0] * s.dim, [0] * s.witness_dim)).x
+    x = lp.solve(sets._joint_lp(s)).x
     z0, w0 = x[:s.dim], x[s.dim:]
     q = [Q(rng.randint(-2, 2)) for _ in range(s.witness_dim)]
     q[rng.randrange(s.witness_dim)] = Q(1)

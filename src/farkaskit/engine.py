@@ -325,13 +325,24 @@ def _validate_certificate(inst: FarkasInstance, cert: Certificate):
         raise InvariantViolation("certificate value budget exceeded")
 
 
+def _target_multiplier(inst: FarkasInstance, mu_t) -> list:
+    """lam = t^T mu_t, from the multipliers mu_t of the preimage rows,
+    which are the target rows t pulled back. A box's rows come in
+    `Box.pullback` order, e_i then -e_i, so there lam_i = mu_t[2i] -
+    mu_t[2i + 1], with no dense box to form."""
+    if isinstance(inst.target, Box):
+        return [p - q for p, q in zip(mu_t[::2], mu_t[1::2])]
+    t = inst.target
+    return transpose_apply(t.G + t.E, mu_t, inst.m)
+
+
 def full_program(inst: FarkasInstance):
     """The multiplier program of the full triple, over the blocks dom f,
     ground and the preimage of target, minimizing its budget row: the dual
     program of `duality` and `polyapprox`, and with `_within_budget` the
     certificate search. Returns (program, extract), where extract(w) gives
     (u, lam)."""
-    f, dom, t = inst.objective, inst.domain(), inst.target_polyhedron()
+    f, dom = inst.objective, inst.domain()
     program, split = calculus.multiplier_program(
         inst.n, list(zip(f.slopes, f.offsets)),
         [dom, inst.ground, inst.preimage_polyhedron()])
@@ -340,7 +351,7 @@ def full_program(inst: FarkasInstance):
         theta, mu_dom, _, mu_t = split(w)
         return (transpose_apply(f.slopes + dom.G + dom.E, theta + mu_dom,
                                 inst.n),
-                transpose_apply(t.G + t.E, mu_t, inst.m))
+                _target_multiplier(inst, mu_t))
 
     return program, extract
 
@@ -421,8 +432,7 @@ def find_reduced_certificate(inst: FarkasInstance) -> ReducedCertificate | None:
     if out.status == lp.INFEASIBLE:
         return None
     _, _, mu_t = split(out.x)
-    t = inst.target_polyhedron()
-    lam = transpose_apply(t.G + t.E, mu_t, inst.m)
+    lam = _target_multiplier(inst, mu_t)
     cert = ReducedCertificate(
         lam=lam,
         restricted_conjugate=calculus.fenchel_values(

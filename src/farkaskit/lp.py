@@ -36,6 +36,19 @@ none is infeasible as it stands. This is Bland's rule applied to the dual
 program (Bland 1977), which cannot cycle, so the sweep terminates on
 degenerate data too.
 
+`GrowingSystem` keeps one tableau while inequality rows are appended, as
+an exchange (cutting-plane) method adds them: phase 1 runs once, and each
+row a.x <= b gets a slack column of its own, after the last slack and
+before the artificials, and enters reduced in the current basis (the
+elimination of `phase2`'s cost row), its slack basic. Its value may then
+be negative, and the same zero-cost dual simplex restores the signs; this
+is the textbook dual-simplex step for an added row (Lemke 1954), and
+`feasible_at` and the appends share its one loop
+(`_Tableau.dual_simplex`). A row left negative with no negative real
+entry combines the rows into 0 <= (negative), and its entries at the
+starting basic columns, with the flips sigma applied, are that
+combination's weights: the Farkas pair, read as `feasible_at` reads B^-1.
+
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
 objective row included, is a dense list of plain integer numerators, its
 right-hand side last, over one positive integer denominator, kept in lowest
@@ -63,7 +76,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import InvariantViolation
-from .rational import INF, NEG_INF, ONE, ZERO, Q, as_q_matrix, as_q_vector, dot
+from .rational import (INF, NEG_INF, ONE, ZERO, Q, as_q, as_q_matrix,
+                       as_q_vector, dot)
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -344,6 +358,13 @@ class _Tableau:
                         break
         return None
 
+    def _starts(self):
+        # per constraint row, the column that was its basic one at set-up:
+        # its artificial, else its slack; their current entries hold B^-1
+        slack0 = self.slack0
+        return [slack0 + k if a is None else a
+                for k, a in enumerate(self.art_col)]
+
     def feasible_at(self, b):
         """Whether the constraint rows with right-hand side b (h entries,
         then e entries) have a solution, decided from the current basis B
@@ -352,11 +373,9 @@ class _Tableau:
         terms, and a zero-cost dual simplex restores its signs. B is left
         feasible for b when the answer is True."""
         T, D, basis, RHS, m = self.T, self.D, self.basis, self.RHS, self.m
-        art_col, slack0 = self.art_col, self.slack0
         L = lcm(*[v.denominator for v in b])
-        rhs = [(sigma * int(v.numerator * (L // v.denominator)),
-                slack0 + k if art_col[k] is None else art_col[k])
-               for k, (sigma, v) in enumerate(zip(self.sigma, b)) if v]
+        rhs = [(sigma * int(v.numerator * (L // v.denominator)), k)
+               for sigma, v, k in zip(self.sigma, b, self._starts()) if v]
         for i in range(m):
             Ti, d = T[i], D[i] * L
             value = sum(w * Ti[k] for w, k in rhs)  # over d
@@ -373,6 +392,15 @@ class _Tableau:
         # right-hand side that no pivot can touch
         if any(basis[i] >= nreal and T[i][RHS] for i in range(m)):
             return False
+        return self.dual_simplex() is None
+
+    def dual_simplex(self):
+        """Restore nonnegative values by the zero-cost dual simplex of the
+        module docstring. Returns None when every value is nonnegative,
+        else the row whose value is negative with no negative real entry:
+        the combination of the system's rows it holds is infeasible."""
+        T, basis, RHS, m, nreal = self.T, self.basis, self.RHS, self.m, \
+            self.nreal
         while True:
             # Bland's rule on the dual, where every ratio ties at cost 0
             r = None
@@ -380,12 +408,52 @@ class _Tableau:
                 if T[i][RHS] < 0 and (r is None or basis[i] < basis[r]):
                     r = i
             if r is None:
-                return True
+                return None
             Tr = T[r]
             q = next((j for j in range(nreal) if Tr[j] < 0), None)
             if q is None:
-                return False
+                return r
             self.pivot(r, q)
+
+    def append_row(self, a, b):
+        """Add the inequality row a . x <= b with a slack column of its own,
+        placed after the last slack (the artificials move one column up),
+        as the last inequality row. The row enters reduced in the current
+        basis, its slack basic, so its value may be negative."""
+        at, mG = self.nreal, self.mG
+        for row in self.T:
+            row.insert(at, 0)
+        self.basis = [c + 1 if c >= at else c for c in self.basis]
+        self.nreal += 1
+        self.ncols += 1
+        self.RHS += 1
+        row, d = self._integer_row(a, b)
+        row[at] = d
+        T, D, basis = self.T, self.D, self.basis
+        for i in range(self.m):
+            f = row[basis[i]]
+            if f:
+                row, d = _eliminate(row, d, f, D[i],
+                                    [(j, v) for j, v in enumerate(T[i]) if v])
+        T.insert(mG, row)
+        D.insert(mG, d)
+        basis.insert(mG, at)
+        # new lists: a copy of the tableau shares these two
+        art = [None if c is None else c + 1 for c in self.art_col]
+        self.art_col = art[:mG] + [None] + art[mG:]
+        self.sigma = self.sigma[:mG] + [1] + self.sigma[mG:]
+        self.mG += 1
+        self.m += 1
+
+    def farkas(self, r):
+        """(mu, nu) read off row r, whose value is negative with no negative
+        real entry: its entries at the starting basic columns are the
+        weights y of the sigma-flipped rows it combines, so sigma y has
+        G^T mu + E^T nu >= 0 (zero at free variables), mu >= 0 and
+        h.mu + e.nu < 0."""
+        Tr, d, mG = self.T[r], self.D[r], self.mG
+        y = [Q(s * Tr[k], d) for s, k in zip(self.sigma, self._starts())]
+        return y[:mG], y[mG:]
 
     def phase2(self, c):
         """Minimize c.x from the feasible basis phase 1 left; artificial
@@ -529,6 +597,43 @@ def feasible_each(lp: LinearProgram, rhss) -> list:
             tab = None
         out.append(tab is not None)
     return out
+
+
+class GrowingSystem:
+    """The constraints of lp (lp.c is not read) on one kept tableau, to
+    which inequality rows are appended one at a time, as an exchange method
+    adds them. Phase 1 runs once, here; each `append` reduces its row in
+    the current basis and restores the signs by the zero-cost dual simplex
+    (`_Tableau.dual_simplex`)."""
+
+    def __init__(self, lp: LinearProgram):
+        self._tab = tab = _Tableau(lp)
+        row = tab.phase1()
+        # the Farkas pair (mu, nu) once the rows are infeasible, else None
+        self._farkas = None if row is None else tab._duals(*row, art=row[1])
+
+    def append(self, a, b) -> LPOutcome:
+        """Add the row a . x <= b and decide the rows so far under cost 0:
+        optimal with a point (value 0, zero multipliers), or infeasible
+        with a Farkas pair over every inequality row, lp's first and the
+        appended ones after them in order, and lp's equality rows."""
+        a, b = as_q_vector(a), as_q(b)
+        tab = self._tab
+        if len(a) != len(tab.var_cols):
+            raise ValueError("row width != number of variables")
+        if self._farkas is None:
+            tab.append_row(a, b)
+            r = tab.dual_simplex()
+            if r is None:
+                return LPOutcome(OPTIMAL, x=tab._x(), value=ZERO,
+                                 dual_ineq=[ZERO] * tab.mG,
+                                 dual_eq=[ZERO] * tab.mE)
+            self._farkas = tab.farkas(r)
+        else:
+            mu, nu = self._farkas
+            self._farkas = mu + [ZERO], nu
+        mu, nu = self._farkas
+        return LPOutcome(INFEASIBLE, farkas_ineq=list(mu), farkas_eq=list(nu))
 
 
 def _point_feasible(lp, x):

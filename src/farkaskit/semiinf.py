@@ -19,8 +19,10 @@ Whether the band {x in ground : alpha_t <= <a_t, x> <= beta_t for all t} is
 nonempty is decided by an exchange (cutting-plane) method, the classic one
 for semi-infinite systems (Hettich & Kortanek, SIAM Review 35, 1993): solve
 a small working set of rows, add the most violated row of the whole grid,
-repeat. A point that satisfies every row, or a Farkas vector that is zero
-off the working set, certifies the whole system, and both are checked by
+repeat. The working set lives on one kept tableau (`lp.GrowingSystem`):
+phase 1 runs once, and each added row is restored by the dual simplex. A
+point that satisfies every row, or a Farkas vector that is zero off the
+working set, certifies the whole system, and both are checked by
 substitution against all of it.
 """
 
@@ -92,8 +94,11 @@ def band_point(inst: engine.FarkasInstance):
     The working set starts empty, and the ground's rows are in it at every
     round. Each round takes a solution of the working rows (cost 0) and
     adds the band row it violates most; the first round's rows are the
-    ground's alone, so its solution is the ground's kept point, from that
-    same LP, solved when the instance checked the ground. A new row joins
+    ground's alone, so its solution is the ground's kept point, from the
+    LP solved when the instance checked the ground. The rounds after it
+    run on one tableau (`lp.GrowingSystem`): one phase 1 over the ground's
+    rows, then each added row is appended and restored by the dual
+    simplex, and the next solution is read off the basis. A new row joins
     each round, so at most 2N rounds run; a few more than n is typical. The
     answer is certified against the whole system: a point by substitution
     into every node and the ground, an empty band by the working set's
@@ -104,6 +109,8 @@ def band_point(inst: engine.FarkasInstance):
     first = len(inst.ground.G)
     rows = _integer_rows(inst)
     working = []
+    kept = lp.GrowingSystem(lp.LinearProgram(
+        c=[ZERO] * n, G=full.G[:first], h=full.h[:first], E=full.E, e=full.e))
     x = inst.ground.a_point()
     while True:
         k = _most_violated(rows, x)
@@ -116,12 +123,10 @@ def band_point(inst: engine.FarkasInstance):
         if k in working:
             raise InvariantViolation("working-set solution violates its rows")
         working.append(k)
-        active = list(range(first)) + [first + j for j in working]
-        out = lp.solve(lp.LinearProgram(
-            c=[ZERO] * n, G=[full.G[i] for i in active],
-            h=[full.h[i] for i in active], E=full.E, e=full.e))
+        out = kept.append(full.G[first + k], full.h[first + k])
         if out.status == lp.INFEASIBLE:
             mu = [ZERO] * len(full.G)
+            active = list(range(first)) + [first + j for j in working]
             for i, v in zip(active, out.farkas_ineq):
                 mu[i] = v
             whole = lp.LinearProgram(c=[ZERO] * n, G=full.G, h=full.h,

@@ -110,3 +110,19 @@ def certifies_unbounded(c, G, h, E, e, nonneg, x, ray):
     return (_feasible(G, h, E, e, nonneg, x)
             and _feasible(G, zeros_h, E, zeros_e, nonneg, ray)
             and eval_affine(c, ray) < ZERO)
+
+
+def certifies_outcome(program, out):
+    """Whether a solver outcome proves its status on the program, read by
+    attribute (c, G, h, E, e, nonneg; status and the fields it sets) with
+    the oracle its status calls for."""
+    data = (program.G, program.h, program.E, program.e)
+    if out.status == "optimal":
+        return certifies_optimal(program.c, *data, program.nonneg, out.x,
+                                 out.value, out.dual_ineq, out.dual_eq)
+    if out.status == "unbounded":
+        return certifies_unbounded(program.c, *data, program.nonneg, out.x,
+                                   out.ray)
+    return (out.status == "infeasible"
+            and certifies_empty(*data, out.farkas_ineq, out.farkas_eq,
+                                program.nonneg))

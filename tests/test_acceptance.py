@@ -15,7 +15,7 @@ from farkaskit import (calculus, cli, duality, engine, gallery, instances,
                        lp, polyapprox, semiinf, sets)
 from farkaskit.rational import NEG_INF, Q, ZERO, scalar_text
 
-from oracles import brute_force_box_min
+from oracles import brute_force_box_min, certifies_outcome
 
 SEED = int(os.environ.get("FARKAS_SEED", "0"))
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -43,6 +43,8 @@ def test_criterion_1_lp_kernel_certificates_and_corner_oracle(capsys):
             out = lp.solve(prog)
             assert lp.verify_certificate(prog, out), \
                 f"draw {k}: certificate failed direct verification"
+            assert certifies_outcome(prog, out), \
+                f"draw {k}: certificate failed the independent oracle"
             if bounds is not None:
                 boxes += 1
                 value, _ = brute_force_box_min(prog.c, bounds)

@@ -350,6 +350,45 @@ class TestBuildersAreFaithful:
             assert fast == generic
             assert repr(fast) == repr(generic)
 
+    def test_box_multipliers_read_without_densifying(self, monkeypatch):
+        # lam of a box target is read off its row pairs, never through the
+        # box's 2m x m polyhedron, and equals the polyhedral target's t^T mu
+        def densified(inst):
+            raise AssertionError("box target densified")
+
+        monkeypatch.setattr(FarkasInstance, "target_polyhedron", densified)
+        rng = random.Random(23)
+        found = 0
+        for _ in range(40):
+            n, m = rng.randint(1, 2), rng.randint(1, 3)
+            matrix = [[Q(rng.randint(-3, 3)) for _ in range(n)]
+                      for _ in range(m)]
+            bounds = [(lo, lo + rng.randint(0, 3))
+                      for lo in (Q(rng.randint(-3, 3), 2) for _ in range(m))]
+            ground = Box([(-1, 1)] * n).to_polyhedron()
+            f = PiecewiseAffine(
+                dim=n, slopes=[[Q(rng.randint(-2, 2)) for _ in range(n)]],
+                offsets=[Q(rng.randint(-4, 2))])
+            box, generic = (
+                FarkasInstance(ground=ground, matrix=matrix, target=t,
+                               objective=f)
+                for t in (Box(bounds), Box(bounds).to_polyhedron()))
+            a, b = engine.find_certificate(box), engine.find_certificate(generic)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.u, a.v, a.lam) == (b.u, b.v, b.lam)
+                found += 1
+            a = engine.find_reduced_certificate(box)
+            b = engine.find_reduced_certificate(generic)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.lam == b.lam
+            (program, read), (_, dense) = map(engine.full_program,
+                                              (box, generic))
+            w = [Q(rng.randint(-3, 3)) for _ in range(program.n)]
+            assert read(w) == dense(w)
+        assert found
+
 
 class TestExistence:
     def test_feasible(self):

@@ -17,6 +17,7 @@ from farkaskit.lp import (
     LinearProgram,
     _solve,
     _Tableau,
+    GrowingSystem,
     feasible_each,
     minima,
     solve,
@@ -27,12 +28,19 @@ from farkaskit.rational import INF, NEG_INF, Q, ZERO
 from farkaskit.sets import Box
 
 from oracles import (brute_force_box_min, certifies_empty, certifies_optimal,
-                     certifies_unbounded)
+                     certifies_outcome, certifies_unbounded, satisfies_rows)
+
+
+def _certified(lp, out):
+    """Assert that out certifies itself on lp, through the kernel's own
+    check and through the oracle that the status calls for."""
+    assert verify_certificate(lp, out), f"certificate failed for status {out.status}"
+    assert certifies_outcome(lp, out), f"oracle rejects status {out.status}"
 
 
 def _solved(lp):
     out = solve(lp)
-    assert verify_certificate(lp, out), f"certificate failed for status {out.status}"
+    _certified(lp, out)
     return out
 
 
@@ -150,7 +158,7 @@ def test_beale_1955_cycling_example_ties_in_ratio_test(count_pivots):
         nonneg=[True, True, True, True],
     )
     out, pivots = count_pivots(solve, lp)
-    assert verify_certificate(lp, out)
+    _certified(lp, out)
     assert out.status == OPTIMAL
     assert out.value == Q(-5, 4)
     assert out.x == [1, 0, 1, 0]
@@ -177,7 +185,7 @@ def test_klee_minty_cube_bland_path(count_pivots, d, pivots):
     # the length of the phase-2 path from the origin are pinned
     lp = _klee_minty(d)
     out, made = count_pivots(solve, lp)
-    assert verify_certificate(lp, out)
+    _certified(lp, out)
     assert out.status == OPTIMAL
     assert out.value == -(5 ** d)
     assert out.x == [0] * (d - 1) + [5 ** d]
@@ -219,7 +227,7 @@ def test_tall_band_feasibility_program_certifies():
     out = solve(lp)
     assert len(lp.G) == 202
     assert out.status == OPTIMAL
-    assert verify_certificate(lp, out)
+    _certified(lp, out)
     # the same rows under the band objective (the integral of p over [0, 1]),
     # whose duals the certificate check also substitutes: optimum 1/3 at t^2
     lp = LinearProgram(c=problem.objective_slope(), G=G, h=h, E=[], e=[])
@@ -247,7 +255,7 @@ def test_solver_is_deterministic():
                 a.farkas_ineq, a.farkas_eq) == \
                (b.status, b.x, b.value, b.dual_ineq, b.dual_eq, b.ray,
                 b.farkas_ineq, b.farkas_eq)
-        assert verify_certificate(lp, a)
+        _certified(lp, a)
 
 
 def test_box_instances_match_corner_enumeration():
@@ -329,7 +337,7 @@ def test_mixed_denominator_programs_match_highs():
     for seed in range(60):
         lp = _mixed_denominator_lp(random.Random(seed))
         out = solve(lp)
-        assert verify_certificate(lp, out), seed
+        _certified(lp, out)
         scalars = [v for f in (out.x, out.dual_ineq, out.dual_eq, out.ray,
                                out.farkas_ineq, out.farkas_eq) if f for v in f]
         if out.status == OPTIMAL:
@@ -395,7 +403,7 @@ def test_solve_each_matches_solve_per_cost():
         for c, out in zip(costs, outs):
             lp = LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg)
             assert out == solve(lp)
-            assert verify_certificate(lp, out)
+            _certified(lp, out)
             statuses.add(out.status)
         flipped += any(b < 0 for b in h)
         redundant_feasible += redundant and outs[0].status != INFEASIBLE
@@ -464,10 +472,7 @@ def test_feasible_each_matches_solve_per_rhs():
             lp = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e,
                                nonneg=nonneg)
             out = solve(lp)
-            assert verify_certificate(lp, out)
-            if out.status == INFEASIBLE:
-                assert certifies_empty(G, h, E, e, out.farkas_ineq,
-                                       out.farkas_eq, nonneg)
+            _certified(lp, out)
             assert verdict == (out.status != INFEASIBLE)
             if any(got[:k]):
                 on_kept_basis.add(verdict)
@@ -475,6 +480,46 @@ def test_feasible_each_matches_solve_per_rhs():
     assert feasible_each(shared, []) == []
     with pytest.raises(ValueError):
         feasible_each(shared, [[ZERO] * (len(G) + len(E) + 1)])
+
+
+def test_growing_system_matches_solve_per_append():
+    # rows appended to one kept tableau, as the exchange method poses them:
+    # cuts through the last point (degenerate), past it or short of it, and
+    # random rows, over programs with flipped and redundant rows; after each
+    # append the decision equals a fresh solve of the grown program and
+    # certifies by substitution
+    rng = random.Random(20261022)
+    seen = set()
+    for _ in range(200):
+        n, G, h, E, e, nonneg, redundant = _shared_constraints(rng)
+        start = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e, nonneg=nonneg)
+        kept = GrowingSystem(start)
+        seen.add(("start", solve(start).status))
+        G, h = list(G), list(h)
+        x = None
+        for _ in range(5):
+            a = [_small_fraction(rng) for _ in range(n)]
+            if x is not None and rng.random() < 0.7:
+                b = sum(u * v for u, v in zip(a, x)) + rng.choice(
+                    (ZERO, abs(_small_fraction(rng)), -abs(_small_fraction(rng))))
+            else:
+                b = _small_fraction(rng)
+            out = kept.append(a, b)
+            G.append(a)
+            h.append(b)
+            lp = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e, nonneg=nonneg)
+            assert (out.status == INFEASIBLE) == \
+                (solve(lp).status == INFEASIBLE)
+            _certified(lp, out)
+            if out.status == OPTIMAL:
+                assert satisfies_rows(G, h, E, e, out.x)
+            seen.add((x is not None, out.status, redundant))
+            x = out.x
+    assert {("start", OPTIMAL), ("start", INFEASIBLE), (True, OPTIMAL, True),
+            (True, INFEASIBLE, False), (False, INFEASIBLE, False),
+            (False, OPTIMAL, False)} <= seen
+    with pytest.raises(ValueError):
+        kept.append([ZERO] * (n + 1), ZERO)
 
 
 def test_solve_each_outcomes_are_independent():
@@ -602,7 +647,7 @@ def small_lps(draw):
 def test_every_outcome_certifies(lp):
     out = solve(lp)
     assert out.status in (OPTIMAL, UNBOUNDED, INFEASIBLE)
-    assert verify_certificate(lp, out)
+    _certified(lp, out)
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,3 +17,30 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _private_lp_names(tree):
+    """lp._name attributes and `from .lp import _name` imports in a tree."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id == "lp"):
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[-1] == "lp"):
+            yield from (node.lineno for alias in node.names
+                        if alias.name.startswith("_"))
+
+
+def test_kernel_internals_stay_in_lp():
+    # the exchange and the membership sweeps rely on the kernel's tableau
+    # invariants, which only lp.py may touch
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "lp.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _private_lp_names(tree)]
+    assert found == []
+    probe = ast.parse("from .lp import _Tableau\nlp._solve(p)\nlp.solve(p)\n"
+                      "from farkaskit.lp import _each, solve")
+    assert sorted(_private_lp_names(probe)) == [1, 2, 4]

@@ -528,7 +528,6 @@ def _dual_criterion(inst: FarkasInstance, n_random: int, seed: int):
     certificate cone's support values along them."""
     if inst.feasible_in_domain().is_empty():
         raise ValueError("no feasible point inside the objective's domain")
-    feas = inst.feasible_polyhedron()
     cone = certificate_cone(inst)
     omega = sets.minkowski_sum(
         sets.as_lifted(calculus.conjugate_epigraph(inst.objective)), cone)
@@ -544,14 +543,17 @@ def _dual_criterion(inst: FarkasInstance, n_random: int, seed: int):
             "closed dual criterion requires the equivalence to hold")
     dirs = sets.probe_directions(inst.n + 1, n_random=n_random, seed=seed)
     # the preimage holds the feasible point the hypothesis asks for
-    sets.require_equal_supports(
-        multiplier_cone(inst),
-        calculus.support_epigraph(inst.preimage_polyhedron()), dirs,
-        "multiplier cone vs preimage support epigraph")
+    multiplier_values = sets.supports(multiplier_cone(inst), dirs)
+    feasible_values = preimage_values = sets.supports(
+        calculus.support_epigraph(inst.preimage_polyhedron()), dirs)
+    sets.require_equal_values(dirs, multiplier_values, preimage_values,
+                              "multiplier cone vs preimage support epigraph")
     cone_values = sets.supports(cone, dirs)
+    if inst.ground.G or inst.ground.E:  # else the preimage is the feasible set
+        feasible_values = sets.supports(
+            calculus.support_epigraph(inst.feasible_polyhedron()), dirs)
     sets.require_equal_values(
-        dirs, cone_values,
-        sets.supports(calculus.support_epigraph(feas), dirs),
+        dirs, cone_values, feasible_values,
         "certificate cone vs feasible support epigraph")
     sets.require_equal_supports(
         omega, restricted_epigraph(inst), dirs,

@@ -9,10 +9,9 @@ tolerance eps caps the overshoot:
 
 Each tolerance is one grid (`semiinf.grid`): Vandermonde rows, interval
 bounds [g, g + eps], free ground space. Whether any polynomial fits the
-band is decided first, on that grid, by the exchange
-method of `semiinf.band_point` (a few rows solved at a time, the answer
-certified against every node) and by the moment cone probe, which must
-agree. Solving works on the dual
+band ((0, -1) outside the lifted moment cone) is read off the certificate
+of the exchange method `semiinf.band_point`, checked again by substitution
+in moment coordinates. Solving works on the dual
 side, whose program has only degree_bound + 1 rows: the node multipliers
 come out directly and satisfy the moment conditions
 
@@ -30,10 +29,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from . import engine, lp, semiinf, sets
+from . import engine, lp, semiinf
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
-from .rational import NEG_INF, ONE, Q, ZERO, as_q, as_q_vector, dot, q_str
+from .rational import (NEG_INF, ONE, Q, ZERO, as_q, as_q_vector, dot, mat_vec,
+                       q_str, transpose_apply)
 from .semiinf import SignedMultiplier
 from .sets import whole_space_polyhedron
 
@@ -95,21 +95,32 @@ def to_grid(problem: ApproxProblem, epsilon) -> engine.FarkasInstance:
 
 
 def _consistent(inst: engine.FarkasInstance) -> bool:
-    """Whether some polynomial fits the band of the grid, decided by the
-    exchange method (`semiinf.band_point`) and by the depth probe against
-    the moment cone; the two must agree."""
-    direct = semiinf.band_point(inst) is not None
-    probe_escapes = not sets.member(semiinf.lifted_moment_cone(inst),
-                                    [ZERO] * inst.n + [-ONE])
-    if direct != probe_escapes:
+    """Whether some polynomial fits the band, read off the certificate of
+    `semiinf.band_point` and checked over the generators of the moment cone
+    ((a_t, beta_t), (-a_t, -alpha_t)): a band point x makes (x, -1) <= 0 on
+    each and 1 at (0, -1); an empty band's Farkas vector combines them into
+    (0, s) with s < 0. A failed check, or a ground with rows, raises
+    InvariantViolation."""
+    if inst.ground.G or inst.ground.E:
+        raise InvariantViolation("a band grid has rows in its ground")
+    rays = semiinf.moment_cone(inst).rays
+    cert = semiinf.band_point(inst)
+    if cert.x is not None:
+        holds = max(mat_vec(rays, cert.x + [-ONE])) <= ZERO
+    else:
+        mu = cert.farkas_ineq
+        *moments, s = transpose_apply(rays, mu, inst.n + 1)
+        holds = (len(mu) == len(rays) and min(mu) >= ZERO
+                 and not any(moments) and s < ZERO)
+    if not holds:
         raise InvariantViolation(
-            "exchange method and the moment cone probe disagree")
-    return direct
+            "the exchange's certificate fails in moment coordinates")
+    return cert.x is not None
 
 
 def check_consistency(problem: ApproxProblem, epsilon) -> bool:
-    """Whether some polynomial fits the eps band, decided on its grid by
-    the exchange method and the moment cone probe, which must agree."""
+    """Whether some polynomial fits the eps band, read off the certificate
+    of the exchange method on its grid and checked in moment coordinates."""
     return _consistent(to_grid(problem, epsilon))
 
 

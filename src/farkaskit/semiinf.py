@@ -22,8 +22,8 @@ a small working set of rows, add the most violated row of the whole grid,
 repeat. The working set lives on one kept tableau (`lp.GrowingSystem`):
 phase 1 runs once, and each added row is restored by the dual simplex. A
 point that satisfies every row, or a Farkas vector that is zero off the
-working set, certifies the whole system, and both are checked by
-substitution against all of it.
+working set, certifies the whole system; both are checked by substitution
+against all of it, and `band_point` returns the one it found.
 """
 
 from __future__ import annotations
@@ -87,9 +87,11 @@ def _most_violated(rows, x):
     return best
 
 
-def band_point(inst: engine.FarkasInstance):
-    """A point of {x in ground : lower_t <= a_t . x <= upper_t at every
-    node}, or None when that band is empty, by the exchange method.
+def band_point(inst: engine.FarkasInstance) -> lp.LPOutcome:
+    """Whether {x in ground : lower_t <= a_t . x <= upper_t at every node}
+    is nonempty, by the exchange method: OPTIMAL with a point x of it, or
+    INFEASIBLE with a Farkas vector over the rows of `feasible_polyhedron`
+    (the ground's, then a_t . x <= beta_t, -a_t . x <= -alpha_t per node).
 
     The working set starts empty, and the ground's rows are in it at every
     round. Each round takes a solution of the working rows (cost 0) and
@@ -119,7 +121,7 @@ def band_point(inst: engine.FarkasInstance):
                     and inst.target.contains(inst.apply(x))):
                 raise InvariantViolation(
                     "exchange point misses a row of the band")
-            return x
+            return lp.LPOutcome(lp.OPTIMAL, x=x, value=ZERO)
         if k in working:
             raise InvariantViolation("working-set solution violates its rows")
         working.append(k)
@@ -131,11 +133,12 @@ def band_point(inst: engine.FarkasInstance):
                 mu[i] = v
             whole = lp.LinearProgram(c=[ZERO] * n, G=full.G, h=full.h,
                                      E=full.E, e=full.e)
-            if not lp.verify_certificate(whole, lp.LPOutcome(
-                    lp.INFEASIBLE, farkas_ineq=mu, farkas_eq=out.farkas_eq)):
+            cert = lp.LPOutcome(lp.INFEASIBLE, farkas_ineq=mu,
+                                farkas_eq=out.farkas_eq)
+            if not lp.verify_certificate(whole, cert):
                 raise InvariantViolation(
                     "working-set Farkas vector does not certify the band")
-            return None
+            return cert
         x = out.x
 
 

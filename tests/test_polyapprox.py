@@ -1,13 +1,16 @@
 """Tolerance sweeps for one-sided polynomial fitting."""
 
 import csv
+import dataclasses
+import random
 
 import pytest
 
-from farkaskit import engine, polyapprox
+from farkaskit import engine, polyapprox, semiinf, sets
 from farkaskit.errors import InvariantViolation
 from farkaskit.polyapprox import ApproxProblem, uniform_nodes
 from farkaskit.rational import NEG_INF, Q
+from farkaskit.sets import Box
 
 
 def square_problem(node_count=11, epsilons=(Q(1, 100), Q(1, 10))):
@@ -155,3 +158,61 @@ class TestSweep:
         with open(out) as fh:
             got = list(csv.reader(fh))
         assert got[1] == ["1", "-inf", "", ""]
+
+
+def _band(node_count, degree, g, eps):
+    nodes = uniform_nodes(node_count)
+    return polyapprox.to_grid(
+        ApproxProblem(degree_bound=degree, nodes=nodes,
+                      values=[g(t) for t in nodes], epsilons=[eps]), eps)
+
+
+class TestExistenceCertificate:
+    def test_verdict_matches_the_moment_cone_probe(self):
+        # the LP membership of (0, -1) in the lifted moment cone, which the
+        # verdict read off the exchange's certificate replaced
+        functions = (lambda t: t * t, lambda t: 1 / (1 + t),
+                     lambda t: abs(t - Q(1, 3)))
+        rng = random.Random(20261019)
+        verdicts = []
+        for k in range(40):
+            node_count = rng.randint(5, 201)
+            inst = _band(node_count, rng.randint(2, 4), functions[k % 3],
+                         Q(1, 2 ** rng.randint(1, 12)))
+            probe = not sets.member(semiinf.lifted_moment_cone(inst),
+                                    [Q(0)] * inst.n + [Q(-1)])
+            verdicts.append(polyapprox._consistent(inst))
+            assert verdicts[-1] == probe
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("eps, consistent", [(Q(1, 4), False),
+                                                 (Q(1, 2), True)])
+    def test_corrupted_certificate_raises(self, monkeypatch, eps,
+                                          consistent):
+        inst = polyapprox.to_grid(vee_problem([1]), eps)
+        cert = semiinf.band_point(inst)
+        assert polyapprox._consistent(inst) == consistent
+        if consistent:
+            # the constant term up by eps + 1 lifts p above g + eps at
+            # every node
+            bad = dataclasses.replace(cert, x=[cert.x[0] + eps + 1]
+                                      + cert.x[1:])
+        else:
+            # one entry moved to its row's partner: the combination keeps
+            # a nonzero moment
+            mu = list(cert.farkas_ineq)
+            k = next(i for i, v in enumerate(mu) if v)
+            mu[k], mu[k ^ 1] = mu[k ^ 1], mu[k]
+            bad = dataclasses.replace(cert, farkas_ineq=mu)
+        monkeypatch.setattr(semiinf, "band_point", lambda inst: bad)
+        with pytest.raises(InvariantViolation, match="moment coordinates"):
+            polyapprox._consistent(inst)
+
+    def test_ground_with_rows_is_refused(self):
+        inst = polyapprox.to_grid(vee_problem([1]), Q(1, 2))
+        boxed = semiinf.grid(
+            [(a, lo, hi) for a, (lo, hi) in zip(inst.matrix,
+                                                inst.target.bounds)],
+            Box([(-9, 9), (-9, 9)]).to_polyhedron(), inst.objective)
+        with pytest.raises(InvariantViolation, match="ground"):
+            polyapprox._consistent(boxed)

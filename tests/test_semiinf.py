@@ -155,7 +155,9 @@ class TestGridChecks:
         # kernel calls that pose a (program, costs) pair already posed on
         # the same grid, from its construction through check_grid_dual and
         # check_stability, on 11 seeded grids: 31 when check_grid_dual swept
-        # the certificate cone again along the criterion's probe directions
+        # the certificate cone again along the criterion's probe directions,
+        # 20 when the 6 grids with a whole-space ground swept the feasible
+        # set's support epigraph after the preimage's, the same set
         solve = lp._solve
         seen, repeats = set(), 0
 
@@ -179,7 +181,33 @@ class TestGridChecks:
             semiinf.check_grid_dual(g)
             duality.check_stability(g)
             checked += 1
-        assert (checked, repeats) == (11, 20)
+        assert (checked, repeats) == (11, 14)
+
+    def test_whole_space_ground_sweeps_the_preimage_once(self, monkeypatch):
+        # with no ground rows the feasible set is the preimage, so its
+        # support epigraph is swept once; a ground with one row that every
+        # point satisfies takes the second sweep, and the reports agree
+        sweep = sets.supports
+        calls = []
+
+        def counting(s, directions):
+            calls.append(s)
+            return sweep(s, directions)
+
+        monkeypatch.setattr(sets, "supports", counting)
+        rows = [([1, 0], 0, 2), ([1, -1], -1, 1), ([0, 1], -2, 2)]
+        f = PiecewiseAffine(dim=2, slopes=[[1, 0]], offsets=[0])
+        reports = []
+        for ground in (sets.whole_space_polyhedron(2),
+                       Polyhedron(dim=2, G=[[0, 0]], h=[1])):
+            calls.clear()
+            reports.append(semiinf.check_grid_dual(
+                semiinf.grid(rows, ground, f)))
+            reports.append(len(calls))
+        whole, whole_sweeps, rowed, rowed_sweeps = reports
+        assert (whole_sweeps, rowed_sweeps) == (7, 8)
+        assert whole == rowed
+        assert whole.certificate is not None
 
     def test_certified_grid(self):
         g = semiinf.grid(
@@ -310,15 +338,18 @@ class TestBandPoint:
             monkeypatch.setattr(lp.GrowingSystem, "__init__", init)
             monkeypatch.setattr(lp.GrowingSystem, "append", append)
             monkeypatch.setattr(lp, "verify_certificate", verify)
-            x = semiinf.band_point(system)
+            cert = semiinf.band_point(system)
             monkeypatch.undo()
+            x = cert.x
             assert (x is None) == full.is_empty()
             if x is not None:
+                assert cert.status == lp.OPTIMAL and cert.value == ZERO
                 assert satisfies_rows(full.G, full.h, full.E, full.e, x)
                 assert not checked
                 kinds.add("point")
                 continue
             (program, out), = checked
+            assert out is cert
             assert program.G == full.G and program.E == full.E
             mu, nu = out.farkas_ineq, out.farkas_eq
             assert certifies_empty(full.G, full.h, full.E, full.e, mu, nu)
@@ -335,7 +366,7 @@ class TestBandPoint:
                               sets.whole_space_polyhedron(1),
                               PiecewiseAffine(dim=1, slopes=[[0]],
                                               offsets=[0]))
-        assert semiinf.band_point(system) is None
+        assert semiinf.band_point(system).x is None
         monkeypatch.setattr(lp, "verify_certificate", lambda p, o: False)
         with pytest.raises(InvariantViolation):
             semiinf.band_point(system)
@@ -343,7 +374,7 @@ class TestBandPoint:
     def test_point_is_checked_against_every_row(self, monkeypatch):
         system = simple_grid()
         full = _full_rows(system)
-        x = semiinf.band_point(system)
+        x = semiinf.band_point(system).x
         assert satisfies_rows(full.G, full.h, full.E, full.e, x)
         # a scan that sees no violation must not let a bad point through:
         # the first scan adds a row, and the second passes the LP's point
@@ -367,10 +398,22 @@ class TestBandPoint:
         # a fresh LP per round took 11 and 8 phase-1 runs, 30 and 31 pivots
         nodes = polyapprox.uniform_nodes(1001)
         g = [t * t if values == "square" else 1 / (1 + t) for t in nodes]
-        system = polyapprox.to_grid(
-            polyapprox.ApproxProblem(degree_bound=degree, nodes=nodes,
-                                     values=g, epsilons=[eps]), eps)
-        x, runs = count_phase1(semiinf.band_point, system)
+        problem = polyapprox.ApproxProblem(degree_bound=degree, nodes=nodes,
+                                           values=g, epsilons=[eps])
+        system = polyapprox.to_grid(problem, eps)
+        cert, runs = count_phase1(semiinf.band_point, system)
         _, pivots = count_pivots(semiinf.band_point, system)
-        assert (x is not None) == consistent
+        assert (cert.x is not None) == consistent
         assert runs <= bounds[0] and pivots <= bounds[1]
+        # the whole consistency check adds no LP to the exchange and the
+        # grid's construction (which checks the ground); the moment cone
+        # probe it replaced added one phase 1 and, at 101 nodes, 29 and 174
+        # pivots
+        grid_runs = count_phase1(polyapprox.to_grid, problem, eps)[1]
+        grid_pivots = count_pivots(polyapprox.to_grid, problem, eps)[1]
+        verdict, runs = count_phase1(polyapprox.check_consistency,
+                                     problem, eps)
+        _, pivots = count_pivots(polyapprox.check_consistency, problem, eps)
+        assert verdict == consistent
+        assert runs - grid_runs <= bounds[0]
+        assert pivots - grid_pivots <= bounds[1]

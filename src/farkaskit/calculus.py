@@ -121,9 +121,10 @@ def fenchel_values(f: PiecewiseAffine, points, over=None) -> list:
 
     The conjugate at u is sup_x (u . x - f(x)) = -min (t - u . x) over f's
     epigraph rows (a.x + b <= t per piece, plus dom f and `over`). Only the
-    cost (-u, 1) depends on u, so one `lp.minima` serves every point: phase
-    1 runs once per f. The minimum is unique, so each value is the one a
-    program per point would give. A tilt needs no program of its own
+    cost (-u, 1) depends on u, so one `lp.System` serves every point: phase
+    1 runs once per f, and each point is a phase 2 (`minima`). The minimum
+    is unique, so each value is the one a program per point would give. A
+    tilt needs no program of its own
     either: the conjugate of f - s.x - l at u is f*(u + s) + l."""
     n = f.dim
     costs = []
@@ -134,7 +135,7 @@ def fenchel_values(f: PiecewiseAffine, points, over=None) -> list:
         costs.append([-v for v in u] + [ONE])
     if over is None:
         over = sets.whole_space_polyhedron(n)
-    return [-v for v in lp.minima(_epigraph_program(f, over), costs)]
+    return [-v for v in lp.System(_epigraph_program(f, over)).minima(costs)]
 
 
 def fenchel_value(f: PiecewiseAffine, u):

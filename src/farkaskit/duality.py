@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from math import lcm
 
 from . import calculus, engine, lp, sets
 from .engine import FarkasInstance
 from .errors import InvariantViolation
-from .rational import INF, NEG_INF, Q, ZERO, as_q_vector, dot, is_finite
+from .rational import (INF, NEG_INF, Q, ZERO, as_q_vector, dot, is_finite,
+                       over_lcm)
 
 OPTIMAL = lp.OPTIMAL
 UNBOUNDED = lp.UNBOUNDED
@@ -272,10 +272,10 @@ class StableDualityReport:
 
 def _over_one_denominator(vectors):
     """(integer numerators, d): the vectors over one denominator d, the lcm
-    of the denominators of all their entries."""
-    d = lcm(*[v.denominator for vec in vectors for v in vec])
-    return ([[int(v.numerator * (d // v.denominator)) for v in vec]
-             for vec in vectors], d)
+    of the denominators of all their entries (`over_lcm` of them all)."""
+    nums, d = over_lcm([v for vec in vectors for v in vec])
+    it = iter(nums)
+    return [[next(it) for _ in vec] for vec in vectors], d
 
 
 def _combination(vectors, weights, width):

@@ -11,43 +11,37 @@ a feasible basis, or a Farkas certificate, without looking at c. Phase 2 then
 forms the reduced-cost row of c from that basis, c - sum_i c_basis[i] T[i],
 and pivots on it. Reduced costs depend on the basis only, so this is the row
 that carrying c through phase 1 would give, and each pivot updates the
-constraint rows plus one objective row. `solve_each` runs phase 1 once for a
-list of costs and a phase 2 per distinct cost, each on its own copy of the
-feasible tableau; `solve` is the same code with one cost and no copy.
-`minima` runs the same phases but reads only each final objective row's
-value: it forms no point, ray or multiplier, and a support value or a
-conjugate value needs no more.
+constraint rows plus one objective row.
 
-`feasible_each` decides one set of rows under many right-hand sides, as
-membership sweeps pose them (cost 0, so only feasibility is asked). Phase 1
-runs per right-hand side until one is feasible; its tableau is then kept.
-The starting basis (the artificial of a row, else its slack) is the
-identity, and every pivot is a row operation on the whole tableau, so the
-current columns of those starting basic columns hold B^-1, and a new
-right-hand side b' is B^-1 (sigma b') with the first row flips sigma kept:
-the artificials stay nonbasic at zero, so the flipped rows state the
-original ones. An inert row (a basic artificial, no real entry) with a
-nonzero new value is a row no pivot can meet, so b' is infeasible. Else
-a dual simplex on the same tableau and the same `pivot` restores the
-signs: the least basic column with a negative value leaves, and, every
-reduced cost being 0, every dual ratio ties, so the least real column with
-a negative entry in that row enters (artificials never enter); a row with
-none is infeasible as it stands. This is Bland's rule applied to the dual
-program (Bland 1977), which cannot cycle, so the sweep terminates on
-degenerate data too.
-
-`GrowingSystem` keeps one tableau while inequality rows are appended, as
-an exchange (cutting-plane) method adds them: phase 1 runs once, and each
-row a.x <= b gets a slack column of its own, after the last slack and
-before the artificials, and enters reduced in the current basis (the
-elimination of `phase2`'s cost row), its slack basic. Its value may then
-be negative, and the same zero-cost dual simplex restores the signs; this
-is the textbook dual-simplex step for an added row (Lemke 1954), and
-`feasible_at` and the appends share its one loop
-(`_Tableau.dual_simplex`). A row left negative with no negative real
-entry combines the rows into 0 <= (negative), and its entries at the
-starting basic columns, with the flips sigma applied, are that
-combination's weights: the Farkas pair, read as `feasible_at` reads B^-1.
+`System(program)` holds a program's rows (not its c) on one tableau, built
+at the first question and kept for every later one. `outcomes` and `minima`
+run phase 1 once and, per distinct cost, a phase 2 on its own copy of the
+kept tableau, so each answer equals a fresh `solve` (which is `outcomes` of
+one cost) bit for bit; `minima` reads only the final objective row's value,
+all that a support or conjugate value needs. `append` adds an inequality
+row a.x <= b, as an exchange (cutting-plane) method does: the row gets a
+slack column of its own, after the last slack and before the artificials,
+and enters reduced in the current basis (the elimination of `phase2`'s
+cost row), its slack basic, so its value may be negative. `feasible`
+decides the rows under a right-hand side b of its own, as membership
+sweeps pose them: phase 1 runs at b until some b is feasible, and every
+later b is set on the basis B the last one left. The starting basis (the
+artificial of a row, else its slack) is the identity, and every pivot is a
+row operation on the whole tableau, so the current columns of those
+starting basic columns hold B^-1, and b becomes B^-1 (sigma b) with the
+first row flips sigma kept: the artificials stay nonbasic at zero, so the
+flipped rows state the original ones. An inert row (a basic artificial, no
+real entry) with a nonzero new value is a row no pivot can meet, so b is
+infeasible. Both `append` and `feasible` then restore the signs by one
+zero-cost dual simplex on the same tableau and the same `pivot`
+(`_Tableau.dual_simplex`), the textbook step for an added row (Lemke 1954):
+the least basic column with a negative value leaves, and, every reduced
+cost being 0, every dual ratio ties, so the least real column with a
+negative entry in that row enters (artificials never enter). This is
+Bland's rule applied to the dual program (Bland 1977), which cannot cycle.
+A row left negative with no negative real entry combines the rows into
+0 <= (negative), and its entries at the starting basic columns, with the
+flips sigma applied, are that combination's weights: the Farkas pair.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
 objective row included, is a dense list of plain integer numerators, its
@@ -71,13 +65,12 @@ nonneg variables), mu >= 0, h.mu + e.nu < 0.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import InvariantViolation
 from .rational import (INF, NEG_INF, ONE, ZERO, Q, as_q, as_q_matrix,
-                       as_q_vector, dot)
+                       as_q_vector, dot, over_lcm)
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -235,24 +228,22 @@ class _Tableau:
         """Values per variable (at its plus column, negated at its minus
         column) and right-hand side b as a row of integer numerators over
         the lcm d of their denominators, sharing no factor with d."""
-        # lcm of a list, not of a generator: a tuple built from a generator is
-        # resized, and the interpreter then keeps such tuples on its free lists
-        # (about 1 MB more peak memory over some 10^5 solves)
-        d = int(lcm(b.denominator, *[v.denominator for v in values]))
+        nums, d = over_lcm([*values, b])
         row = [0] * (self.ncols + 1)
-        for (p, mcol), v in zip(self.var_cols, values):
-            if v:
-                a = row[p] = int(v.numerator * (d // v.denominator))
+        for (p, mcol), a in zip(self.var_cols, nums):
+            if a:
+                row[p] = a
                 if mcol is not None:
                     row[mcol] = -a
-        if b:
-            row[self.RHS] = int(b.numerator * (d // b.denominator))
+        row[self.RHS] = nums[-1]
         return row, d
 
     def copy(self) -> _Tableau:
         """The same tableau with rows of its own: `pivot` changes rows in
-        place, so each phase 2 after the first runs on a copy."""
-        twin = copy.copy(self)
+        place, so each phase 2 runs on a copy of a kept tableau."""
+        # copy.copy's generic protocol costs more than this on small tableaux
+        twin = object.__new__(_Tableau)
+        twin.__dict__.update(self.__dict__)
         twin.T = [row[:] for row in self.T]
         twin.D = self.D[:]
         twin.basis = self.basis[:]
@@ -373,9 +364,9 @@ class _Tableau:
         terms, and a zero-cost dual simplex restores its signs. B is left
         feasible for b when the answer is True."""
         T, D, basis, RHS, m = self.T, self.D, self.basis, self.RHS, self.m
-        L = lcm(*[v.denominator for v in b])
-        rhs = [(sigma * int(v.numerator * (L // v.denominator)), k)
-               for sigma, v, k in zip(self.sigma, b, self._starts()) if v]
+        nums, L = over_lcm(b)
+        rhs = [(sigma * v, k)
+               for sigma, v, k in zip(self.sigma, nums, self._starts()) if v]
         for i in range(m):
             Ti, d = T[i], D[i] * L
             value = sum(w * Ti[k] for w, k in rhs)  # over d
@@ -456,8 +447,9 @@ class _Tableau:
         return y[:mG], y[mG:]
 
     def phase2(self, c):
-        """Minimize c.x from the feasible basis phase 1 left; artificial
-        columns are ineligible to enter. Returns the final reduced-cost row
+        """Minimize c.x from the feasible basis the tableau holds (the one
+        phase 1 or the last append left); artificial columns are
+        ineligible to enter. Returns the final reduced-cost row
         (z, d) and q: None when the minimum -z[RHS] / d is attained, else
         the entering column with no leaving row (c.x unbounded below)."""
         T, D, basis = self.T, self.D, self.basis
@@ -514,113 +506,103 @@ class _Tableau:
                                    for i, q in enumerate(self.basis)})
 
 
-def _solve(lp: LinearProgram, costs):
-    """Phase 1, then per cost a phase 2 on its own copy of the feasible
-    tableau (the last on the tableau itself): the tableau, its final
-    phase-1 row (z, d) if lp's constraints are infeasible, else None, and
-    the (tableau, z, d, q) of each phase 2."""
-    tab = _Tableau(lp)
-    row = tab.phase1()
-    if row is not None:
-        return tab, row, []
-    last = len(costs) - 1
-    tabs = (tab if k == last else tab.copy() for k in range(len(costs)))
-    return tab, None, [(t, *t.phase2(c)) for t, c in zip(tabs, costs)]
-
-
-def _each(lp: LinearProgram, costs):
-    """`_solve` of the distinct costs in `costs` (lp.c is not read), and
-    per cost the index of its phase 2."""
-    where = {}
-    at = []
-    for c in costs:
-        c = tuple(as_q_vector(c))
-        if len(c) != lp.n:
-            raise ValueError("cost width != number of variables")
-        at.append(where.setdefault(c, len(where)))
-    return (*_solve(lp, list(where)), at) if where else (None, None, [], [])
-
-
 def solve(lp: LinearProgram) -> LPOutcome:
     """min lp.c . x over lp's constraints."""
-    return solve_each(lp, [lp.c])[0]
+    return System(lp).outcomes([lp.c])[0]
 
 
-def solve_each(lp: LinearProgram, costs) -> list:
-    """One outcome per cost vector in `costs`, each equal to `solve` on lp
-    with that cost in place of lp.c (which is not read). Phase 1 runs once
-    for all of them and phase 2 once per distinct cost; a repeated cost
-    gets its outcome read again, with lists of its own. An infeasible
-    system gives its Farkas outcome for every cost."""
-    tab, row, runs, at = _each(lp, costs)
-    if row is None:
-        return [t.outcome(z, d, q) for t, z, d, q in (runs[k] for k in at)]
-    # the phase-1 duals, where each artificial costs 1 (d over d), are a
-    # Farkas certificate for the system
-    mu, nu = tab._duals(*row, art=row[1])
-    return [LPOutcome(INFEASIBLE, farkas_ineq=list(mu), farkas_eq=list(nu))
-            for _ in at]
+class System:
+    """The rows of a program on one kept tableau, which the first question
+    builds; the program's c is not read (see the module docstring).
+    `outcomes`, `minima` and `append` share one phase 1 at the program's
+    own right-hand sides. A System that has answered `feasible` holds
+    another right-hand side and is asked nothing else."""
 
-
-def minima(lp: LinearProgram, costs) -> list:
-    """min c.x over lp's constraints for each c in `costs` (lp.c is not
-    read): the `solve` value when it is optimal, NEG_INF when unbounded
-    below, INF when the constraints are infeasible. The same phase 1 and
-    phase 2 runs as `solve_each`, with no point, ray or multiplier formed."""
-    _, row, runs, at = _each(lp, costs)
-    if row is not None:
-        return [INF] * len(at)
-    values = [NEG_INF if q is not None else Q(-z[t.RHS], d)
-              for t, z, d, q in runs]
-    return [values[k] for k in at]
-
-
-def feasible_each(lp: LinearProgram, rhss) -> list:
-    """For each right-hand side b in `rhss` (h entries, then e entries):
-    whether G x <= b[:len(G)], E x = b[len(G):] has a solution under lp's
-    sign flags (lp.c, lp.h and lp.e are not read), the answer of `minima`
-    with a zero cost. Each b runs its own phase 1 until one is feasible;
-    every later b starts from the basis the last one left (see
-    `_Tableau.feasible_at`)."""
-    m = len(lp.G) + len(lp.E)
-    tab = None
-    out = []
-    for b in rhss:
-        b = as_q_vector(b)
-        if len(b) != m:
-            raise ValueError("right-hand side length != number of rows")
-        if tab is not None:
-            out.append(tab.feasible_at(b))
-            continue
-        tab = _Tableau(lp, b)
-        if tab.phase1() is not None:
-            tab = None
-        out.append(tab is not None)
-    return out
-
-
-class GrowingSystem:
-    """The constraints of lp (lp.c is not read) on one kept tableau, to
-    which inequality rows are appended one at a time, as an exchange method
-    adds them. Phase 1 runs once, here; each `append` reduces its row in
-    the current basis and restores the signs by the zero-cost dual simplex
-    (`_Tableau.dual_simplex`)."""
-
-    def __init__(self, lp: LinearProgram):
-        self._tab = tab = _Tableau(lp)
-        row = tab.phase1()
+    def __init__(self, program: LinearProgram):
+        self.program = program
+        self._tab = None
         # the Farkas pair (mu, nu) once the rows are infeasible, else None
-        self._farkas = None if row is None else tab._duals(*row, art=row[1])
+        self._farkas = None
+
+    def _kept(self) -> _Tableau:
+        if self._tab is None:
+            self._tab = tab = _Tableau(self.program)
+            row = tab.phase1()
+            if row is not None:
+                # the phase-1 duals, where each artificial costs 1 (d over
+                # d), are a Farkas certificate for the rows
+                self._farkas = tab._duals(*row, art=row[1])
+        return self._tab
+
+    def _phase2(self, costs):
+        """Per cost in `costs` (distinct tuples), the (tableau, z, d, q) of
+        its phase 2 on its own copy of the kept tableau; None when the rows
+        are infeasible."""
+        tab = self._kept()
+        if self._farkas is not None:
+            return None
+        copies = [tab.copy() for _ in costs]
+        return [(t, *t.phase2(c)) for t, c in zip(copies, costs)]
+
+    def _questions(self, costs):
+        """`_phase2` of the distinct costs in `costs` ([] when there are
+        none), and per cost the index of its run."""
+        where, at = {}, []
+        for c in costs:
+            c = tuple(as_q_vector(c))
+            if len(c) != self.program.n:
+                raise ValueError("cost width != number of variables")
+            at.append(where.setdefault(c, len(where)))
+        return (self._phase2(list(where)) if where else []), at
+
+    def outcomes(self, costs) -> list:
+        """One outcome per cost vector in `costs`, each equal to `solve` of
+        the program with that cost in place of its c. A repeated cost gets
+        its outcome read again, with lists of its own; infeasible rows give
+        their Farkas outcome for every cost."""
+        runs, at = self._questions(costs)
+        if runs is None:
+            mu, nu = self._farkas
+            return [LPOutcome(INFEASIBLE, farkas_ineq=list(mu),
+                              farkas_eq=list(nu)) for _ in at]
+        return [t.outcome(z, d, q) for t, z, d, q in (runs[k] for k in at)]
+
+    def minima(self, costs) -> list:
+        """min c.x over the rows for each c in `costs`: the `solve` value
+        when it is optimal, NEG_INF when unbounded below, INF when the rows
+        are infeasible. No point, ray or multiplier is formed."""
+        runs, at = self._questions(costs)
+        if runs is None:
+            return [INF] * len(at)
+        values = [NEG_INF if q is not None else Q(-z[t.RHS], d)
+                  for t, z, d, q in runs]
+        return [values[k] for k in at]
+
+    def feasible(self, b) -> bool:
+        """Whether G x <= b[:len(G)], E x = b[len(G):] has a solution under
+        the program's sign flags (its h and e are not read). Phase 1 runs
+        at b until some b is feasible; every later b starts from the basis
+        the last one left (`_Tableau.feasible_at`)."""
+        b = as_q_vector(b)
+        if len(b) != len(self.program.G) + len(self.program.E):
+            raise ValueError("right-hand side length != number of rows")
+        if self._tab is not None:
+            return self._tab.feasible_at(b)
+        tab = _Tableau(self.program, b)
+        if tab.phase1() is not None:
+            return False
+        self._tab = tab
+        return True
 
     def append(self, a, b) -> LPOutcome:
         """Add the row a . x <= b and decide the rows so far under cost 0:
         optimal with a point (value 0, zero multipliers), or infeasible
-        with a Farkas pair over every inequality row, lp's first and the
-        appended ones after them in order, and lp's equality rows."""
+        with a Farkas pair over every inequality row, the program's first
+        and the appended ones after them in order, and its equality rows."""
         a, b = as_q_vector(a), as_q(b)
-        tab = self._tab
-        if len(a) != len(tab.var_cols):
+        if len(a) != self.program.n:
             raise ValueError("row width != number of variables")
+        tab = self._kept()
         if self._farkas is None:
             tab.append_row(a, b)
             r = tab.dual_simplex()

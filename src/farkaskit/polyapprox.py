@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import mul
 
 from . import engine, lp, semiinf
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
-from .rational import (NEG_INF, ONE, Q, ZERO, as_q, as_q_vector, dot, mat_vec,
-                       q_str, transpose_apply)
+from .rational import (NEG_INF, ONE, Q, ZERO, as_q, as_q_vector, dot,
+                       over_lcm, q_str, transpose_apply)
 from .semiinf import SignedMultiplier
 from .sets import whole_space_polyhedron
 
@@ -106,7 +107,9 @@ def _consistent(inst: engine.FarkasInstance) -> bool:
     rays = semiinf.moment_cone(inst).rays
     cert = semiinf.band_point(inst)
     if cert.x is not None:
-        holds = max(mat_vec(rays, cert.x + [-ONE])) <= ZERO
+        # in integers: each side over its own lcm keeps every product's sign
+        X, _ = over_lcm(cert.x + [-ONE])
+        holds = all(sum(map(mul, over_lcm(r)[0], X)) <= 0 for r in rays)
     else:
         mu = cert.farkas_ineq
         *moments, s = transpose_apply(rays, mu, inst.n + 1)

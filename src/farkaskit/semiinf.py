@@ -19,8 +19,8 @@ Whether the band {x in ground : alpha_t <= <a_t, x> <= beta_t for all t} is
 nonempty is decided by an exchange (cutting-plane) method, the classic one
 for semi-infinite systems (Hettich & Kortanek, SIAM Review 35, 1993): solve
 a small working set of rows, add the most violated row of the whole grid,
-repeat. The working set lives on one kept tableau (`lp.GrowingSystem`):
-phase 1 runs once, and each added row is restored by the dual simplex. A
+repeat. The working set lives on one kept tableau (`lp.System`): phase 1
+runs once, and each appended row is restored by the dual simplex. A
 point that satisfies every row, or a Farkas vector that is zero off the
 working set, certifies the whole system; both are checked by substitution
 against all of it, and `band_point` returns the one it found.
@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
 from operator import mul
 
 from . import calculus, engine, lp, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
-from .rational import ONE, Q, ZERO, as_q_vector
+from .rational import ONE, Q, ZERO, as_q_vector, over_lcm
 from .sets import Box, Polyhedron
 
 
@@ -52,34 +51,22 @@ def grid(rows, ground: Polyhedron,
         target=Box([(lo, hi) for _, lo, hi in rows]), objective=objective)
 
 
-def _integer_rows(inst: engine.FarkasInstance):
-    """Per node, (A, L, H, s): the row alpha <= a . x <= beta times the lcm
-    s of its denominators, so that A, L and H are integers."""
-    out = []
-    for a, (lo, hi) in zip(inst.matrix, inst.target.bounds):
-        data = a + [lo, hi]
-        s = lcm(*[v.denominator for v in data])
-        ints = [int(v.numerator * (s // v.denominator)) for v in data]
-        out.append((ints[:-2], ints[-2], ints[-1], s))
-    return out
-
-
 def _most_violated(rows, x):
     """Index of the band row x violates most, in the row order of
     `Box.pullback` (2t: a_t . x <= beta_t, 2t + 1: -a_t . x <= -alpha_t),
-    or None when x satisfies every node. Violations are compared exactly,
+    or None when x satisfies every node. Node t comes as (A, s_t) =
+    `over_lcm(a_t + [alpha_t, beta_t])`. Violations are compared exactly,
     in the rows' own units, in integers: x = X / D, and row t's excess
     over its bound is e / (s_t D) for the integer e below. Ties go to the
     least row index."""
-    D = lcm(*[v.denominator for v in x])
-    X = [int(v.numerator * (D // v.denominator)) for v in x]
+    X, D = over_lcm(x)
     best, best_e, best_s = None, 0, 1
-    for t, (A, L, H, s) in enumerate(rows):
-        p = sum(map(mul, A, X))
-        if p > H * D:
-            e, k = p - H * D, 2 * t
-        elif p < L * D:
-            e, k = L * D - p, 2 * t + 1
+    for t, (A, s) in enumerate(rows):
+        p = sum(map(mul, A, X))  # a_t . X: X is 2 entries shorter than A
+        if p > A[-1] * D:
+            e, k = p - A[-1] * D, 2 * t
+        elif p < A[-2] * D:
+            e, k = A[-2] * D - p, 2 * t + 1
         else:
             continue
         if e * best_s > best_e * s:
@@ -96,10 +83,11 @@ def band_point(inst: engine.FarkasInstance) -> lp.LPOutcome:
     The working set starts empty, and the ground's rows are in it at every
     round. Each round takes a solution of the working rows (cost 0) and
     adds the band row it violates most; the first round's rows are the
-    ground's alone, so its solution is the ground's kept point, from the
-    LP solved when the instance checked the ground. The rounds after it
-    run on one tableau (`lp.GrowingSystem`): one phase 1 over the ground's
-    rows, then each added row is appended and restored by the dual
+    ground's alone, so its solution is the ground's kept point (the origin
+    when the ground has no rows, else from the LP solved when the instance
+    checked the ground). The rounds after it run on one `lp.System` of the
+    ground's rows: one phase 1 over them at the first append, then each
+    added row is appended (`System.append`) and restored by the dual
     simplex, and the next solution is read off the basis. A new row joins
     each round, so at most 2N rounds run; a few more than n is typical. The
     answer is certified against the whole system: a point by substitution
@@ -109,9 +97,10 @@ def band_point(inst: engine.FarkasInstance) -> lp.LPOutcome:
     n = inst.n
     full = inst.feasible_polyhedron()
     first = len(inst.ground.G)
-    rows = _integer_rows(inst)
+    rows = [over_lcm(a + [lo, hi])
+            for a, (lo, hi) in zip(inst.matrix, inst.target.bounds)]
     working = []
-    kept = lp.GrowingSystem(lp.LinearProgram(
+    kept = lp.System(lp.LinearProgram(
         c=[ZERO] * n, G=full.G[:first], h=full.h[:first], E=full.E, e=full.e))
     x = inst.ground.a_point()
     while True:

@@ -112,8 +112,8 @@ def member(s: LiftedSet, z) -> bool:
 def members(s: LiftedSet, points) -> list:
     """[member(s, z) for z in points]. z is in S iff the witness rows
     have a solution with right-hand side rhs - (z-block) z, so every point
-    poses the same rows with a right-hand side of its own, and one basis
-    serves them all (`lp.feasible_each`)."""
+    poses the same rows with a right-hand side of its own, and one kept
+    basis serves them all (`lp.System.feasible`)."""
     rows = list(zip(s.ineq_z + s.eq_z, s.ineq_rhs + s.eq_rhs))
     rhss = []
     for z in points:
@@ -128,7 +128,7 @@ def members(s: LiftedSet, points) -> list:
     prog = lp.LinearProgram(
         c=[ZERO] * s.witness_dim, G=s.ineq_w, h=[ZERO] * mG,
         E=s.eq_w, e=[ZERO] * len(s.eq_rhs), nonneg=s.witness_nonneg)
-    return lp.feasible_each(prog, rhss)
+    return list(map(lp.System(prog).feasible, rhss))
 
 
 def _recession_cone(s: LiftedSet) -> LiftedSet:
@@ -151,7 +151,8 @@ def support(s: LiftedSet, d):
 
 def supports(s: LiftedSet, directions) -> list:
     """[support(s, d) for d in directions], from one feasible basis of the
-    set's rows: phase 1 runs once and each direction is a phase 2 only.
+    set's rows (`lp.System.minima`): phase 1 runs once and each direction
+    is a phase 2 only.
     sup d.z is minus the minimum of -d.z, so an empty set's INF becomes
     NEG_INF and an unbounded minimum's NEG_INF becomes INF."""
     costs = []
@@ -160,8 +161,7 @@ def supports(s: LiftedSet, directions) -> list:
         if len(d) != s.dim:
             raise ValueError("direction dimension mismatch")
         costs.append([-v for v in d] + [ZERO] * s.witness_dim)
-    prog = _joint_lp(s)
-    return [-v for v in lp.minima(prog, costs)]
+    return [-v for v in lp.System(_joint_lp(s)).minima(costs)]
 
 
 def minkowski_sum(a: LiftedSet, b: LiftedSet) -> LiftedSet:
@@ -256,7 +256,7 @@ def cone_member_strict(s: LiftedSet, z) -> bool:
         e=s.eq_rhs,
         nonneg=[True] + list(s.witness_nonneg))
     # max tau is -INF = -oo when infeasible, -NEG_INF = +oo when unbounded
-    return -lp.minima(prog, [prog.c])[0] > ZERO
+    return -lp.System(prog).minima([prog.c])[0] > ZERO
 
 
 def cone_closed_regarding(s: LiftedSet, points):
@@ -436,11 +436,15 @@ class Polyhedron:
 
     @kept
     def _point(self):
+        # with no rows, the LP's point is the origin
+        if not self.G and not self.E:
+            return [ZERO] * self.dim
         return a_point_of(self.to_lifted())
 
     def a_point(self):
         """Some point of this set, as a new list, or None when it is empty:
-        one LP, solved on the first call only."""
+        the origin when there are no rows, else one LP, solved on the first
+        call only."""
         return None if self.is_empty() else list(self._point())
 
     def is_empty(self) -> bool:

@@ -389,9 +389,10 @@ OPTIMALITY_PROGRAMS = ("525573d2942aa63f1518648575ffd2a3"
 
 
 def _optimality_programs():
-    """sha256 over the sorted reprs of every program, with its costs, that
-    reaches the kernel (`lp._solve`, behind `solve`, `solve_each` and
-    `minima`) inside check_optimality, at the minimizer and two sampled
+    """sha256 over the sorted reprs of every program, with its distinct
+    costs, that reaches a phase 2 of the kernel (`lp.System._phase2`,
+    behind `solve`, `System.outcomes` and `System.minima`) inside
+    check_optimality, at the minimizer and two sampled
     feasible points of each feasible instance of the tilt pool, and the
     kinds of data reached on the way."""
     rng = random.Random(707)
@@ -406,13 +407,13 @@ def _optimality_programs():
             points.insert(0, primal.point)
         cases.append((inst, points))
     programs = []
-    solve = lp._solve
+    phase2 = lp.System._phase2
 
-    def recording(program, costs):
-        programs.append(f"{program!r} {costs!r}")
-        return solve(program, costs)
+    def recording(kept, costs):
+        programs.append(f"{kept.program!r} {costs!r}")
+        return phase2(kept, costs)
 
-    lp._solve = recording
+    lp.System._phase2 = recording
     try:
         for inst, points in cases:
             for point in points:
@@ -423,7 +424,7 @@ def _optimality_programs():
                 if inst.ground.E and inst.target_polyhedron().E:
                     seen.add("equality rows")
     finally:
-        lp._solve = solve
+        lp.System._phase2 = phase2
     digest = hashlib.sha256("\n".join(sorted(programs)).encode())
     return digest.hexdigest(), seen
 

@@ -15,13 +15,9 @@ from farkaskit.lp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
-    _solve,
+    System,
     _Tableau,
-    GrowingSystem,
-    feasible_each,
-    minima,
     solve,
-    solve_each,
     verify_certificate,
 )
 from farkaskit.rational import INF, NEG_INF, Q, ZERO
@@ -398,7 +394,7 @@ def test_solve_each_matches_solve_per_cost():
         costs.append([ZERO] * n)
         rng.shuffle(costs)
         shared = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e, nonneg=nonneg)
-        outs = solve_each(shared, costs)
+        outs = System(shared).outcomes(costs)
         assert len(outs) == len(costs)
         for c, out in zip(costs, outs):
             lp = LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg)
@@ -436,16 +432,30 @@ def test_rows_keep_basic_entry_and_lowest_terms(monkeypatch):
         lp = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e, nonneg=nonneg)
         check(_Tableau(lp))
         costs = [[_small_fraction(rng) for _ in range(n)] for _ in range(2)]
-        tab, _, runs = _solve(lp, costs)
-        for t in [tab] + [run[0] for run in runs]:
+        kept = System(lp)
+        runs = kept._phase2(costs) or []
+        for t in [kept._tab] + [run[0] for run in runs]:
             check(t)
+        # an appended row enters reduced in the kept basis, then is pivoted
+        # on by the dual simplex
+        for _ in range(2):
+            kept.append([_small_fraction(rng) for _ in range(n)],
+                        _small_fraction(rng))
+            check(kept._tab)
         # a new right-hand side is set on a kept basis, then pivoted on
-        feasible_each(lp, [h + e] + [[_small_fraction(rng) for _ in h + e]
-                                     for _ in range(3)])
+        sweep = System(lp)
+        for b in [h + e] + [[_small_fraction(rng) for _ in h + e]
+                            for _ in range(3)]:
+            sweep.feasible(b)
     assert pivots > 500
 
 
-def test_feasible_each_matches_solve_per_rhs():
+def _raises_value_error(fn, *args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_feasible_each_matches_solve_per_rhs(count_phase1):
     # sequences of right-hand sides over shared rows: planted points (so a
     # basis is kept), their moves along seeded directions and random ones,
     # with signs that differ from the first feasible one's row flips
@@ -466,7 +476,8 @@ def test_feasible_each_matches_solve_per_rhs():
                 rhss.append([_small_fraction(rng) for _ in G + E])
         shared = LinearProgram(c=[ZERO] * n, G=G, h=[ZERO] * len(G), E=E,
                                e=[ZERO] * len(E), nonneg=nonneg)
-        got = feasible_each(shared, rhss)
+        kept = System(shared)
+        got = [kept.feasible(b) for b in rhss]
         for k, (b, verdict) in enumerate(zip(rhss, got)):
             h, e = b[:len(G)], b[len(G):]
             lp = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e,
@@ -477,12 +488,14 @@ def test_feasible_each_matches_solve_per_rhs():
             if any(got[:k]):
                 on_kept_basis.add(verdict)
     assert on_kept_basis == {True, False}
-    assert feasible_each(shared, []) == []
-    with pytest.raises(ValueError):
-        feasible_each(shared, [[ZERO] * (len(G) + len(E) + 1)])
+    # a System asked nothing builds no tableau, and a wrong length raises
+    # before any phase 1
+    assert count_phase1(System, shared)[1] == 0
+    assert count_phase1(_raises_value_error, System(shared).feasible,
+                        [ZERO] * (len(G) + len(E) + 1))[1] == 0
 
 
-def test_growing_system_matches_solve_per_append():
+def test_growing_system_matches_solve_per_append(count_phase1):
     # rows appended to one kept tableau, as the exchange method poses them:
     # cuts through the last point (degenerate), past it or short of it, and
     # random rows, over programs with flipped and redundant rows; after each
@@ -493,7 +506,7 @@ def test_growing_system_matches_solve_per_append():
     for _ in range(200):
         n, G, h, E, e, nonneg, redundant = _shared_constraints(rng)
         start = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e, nonneg=nonneg)
-        kept = GrowingSystem(start)
+        kept = System(start)
         seen.add(("start", solve(start).status))
         G, h = list(G), list(h)
         x = None
@@ -518,24 +531,75 @@ def test_growing_system_matches_solve_per_append():
     assert {("start", OPTIMAL), ("start", INFEASIBLE), (True, OPTIMAL, True),
             (True, INFEASIBLE, False), (False, INFEASIBLE, False),
             (False, OPTIMAL, False)} <= seen
-    with pytest.raises(ValueError):
-        kept.append([ZERO] * (n + 1), ZERO)
+    assert count_phase1(_raises_value_error, System(start).append,
+                        [ZERO] * (n + 1), ZERO)[1] == 0
+
+
+def test_system_mixed_questions_match_fresh_solves():
+    # one System per draw answers several outcomes and minima calls, over
+    # repeated and zero costs, and then rows appended between further
+    # calls (cuts near the last point it returned, or random rows). Before
+    # any append each answer equals a fresh solve bit for bit; after each
+    # append it has a fresh solve's status and value and certifies
+    rng = random.Random(20261023)
+    seen = set()
+    for _ in range(150):
+        n, G, h, E, e, nonneg, _ = _shared_constraints(rng)
+        kept = System(LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e,
+                                    nonneg=nonneg))
+        G, h = list(G), list(h)
+        costs = [[_small_fraction(rng) for _ in range(n)] for _ in range(3)]
+        costs.append([ZERO] * n)
+        asked = costs + [costs[0]]
+        x = None
+        for k in range(6):
+            appended = k >= 3
+            if appended:
+                a = [_small_fraction(rng) for _ in range(n)]
+                if x is not None and rng.random() < 0.7:
+                    b = sum(u * v for u, v in zip(a, x)) + rng.choice(
+                        (ZERO, abs(_small_fraction(rng)),
+                         -abs(_small_fraction(rng))))
+                else:
+                    b = _small_fraction(rng)
+                kept.append(a, b)
+                G.append(a)
+                h.append(b)
+            outs = kept.outcomes(asked)
+            values = kept.minima(asked)
+            for c, out, value in zip(asked, outs, values):
+                lp = LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg)
+                fresh = solve(lp)
+                if appended:
+                    assert out.status == fresh.status
+                    _certified(lp, out)
+                else:
+                    assert out == fresh
+                assert value == {OPTIMAL: fresh.value, UNBOUNDED: NEG_INF,
+                                 INFEASIBLE: INF}[fresh.status]
+                seen.add((appended, out.status))
+                if out.status != INFEASIBLE:
+                    x = out.x
+            asked = rng.sample(costs, 2)
+            asked.append(asked[0])
+    assert seen == {(a, s) for a in (False, True)
+                    for s in (OPTIMAL, UNBOUNDED, INFEASIBLE)}
 
 
 def test_solve_each_outcomes_are_independent():
     lp = LinearProgram(c=[0, 0], G=[[1, 0], [0, 1]], h=[1, 1], E=[], e=[],
                        nonneg=[True, True])
-    outs = solve_each(lp, [[-1, 0], [0, -1], [-1, 0]])
+    outs = System(lp).outcomes([[-1, 0], [0, -1], [-1, 0]])
     assert [o.x for o in outs] == [[1, 0], [0, 1], [1, 0]]
     outs[0].x[0] = Q(5)
     assert outs[2].x == [1, 0]
     infeasible = LinearProgram(c=[0], G=[[1], [-1]], h=[1, -2], E=[], e=[])
-    a, b = solve_each(infeasible, [[1], [-1]])
+    a, b = System(infeasible).outcomes([[1], [-1]])
     assert a == b == solve(infeasible)
     assert a.farkas_ineq is not b.farkas_ineq
-    assert solve_each(lp, []) == []
+    assert System(lp).outcomes([]) == []
     with pytest.raises(ValueError):
-        solve_each(lp, [[1]])
+        System(lp).outcomes([[1]])
 
 
 def test_minima_equal_solve_values_and_outcomes_certify():
@@ -557,7 +621,7 @@ def test_minima_equal_solve_values_and_outcomes_certify():
         costs += [[ZERO] * n, costs[0]]
         shared = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e,
                                nonneg=nonneg)
-        values = minima(shared, costs)
+        values = System(shared).minima(costs)
         assert len(values) == len(costs)
         for c, value in zip(costs, values):
             lp = LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg)
@@ -583,19 +647,23 @@ def test_minima_equal_solve_values_and_outcomes_certify():
 def test_minima_edge_cases(count_phase1, count_pivots):
     square = LinearProgram(c=[0, 0], G=[[1, 0], [0, 1]], h=[1, 1], E=[],
                            e=[], nonneg=[True, True])
-    assert count_phase1(minima, square, []) == ([], 0)
+    assert count_phase1(System(square).minima, []) == ([], 0)
     # a repeated cost: one phase 1, and no phase 2 of its own
     once = [[-1, 0], [0, -2]]
-    values, runs = count_phase1(minima, square, once + [[-1, 0]])
+    values, runs = count_phase1(System(square).minima, once + [[-1, 0]])
     assert values == [Q(-1), Q(-2), Q(-1)] and runs == 1
-    assert (count_pivots(minima, square, once + [[-1, 0]])[1]
-            == count_pivots(minima, square, once)[1])
-    with pytest.raises(ValueError):
-        minima(square, [[1]])
+    assert (count_pivots(System(square).minima, once + [[-1, 0]])[1]
+            == count_pivots(System(square).minima, once)[1])
+    # later questions on the same System run no phase 1 again
+    kept = System(square)
+    assert count_phase1(kept.minima, once)[1] == 1
+    assert count_phase1(kept.minima, [[0, -1]]) == ([Q(-1)], 0)
+    assert count_phase1(_raises_value_error, System(square).minima,
+                        [[1]])[1] == 0
     ray = LinearProgram(c=[0], G=[[1]], h=[1], E=[], e=[])
-    assert minima(ray, [[1], [-1]]) == [NEG_INF, Q(-1)]
+    assert System(ray).minima([[1], [-1]]) == [NEG_INF, Q(-1)]
     infeasible = LinearProgram(c=[0], G=[[1], [-1]], h=[1, -2], E=[], e=[])
-    assert minima(infeasible, [[1], [-1]]) == [INF, INF]
+    assert System(infeasible).minima([[1], [-1]]) == [INF, INF]
 
 
 def test_tableau_layout_by_hand():

@@ -157,18 +157,20 @@ class TestGridChecks:
         # check_stability, on 11 seeded grids: 31 when check_grid_dual swept
         # the certificate cone again along the criterion's probe directions,
         # 20 when the 6 grids with a whole-space ground swept the feasible
-        # set's support epigraph after the preimage's, the same set
-        solve = lp._solve
+        # set's support epigraph after the preimage's, the same set, and 14
+        # when each of those 6 grounds solved an LP for its point, which a
+        # polyhedron with no rows now takes as the origin
+        phase2 = lp.System._phase2
         seen, repeats = set(), 0
 
-        def recording(program, costs):
+        def recording(kept, costs):
             nonlocal repeats
-            key = f"{program!r} {costs!r}"
+            key = f"{kept.program!r} {costs!r}"
             repeats += key in seen
             seen.add(key)
-            return solve(program, costs)
+            return phase2(kept, costs)
 
-        monkeypatch.setattr(lp, "_solve", recording)
+        monkeypatch.setattr(lp.System, "_phase2", recording)
         rng = random.Random(5)
         checked = 0
         for _ in range(30):
@@ -181,7 +183,7 @@ class TestGridChecks:
             semiinf.check_grid_dual(g)
             duality.check_stability(g)
             checked += 1
-        assert (checked, repeats) == (11, 14)
+        assert (checked, repeats) == (11, 8)
 
     def test_whole_space_ground_sweeps_the_preimage_once(self, monkeypatch):
         # with no ground rows the feasible set is the preimage, so its
@@ -312,8 +314,8 @@ def _full_rows(system):
 class TestBandPoint:
     def test_agrees_with_dense_lp_and_certifies(self, monkeypatch):
         posed, checked = [], []
-        real_init = lp.GrowingSystem.__init__
-        real_append = lp.GrowingSystem.append
+        real_init = lp.System.__init__
+        real_append = lp.System.append
         real_verify = lp.verify_certificate
 
         def init(kept, program):
@@ -335,8 +337,8 @@ class TestBandPoint:
             full = _full_rows(system)
             posed.clear()
             checked.clear()
-            monkeypatch.setattr(lp.GrowingSystem, "__init__", init)
-            monkeypatch.setattr(lp.GrowingSystem, "append", append)
+            monkeypatch.setattr(lp.System, "__init__", init)
+            monkeypatch.setattr(lp.System, "append", append)
             monkeypatch.setattr(lp, "verify_certificate", verify)
             cert = semiinf.band_point(system)
             monkeypatch.undo()
@@ -381,7 +383,7 @@ class TestBandPoint:
         scans = iter([0])
         monkeypatch.setattr(semiinf, "_most_violated",
                             lambda rows, x: next(scans, None))
-        monkeypatch.setattr(lp.GrowingSystem, "append",
+        monkeypatch.setattr(lp.System, "append",
                             lambda kept, a, b: lp.LPOutcome(
                                 lp.OPTIMAL, x=[Q(9), Q(9)]))
         with pytest.raises(InvariantViolation):
@@ -406,11 +408,13 @@ class TestBandPoint:
         assert (cert.x is not None) == consistent
         assert runs <= bounds[0] and pivots <= bounds[1]
         # the whole consistency check adds no LP to the exchange and the
-        # grid's construction (which checks the ground); the moment cone
-        # probe it replaced added one phase 1 and, at 101 nodes, 29 and 174
-        # pivots
+        # grid's construction; the moment cone probe it replaced added one
+        # phase 1 and, at 101 nodes, 29 and 174 pivots. The construction
+        # checks the ground, whose point (with no rows, the origin) took
+        # one phase 1 of its own before it was read without an LP
         grid_runs = count_phase1(polyapprox.to_grid, problem, eps)[1]
         grid_pivots = count_pivots(polyapprox.to_grid, problem, eps)[1]
+        assert grid_runs == grid_pivots == 0
         verdict, runs = count_phase1(polyapprox.check_consistency,
                                      problem, eps)
         _, pivots = count_pivots(polyapprox.check_consistency, problem, eps)

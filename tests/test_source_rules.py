@@ -41,6 +41,6 @@ def test_kernel_internals_stay_in_lp():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line}" for line in _private_lp_names(tree)]
     assert found == []
-    probe = ast.parse("from .lp import _Tableau\nlp._solve(p)\nlp.solve(p)\n"
-                      "from farkaskit.lp import _each, solve")
+    probe = ast.parse("from .lp import _Tableau\nlp._Tableau(p)\n"
+                      "lp.solve(p)\nfrom farkaskit.lp import _eliminate, solve")
     assert sorted(_private_lp_names(probe)) == [1, 2, 4]

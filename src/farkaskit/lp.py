@@ -11,7 +11,9 @@ a feasible basis, or a Farkas certificate, without looking at c. Phase 2 then
 forms the reduced-cost row of c from that basis, c - sum_i c_basis[i] T[i],
 and pivots on it. Reduced costs depend on the basis only, so this is the row
 that carrying c through phase 1 would give, and each pivot updates the
-constraint rows plus one objective row.
+constraint rows plus one objective row. One reduction (`_Tableau._reduced`)
+forms every row that enters the tableau: the phase-1 row (cost 1 at each
+artificial column), each phase-2 cost row and each appended row.
 
 `System(program)` holds a program's rows (not its c) on one tableau, built
 at the first question and kept for every later one. `outcomes` and `minima`
@@ -21,16 +23,16 @@ one cost) bit for bit; `minima` reads only the final objective row's value,
 all that a support or conjugate value needs. `append` adds an inequality
 row a.x <= b, as an exchange (cutting-plane) method does: the row gets a
 slack column of its own, after the last slack and before the artificials,
-and enters reduced in the current basis (the elimination of `phase2`'s
-cost row), its slack basic, so its value may be negative. `feasible`
-decides the rows under a right-hand side b of its own, as membership
-sweeps pose them: phase 1 runs at b until some b is feasible, and every
-later b is set on the basis B the last one left. The starting basis (the
-artificial of a row, else its slack) is the identity, and every pivot is a
-row operation on the whole tableau, so the current columns of those
-starting basic columns hold B^-1, and b becomes B^-1 (sigma b) with the
-first row flips sigma kept: the artificials stay nonbasic at zero, so the
-flipped rows state the original ones. An inert row (a basic artificial, no
+and enters reduced in the current basis, its slack basic, so its value may
+be negative. `feasible` decides the program's rows under a right-hand side
+b of its own, as membership sweeps pose them, on a tableau of its own:
+phase 1 runs at b until some b is feasible, and every later b is set on
+the basis B the last one left. The starting basis (the artificial of a
+row, else its slack) is the identity, and every pivot is a row operation
+on the whole tableau, so the current columns of those starting basic
+columns hold B^-1, and b becomes B^-1 (sigma b) with the first row flips
+sigma kept: the artificials stay nonbasic at zero, so the flipped rows
+state the original ones. An inert row (a basic artificial, no
 real entry) with a nonzero new value is a row no pivot can meet, so b is
 infeasible. Both `append` and `feasible` then restore the signs by one
 zero-cost dual simplex on the same tableau and the same `pivot`
@@ -41,12 +43,13 @@ negative entry in that row enters (artificials never enter). This is
 Bland's rule applied to the dual program (Bland 1977), which cannot cycle.
 A row left negative with no negative real entry combines the rows into
 0 <= (negative), and its entries at the starting basic columns, with the
-flips sigma applied, are that combination's weights: the Farkas pair.
+flips sigma applied, are that combination's weights: the Farkas pair, read
+by the same multiplier reader as the duals (`_Tableau._duals`).
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
 objective row included, is a dense list of plain integer numerators, its
 right-hand side last, over one positive integer denominator, kept in lowest
-terms by one gcd per update. Signs and the ratio test (by
+terms by one gcd per update (`_lowest`). Signs and the ratio test (by
 cross-multiplication) are read off the integers, so every pivot decision is
 the exact comparison a rational tableau would make. A pivot leaves the rows
 with a zero in the entering column untouched, and changes each other row's
@@ -66,7 +69,7 @@ nonneg variables), mu >= 0, h.mu + e.nu < 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InvariantViolation
 from .rational import (INF, NEG_INF, ONE, ZERO, Q, as_q, as_q_matrix,
@@ -155,11 +158,16 @@ def _eliminate(N, d, f, p, nz):
         d *= p
     for j, b in nz:
         N[j] -= f * b
+    return _lowest(N, d)
+
+
+def _lowest(N, d):
+    """The row N/d in lowest terms: N and the positive denominator d divided
+    by their common factor."""
     if d > 1:
         g = gcd(d, *N)
         if g > 1:
-            N = [v // g for v in N]
-            d //= g
+            return [v // g for v in N], d // g
     return N, d
 
 
@@ -315,22 +323,14 @@ class _Tableau:
         objective row. Returns the final phase-1 row (z, d) when the system
         is infeasible, else None."""
         T, D, m = self.T, self.D, self.m
-        # Minimize the sum of the artificials: minus the sum of their rows,
-        # zero at the artificial columns. Entry RHS of an objective row is
-        # minus the current objective value, updated like any other column.
-        art_rows = [i for i in range(m) if self.art_col[i] is not None]
-        d1 = lcm(*[D[i] for i in art_rows])
-        z1 = [0] * (self.ncols + 1)
-        for i in art_rows:
-            f = d1 // D[i]
-            for j, v in enumerate(T[i]):
-                if v:
-                    z1[j] -= f * v
-        for i in art_rows:
-            z1[self.art_col[i]] += d1
-        g = gcd(d1, *z1)
-        T.append([v // g for v in z1])
-        D.append(d1 // g)
+        # Minimize the sum of the artificials: cost 1 at each artificial
+        # column (the columns after the real ones), reduced in the starting
+        # basis. Entry RHS of an objective row is minus the current
+        # objective value, updated like any other column.
+        nart = self.ncols - self.nreal
+        z1, d1 = self._reduced([0] * self.nreal + [1] * nart + [0], 1)
+        T.append(z1)
+        D.append(d1)
         if self._run(self.ncols) is not None:
             raise InvariantViolation("phase-1 objective cannot be unbounded")
         z1, d1 = T.pop(), D.pop()
@@ -349,12 +349,19 @@ class _Tableau:
                         break
         return None
 
-    def _starts(self):
-        # per constraint row, the column that was its basic one at set-up:
-        # its artificial, else its slack; their current entries hold B^-1
-        slack0 = self.slack0
-        return [slack0 + k if a is None else a
-                for k, a in enumerate(self.art_col)]
+    def _reduced(self, row, d):
+        """row/d minus sum_i row[basis[i]] T[i]/D[i], in lowest terms: the
+        row reduced in the current basis, as carrying it through every pivot
+        so far would give it (such a row is unique). Forms the phase-1 row,
+        each phase-2 cost row and each appended row; may update row in
+        place."""
+        T, D = self.T, self.D
+        for i, q in enumerate(self.basis):
+            f = row[q]
+            if f:
+                row, d = _eliminate(row, d, f, D[i],
+                                    [(j, v) for j, v in enumerate(T[i]) if v])
+        return row, d
 
     def feasible_at(self, b):
         """Whether the constraint rows with right-hand side b (h entries,
@@ -365,19 +372,19 @@ class _Tableau:
         feasible for b when the answer is True."""
         T, D, basis, RHS, m = self.T, self.D, self.basis, self.RHS, self.m
         nums, L = over_lcm(b)
+        # per row, the column basic at set-up (its artificial, else its
+        # slack): their current entries hold B^-1
+        starts = [self.slack0 + k if a is None else a
+                  for k, a in enumerate(self.art_col)]
         rhs = [(sigma * v, k)
-               for sigma, v, k in zip(self.sigma, nums, self._starts()) if v]
+               for sigma, v, k in zip(self.sigma, nums, starts) if v]
         for i in range(m):
-            Ti, d = T[i], D[i] * L
-            value = sum(w * Ti[k] for w, k in rhs)  # over d
+            Ti = T[i]
+            value = sum(w * Ti[k] for w, k in rhs)  # over D[i] * L
             if L > 1:
                 Ti = [v * L for v in Ti]
             Ti[RHS] = value
-            g = gcd(d, *Ti)
-            if g > 1:
-                Ti = [v // g for v in Ti]
-                d //= g
-            T[i], D[i] = Ti, d
+            T[i], D[i] = _lowest(Ti, D[i] * L)
         nreal = self.nreal
         # an inert row (a basic artificial, no real entry) holds a
         # right-hand side that no pivot can touch
@@ -420,12 +427,8 @@ class _Tableau:
         self.RHS += 1
         row, d = self._integer_row(a, b)
         row[at] = d
+        row, d = self._reduced(row, d)
         T, D, basis = self.T, self.D, self.basis
-        for i in range(self.m):
-            f = row[basis[i]]
-            if f:
-                row, d = _eliminate(row, d, f, D[i],
-                                    [(j, v) for j, v in enumerate(T[i]) if v])
         T.insert(mG, row)
         D.insert(mG, d)
         basis.insert(mG, at)
@@ -436,42 +439,27 @@ class _Tableau:
         self.mG += 1
         self.m += 1
 
-    def farkas(self, r):
-        """(mu, nu) read off row r, whose value is negative with no negative
-        real entry: its entries at the starting basic columns are the
-        weights y of the sigma-flipped rows it combines, so sigma y has
-        G^T mu + E^T nu >= 0 (zero at free variables), mu >= 0 and
-        h.mu + e.nu < 0."""
-        Tr, d, mG = self.T[r], self.D[r], self.mG
-        y = [Q(s * Tr[k], d) for s, k in zip(self.sigma, self._starts())]
-        return y[:mG], y[mG:]
-
     def phase2(self, c):
         """Minimize c.x from the feasible basis the tableau holds (the one
         phase 1 or the last append left); artificial columns are
         ineligible to enter. Returns the final reduced-cost row
         (z, d) and q: None when the minimum -z[RHS] / d is attained, else
         the entering column with no leaving row (c.x unbounded below)."""
-        T, D, basis = self.T, self.D, self.basis
-        # Reduced costs c - sum_i c_basis[i] T[i]/D[i]: eliminate the cost
-        # row's entry at each basic column (slacks and artificials cost 0).
-        # A row in lowest terms over a positive denominator is unique, and
-        # reduced costs depend on the basis only, so this is the row that
-        # carrying the cost through phase 1 would give.
-        z, d = self._integer_row(c, ZERO)
-        for i in range(self.m):
-            f = z[basis[i]]
-            if f:
-                z, d = _eliminate(z, d, f, D[i],
-                                  [(j, b) for j, b in enumerate(T[i]) if b])
+        T, D = self.T, self.D
+        # reduced costs c - sum_i c_basis[i] T[i]/D[i] (slacks and
+        # artificials cost 0), which depend on the basis only
+        z, d = self._reduced(*self._integer_row(c, ZERO))
         T.append(z)
         D.append(d)
         q = self._run(self.nreal)
         return T.pop(), D.pop(), q
 
     def _duals(self, z, d, art):
-        # (mu, nu) read off the probe columns of the objective row z/d,
-        # whose cost at every artificial column is art/d
+        # (mu, nu) read off row z/d at the starting basic columns, where
+        # each artificial column costs art/d: an objective row's duals, or
+        # (art 0) the Farkas pair of a constraint row left negative. A
+        # flipped row's slack column is sigma times its artificial one in
+        # every row.
         mG, sigma, art_col = self.mG, self.sigma, self.art_col
         mu = [Q(z[self.slack0 + i], d) for i in range(mG)]
         nu = [Q(sigma[mG + k] * (z[art_col[mG + k]] - art), d)
@@ -515,12 +503,15 @@ class System:
     """The rows of a program on one kept tableau, which the first question
     builds; the program's c is not read (see the module docstring).
     `outcomes`, `minima` and `append` share one phase 1 at the program's
-    own right-hand sides. A System that has answered `feasible` holds
-    another right-hand side and is asked nothing else."""
+    own right-hand sides, and `feasible` sweeps its own on a tableau of its
+    own, so every answer equals a fresh solve."""
 
     def __init__(self, program: LinearProgram):
         self.program = program
         self._tab = None
+        # the tableau of `feasible`, at the last right-hand side it found
+        # feasible
+        self._sweep = None
         # the Farkas pair (mu, nu) once the rows are infeasible, else None
         self._farkas = None
 
@@ -580,18 +571,19 @@ class System:
 
     def feasible(self, b) -> bool:
         """Whether G x <= b[:len(G)], E x = b[len(G):] has a solution under
-        the program's sign flags (its h and e are not read). Phase 1 runs
-        at b until some b is feasible; every later b starts from the basis
-        the last one left (`_Tableau.feasible_at`)."""
+        the program's sign flags (its h and e, and rows appended since, are
+        not read). Phase 1 runs at b until some b is feasible; every later
+        b starts from the basis the last one left (`_Tableau.feasible_at`),
+        on a tableau that no other question uses."""
         b = as_q_vector(b)
         if len(b) != len(self.program.G) + len(self.program.E):
             raise ValueError("right-hand side length != number of rows")
-        if self._tab is not None:
-            return self._tab.feasible_at(b)
+        if self._sweep is not None:
+            return self._sweep.feasible_at(b)
         tab = _Tableau(self.program, b)
         if tab.phase1() is not None:
             return False
-        self._tab = tab
+        self._sweep = tab
         return True
 
     def append(self, a, b) -> LPOutcome:
@@ -610,7 +602,7 @@ class System:
                 return LPOutcome(OPTIMAL, x=tab._x(), value=ZERO,
                                  dual_ineq=[ZERO] * tab.mG,
                                  dual_eq=[ZERO] * tab.mE)
-            self._farkas = tab.farkas(r)
+            self._farkas = tab._duals(tab.T[r], tab.D[r], 0)
         else:
             mu, nu = self._farkas
             self._farkas = mu + [ZERO], nu

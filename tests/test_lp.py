@@ -20,7 +20,7 @@ from farkaskit.lp import (
     solve,
     verify_certificate,
 )
-from farkaskit.rational import INF, NEG_INF, Q, ZERO
+from farkaskit.rational import INF, NEG_INF, Q, ZERO, over_lcm
 from farkaskit.sets import Box
 
 from oracles import (brute_force_box_min, certifies_empty, certifies_optimal,
@@ -584,6 +584,151 @@ def test_system_mixed_questions_match_fresh_solves():
             asked.append(asked[0])
     assert seen == {(a, s) for a in (False, True)
                     for s in (OPTIMAL, UNBOUNDED, INFEASIBLE)}
+
+
+
+def test_system_feasible_between_other_questions_matches_fresh_solves():
+    # feasible sweeps interleaved with append, outcomes and minima on one
+    # System, feasible asked first: each verdict equals a fresh solve at its
+    # right-hand side, and every other answer a fresh solve at the program's
+    # own right-hand sides, bit for bit before any append and, after one,
+    # the fresh solve's status and value, certified
+    rng = random.Random(20261024)
+    verdicts, seen = set(), set()
+    for _ in range(100):
+        n, G, h, E, e, nonneg, _ = _shared_constraints(rng)
+        kept = System(LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e,
+                                    nonneg=nonneg))
+        rows, rhs = list(G), list(h)
+        costs = [[_small_fraction(rng) for _ in range(n)] for _ in range(2)]
+        costs.append([ZERO] * n)
+        for k in range(5):
+            b = [_small_fraction(rng) for _ in G + E]
+            at_b = LinearProgram(c=[ZERO] * n, G=G, h=b[:len(G)], E=E,
+                                 e=b[len(G):], nonneg=nonneg)
+            verdict = kept.feasible(b)
+            assert verdict == (solve(at_b).status != INFEASIBLE)
+            verdicts.add(verdict)
+            appended = k >= 2
+            if appended:
+                a, beta = ([_small_fraction(rng) for _ in range(n)],
+                           _small_fraction(rng))
+                out = kept.append(a, beta)
+                rows.append(a)
+                rhs.append(beta)
+                grown = LinearProgram(c=[ZERO] * n, G=rows, h=rhs, E=E, e=e,
+                                      nonneg=nonneg)
+                assert out.status == solve(grown).status
+                _certified(grown, out)
+            outs, values = kept.outcomes(costs), kept.minima(costs)
+            for c, out, value in zip(costs, outs, values):
+                lp = LinearProgram(c=c, G=rows, h=rhs, E=E, e=e,
+                                   nonneg=nonneg)
+                fresh = solve(lp)
+                if appended:
+                    assert out.status == fresh.status
+                    _certified(lp, out)
+                else:
+                    assert out == fresh
+                assert value == {OPTIMAL: fresh.value, UNBOUNDED: NEG_INF,
+                                 INFEASIBLE: INF}[fresh.status]
+                seen.add((appended, out.status))
+    assert verdicts == {True, False}
+    assert seen == {(a, s) for a in (False, True)
+                    for s in (OPTIMAL, UNBOUNDED, INFEASIBLE)}
+
+
+def _reduced_oracle(row, d, T, D, basis):
+    # row/d - sum_i (row[basis[i]]/d) T[i]/D[i] in rationals, from the
+    # constraint rows alone
+    out = [Q(v, d) for v in row]
+    for Ti, Di, q in zip(T, D, basis):
+        f = Q(row[q], d)
+        if f:
+            out = [u - f * Q(v, Di) for u, v in zip(out, Ti)]
+    return out
+
+
+def _assert_reduced(row, d, T, D, basis, want):
+    # row/d is want in lowest terms over a positive denominator, with a zero
+    # at every basic column
+    assert d > 0 and gcd(d, *row) == 1
+    assert [Q(v, d) for v in row] == want
+    assert all(row[q] == 0 for q in basis)
+
+
+def test_reduced_rows_match_a_rational_oracle(monkeypatch):
+    # the phase-1 row as phase 1 starts to pivot on it, random rows reduced
+    # after phase 1 and after an append, and the appended row as it enters,
+    # each against rationals computed from the constraint rows alone
+    caught = []
+    run = _Tableau._run
+
+    def catching(tab, ncand):
+        caught.append((tab.T[tab.m][:], tab.D[tab.m]))
+        return run(tab, ncand)
+
+    def random_row(tab):
+        # in lowest terms, as every row that enters the tableau is
+        return over_lcm([rng.choice((ZERO, ZERO, _small_fraction(rng)))
+                         for _ in range(tab.ncols + 1)])
+
+    rng = random.Random(20261025)
+    flipped = equalities = appends = 0
+    for _ in range(200):
+        n, G, h, E, e, nonneg, _ = _shared_constraints(rng)
+        lp = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e, nonneg=nonneg)
+        flipped += any(b < 0 for b in h)
+        equalities += bool(E)
+        start = _Tableau(lp)
+        # cost 1 at each artificial column minus the artificial rows
+        want = [Q(0)] * (start.ncols + 1)
+        for k, col in enumerate(start.art_col):
+            if col is not None:
+                want[col] += 1
+                want = [u - Q(v, start.D[k]) for u, v in zip(want, start.T[k])]
+        kept = System(lp)
+        caught.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(_Tableau, "_run", catching)
+            kept._kept()
+        assert len(caught) == 1
+        _assert_reduced(*caught[0], start.T, start.D, start.basis, want)
+        tab = kept._tab
+        for _ in range(3):
+            row, d = random_row(tab)
+            want = _reduced_oracle(row, d, tab.T, tab.D, tab.basis)
+            _assert_reduced(*tab._reduced(row[:], d), tab.T, tab.D,
+                            tab.basis, want)
+        if kept._farkas is not None:
+            continue
+        # the appended row enters at index mG, its slack at column nreal;
+        # the other rows are the old ones with a zero at that column
+        grown = tab.copy()
+        a, b = [_small_fraction(rng) for _ in range(n)], _small_fraction(rng)
+        grown.append_row(a, b)
+        r, at = grown.mG - 1, grown.nreal - 1
+        others = [i for i in range(grown.m) if i != r]
+        T = [grown.T[i] for i in others]
+        D = [grown.D[i] for i in others]
+        basis = [grown.basis[i] for i in others]
+        entered = [Q(0)] * (grown.ncols + 1)
+        for (p, m), v in zip(grown.var_cols, a):
+            entered[p] += v
+            if m is not None:
+                entered[m] -= v
+        entered[at], entered[grown.RHS] = Q(1), b
+        num, den = over_lcm(entered)
+        want = _reduced_oracle(num, den, T, D, basis)
+        _assert_reduced(grown.T[r], grown.D[r], T, D, basis, want)
+        assert grown.basis[r] == at
+        for _ in range(3):
+            row, d = random_row(grown)
+            want = _reduced_oracle(row, d, grown.T, grown.D, grown.basis)
+            _assert_reduced(*grown._reduced(row[:], d), grown.T, grown.D,
+                            grown.basis, want)
+        appends += 1
+    assert flipped and equalities and appends
 
 
 def test_solve_each_outcomes_are_independent():

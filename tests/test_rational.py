@@ -1,12 +1,14 @@
 """Scalar coercion and the shared linear-algebra helpers."""
 
+import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from farkaskit.rational import (Q, ZERO, as_q, as_q_vector, dot, mat_vec,
-                                transpose_apply)
+                                over_lcm, transpose_apply)
 
 
 def test_as_q_returns_a_rational_unchanged():
@@ -66,3 +68,28 @@ def test_transpose_apply_combines_rows():
 def test_transpose_apply_without_rows_is_zero():
     # an unconstrained block contributes the zero vector, at full width
     assert transpose_apply([], [], 2) == [ZERO, ZERO]
+
+
+def test_over_lcm_of_no_values_is_nothing_over_one():
+    assert over_lcm([]) == ([], 1)
+
+
+def test_over_lcm_takes_zeros_negatives_and_mixed_denominators():
+    nums, d = over_lcm([ZERO, Q(-3, 4), Q(5, 6), Q(-2), ZERO, Q(7)])
+    assert (nums, d) == ([0, -9, 10, -24, 0, 84], 12)
+    assert all(type(v) is int for v in nums)
+    assert over_lcm([ZERO, ZERO]) == ([0, 0], 1)
+
+
+def test_over_lcm_gives_back_each_value_sharing_no_factor_with_d():
+    # nums[i] / d is values[i], and d shares no factor with the numerators
+    # taken together, so a tableau row built from it is in lowest terms
+    rng = random.Random(20261026)
+    for _ in range(500):
+        values = [Q(rng.randint(-60, 60),
+                    rng.choice((1, 2, 6, 35, 360, rng.randint(1, 10**6))))
+                  for _ in range(rng.randint(1, 8))]
+        nums, d = over_lcm(values)
+        assert d > 0 and len(nums) == len(values)
+        assert [Q(v, d) for v in nums] == values
+        assert gcd(d, *nums) == 1

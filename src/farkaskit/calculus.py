@@ -54,6 +54,8 @@ class PiecewiseAffine:
 
     def value(self, x):
         x = as_q_vector(x)
+        if len(x) != self.dim:
+            raise ValueError("point dimension mismatch")
         if self.domain is not None and not self.domain.contains(x):
             return INF
         return max(dot(a, x) + b for a, b in zip(self.slopes, self.offsets))

@@ -8,7 +8,8 @@ so membership, support values, linear images, Minkowski sums and the exact
 closed conic hull are single LPs or plain row surgery on that
 representation. No numeric closure is ever taken: the closed conic hull of a
 nonempty polyhedral projection is its coned form plus its recession cone,
-both of which the homogenized representation captures exactly.
+both of which the homogenized representation captures exactly; one LP on
+it, the largest scale at z = p, places p in the hull or its closure.
 """
 
 from __future__ import annotations
@@ -220,59 +221,56 @@ def linear_image(s: LiftedSet, M) -> LiftedSet:
                      witness_nonneg=[False] * s.dim + list(s.witness_nonneg))
 
 
+def _homogenized(s: LiftedSet) -> LiftedSet:
+    """S's rows, each right-hand side times a last witness, the scale t >= 0
+    (the slice t = 0 is the lifted recession cone)."""
+    return LiftedSet(dim=s.dim, witness_dim=s.witness_dim + 1,
+                     ineq_z=s.ineq_z, ineq_rhs=[ZERO] * len(s.ineq_rhs),
+                     ineq_w=[rw + [-b] for rw, b in zip(s.ineq_w, s.ineq_rhs)],
+                     eq_z=s.eq_z, eq_rhs=[ZERO] * len(s.eq_rhs),
+                     eq_w=[rw + [-b] for rw, b in zip(s.eq_w, s.eq_rhs)],
+                     witness_nonneg=list(s.witness_nonneg) + [True])
+
+
 def conic_hull_closure(s: LiftedSet) -> LiftedSet:
     """cl(R+ S), exactly: homogenize with a scale t >= 0. For nonempty
     polyhedral S this set is (R+ S) union (recession cone of S), the t = 0
     slice supplying the recession directions that close the cone."""
-    if is_empty(s):
-        return empty_set(s.dim)
-    wd = s.witness_dim + 1
-    ineq_z = list(s.ineq_z)
-    ineq_w = [list(rw) + [-rhs] for rw, rhs in zip(s.ineq_w, s.ineq_rhs)]
-    ineq_rhs = [ZERO] * len(s.ineq_rhs)
-    eq_z = list(s.eq_z)
-    eq_w = [list(rw) + [-rhs] for rw, rhs in zip(s.eq_w, s.eq_rhs)]
-    eq_rhs = [ZERO] * len(s.eq_rhs)
-    return LiftedSet(dim=s.dim, witness_dim=wd,
-                     ineq_z=ineq_z, ineq_w=ineq_w, ineq_rhs=ineq_rhs,
-                     eq_z=eq_z, eq_w=eq_w, eq_rhs=eq_rhs,
-                     witness_nonneg=list(s.witness_nonneg) + [True])
-
-
-def cone_member_strict(s: LiftedSet, z) -> bool:
-    """Is z in R+ S itself (no closure)? z = 0 needs S nonempty; z != 0 needs
-    some positive multiple of z to land in S."""
-    z = as_q_vector(z)
-    if len(z) != s.dim:
-        raise ValueError("point dimension mismatch")
-    if all(v == ZERO for v in z):
-        return not is_empty(s)
-    # max tau s.t. tau * z in S (witnessed); tau > 0 iff z in R+ S
-    prog = lp.LinearProgram(
-        c=[-ONE] + [ZERO] * s.witness_dim,
-        G=[[dot(rz, z)] + list(rw) for rz, rw in zip(s.ineq_z, s.ineq_w)],
-        h=s.ineq_rhs,
-        E=[[dot(rz, z)] + list(rw) for rz, rw in zip(s.eq_z, s.eq_w)],
-        e=s.eq_rhs,
-        nonneg=[True] + list(s.witness_nonneg))
-    # max tau is -INF = -oo when infeasible, -NEG_INF = +oo when unbounded
-    return -lp.System(prog).minima([prog.c])[0] > ZERO
+    return empty_set(s.dim) if is_empty(s) else _homogenized(s)
 
 
 def cone_closed_regarding(s: LiftedSet, points):
     """For each test point p: does cl(R+ S) agree with R+ S at p?
 
-    Returns [(p, in_cone, in_closure)]; raises InvariantViolation if a point
-    were in the cone but not its closure, which is impossible.
+    Returns [(p, in_cone, in_closure)]. At p != 0 one LP, max t over the
+    homogenized rows at z = p, checked by substitution (InvariantViolation
+    if not): infeasible puts p outside the closure, t > 0 or unbounded puts
+    p/t in S. At t = 0 and at p = 0, p is in the closure iff S is nonempty
+    (one emptiness LP for all points), and then in the cone iff p = 0.
     """
-    points = list(points)
-    closure = conic_hull_closure(s)
+    cone = _homogenized(s)
+    nonempty = functools.cache(lambda: not is_empty(s))
     report = []
-    for p, closed in zip(points, members(closure, points)):
-        strict = cone_member_strict(s, p)
-        if strict and not closed:
-            raise InvariantViolation("a conic hull escaped its own closure")
-        report.append((list(p), strict, closed))
+    for p in points:
+        p = as_q_vector(p)
+        if len(p) != s.dim:
+            raise ValueError("point dimension mismatch")
+        if all(v == ZERO for v in p):
+            report.append((p, nonempty(), nonempty()))
+            continue
+        prog = lp.LinearProgram(
+            c=[ZERO] * s.witness_dim + [-ONE],
+            G=cone.ineq_w, h=[-dot(r, p) for r in s.ineq_z],
+            E=cone.eq_w, e=[-dot(r, p) for r in s.eq_z],
+            nonneg=cone.witness_nonneg)
+        out = lp.solve(prog)
+        if not lp.verify_certificate(prog, out):
+            raise InvariantViolation(
+                "scale LP outcome failed its substitution check")
+        # max t is -value, +oo when unbounded (value NEG_INF)
+        inside = out.status != lp.INFEASIBLE
+        strict = inside and out.value < ZERO
+        report.append((p, strict, strict or (inside and nonempty())))
     return report
 
 
@@ -408,6 +406,8 @@ class Polyhedron:
 
     def contains(self, x) -> bool:
         x = as_q_vector(x)
+        if len(x) != self.dim:
+            raise ValueError("point dimension mismatch")
         return (all(dot(r, x) <= b for r, b in zip(self.G, self.h))
                 and all(dot(r, x) == b for r, b in zip(self.E, self.e)))
 
@@ -472,11 +472,15 @@ class Box:
 
     def contains(self, x) -> bool:
         x = as_q_vector(x)
+        if len(x) != self.dim:
+            raise ValueError("point dimension mismatch")
         return all(lo <= v <= hi for v, (lo, hi) in zip(x, self.bounds))
 
     def support(self, d):
         """sup {d.y : y in box} = sum(d+ hi - d- lo), always finite."""
         d = as_q_vector(d)
+        if len(d) != self.dim:
+            raise ValueError("direction dimension mismatch")
         s = ZERO
         for v, (lo, hi) in zip(d, self.bounds):
             s += v * (hi if v > ZERO else lo)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from farkaskit import lp
+from farkaskit.rational import ZERO
 
 # tests import shared oracle helpers as plain modules
 sys.path.insert(0, str(Path(__file__).parent))
@@ -45,3 +46,19 @@ def count_phase1():
     """run(fn, *args) -> (fn(*args), the number of simplex phase-1 runs it
     made): one per constraint set solved, however many costs share it."""
     return _counter("phase1")
+
+
+@pytest.fixture
+def tamper_scale_lp(monkeypatch):
+    """Make each `lp.solve` that `sets.cone_closed_regarding` calls itself
+    answer "infeasible" with a zero Farkas pair, which proves nothing."""
+    solve = lp.solve
+
+    def tampered(program):
+        if sys._getframe(1).f_code.co_name != "cone_closed_regarding":
+            return solve(program)
+        return lp.LPOutcome(lp.INFEASIBLE,
+                            farkas_ineq=[ZERO] * len(program.G),
+                            farkas_eq=[ZERO] * len(program.E))
+
+    monkeypatch.setattr(lp, "solve", tampered)

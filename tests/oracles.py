@@ -2,13 +2,16 @@
 
 Nothing in here may import solver internals: these are the reference answers
 the package is checked against, so they stay deliberately dumb (exhaustive
-enumeration, direct substitution).
+enumeration, direct substitution). `cone_two_lps` alone solves LPs, through
+the public entries, since it keeps a former formulation as the reference
+for the one that replaced it.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from farkaskit import lp, sets
 from farkaskit.rational import ZERO, as_q
 
 
@@ -126,3 +129,23 @@ def certifies_outcome(program, out):
     return (out.status == "infeasible"
             and certifies_empty(*data, out.farkas_ineq, out.farkas_eq,
                                 program.nonneg))
+
+
+def cone_two_lps(s, p):
+    """(p in R+ S, p in cl(R+ S)) for a `sets.LiftedSet` S, by two LPs:
+    closure membership through `sets.members` of `sets.conic_hull_closure`,
+    and cone membership through the largest tau >= 0 with tau p in S (for
+    p != 0, p is in R+ S iff tau > 0; p = 0 is in it iff S is nonempty)."""
+    p = [as_q(v) for v in p]
+    closure = sets.members(sets.conic_hull_closure(s), [p])[0]
+    if all(v == ZERO for v in p):
+        return not sets.is_empty(s), closure
+    out = lp.solve(lp.LinearProgram(
+        c=[-1] + [0] * s.witness_dim,
+        G=[[eval_affine(rz, p)] + rw for rz, rw in zip(s.ineq_z, s.ineq_w)],
+        h=s.ineq_rhs,
+        E=[[eval_affine(rz, p)] + rw for rz, rw in zip(s.eq_z, s.eq_w)],
+        e=s.eq_rhs, nonneg=[True] + list(s.witness_nonneg)))
+    strict = (out.status == "unbounded"
+              or (out.status == "optimal" and out.value < ZERO))
+    return strict, closure

@@ -108,6 +108,13 @@ class TestCheck:
         assert res.exit_code == 3
         assert res.output.startswith("forced-identity alarm: depth probe")
 
+    def test_tampered_scale_lp_exits_3(self, runner, tmp_path,
+                                       tamper_scale_lp):
+        res = runner.invoke(cli.main, ["check", write(tmp_path, ALL_HOLDS),
+                                       "--theorem", "1"])
+        assert res.exit_code == 3
+        assert res.output.startswith("forced-identity alarm: scale LP")
+
     def test_truncated_file(self, runner, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"f": ')

@@ -14,7 +14,8 @@ from farkaskit import calculus, engine, instances, lp, sets
 from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, Q
 
-from oracles import certifies_empty, satisfies_rows
+from oracles import (certifies_empty, certifies_outcome, cone_two_lps,
+                     satisfies_rows)
 
 
 def triangle_poly():
@@ -187,6 +188,12 @@ class TestMinkowskiAndImages:
         assert sets.is_empty(s)
 
 
+def in_cone(s, p):
+    """Whether p is in R+ S itself, as `cone_closed_regarding` reports."""
+    (_, strict, _), = sets.cone_closed_regarding(s, [p])
+    return strict
+
+
 class TestConicHull:
     def test_cone_of_segment(self):
         # segment x = 1, 0 <= y <= 1; closed conic hull is {0 <= y <= x}
@@ -198,16 +205,16 @@ class TestConicHull:
         assert sets.member(cone, [5, 2])
         assert not sets.member(cone, [1, 2])
         assert not sets.member(cone, [-1, 0])
-        assert sets.cone_member_strict(seg, [2, 1])
-        assert sets.cone_member_strict(seg, [0, 0])
+        assert in_cone(seg, [2, 1])
+        assert in_cone(seg, [0, 0])
 
     def test_half_open_cone_from_horizontal_line(self):
         # line y = 1: conic hull is the open upper half plane plus the origin;
         # its closure also holds the whole x-axis
         line = sets.Polyhedron(dim=2, E=[[0, 1]], e=[1]).to_lifted()
-        assert sets.cone_member_strict(line, [4, 2])
-        assert sets.cone_member_strict(line, [0, 0])
-        assert not sets.cone_member_strict(line, [1, 0])
+        assert in_cone(line, [4, 2])
+        assert in_cone(line, [0, 0])
+        assert not in_cone(line, [1, 0])
         closure = sets.conic_hull_closure(line)
         assert sets.member(closure, [1, 0])
         assert not sets.member(closure, [0, -1])
@@ -219,18 +226,88 @@ class TestConicHull:
     def test_cone_of_empty_set_is_empty(self):
         cone = sets.conic_hull_closure(sets.empty_set(2))
         assert sets.is_empty(cone)
-        assert not sets.cone_member_strict(sets.empty_set(2), [0, 0])
+        assert not in_cone(sets.empty_set(2), [0, 0])
 
     def test_cone_strict_unbounded_scale(self):
         # quadrant through the probe: any positive multiple works
         quad = sets.Polyhedron(dim=2, G=[[-1, 0], [0, -1]], h=[0, 0]).to_lifted()
-        assert sets.cone_member_strict(quad, [1, 1])
+        assert in_cone(quad, [1, 1])
 
     def test_closed_regarding_never_contradicts(self):
         tri = triangle_poly().to_lifted()
         report = sets.cone_closed_regarding(tri, sets.probe_directions(2))
         for _p, strict, closed in report:
             assert closed or not strict
+
+    def test_one_lp_per_point_two_when_closure_only(self, count_phase1):
+        line = sets.Polyhedron(dim=2, E=[[0, 1]], e=[1]).to_lifted()
+        for p, answer, runs in (([4, 2], (True, True), 1),
+                                ([0, -1], (False, False), 1),
+                                ([0, 0], (True, True), 1),
+                                ([1, 0], (False, True), 2)):
+            assert count_phase1(sets.cone_closed_regarding, line, [p]) == (
+                [(p, *answer)], runs)
+        with pytest.raises(ValueError):
+            sets.cone_closed_regarding(line, [[1]])
+
+    def test_tampered_scale_lp_raises(self, tamper_scale_lp):
+        line = sets.Polyhedron(dim=2, E=[[0, 1]], e=[1]).to_lifted()
+        with pytest.raises(InvariantViolation, match="scale LP"):
+            sets.cone_closed_regarding(line, [[4, 2]])
+        # the origin asks only the emptiness LP, which goes untampered
+        assert sets.cone_closed_regarding(line, [[0, 0]]) == [
+            ([0, 0], True, True)]
+
+
+def _random_lifted(rng, kinds):
+    """A small seeded LiftedSet with entries in -2..2, noting in `kinds`
+    which of its features the oracle test requires."""
+    dim = rng.randint(1, 3)
+    if rng.random() < 0.05:
+        kinds.add("empty")
+        return sets.empty_set(dim)
+    wd = rng.randint(0, 2)
+    nonneg = [rng.random() < 0.5 for _ in range(wd)]
+    kinds.update("nonneg witness" if f else "free witness" for f in nonneg)
+
+    def rows(count, width):
+        return [[rng.randint(-2, 2) for _ in range(width)]
+                for _ in range(count)]
+
+    mG, mE = rng.randint(0, 3), rng.randint(0, 1 + (rng.random() < 0.3))
+    if mE:
+        kinds.add("equality rows")
+    s = sets.LiftedSet(dim=dim, witness_dim=wd,
+                       ineq_z=rows(mG, dim), ineq_w=rows(mG, wd),
+                       ineq_rhs=[rng.randint(-2, 2) for _ in range(mG)],
+                       eq_z=rows(mE, dim), eq_w=rows(mE, wd),
+                       eq_rhs=[rng.randint(-2, 2) for _ in range(mE)],
+                       witness_nonneg=nonneg)
+    if sets.is_empty(s):
+        kinds.add("empty")
+    return s
+
+
+def test_scale_lp_matches_the_two_lp_reference(monkeypatch):
+    verify = lp.verify_certificate
+
+    def checked(program, out):
+        assert certifies_outcome(program, out)
+        return verify(program, out)
+
+    monkeypatch.setattr(lp, "verify_certificate", checked)
+    rng = random.Random(20261019)
+    kinds, answers = set(), set()
+    for _ in range(1000):
+        s = _random_lifted(rng, kinds)
+        points = [[0] * s.dim] + [[rng.randint(-2, 2) for _ in range(s.dim)]
+                                  for _ in range(2)]
+        for p, strict, closure in sets.cone_closed_regarding(s, points):
+            assert (strict, closure) == cone_two_lps(s, p)
+            answers.add((strict, closure))
+    assert kinds == {"empty", "free witness", "nonneg witness",
+                     "equality rows"}
+    assert answers == {(False, False), (True, True), (False, True)}
 
 
 class TestGeneratedContainment:
@@ -284,6 +361,18 @@ class TestProbesAndBoxes:
             sets.Box(bounds=[(1, 0)])
         with pytest.raises(ValueError):
             sets.Box(bounds=[(0, 1, 2)])
+
+    def test_polyhedron_contains_rejects_wrong_width(self):
+        with pytest.raises(ValueError, match="dimension"):
+            sets.Polyhedron(dim=2, G=[[1, 1]], h=[0]).contains([-5])
+
+    def test_box_contains_rejects_wrong_width(self):
+        with pytest.raises(ValueError, match="dimension"):
+            sets.Box([(0, 1), (0, 1)]).contains([Q(1, 2)])
+
+    def test_box_support_rejects_wrong_width(self):
+        with pytest.raises(ValueError, match="dimension"):
+            sets.Box([(0, 1), (0, 1)]).support([1])
 
     def test_degenerate_box_is_a_point(self):
         box = sets.Box(bounds=[(Q(1, 3), Q(1, 3))])

@@ -37,15 +37,12 @@ class PiecewiseAffine:
     domain: sets.Polyhedron | None = None
 
     def __post_init__(self):
-        self.slopes = as_q_matrix(self.slopes)
-        self.offsets = as_q_vector(self.offsets)
+        self.slopes = as_q_matrix(self.slopes, self.dim, "slope width != dim")
         if not self.slopes:
             raise ValueError("a piecewise affine function needs at least one piece")
-        if len(self.slopes) != len(self.offsets):
-            raise ValueError("piece count mismatch between slopes and offsets")
-        for row in self.slopes:
-            if len(row) != self.dim:
-                raise ValueError("slope width != dim")
+        self.offsets = as_q_vector(
+            self.offsets, len(self.slopes),
+            "piece count mismatch between slopes and offsets")
         if self.domain is not None:
             if self.domain.dim != self.dim:
                 raise ValueError("domain dimension mismatch")
@@ -53,9 +50,7 @@ class PiecewiseAffine:
                 raise ValueError("empty domain would make the function improper")
 
     def value(self, x):
-        x = as_q_vector(x)
-        if len(x) != self.dim:
-            raise ValueError("point dimension mismatch")
+        x = as_q_vector(x, self.dim, "point dimension mismatch")
         if self.domain is not None and not self.domain.contains(x):
             return INF
         return max(dot(a, x) + b for a, b in zip(self.slopes, self.offsets))
@@ -63,9 +58,7 @@ class PiecewiseAffine:
     def tilted(self, shift, lift=ZERO) -> "PiecewiseAffine":
         """x -> f(x) - shift . x - lift, same domain. The domain was checked
         when f was built, so the copy skips the constructor's checks."""
-        shift = as_q_vector(shift)
-        if len(shift) != self.dim:
-            raise ValueError("shift dimension mismatch")
+        shift = as_q_vector(shift, self.dim, "shift dimension mismatch")
         lift = as_q(lift)
         twin = copy.copy(self)
         twin.slopes = [[a - s for a, s in zip(row, shift)]
@@ -131,9 +124,7 @@ def fenchel_values(f: PiecewiseAffine, points, over=None) -> list:
     n = f.dim
     costs = []
     for u in points:
-        u = as_q_vector(u)
-        if len(u) != n:
-            raise ValueError("point dimension mismatch")
+        u = as_q_vector(u, n, "point dimension mismatch")
         costs.append([-v for v in u] + [ONE])
     if over is None:
         over = sets.whole_space_polyhedron(n)

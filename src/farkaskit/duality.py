@@ -232,9 +232,7 @@ def check_optimality(inst: FarkasInstance, point) -> OptimalityReport:
     objective shifted down by its value there, and the subdifferential
     condition. The three must agree (the criterion set is closed); any
     split raises InvariantViolation. An infeasible point is a usage error."""
-    point = as_q_vector(point)
-    if len(point) != inst.n:
-        raise ValueError("point dimension mismatch")
+    point = as_q_vector(point, inst.n, "point dimension mismatch")
     if not inst.feasible_polyhedron().contains(point):
         raise ValueError("optimality queried at an infeasible point")
     fx = inst.objective.value(point)

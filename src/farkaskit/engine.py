@@ -32,8 +32,8 @@ from enum import Enum
 from . import calculus, lp, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
-from .rational import (INF, NEG_INF, ONE, ZERO, as_q_matrix, is_finite,
-                       mat_vec, transpose_apply)
+from .rational import (INF, NEG_INF, ONE, ZERO, as_q_matrix, as_q_vector,
+                       is_finite, mat_vec, transpose_apply)
 from .sets import Box, Polyhedron, kept, whole_space_polyhedron
 
 
@@ -63,22 +63,15 @@ class FarkasInstance:
     objective: PiecewiseAffine
 
     def __post_init__(self):
-        self.matrix = as_q_matrix(self.matrix)
-        n = self.ground.dim
-        for row in self.matrix:
-            if len(row) != n:
-                raise ValueError("map row width != ground dimension")
-        if isinstance(self.target, Box):
-            m = self.target.dim
-        elif isinstance(self.target, Polyhedron):
-            m = self.target.dim
-            if self.target.is_empty():
-                raise ValueError("empty target set")
-        else:
+        self.matrix = as_q_matrix(self.matrix, self.ground.dim,
+                                  "map row width != ground dimension")
+        if not isinstance(self.target, (Box, Polyhedron)):
             raise ValueError("target must be a Box or a Polyhedron")
-        if len(self.matrix) != m:
+        if isinstance(self.target, Polyhedron) and self.target.is_empty():
+            raise ValueError("empty target set")
+        if len(self.matrix) != self.target.dim:
             raise ValueError("map row count != target dimension")
-        if self.objective.dim != n:
+        if self.objective.dim != self.n:
             raise ValueError("objective dimension != ground dimension")
         if self.ground.is_empty():
             raise ValueError("empty ground set")
@@ -92,10 +85,13 @@ class FarkasInstance:
         return len(self.matrix)
 
     def apply(self, x):
-        return mat_vec(self.matrix, x)
+        return mat_vec(self.matrix,
+                       as_q_vector(x, self.n, "point dimension mismatch"))
 
     def adjoint(self, lam):
-        return transpose_apply(self.matrix, lam, self.n)
+        return transpose_apply(
+            self.matrix,
+            as_q_vector(lam, self.m, "multiplier dimension mismatch"), self.n)
 
     @kept
     def target_polyhedron(self) -> Polyhedron:

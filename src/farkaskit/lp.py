@@ -98,21 +98,17 @@ class LinearProgram:
 
     def __post_init__(self):
         self.c = as_q_vector(self.c)
-        self.G = as_q_matrix(self.G)
-        self.h = as_q_vector(self.h)
-        self.E = as_q_matrix(self.E)
-        self.e = as_q_vector(self.e)
         n = len(self.c)
-        if len(self.G) != len(self.h):
-            raise ValueError("inequality rows and right-hand sides differ in count")
-        if len(self.E) != len(self.e):
-            raise ValueError("equality rows and right-hand sides differ in count")
-        for row in self.G:
-            if len(row) != n:
-                raise ValueError("inequality row width != number of variables")
-        for row in self.E:
-            if len(row) != n:
-                raise ValueError("equality row width != number of variables")
+        self.G = as_q_matrix(self.G, n,
+                             "inequality row width != number of variables")
+        self.h = as_q_vector(
+            self.h, len(self.G),
+            "inequality rows and right-hand sides differ in count")
+        self.E = as_q_matrix(self.E, n,
+                             "equality row width != number of variables")
+        self.e = as_q_vector(
+            self.e, len(self.E),
+            "equality rows and right-hand sides differ in count")
         if self.nonneg is None:
             self.nonneg = [False] * n
         else:
@@ -540,9 +536,8 @@ class System:
         none), and per cost the index of its run."""
         where, at = {}, []
         for c in costs:
-            c = tuple(as_q_vector(c))
-            if len(c) != self.program.n:
-                raise ValueError("cost width != number of variables")
+            c = tuple(as_q_vector(c, self.program.n,
+                                  "cost width != number of variables"))
             at.append(where.setdefault(c, len(where)))
         return (self._phase2(list(where)) if where else []), at
 
@@ -575,9 +570,8 @@ class System:
         not read). Phase 1 runs at b until some b is feasible; every later
         b starts from the basis the last one left (`_Tableau.feasible_at`),
         on a tableau that no other question uses."""
-        b = as_q_vector(b)
-        if len(b) != len(self.program.G) + len(self.program.E):
-            raise ValueError("right-hand side length != number of rows")
+        b = as_q_vector(b, len(self.program.G) + len(self.program.E),
+                        "right-hand side length != number of rows")
         if self._sweep is not None:
             return self._sweep.feasible_at(b)
         tab = _Tableau(self.program, b)
@@ -591,9 +585,8 @@ class System:
         optimal with a point (value 0, zero multipliers), or infeasible
         with a Farkas pair over every inequality row, the program's first
         and the appended ones after them in order, and its equality rows."""
-        a, b = as_q_vector(a), as_q(b)
-        if len(a) != self.program.n:
-            raise ValueError("row width != number of variables")
+        a = as_q_vector(a, self.program.n, "row width != number of variables")
+        b = as_q(b)
         tab = self._kept()
         if self._farkas is None:
             tab.append_row(a, b)

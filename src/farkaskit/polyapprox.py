@@ -57,9 +57,8 @@ class ApproxProblem:
         if self.degree_bound < 1:
             raise ValueError("degree bound must be at least 1")
         self.nodes = as_q_vector(self.nodes)
-        self.values = as_q_vector(self.values)
-        if len(self.nodes) != len(self.values):
-            raise ValueError("one value per node required")
+        self.values = as_q_vector(self.values, len(self.nodes),
+                                  "one value per node required")
         if not self.nodes:
             raise ValueError("empty node grid")
         for prev, cur in zip(self.nodes, self.nodes[1:]):
@@ -112,9 +111,10 @@ def _consistent(inst: engine.FarkasInstance) -> bool:
         holds = all(sum(map(mul, over_lcm(r)[0], X)) <= 0 for r in rays)
     else:
         mu = cert.farkas_ineq
-        *moments, s = transpose_apply(rays, mu, inst.n + 1)
-        holds = (len(mu) == len(rays) and min(mu) >= ZERO
-                 and not any(moments) and s < ZERO)
+        holds = len(mu) == len(rays) and min(mu) >= ZERO
+        if holds:
+            *moments, s = transpose_apply(rays, mu, inst.n + 1)
+            holds = not any(moments) and s < ZERO
     if not holds:
         raise InvariantViolation(
             "the exchange's certificate fails in moment coordinates")

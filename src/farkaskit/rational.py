@@ -124,16 +124,24 @@ def scalar_text(x) -> str:
     return q_str(x)
 
 
-def as_q_vector(values):
-    return [v if type(v) is Q else as_q(v) for v in values]
+def as_q_vector(values, width=None, error=None):
+    """`values` as a list of rationals (`as_q` of each); given a width, a
+    list of any other length raises ValueError(error)."""
+    vec = [v if type(v) is Q else as_q(v) for v in values]
+    if width is not None and len(vec) != width:
+        raise ValueError(error)
+    return vec
 
 
-def as_q_matrix(rows):
+def as_q_matrix(rows, width=None, error=None):
+    """`rows` as a list of rational rows; a ragged matrix raises first,
+    then, given a width, rows of any other width raise ValueError(error)."""
     mat = [as_q_vector(r) for r in rows]
     if mat:
-        width = len(mat[0])
-        if any(len(r) != width for r in mat):
+        if any(len(r) != len(mat[0]) for r in mat):
             raise ValueError("ragged matrix")
+        if width is not None and len(mat[0]) != width:
+            raise ValueError(error)
     return mat
 
 
@@ -149,9 +157,10 @@ def over_lcm(values):
 
 
 def dot(a, b):
-    """a . b over exact rationals, skipping zero terms."""
+    """a . b over exact rationals, skipping zero terms; vectors of unequal
+    length raise ValueError."""
     s = ZERO
-    for x, y in zip(a, b):
+    for x, y in zip(a, b, strict=True):
         if x and y:
             s += x * y
     return s
@@ -164,9 +173,10 @@ def mat_vec(rows, x):
 
 def transpose_apply(rows, weights, width):
     """rows^T weights: sum_i weights[i] * rows[i], a vector of `width`
-    entries (zeros when there are no rows)."""
+    entries (zeros when there are no rows); one weight per row, or
+    ValueError."""
     out = [ZERO] * width
-    for row, w in zip(rows, weights):
+    for row, w in zip(rows, weights, strict=True):
         if w:
             for j, a in enumerate(row):
                 if a:

@@ -142,9 +142,8 @@ class SignedMultiplier:
 
     def __post_init__(self):
         self.plus = as_q_vector(self.plus)
-        self.minus = as_q_vector(self.minus)
-        if len(self.plus) != len(self.minus):
-            raise ValueError("plus/minus length mismatch")
+        self.minus = as_q_vector(self.minus, len(self.plus),
+                                 "plus/minus length mismatch")
         for p, m in zip(self.plus, self.minus):
             if p < ZERO or m < ZERO:
                 raise ValueError("signed parts must be nonnegative")

@@ -39,11 +39,13 @@ class LiftedSet:
     witness_nonneg: list | None = None
 
     def __post_init__(self):
-        self.ineq_z = as_q_matrix(self.ineq_z)
-        self.ineq_w = as_q_matrix(self.ineq_w)
+        z_error = "z-block row width != dim"
+        w_error = "witness-block row width != witness_dim"
+        self.ineq_z = as_q_matrix(self.ineq_z, self.dim, z_error)
+        self.ineq_w = as_q_matrix(self.ineq_w, self.witness_dim, w_error)
         self.ineq_rhs = as_q_vector(self.ineq_rhs)
-        self.eq_z = as_q_matrix(self.eq_z)
-        self.eq_w = as_q_matrix(self.eq_w)
+        self.eq_z = as_q_matrix(self.eq_z, self.dim, z_error)
+        self.eq_w = as_q_matrix(self.eq_w, self.witness_dim, w_error)
         self.eq_rhs = as_q_vector(self.eq_rhs)
         if self.witness_nonneg is None:
             self.witness_nonneg = [False] * self.witness_dim
@@ -51,12 +53,6 @@ class LiftedSet:
             raise ValueError("inequality blocks disagree in row count")
         if not (len(self.eq_z) == len(self.eq_w) == len(self.eq_rhs)):
             raise ValueError("equality blocks disagree in row count")
-        for row in self.ineq_z + self.eq_z:
-            if len(row) != self.dim:
-                raise ValueError("z-block row width != dim")
-        for row in self.ineq_w + self.eq_w:
-            if len(row) != self.witness_dim:
-                raise ValueError("witness-block row width != witness_dim")
         if len(self.witness_nonneg) != self.witness_dim:
             raise ValueError("witness flag count != witness_dim")
 
@@ -118,9 +114,7 @@ def members(s: LiftedSet, points) -> list:
     rows = list(zip(s.ineq_z + s.eq_z, s.ineq_rhs + s.eq_rhs))
     rhss = []
     for z in points:
-        z = as_q_vector(z)
-        if len(z) != s.dim:
-            raise ValueError("point dimension mismatch")
+        z = as_q_vector(z, s.dim, "point dimension mismatch")
         rhss.append([b - dot(r, z) for r, b in rows])
     mG = len(s.ineq_rhs)
     if s.witness_dim == 0:
@@ -139,12 +133,6 @@ def _recession_cone(s: LiftedSet) -> LiftedSet:
                    eq_rhs=[ZERO] * len(s.eq_rhs))
 
 
-def recession_member(s: LiftedSet, d) -> bool:
-    """Is d a recession direction of S? (S must be nonempty for this to mean
-    anything: membership in the projection of the lifted recession cone.)"""
-    return members(_recession_cone(s), [d])[0]
-
-
 def support(s: LiftedSet, d):
     """sup {d.z : z in S}; NEG_INF on empty S, INF when unbounded."""
     return supports(s, [d])[0]
@@ -158,9 +146,7 @@ def supports(s: LiftedSet, directions) -> list:
     NEG_INF and an unbounded minimum's NEG_INF becomes INF."""
     costs = []
     for d in directions:
-        d = as_q_vector(d)
-        if len(d) != s.dim:
-            raise ValueError("direction dimension mismatch")
+        d = as_q_vector(d, s.dim, "direction dimension mismatch")
         costs.append([-v for v in d] + [ZERO] * s.witness_dim)
     return [-v for v in lp.System(_joint_lp(s)).minima(costs)]
 
@@ -200,11 +186,8 @@ def minkowski_sum(a: LiftedSet, b: LiftedSet) -> LiftedSet:
 
 def linear_image(s: LiftedSet, M) -> LiftedSet:
     """{M z : z in S}; M given as a list of rows over R^dim."""
-    M = as_q_matrix(M)
+    M = as_q_matrix(M, s.dim, "matrix width != set dimension")
     out_dim = len(M)
-    for row in M:
-        if len(row) != s.dim:
-            raise ValueError("matrix width != set dimension")
     wd = s.dim + s.witness_dim
     eq_z = [[ONE if i == k else ZERO for k in range(out_dim)] for i in range(out_dim)]
     eq_w = [[-v for v in M[i]] + [ZERO] * s.witness_dim for i in range(out_dim)]
@@ -232,13 +215,6 @@ def _homogenized(s: LiftedSet) -> LiftedSet:
                      witness_nonneg=list(s.witness_nonneg) + [True])
 
 
-def conic_hull_closure(s: LiftedSet) -> LiftedSet:
-    """cl(R+ S), exactly: homogenize with a scale t >= 0. For nonempty
-    polyhedral S this set is (R+ S) union (recession cone of S), the t = 0
-    slice supplying the recession directions that close the cone."""
-    return empty_set(s.dim) if is_empty(s) else _homogenized(s)
-
-
 def cone_closed_regarding(s: LiftedSet, points):
     """For each test point p: does cl(R+ S) agree with R+ S at p?
 
@@ -252,9 +228,7 @@ def cone_closed_regarding(s: LiftedSet, points):
     nonempty = functools.cache(lambda: not is_empty(s))
     report = []
     for p in points:
-        p = as_q_vector(p)
-        if len(p) != s.dim:
-            raise ValueError("point dimension mismatch")
+        p = as_q_vector(p, s.dim, "point dimension mismatch")
         if all(v == ZERO for v in p):
             report.append((p, nonempty(), nonempty()))
             continue
@@ -284,11 +258,9 @@ class GeneratedSet:
     rays: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.points = as_q_matrix(self.points)
-        self.rays = as_q_matrix(self.rays)
-        for v in self.points + self.rays:
-            if len(v) != self.dim:
-                raise ValueError("generator width != dim")
+        error = "generator width != dim"
+        self.points = as_q_matrix(self.points, self.dim, error)
+        self.rays = as_q_matrix(self.rays, self.dim, error)
 
 
 def as_lifted(g: GeneratedSet) -> LiftedSet:
@@ -394,20 +366,13 @@ class Polyhedron:
     e: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.G = as_q_matrix(self.G)
-        self.h = as_q_vector(self.h)
-        self.E = as_q_matrix(self.E)
-        self.e = as_q_vector(self.e)
-        if len(self.G) != len(self.h) or len(self.E) != len(self.e):
-            raise ValueError("row/rhs count mismatch")
-        for row in self.G + self.E:
-            if len(row) != self.dim:
-                raise ValueError("row width != dim")
+        self.G = as_q_matrix(self.G, self.dim, "row width != dim")
+        self.h = as_q_vector(self.h, len(self.G), "row/rhs count mismatch")
+        self.E = as_q_matrix(self.E, self.dim, "row width != dim")
+        self.e = as_q_vector(self.e, len(self.E), "row/rhs count mismatch")
 
     def contains(self, x) -> bool:
-        x = as_q_vector(x)
-        if len(x) != self.dim:
-            raise ValueError("point dimension mismatch")
+        x = as_q_vector(x, self.dim, "point dimension mismatch")
         return (all(dot(r, x) <= b for r, b in zip(self.G, self.h))
                 and all(dot(r, x) == b for r, b in zip(self.E, self.e)))
 
@@ -458,9 +423,8 @@ class Box:
     bounds: list
 
     def __post_init__(self):
-        rows = as_q_matrix([list(b) for b in self.bounds])
-        if any(len(v) != 2 for v in rows):
-            raise ValueError("each bound must be a (lo, hi) pair")
+        rows = as_q_matrix([list(b) for b in self.bounds], 2,
+                           "each bound must be a (lo, hi) pair")
         self.bounds = [(v[0], v[1]) for v in rows]
         for lo, hi in self.bounds:
             if lo > hi:
@@ -471,16 +435,12 @@ class Box:
         return len(self.bounds)
 
     def contains(self, x) -> bool:
-        x = as_q_vector(x)
-        if len(x) != self.dim:
-            raise ValueError("point dimension mismatch")
+        x = as_q_vector(x, self.dim, "point dimension mismatch")
         return all(lo <= v <= hi for v, (lo, hi) in zip(x, self.bounds))
 
     def support(self, d):
         """sup {d.y : y in box} = sum(d+ hi - d- lo), always finite."""
-        d = as_q_vector(d)
-        if len(d) != self.dim:
-            raise ValueError("direction dimension mismatch")
+        d = as_q_vector(d, self.dim, "direction dimension mismatch")
         s = ZERO
         for v, (lo, hi) in zip(d, self.bounds):
             s += v * (hi if v > ZERO else lo)

@@ -132,14 +132,24 @@ def certifies_outcome(program, out):
 
 
 def cone_two_lps(s, p):
-    """(p in R+ S, p in cl(R+ S)) for a `sets.LiftedSet` S, by two LPs:
-    closure membership through `sets.members` of `sets.conic_hull_closure`,
-    and cone membership through the largest tau >= 0 with tau p in S (for
-    p != 0, p is in R+ S iff tau > 0; p = 0 is in it iff S is nonempty)."""
+    """(p in R+ S, p in cl(R+ S)) for a `sets.LiftedSet` S, by two LPs.
+    Closure membership: S is nonempty and some (w, t >= 0) has
+    P p + Q w <= t q and R p + S w = t r (S's rows, each right-hand side
+    scaled by t; t = 0 adds the recession directions that close the cone).
+    Cone membership: the largest tau >= 0 with tau p in S (for p != 0, p is
+    in R+ S iff tau > 0; p = 0 is in it iff S is nonempty)."""
     p = [as_q(v) for v in p]
-    closure = sets.members(sets.conic_hull_closure(s), [p])[0]
+    nonempty = not sets.is_empty(s)
+    scaled = lp.solve(lp.LinearProgram(
+        c=[0] * (s.witness_dim + 1),
+        G=[rw + [-b] for rw, b in zip(s.ineq_w, s.ineq_rhs)],
+        h=[-eval_affine(rz, p) for rz in s.ineq_z],
+        E=[rw + [-b] for rw, b in zip(s.eq_w, s.eq_rhs)],
+        e=[-eval_affine(rz, p) for rz in s.eq_z],
+        nonneg=list(s.witness_nonneg) + [True]))
+    closure = nonempty and scaled.status != "infeasible"
     if all(v == ZERO for v in p):
-        return not sets.is_empty(s), closure
+        return nonempty, closure
     out = lp.solve(lp.LinearProgram(
         c=[-1] + [0] * s.witness_dim,
         G=[[eval_affine(rz, p)] + rw for rz, rw in zip(s.ineq_z, s.ineq_w)],

@@ -42,11 +42,6 @@ class TestEvaluation:
         # |x| - x/2 - 3 at x = 2: 2 - 1 - 3 = -2
         assert g.value([2]) == Q(-2)
 
-    def test_value_rejects_wrong_width(self):
-        f = calculus.PiecewiseAffine(dim=2, slopes=[[1, 1]], offsets=[0])
-        with pytest.raises(ValueError, match="dimension"):
-            f.value([3])
-
     def test_validation(self):
         with pytest.raises(ValueError):
             calculus.PiecewiseAffine(dim=1, slopes=[], offsets=[])

@@ -1,0 +1,155 @@
+"""One table of wrong-width and wrong-count inputs, one row per public entry.
+
+Each row makes exactly one fault: a vector or a block of rows of the wrong
+width, or a count that does not match the rows it belongs to. The entry
+must refuse it with a ValueError whose text is pinned byte for byte.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from farkaskit import calculus, duality, instances, lp, polyapprox, semiinf, sets
+from farkaskit.rational import Q
+
+
+def program():
+    """min 0 over x <= 1, one variable."""
+    return lp.LinearProgram(c=[0], G=[[1]], h=[1], E=[], e=[])
+
+
+def triangle():
+    return sets.Polyhedron(dim=2, G=[[-1, 0], [0, -1], [1, 1]],
+                           h=[0, 0, 2]).to_lifted()
+
+
+def unit_square():
+    return sets.Box([(0, 1), (0, 1)])
+
+
+def two_dim_function():
+    return calculus.PiecewiseAffine(dim=2, slopes=[[1, 1]], offsets=[0])
+
+
+def instance():
+    """n = 1, m = 3."""
+    return instances.random_feasible_instance(random.Random(3))
+
+
+CASES = [
+    # lp
+    pytest.param(lambda: lp.LinearProgram(c=[0, 0], G=[[1]], h=[0],
+                                          E=[], e=[]),
+                 "inequality row width != number of variables",
+                 id="LinearProgram.G"),
+    pytest.param(lambda: lp.LinearProgram(c=[0], G=[[1]], h=[0, 1],
+                                          E=[], e=[]),
+                 "inequality rows and right-hand sides differ in count",
+                 id="LinearProgram.h"),
+    pytest.param(lambda: lp.LinearProgram(c=[0, 0], G=[], h=[],
+                                          E=[[1]], e=[0]),
+                 "equality row width != number of variables",
+                 id="LinearProgram.E"),
+    pytest.param(lambda: lp.LinearProgram(c=[0], G=[], h=[],
+                                          E=[[1]], e=[]),
+                 "equality rows and right-hand sides differ in count",
+                 id="LinearProgram.e"),
+    pytest.param(lambda: lp.System(program()).outcomes([[1, 2]]),
+                 "cost width != number of variables", id="System.outcomes"),
+    pytest.param(lambda: lp.System(program()).minima([[]]),
+                 "cost width != number of variables", id="System.minima"),
+    pytest.param(lambda: lp.System(program()).feasible([0, 0]),
+                 "right-hand side length != number of rows",
+                 id="System.feasible"),
+    pytest.param(lambda: lp.System(program()).append([1, 2], 0),
+                 "row width != number of variables", id="System.append"),
+    # sets
+    pytest.param(lambda: sets.LiftedSet(dim=2, ineq_z=[[1]], ineq_w=[[]],
+                                        ineq_rhs=[0]),
+                 "z-block row width != dim", id="LiftedSet.ineq_z"),
+    pytest.param(lambda: sets.LiftedSet(dim=2, eq_z=[[1]], eq_w=[[]],
+                                        eq_rhs=[0]),
+                 "z-block row width != dim", id="LiftedSet.eq_z"),
+    pytest.param(lambda: sets.LiftedSet(dim=1, witness_dim=1, ineq_z=[[1]],
+                                        ineq_w=[[1, 1]], ineq_rhs=[0]),
+                 "witness-block row width != witness_dim",
+                 id="LiftedSet.ineq_w"),
+    pytest.param(lambda: sets.LiftedSet(dim=1, witness_dim=1, eq_z=[[1]],
+                                        eq_w=[[1, 1]], eq_rhs=[0]),
+                 "witness-block row width != witness_dim",
+                 id="LiftedSet.eq_w"),
+    pytest.param(lambda: sets.member(triangle(), [0]),
+                 "point dimension mismatch", id="sets.member"),
+    pytest.param(lambda: sets.members(triangle(), [[0, 0], [0, 0, 0]]),
+                 "point dimension mismatch", id="sets.members"),
+    pytest.param(lambda: sets.supports(triangle(), [[1]]),
+                 "direction dimension mismatch", id="sets.supports"),
+    pytest.param(lambda: sets.linear_image(triangle(), [[1, 1, 1]]),
+                 "matrix width != set dimension", id="sets.linear_image"),
+    pytest.param(lambda: sets.cone_closed_regarding(triangle(), [[1]]),
+                 "point dimension mismatch", id="sets.cone_closed_regarding"),
+    pytest.param(lambda: sets.GeneratedSet(dim=2, points=[[0]]),
+                 "generator width != dim", id="GeneratedSet.points"),
+    pytest.param(lambda: sets.GeneratedSet(dim=2, points=[[0, 0]],
+                                           rays=[[1]]),
+                 "generator width != dim", id="GeneratedSet.rays"),
+    pytest.param(lambda: sets.Polyhedron(dim=2, G=[[1]], h=[0]),
+                 "row width != dim", id="Polyhedron.G"),
+    pytest.param(lambda: sets.Polyhedron(dim=1, G=[[1]], h=[]),
+                 "row/rhs count mismatch", id="Polyhedron.h"),
+    pytest.param(lambda: sets.Polyhedron(dim=2, E=[[1]], e=[0]),
+                 "row width != dim", id="Polyhedron.E"),
+    pytest.param(lambda: sets.Polyhedron(dim=1, E=[[1]], e=[0, 1]),
+                 "row/rhs count mismatch", id="Polyhedron.e"),
+    pytest.param(lambda: sets.Polyhedron(dim=2, G=[[1, 1]],
+                                         h=[0]).contains([-5]),
+                 "point dimension mismatch", id="Polyhedron.contains"),
+    pytest.param(lambda: sets.Box([(0, 1, 2)]),
+                 "each bound must be a (lo, hi) pair", id="Box.bounds"),
+    pytest.param(lambda: unit_square().contains([Q(1, 2)]),
+                 "point dimension mismatch", id="Box.contains"),
+    pytest.param(lambda: unit_square().support([1]),
+                 "direction dimension mismatch", id="Box.support"),
+    # calculus
+    pytest.param(lambda: calculus.PiecewiseAffine(dim=2, slopes=[[1]],
+                                                  offsets=[0]),
+                 "slope width != dim", id="PiecewiseAffine.slopes"),
+    pytest.param(lambda: calculus.PiecewiseAffine(dim=1, slopes=[[1]],
+                                                  offsets=[0, 1]),
+                 "piece count mismatch between slopes and offsets",
+                 id="PiecewiseAffine.offsets"),
+    pytest.param(lambda: two_dim_function().value([3]),
+                 "point dimension mismatch", id="PiecewiseAffine.value"),
+    pytest.param(lambda: two_dim_function().tilted([1]),
+                 "shift dimension mismatch", id="PiecewiseAffine.tilted"),
+    pytest.param(lambda: calculus.fenchel_values(two_dim_function(), [[1]]),
+                 "point dimension mismatch", id="calculus.fenchel_values"),
+    # engine
+    pytest.param(lambda: dataclasses.replace(
+                     instance(),
+                     matrix=[row + [0] for row in instance().matrix]),
+                 "map row width != ground dimension",
+                 id="FarkasInstance.matrix"),
+    pytest.param(lambda: instance().apply([]),
+                 "point dimension mismatch", id="FarkasInstance.apply"),
+    pytest.param(lambda: instance().adjoint([1] * 5),
+                 "multiplier dimension mismatch",
+                 id="FarkasInstance.adjoint"),
+    # duality, semiinf, polyapprox
+    pytest.param(lambda: duality.check_optimality(instance(), [0, 0]),
+                 "point dimension mismatch", id="duality.check_optimality"),
+    pytest.param(lambda: semiinf.SignedMultiplier(plus=[1], minus=[0, 0]),
+                 "plus/minus length mismatch", id="SignedMultiplier"),
+    pytest.param(lambda: polyapprox.ApproxProblem(
+                     degree_bound=2, nodes=[0, 1], values=[0],
+                     epsilons=[1]),
+                 "one value per node required", id="ApproxProblem.values"),
+]
+
+
+@pytest.mark.parametrize("call, message", CASES)
+def test_wrong_width_raises_its_message(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -208,6 +208,19 @@ class TestExistenceCertificate:
         with pytest.raises(InvariantViolation, match="moment coordinates"):
             polyapprox._consistent(inst)
 
+    @pytest.mark.parametrize("resize", [lambda mu: mu + [Q(0)],
+                                        lambda mu: mu[:-1]],
+                             ids=["one_more", "one_fewer"])
+    def test_farkas_vector_of_wrong_length_raises(self, monkeypatch, resize):
+        # the length is checked before the rows are combined, so the
+        # certificate's alarm fires, not a ValueError from the combination
+        inst = polyapprox.to_grid(vee_problem([1]), Q(1, 4))
+        cert = semiinf.band_point(inst)
+        bad = dataclasses.replace(cert, farkas_ineq=resize(cert.farkas_ineq))
+        monkeypatch.setattr(semiinf, "band_point", lambda inst: bad)
+        with pytest.raises(InvariantViolation, match="moment coordinates"):
+            polyapprox._consistent(inst)
+
     def test_ground_with_rows_is_refused(self):
         inst = polyapprox.to_grid(vee_problem([1]), Q(1, 2))
         boxed = semiinf.grid(

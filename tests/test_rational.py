@@ -7,8 +7,8 @@ from math import gcd
 
 import pytest
 
-from farkaskit.rational import (Q, ZERO, as_q, as_q_vector, dot, mat_vec,
-                                over_lcm, transpose_apply)
+from farkaskit.rational import (Q, ZERO, as_q, as_q_matrix, as_q_vector, dot,
+                                mat_vec, over_lcm, transpose_apply)
 
 
 def test_as_q_returns_a_rational_unchanged():
@@ -38,6 +38,18 @@ def test_as_q_vector_keeps_rationals_and_converts_the_rest():
     assert all(type(v) is Q for v in out)
 
 
+def test_as_q_vector_and_matrix_refuse_another_width_with_the_callers_text():
+    assert as_q_vector([1, 2], 2, "unused") == [Q(1), Q(2)]
+    assert as_q_matrix([], 3, "unused") == []
+    with pytest.raises(ValueError, match="^want 3$"):
+        as_q_vector([1, 2], 3, "want 3")
+    with pytest.raises(ValueError, match="^want 3$"):
+        as_q_matrix([[1, 2], [3, 4]], 3, "want 3")
+    # a ragged matrix is reported before its width
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        as_q_matrix([[1, 2, 3], [4]], 3, "want 3")
+
+
 def test_as_q_bounds_the_digits_of_decimal_literals():
     # refused before 10 to the exponent is formed: past the interpreter's
     # bound on integer text the value could not be printed or parsed back
@@ -63,6 +75,17 @@ def test_transpose_apply_combines_rows():
     rows = [[Q(1), Q(0), Q(2)], [Q(0), Q(1), Q(-1)]]
     assert transpose_apply(rows, [Q(2), Q(1, 2)], 3) == \
         [Q(2), Q(1, 2), Q(7, 2)]
+
+
+def test_dot_and_transpose_apply_refuse_unequal_lengths():
+    with pytest.raises(ValueError):
+        dot([Q(1), Q(2)], [Q(1)])
+    with pytest.raises(ValueError):
+        dot([], [Q(1)])
+    with pytest.raises(ValueError):
+        transpose_apply([[Q(1)], [Q(2)]], [Q(1)], 1)
+    with pytest.raises(ValueError):
+        transpose_apply([[Q(1)]], [Q(1), Q(0)], 1)
 
 
 def test_transpose_apply_without_rows_is_zero():

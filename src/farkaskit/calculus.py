@@ -99,14 +99,47 @@ def _epigraph_program(f: PiecewiseAffine, over: sets.Polyhedron):
                             nonneg=[False] * (n + 1))
 
 
-def minimize_over(f: PiecewiseAffine, over: sets.Polyhedron) -> Minimum:
-    """Minimize f over a polyhedron (intersected with dom f), exactly."""
-    n = f.dim
-    out = lp.solve(_epigraph_program(f, over))
+def _tilt_costs(vectors, n, error):
+    """The cost (-v, 1) over an epigraph program's (x, t) per vector v of
+    width n, which gives min t - v.x."""
+    return [[-a for a in as_q_vector(v, n, error)] + [ONE] for v in vectors]
+
+
+def epigraph_system(f: PiecewiseAffine, over: sets.Polyhedron) -> lp.System:
+    """`_epigraph_program(f, over)` on one kept `lp.System`: the minimum of
+    f (`minimum_on`), of its tilts (`unique_tilted_minima`) and its
+    conjugate values (`fenchel_values`) are costs on it."""
+    return lp.System(_epigraph_program(f, over))
+
+
+def minimum_on(system: lp.System) -> Minimum:
+    """The minimum of f over a polyhedron, from the cost t on their
+    `epigraph_system`: a fresh solve's outcome, point and ray cut to x."""
+    n = system.program.n - 1
+    out, = system.outcomes([system.program.c])
     if out.status == lp.INFEASIBLE:
         return Minimum(out.status, INF)
     return Minimum(out.status, out.value, point=out.x[:n],
                    ray=None if out.ray is None else out.ray[:n])
+
+
+def minimize_over(f: PiecewiseAffine, over: sets.Polyhedron) -> Minimum:
+    """Minimize f over a polyhedron (intersected with dom f), exactly."""
+    return minimum_on(epigraph_system(f, over))
+
+
+def unique_tilted_minima(system: lp.System, shifts) -> list:
+    """Per shift s, the minimum of f - s.x over a polyhedron, posed as the
+    cost (-s, 1) on their `epigraph_system`, when the kernel proves it
+    attained at one point (`lp.System.unique_optima`), else None. The tilt
+    only shears (x, t) to (x, t - s.x), so the tilted epigraph program has
+    that one point too, and each answer equals `minimize_over` of
+    f.tilted(s) over the polyhedron, bit for bit."""
+    n = system.program.n - 1
+    costs = _tilt_costs(shifts, n, "shift dimension mismatch")
+    return [None if got is None else
+            Minimum(lp.OPTIMAL, got[1], point=got[0][:n])
+            for got in system.unique_optima(costs)]
 
 
 def fenchel_values(f: PiecewiseAffine, points, over=None) -> list:
@@ -122,13 +155,10 @@ def fenchel_values(f: PiecewiseAffine, points, over=None) -> list:
     tilt needs no program of its own
     either: the conjugate of f - s.x - l at u is f*(u + s) + l."""
     n = f.dim
-    costs = []
-    for u in points:
-        u = as_q_vector(u, n, "point dimension mismatch")
-        costs.append([-v for v in u] + [ONE])
+    costs = _tilt_costs(points, n, "point dimension mismatch")
     if over is None:
         over = sets.whole_space_polyhedron(n)
-    return [-v for v in lp.System(_epigraph_program(f, over)).minima(costs)]
+    return [-v for v in epigraph_system(f, over).minima(costs)]
 
 
 def fenchel_value(f: PiecewiseAffine, u):

@@ -20,17 +20,22 @@ necessarily infeasible.
 
 Tilting f by s (f_s = f - s.x) only translates epi f*, since
 f_s*(u) = f*(u + s), so tilts need no conjugate program of their own. The
-duality checks run as batches over tilts, in three steps: (1) each
-distinct tilt's primal and multiplier program, one LP each, over the
-preimage and feasible polyhedron the instance keeps for all its tilts;
-(2) the conjugate values of all optimal duals from one
-`calculus.fenchel_values` call on the untilted f, and their ground supports
-from one `sets.supports` sweep; (3) the forced identities of each tilt, in
-tilt order. `solve_dual` and `check_strong_duality` are the one-tilt case
-of the same steps. The stable Farkas check (`check_stability`) runs the
-same steps over the shifts of its tilts f - s.x - l: a lift l moves the
-minimum and the best dual value of its shift alike, so the statement and
-the certificate of each tilt are read off the shift's two values.
+duality checks run as batches over tilts, in three steps. (1) Each
+distinct tilt's primal and multiplier program, over the preimage and
+feasible polyhedron the instance keeps for all its tilts. min f_s is
+min t - s.x over f's untilted epigraph rows, so a nonzero shift's primal
+is first the cost (-s, 1) on the instance's kept epigraph system, taken
+where the kernel proves its optimum attained at one point (hence equal to
+a fresh solve), and a program of its own otherwise. Each multiplier
+program is one LP of its own. (2) The conjugate values of all optimal
+duals from one `calculus.fenchel_values` call on the untilted f, and their
+ground supports from one `sets.supports` sweep. (3) The forced identities
+of each tilt, in tilt order. `solve_dual` and `check_strong_duality` are
+the one-tilt case of the same steps. The stable Farkas check
+(`check_stability`) runs the same steps over the shifts of its tilts
+f - s.x - l: a lift l moves the minimum and the best dual value of its
+shift alike, so the statement and the certificate of each tilt are read
+off the shift's two values.
 """
 
 from __future__ import annotations
@@ -177,14 +182,34 @@ def _distinct(shifts):
     return [shifts[at.index(k)] for k in range(len(where))], at
 
 
+def _tilted_primals(inst: FarkasInstance, shifts) -> list:
+    """solve_primal(inst.tilted(shift)) for each of the distinct `shifts`,
+    through the instance's kept epigraph system (see the module
+    docstring): a nonzero shift refused there, unbounded or infeasible is
+    solved fresh. When the kept phase 1 made no pivot there is no phase 1
+    to save, and a refused shift would pay twice, so all are."""
+    tilts = [shift for shift in shifts if any(shift)]
+    kept = inst.epigraph_system()
+    warm = iter(calculus.unique_tilted_minima(kept, tilts)
+                if tilts and kept.phase1_pivots else [None] * len(tilts))
+    primals = []
+    for shift in shifts:
+        if not any(shift):
+            primals.append(solve_primal(inst))
+            continue
+        best = next(warm)
+        primals.append(solve_primal(inst.tilted(shift)) if best is None
+                       else best)
+    return primals
+
+
 def _tilt_reports(inst: FarkasInstance, shifts):
     """check_strong_duality for each tilt f - shift . x of inst, lazily in
     tilt order. Steps 1 and 2 (the primal and dual program of each distinct
     shift, the batched values) run before the first report, and step 3,
     the checks of one tilt, runs as its report is taken."""
     distinct, at = _distinct(shifts)
-    primals = [solve_primal(inst if not any(shift) else inst.tilted(shift))
-               for shift in distinct]
+    primals = _tilted_primals(inst, distinct)
     duals = _solve_duals(inst, distinct)
     for k in at:
         (out, triple), primal = duals[k], primals[k]

@@ -142,20 +142,30 @@ class FarkasInstance:
         return self.feasible_polyhedron().intersect(self.objective.domain)
 
     @kept
+    def epigraph_system(self) -> lp.System:
+        """The objective's epigraph rows over the feasible set on one kept
+        `lp.System` (`calculus.epigraph_system`): the minimum and each tilt
+        posed as a cost on it share one phase 1."""
+        return calculus.epigraph_system(self.objective,
+                                        self.feasible_polyhedron())
+
+    @kept
     def minimum(self) -> calculus.Minimum:
         """The exact minimum of the objective over the feasible set, solved
-        on the first call only: its point and ray are shared, so callers
-        copy them before handing them out."""
-        return calculus.minimize_over(self.objective,
-                                      self.feasible_polyhedron())
+        on the first call only, as the cost t on the epigraph system: its
+        point and ray are shared, so callers copy them before handing them
+        out."""
+        return calculus.minimum_on(self.epigraph_system())
 
     def tilted(self, shift, lift=ZERO) -> "FarkasInstance":
         """The instance with objective f - shift . x - lift. Ground, map,
         target and the derived sets kept so far are shared, and neither the
         constructor's emptiness LPs nor any kept point is solved again; the
-        kept minimum, which the tilt changes, is dropped."""
+        kept epigraph system and minimum, which the tilt changes, are
+        dropped."""
         twin = copy.copy(self)
         twin.objective = self.objective.tilted(shift, lift)
+        twin.__dict__.pop("_kept_epigraph_system", None)
         twin.__dict__.pop("_kept_minimum", None)
         return twin
 

@@ -20,7 +20,21 @@ at the first question and kept for every later one. `outcomes` and `minima`
 run phase 1 once and, per distinct cost, a phase 2 on its own copy of the
 kept tableau, so each answer equals a fresh `solve` (which is `outcomes` of
 one cost) bit for bit; `minima` reads only the final objective row's value,
-all that a support or conjugate value needs. `append` adds an inequality
+all that a support or conjugate value needs. `unique_optima` reads, per
+cost, the optimal point and value only where the final tableau proves the
+optimum attained at one point (Mangasarian 1979): every nonbasic real
+column has a positive reduced cost. A feasible point's cost exceeds the
+optimum by the sum over nonbasic columns of reduced cost times value, so
+only the basic solution costs that little. The one exception is the twin of
+a basic split variable's column: the two parts of x_j = x_j+ - x_j- have
+opposite columns, so the twin's reduced cost is 0, and raising it raises
+the basic part by as much, which moves no variable. Artificial columns are
+fixed at zero and not read. Every solve of the program with that cost, a
+fresh `solve` with its own phase 1 included, ends at an optimal point, and
+there is only one, so the answer equals the fresh point and value bit for
+bit (its multipliers need not, and are not given). The test is sufficient,
+not necessary: a degenerate vertex may fail it although its optimum is
+unique, and the caller then solves afresh. `append` adds an inequality
 row a.x <= b, as an exchange (cutting-plane) method does: the row gets a
 slack column of its own, after the last slack and before the artificials,
 and enters reduced in the current basis, its slack basic, so its value may
@@ -227,6 +241,7 @@ class _Tableau:
             D.append(d)
         self.basis = [art_col[i] if art_col[i] is not None else slack0 + i
                       for i in range(m)]
+        self.pivots = 0
 
     def _integer_row(self, values, b):
         """Values per variable (at its plus column, negated at its minus
@@ -276,6 +291,7 @@ class _Tableau:
             if f:
                 T[i], D[i] = _eliminate(T[i], D[i], f, p, nz)
         self.basis[r] = q
+        self.pivots += 1
 
     def ratio_row(self, q):
         # Bland leaving rule: min ratio rhs_i / t_i, compared by
@@ -478,6 +494,17 @@ class _Tableau:
         return LPOutcome(UNBOUNDED, x=self._x(), value=NEG_INF,
                          ray=self._per_variable(dz))
 
+    def unique_point(self, z):
+        """Whether the optimal objective row z proves its optimum attained
+        at one point (see the module docstring): every nonbasic real column
+        has a positive reduced cost, except the twin of a basic split
+        variable's column."""
+        exempt = set(self.basis)
+        for p, m in self.var_cols:
+            if m is not None and (p in exempt or m in exempt):
+                exempt.update((p, m))
+        return all(z[j] > 0 for j in range(self.nreal) if j not in exempt)
+
     def _per_variable(self, by_col):
         # a column vector (as {column: value}) in the program's variables
         get = by_col.get
@@ -498,9 +525,9 @@ def solve(lp: LinearProgram) -> LPOutcome:
 class System:
     """The rows of a program on one kept tableau, which the first question
     builds; the program's c is not read (see the module docstring).
-    `outcomes`, `minima` and `append` share one phase 1 at the program's
-    own right-hand sides, and `feasible` sweeps its own on a tableau of its
-    own, so every answer equals a fresh solve."""
+    `outcomes`, `minima`, `unique_optima` and `append` share one phase 1
+    at the program's own right-hand sides, and `feasible` sweeps its own on
+    a tableau of its own, so every answer equals a fresh solve."""
 
     def __init__(self, program: LinearProgram):
         self.program = program
@@ -510,11 +537,13 @@ class System:
         self._sweep = None
         # the Farkas pair (mu, nu) once the rows are infeasible, else None
         self._farkas = None
+        self._phase1_pivots = None
 
     def _kept(self) -> _Tableau:
         if self._tab is None:
             self._tab = tab = _Tableau(self.program)
             row = tab.phase1()
+            self._phase1_pivots = tab.pivots
             if row is not None:
                 # the phase-1 duals, where each artificial costs 1 (d over
                 # d), are a Farkas certificate for the rows
@@ -563,6 +592,33 @@ class System:
         values = [NEG_INF if q is not None else Q(-z[t.RHS], d)
                   for t, z, d, q in runs]
         return [values[k] for k in at]
+
+    def unique_optima(self, costs) -> list:
+        """Per cost c in `costs`, (x, value) when the final tableau of its
+        phase 2 proves min c.x attained at x alone (`_Tableau.unique_point`),
+        else None: also when c.x is unbounded below or the rows are
+        infeasible. Every solve reaches that one point and value, so each
+        answer equals the x and value of `solve` of the program with cost c,
+        bit for bit."""
+        runs, at = self._questions(costs)
+        if runs is None:
+            return [None] * len(at)
+
+        def answer(t, z, d, q):
+            if q is None and t.unique_point(z):
+                return t._x(), Q(-z[t.RHS], d)
+            return None
+
+        return [answer(*runs[k]) for k in at]
+
+    @property
+    def phase1_pivots(self) -> int:
+        """The pivots of the kept tableau's phase 1, which this builds when
+        no question has yet. With none, the starting basis was feasible, so
+        a cost posed on the kept tableau saves no phase 1 over a fresh
+        `solve`."""
+        self._kept()
+        return self._phase1_pivots
 
     def feasible(self, b) -> bool:
         """Whether G x <= b[:len(G)], E x = b[len(G):] has a solution under

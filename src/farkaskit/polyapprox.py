@@ -99,7 +99,8 @@ def _consistent(inst: engine.FarkasInstance) -> bool:
     `semiinf.band_point` and checked over the generators of the moment cone
     ((a_t, beta_t), (-a_t, -alpha_t)): a band point x makes (x, -1) <= 0 on
     each and 1 at (0, -1); an empty band's Farkas vector combines them into
-    (0, s) with s < 0. A failed check, or a ground with rows, raises
+    (0, s) with s < 0. A failed check (a point or Farkas vector of the
+    wrong length included), or a ground with rows, raises
     InvariantViolation."""
     if inst.ground.G or inst.ground.E:
         raise InvariantViolation("a band grid has rows in its ground")
@@ -108,7 +109,8 @@ def _consistent(inst: engine.FarkasInstance) -> bool:
     if cert.x is not None:
         # in integers: each side over its own lcm keeps every product's sign
         X, _ = over_lcm(cert.x + [-ONE])
-        holds = all(sum(map(mul, over_lcm(r)[0], X)) <= 0 for r in rays)
+        holds = len(cert.x) == inst.n and all(
+            sum(map(mul, over_lcm(r)[0], X)) <= 0 for r in rays)
     else:
         mu = cert.farkas_ineq
         holds = len(mu) == len(rays) and min(mu) >= ZERO

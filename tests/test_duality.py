@@ -25,6 +25,17 @@ def bounded_instance(offset=0):
         objective=PiecewiseAffine(dim=2, slopes=[[1, 1]], offsets=[offset]))
 
 
+def pivoting_instance():
+    # the ground's lower bounds flip its rows, so the phase 1 of the kept
+    # epigraph system pivots
+    return FarkasInstance(
+        ground=Box([(1, 2), (1, 3)]).to_polyhedron(),
+        matrix=[[1, 0], [1, 1]],
+        target=Box([(0, 2), (0, 4)]),
+        objective=PiecewiseAffine(dim=2, slopes=[[1, 1], [2, -1]],
+                                  offsets=[0, 1]))
+
+
 def unbounded_instance():
     return FarkasInstance(
         ground=whole_space_polyhedron(1), matrix=[[1]],
@@ -357,7 +368,10 @@ def test_stable_check_solves_each_constraint_set_once(count_phase1,
     # when a repeated shift was solved again (177 pivots once it was not),
     # 53 when the untilted primal was solved twice and a repeated point of
     # a conjugate or support batch had a phase 2 of its own (177 pivots),
-    # 52 when each sum point ran a phase 1 of its own (161 pivots)
+    # 52 when each sum point ran a phase 1 of its own (161 pivots); its
+    # kept epigraph's phase 1 makes no pivot, so its nonzero shifts are
+    # solved fresh (25 runs but 130 pivots when they were posed on the
+    # kept system first)
     def check():
         return duality.check_stable_strong_duality(bounded_instance(), seed=2)
 
@@ -366,6 +380,27 @@ def test_stable_check_solves_each_constraint_set_once(count_phase1,
     assert runs <= 33
     _, pivots = count_pivots(check)
     assert pivots <= 119
+
+
+def test_tilts_are_answered_on_the_kept_epigraph(count_phase1, count_pivots):
+    # counted with the instance's construction: 33 phase-1 runs and 173
+    # pivots when each nonzero shift's primal was a program of its own;
+    # most are now costs on the kept epigraph system, and the reports are
+    # still those of fresh tilted instances
+    def check():
+        return duality.check_stable_strong_duality(pivoting_instance(),
+                                                   seed=2)
+
+    rep, runs = count_phase1(check)
+    assert rep.tilts_checked == 25
+    assert runs <= 27
+    _, pivots = count_pivots(check)
+    assert pivots <= 142
+    inst = pivoting_instance()
+    assert rep.per_tilt == [duality.check_strong_duality(FarkasInstance(
+        ground=inst.ground, matrix=inst.matrix, target=inst.target,
+        objective=inst.objective.tilted(shift)))
+        for shift, _ in duality.default_tilts(inst.n, seed=2)]
 
 
 def test_sum_points_share_one_phase_1(count_phase1, monkeypatch):

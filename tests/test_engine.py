@@ -559,6 +559,29 @@ class TestKeptSets:
         assert twin.minimum().value == Q(-3)
         assert inst.minimum() is best
 
+    def test_tilted_twins_build_their_own_epigraph_system(self):
+        # the twin's minimum is a fresh tilted instance's, and neither the
+        # twins nor the tilts posed on the kept system move the parent's
+        inst = FarkasInstance(
+            ground=Box([(1, 2), (1, 3)]).to_polyhedron(),
+            matrix=[[1, 0], [1, 1]], target=Box([(0, 2), (0, 4)]),
+            objective=PiecewiseAffine(dim=2, slopes=[[1, 1], [2, -1]],
+                                      offsets=[0, 1]))
+        best = inst.minimum()
+        kept = repr(best)
+        system = inst.epigraph_system()
+        assert system.phase1_pivots > 0
+        for shift in ([Q(1), Q(2)], [Q(-2), Q(1)], [Q(3), Q(-1)]):
+            twin = inst.tilted(shift, Q(1))
+            fresh = FarkasInstance(
+                ground=inst.ground, matrix=inst.matrix, target=inst.target,
+                objective=inst.objective.tilted(shift, Q(1)))
+            assert twin.epigraph_system() is not system
+            assert twin.minimum() == fresh.minimum()
+        duality.check_stable_strong_duality(inst, seed=2)
+        assert inst.epigraph_system() is system
+        assert inst.minimum() is best and repr(best) == kept
+
     def test_checks_share_the_kept_sets(self, count_phase1):
         # counted with the instance's construction: 20 and 13 phase-1 runs
         # when every check rebuilt these sets and solved their emptiness

@@ -811,6 +811,49 @@ def test_minima_edge_cases(count_phase1, count_pivots):
     assert System(infeasible).minima([[1], [-1]]) == [INF, INF]
 
 
+def test_unique_optima_match_fresh_solves():
+    # wherever the kernel accepts, its point and value are the fresh
+    # solve's, bit for bit; accepted optima include free variables off
+    # zero (a basic split part, whose twin the test exempts), and some
+    # optimal costs are refused
+    rng = random.Random(20261023)
+    seen = set()
+    for _ in range(300):
+        n, G, h, E, e, nonneg, _ = _shared_constraints(rng)
+        costs = [[_small_fraction(rng) for _ in range(n)] for _ in range(3)]
+        shared = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e,
+                               nonneg=nonneg)
+        for c, got in zip(costs, System(shared).unique_optima(costs)):
+            lp = LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg)
+            out = solve(lp)
+            assert certifies_outcome(lp, out)
+            if got is None:
+                seen.add(f"refused {out.status}")
+                continue
+            assert got == (out.x, out.value) and type(got[1]) is Q
+            if any(v and not f for v, f in zip(out.x, nonneg)):
+                seen.add("accepted, basic split variable")
+    assert {"accepted, basic split variable", "refused optimal"} <= seen
+
+
+def test_unique_optima_by_hand(count_phase1):
+    # min x1 over the unit square ties along an edge; x >= 2 (free) has
+    # its one minimizer with x+ basic and x- its exempt twin
+    square = System(LinearProgram(c=[0, 0], G=[[1, 0], [0, 1]], h=[1, 1],
+                                  E=[], e=[], nonneg=[True, True]))
+    assert square.unique_optima([[1, 0], [-1, -1]]) == [None,
+                                                        ([1, 1], Q(-2))]
+    assert square.phase1_pivots == 0
+    free = System(LinearProgram(c=[0], G=[[-1]], h=[-2], E=[], e=[]))
+    assert free.unique_optima([[1], [-1], [1]]) == [([2], Q(2)), None,
+                                                    ([2], Q(2))]
+    assert free.phase1_pivots == 1
+    infeasible = System(LinearProgram(c=[0], G=[[1], [-1]], h=[1, -2],
+                                      E=[], e=[]))
+    assert count_phase1(infeasible.unique_optima, [[1], [0]]) == (
+        [None, None], 1)
+
+
 def test_tableau_layout_by_hand():
     # x0 free (columns 0 and 1), x1 nonnegative (column 2); slacks 3 and 4;
     # artificials on the flipped row (column 5) and the equality row

@@ -221,6 +221,17 @@ class TestExistenceCertificate:
         with pytest.raises(InvariantViolation, match="moment coordinates"):
             polyapprox._consistent(inst)
 
+    def test_band_point_of_wrong_length_raises(self, monkeypatch):
+        # pairing the point with each generator stops at the shorter list,
+        # so a trailing entry would go unread without the length check
+        inst = _band(3, 2, lambda t: t * t, Q(1, 2))
+        cert = semiinf.band_point(inst)
+        assert polyapprox._consistent(inst)
+        bad = dataclasses.replace(cert, x=cert.x + [Q(-1)])
+        monkeypatch.setattr(semiinf, "band_point", lambda inst: bad)
+        with pytest.raises(InvariantViolation, match="moment coordinates"):
+            polyapprox._consistent(inst)
+
     def test_ground_with_rows_is_refused(self):
         inst = polyapprox.to_grid(vee_problem([1]), Q(1, 2))
         boxed = semiinf.grid(

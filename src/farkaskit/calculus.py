@@ -212,13 +212,12 @@ def _dual_epigraph(dim: int, pieces, blocks) -> sets.LiftedSet:
     support function when there are no pieces. Exact by LP duality when
     the meet is nonempty, which callers check."""
     p, _ = multiplier_program(dim, pieces, blocks)
-    eq_z = [[ONE if k == j else ZERO for k in range(dim + 1)]
-            for j in range(dim)] + [[ZERO] * (dim + 1)] * (len(p.E) - dim)
-    eq_w = [[-v for v in row] for row in p.E[:dim]] + p.E[dim:]
+    E = [[ONE if k == j else ZERO for k in range(dim + 1)]
+         + [-v for v in row] for j, row in enumerate(p.E[:dim])]
+    E += [[ZERO] * (dim + 1) + row for row in p.E[dim:]]
     return sets.LiftedSet(dim=dim + 1, witness_dim=p.n,
-                          ineq_z=[[ZERO] * dim + [-ONE]], ineq_w=[p.c],
-                          ineq_rhs=[ZERO], eq_z=eq_z, eq_w=eq_w, eq_rhs=p.e,
-                          witness_nonneg=p.nonneg)
+                          G=[[ZERO] * dim + [-ONE] + p.c], h=[ZERO],
+                          E=E, e=p.e, witness_nonneg=p.nonneg)
 
 
 def support_epigraph(p) -> sets.LiftedSet:

@@ -19,7 +19,7 @@ from . import duality, engine, gallery, polyapprox, semiinf, sets
 from .calculus import PiecewiseAffine
 from .engine import FarkasInstance
 from .errors import InputFormatError, InvariantViolation
-from .rational import as_q, scalar_text
+from .rational import as_q, as_q_vector, scalar_text
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -41,10 +41,13 @@ def _q(v, where: str):
         _fail(f"{where}: {exc}")
 
 
-def _q_vector(values, where: str):
+def _q_vector(values, where: str, width=None, error=None):
     if not isinstance(values, list):
         _fail(f"{where}: expected an array")
-    return [_q(v, where) for v in values]
+    try:
+        return as_q_vector(values, width, error)
+    except (TypeError, ValueError) as exc:
+        _fail(f"{where}: {exc}")
 
 
 def _q_matrix(rows, where: str):
@@ -219,9 +222,7 @@ def load_tilts(doc: dict, n: int):
     for k, item in enumerate(block):
         if not isinstance(item, list) or len(item) != 2:
             _fail(f"tilts[{k}]: expected [shift, lift]")
-        shift = _q_vector(item[0], f"tilts[{k}]")
-        if len(shift) != n:
-            _fail(f"tilts[{k}]: shift width != {n}")
+        shift = _q_vector(item[0], f"tilts[{k}]", n, f"shift width != {n}")
         tilts.append((shift, _q(item[1], f"tilts[{k}]")))
     return tilts
 

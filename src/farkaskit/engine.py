@@ -209,36 +209,30 @@ def _unit(i: int, size: int, sign=ONE) -> list:
 
 def _graph_epigraph(f: PiecewiseAffine, links, blocks, at: int):
     """{(links . w, r) : w = (w_0, w_1, ...), each w_g in blocks[g], and
-    r >= f(w_at)} as a lifted set with witness w. Its rows are the link
-    rows, the blocks' equality rows, one row per piece of f, then the
-    blocks' inequality rows."""
+    r >= f(w_at)} as a lifted set with witness w. Its equality rows are
+    the link rows, then the blocks' equality rows; its inequality rows are
+    one row per piece of f, then the blocks' inequality rows."""
     starts = [0]
     for p in blocks:
         starts.append(starts[-1] + p.dim)
 
-    def placed(g, row):
-        return ([ZERO] * starts[g] + list(row)
+    def placed(z, g, row):  # z, then row in block g's witness columns
+        return (z + [ZERO] * starts[g] + list(row)
                 + [ZERO] * (starts[-1] - starts[g + 1]))
 
     dim = len(links) + 1
     flat = [ZERO] * dim
-    eq_z = [_unit(i, dim) for i in range(len(links))]
-    eq_w = [[-v for v in link] for link in links]
-    eq_rhs = [ZERO] * len(links)
+    E = [_unit(i, dim) + [-v for v in link] for i, link in enumerate(links)]
+    e = [ZERO] * len(links)
+    G = [placed(_unit(dim - 1, dim, -ONE), at, a) for a in f.slopes]
+    h = [-b for b in f.offsets]
     for g, p in enumerate(blocks):
-        eq_z += [flat] * len(p.E)
-        eq_w += [placed(g, r) for r in p.E]
-        eq_rhs += p.e
-    ineq_z = [[ZERO] * (dim - 1) + [-ONE]] * len(f.slopes)
-    ineq_w = [placed(at, a) for a in f.slopes]
-    ineq_rhs = [-b for b in f.offsets]
-    for g, p in enumerate(blocks):
-        ineq_z += [flat] * len(p.G)
-        ineq_w += [placed(g, r) for r in p.G]
-        ineq_rhs += p.h
+        E += [placed(flat, g, r) for r in p.E]
+        e += p.e
+        G += [placed(flat, g, r) for r in p.G]
+        h += p.h
     return sets.LiftedSet(dim=dim, witness_dim=starts[-1],
-                          ineq_z=ineq_z, ineq_w=ineq_w, ineq_rhs=ineq_rhs,
-                          eq_z=eq_z, eq_w=eq_w, eq_rhs=eq_rhs)
+                          G=G, h=h, E=E, e=e)
 
 
 def residual_epigraph(inst: FarkasInstance) -> sets.LiftedSet:

@@ -126,7 +126,10 @@ def scalar_text(x) -> str:
 
 def as_q_vector(values, width=None, error=None):
     """`values` as a list of rationals (`as_q` of each); given a width, a
-    list of any other length raises ValueError(error)."""
+    list of any other length raises ValueError(error). A str or bytes is
+    text, not a vector of its characters, and raises TypeError."""
+    if isinstance(values, (str, bytes)):
+        raise TypeError(f"expected a vector, got {type(values).__name__}")
     vec = [v if type(v) is Q else as_q(v) for v in values]
     if width is not None and len(vec) != width:
         raise ValueError(error)

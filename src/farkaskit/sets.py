@@ -2,14 +2,16 @@
 
 Every set this package reasons about is a projection of a polyhedron,
 
-    S = {z : exists w such that  Pz + Qw <= q,  Rz + Sw = r},
+    S = {z : exists w such that  G (z, w) <= h,  E (z, w) = e},
 
-so membership, support values, linear images, Minkowski sums and the exact
-closed conic hull are single LPs or plain row surgery on that
-representation. No numeric closure is ever taken: the closed conic hull of a
-nonempty polyhedral projection is its coned form plus its recession cone,
-both of which the homogenized representation captures exactly; one LP on
-it, the largest scale at z = p, places p in the hull or its closure.
+held as the rows G, E over the stacked columns (z, w), z first, which are
+the rows its programs pose to the kernel. So membership, support values,
+linear images, Minkowski sums and the exact closed conic hull are single
+LPs or plain row surgery on that representation. No numeric closure is
+ever taken: the closed conic hull of a nonempty polyhedral projection is
+its coned form plus its recession cone, both of which the homogenized
+representation captures exactly; one LP on it, the largest scale at
+z = p, places p in the hull or its closure.
 """
 
 from __future__ import annotations
@@ -25,34 +27,27 @@ from .rational import ONE, Q, ZERO, as_q_matrix, as_q_vector, dot
 
 @dataclass
 class LiftedSet:
-    """{z in R^dim : exists w, ineq_z z + ineq_w w <= ineq_rhs,
-    eq_z z + eq_w w = eq_rhs}; witness_nonneg flags w components known >= 0."""
+    """{z in R^dim : exists w in R^witness_dim, G (z, w) <= h,
+    E (z, w) = e}, each row over the stacked columns (z, w), z first;
+    witness_nonneg flags w components known >= 0."""
 
     dim: int
     witness_dim: int = 0
-    ineq_z: list = field(default_factory=list)
-    ineq_w: list = field(default_factory=list)
-    ineq_rhs: list = field(default_factory=list)
-    eq_z: list = field(default_factory=list)
-    eq_w: list = field(default_factory=list)
-    eq_rhs: list = field(default_factory=list)
+    G: list = field(default_factory=list)
+    h: list = field(default_factory=list)
+    E: list = field(default_factory=list)
+    e: list = field(default_factory=list)
     witness_nonneg: list | None = None
 
     def __post_init__(self):
-        z_error = "z-block row width != dim"
-        w_error = "witness-block row width != witness_dim"
-        self.ineq_z = as_q_matrix(self.ineq_z, self.dim, z_error)
-        self.ineq_w = as_q_matrix(self.ineq_w, self.witness_dim, w_error)
-        self.ineq_rhs = as_q_vector(self.ineq_rhs)
-        self.eq_z = as_q_matrix(self.eq_z, self.dim, z_error)
-        self.eq_w = as_q_matrix(self.eq_w, self.witness_dim, w_error)
-        self.eq_rhs = as_q_vector(self.eq_rhs)
+        width = self.dim + self.witness_dim
+        error = "row width != dim + witness_dim"
+        self.G = as_q_matrix(self.G, width, error)
+        self.h = as_q_vector(self.h, len(self.G), "row/rhs count mismatch")
+        self.E = as_q_matrix(self.E, width, error)
+        self.e = as_q_vector(self.e, len(self.E), "row/rhs count mismatch")
         if self.witness_nonneg is None:
             self.witness_nonneg = [False] * self.witness_dim
-        if not (len(self.ineq_z) == len(self.ineq_w) == len(self.ineq_rhs)):
-            raise ValueError("inequality blocks disagree in row count")
-        if not (len(self.eq_z) == len(self.eq_w) == len(self.eq_rhs)):
-            raise ValueError("equality blocks disagree in row count")
         if len(self.witness_nonneg) != self.witness_dim:
             raise ValueError("witness flag count != witness_dim")
 
@@ -73,7 +68,7 @@ def kept(method):
 
 
 def empty_set(dim: int) -> LiftedSet:
-    return LiftedSet(dim=dim, ineq_z=[[ZERO] * dim], ineq_w=[[]], ineq_rhs=[-1])
+    return LiftedSet(dim=dim, G=[[ZERO] * dim], h=[-1])
 
 
 def whole_space(dim: int) -> LiftedSet:
@@ -82,12 +77,9 @@ def whole_space(dim: int) -> LiftedSet:
 
 def _joint_lp(s: LiftedSet):
     """Feasibility LP over stacked (z, w) with the set's rows."""
-    n = s.dim + s.witness_dim
-    G = [rz + rw for rz, rw in zip(s.ineq_z, s.ineq_w)]
-    E = [rz + rw for rz, rw in zip(s.eq_z, s.eq_w)]
-    return lp.LinearProgram(c=[ZERO] * n, G=G, h=s.ineq_rhs,
-                            E=E, e=s.eq_rhs,
-                            nonneg=[False] * s.dim + list(s.witness_nonneg))
+    return lp.LinearProgram(c=[ZERO] * (s.dim + s.witness_dim), G=s.G, h=s.h,
+                            E=s.E, e=s.e,
+                            nonneg=[False] * s.dim + s.witness_nonneg)
 
 
 def is_empty(s: LiftedSet) -> bool:
@@ -107,30 +99,30 @@ def member(s: LiftedSet, z) -> bool:
 
 
 def members(s: LiftedSet, points) -> list:
-    """[member(s, z) for z in points]. z is in S iff the witness rows
-    have a solution with right-hand side rhs - (z-block) z, so every point
-    poses the same rows with a right-hand side of its own, and one kept
-    basis serves them all (`lp.System.feasible`)."""
-    rows = list(zip(s.ineq_z + s.eq_z, s.ineq_rhs + s.eq_rhs))
+    """[member(s, z) for z in points]. z is in S iff the witness parts of
+    the rows have a solution with right-hand side rhs - (z part) z, so
+    every point poses the same rows with a right-hand side of its own, and
+    one kept basis serves them all (`lp.System.feasible`)."""
+    d = s.dim
+    rows = [(r[:d], b) for r, b in zip(s.G + s.E, s.h + s.e)]
     rhss = []
     for z in points:
-        z = as_q_vector(z, s.dim, "point dimension mismatch")
+        z = as_q_vector(z, d, "point dimension mismatch")
         rhss.append([b - dot(r, z) for r, b in rows])
-    mG = len(s.ineq_rhs)
+    mG = len(s.h)
     if s.witness_dim == 0:
         return [all(v >= ZERO for v in b[:mG])
                 and all(v == ZERO for v in b[mG:]) for b in rhss]
     prog = lp.LinearProgram(
-        c=[ZERO] * s.witness_dim, G=s.ineq_w, h=[ZERO] * mG,
-        E=s.eq_w, e=[ZERO] * len(s.eq_rhs), nonneg=s.witness_nonneg)
+        c=[ZERO] * s.witness_dim, G=[r[d:] for r in s.G], h=[ZERO] * mG,
+        E=[r[d:] for r in s.E], e=[ZERO] * len(s.e), nonneg=s.witness_nonneg)
     return list(map(lp.System(prog).feasible, rhss))
 
 
 def _recession_cone(s: LiftedSet) -> LiftedSet:
     """S's rows with zero right-hand sides: the lifted recession cone, whose
     projection is the recession cone of S when S is nonempty."""
-    return replace(s, ineq_rhs=[ZERO] * len(s.ineq_rhs),
-                   eq_rhs=[ZERO] * len(s.eq_rhs))
+    return replace(s, h=[ZERO] * len(s.h), e=[ZERO] * len(s.e))
 
 
 def support(s: LiftedSet, d):
@@ -156,63 +148,44 @@ def minkowski_sum(a: LiftedSet, b: LiftedSet) -> LiftedSet:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     d = a.dim
-    wd = d + a.witness_dim + b.witness_dim
     zeros_a = [ZERO] * a.witness_dim
     zeros_b = [ZERO] * b.witness_dim
-    ineq_z, ineq_w, ineq_rhs = [], [], []
-    eq_z, eq_w, eq_rhs = [], [], []
-    for rz, rw, rhs in zip(a.ineq_z, a.ineq_w, a.ineq_rhs):
-        ineq_z.append([ZERO] * d)
-        ineq_w.append(list(rz) + list(rw) + zeros_b)
-        ineq_rhs.append(rhs)
-    for rz, rw, rhs in zip(a.eq_z, a.eq_w, a.eq_rhs):
-        eq_z.append([ZERO] * d)
-        eq_w.append(list(rz) + list(rw) + zeros_b)
-        eq_rhs.append(rhs)
-    for rz, rw, rhs in zip(b.ineq_z, b.ineq_w, b.ineq_rhs):
-        ineq_z.append(list(rz))
-        ineq_w.append([-v for v in rz] + zeros_a + list(rw))
-        ineq_rhs.append(rhs)
-    for rz, rw, rhs in zip(b.eq_z, b.eq_w, b.eq_rhs):
-        eq_z.append(list(rz))
-        eq_w.append([-v for v in rz] + zeros_a + list(rw))
-        eq_rhs.append(rhs)
-    return LiftedSet(dim=d, witness_dim=wd,
-                     ineq_z=ineq_z, ineq_w=ineq_w, ineq_rhs=ineq_rhs,
-                     eq_z=eq_z, eq_w=eq_w, eq_rhs=eq_rhs,
-                     witness_nonneg=[False] * d + list(a.witness_nonneg)
-                                    + list(b.witness_nonneg))
+
+    def from_a(rows):  # A's row at (z1, wA)
+        return [[ZERO] * d + r + zeros_b for r in rows]
+
+    def from_b(rows):  # B's row at (z - z1, wB)
+        return [r[:d] + [-v for v in r[:d]] + zeros_a + r[d:] for r in rows]
+
+    return LiftedSet(dim=d, witness_dim=d + a.witness_dim + b.witness_dim,
+                     G=from_a(a.G) + from_b(b.G), h=a.h + b.h,
+                     E=from_a(a.E) + from_b(b.E), e=a.e + b.e,
+                     witness_nonneg=[False] * d + a.witness_nonneg
+                                    + b.witness_nonneg)
 
 
 def linear_image(s: LiftedSet, M) -> LiftedSet:
     """{M z : z in S}; M given as a list of rows over R^dim."""
     M = as_q_matrix(M, s.dim, "matrix width != set dimension")
-    out_dim = len(M)
-    wd = s.dim + s.witness_dim
-    eq_z = [[ONE if i == k else ZERO for k in range(out_dim)] for i in range(out_dim)]
-    eq_w = [[-v for v in M[i]] + [ZERO] * s.witness_dim for i in range(out_dim)]
-    eq_rhs = [ZERO] * out_dim
-    for rz, rw, rhs in zip(s.eq_z, s.eq_w, s.eq_rhs):
-        eq_z.append([ZERO] * out_dim)
-        eq_w.append(list(rz) + list(rw))
-        eq_rhs.append(rhs)
-    ineq_z = [[ZERO] * out_dim for _ in s.ineq_rhs]
-    ineq_w = [list(rz) + list(rw) for rz, rw in zip(s.ineq_z, s.ineq_w)]
-    return LiftedSet(dim=out_dim, witness_dim=wd,
-                     ineq_z=ineq_z, ineq_w=ineq_w, ineq_rhs=s.ineq_rhs,
-                     eq_z=eq_z, eq_w=eq_w, eq_rhs=eq_rhs,
-                     witness_nonneg=[False] * s.dim + list(s.witness_nonneg))
+    k = len(M)
+    flat = [ZERO] * k
+    links = [[ONE if j == i else ZERO for j in range(k)]
+             + [-v for v in M[i]] + [ZERO] * s.witness_dim for i in range(k)]
+    return LiftedSet(dim=k, witness_dim=s.dim + s.witness_dim,
+                     G=[flat + r for r in s.G], h=s.h,
+                     E=links + [flat + r for r in s.E], e=flat + s.e,
+                     witness_nonneg=[False] * s.dim + s.witness_nonneg)
 
 
 def _homogenized(s: LiftedSet) -> LiftedSet:
     """S's rows, each right-hand side times a last witness, the scale t >= 0
     (the slice t = 0 is the lifted recession cone)."""
     return LiftedSet(dim=s.dim, witness_dim=s.witness_dim + 1,
-                     ineq_z=s.ineq_z, ineq_rhs=[ZERO] * len(s.ineq_rhs),
-                     ineq_w=[rw + [-b] for rw, b in zip(s.ineq_w, s.ineq_rhs)],
-                     eq_z=s.eq_z, eq_rhs=[ZERO] * len(s.eq_rhs),
-                     eq_w=[rw + [-b] for rw, b in zip(s.eq_w, s.eq_rhs)],
-                     witness_nonneg=list(s.witness_nonneg) + [True])
+                     G=[r + [-b] for r, b in zip(s.G, s.h)],
+                     h=[ZERO] * len(s.h),
+                     E=[r + [-b] for r, b in zip(s.E, s.e)],
+                     e=[ZERO] * len(s.e),
+                     witness_nonneg=s.witness_nonneg + [True])
 
 
 def cone_closed_regarding(s: LiftedSet, points):
@@ -225,17 +198,18 @@ def cone_closed_regarding(s: LiftedSet, points):
     (one emptiness LP for all points), and then in the cone iff p = 0.
     """
     cone = _homogenized(s)
+    d = s.dim
     nonempty = functools.cache(lambda: not is_empty(s))
     report = []
     for p in points:
-        p = as_q_vector(p, s.dim, "point dimension mismatch")
+        p = as_q_vector(p, d, "point dimension mismatch")
         if all(v == ZERO for v in p):
             report.append((p, nonempty(), nonempty()))
             continue
         prog = lp.LinearProgram(
             c=[ZERO] * s.witness_dim + [-ONE],
-            G=cone.ineq_w, h=[-dot(r, p) for r in s.ineq_z],
-            E=cone.eq_w, e=[-dot(r, p) for r in s.eq_z],
+            G=[r[d:] for r in cone.G], h=[-dot(r[:d], p) for r in cone.G],
+            E=[r[d:] for r in cone.E], e=[-dot(r[:d], p) for r in cone.E],
             nonneg=cone.witness_nonneg)
         out = lp.solve(prog)
         if not lp.verify_certificate(prog, out):
@@ -266,19 +240,13 @@ class GeneratedSet:
 def as_lifted(g: GeneratedSet) -> LiftedSet:
     if not g.points:
         return empty_set(g.dim)
-    np_, nr = len(g.points), len(g.rays)
-    wd = np_ + nr
-    eq_z, eq_w, eq_rhs = [], [], []
-    for i in range(g.dim):
-        eq_z.append([ONE if k == i else ZERO for k in range(g.dim)])
-        eq_w.append([-p[i] for p in g.points] + [-r[i] for r in g.rays])
-        eq_rhs.append(ZERO)
-    eq_z.append([ZERO] * g.dim)
-    eq_w.append([ONE] * np_ + [ZERO] * nr)
-    eq_rhs.append(ONE)
-    return LiftedSet(dim=g.dim, witness_dim=wd,
-                     eq_z=eq_z, eq_w=eq_w, eq_rhs=eq_rhs,
-                     witness_nonneg=[True] * wd)
+    gens = g.points + g.rays
+    E = [[ONE if k == i else ZERO for k in range(g.dim)]
+         + [-v[i] for v in gens] for i in range(g.dim)]
+    E.append([ZERO] * g.dim + [ONE] * len(g.points) + [ZERO] * len(g.rays))
+    return LiftedSet(dim=g.dim, witness_dim=len(gens), E=E,
+                     e=[ZERO] * g.dim + [ONE],
+                     witness_nonneg=[True] * len(gens))
 
 
 def contains_generated(s: LiftedSet, g: GeneratedSet) -> bool:
@@ -393,11 +361,7 @@ class Polyhedron:
                           h=[self.h[k] for k in tight], E=self.E, e=self.e)
 
     def to_lifted(self) -> LiftedSet:
-        return LiftedSet(dim=self.dim,
-                         ineq_z=self.G, ineq_w=[[] for _ in self.G],
-                         ineq_rhs=self.h,
-                         eq_z=self.E, eq_w=[[] for _ in self.E],
-                         eq_rhs=self.e)
+        return LiftedSet(dim=self.dim, G=self.G, h=self.h, E=self.E, e=self.e)
 
     @kept
     def _point(self):
@@ -423,7 +387,7 @@ class Box:
     bounds: list
 
     def __post_init__(self):
-        rows = as_q_matrix([list(b) for b in self.bounds], 2,
+        rows = as_q_matrix(self.bounds, 2,
                            "each bound must be a (lo, hi) pair")
         self.bounds = [(v[0], v[1]) for v in rows]
         for lo, hi in self.bounds:

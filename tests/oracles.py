@@ -134,28 +134,29 @@ def certifies_outcome(program, out):
 def cone_two_lps(s, p):
     """(p in R+ S, p in cl(R+ S)) for a `sets.LiftedSet` S, by two LPs.
     Closure membership: S is nonempty and some (w, t >= 0) has
-    P p + Q w <= t q and R p + S w = t r (S's rows, each right-hand side
+    G (p, w) <= t h and E (p, w) = t e (S's rows, each right-hand side
     scaled by t; t = 0 adds the recession directions that close the cone).
     Cone membership: the largest tau >= 0 with tau p in S (for p != 0, p is
     in R+ S iff tau > 0; p = 0 is in it iff S is nonempty)."""
     p = [as_q(v) for v in p]
+    d = s.dim
     nonempty = not sets.is_empty(s)
     scaled = lp.solve(lp.LinearProgram(
         c=[0] * (s.witness_dim + 1),
-        G=[rw + [-b] for rw, b in zip(s.ineq_w, s.ineq_rhs)],
-        h=[-eval_affine(rz, p) for rz in s.ineq_z],
-        E=[rw + [-b] for rw, b in zip(s.eq_w, s.eq_rhs)],
-        e=[-eval_affine(rz, p) for rz in s.eq_z],
+        G=[r[d:] + [-b] for r, b in zip(s.G, s.h)],
+        h=[-eval_affine(r[:d], p) for r in s.G],
+        E=[r[d:] + [-b] for r, b in zip(s.E, s.e)],
+        e=[-eval_affine(r[:d], p) for r in s.E],
         nonneg=list(s.witness_nonneg) + [True]))
     closure = nonempty and scaled.status != "infeasible"
     if all(v == ZERO for v in p):
         return nonempty, closure
     out = lp.solve(lp.LinearProgram(
         c=[-1] + [0] * s.witness_dim,
-        G=[[eval_affine(rz, p)] + rw for rz, rw in zip(s.ineq_z, s.ineq_w)],
-        h=s.ineq_rhs,
-        E=[[eval_affine(rz, p)] + rw for rz, rw in zip(s.eq_z, s.eq_w)],
-        e=s.eq_rhs, nonneg=[True] + list(s.witness_nonneg)))
+        G=[[eval_affine(r[:d], p)] + r[d:] for r in s.G],
+        h=s.h,
+        E=[[eval_affine(r[:d], p)] + r[d:] for r in s.E],
+        e=s.e, nonneg=[True] + list(s.witness_nonneg)))
     strict = (out.status == "unbounded"
               or (out.status == "optimal" and out.value < ZERO))
     return strict, closure

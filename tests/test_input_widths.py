@@ -1,8 +1,10 @@
 """One table of wrong-width and wrong-count inputs, one row per public entry.
 
 Each row makes exactly one fault: a vector or a block of rows of the wrong
-width, or a count that does not match the rows it belongs to. The entry
-must refuse it with a ValueError whose text is pinned byte for byte.
+width, or a count that does not match the rows it belongs to; for the CLI
+loaders, also an entry that is not a rational. The entry must refuse it
+with a ValueError whose text is pinned byte for byte (the CLI's
+InputFormatError is one).
 """
 
 import dataclasses
@@ -10,8 +12,13 @@ import random
 
 import pytest
 
-from farkaskit import calculus, duality, instances, lp, polyapprox, semiinf, sets
+from farkaskit import (calculus, cli, duality, instances, lp, polyapprox,
+                       semiinf, sets)
 from farkaskit.rational import Q
+
+# a one-dimensional instance document: f(x) = x, A = [1], D = {y <= 1}
+DOC = {"f": {"slopes": [[1]], "offsets": [0]}, "A": [[1]],
+       "D": {"G": [[1]], "h": [1]}}
 
 
 def program():
@@ -65,20 +72,16 @@ CASES = [
     pytest.param(lambda: lp.System(program()).append([1, 2], 0),
                  "row width != number of variables", id="System.append"),
     # sets
-    pytest.param(lambda: sets.LiftedSet(dim=2, ineq_z=[[1]], ineq_w=[[]],
-                                        ineq_rhs=[0]),
-                 "z-block row width != dim", id="LiftedSet.ineq_z"),
-    pytest.param(lambda: sets.LiftedSet(dim=2, eq_z=[[1]], eq_w=[[]],
-                                        eq_rhs=[0]),
-                 "z-block row width != dim", id="LiftedSet.eq_z"),
-    pytest.param(lambda: sets.LiftedSet(dim=1, witness_dim=1, ineq_z=[[1]],
-                                        ineq_w=[[1, 1]], ineq_rhs=[0]),
-                 "witness-block row width != witness_dim",
-                 id="LiftedSet.ineq_w"),
-    pytest.param(lambda: sets.LiftedSet(dim=1, witness_dim=1, eq_z=[[1]],
-                                        eq_w=[[1, 1]], eq_rhs=[0]),
-                 "witness-block row width != witness_dim",
-                 id="LiftedSet.eq_w"),
+    pytest.param(lambda: sets.LiftedSet(dim=1, witness_dim=1, G=[[1]],
+                                        h=[0]),
+                 "row width != dim + witness_dim", id="LiftedSet.G"),
+    pytest.param(lambda: sets.LiftedSet(dim=1, G=[[1]], h=[]),
+                 "row/rhs count mismatch", id="LiftedSet.h"),
+    pytest.param(lambda: sets.LiftedSet(dim=2, E=[[1, 0, 0]], e=[0]),
+                 "row width != dim + witness_dim", id="LiftedSet.E"),
+    pytest.param(lambda: sets.LiftedSet(dim=1, witness_dim=1, E=[[1, 1]],
+                                        e=[0, 1]),
+                 "row/rhs count mismatch", id="LiftedSet.e"),
     pytest.param(lambda: sets.member(triangle(), [0]),
                  "point dimension mismatch", id="sets.member"),
     pytest.param(lambda: sets.members(triangle(), [[0, 0], [0, 0, 0]]),
@@ -145,6 +148,30 @@ CASES = [
                      degree_bound=2, nodes=[0, 1], values=[0],
                      epsilons=[1]),
                  "one value per node required", id="ApproxProblem.values"),
+    # cli loaders
+    pytest.param(lambda: cli.load_instance(dict(DOC, C={"G": [[1, 1]],
+                                                        "h": [0]})),
+                 "C: row width != dim", id="cli.load_instance.C"),
+    pytest.param(lambda: cli.load_instance(dict(DOC, D={"G": [[1]],
+                                                        "h": [1, 2]})),
+                 "D: row/rhs count mismatch", id="cli.load_instance.D"),
+    pytest.param(lambda: cli.load_instance(dict(DOC, D={"box": [[0, 1],
+                                                                [0, 1]]})),
+                 "inconsistent instance: map row count != target dimension",
+                 id="cli.load_instance.box"),
+    pytest.param(lambda: cli.load_instance(dict(DOC, A=[[0.5]])),
+                 'A: float 0.5 rejected: exact rationals only (write e.g. '
+                 '"1/3")', id="cli.load_instance.A"),
+    pytest.param(lambda: cli.load_approx({"approx": {
+                     "degree": 1, "nodes": [0, 1], "values": [0],
+                     "epsilons": [1]}}),
+                 "approx: one value per node required",
+                 id="cli.load_approx.values"),
+    pytest.param(lambda: cli.load_tilts({"tilts": [[[1, 0], 0]]}, 1),
+                 "tilts[0]: shift width != 1", id="cli.load_tilts.shift"),
+    pytest.param(lambda: cli.load_tilts({"tilts": [[["1/2", "x"], 0]]}, 2),
+                 "tilts[0]: not a rational literal: 'x'",
+                 id="cli.load_tilts.entry"),
 ]
 
 

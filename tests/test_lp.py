@@ -351,6 +351,76 @@ def test_mixed_denominator_programs_match_highs():
     assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
 
 
+def _int_dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _degenerate_lp(rng, status):
+    """(program, x0): 30 variables with mixed sign flags and 60 rows of
+    integers in -3..3 (four of them equalities), each row through the
+    planted point x0 except a fifth of the inequality rows, which get a
+    slack of 1 or 2. `status` shapes the data so that the program has that
+    outcome: OPTIMAL prices the cost out by nonnegative row multipliers,
+    UNBOUNDED plants a ray that every row allows and the cost descends
+    along, INFEASIBLE replaces the last row by one that a nonnegative
+    combination of the others contradicts."""
+    n, me = 30, 4
+    mg = 60 - me - (status == INFEASIBLE)
+    nonneg = [rng.random() < 0.5 for _ in range(n)]
+    x0 = [rng.randint(0, 2) if f else rng.randint(-2, 2) for f in nonneg]
+    ray = [rng.randint(0, 1) if f else rng.randint(-1, 1) for f in nonneg]
+    j = rng.randrange(n)
+    ray[j] = 1
+
+    def row():
+        return [rng.randint(-3, 3) for _ in range(n)]
+
+    G = [row() for _ in range(mg)]
+    E = [row() for _ in range(me)]
+    c = row()
+    if status == UNBOUNDED:
+        G = [r if _int_dot(r, ray) <= 0 else [-v for v in r] for r in G]
+        for r in E:
+            r[j] -= _int_dot(r, ray)
+        c[j] -= _int_dot(c, ray) + 1
+    h = [_int_dot(r, x0) + (rng.randint(1, 2) if rng.random() < 0.2 else 0)
+         for r in G]
+    e = [_int_dot(r, x0) for r in E]
+    if status == INFEASIBLE:
+        y = [rng.randint(0, 2) for _ in G]
+        G.append([-sum(w * r[k] for w, r in zip(y, G)) for k in range(n)])
+        h.append(-_int_dot(y, h) - 1)
+    if status == OPTIMAL:
+        y = [rng.randint(1, 2) if rng.random() < 0.3 else 0 for _ in G]
+        mu = [rng.randint(-2, 2) for _ in E]
+        c = [-sum(w * r[k] for w, r in zip(y + mu, G + E))
+             + (rng.randint(0, 2) if f else 0) for k, f in enumerate(nonneg)]
+    return LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg), x0
+
+
+def test_degenerate_30_by_60_programs_match_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    highs_status = {OPTIMAL: 0, INFEASIBLE: 2, UNBOUNDED: 3}
+    for status in (OPTIMAL, UNBOUNDED, INFEASIBLE):
+        for seed in range(2):
+            lp, x0 = _degenerate_lp(random.Random(seed), status)
+            tight = sum(_int_dot(r, x0) == b for r, b in zip(lp.G, lp.h))
+            assert tight >= 40, (status, seed, tight)
+            out = solve(lp)
+            assert out.status == status, seed
+            _certified(lp, out)
+            A_ub, b_ub = _float_rows(lp.G, lp.h)
+            A_eq, b_eq = _float_rows(lp.E, lp.e)
+            res = linprog([float(v) for v in lp.c], A_ub=A_ub, b_ub=b_ub,
+                          A_eq=A_eq, b_eq=b_eq, method="highs",
+                          bounds=[(0, None) if f else (None, None)
+                                  for f in lp.nonneg])
+            assert res.status == highs_status[status], (seed, res.message)
+            if status == OPTIMAL:
+                assert res.fun == pytest.approx(float(out.value), rel=1e-6,
+                                                abs=1e-6), seed
+
+
 def _small_fraction(rng):
     den = rng.choice((1, 1, 2, 3, 7, 360))
     return Q(rng.randint(-6 * den, 6 * den), den)

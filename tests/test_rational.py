@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from farkaskit import lp, semiinf, sets
 from farkaskit.rational import (Q, ZERO, as_q, as_q_matrix, as_q_vector, dot,
                                 mat_vec, over_lcm, transpose_apply)
 
@@ -48,6 +49,21 @@ def test_as_q_vector_and_matrix_refuse_another_width_with_the_callers_text():
     # a ragged matrix is reported before its width
     with pytest.raises(ValueError, match="^ragged matrix$"):
         as_q_matrix([[1, 2, 3], [4]], 3, "want 3")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: as_q_vector("12"),
+    lambda: as_q_vector(b"12"),
+    lambda: as_q_matrix(["12", "34"]),
+    lambda: sets.Box(["12"]),
+    lambda: semiinf.decompose("12"),
+    lambda: lp.LinearProgram(c="12", G=[], h=[], E=[], e=[]),
+], ids=["vector", "bytes", "matrix", "Box", "decompose", "LinearProgram"])
+def test_text_is_not_a_vector_of_its_characters(make):
+    # read as a vector of characters, "12" would be [1, 2] and Box(["12"])
+    # the bound (1, 2)
+    with pytest.raises(TypeError, match="^expected a vector, got (str|bytes)$"):
+        make()
 
 
 def test_as_q_bounds_the_digits_of_decimal_literals():

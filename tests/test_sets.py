@@ -285,14 +285,16 @@ def _random_lifted(rng, kinds):
         return [[rng.randint(-2, 2) for _ in range(width)]
                 for _ in range(count)]
 
+    def joint(count):  # rows over (z, w), the z parts drawn first
+        z_parts = rows(count, dim)
+        return [rz + rw for rz, rw in zip(z_parts, rows(count, wd))]
+
     mG, mE = rng.randint(0, 3), rng.randint(0, 1 + (rng.random() < 0.3))
     if mE:
         kinds.add("equality rows")
     s = sets.LiftedSet(dim=dim, witness_dim=wd,
-                       ineq_z=rows(mG, dim), ineq_w=rows(mG, wd),
-                       ineq_rhs=[rng.randint(-2, 2) for _ in range(mG)],
-                       eq_z=rows(mE, dim), eq_w=rows(mE, wd),
-                       eq_rhs=[rng.randint(-2, 2) for _ in range(mE)],
+                       G=joint(mG), h=[rng.randint(-2, 2) for _ in range(mG)],
+                       E=joint(mE), e=[rng.randint(-2, 2) for _ in range(mE)],
                        witness_nonneg=nonneg)
     if sets.is_empty(s):
         kinds.add("empty")
@@ -499,11 +501,13 @@ def test_supports_checks_every_direction():
 def _membership_rows(s, z):
     """(G, h, E, e, nonneg) of the witness program of z in S: z is a member
     iff some w, nonnegative where flagged, has G w <= h and E w = e."""
+    d = s.dim
+
     def rhs(rows, b):
-        return [bi - sum((a * v for a, v in zip(r, z)), Q(0))
+        return [bi - sum((a * v for a, v in zip(r[:d], z)), Q(0))
                 for r, bi in zip(rows, b)]
-    return (s.ineq_w, rhs(s.ineq_z, s.ineq_rhs), s.eq_w,
-            rhs(s.eq_z, s.eq_rhs), s.witness_nonneg)
+    return ([r[d:] for r in s.G], rhs(s.G, s.h), [r[d:] for r in s.E],
+            rhs(s.E, s.e), s.witness_nonneg)
 
 
 def _solved_verdict(s, z):
@@ -540,10 +544,9 @@ def _with_dependent_rows(s, rng):
                 + sum((a * v for a, v in zip(wr, w0)), Q(0)))
 
     return sets.LiftedSet(
-        dim=s.dim, witness_dim=s.witness_dim, ineq_z=s.ineq_z,
-        ineq_w=s.ineq_w, ineq_rhs=s.ineq_rhs, eq_z=s.eq_z + [z1, z2],
-        eq_w=s.eq_w + [q, kq],
-        eq_rhs=s.eq_rhs + [through(z1, q), through(z2, kq)],
+        dim=s.dim, witness_dim=s.witness_dim, G=s.G, h=s.h,
+        E=s.E + [z1 + q, z2 + kq],
+        e=s.e + [through(z1, q), through(z2, kq)],
         witness_nonneg=s.witness_nonneg)
 
 
@@ -608,10 +611,10 @@ def test_members_on_beale_rows_terminate_and_match(count_pivots):
     # B w <= h - z}: zero right-hand sides tie the ratio tests, and each
     # negative entry of h - z starts a dual simplex on the kept basis
     beale = [[Q(1, 4), -8, -1, 9], [Q(1, 2), -12, Q(-1, 2), 3], [0, 0, 1, 0]]
+    units = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     s = sets.LiftedSet(dim=3, witness_dim=4,
-                       ineq_z=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                       ineq_w=beale, ineq_rhs=[0, 0, 1],
-                       witness_nonneg=[True] * 4)
+                       G=[u + row for u, row in zip(units, beale)],
+                       h=[0, 0, 1], witness_nonneg=[True] * 4)
     rng = random.Random(1955)
     points = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 2],
               [1, 1, 2], [-1, 0, 1]]

@@ -150,10 +150,11 @@ def fenchel_values(f: PiecewiseAffine, points, over=None) -> list:
     The conjugate at u is sup_x (u . x - f(x)) = -min (t - u . x) over f's
     epigraph rows (a.x + b <= t per piece, plus dom f and `over`). Only the
     cost (-u, 1) depends on u, so one `lp.System` serves every point: phase
-    1 runs once per f, and each point is a phase 2 (`minima`). The minimum
+    1 runs once per f, and a point runs a phase 2 only when no ray or
+    optimal basis of an earlier point decides it (`minima`). The minimum
     is unique, so each value is the one a program per point would give. A
-    tilt needs no program of its own
-    either: the conjugate of f - s.x - l at u is f*(u + s) + l."""
+    tilt needs no program of its own either: the conjugate of f - s.x - l
+    at u is f*(u + s) + l."""
     n = f.dim
     costs = _tilt_costs(points, n, "point dimension mismatch")
     if over is None:

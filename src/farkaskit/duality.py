@@ -312,12 +312,14 @@ def _combination(vectors, weights, width):
 
 
 def _sum_point_sample(inst: FarkasInstance, rng, points, rays, rows):
-    """A random point of epi f* + certificate cone: a convex combination of
-    the points of epi f*, plus nonnegative multiples of its rays and of the
-    ray generators of the ground's support epigraph, plus the multiplier
-    graph point (map^T lam, sigma_target(lam)). The points, the rays and
-    the map's rows each come over one denominator (`_over_one_denominator`),
-    so the point is an integer combination made rational once."""
+    """(z, lam): a random point of epi f* + certificate cone short of its
+    target support, and the multiplier lam it drew. z is a convex
+    combination of the points of epi f*, plus nonnegative multiples of its
+    rays and of the ray generators of the ground's support epigraph, plus
+    (map^T lam, 0); adding sigma_target(lam) to its last entry gives the
+    sum point. The points, the rays and the map's rows each come over one
+    denominator (`_over_one_denominator`), so z is an integer combination
+    made rational once."""
     (P, dp), (R, dr), (A, da) = points, rays, rows
     weights = [rng.randint(0, 3) for _ in P]
     if not any(weights):
@@ -330,9 +332,8 @@ def _sum_point_sample(inst: FarkasInstance, rng, points, rays, rows):
     za = _combination(A, lam, inst.n) + [0]
     fp, fr, fa = dr * da, total * dp * da, total * dp * dr
     den = total * dp * dr * da
-    z = [Q(p * fp + r * fr + a * fa, den) for p, r, a in zip(zp, zr, za)]
-    z[-1] += inst.target_support(lam)
-    return z
+    return [Q(p * fp + r * fr + a * fa, den)
+            for p, r, a in zip(zp, zr, za)], lam
 
 
 def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
@@ -356,8 +357,12 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
         _over_one_denominator(
             conj.rays + calculus.support_epigraph_generators(inst.ground)),
         _over_one_denominator(inst.matrix))
-    points = [_sum_point_sample(inst, rng, *generators)
-              for _ in range(n_points)]
+    # every sample is drawn before the target supports are swept at once
+    samples = [_sum_point_sample(inst, rng, *generators)
+               for _ in range(n_points)]
+    points = [z for z, _ in samples]
+    for z, s in zip(points, inst.target_supports([lam for _, lam in samples])):
+        z[-1] += s
     if not all(sets.members(restricted, points)):
         raise InvariantViolation(
             "a sum point escapes the restricted conjugate epigraph")

@@ -101,9 +101,14 @@ class FarkasInstance:
 
     def target_support(self, lam):
         """sigma_target(lam), by closed form on boxes, LP otherwise."""
+        return self.target_supports([lam])[0]
+
+    def target_supports(self, lams) -> list:
+        """[target_support(lam) for lam in lams]: by closed form on a box,
+        from one `sets.supports` sweep (one phase 1) on a polyhedron."""
         if isinstance(self.target, Box):
-            return self.target.support(lam)
-        return sets.support(self.target.to_lifted(), lam)
+            return [self.target.support(lam) for lam in lams]
+        return sets.supports(self.target.to_lifted(), lams)
 
     @kept
     def preimage_polyhedron(self) -> Polyhedron:
@@ -368,8 +373,9 @@ def _certificates(inst: FarkasInstance, shifts, found) -> list:
     recomputed values: found[k] is (u, lam) from the multiplier program of
     inst.tilted(shifts[k]), or None, which stays None. The conjugate of a
     tilt is f*(u + shift), so every conjugate value comes from one
-    `fenchel_values` call on the untilted f, and every ground support from
-    one `sets.supports` sweep. Not validated."""
+    `fenchel_values` call on the untilted f, every ground support from one
+    `sets.supports` sweep, and every target support from one
+    `target_supports` call. Not validated."""
     hits = [k for k, x in enumerate(found) if x is not None]
     us = [found[k][0] for k in hits]
     lams = [found[k][1] for k in hits]
@@ -379,11 +385,11 @@ def _certificates(inst: FarkasInstance, shifts, found) -> list:
         inst.objective,
         [[a + s for a, s in zip(u, shifts[k])] for k, u in zip(hits, us)])
     gsup = sets.supports(inst.ground.to_lifted(), vs)
+    tsup = inst.target_supports(lams)
     certs = [None] * len(found)
-    for k, u, v, lam, c, g in zip(hits, us, vs, lams, conj, gsup):
+    for k, u, v, lam, c, g, t in zip(hits, us, vs, lams, conj, gsup, tsup):
         certs[k] = Certificate(u=u, v=v, lam=lam, conjugate_value=c,
-                               ground_support=g,
-                               target_support=inst.target_support(lam))
+                               ground_support=g, target_support=t)
     return certs
 
 

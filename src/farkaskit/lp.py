@@ -16,12 +16,30 @@ forms every row that enters the tableau: the phase-1 row (cost 1 at each
 artificial column), each phase-2 cost row and each appended row.
 
 `System(program)` holds a program's rows (not its c) on one tableau, built
-at the first question and kept for every later one. `outcomes` and `minima`
-run phase 1 once and, per distinct cost, a phase 2 on its own copy of the
-kept tableau, so each answer equals a fresh `solve` (which is `outcomes` of
-one cost) bit for bit; `minima` reads only the final objective row's value,
-all that a support or conjugate value needs. `unique_optima` reads, per
-cost, the optimal point and value only where the final tableau proves the
+at the first question and kept for every later one. `outcomes` runs phase 1
+once and, per distinct cost, a phase 2 on its own copy of the kept tableau,
+so each answer equals a fresh `solve` (which is `outcomes` of one cost) bit
+for bit.
+
+`minima` wants only the value min c.x, all that a support or conjugate
+value needs, and it first tries to decide each cost from what the phase 2s
+of earlier costs on the same rows proved. An unbounded phase 2 ends with an
+improving ray r of the rows' recession cone, kept in the program's
+variables as integers: the rows are feasible, so any later c with c.r < 0
+is unbounded below too. An optimal phase 2 ends at a basis whose final
+tableau is kept: a later c whose reduced-cost row in that basis
+(`_Tableau.cost_row`) has no negative entry at a real column meets the
+kernel's own optimality test there (Dantzig 1963, postoptimality), so its
+minimum is that basic solution's value. Only a cost that no kept ray or
+basis decides runs a phase 2, and its ray or basis is kept in turn. The
+minimum of c.x over the rows is one number, whatever pivots reach it, so
+each value equals a fresh `solve`'s bit for bit; the points and
+multipliers do depend on the pivot path, and `outcomes` and
+`unique_optima` still solve every cost. `append` changes the rows, which
+may cut a kept ray and which no kept basis holds, so it drops them all.
+
+`unique_optima` runs a phase 2 per distinct cost as `outcomes` does, and
+reads the optimal point and value only where the final tableau proves the
 optimum attained at one point (Mangasarian 1979): every nonbasic real
 column has a positive reduced cost. A feasible point's cost exceeds the
 optimum by the sum over nonbasic columns of reduced cost times value, so
@@ -451,6 +469,16 @@ class _Tableau:
         self.mG += 1
         self.m += 1
 
+    def cost_row(self, c):
+        """The reduced costs c - sum_i c_basis[i] T[i]/D[i] (slacks and
+        artificials cost 0) as (z, d), which depend on the basis only."""
+        return self._reduced(*self._integer_row(c, ZERO))
+
+    def optimal(self, z):
+        """Whether the basis is optimal for the cost row z: no real column
+        has a negative reduced cost (artificials never enter)."""
+        return min(z[:self.nreal], default=0) >= 0
+
     def phase2(self, c):
         """Minimize c.x from the feasible basis the tableau holds (the one
         phase 1 or the last append left); artificial columns are
@@ -458,9 +486,7 @@ class _Tableau:
         (z, d) and q: None when the minimum -z[RHS] / d is attained, else
         the entering column with no leaving row (c.x unbounded below)."""
         T, D = self.T, self.D
-        # reduced costs c - sum_i c_basis[i] T[i]/D[i] (slacks and
-        # artificials cost 0), which depend on the basis only
-        z, d = self._reduced(*self._integer_row(c, ZERO))
+        z, d = self.cost_row(c)
         T.append(z)
         D.append(d)
         q = self._run(self.nreal)
@@ -485,14 +511,20 @@ class _Tableau:
             mu, nu = self._duals(z, d, 0)
             return LPOutcome(OPTIMAL, x=self._x(), value=Q(-z[self.RHS], d),
                              dual_ineq=mu, dual_eq=nu)
+        return LPOutcome(UNBOUNDED, x=self._x(), value=NEG_INF,
+                         ray=self.ray(q))
+
+    def ray(self, q):
+        """The improving ray of entering column q with no leaving row, in
+        the program's variables: column q rises by 1 and each basic column
+        falls by its entry in column q."""
         T, D, basis = self.T, self.D, self.basis
         dz = {q: ONE}
         for i in range(self.m):
             t = T[i][q]
             if t:
                 dz[basis[i]] = Q(-t, D[i])
-        return LPOutcome(UNBOUNDED, x=self._x(), value=NEG_INF,
-                         ray=self._per_variable(dz))
+        return self._per_variable(dz)
 
     def unique_point(self, z):
         """Whether the optimal objective row z proves its optimum attained
@@ -538,6 +570,11 @@ class System:
         # the Farkas pair (mu, nu) once the rows are infeasible, else None
         self._farkas = None
         self._phase1_pivots = None
+        # what the fresh phase 2s of `minima` proved about the rows: the
+        # improving rays of unbounded costs, as integers in the program's
+        # variables, and the final tableaux of optimal ones
+        self._rays = []
+        self._bases = []
 
     def _kept(self) -> _Tableau:
         if self._tab is None:
@@ -560,15 +597,21 @@ class System:
         copies = [tab.copy() for _ in costs]
         return [(t, *t.phase2(c)) for t, c in zip(copies, costs)]
 
-    def _questions(self, costs):
-        """`_phase2` of the distinct costs in `costs` ([] when there are
-        none), and per cost the index of its run."""
+    def _distinct(self, costs):
+        """The distinct costs in `costs`, as tuples in order of first
+        appearance, and per cost the index of its tuple."""
         where, at = {}, []
         for c in costs:
             c = tuple(as_q_vector(c, self.program.n,
                                   "cost width != number of variables"))
             at.append(where.setdefault(c, len(where)))
-        return (self._phase2(list(where)) if where else []), at
+        return list(where), at
+
+    def _questions(self, costs):
+        """`_phase2` of the distinct costs in `costs` ([] when there are
+        none), and per cost the index of its run."""
+        distinct, at = self._distinct(costs)
+        return (self._phase2(distinct) if distinct else []), at
 
     def outcomes(self, costs) -> list:
         """One outcome per cost vector in `costs`, each equal to `solve` of
@@ -585,13 +628,38 @@ class System:
     def minima(self, costs) -> list:
         """min c.x over the rows for each c in `costs`: the `solve` value
         when it is optimal, NEG_INF when unbounded below, INF when the rows
-        are infeasible. No point, ray or multiplier is formed."""
-        runs, at = self._questions(costs)
-        if runs is None:
+        are infeasible. Each distinct cost is first tried against the rays
+        and optimal bases that earlier costs found (see the module
+        docstring); only a cost that none of them decides runs a phase 2,
+        whose ray or final tableau is then kept. No point or multiplier is
+        formed."""
+        distinct, at = self._distinct(costs)
+        if not distinct:
+            return []
+        self._kept()
+        if self._farkas is not None:
             return [INF] * len(at)
-        values = [NEG_INF if q is not None else Q(-z[t.RHS], d)
-                  for t, z, d, q in runs]
+        values = [self._minimum(c) for c in distinct]
         return [values[k] for k in at]
+
+    def _minimum(self, c):
+        """min c.x over the feasible rows, from a kept ray or basis when
+        one decides it, else from a phase 2 whose proof is then kept."""
+        if self._rays:
+            nums = over_lcm(c)[0]
+            for r in self._rays:
+                if sum(a * b for a, b in zip(nums, r) if a) < 0:
+                    return NEG_INF
+        for t in self._bases:
+            z, d = t.cost_row(c)
+            if t.optimal(z):
+                return Q(-z[t.RHS], d)
+        (t, z, d, q), = self._phase2([c])
+        if q is not None:
+            self._rays.append(over_lcm(t.ray(q))[0])
+            return NEG_INF
+        self._bases.append(t)
+        return Q(-z[t.RHS], d)
 
     def unique_optima(self, costs) -> list:
         """Per cost c in `costs`, (x, value) when the final tableau of its
@@ -644,6 +712,8 @@ class System:
         a = as_q_vector(a, self.program.n, "row width != number of variables")
         b = as_q(b)
         tab = self._kept()
+        # the new row may cut a kept ray, and the kept bases lack it
+        self._rays, self._bases = [], []
         if self._farkas is None:
             tab.append_row(a, b)
             r = tab.dual_simplex()

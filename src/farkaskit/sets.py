@@ -131,9 +131,10 @@ def support(s: LiftedSet, d):
 
 
 def supports(s: LiftedSet, directions) -> list:
-    """[support(s, d) for d in directions], from one feasible basis of the
-    set's rows (`lp.System.minima`): phase 1 runs once and each direction
-    is a phase 2 only.
+    """[support(s, d) for d in directions], on one `lp.System` of the set's
+    rows (`lp.System.minima`): phase 1 runs once, and a direction runs a
+    phase 2 only when no ray or optimal basis that an earlier direction
+    found decides it.
     sup d.z is minus the minimum of -d.z, so an empty set's INF becomes
     NEG_INF and an unbounded minimum's NEG_INF becomes INF."""
     costs = []

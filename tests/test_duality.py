@@ -419,6 +419,60 @@ def test_sum_points_share_one_phase_1(count_phase1, monkeypatch):
     assert sweeps == [(20, True, 1)]
 
 
+def pentagon_target_instance():
+    # bounded_instance with a polyhedron of five rows as its target, whose
+    # supports are LPs
+    return FarkasInstance(
+        ground=Box([(0, 1), (0, 1)]).to_polyhedron(),
+        matrix=[[1, 0], [1, 1]],
+        target=Polyhedron(dim=2, G=[[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]],
+                          h=[2, 2, 0, 0, 3]),
+        objective=PiecewiseAffine(dim=2, slopes=[[1, 1]], offsets=[0]))
+
+
+# the sum points of pentagon_target_instance at seed 2, as drawn when each
+# took its target support from a program of its own
+PENTAGON_SUM_POINTS = ("55c1e4f7492f51238ab39562e4b501a8"
+                       "0b73dcc16cb0110122e07654edf66a82")
+
+
+def test_target_supports_are_one_sweep_per_batch(count_phase1, monkeypatch):
+    # counted after the instance's construction: 66 phase-1 runs when each
+    # of the 20 sum points and each of the 14 certificates posed its target
+    # support as a one-direction program of its own; now the sum points
+    # take one sweep and each certificate batch another, and the points
+    # are the ones drawn before
+    inst = pentagon_target_instance()
+    sweeps, drawn = [], []
+    supports, members = sets.supports, sets.members
+
+    def sweeping(s, directions):
+        sweeps.append(len(directions))
+        return supports(s, directions)
+
+    def drawing(s, points):
+        drawn.append([list(p) for p in points])
+        return members(s, points)
+
+    monkeypatch.setattr(sets, "supports", sweeping)
+    monkeypatch.setattr(sets, "members", drawing)
+    rep, runs = count_phase1(duality.check_stable_strong_duality, inst, None,
+                             2)
+    assert rep.tilts_checked == 25 and rep.all_strong
+    assert runs <= 34
+    assert sweeps == [20, 14, 14]
+    assert hashlib.sha256(repr(drawn).encode()).hexdigest() == \
+        PENTAGON_SUM_POINTS
+    lams = [[Q(1), Q(-2)], [Q(0), Q(0)], [Q(-1, 3), Q(1)]]
+    assert inst.target_supports(lams) == [
+        sets.support(inst.target.to_lifted(), lam) for lam in lams] == \
+        [Q(2), Q(0), Q(2)]
+    box = bounded_instance()
+    assert box.target_supports(lams) == [box.target.support(lam)
+                                         for lam in lams]
+    assert box.target_supports([]) == inst.target_supports([]) == []
+
+
 OPTIMALITY_PROGRAMS = ("525573d2942aa63f1518648575ffd2a3"
                        "2c6571f0cd640230701b79f24d048960")
 

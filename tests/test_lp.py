@@ -881,6 +881,151 @@ def test_minima_edge_cases(count_phase1, count_pivots):
     assert System(infeasible).minima([[1], [-1]]) == [INF, INF]
 
 
+def _recording_fresh_costs(monkeypatch):
+    """The list that every cost posed to `System._phase2` is appended to:
+    the costs that a question solves by a phase 2 of their own."""
+    phase2 = System._phase2
+    fresh = []
+
+    def recording(kept, costs):
+        fresh.extend(costs)
+        return phase2(kept, costs)
+
+    monkeypatch.setattr(System, "_phase2", recording)
+    return fresh
+
+
+def _swept_costs(rng, n):
+    # 24 distinct costs: small integers, so that many share a ray or an
+    # optimal basis, then fractions, then the zero cost
+    costs = {tuple(Q(rng.randint(-2, 2)) for _ in range(n)) for _ in range(60)}
+    costs = sorted(costs)[:15]
+    while len(costs) < 23:
+        c = tuple(_small_fraction(rng) for _ in range(n))
+        if c not in costs:
+            costs.append(c)
+    costs = [list(c) for c in costs if any(c)][:23]
+    rng.shuffle(costs)
+    return costs + [[ZERO] * n]
+
+
+def _reuse_draws(rng, count):
+    """(program, costs) pairs: seeded `_shared_constraints` rows, and the
+    same rows with zero right-hand sides (a cone, degenerate at the
+    origin), each with its swept costs."""
+    for _ in range(count):
+        n, G, h, E, e, nonneg, _ = _shared_constraints(rng)
+        costs = _swept_costs(rng, n)
+        yield LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e,
+                            nonneg=nonneg), costs
+        yield LinearProgram(c=[ZERO] * n, G=G, h=[ZERO] * len(G), E=E,
+                            e=[ZERO] * len(E), nonneg=nonneg), costs
+
+
+def _fresh_value(program, c, memo):
+    # the value of a fresh solve with cost c, whose outcome must certify
+    key = tuple(c)
+    if key not in memo:
+        lp = LinearProgram(c=c, G=program.G, h=program.h, E=program.E,
+                           e=program.e, nonneg=program.nonneg)
+        out = solve(lp)
+        assert certifies_outcome(lp, out), out.status
+        memo[key] = {OPTIMAL: out.value, UNBOUNDED: NEG_INF,
+                     INFEASIBLE: INF}[out.status]
+    return memo[key]
+
+
+def test_minima_from_kept_rays_and_bases_match_fresh_solves(monkeypatch):
+    # each System is asked its costs in seeded order, and a second System
+    # the same costs shuffled; every value equals a fresh solve's, and
+    # most costs are decided by a ray or a basis that an earlier cost of
+    # the same System found, without a phase 2 of their own
+    fresh = _recording_fresh_costs(monkeypatch)
+    rng = random.Random(20261025)
+    decided = {"fresh": 0, "ray": 0, "basis": 0}
+    for program, costs in _reuse_draws(rng, 100):
+        memo = {}
+        for order in (costs, rng.sample(costs, len(costs))):
+            fresh.clear()
+            values = System(program).minima(order)
+            ran = set(fresh)
+            assert len(ran) == len(fresh)
+            for c, value in zip(order, values):
+                assert value == _fresh_value(program, c, memo)
+                if value is INF:
+                    continue
+                if tuple(c) in ran:
+                    decided["fresh"] += 1
+                else:
+                    decided["ray" if value is NEG_INF else "basis"] += 1
+    assert decided["fresh"] < min(decided["ray"], decided["basis"])
+
+
+def test_minima_reuse_by_hand(monkeypatch, count_pivots):
+    # x, y >= 0, x + y >= 1, y <= 2. (-1, 0) is unbounded along (1, 0),
+    # which also decides (-1, 5); (2, 1) is optimal at (0, 1), whose basis
+    # is optimal for (3, 1) too. The second and fourth costs run no phase
+    # 2 and make no pivot, although (3, 1) alone pivots in its phase 2.
+    rows = LinearProgram(c=[0, 0], G=[[-1, -1], [0, 1]], h=[-1, 2], E=[],
+                         e=[], nonneg=[True, True])
+    costs = [[-1, 0], [-1, 5], [2, 1], [3, 1]]
+    fresh = _recording_fresh_costs(monkeypatch)
+    values, pivots = count_pivots(System(rows).minima, costs)
+    assert values == [NEG_INF, NEG_INF, Q(1), Q(1)]
+    assert fresh == [(-1, 0), (2, 1)]
+    assert pivots == count_pivots(System(rows).minima, costs[::2])[1]
+    phase1 = count_pivots(System(rows).minima, [[0, 0]])[1]
+    assert count_pivots(System(rows).minima, [costs[3]])[1] > phase1
+    for c, value in zip(costs, values):
+        assert value == _fresh_value(rows, c, {})
+
+
+def test_append_drops_kept_rays_and_bases():
+    # the ray (1, 0) of (-1, 0) would call -x + y unbounded after x <= 3
+    # is appended, and the basis at (0, 1) of (2, 1) would give 3x + y the
+    # value 1 after y <= 1/2 cuts that point off
+    rows = LinearProgram(c=[0, 0], G=[[-1, -1], [0, 1]], h=[-1, 2], E=[],
+                         e=[], nonneg=[True, True])
+    kept = System(rows)
+    assert kept.minima([[-1, 0], [2, 1]]) == [NEG_INF, Q(1)]
+    assert kept.minima([[-1, 1], [3, 1]]) == [NEG_INF, Q(1)]
+    kept.append([1, 0], 3)
+    kept.append([0, 1], Q(1, 2))
+    assert kept.minima([[-1, 1], [3, 1]]) == [Q(-3), Q(2)]
+    grown = LinearProgram(c=[0, 0], G=rows.G + [[1, 0], [0, 1]],
+                          h=rows.h + [3, Q(1, 2)], E=[], e=[],
+                          nonneg=[True, True])
+    assert [_fresh_value(grown, c, {}) for c in ([-1, 1], [3, 1])] == \
+        [Q(-3), Q(2)]
+
+
+def test_minima_reuse_between_feasible_sweeps(monkeypatch):
+    # right-hand sides swept on the same System between chunks of costs:
+    # each verdict equals a fresh solve at its right-hand side, each value
+    # a fresh solve at the program's own, and kept proofs still decide
+    # costs after a sweep
+    fresh = _recording_fresh_costs(monkeypatch)
+    rng = random.Random(20261026)
+    verdicts, reused = set(), 0
+    for program, costs in _reuse_draws(rng, 25):
+        kept, memo = System(program), {}
+        mG = len(program.G)
+        for k in range(0, len(costs), 6):
+            b = [_small_fraction(rng) for _ in range(mG + len(program.E))]
+            at_b = LinearProgram(c=program.c, G=program.G, h=b[:mG],
+                                 E=program.E, e=b[mG:], nonneg=program.nonneg)
+            verdict = kept.feasible(b)
+            assert verdict == (solve(at_b).status != INFEASIBLE)
+            verdicts.add(verdict)
+            fresh.clear()
+            chunk = costs[k:k + 6]
+            values = kept.minima(chunk)
+            reused += k > 0 and len(fresh) < len(chunk)
+            for c, value in zip(chunk, values):
+                assert value == _fresh_value(program, c, memo)
+    assert verdicts == {True, False} and reused
+
+
 def test_unique_optima_match_fresh_solves():
     # wherever the kernel accepts, its point and value are the fresh
     # solve's, bit for bit; accepted optima include free variables off

@@ -152,20 +152,24 @@ class TestGridChecks:
         assert runs <= 35
 
     def test_grid_dual_reads_the_criterion_cone_supports(self, monkeypatch):
-        # kernel calls that pose a (program, costs) pair already posed on
-        # the same grid, from its construction through check_grid_dual and
-        # check_stability, on 11 seeded grids: 31 when check_grid_dual swept
-        # the certificate cone again along the criterion's probe directions,
-        # 20 when the 6 grids with a whole-space ground swept the feasible
-        # set's support epigraph after the preimage's, the same set
+        # phase 2s that pose a (program, cost) pair already posed on the
+        # same grid, from its construction through check_grid_dual and
+        # check_stability, on 11 seeded grids: 20 before `System.minima`
+        # answered costs from the rays and bases that earlier costs found.
+        # Counted per (program, cost list) before that: 31 when
+        # check_grid_dual swept the certificate cone again along the
+        # criterion's probe directions, 20 when the 6 grids with a
+        # whole-space ground swept the feasible set's support epigraph
+        # after the preimage's, the same set, and 14 after both
         phase2 = lp.System._phase2
         seen, repeats = set(), 0
 
         def recording(kept, costs):
             nonlocal repeats
-            key = f"{kept.program!r} {costs!r}"
-            repeats += key in seen
-            seen.add(key)
+            for c in costs:
+                key = f"{kept.program!r} {c!r}"
+                repeats += key in seen
+                seen.add(key)
             return phase2(kept, costs)
 
         monkeypatch.setattr(lp.System, "_phase2", recording)
@@ -181,7 +185,7 @@ class TestGridChecks:
             semiinf.check_grid_dual(g)
             duality.check_stability(g)
             checked += 1
-        assert (checked, repeats) == (11, 14)
+        assert (checked, repeats) == (11, 17)
 
     def test_whole_space_ground_sweeps_the_preimage_once(self, monkeypatch):
         # with no ground rows the feasible set is the preimage, so its

@@ -471,8 +471,11 @@ def test_supports_run_phase_1_once(count_pivots):
     # a zero cost makes no phase-2 pivot, so this is one phase-1 run
     _, phase1 = count_pivots(sets.is_empty, cone)
     per_direction = sum(n for _, n in singles)
-    assert (phase1, swept, per_direction) == (6, 148, 442)
-    assert swept == phase1 + sum(n - phase1 for _, n in singles)
+    assert (phase1, swept, per_direction) == (6, 22, 442)
+    # one phase 1, and fewer phase-2 pivots than one phase 2 per direction
+    # (148 = 6 + 142 when each direction ran one): most directions are
+    # decided by a ray or an optimal basis an earlier direction found
+    assert swept < phase1 + sum(n - phase1 for _, n in singles)
 
 
 def test_repeated_directions_cost_no_pivots(count_pivots):
@@ -625,3 +628,73 @@ def test_members_on_beale_rows_terminate_and_match(count_pivots):
     assert got == [_solved_verdict(s, z) for z in points]
     assert True in got and False in got
     assert pivots < 10 * len(points)
+
+
+def _directions(rng, dim, count):
+    # the probe grid, then distinct seeded directions with integer and
+    # fractional entries, up to `count`
+    dirs = sets.probe_directions(dim)[:count]
+    seen = {tuple(d) for d in dirs}
+    while len(dirs) < count:
+        d = tuple(Q(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+                  for _ in range(dim))
+        if any(d) and d not in seen:
+            seen.add(d)
+            dirs.append(list(d))
+    return dirs
+
+
+def _large_cone(rng, k):
+    # the image of the support epigraph of a polyhedron in R^k through a
+    # square map: a cone in R^(k+1) whose supports are 0 or INF
+    p = sets.Polyhedron(dim=k, G=[[rng.randint(-3, 3) for _ in range(k)]
+                                  for _ in range(2 * k)],
+                        h=[rng.randint(0, 4) for _ in range(2 * k)])
+    return sets.linear_image(
+        calculus.support_epigraph(p),
+        [[rng.randint(-2, 2) for _ in range(k + 1)] for _ in range(k + 1)])
+
+
+def _large_polytope(rng, dim):
+    # conv of eight seeded points plus a box: bounded, with free and
+    # nonnegative witnesses and equality rows
+    hull = sets.as_lifted(sets.GeneratedSet(
+        dim=dim, points=[[rng.randint(-4, 4) for _ in range(dim)]
+                         for _ in range(8)]))
+    box = sets.Box([(-rng.randint(0, 2), rng.randint(0, 2))
+                    for _ in range(dim)])
+    return sets.minkowski_sum(hull, box.to_polyhedron().to_lifted())
+
+
+def test_large_set_supports_match_highs():
+    # sets in dimension 5 and 6, 200 directions each, swept on one System
+    # (so most directions are answered by a ray or a basis that an earlier
+    # one found) against a HiGHS solve per direction of the same rows
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    highs_status = {0: "finite", 2: NEG_INF, 3: INF}
+    seen = set()
+    for seed in range(2):
+        rng = random.Random(20261027 + seed)
+        for s in (_large_cone(rng, 4 + seed), _large_polytope(rng, 5 + seed)):
+            assert s.dim in (5, 6)
+            dirs = _directions(rng, s.dim, 200)
+            bounds = ([(None, None)] * s.dim
+                      + [(0, None) if f else (None, None)
+                         for f in s.witness_nonneg])
+            rows = {"A_ub": [[float(v) for v in r] for r in s.G] or None,
+                    "b_ub": [float(v) for v in s.h] or None,
+                    "A_eq": [[float(v) for v in r] for r in s.E] or None,
+                    "b_eq": [float(v) for v in s.e] or None}
+            for d, value in zip(dirs, sets.supports(s, dirs)):
+                cost = [-float(v) for v in d] + [0.0] * s.witness_dim
+                res = linprog(cost, bounds=bounds, method="highs", **rows)
+                status = highs_status[res.status]
+                if status == "finite":
+                    assert value not in (INF, NEG_INF), (seed, d)
+                    assert -res.fun == pytest.approx(float(value), rel=1e-6,
+                                                     abs=1e-6), (seed, d)
+                else:
+                    assert value is status, (seed, d, res.message)
+                seen.add(status if status != "finite" else
+                          "zero" if value == 0 else "nonzero")
+    assert seen == {INF, "zero", "nonzero"}

@@ -18,24 +18,28 @@ attainment is forced and its absence raises InvariantViolation. An
 unbounded primal counts as strong duality by convention, with the dual then
 necessarily infeasible.
 
-Tilting f by s (f_s = f - s.x) only translates epi f*, since
-f_s*(u) = f*(u + s), so tilts need no conjugate program of their own. The
-duality checks run as batches over tilts, in three steps. (1) Each
-distinct tilt's primal and multiplier program, over the preimage and
-feasible polyhedron the instance keeps for all its tilts. min f_s is
-min t - s.x over f's untilted epigraph rows, so a nonzero shift's primal
-is first the cost (-s, 1) on the instance's kept epigraph system, taken
-where the kernel proves its optimum attained at one point (hence equal to
-a fresh solve), and a program of its own otherwise. Each multiplier
-program is one LP of its own. (2) The conjugate values of all optimal
-duals from one `calculus.fenchel_values` call on the untilted f, and their
-ground supports from one `sets.supports` sweep. (3) The forced identities
-of each tilt, in tilt order. `solve_dual` and `check_strong_duality` are
-the one-tilt case of the same steps. The stable Farkas check
-(`check_stability`) runs the same steps over the shifts of its tilts
-f - s.x - l: a lift l moves the minimum and the best dual value of its
-shift alike, so the statement and the certificate of each tilt are read
-off the shift's two values.
+Tilting f by s (f_s = f - s.x) only translates epi f*, since f_s*(u) =
+f*(u + s), so tilts need no conjugate program of their own. The duality
+checks run as batches over tilts, in three steps. (1) Each distinct tilt's
+primal and multiplier program, posed on the programs the instance built
+once for all its tilts. min f_s is min t - s.x over f's untilted epigraph
+rows, so a nonzero shift's primal is first the cost (-s, 1) on the
+instance's kept epigraph system, taken where the kernel proves its optimum
+attained at one point (hence equal to a fresh solve), from the final basis
+of its own phase 2 or of an earlier tilt's. Otherwise it is solved on the
+kept epigraph program with the x part of each piece row moved by -s, which
+is row for row the program of f_s. The tilt's multiplier program is the
+instance's with s_j taken off the piece weights' entries of cancellation
+row j, row for row the program of the tilted instance, one LP per shift;
+the weights sum to 1, so its u is the instance's u of the same solution
+minus s. (2) The conjugate values of all optimal duals from one
+`calculus.fenchel_values` call on the untilted f, and their ground supports
+from one `sets.supports` sweep. (3) The forced identities of each tilt, in
+tilt order. `solve_dual` and `check_strong_duality` are the one-tilt case
+of the same steps. The stable Farkas check (`check_stability`) runs the
+same steps over the shifts of its tilts f - s.x - l: a lift l moves the
+minimum and the best dual value of its shift alike, so the statement and
+the certificate of each tilt are read off the shift's two values.
 """
 
 from __future__ import annotations
@@ -79,17 +83,48 @@ class DualSolution:
     lam: list | None = None
 
 
+def _tilted_multipliers(program, pieces: int, shift):
+    """The rows of `engine.full_program` of inst.tilted(shift), from
+    those of inst: a piece's slope a becomes a - shift, so each of the
+    first `pieces` columns (the piece weights) of cancellation row j moves
+    by -shift[j]."""
+    moved = [[a - s for a in row[:pieces]] + row[pieces:]
+             for row, s in zip(program.E, shift)]
+    return replace(program, E=moved + program.E[len(moved):])
+
+
+def _tilted_epigraph(program, pieces: int, shift):
+    """The rows of `calculus._epigraph_program` of f.tilted(shift), from
+    those of f: the x part of each piece row, the last `pieces`
+    inequality rows, moves by -shift."""
+    n = len(shift)
+    moved = [[a - s for a, s in zip(row, shift)] + row[n:]
+             for row in program.G[-pieces:]]
+    return replace(program, G=program.G[:-pieces] + moved)
+
+
 def _solve_duals(inst: FarkasInstance, shifts) -> list:
     """Steps 1 and 2 of the dual of each tilt f - shift . x: its
-    `engine.full_program`, one LP per tilt; then the linked triples of the
-    optimal ones with their values, in one batch. Returns (outcome,
-    engine.Certificate or None) per tilt, unchecked."""
+    multiplier program, one LP per tilt, sheared from the instance's own
+    (`_tilted_multipliers`); then the linked triples of the optimal ones
+    with their values, in one batch. The weights sum to 1, so the tilt's
+    u is the instance's u of the same solution minus the shift. Returns
+    (outcome, engine.Certificate or None) per tilt, unchecked."""
+    program, extract = engine.full_program(inst)
+    pieces = len(inst.objective.slopes)
     outs, found = [], []
     for shift in shifts:
-        program, extract = engine.full_program(inst.tilted(shift))
-        out = lp.solve(program)
+        tilt = any(shift)
+        out = lp.solve(_tilted_multipliers(program, pieces, shift) if tilt
+                       else program)
         outs.append(out)
-        found.append(extract(out.x) if out.status == OPTIMAL else None)
+        if out.status != OPTIMAL:
+            found.append(None)
+            continue
+        u, lam = extract(out.x)
+        if tilt:
+            u = [a - s for a, s in zip(u, shift)]
+        found.append((u, lam))
     return list(zip(outs, engine._certificates(inst, shifts, found)))
 
 
@@ -186,20 +221,20 @@ def _tilted_primals(inst: FarkasInstance, shifts) -> list:
     """solve_primal(inst.tilted(shift)) for each of the distinct `shifts`,
     through the instance's kept epigraph system (see the module
     docstring): a nonzero shift refused there, unbounded or infeasible is
-    solved fresh. When the kept phase 1 made no pivot there is no phase 1
-    to save, and a refused shift would pay twice, so all are."""
-    tilts = [shift for shift in shifts if any(shift)]
+    solved fresh, on the kept program's rows sheared to the tilt's
+    (`_tilted_epigraph`)."""
     kept = inst.epigraph_system()
-    warm = iter(calculus.unique_tilted_minima(kept, tilts)
-                if tilts and kept.phase1_pivots else [None] * len(tilts))
+    warm = iter(calculus.unique_tilted_minima(
+        kept, [shift for shift in shifts if any(shift)]))
+    pieces = len(inst.objective.slopes)
     primals = []
     for shift in shifts:
         if not any(shift):
             primals.append(solve_primal(inst))
             continue
         best = next(warm)
-        primals.append(solve_primal(inst.tilted(shift)) if best is None
-                       else best)
+        primals.append(calculus.minimum_on(lp.System(_tilted_epigraph(
+            kept.program, pieces, shift))) if best is None else best)
     return primals
 
 
@@ -208,6 +243,8 @@ def _tilt_reports(inst: FarkasInstance, shifts):
     tilt order. Steps 1 and 2 (the primal and dual program of each distinct
     shift, the batched values) run before the first report, and step 3,
     the checks of one tilt, runs as its report is taken."""
+    shifts = [as_q_vector(s, inst.n, "shift dimension mismatch")
+              for s in shifts]
     distinct, at = _distinct(shifts)
     primals = _tilted_primals(inst, distinct)
     duals = _solve_duals(inst, distinct)

@@ -34,37 +34,45 @@ minimum is that basic solution's value. Only a cost that no kept ray or
 basis decides runs a phase 2, and its ray or basis is kept in turn. The
 minimum of c.x over the rows is one number, whatever pivots reach it, so
 each value equals a fresh `solve`'s bit for bit; the points and
-multipliers do depend on the pivot path, and `outcomes` and
-`unique_optima` still solve every cost. `append` changes the rows, which
-may cut a kept ray and which no kept basis holds, so it drops them all.
+multipliers do depend on the pivot path, and `outcomes` still solves every
+cost. `append` changes the rows, which may cut a kept ray and which no
+kept basis holds, so it drops them all. Costs are told apart, and tested
+against the kept rays and bases, by their integers over one denominator
+(`over_lcm`), formed once per distinct cost.
 
-`unique_optima` runs a phase 2 per distinct cost as `outcomes` does, and
-reads the optimal point and value only where the final tableau proves the
-optimum attained at one point (Mangasarian 1979): every nonbasic real
-column has a positive reduced cost. A feasible point's cost exceeds the
-optimum by the sum over nonbasic columns of reduced cost times value, so
-only the basic solution costs that little. The one exception is the twin of
-a basic split variable's column: the two parts of x_j = x_j+ - x_j- have
-opposite columns, so the twin's reduced cost is 0, and raising it raises
-the basic part by as much, which moves no variable. Artificial columns are
-fixed at zero and not read. Every solve of the program with that cost, a
-fresh `solve` with its own phase 1 included, ends at an optimal point, and
-there is only one, so the answer equals the fresh point and value bit for
-bit (its multipliers need not, and are not given). The test is sufficient,
-not necessary: a degenerate vertex may fail it although its optimum is
-unique, and the caller then solves afresh. `append` adds an inequality
-row a.x <= b, as an exchange (cutting-plane) method does: the row gets a
-slack column of its own, after the last slack and before the artificials,
-and enters reduced in the current basis, its slack basic, so its value may
-be negative. `feasible` decides the program's rows under a right-hand side
-b of its own, as membership sweeps pose them, on a tableau of its own:
-phase 1 runs at b until some b is feasible, and every later b is set on
-the basis B the last one left. The starting basis (the artificial of a
-row, else its slack) is the identity, and every pivot is a row operation
-on the whole tableau, so the current columns of those starting basic
-columns hold B^-1, and b becomes B^-1 (sigma b) with the first row flips
-sigma kept: the artificials stay nonbasic at zero, so the flipped rows
-state the original ones. An inert row (a basic artificial, no
+`unique_optima` reads a cost's optimal point and value only where a basis
+proves the optimum attained at one point (Mangasarian 1979): every
+nonbasic real column has a positive reduced cost. A feasible point's cost
+exceeds the optimum by the sum over nonbasic columns of reduced cost times
+value, so only the basic solution costs that little. The one exception is
+the twin of a basic split variable's column: the two parts of
+x_j = x_j+ - x_j- have opposite columns, so the twin's reduced cost is 0,
+and raising it raises the basic part by as much, which moves no variable.
+Artificial columns are fixed at zero and not read. Every solve of the
+program with that cost, a fresh `solve` with its own phase 1 included,
+ends at an optimal point, and there is only one, so the answer equals the
+fresh point and value bit for bit (its multipliers need not, and are not
+given). The basis need not be c's own: `unique_optima` shares the kept
+rays and bases of `minima`. A kept ray that c descends leaves no optimum,
+and a kept basis whose reduced costs for c pass the test holds the one
+optimal point. Any other cost runs a phase 2, whose ray or basis is kept.
+The test is sufficient, not necessary: a degenerate vertex may fail it
+although its optimum is unique, so a kept basis that fails it does not
+refuse c, whose phase 2 may end at one that passes; a final tableau that
+fails it does, and the caller then solves afresh.
+
+`append` adds an inequality row a.x <= b, as an exchange (cutting-plane)
+method does: the row gets a slack column of its own, after the last slack
+and before the artificials, and enters reduced in the current basis, its
+slack basic, so its value may be negative. `feasible` decides the program's
+rows under a right-hand side b of its own, as membership sweeps pose them,
+on a tableau of its own: phase 1 runs at b until some b is feasible, and
+every later b is set on the basis B the last one left. The starting basis
+(the artificial of a row, else its slack) is the identity, and every pivot
+is a row operation on the whole tableau, so the current columns of those
+starting basic columns hold B^-1, and b becomes B^-1 (sigma b) with the
+first row flips sigma kept: the artificials stay nonbasic at zero, so the
+flipped rows state the original ones. An inert row (a basic artificial, no
 real entry) with a nonzero new value is a row no pivot can meet, so b is
 infeasible. Both `append` and `feasible` then restore the signs by one
 zero-cost dual simplex on the same tableau and the same `pivot`
@@ -259,21 +267,26 @@ class _Tableau:
             D.append(d)
         self.basis = [art_col[i] if art_col[i] is not None else slack0 + i
                       for i in range(m)]
-        self.pivots = 0
 
     def _integer_row(self, values, b):
-        """Values per variable (at its plus column, negated at its minus
-        column) and right-hand side b as a row of integer numerators over
-        the lcm d of their denominators, sharing no factor with d."""
+        """Values per variable and right-hand side b as a row of integer
+        numerators over the lcm d of their denominators, sharing no factor
+        with d (`_placed`)."""
         nums, d = over_lcm([*values, b])
+        row = self._placed(nums)
+        row[self.RHS] = nums[-1]
+        return row, d
+
+    def _placed(self, nums):
+        """A row of zeros with one integer per variable from `nums` at its
+        plus column, negated at its minus column."""
         row = [0] * (self.ncols + 1)
         for (p, mcol), a in zip(self.var_cols, nums):
             if a:
                 row[p] = a
                 if mcol is not None:
                     row[mcol] = -a
-        row[self.RHS] = nums[-1]
-        return row, d
+        return row
 
     def copy(self) -> _Tableau:
         """The same tableau with rows of its own: `pivot` changes rows in
@@ -309,7 +322,6 @@ class _Tableau:
             if f:
                 T[i], D[i] = _eliminate(T[i], D[i], f, p, nz)
         self.basis[r] = q
-        self.pivots += 1
 
     def ratio_row(self, q):
         # Bland leaving rule: min ratio rhs_i / t_i, compared by
@@ -469,10 +481,11 @@ class _Tableau:
         self.mG += 1
         self.m += 1
 
-    def cost_row(self, c):
+    def cost_row(self, nums, d):
         """The reduced costs c - sum_i c_basis[i] T[i]/D[i] (slacks and
-        artificials cost 0) as (z, d), which depend on the basis only."""
-        return self._reduced(*self._integer_row(c, ZERO))
+        artificials cost 0) of the cost c = nums/d, as `over_lcm` gives
+        it, as (z, d), which depend on the basis only."""
+        return self._reduced(self._placed(nums), d)
 
     def optimal(self, z):
         """Whether the basis is optimal for the cost row z: no real column
@@ -486,7 +499,7 @@ class _Tableau:
         (z, d) and q: None when the minimum -z[RHS] / d is attained, else
         the entering column with no leaving row (c.x unbounded below)."""
         T, D = self.T, self.D
-        z, d = self.cost_row(c)
+        z, d = self.cost_row(*over_lcm(c))
         T.append(z)
         D.append(d)
         q = self._run(self.nreal)
@@ -527,10 +540,11 @@ class _Tableau:
         return self._per_variable(dz)
 
     def unique_point(self, z):
-        """Whether the optimal objective row z proves its optimum attained
-        at one point (see the module docstring): every nonbasic real column
-        has a positive reduced cost, except the twin of a basic split
-        variable's column."""
+        """Whether the objective row z proves its optimum attained at one
+        point (see the module docstring): every nonbasic real column has a
+        positive reduced cost, except the twin of a basic split variable's
+        column. Basic columns and such twins have reduced cost 0, so a row
+        that passes is also `optimal`."""
         exempt = set(self.basis)
         for p, m in self.var_cols:
             if m is not None and (p in exempt or m in exempt):
@@ -569,10 +583,10 @@ class System:
         self._sweep = None
         # the Farkas pair (mu, nu) once the rows are infeasible, else None
         self._farkas = None
-        self._phase1_pivots = None
-        # what the fresh phase 2s of `minima` proved about the rows: the
-        # improving rays of unbounded costs, as integers in the program's
-        # variables, and the final tableaux of optimal ones
+        # what the fresh phase 2s of `minima` and `unique_optima` proved
+        # about the rows: the improving rays of unbounded costs, as
+        # integers in the program's variables, and the final tableaux of
+        # optimal ones
         self._rays = []
         self._bases = []
 
@@ -580,7 +594,6 @@ class System:
         if self._tab is None:
             self._tab = tab = _Tableau(self.program)
             row = tab.phase1()
-            self._phase1_pivots = tab.pivots
             if row is not None:
                 # the phase-1 duals, where each artificial costs 1 (d over
                 # d), are a Farkas certificate for the rows
@@ -598,32 +611,69 @@ class System:
         return [(t, *t.phase2(c)) for t, c in zip(copies, costs)]
 
     def _distinct(self, costs):
-        """The distinct costs in `costs`, as tuples in order of first
-        appearance, and per cost the index of its tuple."""
-        where, at = {}, []
+        """The distinct costs in `costs` in order of first appearance, each
+        as (its `Q` tuple, its integers nums over d from `over_lcm`), and
+        per cost the index of its entry. Costs are told apart by their
+        integers, which hash faster than `Q` entries and which the kept
+        ray and basis tests read."""
+        where, distinct, at = {}, [], []
         for c in costs:
-            c = tuple(as_q_vector(c, self.program.n,
-                                  "cost width != number of variables"))
-            at.append(where.setdefault(c, len(where)))
-        return list(where), at
-
-    def _questions(self, costs):
-        """`_phase2` of the distinct costs in `costs` ([] when there are
-        none), and per cost the index of its run."""
-        distinct, at = self._distinct(costs)
-        return (self._phase2(distinct) if distinct else []), at
+            c = as_q_vector(c, self.program.n,
+                            "cost width != number of variables")
+            nums, d = over_lcm(c)
+            k = where.setdefault((d, *nums), len(distinct))
+            if k == len(distinct):
+                distinct.append((tuple(c), nums, d))
+            at.append(k)
+        return distinct, at
 
     def outcomes(self, costs) -> list:
         """One outcome per cost vector in `costs`, each equal to `solve` of
         the program with that cost in place of its c. A repeated cost gets
         its outcome read again, with lists of its own; infeasible rows give
         their Farkas outcome for every cost."""
-        runs, at = self._questions(costs)
+        distinct, at = self._distinct(costs)
+        runs = self._phase2([c for c, _, _ in distinct]) if distinct else []
         if runs is None:
             mu, nu = self._farkas
             return [LPOutcome(INFEASIBLE, farkas_ineq=list(mu),
                               farkas_eq=list(nu)) for _ in at]
         return [t.outcome(z, d, q) for t, z, d, q in (runs[k] for k in at)]
+
+    def _answers(self, costs, unique):
+        """Per cost in `costs`, INF when the rows are infeasible, else
+        `_proved` of its distinct entry."""
+        distinct, at = self._distinct(costs)
+        if not distinct:
+            return []
+        self._kept()
+        if self._farkas is not None:
+            return [INF] * len(at)
+        proofs = [self._proved(*entry, unique) for entry in distinct]
+        return [proofs[k] for k in at]
+
+    def _proved(self, c, nums, d, unique):
+        """What the feasible rows prove about min c.x (c = nums/d): NEG_INF
+        when it is unbounded below, else (tableau, value) at a basis
+        optimal for c and, when `unique`, proving that optimum attained at
+        its point alone (`_Tableau.unique_point`), else None. A kept ray or
+        basis is tried first; only a cost that none decides runs a phase 2,
+        whose ray or final tableau is then kept."""
+        for r in self._rays:
+            if sum(a * b for a, b in zip(nums, r) if a) < 0:
+                return NEG_INF
+        for t in self._bases:
+            z, zd = t.cost_row(nums, d)
+            if t.unique_point(z) if unique else t.optimal(z):
+                return t, Q(-z[t.RHS], zd)
+        (t, z, zd, q), = self._phase2([c])
+        if q is not None:
+            self._rays.append(over_lcm(t.ray(q))[0])
+            return NEG_INF
+        self._bases.append(t)
+        if unique and not t.unique_point(z):
+            return None
+        return t, Q(-z[t.RHS], zd)
 
     def minima(self, costs) -> list:
         """min c.x over the rows for each c in `costs`: the `solve` value
@@ -633,60 +683,21 @@ class System:
         docstring); only a cost that none of them decides runs a phase 2,
         whose ray or final tableau is then kept. No point or multiplier is
         formed."""
-        distinct, at = self._distinct(costs)
-        if not distinct:
-            return []
-        self._kept()
-        if self._farkas is not None:
-            return [INF] * len(at)
-        values = [self._minimum(c) for c in distinct]
-        return [values[k] for k in at]
-
-    def _minimum(self, c):
-        """min c.x over the feasible rows, from a kept ray or basis when
-        one decides it, else from a phase 2 whose proof is then kept."""
-        if self._rays:
-            nums = over_lcm(c)[0]
-            for r in self._rays:
-                if sum(a * b for a, b in zip(nums, r) if a) < 0:
-                    return NEG_INF
-        for t in self._bases:
-            z, d = t.cost_row(c)
-            if t.optimal(z):
-                return Q(-z[t.RHS], d)
-        (t, z, d, q), = self._phase2([c])
-        if q is not None:
-            self._rays.append(over_lcm(t.ray(q))[0])
-            return NEG_INF
-        self._bases.append(t)
-        return Q(-z[t.RHS], d)
+        return [p[1] if isinstance(p, tuple) else p
+                for p in self._answers(costs, False)]
 
     def unique_optima(self, costs) -> list:
-        """Per cost c in `costs`, (x, value) when the final tableau of its
-        phase 2 proves min c.x attained at x alone (`_Tableau.unique_point`),
-        else None: also when c.x is unbounded below or the rows are
-        infeasible. Every solve reaches that one point and value, so each
-        answer equals the x and value of `solve` of the program with cost c,
-        bit for bit."""
-        runs, at = self._questions(costs)
-        if runs is None:
-            return [None] * len(at)
-
-        def answer(t, z, d, q):
-            if q is None and t.unique_point(z):
-                return t._x(), Q(-z[t.RHS], d)
-            return None
-
-        return [answer(*runs[k]) for k in at]
-
-    @property
-    def phase1_pivots(self) -> int:
-        """The pivots of the kept tableau's phase 1, which this builds when
-        no question has yet. With none, the starting basis was feasible, so
-        a cost posed on the kept tableau saves no phase 1 over a fresh
-        `solve`."""
-        self._kept()
-        return self._phase1_pivots
+        """Per cost c in `costs`, (x, value) when an optimal basis proves
+        min c.x attained at x alone (`_Tableau.unique_point`), else None:
+        also when c.x is unbounded below or the rows are infeasible. A kept
+        ray that c descends answers None, and a kept basis of an earlier
+        cost whose reduced costs for c pass the point test answers with its
+        point; any other cost runs a phase 2, whose ray or final tableau is
+        kept as `minima` keeps them. Every solve reaches that one point and
+        value, so each answer equals the x and value of `solve` of the
+        program with cost c, bit for bit."""
+        return [(p[0]._x(), p[1]) if isinstance(p, tuple) else None
+                for p in self._answers(costs, True)]
 
     def feasible(self, b) -> bool:
         """Whether G x <= b[:len(G)], E x = b[len(G):] has a solution under

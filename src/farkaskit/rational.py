@@ -154,9 +154,9 @@ def over_lcm(values):
     # lcm of a list, not of a generator: a tuple built from a generator is
     # resized, and the interpreter then keeps such tuples on its free lists
     # (about 1 MB more peak memory over some 10^5 solves)
-    d = lcm(*[v.denominator for v in values])
-    return [int(v.numerator * (d // v.denominator)) if v else 0
-            for v in values], d
+    dens = [v.denominator for v in values]
+    d = lcm(*dens)
+    return [int(v.numerator) * (d // b) for v, b in zip(values, dens)], d
 
 
 def dot(a, b):

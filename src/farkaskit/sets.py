@@ -264,18 +264,19 @@ def contains_generated(s: LiftedSet, g: GeneratedSet) -> bool:
 def probe_directions(dim: int, n_random: int = 0, seed: int = 0):
     """The standard probe grid: +-e_i, then +-e_i +- e_j (i < j), then
     n_random extra seeded integer directions. The grid's directions are
-    nonzero and distinct by construction."""
+    nonzero and distinct by construction; a draw is told from those kept
+    by its integers, before it is made rational."""
     dirs = []
     for i in range(dim):
-        for si in (ONE, -ONE):
-            v = [ZERO] * dim
+        for si in (1, -1):
+            v = [0] * dim
             v[i] = si
             dirs.append(v)
     for i in range(dim):
         for j in range(i + 1, dim):
-            for si in (ONE, -ONE):
-                for sj in (ONE, -ONE):
-                    v = [ZERO] * dim
+            for si in (1, -1):
+                for sj in (1, -1):
+                    v = [0] * dim
                     v[i] = si
                     v[j] = sj
                     dirs.append(v)
@@ -283,18 +284,17 @@ def probe_directions(dim: int, n_random: int = 0, seed: int = 0):
     rng = random.Random(seed)
     made = 0
     while made < n_random:
-        v = [Q(rng.randint(-3, 3)) for _ in range(dim)]
-        if all(x == ZERO for x in v):
+        v = [rng.randint(-3, 3) for _ in range(dim)]
+        if not any(v):
             continue
-        key = tuple(v)
-        if key in seen:
-            # keep the draw count moving even on duplicates so this terminates
-            made += 1
-            continue
-        seen.add(key)
-        dirs.append(v)
+        # the draw count moves on duplicates too, so this terminates
         made += 1
-    return dirs
+        key = tuple(v)
+        if key not in seen:
+            seen.add(key)
+            dirs.append(v)
+    rational = {k: Q(k) for k in range(-3, 4)}
+    return [[rational[x] for x in v] for v in dirs]
 
 
 def support_mismatches(a: LiftedSet, b: LiftedSet, directions):

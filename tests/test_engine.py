@@ -570,7 +570,6 @@ class TestKeptSets:
         best = inst.minimum()
         kept = repr(best)
         system = inst.epigraph_system()
-        assert system.phase1_pivots > 0
         for shift in ([Q(1), Q(2)], [Q(-2), Q(1)], [Q(3), Q(-1)]):
             twin = inst.tilted(shift, Q(1))
             fresh = FarkasInstance(

@@ -1058,15 +1058,104 @@ def test_unique_optima_by_hand(count_phase1):
                                   E=[], e=[], nonneg=[True, True]))
     assert square.unique_optima([[1, 0], [-1, -1]]) == [None,
                                                         ([1, 1], Q(-2))]
-    assert square.phase1_pivots == 0
     free = System(LinearProgram(c=[0], G=[[-1]], h=[-2], E=[], e=[]))
     assert free.unique_optima([[1], [-1], [1]]) == [([2], Q(2)), None,
                                                     ([2], Q(2))]
-    assert free.phase1_pivots == 1
     infeasible = System(LinearProgram(c=[0], G=[[1], [-1]], h=[1, -2],
                                       E=[], e=[]))
     assert count_phase1(infeasible.unique_optima, [[1], [0]]) == (
         [None, None], 1)
+
+
+def _only_minimizer(program, c, x, value, rng):
+    """Whether x is the only point of the program's rows with c.x <= value
+    as far as a seeded direction r can tell: min and max of r.x there both
+    sit at x (two solves that share no tableau with the kernel's answer)."""
+    r = [Q(rng.randint(-3, 3)) for _ in x]
+    rx = sum(a * b for a, b in zip(r, x))
+    for sign in (1, -1):
+        face = LinearProgram(c=[sign * a for a in r], G=program.G + [list(c)],
+                             h=program.h + [value], E=program.E, e=program.e,
+                             nonneg=program.nonneg)
+        out = solve(face)
+        if out.status != OPTIMAL or out.value != sign * rx:
+            return False
+    return True
+
+
+def test_unique_optima_between_minima_match_fresh_solves(monkeypatch):
+    # minima and unique_optima asked in turn on one System, in chunks of
+    # its swept costs: every accepted point and value is a fresh solve's
+    # and the only minimizer along a seeded direction, some come from a
+    # basis that an earlier cost of either question kept (no phase 2 of
+    # their own), and a cost refused without a phase 2 was decided by a
+    # kept ray, so its fresh solve is unbounded
+    fresh = _recording_fresh_costs(monkeypatch)
+    rng, directions = random.Random(20261027), random.Random(1027)
+    decided = {"fresh": 0, "basis": 0, "ray": 0, "refused": 0}
+    for program, costs in _reuse_draws(rng, 60):
+        kept, memo = System(program), {}
+        for k in range(0, len(costs), 4):
+            chunk = costs[k:k + 4]
+            fresh.clear()
+            if k % 8:
+                for c, value in zip(chunk, kept.minima(chunk)):
+                    assert value == _fresh_value(program, c, memo)
+                continue
+            answers = kept.unique_optima(chunk)
+            # the fresh solves below pose phase 2s of their own
+            ran = set(fresh)
+            for c, got in zip(chunk, answers):
+                lp = LinearProgram(c=c, G=program.G, h=program.h,
+                                   E=program.E, e=program.e,
+                                   nonneg=program.nonneg)
+                out = solve(lp)
+                assert certifies_outcome(lp, out), out.status
+                if got is not None:
+                    assert got == (out.x, out.value) and type(got[1]) is Q
+                    assert _only_minimizer(program, c, *got, directions)
+                    decided["fresh" if tuple(c) in ran else "basis"] += 1
+                elif tuple(c) in ran:
+                    decided["refused"] += 1
+                elif out.status == UNBOUNDED:
+                    decided["ray"] += 1
+                else:
+                    assert out.status == INFEASIBLE
+    assert min(decided.values()) > 0, decided
+    assert decided["basis"] > decided["fresh"], decided
+
+
+def test_unique_optima_from_kept_proofs_by_hand(monkeypatch, count_pivots):
+    # x, y >= 0, x + y >= 1, y <= 2. (2, 1) has its one minimizer (0, 1),
+    # whose basis proves (3, 1) unique there too, with no phase 2 or
+    # pivot; (1, 1) ties along x + y = 1, so that basis is optimal but
+    # refused, and its phase 2 still runs; (-1, 5) descends the ray (1, 0)
+    # of (-1, 0). Appended rows drop both proofs: after x <= 3 and
+    # y <= 1/2, (3, 1) and (-1, 5) run phase 2s again, with new optima.
+    rows = LinearProgram(c=[0, 0], G=[[-1, -1], [0, 1]], h=[-1, 2], E=[],
+                         e=[], nonneg=[True, True])
+    fresh = _recording_fresh_costs(monkeypatch)
+    kept = System(rows)
+    assert kept.unique_optima([[2, 1], [-1, 0]]) == [([0, 1], Q(1)), None]
+    fresh.clear()
+    got, pivots = count_pivots(kept.unique_optima, [[3, 1], [-1, 5]])
+    assert got == [([0, 1], Q(1)), None] and pivots == 0
+    assert fresh == []
+    assert kept.unique_optima([[1, 1]]) == [None]
+    assert fresh == [(1, 1)]
+    kept.append([1, 0], 3)
+    kept.append([0, 1], Q(1, 2))
+    fresh.clear()
+    got = kept.unique_optima([[3, 1], [-1, 5]])
+    assert got == [([Q(1, 2), Q(1, 2)], Q(2)), ([3, 0], Q(-3))]
+    assert fresh == [(3, 1), (-1, 5)]
+    grown = LinearProgram(c=[0, 0], G=rows.G + [[1, 0], [0, 1]],
+                          h=rows.h + [3, Q(1, 2)], E=[], e=[],
+                          nonneg=[True, True])
+    for c, answer in zip(([3, 1], [-1, 5]), got):
+        out = solve(LinearProgram(c=c, G=grown.G, h=grown.h, E=[], e=[],
+                                  nonneg=grown.nonneg))
+        assert answer == (out.x, out.value)
 
 
 def test_tableau_layout_by_hand():

@@ -5,6 +5,7 @@ boxes, a shifted segment) so every assertion is checkable by hand.
 """
 
 import copy
+import hashlib
 import random
 
 import pytest
@@ -346,6 +347,10 @@ class TestGeneratedContainment:
         assert sets.contains_generated(quad, g)
 
 
+PROBE_DIRECTIONS = ("bf6fe3fc0cc689ec91dcd21e91087338"
+                    "50f4689dd98dfc44106e5a8ae1782d5d")
+
+
 class TestProbesAndBoxes:
     def test_probe_grid_size_dim2(self):
         dirs = sets.probe_directions(2)
@@ -357,6 +362,19 @@ class TestProbesAndBoxes:
         assert len(dirs) >= 18
         assert len({tuple(d) for d in dirs}) == len(dirs)
         assert dirs == sets.probe_directions(3, n_random=5, seed=7)
+
+    def test_probe_directions_match_recorded_hash(self):
+        # the directions, their order and their duplicates skipped, as
+        # drawn when the draws were told apart by their `Q` entries; dim 1
+        # has 6 nonzero draws, so most of its 200 are duplicates
+        draws = [sets.probe_directions(dim, n_random=count, seed=seed)
+                 for dim in (1, 2, 3, 4)
+                 for count, seed in ((0, 0), (8, 3), (50, 11), (200, 7))]
+        assert sum(map(len, draws)) == 765
+        assert all(type(v) is Q for draw in draws for direction in draw
+                   for v in direction)
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == \
+            PROBE_DIRECTIONS
 
     def test_support_mismatch_detects_difference(self):
         tri = triangle_poly().to_lifted()

@@ -116,7 +116,7 @@ def minimum_on(system: lp.System) -> Minimum:
     """The minimum of f over a polyhedron, from the cost t on their
     `epigraph_system`: a fresh solve's outcome, point and ray cut to x."""
     n = system.program.n - 1
-    out, = system.outcomes([system.program.c])
+    out = system.outcome(system.program.c)
     if out.status == lp.INFEASIBLE:
         return Minimum(out.status, INF)
     return Minimum(out.status, out.value, point=out.x[:n],

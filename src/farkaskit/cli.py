@@ -461,6 +461,8 @@ def optimality(path, point, as_json):
 @_guarded
 def stable(path, count, as_json):
     """Strong duality under every sampled linear tilt of the objective."""
+    if count < 1:
+        _fail(f"--tilts: expected a count of at least 1, got {count}")
     doc = load_document(path)
     inst = load_instance(doc)
     seed = _seed()

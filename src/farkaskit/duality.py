@@ -114,17 +114,13 @@ def _solve_duals(inst: FarkasInstance, shifts) -> list:
     pieces = len(inst.objective.slopes)
     outs, found = [], []
     for shift in shifts:
-        tilt = any(shift)
-        out = lp.solve(_tilted_multipliers(program, pieces, shift) if tilt
-                       else program)
+        out = lp.solve(_tilted_multipliers(program, pieces, shift))
         outs.append(out)
         if out.status != OPTIMAL:
             found.append(None)
             continue
         u, lam = extract(out.x)
-        if tilt:
-            u = [a - s for a, s in zip(u, shift)]
-        found.append((u, lam))
+        found.append(([a - s for a, s in zip(u, shift)], lam))
     return list(zip(outs, engine._certificates(inst, shifts, found)))
 
 

@@ -16,10 +16,10 @@ forms every row that enters the tableau: the phase-1 row (cost 1 at each
 artificial column), each phase-2 cost row and each appended row.
 
 `System(program)` holds a program's rows (not its c) on one tableau, built
-at the first question and kept for every later one. `outcomes` runs phase 1
-once and, per distinct cost, a phase 2 on its own copy of the kept tableau,
-so each answer equals a fresh `solve` (which is `outcomes` of one cost) bit
-for bit.
+at the first question and kept for every later one. `outcome(c)` runs
+phase 1 once and, per cost asked, a phase 2 on its own copy of the kept
+tableau, so each answer equals a fresh `solve` (which is `outcome` of the
+program's own c) bit for bit.
 
 `minima` wants only the value min c.x, all that a support or conjugate
 value needs, and it first tries to decide each cost from what the phase 2s
@@ -34,11 +34,12 @@ minimum is that basic solution's value. Only a cost that no kept ray or
 basis decides runs a phase 2, and its ray or basis is kept in turn. The
 minimum of c.x over the rows is one number, whatever pivots reach it, so
 each value equals a fresh `solve`'s bit for bit; the points and
-multipliers do depend on the pivot path, and `outcomes` still solves every
-cost. `append` changes the rows, which may cut a kept ray and which no
-kept basis holds, so it drops them all. Costs are told apart, and tested
-against the kept rays and bases, by their integers over one denominator
-(`over_lcm`), formed once per distinct cost.
+multipliers do depend on the pivot path, and `outcome` always runs a
+phase 2. `append` changes the rows, which may cut a kept ray and which no
+kept basis holds, so it drops them all. Every question puts a cost over
+one denominator once (`System._cost`, by `over_lcm`): those integers tell
+costs apart, are tested against the kept rays and bases, and are the cost
+that a phase 2 poses.
 
 `unique_optima` reads a cost's optimal point and value only where a basis
 proves the optimum attained at one point (Mangasarian 1979): every
@@ -492,14 +493,15 @@ class _Tableau:
         has a negative reduced cost (artificials never enter)."""
         return min(z[:self.nreal], default=0) >= 0
 
-    def phase2(self, c):
-        """Minimize c.x from the feasible basis the tableau holds (the one
-        phase 1 or the last append left); artificial columns are
-        ineligible to enter. Returns the final reduced-cost row
-        (z, d) and q: None when the minimum -z[RHS] / d is attained, else
-        the entering column with no leaving row (c.x unbounded below)."""
+    def phase2(self, nums, d):
+        """Minimize c.x, c = nums/d as `over_lcm` gives it, from the
+        feasible basis the tableau holds (the one phase 1 or the last
+        append left); artificial columns are ineligible to enter. Returns
+        the final reduced-cost row z, its denominator zd and q: None when
+        the minimum -z[RHS] / zd is attained, else the entering column
+        with no leaving row (c.x unbounded below)."""
         T, D = self.T, self.D
-        z, d = self.cost_row(*over_lcm(c))
+        z, d = self.cost_row(nums, d)
         T.append(z)
         D.append(d)
         q = self._run(self.nreal)
@@ -565,13 +567,13 @@ class _Tableau:
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """min lp.c . x over lp's constraints."""
-    return System(lp).outcomes([lp.c])[0]
+    return System(lp).outcome(lp.c)
 
 
 class System:
     """The rows of a program on one kept tableau, which the first question
     builds; the program's c is not read (see the module docstring).
-    `outcomes`, `minima`, `unique_optima` and `append` share one phase 1
+    `outcome`, `minima`, `unique_optima` and `append` share one phase 1
     at the program's own right-hand sides, and `feasible` sweeps its own on
     a tableau of its own, so every answer equals a fresh solve."""
 
@@ -600,59 +602,50 @@ class System:
                 self._farkas = tab._duals(*row, art=row[1])
         return self._tab
 
-    def _phase2(self, costs):
-        """Per cost in `costs` (distinct tuples), the (tableau, z, d, q) of
-        its phase 2 on its own copy of the kept tableau; None when the rows
-        are infeasible."""
+    def _cost(self, c):
+        """The cost c, coerced and width-checked, as (nums, d): its
+        integers over one denominator (`over_lcm`), nums a tuple, so that
+        the pair is the key that tells costs apart."""
+        nums, d = over_lcm(as_q_vector(c, self.program.n,
+                                       "cost width != number of variables"))
+        return tuple(nums), d
+
+    def _phase2(self, nums, d):
+        """The (tableau, z, zd, q) of the phase 2 of the cost nums/d on its
+        own copy of the kept tableau; None when the rows are infeasible."""
         tab = self._kept()
         if self._farkas is not None:
             return None
-        copies = [tab.copy() for _ in costs]
-        return [(t, *t.phase2(c)) for t, c in zip(copies, costs)]
+        t = tab.copy()
+        return (t, *t.phase2(nums, d))
 
-    def _distinct(self, costs):
-        """The distinct costs in `costs` in order of first appearance, each
-        as (its `Q` tuple, its integers nums over d from `over_lcm`), and
-        per cost the index of its entry. Costs are told apart by their
-        integers, which hash faster than `Q` entries and which the kept
-        ray and basis tests read."""
-        where, distinct, at = {}, [], []
-        for c in costs:
-            c = as_q_vector(c, self.program.n,
-                            "cost width != number of variables")
-            nums, d = over_lcm(c)
-            k = where.setdefault((d, *nums), len(distinct))
-            if k == len(distinct):
-                distinct.append((tuple(c), nums, d))
-            at.append(k)
-        return distinct, at
-
-    def outcomes(self, costs) -> list:
-        """One outcome per cost vector in `costs`, each equal to `solve` of
-        the program with that cost in place of its c. A repeated cost gets
-        its outcome read again, with lists of its own; infeasible rows give
-        their Farkas outcome for every cost."""
-        distinct, at = self._distinct(costs)
-        runs = self._phase2([c for c, _, _ in distinct]) if distinct else []
-        if runs is None:
+    def outcome(self, c) -> LPOutcome:
+        """`solve` of the program with cost c in place of its c, by a phase
+        2 of its own; infeasible rows give their Farkas outcome, with lists
+        of its own."""
+        run = self._phase2(*self._cost(c))
+        if run is None:
             mu, nu = self._farkas
-            return [LPOutcome(INFEASIBLE, farkas_ineq=list(mu),
-                              farkas_eq=list(nu)) for _ in at]
-        return [t.outcome(z, d, q) for t, z, d, q in (runs[k] for k in at)]
+            return LPOutcome(INFEASIBLE, farkas_ineq=list(mu),
+                             farkas_eq=list(nu))
+        t, z, d, q = run
+        return t.outcome(z, d, q)
 
     def _answers(self, costs, unique):
         """Per cost in `costs`, INF when the rows are infeasible, else
-        `_proved` of its distinct entry."""
-        distinct, at = self._distinct(costs)
-        if not distinct:
+        `_proved` of it, once per distinct cost in order of first
+        appearance."""
+        keys = [self._cost(c) for c in costs]
+        if not keys:
             return []
         self._kept()
         if self._farkas is not None:
-            return [INF] * len(at)
-        proofs = [self._proved(*entry, unique) for entry in distinct]
-        return [proofs[k] for k in at]
+            return [INF] * len(keys)
+        proofs = {key: self._proved(*key, unique)
+                  for key in dict.fromkeys(keys)}
+        return [proofs[key] for key in keys]
 
-    def _proved(self, c, nums, d, unique):
+    def _proved(self, nums, d, unique):
         """What the feasible rows prove about min c.x (c = nums/d): NEG_INF
         when it is unbounded below, else (tableau, value) at a basis
         optimal for c and, when `unique`, proving that optimum attained at
@@ -666,7 +659,7 @@ class System:
             z, zd = t.cost_row(nums, d)
             if t.unique_point(z) if unique else t.optimal(z):
                 return t, Q(-z[t.RHS], zd)
-        (t, z, zd, q), = self._phase2([c])
+        t, z, zd, q = self._phase2(nums, d)
         if q is not None:
             self._rays.append(over_lcm(t.ray(q))[0])
             return NEG_INF

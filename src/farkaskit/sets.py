@@ -265,7 +265,10 @@ def probe_directions(dim: int, n_random: int = 0, seed: int = 0):
     """The standard probe grid: +-e_i, then +-e_i +- e_j (i < j), then
     n_random extra seeded integer directions. The grid's directions are
     nonzero and distinct by construction; a draw is told from those kept
-    by its integers, before it is made rational."""
+    by its integers, before it is made rational. A dimension below 1 has
+    no nonzero direction to draw and raises ValueError."""
+    if dim < 1:
+        raise ValueError("probe directions need dimension >= 1")
     dirs = []
     for i in range(dim):
         for si in (1, -1):

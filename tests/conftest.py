@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from farkaskit import lp
-from farkaskit.rational import ZERO
+from farkaskit.rational import Q, ZERO
 
 # tests import shared oracle helpers as plain modules
 sys.path.insert(0, str(Path(__file__).parent))
@@ -46,6 +46,22 @@ def count_phase1():
     """run(fn, *args) -> (fn(*args), the number of simplex phase-1 runs it
     made): one per constraint set solved, however many costs share it."""
     return _counter("phase1")
+
+
+@pytest.fixture
+def phase2_costs(monkeypatch):
+    """The list that each (program, cost) reaching `lp.System._phase2` is
+    appended to, the cost as its `Q` tuple: the costs that the kernel
+    solves by a phase 2 of their own."""
+    phase2 = lp.System._phase2
+    posed = []
+
+    def recording(kept, nums, d):
+        posed.append((kept.program, tuple(Q(a, d) for a in nums)))
+        return phase2(kept, nums, d)
+
+    monkeypatch.setattr(lp.System, "_phase2", recording)
+    return posed
 
 
 @pytest.fixture

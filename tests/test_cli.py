@@ -247,6 +247,15 @@ class TestOptimalityStable:
         assert res.exit_code == 0
         assert "tilts checked: 3" in res.output
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_stable_tilt_count_below_one_is_malformed(self, runner, tmp_path,
+                                                      count):
+        res = runner.invoke(cli.main, ["stable", write(tmp_path, ALL_HOLDS),
+                                       "--tilts", count])
+        assert res.exit_code == 64
+        assert "--tilts" in res.output
+        assert "tilts checked" not in res.output
+
     def test_stable_infeasible_notes(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["stable", write(tmp_path, INFEASIBLE)])
         assert res.exit_code == 1

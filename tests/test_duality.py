@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farkaskit import calculus, duality, engine, instances, lp, sets
+from farkaskit import calculus, duality, engine, instances, sets
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.duality import INFEASIBLE, OPTIMAL, UNBOUNDED
 from farkaskit.engine import FarkasInstance
@@ -524,11 +524,11 @@ OPTIMALITY_PROGRAMS = ("525573d2942aa63f1518648575ffd2a3"
                        "2c6571f0cd640230701b79f24d048960")
 
 
-def _optimality_programs():
-    """sha256 over the sorted reprs of every program, with its distinct
-    costs, that reaches a phase 2 of the kernel (`lp.System._phase2`,
-    behind `solve`, `System.outcomes` and `System.minima`) inside
-    check_optimality, at the minimizer and two sampled
+def _optimality_programs(phase2_costs):
+    """sha256 over the sorted reprs of every program, with its cost, that
+    reaches a phase 2 of the kernel (`lp.System._phase2`, behind `solve`,
+    `System.outcome` and `System.minima`, recorded by the `phase2_costs`
+    fixture) inside check_optimality, at the minimizer and two sampled
     feasible points of each feasible instance of the tilt pool, and the
     kinds of data reached on the way."""
     rng = random.Random(707)
@@ -542,34 +542,26 @@ def _optimality_programs():
         if primal.status == OPTIMAL:
             points.insert(0, primal.point)
         cases.append((inst, points))
-    programs = []
-    phase2 = lp.System._phase2
-
-    def recording(kept, costs):
-        programs.append(f"{kept.program!r} {costs!r}")
-        return phase2(kept, costs)
-
-    lp.System._phase2 = recording
-    try:
-        for inst, points in cases:
-            for point in points:
-                rep = duality.check_optimality(inst, point)
-                seen.add("optimal" if rep.optimal else "suboptimal")
-                if inst.objective.domain is not None:
-                    seen.add("domain")
-                if inst.ground.E and inst.target_polyhedron().E:
-                    seen.add("equality rows")
-    finally:
-        lp.System._phase2 = phase2
+    phase2_costs.clear()
+    for inst, points in cases:
+        for point in points:
+            rep = duality.check_optimality(inst, point)
+            seen.add("optimal" if rep.optimal else "suboptimal")
+            if inst.objective.domain is not None:
+                seen.add("domain")
+            if inst.ground.E and inst.target_polyhedron().E:
+                seen.add("equality rows")
+    # each cost as the one-entry list that the hash was recorded over
+    programs = [f"{program!r} {[c]!r}" for program, c in phase2_costs]
     digest = hashlib.sha256("\n".join(sorted(programs)).encode())
     return digest.hexdigest(), seen
 
 
-def test_optimality_programs_match_recorded_hash():
+def test_optimality_programs_match_recorded_hash(phase2_costs):
     # pins the rows of the primal, certificate and subdifferential programs
     # and their costs (entries, column order, sign flags), which decide the
     # pivots taken
-    digest, seen = _optimality_programs()
+    digest, seen = _optimality_programs(phase2_costs)
     assert seen == {"optimal", "suboptimal", "domain", "equality rows"}
     assert digest == OPTIMALITY_PROGRAMS
 

@@ -62,8 +62,8 @@ CASES = [
                                           E=[[1]], e=[]),
                  "equality rows and right-hand sides differ in count",
                  id="LinearProgram.e"),
-    pytest.param(lambda: lp.System(program()).outcomes([[1, 2]]),
-                 "cost width != number of variables", id="System.outcomes"),
+    pytest.param(lambda: lp.System(program()).outcome([1, 2]),
+                 "cost width != number of variables", id="System.outcome"),
     pytest.param(lambda: lp.System(program()).minima([[]]),
                  "cost width != number of variables", id="System.minima"),
     pytest.param(lambda: lp.System(program()).feasible([0, 0]),

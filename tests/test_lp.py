@@ -464,7 +464,8 @@ def test_solve_each_matches_solve_per_cost():
         costs.append([ZERO] * n)
         rng.shuffle(costs)
         shared = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e, nonneg=nonneg)
-        outs = System(shared).outcomes(costs)
+        kept = System(shared)
+        outs = [kept.outcome(c) for c in costs]
         assert len(outs) == len(costs)
         for c, out in zip(costs, outs):
             lp = LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg)
@@ -503,8 +504,8 @@ def test_rows_keep_basic_entry_and_lowest_terms(monkeypatch):
         check(_Tableau(lp))
         costs = [[_small_fraction(rng) for _ in range(n)] for _ in range(2)]
         kept = System(lp)
-        runs = kept._phase2(costs) or []
-        for t in [kept._tab] + [run[0] for run in runs]:
+        runs = [kept._phase2(*kept._cost(c)) for c in costs]
+        for t in [kept._tab] + [run[0] for run in runs if run]:
             check(t)
         # an appended row enters reduced in the kept basis, then is pivoted
         # on by the dual simplex
@@ -635,7 +636,7 @@ def test_system_mixed_questions_match_fresh_solves():
                 kept.append(a, b)
                 G.append(a)
                 h.append(b)
-            outs = kept.outcomes(asked)
+            outs = [kept.outcome(c) for c in asked]
             values = kept.minima(asked)
             for c, out, value in zip(asked, outs, values):
                 lp = LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg)
@@ -690,7 +691,8 @@ def test_system_feasible_between_other_questions_matches_fresh_solves():
                                       nonneg=nonneg)
                 assert out.status == solve(grown).status
                 _certified(grown, out)
-            outs, values = kept.outcomes(costs), kept.minima(costs)
+            outs = [kept.outcome(c) for c in costs]
+            values = kept.minima(costs)
             for c, out, value in zip(costs, outs, values):
                 lp = LinearProgram(c=c, G=rows, h=rhs, E=E, e=e,
                                    nonneg=nonneg)
@@ -804,17 +806,18 @@ def test_reduced_rows_match_a_rational_oracle(monkeypatch):
 def test_solve_each_outcomes_are_independent():
     lp = LinearProgram(c=[0, 0], G=[[1, 0], [0, 1]], h=[1, 1], E=[], e=[],
                        nonneg=[True, True])
-    outs = System(lp).outcomes([[-1, 0], [0, -1], [-1, 0]])
+    kept = System(lp)
+    outs = [kept.outcome(c) for c in ([-1, 0], [0, -1], [-1, 0])]
     assert [o.x for o in outs] == [[1, 0], [0, 1], [1, 0]]
     outs[0].x[0] = Q(5)
     assert outs[2].x == [1, 0]
     infeasible = LinearProgram(c=[0], G=[[1], [-1]], h=[1, -2], E=[], e=[])
-    a, b = System(infeasible).outcomes([[1], [-1]])
+    rows = System(infeasible)
+    a, b = rows.outcome([1]), rows.outcome([-1])
     assert a == b == solve(infeasible)
     assert a.farkas_ineq is not b.farkas_ineq
-    assert System(lp).outcomes([]) == []
     with pytest.raises(ValueError):
-        System(lp).outcomes([[1]])
+        System(lp).outcome([1])
 
 
 def test_minima_equal_solve_values_and_outcomes_certify():
@@ -881,20 +884,6 @@ def test_minima_edge_cases(count_phase1, count_pivots):
     assert System(infeasible).minima([[1], [-1]]) == [INF, INF]
 
 
-def _recording_fresh_costs(monkeypatch):
-    """The list that every cost posed to `System._phase2` is appended to:
-    the costs that a question solves by a phase 2 of their own."""
-    phase2 = System._phase2
-    fresh = []
-
-    def recording(kept, costs):
-        fresh.extend(costs)
-        return phase2(kept, costs)
-
-    monkeypatch.setattr(System, "_phase2", recording)
-    return fresh
-
-
 def _swept_costs(rng, n):
     # 24 distinct costs: small integers, so that many share a ray or an
     # optimal basis, then fractions, then the zero cost
@@ -935,21 +924,20 @@ def _fresh_value(program, c, memo):
     return memo[key]
 
 
-def test_minima_from_kept_rays_and_bases_match_fresh_solves(monkeypatch):
+def test_minima_from_kept_rays_and_bases_match_fresh_solves(phase2_costs):
     # each System is asked its costs in seeded order, and a second System
     # the same costs shuffled; every value equals a fresh solve's, and
     # most costs are decided by a ray or a basis that an earlier cost of
     # the same System found, without a phase 2 of their own
-    fresh = _recording_fresh_costs(monkeypatch)
     rng = random.Random(20261025)
     decided = {"fresh": 0, "ray": 0, "basis": 0}
     for program, costs in _reuse_draws(rng, 100):
         memo = {}
         for order in (costs, rng.sample(costs, len(costs))):
-            fresh.clear()
+            phase2_costs.clear()
             values = System(program).minima(order)
-            ran = set(fresh)
-            assert len(ran) == len(fresh)
+            ran = {c for _, c in phase2_costs}
+            assert len(ran) == len(phase2_costs)
             for c, value in zip(order, values):
                 assert value == _fresh_value(program, c, memo)
                 if value is INF:
@@ -961,7 +949,7 @@ def test_minima_from_kept_rays_and_bases_match_fresh_solves(monkeypatch):
     assert decided["fresh"] < min(decided["ray"], decided["basis"])
 
 
-def test_minima_reuse_by_hand(monkeypatch, count_pivots):
+def test_minima_reuse_by_hand(phase2_costs, count_pivots):
     # x, y >= 0, x + y >= 1, y <= 2. (-1, 0) is unbounded along (1, 0),
     # which also decides (-1, 5); (2, 1) is optimal at (0, 1), whose basis
     # is optimal for (3, 1) too. The second and fourth costs run no phase
@@ -969,10 +957,9 @@ def test_minima_reuse_by_hand(monkeypatch, count_pivots):
     rows = LinearProgram(c=[0, 0], G=[[-1, -1], [0, 1]], h=[-1, 2], E=[],
                          e=[], nonneg=[True, True])
     costs = [[-1, 0], [-1, 5], [2, 1], [3, 1]]
-    fresh = _recording_fresh_costs(monkeypatch)
     values, pivots = count_pivots(System(rows).minima, costs)
     assert values == [NEG_INF, NEG_INF, Q(1), Q(1)]
-    assert fresh == [(-1, 0), (2, 1)]
+    assert [c for _, c in phase2_costs] == [(-1, 0), (2, 1)]
     assert pivots == count_pivots(System(rows).minima, costs[::2])[1]
     phase1 = count_pivots(System(rows).minima, [[0, 0]])[1]
     assert count_pivots(System(rows).minima, [costs[3]])[1] > phase1
@@ -999,12 +986,11 @@ def test_append_drops_kept_rays_and_bases():
         [Q(-3), Q(2)]
 
 
-def test_minima_reuse_between_feasible_sweeps(monkeypatch):
+def test_minima_reuse_between_feasible_sweeps(phase2_costs):
     # right-hand sides swept on the same System between chunks of costs:
     # each verdict equals a fresh solve at its right-hand side, each value
     # a fresh solve at the program's own, and kept proofs still decide
     # costs after a sweep
-    fresh = _recording_fresh_costs(monkeypatch)
     rng = random.Random(20261026)
     verdicts, reused = set(), 0
     for program, costs in _reuse_draws(rng, 25):
@@ -1017,10 +1003,10 @@ def test_minima_reuse_between_feasible_sweeps(monkeypatch):
             verdict = kept.feasible(b)
             assert verdict == (solve(at_b).status != INFEASIBLE)
             verdicts.add(verdict)
-            fresh.clear()
+            phase2_costs.clear()
             chunk = costs[k:k + 6]
             values = kept.minima(chunk)
-            reused += k > 0 and len(fresh) < len(chunk)
+            reused += k > 0 and len(phase2_costs) < len(chunk)
             for c, value in zip(chunk, values):
                 assert value == _fresh_value(program, c, memo)
     assert verdicts == {True, False} and reused
@@ -1083,28 +1069,27 @@ def _only_minimizer(program, c, x, value, rng):
     return True
 
 
-def test_unique_optima_between_minima_match_fresh_solves(monkeypatch):
+def test_unique_optima_between_minima_match_fresh_solves(phase2_costs):
     # minima and unique_optima asked in turn on one System, in chunks of
     # its swept costs: every accepted point and value is a fresh solve's
     # and the only minimizer along a seeded direction, some come from a
     # basis that an earlier cost of either question kept (no phase 2 of
     # their own), and a cost refused without a phase 2 was decided by a
     # kept ray, so its fresh solve is unbounded
-    fresh = _recording_fresh_costs(monkeypatch)
     rng, directions = random.Random(20261027), random.Random(1027)
     decided = {"fresh": 0, "basis": 0, "ray": 0, "refused": 0}
     for program, costs in _reuse_draws(rng, 60):
         kept, memo = System(program), {}
         for k in range(0, len(costs), 4):
             chunk = costs[k:k + 4]
-            fresh.clear()
+            phase2_costs.clear()
             if k % 8:
                 for c, value in zip(chunk, kept.minima(chunk)):
                     assert value == _fresh_value(program, c, memo)
                 continue
             answers = kept.unique_optima(chunk)
             # the fresh solves below pose phase 2s of their own
-            ran = set(fresh)
+            ran = {c for _, c in phase2_costs}
             for c, got in zip(chunk, answers):
                 lp = LinearProgram(c=c, G=program.G, h=program.h,
                                    E=program.E, e=program.e,
@@ -1125,7 +1110,7 @@ def test_unique_optima_between_minima_match_fresh_solves(monkeypatch):
     assert decided["basis"] > decided["fresh"], decided
 
 
-def test_unique_optima_from_kept_proofs_by_hand(monkeypatch, count_pivots):
+def test_unique_optima_from_kept_proofs_by_hand(phase2_costs, count_pivots):
     # x, y >= 0, x + y >= 1, y <= 2. (2, 1) has its one minimizer (0, 1),
     # whose basis proves (3, 1) unique there too, with no phase 2 or
     # pivot; (1, 1) ties along x + y = 1, so that basis is optimal but
@@ -1134,21 +1119,20 @@ def test_unique_optima_from_kept_proofs_by_hand(monkeypatch, count_pivots):
     # y <= 1/2, (3, 1) and (-1, 5) run phase 2s again, with new optima.
     rows = LinearProgram(c=[0, 0], G=[[-1, -1], [0, 1]], h=[-1, 2], E=[],
                          e=[], nonneg=[True, True])
-    fresh = _recording_fresh_costs(monkeypatch)
     kept = System(rows)
     assert kept.unique_optima([[2, 1], [-1, 0]]) == [([0, 1], Q(1)), None]
-    fresh.clear()
+    phase2_costs.clear()
     got, pivots = count_pivots(kept.unique_optima, [[3, 1], [-1, 5]])
     assert got == [([0, 1], Q(1)), None] and pivots == 0
-    assert fresh == []
+    assert phase2_costs == []
     assert kept.unique_optima([[1, 1]]) == [None]
-    assert fresh == [(1, 1)]
+    assert phase2_costs == [(rows, (1, 1))]
     kept.append([1, 0], 3)
     kept.append([0, 1], Q(1, 2))
-    fresh.clear()
+    phase2_costs.clear()
     got = kept.unique_optima([[3, 1], [-1, 5]])
     assert got == [([Q(1, 2), Q(1, 2)], Q(2)), ([3, 0], Q(-3))]
-    assert fresh == [(3, 1), (-1, 5)]
+    assert [c for _, c in phase2_costs] == [(3, 1), (-1, 5)]
     grown = LinearProgram(c=[0, 0], G=rows.G + [[1, 0], [0, 1]],
                           h=rows.h + [3, Q(1, 2)], E=[], e=[],
                           nonneg=[True, True])

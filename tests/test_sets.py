@@ -376,6 +376,14 @@ class TestProbesAndBoxes:
         assert hashlib.sha256(repr(draws).encode()).hexdigest() == \
             PROBE_DIRECTIONS
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_probe_directions_below_dimension_one_raise(self, dim):
+        # every draw below dimension 1 is the empty vector, which is never
+        # kept, so drawing one would not end
+        for count in (0, 1):
+            with pytest.raises(ValueError, match="dimension >= 1"):
+                sets.probe_directions(dim, n_random=count)
+
     def test_support_mismatch_detects_difference(self):
         tri = triangle_poly().to_lifted()
         box = sets.Box(bounds=[(0, 2), (0, 2)]).to_polyhedron().to_lifted()

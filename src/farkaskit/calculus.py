@@ -16,11 +16,10 @@ by row surgery and single LPs rather than by approximation:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from . import lp, sets
-from .rational import INF, ONE, ZERO, as_q, as_q_matrix, as_q_vector, dot
+from .rational import INF, ONE, ZERO, as_q_matrix, as_q_vector, dot
 
 
 @dataclass
@@ -54,17 +53,6 @@ class PiecewiseAffine:
         if self.domain is not None and not self.domain.contains(x):
             return INF
         return max(dot(a, x) + b for a, b in zip(self.slopes, self.offsets))
-
-    def tilted(self, shift, lift=ZERO) -> "PiecewiseAffine":
-        """x -> f(x) - shift . x - lift, same domain. The domain was checked
-        when f was built, so the copy skips the constructor's checks."""
-        shift = as_q_vector(shift, self.dim, "shift dimension mismatch")
-        lift = as_q(lift)
-        twin = copy.copy(self)
-        twin.slopes = [[a - s for a, s in zip(row, shift)]
-                       for row in self.slopes]
-        twin.offsets = [b - lift for b in self.offsets]
-        return twin
 
 
 @dataclass
@@ -134,7 +122,7 @@ def unique_tilted_minima(system: lp.System, shifts) -> list:
     attained at one point (`lp.System.unique_optima`), else None. The tilt
     only shears (x, t) to (x, t - s.x), so the tilted epigraph program has
     that one point too, and each answer equals `minimize_over` of
-    f.tilted(s) over the polyhedron, bit for bit."""
+    f - s.x over the polyhedron, bit for bit."""
     n = system.program.n - 1
     costs = _tilt_costs(shifts, n, "shift dimension mismatch")
     return [None if got is None else

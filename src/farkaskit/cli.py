@@ -176,13 +176,16 @@ def load_approx(doc: dict) -> polyapprox.ApproxProblem:
     if type(block["degree"]) is not int:  # not a bool either
         _fail("approx.degree: expected an integer")
     try:
-        return polyapprox.ApproxProblem(
+        problem = polyapprox.ApproxProblem(
             degree_bound=block["degree"],
             nodes=_q_vector(block["nodes"], "approx.nodes"),
             values=_q_vector(block["values"], "approx.values"),
             epsilons=_q_vector(block["epsilons"], "approx.epsilons"))
     except ValueError as exc:
         _fail(f"approx: {exc}")
+    if not problem.epsilons:
+        _fail("approx.epsilons: at least one tolerance required")
+    return problem
 
 
 def instance_document(inst: FarkasInstance) -> dict:
@@ -216,8 +219,8 @@ def load_tilts(doc: dict, n: int):
     if "tilts" not in doc:
         return None
     block = doc["tilts"]
-    if not isinstance(block, list):
-        _fail("tilts: expected an array of [shift, lift] pairs")
+    if not isinstance(block, list) or not block:
+        _fail("tilts: expected a nonempty array of [shift, lift] pairs")
     tilts = []
     for k, item in enumerate(block):
         if not isinstance(item, list) or len(item) != 2:
@@ -438,7 +441,7 @@ def optimality(path, point, as_json):
         _fail(f"--point is not valid JSON: {exc}")
     if not isinstance(raw, list):
         _fail("--point must be a JSON array")
-    at = _q_vector(raw, "--point")
+    at = _q_vector(raw, "--point", inst.n, f"point width != {inst.n}")
     rep = duality.check_optimality(inst, at)
     lines = [
         f"point: {_vec_text(at)}",

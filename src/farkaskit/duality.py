@@ -30,7 +30,7 @@ of its own phase 2 or of an earlier tilt's. Otherwise it is solved on the
 kept epigraph program with the x part of each piece row moved by -s, which
 is row for row the program of f_s. The tilt's multiplier program is the
 instance's with s_j taken off the piece weights' entries of cancellation
-row j, row for row the program of the tilted instance, one LP per shift;
+row j, row for row the multiplier program of f_s, one LP per shift;
 the weights sum to 1, so its u is the instance's u of the same solution
 minus s. (2) The conjugate values of all optimal duals from one
 `calculus.fenchel_values` call on the untilted f, and their ground supports
@@ -84,17 +84,17 @@ class DualSolution:
 
 
 def _tilted_multipliers(program, pieces: int, shift):
-    """The rows of `engine.full_program` of inst.tilted(shift), from
-    those of inst: a piece's slope a becomes a - shift, so each of the
-    first `pieces` columns (the piece weights) of cancellation row j moves
-    by -shift[j]."""
+    """The rows of `engine.full_program` of inst with objective
+    f - shift . x, from those of inst: a piece's slope a becomes
+    a - shift, so each of the first `pieces` columns (the piece weights)
+    of cancellation row j moves by -shift[j]."""
     moved = [[a - s for a in row[:pieces]] + row[pieces:]
              for row, s in zip(program.E, shift)]
     return replace(program, E=moved + program.E[len(moved):])
 
 
 def _tilted_epigraph(program, pieces: int, shift):
-    """The rows of `calculus._epigraph_program` of f.tilted(shift), from
+    """The rows of `calculus._epigraph_program` of f - shift . x, from
     those of f: the x part of each piece row, the last `pieces`
     inequality rows, moves by -shift."""
     n = len(shift)
@@ -214,10 +214,11 @@ def _distinct(shifts):
 
 
 def _tilted_primals(inst: FarkasInstance, shifts) -> list:
-    """solve_primal(inst.tilted(shift)) for each of the distinct `shifts`,
-    through the instance's kept epigraph system (see the module
-    docstring): a nonzero shift refused there, unbounded or infeasible is
-    solved fresh, on the kept program's rows sheared to the tilt's
+    """The minimum of f - shift . x over the feasible set, as
+    `solve_primal` gives it, for each of the distinct `shifts`, through
+    the instance's kept epigraph system (see the module docstring): a
+    nonzero shift refused there, unbounded or infeasible is solved fresh,
+    on the kept program's rows sheared to the tilt's
     (`_tilted_epigraph`)."""
     kept = inst.epigraph_system()
     warm = iter(calculus.unique_tilted_minima(
@@ -298,7 +299,11 @@ def check_optimality(inst: FarkasInstance, point) -> OptimalityReport:
         raise ValueError("optimality queried outside the objective's domain")
     primal = solve_primal(inst)
     by_comparison = primal.status == OPTIMAL and primal.value == fx
-    cert = engine.find_certificate(inst.tilted([ZERO] * inst.n, fx))
+    # f - f(x) over the same ground, target and domain, whose kept points
+    # answer the constructors' emptiness checks
+    f = inst.objective
+    cert = engine.find_certificate(replace(inst, objective=replace(
+        f, offsets=[b - fx for b in f.offsets])))
     by_certificate = cert is not None
     by_subdiff = _subdifferential_route(inst, point, fx)
     if not (by_comparison == by_certificate == by_subdiff):

@@ -25,7 +25,6 @@ certificate program per tilt.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -55,7 +54,8 @@ class FarkasInstance:
     R^m, and the tested function. Ground and target must be nonempty and the
     function proper, which the constructor enforces. The derived sets are
     built on first use and kept, with their points, so the data must not
-    change after construction; tilted copies share those already built."""
+    change after construction. A tilt f - s.x - l is posed as a cost or a
+    shear on the instance's own programs (see `duality`)."""
 
     ground: Polyhedron
     matrix: list
@@ -161,18 +161,6 @@ class FarkasInstance:
         point and ray are shared, so callers copy them before handing them
         out."""
         return calculus.minimum_on(self.epigraph_system())
-
-    def tilted(self, shift, lift=ZERO) -> "FarkasInstance":
-        """The instance with objective f - shift . x - lift. Ground, map,
-        target and the derived sets kept so far are shared, and neither the
-        constructor's emptiness LPs nor any kept point is solved again; the
-        kept epigraph system and minimum, which the tilt changes, are
-        dropped."""
-        twin = copy.copy(self)
-        twin.objective = self.objective.tilted(shift, lift)
-        twin.__dict__.pop("_kept_epigraph_system", None)
-        twin.__dict__.pop("_kept_minimum", None)
-        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +359,8 @@ def _within_budget(program: lp.LinearProgram) -> lp.LPOutcome:
 def _certificates(inst: FarkasInstance, shifts, found) -> list:
     """The linked triples of the tilts f - shift . x of inst, with their
     recomputed values: found[k] is (u, lam) from the multiplier program of
-    inst.tilted(shifts[k]), or None, which stays None. The conjugate of a
-    tilt is f*(u + shift), so every conjugate value comes from one
+    the tilt f - shifts[k] . x, or None, which stays None. The conjugate
+    of a tilt is f*(u + shift), so every conjugate value comes from one
     `fenchel_values` call on the untilted f, every ground support from one
     `sets.supports` sweep, and every target support from one
     `target_supports` call. Not validated."""

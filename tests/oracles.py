@@ -9,6 +9,7 @@ for the one that replaced it.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 from farkaskit import lp, sets
@@ -36,6 +37,24 @@ def brute_force_box_min(c, bounds):
             best_val = val
             best_x = list(corner)
     return best_val, best_x
+
+
+def tilted_function(f, shift, lift=0):
+    """x -> f(x) - shift . x - lift as a new `PiecewiseAffine` on f's own
+    domain, through its constructor."""
+    if len(shift) != f.dim:
+        raise ValueError("shift dimension mismatch")
+    shift, lift = [as_q(s) for s in shift], as_q(lift)
+    return replace(f, slopes=[[a - s for a, s in zip(row, shift)]
+                              for row in f.slopes],
+                   offsets=[b - lift for b in f.offsets])
+
+
+def tilted(inst, shift, lift=0):
+    """The instance with objective f - shift . x - lift, through its
+    constructor: ground, map and target are the instance's own objects."""
+    return replace(inst, objective=tilted_function(inst.objective, shift,
+                                                   lift))
 
 
 def eval_affine(row, x, shift=ZERO):

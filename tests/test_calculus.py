@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from farkaskit import calculus, instances, sets
 from farkaskit.rational import INF, NEG_INF, Q
 
+from oracles import tilted_function
+
 
 def abs_fn():
     return calculus.PiecewiseAffine(dim=1, slopes=[[1], [-1]], offsets=[0, 0])
@@ -38,7 +40,7 @@ class TestEvaluation:
 
     def test_tilt_shifts_value(self):
         f = abs_fn()
-        g = f.tilted([Q(1, 2)], lift=Q(3))
+        g = tilted_function(f, [Q(1, 2)], lift=Q(3))
         # |x| - x/2 - 3 at x = 2: 2 - 1 - 3 = -2
         assert g.value([2]) == Q(-2)
 
@@ -131,7 +133,8 @@ class TestFenchel:
 def conjugate_by_minimum(f, u):
     """f*(u) the per-point way, one program per point: minus the minimum
     of the tilted f - u.x over the whole space."""
-    m = calculus.minimize_over(f.tilted(u), sets.whole_space_polyhedron(f.dim))
+    m = calculus.minimize_over(tilted_function(f, u),
+                               sets.whole_space_polyhedron(f.dim))
     return INF if m.value is NEG_INF else -m.value
 
 
@@ -180,16 +183,17 @@ class TestFenchelValues:
 
 class TestTilt:
     def test_tilt_of_restricted_function_solves_nothing(self, count_phase1):
+        # the constructor checks the domain it is handed again, and the
+        # domain's kept point answers that check
         f = calculus.PiecewiseAffine(dim=1, slopes=[[1], [-2]], offsets=[0, 3],
                                      domain=interval(0, 3))
-        g, runs = count_phase1(f.tilted, [Q(1, 2)], Q(3))
+        g, runs = count_phase1(tilted_function, f, [Q(1, 2)], Q(3))
         assert runs == 0
         assert g == calculus.PiecewiseAffine(
             dim=1, slopes=[[Q(1, 2)], [Q(-5, 2)]], offsets=[-3, 0],
             domain=interval(0, 3))
+        assert g.domain is f.domain
         assert f.slopes == [[1], [-2]] and f.offsets == [0, 3]
-        with pytest.raises(ValueError):
-            f.tilted([1, 2])
 
 
 class TestConjugateEpigraph:

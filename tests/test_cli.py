@@ -215,6 +215,17 @@ class TestOptimalityStable:
                                        "--point", "[5, 5]"])
         assert res.exit_code == 65
 
+    @pytest.mark.parametrize("doc, point, n", [(UNBOUNDED, "[0, 1]", 1),
+                                               (ALL_HOLDS, "[0]", 2)],
+                             ids=["too_wide", "too_short"])
+    def test_point_of_the_wrong_width_is_malformed(self, runner, tmp_path,
+                                                   doc, point, n):
+        # a width mismatch is malformed input, not a violated hypothesis
+        res = runner.invoke(cli.main, ["optimality", write(tmp_path, doc),
+                                       "--point", point])
+        assert res.exit_code == 64
+        assert f"point width != {n}" in res.output
+
     def test_bad_point_json(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["optimality",
                                        write(tmp_path, ALL_HOLDS),
@@ -254,6 +265,15 @@ class TestOptimalityStable:
                                        "--tilts", count])
         assert res.exit_code == 64
         assert "--tilts" in res.output
+        assert "tilts checked" not in res.output
+
+    def test_stable_empty_tilt_list_is_malformed(self, runner, tmp_path):
+        # no tilt checked is no evidence of stability
+        res = runner.invoke(cli.main, ["stable",
+                                       write(tmp_path, dict(ALL_HOLDS,
+                                                            tilts=[]))])
+        assert res.exit_code == 64
+        assert "tilts" in res.output
         assert "tilts checked" not in res.output
 
     def test_stable_infeasible_notes(self, runner, tmp_path):

@@ -141,6 +141,8 @@ def _instance_text(entry):
     ("tilts", json.dumps(dict(TILTS, tilts=[[["-1e-5000", 0], 0]]))),
     # a JSON boolean is not an integer degree
     ("approx", json.dumps({"approx": dict(APPROX["approx"], degree=True)})),
+    # an empty tolerance list has nothing to sweep, which is no "no fit"
+    ("approx", json.dumps({"approx": dict(APPROX["approx"], epsilons=[])})),
 ])
 def test_hostile_documents_exit_64(kind, text):
     res = _invoke(kind, text)

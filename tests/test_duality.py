@@ -16,6 +16,8 @@ from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, Q
 from farkaskit.sets import Box, Polyhedron, whole_space_polyhedron
 
+from oracles import tilted
+
 
 def bounded_instance(offset=0):
     return FarkasInstance(
@@ -216,9 +218,7 @@ class TestStableStrongDuality:
         rep = duality.check_stable_strong_duality(inst, tilts=shifts)
         assert len(rep.per_tilt) == len(shifts)
         for shift, row in zip(shifts, rep.per_tilt):
-            fresh = duality.check_strong_duality(FarkasInstance(
-                ground=inst.ground, matrix=inst.matrix, target=inst.target,
-                objective=inst.objective.tilted(shift)))
+            fresh = duality.check_strong_duality(tilted(inst, shift))
             assert row == fresh
 
     def test_infeasible_primal_noted(self):
@@ -275,16 +275,12 @@ def test_per_tilt_matches_fresh_solves_on_seeded_instances():
                   duality.default_tilts(inst.n, count=6, seed=k)]
         rep = duality.check_stable_strong_duality(inst, tilts=shifts,
                                                   n_points=2)
-        fresh = [duality.check_strong_duality(FarkasInstance(
-            ground=inst.ground, matrix=inst.matrix, target=inst.target,
-            objective=inst.objective.tilted(shift))) for shift in shifts]
+        fresh = [duality.check_strong_duality(tilted(inst, shift))
+                 for shift in shifts]
         if rep.tilts_checked == 0:
-            # an infeasible primal checks no tilt; the tilted instances
-            # still give the fresh reports
+            # an infeasible primal checks no tilt
             assert rep.per_tilt == []
             assert all(r.primal.status == INFEASIBLE for r in fresh)
-            assert fresh == [duality.check_strong_duality(inst.tilted(shift))
-                             for shift in shifts]
             seen.add("infeasible")
             continue
         assert rep.per_tilt == fresh
@@ -313,9 +309,9 @@ def test_tilt_programs_are_the_instance_programs_sheared():
                   [Q(rng.randint(-6, 6), rng.choice((2, 3, 7)))
                    for _ in range(n)]]
         for shift in shifts:
-            tilted = inst.tilted(shift)
-            fresh = (engine.full_program(tilted)[0],
-                     calculus._epigraph_program(tilted.objective,
+            twin = tilted(inst, shift)
+            fresh = (engine.full_program(twin)[0],
+                     calculus._epigraph_program(twin.objective,
                                                 inst.feasible_polyhedron()))
             assert repr(duality._tilted_multipliers(
                 program, pieces, shift)) == repr(fresh[0])
@@ -331,7 +327,7 @@ def test_tilt_programs_are_the_instance_programs_sheared():
                 assert repr(duality._tilted_epigraph(
                     epigraph, pieces + 1, shift)) != repr(fresh[1])
         assert list(duality._tilt_reports(inst, shifts)) == [
-            duality.check_strong_duality(inst.tilted(shift))
+            duality.check_strong_duality(tilted(inst, shift))
             for shift in shifts]
         if inst.objective.domain is not None:
             seen.add("domain")
@@ -361,9 +357,9 @@ def test_stability_reading_matches_the_certificate_route():
                 lifts += [row.primal.value, row.primal.value + Q(1, 2)]
             checked += [(shift, lf, row) for lf in lifts]
         for shift, lift, row in checked:
-            tilted = inst.tilted(shift, lift)
-            holds = engine.check_nonnegativity(tilted).verdict.holds
-            certified = engine.find_certificate(tilted) is not None
+            twin = tilted(inst, shift, lift)
+            holds = engine.check_nonnegativity(twin).verdict.holds
+            certified = engine.find_certificate(twin) is not None
             assert holds == certified == (row.primal.value >= lift) \
                 == (row.dual.value >= lift)
             verdicts.add(holds)
@@ -391,19 +387,56 @@ def test_stability_mismatch_raises(monkeypatch):
 
 
 def test_tilted_instance_solves_nothing(count_phase1):
+    # an instance rebuilt through `dataclasses.replace` with a new
+    # objective, as check_optimality builds f - f(x), reruns the
+    # constructors' emptiness checks on the same ground, target and domain,
+    # and their kept points answer them
     rng = random.Random(8)
     for _ in range(20):
         inst = instances.random_feasible_instance(rng)
         shift = [Q(rng.randint(-2, 2), 2) for _ in range(inst.n)]
         lift = Q(rng.randint(-2, 2))
         before = copy.deepcopy(inst)
-        tilted, runs = count_phase1(inst.tilted, shift, lift)
+        twin, runs = count_phase1(tilted, inst, shift, lift)
         assert runs == 0
-        assert tilted == FarkasInstance(
-            ground=inst.ground, matrix=inst.matrix, target=inst.target,
-            objective=inst.objective.tilted(shift, lift))
-        assert tilted.ground is inst.ground and tilted.target is inst.target
+        assert twin.ground is inst.ground and twin.target is inst.target
+        assert twin.objective.domain is inst.objective.domain
         assert inst == before
+
+
+def test_optimality_certificate_is_the_lifted_instance_certificate():
+    # the certificate route of check_optimality is the certificate program
+    # of f - f(x) on an instance rebuilt through the constructors
+    rng = random.Random(909)
+    checked, seen = 0, set()
+    for _ in range(25):
+        inst = instances.random_feasible_instance(rng)
+        pair = (inst, FarkasInstance(
+            ground=inst.ground, matrix=inst.matrix,
+            target=_with_equality_row(inst.target_polyhedron()),
+            objective=inst.objective))
+        for inst in pair:
+            if inst.feasible_in_domain().is_empty():
+                continue
+            points = instances.sample_feasible_points(inst, rng)
+            primal = duality.solve_primal(inst)
+            if primal.status == OPTIMAL:
+                points.insert(0, primal.point)
+            for point in points:
+                rep = duality.check_optimality(inst, point)
+                lifted = tilted(inst, [Q(0)] * inst.n,
+                                inst.objective.value(point))
+                cert = engine.find_certificate(lifted)
+                assert rep.certificate == cert
+                assert rep.optimal == (cert is not None)
+                seen.add("optimal" if rep.optimal else "suboptimal")
+            checked += 1
+            if inst.objective.domain is not None:
+                seen.add("domain")
+            if isinstance(inst.target, Polyhedron):
+                seen.add("polyhedral target")
+    assert checked >= 40
+    assert seen == {"optimal", "suboptimal", "domain", "polyhedral target"}
 
 
 def test_stable_check_solves_each_constraint_set_once(count_phase1,
@@ -444,10 +477,9 @@ def test_tilts_are_answered_on_the_kept_epigraph(count_phase1, count_pivots):
     _, pivots = count_pivots(check)
     assert pivots <= 142
     inst = pivoting_instance()
-    assert rep.per_tilt == [duality.check_strong_duality(FarkasInstance(
-        ground=inst.ground, matrix=inst.matrix, target=inst.target,
-        objective=inst.objective.tilted(shift)))
-        for shift, _ in duality.default_tilts(inst.n, seed=2)]
+    tilts = duality.default_tilts(inst.n, seed=2)
+    assert rep.per_tilt == [duality.check_strong_duality(tilted(inst, shift))
+                            for shift, _ in tilts]
 
 
 def test_sum_points_share_one_phase_1(count_phase1, monkeypatch):

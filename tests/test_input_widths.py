@@ -124,8 +124,6 @@ CASES = [
                  id="PiecewiseAffine.offsets"),
     pytest.param(lambda: two_dim_function().value([3]),
                  "point dimension mismatch", id="PiecewiseAffine.value"),
-    pytest.param(lambda: two_dim_function().tilted([1]),
-                 "shift dimension mismatch", id="PiecewiseAffine.tilted"),
     pytest.param(lambda: calculus.fenchel_values(two_dim_function(), [[1]]),
                  "point dimension mismatch", id="calculus.fenchel_values"),
     # engine

@@ -44,3 +44,27 @@ def test_kernel_internals_stay_in_lp():
     probe = ast.parse("from .lp import _Tableau\nlp._Tableau(p)\n"
                       "lp.solve(p)\nfrom farkaskit.lp import _eliminate, solve")
     assert sorted(_private_lp_names(probe)) == [1, 2, 4]
+
+
+def _imported_modules(tree):
+    """The top-level name of every module an `import` or `from` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_imports_copy():
+    # instances and polyhedra keep derived sets, points and systems in
+    # their __dict__ (`sets.kept`), which a shallow copy shares with data
+    # they may no longer fit; changed data is built through a constructor
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [path.name for name in _imported_modules(tree)
+                  if name == "copy"]
+    assert found == []
+    probe = ast.parse("import copy\nfrom copy import copy\nimport copyreg\n"
+                      "from . import copy")
+    assert list(_imported_modules(probe)) == ["copy", "copy", "copyreg"]

@@ -69,6 +69,13 @@ class Minimum:
     ray: list | None = None
 
 
+def tilted_slopes(f: PiecewiseAffine, shift) -> list:
+    """The slopes a - shift of the pieces of f - shift . x, one per piece
+    of f; shift must have f's width."""
+    shift = as_q_vector(shift, f.dim, "shift dimension mismatch")
+    return [[a - s for a, s in zip(row, shift)] for row in f.slopes]
+
+
 def _epigraph_program(f: PiecewiseAffine, over: sets.Polyhedron):
     """The rows of min t over (x, t) subject to x in `over` and dom f and
     a.x + b <= t for every piece (a, b) of f, with no cost set."""

@@ -21,25 +21,23 @@ necessarily infeasible.
 Tilting f by s (f_s = f - s.x) only translates epi f*, since f_s*(u) =
 f*(u + s), so tilts need no conjugate program of their own. The duality
 checks run as batches over tilts, in three steps. (1) Each distinct tilt's
-primal and multiplier program, posed on the programs the instance built
-once for all its tilts. min f_s is min t - s.x over f's untilted epigraph
-rows, so a nonzero shift's primal is first the cost (-s, 1) on the
-instance's kept epigraph system, taken where the kernel proves its optimum
-attained at one point (hence equal to a fresh solve), from the final basis
-of its own phase 2 or of an earlier tilt's. Otherwise it is solved on the
-kept epigraph program with the x part of each piece row moved by -s, which
-is row for row the program of f_s. The tilt's multiplier program is the
-instance's with s_j taken off the piece weights' entries of cancellation
-row j, row for row the multiplier program of f_s, one LP per shift;
-the weights sum to 1, so its u is the instance's u of the same solution
-minus s. (2) The conjugate values of all optimal duals from one
-`calculus.fenchel_values` call on the untilted f, and their ground supports
-from one `sets.supports` sweep. (3) The forced identities of each tilt, in
-tilt order. `solve_dual` and `check_strong_duality` are the one-tilt case
-of the same steps. The stable Farkas check (`check_stability`) runs the
-same steps over the shifts of its tilts f - s.x - l: a lift l moves the
-minimum and the best dual value of its shift alike, so the statement and
-the certificate of each tilt are read off the shift's two values.
+primal and multiplier program. min f_s is min t - s.x over f's untilted
+epigraph rows, so a nonzero shift's primal is first the cost (-s, 1) on
+the instance's kept epigraph system, taken where the kernel proves its
+optimum attained at one point (hence equal to a fresh solve), from the
+final basis of its own phase 2 or of an earlier tilt's. Otherwise f_s,
+the function with slopes a - s on f's own domain, is minimized over the
+kept feasible set. The tilt's multiplier program is
+`engine.full_program` of the instance at s, built on the slopes a - s,
+one LP per shift, and its u is read off those slopes. (2) The conjugate
+values of all optimal duals from one `calculus.fenchel_values` call on
+the untilted f, and their ground supports from one `sets.supports` sweep.
+(3) The forced identities of each tilt, in tilt order. `solve_dual` and
+`check_strong_duality` are the one-tilt case of the same steps. The
+stable Farkas check (`check_stability`) runs the same steps over the
+shifts of its tilts f - s.x - l: a lift l moves the minimum and the best
+dual value of its shift alike, so the statement and the certificate of
+each tilt are read off the shift's two values.
 """
 
 from __future__ import annotations
@@ -83,44 +81,18 @@ class DualSolution:
     lam: list | None = None
 
 
-def _tilted_multipliers(program, pieces: int, shift):
-    """The rows of `engine.full_program` of inst with objective
-    f - shift . x, from those of inst: a piece's slope a becomes
-    a - shift, so each of the first `pieces` columns (the piece weights)
-    of cancellation row j moves by -shift[j]."""
-    moved = [[a - s for a in row[:pieces]] + row[pieces:]
-             for row, s in zip(program.E, shift)]
-    return replace(program, E=moved + program.E[len(moved):])
-
-
-def _tilted_epigraph(program, pieces: int, shift):
-    """The rows of `calculus._epigraph_program` of f - shift . x, from
-    those of f: the x part of each piece row, the last `pieces`
-    inequality rows, moves by -shift."""
-    n = len(shift)
-    moved = [[a - s for a, s in zip(row, shift)] + row[n:]
-             for row in program.G[-pieces:]]
-    return replace(program, G=program.G[:-pieces] + moved)
-
-
 def _solve_duals(inst: FarkasInstance, shifts) -> list:
     """Steps 1 and 2 of the dual of each tilt f - shift . x: its
-    multiplier program, one LP per tilt, sheared from the instance's own
-    (`_tilted_multipliers`); then the linked triples of the optimal ones
-    with their values, in one batch. The weights sum to 1, so the tilt's
-    u is the instance's u of the same solution minus the shift. Returns
-    (outcome, engine.Certificate or None) per tilt, unchecked."""
-    program, extract = engine.full_program(inst)
-    pieces = len(inst.objective.slopes)
+    multiplier program, `engine.full_program` of the instance at the
+    shift, one LP per tilt; then the linked triples of the optimal ones
+    with their values, in one batch. Returns (outcome, engine.Certificate
+    or None) per tilt, unchecked."""
     outs, found = [], []
     for shift in shifts:
-        out = lp.solve(_tilted_multipliers(program, pieces, shift))
+        program, extract = engine.full_program(inst, shift)
+        out = lp.solve(program)
         outs.append(out)
-        if out.status != OPTIMAL:
-            found.append(None)
-            continue
-        u, lam = extract(out.x)
-        found.append(([a - s for a, s in zip(u, shift)], lam))
+        found.append(extract(out.x) if out.status == OPTIMAL else None)
     return list(zip(outs, engine._certificates(inst, shifts, found)))
 
 
@@ -217,21 +189,23 @@ def _tilted_primals(inst: FarkasInstance, shifts) -> list:
     """The minimum of f - shift . x over the feasible set, as
     `solve_primal` gives it, for each of the distinct `shifts`, through
     the instance's kept epigraph system (see the module docstring): a
-    nonzero shift refused there, unbounded or infeasible is solved fresh,
-    on the kept program's rows sheared to the tilt's
-    (`_tilted_epigraph`)."""
+    nonzero shift refused there, unbounded or infeasible is minimized
+    fresh, as the function with the tilted slopes on f's own domain."""
     kept = inst.epigraph_system()
     warm = iter(calculus.unique_tilted_minima(
         kept, [shift for shift in shifts if any(shift)]))
-    pieces = len(inst.objective.slopes)
+    f = inst.objective
     primals = []
     for shift in shifts:
         if not any(shift):
             primals.append(solve_primal(inst))
             continue
         best = next(warm)
-        primals.append(calculus.minimum_on(lp.System(_tilted_epigraph(
-            kept.program, pieces, shift))) if best is None else best)
+        # replace reruns f's checks on its own domain, whose kept point
+        # answers them
+        primals.append(calculus.minimize_over(
+            replace(f, slopes=calculus.tilted_slopes(f, shift)),
+            inst.feasible_polyhedron()) if best is None else best)
     return primals
 
 
@@ -349,15 +323,21 @@ def _combination(vectors, weights, width):
     return out
 
 
-def _sum_point_sample(inst: FarkasInstance, rng, points, rays, rows):
+def _sum_point_sample(inst: FarkasInstance, rng, points, rays, rows,
+                      free):
     """(z, lam): a random point of epi f* + certificate cone short of its
     target support, and the multiplier lam it drew. z is a convex
     combination of the points of epi f*, plus nonnegative multiples of its
     rays and of the ray generators of the ground's support epigraph, plus
     (map^T lam, 0); adding sigma_target(lam) to its last entry gives the
-    sum point. The points, the rays and the map's rows each come over one
-    denominator (`_over_one_denominator`), so z is an integer combination
-    made rational once."""
+    sum point. lam is drawn where sigma_target is finite: as integer
+    weights on the map's rows for a box target, and for a polyhedral one
+    as t^T mu, with integer weights mu on the target's rows t, >= 0 on an
+    inequality row and free (`free`) on an equality row, so that map^T lam
+    is mu on the preimage's rows. The points, the rays and the `rows`
+    whose weights give map^T lam each come over one denominator
+    (`_over_one_denominator`), so z is an integer combination made
+    rational once."""
     (P, dp), (R, dr), (A, da) = points, rays, rows
     weights = [rng.randint(0, 3) for _ in P]
     if not any(weights):
@@ -366,8 +346,10 @@ def _sum_point_sample(inst: FarkasInstance, rng, points, rays, rows):
     width = inst.n + 1
     zp = _combination(P, weights, width)
     zr = _combination(R, [rng.randint(0, 2) for _ in R], width)
-    lam = [rng.randint(-2, 2) for _ in range(inst.m)]
-    za = _combination(A, lam, inst.n) + [0]
+    mu = [rng.randint(-2, 2) if f else rng.randint(0, 2) for f in free]
+    lam = (mu if isinstance(inst.target, sets.Box)
+           else engine._target_multiplier(inst, mu))
+    za = _combination(A, mu, inst.n) + [0]
     fp, fr, fa = dr * da, total * dp * da, total * dp * dr
     den = total * dp * dr * da
     return [Q(p * fp + r * fr + a * fa, den)
@@ -390,11 +372,16 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
     rng = random.Random(seed + 1)
     restricted = engine.restricted_epigraph(inst)
     conj = calculus.conjugate_epigraph(inst.objective)
+    if isinstance(inst.target, sets.Box):
+        rows, free = inst.matrix, [True] * inst.m
+    else:
+        pre = inst.preimage_polyhedron()
+        rows, free = pre.G + pre.E, [False] * len(pre.G) + [True] * len(pre.E)
     generators = (
         _over_one_denominator(conj.points),
         _over_one_denominator(
             conj.rays + calculus.support_epigraph_generators(inst.ground)),
-        _over_one_denominator(inst.matrix))
+        _over_one_denominator(rows), free)
     # every sample is drawn before the target supports are swept at once
     samples = [_sum_point_sample(inst, rng, *generators)
                for _ in range(n_points)]

@@ -54,8 +54,9 @@ class FarkasInstance:
     R^m, and the tested function. Ground and target must be nonempty and the
     function proper, which the constructor enforces. The derived sets are
     built on first use and kept, with their points, so the data must not
-    change after construction. A tilt f - s.x - l is posed as a cost or a
-    shear on the instance's own programs (see `duality`)."""
+    change after construction. A tilt f - s.x - l is posed as a cost on
+    the instance's kept epigraph system, or on programs built from the
+    tilted slopes (see `duality`)."""
 
     ground: Polyhedron
     matrix: list
@@ -329,20 +330,23 @@ def _target_multiplier(inst: FarkasInstance, mu_t) -> list:
     return transpose_apply(t.G + t.E, mu_t, inst.m)
 
 
-def full_program(inst: FarkasInstance):
+def full_program(inst: FarkasInstance, shift=None):
     """The multiplier program of the full triple, over the blocks dom f,
     ground and the preimage of target, minimizing its budget row: the dual
     program of `duality` and `polyapprox`, and with `_within_budget` the
-    certificate search. Returns (program, extract), where extract(w) gives
-    (u, lam)."""
+    certificate search. Given a shift s, it is the program of the tilt
+    f - s.x, whose pieces have the slopes a - s. Returns (program,
+    extract), where extract(w) gives (u, lam), u read off the slopes the
+    program was built on."""
     f, dom = inst.objective, inst.domain()
+    slopes = f.slopes if shift is None else calculus.tilted_slopes(f, shift)
     program, split = calculus.multiplier_program(
-        inst.n, list(zip(f.slopes, f.offsets)),
+        inst.n, list(zip(slopes, f.offsets)),
         [dom, inst.ground, inst.preimage_polyhedron()])
 
     def extract(w):
         theta, mu_dom, _, mu_t = split(w)
-        return (transpose_apply(f.slopes + dom.G + dom.E, theta + mu_dom,
+        return (transpose_apply(slopes + dom.G + dom.E, theta + mu_dom,
                                 inst.n),
                 _target_multiplier(inst, mu_t))
 

@@ -1,11 +1,8 @@
 """Exact rational scalars and the two extended values +oo / -oo.
 
-Everything in this package computes over exact rationals. `Q` is gmpy2.mpq
-when gmpy2 is installed (the optional `fast` extra) and fractions.Fraction
-otherwise; every result is the same either way. The simplex kernel pivots in
-plain integers and meets `Q` only in its input and its outcome, so the
-choice matters mostly outside it, and the wall-clock budgets of the
-acceptance tests hold on the Fraction fallback.
+Everything in this package computes over exact rationals, as `Q`, which is
+fractions.Fraction. The simplex kernel pivots in plain integers and meets
+`Q` only in its input and its outcome.
 """
 
 from __future__ import annotations
@@ -15,15 +12,12 @@ from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # supported fallback: the same exact values, only slower
-    Q = Fraction
+Q = Fraction
 
 ZERO = Q(0)
 ONE = Q(1)
 
-_QTYPES = (int, type(Q(0)), Fraction)
+_QTYPES = (int, Fraction)
 
 
 class _Extended:
@@ -108,10 +102,10 @@ def q_str(x) -> str:
     digits come from `Decimal`, which the interpreter's bound on integer
     text does not limit. It round-trips through as_q only while numerator
     and denominator stay within that bound."""
-    num = str(Decimal(int(x.numerator)))
+    num = str(Decimal(x.numerator))
     if x.denominator == 1:
         return num
-    return f"{num}/{Decimal(int(x.denominator))}"
+    return f"{num}/{Decimal(x.denominator)}"
 
 
 def scalar_text(x) -> str:
@@ -156,7 +150,7 @@ def over_lcm(values):
     # (about 1 MB more peak memory over some 10^5 solves)
     dens = [v.denominator for v in values]
     d = lcm(*dens)
-    return [int(v.numerator) * (d // b) for v, b in zip(values, dens)], d
+    return [v.numerator * (d // b) for v, b in zip(values, dens)], d
 
 
 def dot(a, b):

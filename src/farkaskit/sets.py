@@ -54,8 +54,8 @@ class LiftedSet:
 
 def kept(method):
     """A method of no arguments (or a function of one object) whose first
-    result is kept in the object's __dict__, for later calls and for
-    copy.copy or copy.deepcopy of it."""
+    result is kept in the object's __dict__ for later calls on the same
+    object; one that `dataclasses.replace` builds starts with none kept."""
     key = "_kept_" + method.__name__
 
     @functools.wraps(method)

@@ -232,6 +232,14 @@ class TestOptimalityStable:
                                        "--point", "[0,"])
         assert res.exit_code == 64
 
+    def test_point_that_is_not_an_array_is_malformed(self, runner,
+                                                      tmp_path):
+        res = runner.invoke(cli.main, ["optimality",
+                                       write(tmp_path, ALL_HOLDS),
+                                       "--point", '{"x": 0}'])
+        assert res.exit_code == 64
+        assert "--point must be a JSON array" in res.output
+
     def test_stable_default_tilts(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["stable", write(tmp_path, ALL_HOLDS),
                                        "--tilts", "4"])
@@ -275,6 +283,13 @@ class TestOptimalityStable:
         assert res.exit_code == 64
         assert "tilts" in res.output
         assert "tilts checked" not in res.output
+
+    def test_stable_on_a_half_plane_target(self, runner, tmp_path):
+        # y1 >= 0: the target support is +infinity off -e1's cone
+        doc = dict(ALL_HOLDS, D={"G": [[-1, 0]], "h": [0]})
+        res = runner.invoke(cli.main, ["stable", write(tmp_path, doc)])
+        assert res.exit_code == 0, res.output
+        assert "all strong: yes" in res.output
 
     def test_stable_infeasible_notes(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["stable", write(tmp_path, INFEASIBLE)])
@@ -321,6 +336,24 @@ class TestSemiinfPolyapproxGallery:
         lines = out.read_text().splitlines()
         assert lines[0] == "epsilon,objective,x1,x2"
         assert lines[1] == "1/10,0,0,0"
+
+    def test_polyapprox_unbounded_below(self, runner, tmp_path):
+        # below degree 3 on the nodes 0 and 1, t^2 - t vanishes at both
+        # nodes and has integral -1/6, so every tolerance is unbounded below
+        doc = {"approx": dict(APPROX["approx"], degree=3, nodes=[0, 1],
+                              values=[0, 1])}
+        out = tmp_path / "frontier.csv"
+        args = ["polyapprox", write(tmp_path, doc), "--out", str(out)]
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == 0, res.output
+        assert "epsilon 1/10: unbounded below" in res.output.splitlines()
+        assert out.read_text().splitlines()[1:] == ["1/10,-inf,,,",
+                                                    "1,-inf,,,"]
+        res = runner.invoke(cli.main, args + ["--json"])
+        assert res.exit_code == 0, res.output
+        rows = json.loads(res.output)["rows"]
+        assert [(r["objective"], r["coefficients"]) for r in rows] == \
+            [("-inf", None)] * 2
 
     @pytest.mark.parametrize("name", ["g1", "g2", "g3"])
     def test_gallery_matches(self, runner, name):

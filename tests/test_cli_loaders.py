@@ -148,3 +148,23 @@ def test_hostile_documents_exit_64(kind, text):
     res = _invoke(kind, text)
     assert res.exit_code == 64, res.output
     assert res.output.startswith("input error: "), res.output
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "top level must be an object"),
+    (json.dumps(dict(ALL_HOLDS, D={"box": [[1, 0], [0, 1]]})),
+     "D.box: box with lo > hi"),
+])
+def test_loader_failures_name_their_cause(text, message):
+    res = _invoke("instance", text)
+    assert res.exit_code == 64, res.output
+    assert res.output.startswith("input error: "), res.output
+    assert message in res.output
+
+
+def test_unreadable_path_exits_64(tmp_path):
+    missing = tmp_path / "missing.json"
+    res = CliRunner().invoke(cli.main, ["check", str(missing),
+                                        "--theorem", "1"])
+    assert res.exit_code == 64, res.output
+    assert res.output.startswith(f"input error: cannot read {missing}: ")

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farkaskit import calculus, duality, engine, instances, sets
+from farkaskit import calculus, duality, engine, instances, lp, sets
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.duality import INFEASIBLE, OPTIMAL, UNBOUNDED
 from farkaskit.engine import FarkasInstance
@@ -239,6 +239,35 @@ class TestStableStrongDuality:
         rep = duality.check_stable_strong_duality(inst, seed=6)
         assert rep.all_strong
 
+    @pytest.mark.parametrize("target", [
+        Polyhedron(dim=2, G=[[-1, 0]], h=[0]),
+        Polyhedron(dim=2, G=[[-1, 0]], h=[0], E=[[0, 1]], e=[1]),
+    ], ids=["half-plane", "equality row"])
+    def test_unbounded_target_draws_finite_supports(self, target,
+                                                    monkeypatch):
+        # sigma_target is +infinity off the target's barrier cone, so the
+        # sum points must draw lam inside it: lam = t^T mu over the
+        # target's rows, mu >= 0 on y1 >= 0 and free on y2 = 1
+        inst = FarkasInstance(
+            ground=Box([(0, 1), (0, 1)]).to_polyhedron(),
+            matrix=[[1, 0], [1, 1]], target=target,
+            objective=PiecewiseAffine(dim=2, slopes=[[1, 1]], offsets=[0]))
+        drawn = []
+        supports = FarkasInstance.target_supports
+
+        def recorded(self, lams):
+            drawn.extend(lams)
+            return supports(self, lams)
+
+        monkeypatch.setattr(FarkasInstance, "target_supports", recorded)
+        for seed in range(3):
+            rep = duality.check_stable_strong_duality(inst, seed=seed)
+            assert rep.all_strong
+            assert rep.tilts_checked == 25
+        monkeypatch.undo()
+        assert any(any(lam) for lam in drawn)
+        assert INF not in inst.target_supports(drawn)
+
 
 def _with_equality_row(p: Polyhedron) -> Polyhedron:
     """A box polyhedron with its first coordinate also pinned by an equality
@@ -293,39 +322,38 @@ def test_per_tilt_matches_fresh_solves_on_seeded_instances():
                     "equality rows"}
 
 
-def test_tilt_programs_are_the_instance_programs_sheared():
-    # a tilt's multiplier program is the instance's with the piece weights'
-    # columns of the cancellation rows moved, and its epigraph program the
-    # instance's kept one with the x part of the piece rows moved, row for
-    # row; a shear one column or row too wide differs from the fresh
-    # program, so the comparison sees a shear in the wrong place
+def test_tilt_programs_are_the_builders_at_the_tilted_slopes():
+    # a tilt's multiplier program is full_program at its shift, row for
+    # row the program of the tilted instance, and reads the same (u, lam)
+    # off the tilt's optimal multipliers; a nonzero tilt that the kept
+    # epigraph system refuses is minimized fresh, to the tilted instance's
+    # own minimum
     rng = random.Random(808)
     seen = set()
     for inst in _tilt_pool():
-        n, pieces = inst.n, len(inst.objective.slopes)
-        program, _ = engine.full_program(inst)
-        epigraph = inst.epigraph_system().program
+        n = inst.n
         shifts = [[Q(rng.randint(-2, 2)) for _ in range(n)],
                   [Q(rng.randint(-6, 6), rng.choice((2, 3, 7)))
                    for _ in range(n)]]
         for shift in shifts:
             twin = tilted(inst, shift)
-            fresh = (engine.full_program(twin)[0],
-                     calculus._epigraph_program(twin.objective,
-                                                inst.feasible_polyhedron()))
-            assert repr(duality._tilted_multipliers(
-                program, pieces, shift)) == repr(fresh[0])
-            assert repr(duality._tilted_epigraph(
-                epigraph, pieces, shift)) == repr(fresh[1])
+            program, extract = engine.full_program(inst, shift)
+            fresh, fresh_extract = engine.full_program(twin)
+            assert repr(program) == repr(fresh)
+            out = lp.solve(program)
+            if out.status == OPTIMAL:
+                assert extract(out.x) == fresh_extract(out.x)
+                seen.add("optimal dual")
             if not any(shift):
                 continue
             seen.add("rational shift" if any(s.denominator > 1 for s in shift)
                      else "integer shift")
-            assert repr(duality._tilted_multipliers(
-                program, pieces + 1, shift)) != repr(fresh[0])
-            if len(epigraph.G) > pieces:
-                assert repr(duality._tilted_epigraph(
-                    epigraph, pieces + 1, shift)) != repr(fresh[1])
+            warm, = calculus.unique_tilted_minima(inst.epigraph_system(),
+                                                  [shift])
+            if warm is None:
+                primal, = duality._tilted_primals(inst, [shift])
+                assert primal == duality.solve_primal(twin)
+                seen.add("refused tilt")
         assert list(duality._tilt_reports(inst, shifts)) == [
             duality.check_strong_duality(tilted(inst, shift))
             for shift in shifts]
@@ -336,7 +364,8 @@ def test_tilt_programs_are_the_instance_programs_sheared():
         if inst.ground.E and inst.target_polyhedron().E:
             seen.add("equality rows")
     assert seen == {"domain", "polyhedral target", "equality rows",
-                    "integer shift", "rational shift"}
+                    "integer shift", "rational shift", "optimal dual",
+                    "refused tilt"}
 
 
 def test_stability_reading_matches_the_certificate_route():
@@ -509,18 +538,18 @@ def pentagon_target_instance():
         objective=PiecewiseAffine(dim=2, slopes=[[1, 1]], offsets=[0]))
 
 
-# the sum points of pentagon_target_instance at seed 2, as drawn when each
-# took its target support from a program of its own
-PENTAGON_SUM_POINTS = ("55c1e4f7492f51238ab39562e4b501a8"
-                       "0b73dcc16cb0110122e07654edf66a82")
+# the sum points of pentagon_target_instance at seed 2, each lam drawn as
+# t^T mu over the pentagon's rows t
+PENTAGON_SUM_POINTS = ("bcab6872aaf7702ee32c76c620c8eff0"
+                       "b65ff9d9bcf227847256bf9dbd21afc1")
 
 
 def test_target_supports_are_one_sweep_per_batch(count_phase1, monkeypatch):
     # counted after the instance's construction: 66 phase-1 runs when each
     # of the 20 sum points and each of the 14 certificates posed its target
     # support as a one-direction program of its own; now the sum points
-    # take one sweep and each certificate batch another, and the points
-    # are the ones drawn before
+    # take one sweep and each certificate batch another, and the drawn
+    # points are pinned
     inst = pentagon_target_instance()
     sweeps, drawn = [], []
     supports, members = sets.supports, sets.members

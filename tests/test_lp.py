@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from math import gcd
 
@@ -1218,6 +1219,65 @@ def test_verify_rejects_corrupted_certificates():
     out.value = out.value - 1
     out.dual_eq = [out.dual_eq[0] + 1, out.dual_eq[1]]
     assert not verify_certificate(lp, out)
+
+
+# One program per status, each with a nonneg and a free column, inequality
+# and equality rows: min x0 + x1 (x0 >= 0) over -x1 <= 0, -x0 <= 0 and
+# x0 - x1 = 1 is optimal at (1, 0) with the unique duals (2, 0) and -1;
+# min -x0 over x0 + x1 <= 5 and x2 = 0 is unbounded along (1, -1, 0); and
+# x0 <= 1, x0 >= 2 is infeasible.
+_VERIFY_PROGRAMS = {
+    OPTIMAL: LinearProgram(c=[1, 1], G=[[0, -1], [-1, 0]], h=[0, 0],
+                           E=[[1, -1]], e=[1], nonneg=[True, False]),
+    UNBOUNDED: LinearProgram(c=[-1, 0, 0], G=[[1, 1, 0]], h=[5],
+                             E=[[0, 0, 1]], e=[0],
+                             nonneg=[True, False, False]),
+    INFEASIBLE: LinearProgram(c=[0, 0], G=[[1, 0], [-1, 0]], h=[1, -2],
+                              E=[[0, 1]], e=[0], nonneg=[True, False]),
+}
+
+
+@pytest.mark.parametrize("status, change", [
+    # optimal: each corruption passes every check but the one it targets,
+    # so a check that stopped rejecting would let it through
+    (OPTIMAL, {"x": None}),
+    (OPTIMAL, {"dual_ineq": None}),
+    (OPTIMAL, {"dual_eq": None}),
+    (OPTIMAL, {"dual_ineq": [2, 0, 0]}),
+    (OPTIMAL, {"dual_eq": [-1, 0]}),
+    (OPTIMAL, {"x": [1, -1]}),
+    (OPTIMAL, {"value": 2}),
+    (OPTIMAL, {"dual_ineq": [-1, 0]}),
+    (OPTIMAL, {"dual_ineq": [3, 0]}),  # stationarity off at free x1
+    (OPTIMAL, {"dual_ineq": [2, 1]}),  # stationarity off at nonneg x0
+    # unbounded: the ray is checked apart from the point, so each point
+    # corruption reaches only the point's checks
+    (UNBOUNDED, {"x": None}),
+    (UNBOUNDED, {"x": [0, 0]}),
+    (UNBOUNDED, {"x": [-1, 0, 0]}),  # off the sign flag
+    (UNBOUNDED, {"x": [0, 6, 0]}),  # off the G row
+    (UNBOUNDED, {"x": [0, 0, 1]}),  # off the E row
+    (UNBOUNDED, {"ray": None}),
+    (UNBOUNDED, {"ray": [1, -1]}),
+    (UNBOUNDED, {"ray": [1, 0, 0]}),  # breaks the G row
+    (UNBOUNDED, {"ray": [1, -1, 1]}),  # breaks the E row
+    (UNBOUNDED, {"ray": [-1, 1, 0]}),  # breaks the sign flag
+    (UNBOUNDED, {"ray": [0, -1, 0]}),  # does not improve
+    # infeasible
+    (INFEASIBLE, {"farkas_ineq": None}),
+    (INFEASIBLE, {"farkas_eq": None}),
+    (INFEASIBLE, {"farkas_ineq": [1, 1, 0]}),
+    (INFEASIBLE, {"farkas_eq": []}),
+    (INFEASIBLE, {"farkas_ineq": [-1, -1]}),
+    (INFEASIBLE, {"farkas_eq": [1]}),  # combines to nonzero at free x1
+    (INFEASIBLE, {"farkas_ineq": [0, 0]}),  # value 0, not negative
+    (OPTIMAL, {"status": "bogus"}),
+])
+def test_verify_rejects_each_corrupted_field(status, change):
+    lp = _VERIFY_PROGRAMS[status]
+    out = solve(lp)
+    assert out.status == status and verify_certificate(lp, out)
+    assert not verify_certificate(lp, dataclasses.replace(out, **change))
 
 
 def test_verify_rejects_wrong_farkas():

@@ -538,7 +538,10 @@ def polyapprox_cmd(path, out, as_json):
     except ValueError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         return EXIT_NO
-    polyapprox.write_frontier(rows, out, problem.degree_bound)
+    try:
+        polyapprox.write_frontier(rows, out, problem.degree_bound)
+    except OSError as exc:
+        _fail(f"cannot write {out}: {exc}")
     lines = []
     for row in rows:
         if row.coefficients is None:

@@ -121,14 +121,11 @@ def _checked_dual(out, triple, primal_value) -> DualSolution:
                         lam=triple.lam)
 
 
-def solve_dual(inst: FarkasInstance,
-               primal_value=None) -> DualSolution:
-    """Maximize the dual; weak duality against the primal value is always
-    asserted (the primal is solved here if its value is not supplied)."""
-    if primal_value is None:
-        primal_value = solve_primal(inst).value
+def solve_dual(inst: FarkasInstance) -> DualSolution:
+    """Maximize the dual; weak duality against the instance's kept minimum
+    is always asserted."""
     (out, triple), = _solve_duals(inst, [[ZERO] * inst.n])
-    return _checked_dual(out, triple, primal_value)
+    return _checked_dual(out, triple, inst.minimum().value)
 
 
 @dataclass
@@ -305,25 +302,7 @@ class StableDualityReport:
     per_tilt: list = field(default_factory=list, metadata={"json": False})
 
 
-def _over_one_denominator(vectors):
-    """(integer numerators, d): the vectors over one denominator d, the lcm
-    of the denominators of all their entries (`over_lcm` of them all)."""
-    nums, d = over_lcm([v for vec in vectors for v in vec])
-    it = iter(nums)
-    return [[next(it) for _ in vec] for vec in vectors], d
-
-
-def _combination(vectors, weights, width):
-    """sum_i weights[i] * vectors[i], in integers."""
-    out = [0] * width
-    for vec, w in zip(vectors, weights):
-        if w:
-            for j, a in enumerate(vec):
-                out[j] += w * a
-    return out
-
-
-def _sum_point_sample(inst: FarkasInstance, rng, points, rays, rows,
+def _sum_point_sample(inst: FarkasInstance, rng, generators, d, n_points,
                       free):
     """(z, lam): a random point of epi f* + certificate cone short of its
     target support, and the multiplier lam it drew. z is a convex
@@ -334,26 +313,27 @@ def _sum_point_sample(inst: FarkasInstance, rng, points, rays, rows,
     weights on the map's rows for a box target, and for a polyhedral one
     as t^T mu, with integer weights mu on the target's rows t, >= 0 on an
     inequality row and free (`free`) on an equality row, so that map^T lam
-    is mu on the preimage's rows. The points, the rays and the `rows`
-    whose weights give map^T lam each come over one denominator
-    (`_over_one_denominator`), so z is an integer combination made
-    rational once."""
-    (P, dp), (R, dr), (A, da) = points, rays, rows
-    weights = [rng.randint(0, 3) for _ in P]
+    is mu on the preimage's rows. `generators` holds, over one denominator
+    d, the n_points points, then the rays, then the rows whose weights give
+    map^T lam, each padded with a last entry 0. With point weights w of
+    sum total, ray weights r and row weights mu, z is the one integer
+    combination with weights (w, total r, total mu), over total d."""
+    weights = [rng.randint(0, 3) for _ in range(n_points)]
     if not any(weights):
         weights[0] = 1
     total = sum(weights)
-    width = inst.n + 1
-    zp = _combination(P, weights, width)
-    zr = _combination(R, [rng.randint(0, 2) for _ in R], width)
+    weights += [total * rng.randint(0, 2)
+                for _ in range(len(generators) - n_points - len(free))]
     mu = [rng.randint(-2, 2) if f else rng.randint(0, 2) for f in free]
+    weights += [total * k for k in mu]
     lam = (mu if isinstance(inst.target, sets.Box)
            else engine._target_multiplier(inst, mu))
-    za = _combination(A, mu, inst.n) + [0]
-    fp, fr, fa = dr * da, total * dp * da, total * dp * dr
-    den = total * dp * dr * da
-    return [Q(p * fp + r * fr + a * fa, den)
-            for p, r, a in zip(zp, zr, za)], lam
+    z = [0] * (inst.n + 1)
+    for w, g in zip(weights, generators):
+        if w:
+            for j, a in enumerate(g):
+                z[j] += w * a
+    return [Q(v, total * d) for v in z], lam
 
 
 def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
@@ -377,13 +357,15 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
     else:
         pre = inst.preimage_polyhedron()
         rows, free = pre.G + pre.E, [False] * len(pre.G) + [True] * len(pre.E)
-    generators = (
-        _over_one_denominator(conj.points),
-        _over_one_denominator(
-            conj.rays + calculus.support_epigraph_generators(inst.ground)),
-        _over_one_denominator(rows), free)
+    generators = (conj.points + conj.rays
+                  + calculus.support_epigraph_generators(inst.ground)
+                  + [r + [ZERO] for r in rows])
+    nums, d = over_lcm([v for g in generators for v in g])
+    it = iter(nums)
+    generators = [[next(it) for _ in g] for g in generators]
     # every sample is drawn before the target supports are swept at once
-    samples = [_sum_point_sample(inst, rng, *generators)
+    samples = [_sum_point_sample(inst, rng, generators, d, len(conj.points),
+                                 free)
                for _ in range(n_points)]
     points = [z for z, _ in samples]
     for z, s in zip(points, inst.target_supports([lam for _, lam in samples])):

@@ -465,7 +465,7 @@ def _criterion_report(inst: FarkasInstance, epigraph, probe, cert,
     existence of `cert`, found by the `kind` ("primal" or "reduced") search,
     exactly when the conic hull of `epigraph` is closed at `probe`: one
     scale LP, two if the probe is in the closure only (`sets`)."""
-    (_, strict, closure), = sets.cone_closed_regarding(epigraph, [probe])
+    strict, closure = sets.cone_closed_regarding(epigraph, probe)
     criterion = strict or not closure
     rep = check_nonnegativity(inst)
     if strict == rep.verdict.holds:

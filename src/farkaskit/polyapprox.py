@@ -17,7 +17,8 @@ come out directly and satisfy the moment conditions
 
     sum_t lam_t t^{i-1} = -1/i,   i = 1..degree_bound,
 
-certifying the objective value through -sum_t (lam_t g(t) + eps lam_t+);
+certifying the objective value through the box's support, -sigma(lam) =
+-sum_t (lam_t g(t) + eps lam_t+) (`Box.support`);
 the optimal coefficients are recovered from the equality multipliers and
 revalidated against the band row by row. All of it is exact and asserted.
 A sweep solves the ascending tolerance list and checks that the frontier
@@ -164,20 +165,16 @@ def solve_eps(problem: ApproxProblem, epsilon) -> FrontierRow:
         if not (g <= p <= g + epsilon):
             raise InvariantViolation("recovered coefficients leave the band")
     _, lam = extract(out.x)
-    split = semiinf.decompose(lam)
     moments = inst.adjoint(lam)
     expected = [-v for v in problem.objective_slope()]
     if moments != expected:
         raise InvariantViolation(
             "optimal multipliers break the moment conditions")
-    certified = ZERO
-    for l, p, g in zip(lam, split.plus, problem.values):
-        certified -= l * g + epsilon * p
-    if certified != value:
+    if -inst.target_support(lam) != value:
         raise InvariantViolation(
             "multiplier bound differs from the optimal value")
     return FrontierRow(epsilon=epsilon, objective=value,
-                       coefficients=coeffs, dual=split)
+                       coefficients=coeffs, dual=semiinf.decompose(lam))
 
 
 def sweep(problem: ApproxProblem) -> list:

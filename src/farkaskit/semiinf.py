@@ -3,8 +3,8 @@
 A grid is a Farkas instance whose map rows are the functionals a_t and
 whose target is the box prod [alpha_t, beta_t]; `grid` builds it, and the
 generic checks of `engine` and `duality` take it as it is. That box is
-compact, so every multiplier has finite support value, computed in closed
-form from the canonical split lam = plus - minus:
+compact, so every multiplier has finite support value, in closed form
+(`Box.support`) over the canonical split lam = plus - minus (`decompose`):
 
     sigma(lam) = sum_t (plus_t * beta_t - minus_t * alpha_t).
 
@@ -162,18 +162,6 @@ def decompose(lam) -> SignedMultiplier:
     return SignedMultiplier(plus=plus, minus=minus)
 
 
-def box_support(inst: engine.FarkasInstance, multiplier: SignedMultiplier):
-    """sigma of the grid's box target at the multiplier, in closed form.
-    Always finite: the box is compact, so its barrier cone is everything."""
-    if len(multiplier.plus) != inst.m:
-        raise ValueError("multiplier length != grid size")
-    total = ZERO
-    for p, m, (lo, hi) in zip(multiplier.plus, multiplier.minus,
-                              inst.target.bounds):
-        total += p * hi - m * lo
-    return total
-
-
 def moment_cone(inst: engine.FarkasInstance) -> sets.GeneratedSet:
     """cone of {(a_t, beta_t)} and {(-a_t, -alpha_t)} in R^{n+1}."""
     rays = []
@@ -225,7 +213,7 @@ def check_moment_sandwich(inst: engine.FarkasInstance, n_random: int = 20,
         for sign, val in ((ONE, hi), (-ONE, lo)):
             lam = [ZERO] * inst.m
             lam[t] = sign
-            sup = box_support(inst, decompose(lam))
+            sup = inst.target.support(lam)
             identities.append(sup == sign * val)
             gens.append([sign * v for v in a] + [sup])
     for holds, inside in zip(identities, sets.members(mult_cone, gens)):
@@ -239,15 +227,11 @@ def check_moment_sandwich(inst: engine.FarkasInstance, n_random: int = 20,
     rng = random.Random(seed)
     lams = [[Q(rng.randint(-3, 3)) for _ in range(inst.m)]
             for _ in range(n_random)]
-    # LPs over the box's rows: inst.target_support is box_support's closed
-    # form again, so it could not catch a wrong one
+    # the closed form `Box.support` against LPs over the box's rows
     lp_sups = sets.supports(inst.target_polyhedron().to_lifted(), lams)
     identities, graphs = [], []
     for lam, lp_sup in zip(lams, lp_sups):
-        sm = decompose(lam)
-        if sm.value() != as_q_vector(lam):
-            raise InvariantViolation("the split does not recompose lam")
-        sup = box_support(inst, sm)
+        sup = inst.target.support(lam)
         identities.append(sup == lp_sup)
         graphs.append(inst.adjoint(lam) + [sup])
     for holds, inside in zip(identities, sets.members(n_vert, graphs)):

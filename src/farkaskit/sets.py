@@ -189,38 +189,34 @@ def _homogenized(s: LiftedSet) -> LiftedSet:
                      witness_nonneg=s.witness_nonneg + [True])
 
 
-def cone_closed_regarding(s: LiftedSet, points):
-    """For each test point p: does cl(R+ S) agree with R+ S at p?
+def cone_closed_regarding(s: LiftedSet, p):
+    """Does cl(R+ S) agree with R+ S at the point p?
 
-    Returns [(p, in_cone, in_closure)]. At p != 0 one LP, max t over the
+    Returns (in_cone, in_closure). At p != 0 one LP, max t over the
     homogenized rows at z = p, checked by substitution (InvariantViolation
     if not): infeasible puts p outside the closure, t > 0 or unbounded puts
     p/t in S. At t = 0 and at p = 0, p is in the closure iff S is nonempty
-    (one emptiness LP for all points), and then in the cone iff p = 0.
+    (one emptiness LP), and then in the cone iff p = 0.
     """
-    cone = _homogenized(s)
     d = s.dim
-    nonempty = functools.cache(lambda: not is_empty(s))
-    report = []
-    for p in points:
-        p = as_q_vector(p, d, "point dimension mismatch")
-        if all(v == ZERO for v in p):
-            report.append((p, nonempty(), nonempty()))
-            continue
-        prog = lp.LinearProgram(
-            c=[ZERO] * s.witness_dim + [-ONE],
-            G=[r[d:] for r in cone.G], h=[-dot(r[:d], p) for r in cone.G],
-            E=[r[d:] for r in cone.E], e=[-dot(r[:d], p) for r in cone.E],
-            nonneg=cone.witness_nonneg)
-        out = lp.solve(prog)
-        if not lp.verify_certificate(prog, out):
-            raise InvariantViolation(
-                "scale LP outcome failed its substitution check")
-        # max t is -value, +oo when unbounded (value NEG_INF)
-        inside = out.status != lp.INFEASIBLE
-        strict = inside and out.value < ZERO
-        report.append((p, strict, strict or (inside and nonempty())))
-    return report
+    p = as_q_vector(p, d, "point dimension mismatch")
+    if not any(p):
+        nonempty = not is_empty(s)
+        return nonempty, nonempty
+    cone = _homogenized(s)
+    prog = lp.LinearProgram(
+        c=[ZERO] * s.witness_dim + [-ONE],
+        G=[r[d:] for r in cone.G], h=[-dot(r[:d], p) for r in cone.G],
+        E=[r[d:] for r in cone.E], e=[-dot(r[:d], p) for r in cone.E],
+        nonneg=cone.witness_nonneg)
+    out = lp.solve(prog)
+    if not lp.verify_certificate(prog, out):
+        raise InvariantViolation(
+            "scale LP outcome failed its substitution check")
+    # max t is -value, +oo when unbounded (value NEG_INF)
+    inside = out.status != lp.INFEASIBLE
+    strict = inside and out.value < ZERO
+    return strict, strict or (inside and not is_empty(s))
 
 
 @dataclass

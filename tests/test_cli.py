@@ -337,6 +337,19 @@ class TestSemiinfPolyapproxGallery:
         assert lines[0] == "epsilon,objective,x1,x2"
         assert lines[1] == "1/10,0,0,0"
 
+    @pytest.mark.parametrize("where", ["no/such/dir/f.csv", "."],
+                             ids=["missing directory", "a directory"])
+    def test_polyapprox_unwritable_out_exits_64(self, runner, tmp_path,
+                                                where):
+        # exit 1 would read as an empty frontier
+        out = tmp_path / where
+        res = runner.invoke(cli.main, ["polyapprox",
+                                       write(tmp_path, APPROX),
+                                       "--out", str(out)])
+        assert res.exit_code == 64, res.output
+        assert res.stderr.startswith(f"input error: cannot write {out}: ")
+        assert "Traceback" not in res.output
+
     def test_polyapprox_unbounded_below(self, runner, tmp_path):
         # below degree 3 on the nodes 0 and 1, t^2 - t vanishes at both
         # nodes and has integral -1/6, so every tolerance is unbounded below

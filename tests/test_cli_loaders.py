@@ -154,6 +154,9 @@ def test_hostile_documents_exit_64(kind, text):
     ("[1]", "top level must be an object"),
     (json.dumps(dict(ALL_HOLDS, D={"box": [[1, 0], [0, 1]]})),
      "D.box: box with lo > hi"),
+    (json.dumps(dict(ALL_HOLDS, A=[])), "A: at least one row required"),
+    (json.dumps(dict(ALL_HOLDS, D={"box": [["x", 1], [0, 1]]})),
+     "D.box[0]: not a rational literal: 'x'"),
 ])
 def test_loader_failures_name_their_cause(text, message):
     res = _invoke("instance", text)

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -122,11 +123,17 @@ class TestSolveDual:
         assert sol.status == UNBOUNDED
         assert sol.value is INF
 
-    def test_weak_duality_on_samples(self):
+    def test_weak_duality_on_samples(self, monkeypatch):
         for inst in (bounded_instance(), bounded_instance(offset=2)):
             p = duality.solve_primal(inst)
-            d = duality.solve_dual(inst, primal_value=p.value)
+            d = duality.solve_dual(inst)
             assert d.value <= p.value
+        # the bound asserted is the instance's kept minimum
+        kept = inst.minimum()
+        monkeypatch.setattr(inst, "minimum", lambda: dataclasses.replace(
+            kept, value=d.value - 1))
+        with pytest.raises(InvariantViolation, match="weak duality"):
+            duality.solve_dual(inst)
 
 
 class TestStrongDuality:
@@ -295,6 +302,76 @@ def _tilt_pool():
                               h=ground.h[1::2]),
             matrix=inst.matrix, target=inst.target, objective=inst.objective)
         yield instances.random_infeasible_instance(rng)
+
+
+def _redrawn_sum_points(inst, seed, count):
+    """The (z, lam) of each of the first `count` sum points of
+    check_stable_strong_duality(inst, seed=seed), redrawn in the same order
+    from random.Random(seed + 1) and recomputed in plain Fractions as
+    sum w P / total + sum r R + (map^T lam, 0), before sigma_target(lam)
+    is added to the last entry."""
+    rng = random.Random(seed + 1)
+    conj = calculus.conjugate_epigraph(inst.objective)
+    rays = conj.rays + calculus.support_epigraph_generators(inst.ground)
+    t = inst.target
+    box = isinstance(t, Box)
+    free = [True] * inst.m if box else [False] * len(t.G) + [True] * len(t.E)
+    drawn = []
+    for _ in range(count):
+        w = [rng.randint(0, 3) for _ in conj.points]
+        if not any(w):
+            w[0] = 1
+        total = sum(w)
+        r = [rng.randint(0, 2) for _ in rays]
+        mu = [rng.randint(-2, 2) if f else rng.randint(0, 2) for f in free]
+        lam = ([Q(k) for k in mu] if box else
+               [sum(k * row[i] for k, row in zip(mu, t.G + t.E))
+                for i in range(inst.m)])
+        z = [sum(Q(wk) * p[j] for wk, p in zip(w, conj.points)) / total
+             + sum(rk * ray[j] for rk, ray in zip(r, rays))
+             + sum(lam[i] * inst.matrix[i][j] for i in range(inst.m))
+             for j in range(inst.n)]
+        z.append(sum(Q(wk) * p[-1] for wk, p in zip(w, conj.points)) / total
+                 + sum(rk * ray[-1] for rk, ray in zip(r, rays)))
+        drawn.append((z, lam))
+    return drawn
+
+
+def test_sum_points_match_a_plain_fraction_redraw(monkeypatch):
+    # the stable check forms each sum point as one integer combination
+    # over one denominator; redrawn from the same seed and summed term by
+    # term in Fractions, every point and multiplier must come out the same
+    fractional = FarkasInstance(
+        ground=Box([(0, Q(1, 2)), (0, 1)]).to_polyhedron(),
+        matrix=[[Q(1, 3), 1], [1, Q(-2, 5)]],
+        target=Polyhedron(dim=2, G=[[Q(-1, 2), 0]], h=[Q(1, 3)],
+                          E=[[0, Q(3, 4)]], e=[Q(1, 6)]),
+        objective=PiecewiseAffine(dim=2, slopes=[[Q(1, 2), Q(-1, 3)],
+                                                 [Q(1, 5), 1]],
+                                  offsets=[Q(1, 7), 0]))
+    pool = [fractional] + list(itertools.islice(_tilt_pool(), 8))
+    sample = duality._sum_point_sample
+    seen = set()
+    for k, inst in enumerate(pool):
+        made = []
+
+        def recorded(*args):
+            z, lam = sample(*args)
+            made.append((list(z), lam))
+            return z, lam
+
+        monkeypatch.setattr(duality, "_sum_point_sample", recorded)
+        duality.check_stable_strong_duality(inst, tilts=[], seed=k,
+                                            n_points=6)
+        monkeypatch.undo()
+        assert made == _redrawn_sum_points(inst, k, 6)
+        if isinstance(inst.target, Box):
+            seen.add("box")
+        elif inst.target.E:
+            seen.add("equality row")
+        if any(v.denominator > 1 for z, _ in made for v in z):
+            seen.add("fractional")
+    assert seen == {"box", "equality row", "fractional"}
 
 
 def test_per_tilt_matches_fresh_solves_on_seeded_instances():

@@ -608,6 +608,14 @@ class TestInstanceValidation:
                 target=Polyhedron(dim=1, G=[[1], [-1]], h=[0, -1], E=[], e=[]),
                 objective=plain([[1]], [0]))
 
+    def test_rejects_a_target_of_another_kind(self):
+        with pytest.raises(ValueError) as caught:
+            FarkasInstance(
+                ground=whole_line(), matrix=[[1]],
+                target=Box([(0, 1)]).to_polyhedron().to_lifted(),
+                objective=plain([[1]], [0]))
+        assert str(caught.value) == "target must be a Box or a Polyhedron"
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             FarkasInstance(

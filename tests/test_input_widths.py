@@ -62,6 +62,10 @@ CASES = [
                                           E=[[1]], e=[]),
                  "equality rows and right-hand sides differ in count",
                  id="LinearProgram.e"),
+    pytest.param(lambda: lp.LinearProgram(c=[0], G=[], h=[], E=[], e=[],
+                                          nonneg=[True, False]),
+                 "nonneg flag count != number of variables",
+                 id="LinearProgram.nonneg"),
     pytest.param(lambda: lp.System(program()).outcome([1, 2]),
                  "cost width != number of variables", id="System.outcome"),
     pytest.param(lambda: lp.System(program()).minima([[]]),
@@ -82,6 +86,10 @@ CASES = [
     pytest.param(lambda: sets.LiftedSet(dim=1, witness_dim=1, E=[[1, 1]],
                                         e=[0, 1]),
                  "row/rhs count mismatch", id="LiftedSet.e"),
+    pytest.param(lambda: sets.LiftedSet(dim=1, witness_dim=1,
+                                        witness_nonneg=[True, True]),
+                 "witness flag count != witness_dim",
+                 id="LiftedSet.witness_nonneg"),
     pytest.param(lambda: sets.member(triangle(), [0]),
                  "point dimension mismatch", id="sets.member"),
     pytest.param(lambda: sets.members(triangle(), [[0, 0], [0, 0, 0]]),
@@ -90,7 +98,12 @@ CASES = [
                  "direction dimension mismatch", id="sets.supports"),
     pytest.param(lambda: sets.linear_image(triangle(), [[1, 1, 1]]),
                  "matrix width != set dimension", id="sets.linear_image"),
-    pytest.param(lambda: sets.cone_closed_regarding(triangle(), [[1]]),
+    pytest.param(lambda: sets.minkowski_sum(triangle(), sets.whole_space(3)),
+                 "dimension mismatch", id="sets.minkowski_sum"),
+    pytest.param(lambda: sets.contains_generated(
+                     triangle(), sets.GeneratedSet(dim=1, points=[[0]])),
+                 "dimension mismatch", id="sets.contains_generated"),
+    pytest.param(lambda: sets.cone_closed_regarding(triangle(), [1]),
                  "point dimension mismatch", id="sets.cone_closed_regarding"),
     pytest.param(lambda: sets.GeneratedSet(dim=2, points=[[0]]),
                  "generator width != dim", id="GeneratedSet.points"),
@@ -122,10 +135,21 @@ CASES = [
                                                   offsets=[0, 1]),
                  "piece count mismatch between slopes and offsets",
                  id="PiecewiseAffine.offsets"),
+    pytest.param(lambda: calculus.PiecewiseAffine(
+                     dim=2, slopes=[[1, 1]], offsets=[0],
+                     domain=sets.whole_space_polyhedron(1)),
+                 "domain dimension mismatch", id="PiecewiseAffine.domain"),
     pytest.param(lambda: two_dim_function().value([3]),
                  "point dimension mismatch", id="PiecewiseAffine.value"),
     pytest.param(lambda: calculus.fenchel_values(two_dim_function(), [[1]]),
                  "point dimension mismatch", id="calculus.fenchel_values"),
+    pytest.param(lambda: calculus.minimize_over(
+                     two_dim_function(), sets.whole_space_polyhedron(1)),
+                 "dimension mismatch", id="calculus.minimize_over"),
+    pytest.param(lambda: calculus.restricted_conjugate_epigraph(
+                     two_dim_function(), sets.whole_space_polyhedron(1)),
+                 "dimension mismatch",
+                 id="calculus.restricted_conjugate_epigraph"),
     # engine
     pytest.param(lambda: dataclasses.replace(
                      instance(),

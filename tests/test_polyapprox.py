@@ -46,6 +46,23 @@ class TestValidation:
             ApproxProblem(degree_bound=1, nodes=[0, 1], values=[1],
                           epsilons=[1])
 
+    @pytest.mark.parametrize("degree, nodes, message", [
+        (0, [0, 1], "degree bound must be at least 1"),
+        (1, [], "empty node grid"),
+    ], ids=["degree", "nodes"])
+    def test_degree_and_node_grid(self, degree, nodes, message):
+        with pytest.raises(ValueError) as caught:
+            ApproxProblem(degree_bound=degree, nodes=nodes,
+                          values=[0] * len(nodes), epsilons=[1])
+        assert str(caught.value) == message
+
+    def test_sweep_needs_a_tolerance(self):
+        problem = ApproxProblem(degree_bound=1, nodes=[0, 1], values=[0, 0],
+                                epsilons=[])
+        with pytest.raises(ValueError) as caught:
+            polyapprox.sweep(problem)
+        assert str(caught.value) == "no tolerances to sweep"
+
     def test_epsilons_positive_ascending(self):
         with pytest.raises(ValueError):
             ApproxProblem(degree_bound=1, nodes=[0, 1], values=[0, 0],

@@ -62,29 +62,32 @@ class TestSplitAndSupport:
     def test_box_support_hand_value(self):
         g = simple_grid()
         # lam = (2, -3): 2*beta_1 - 3*... minus part hits alpha_2 = -1
-        sm = semiinf.decompose([2, -3])
-        assert semiinf.box_support(g, sm) == 2 * 2 - 3 * (-1)
+        assert g.target.support([2, -3]) == 2 * 2 - 3 * (-1)
+        assert g.target_support([2, -3]) == 2 * 2 - 3 * (-1)
 
     def test_box_support_matches_lp(self):
         g = simple_grid()
         box = g.target_polyhedron().to_lifted()
         for lam in ([0, 0], [1, 1], [-2, 5], [Q(1, 2), Q(-7, 3)]):
-            sm = semiinf.decompose(lam)
-            assert semiinf.box_support(g, sm) == sets.support(box, lam)
+            assert g.target.support(lam) == sets.support(box, lam)
 
     def test_length_checked(self):
-        with pytest.raises(ValueError):
-            semiinf.box_support(simple_grid(), semiinf.decompose([1]))
+        with pytest.raises(ValueError, match="direction dimension mismatch"):
+            simple_grid().target_support([1])
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(min_value=-6, max_value=6),
                     min_size=2, max_size=2))
     def test_split_is_lossless_and_support_exact(self, lam):
+        # sigma(lam) = sum_t (plus_t beta_t - minus_t alpha_t) over the
+        # canonical split is Box.support, and both are the LP value
         g = simple_grid()
         sm = semiinf.decompose(lam)
         assert sm.value() == [Q(v) for v in lam]
+        by_split = sum(p * hi - m * lo for p, m, (lo, hi)
+                       in zip(sm.plus, sm.minus, g.target.bounds))
         box = g.target_polyhedron().to_lifted()
-        assert semiinf.box_support(g, sm) == sets.support(box, lam)
+        assert by_split == g.target.support(lam) == sets.support(box, lam)
 
 
 class TestMomentCone:
@@ -99,15 +102,13 @@ class TestMomentCone:
         assert rep.graph_points_checked == 20
 
     def test_sandwich_consults_an_lp(self, monkeypatch):
-        # the same wrong closed form in both places, one too large when two
-        # or more entries are nonzero: only an LP value can tell
-        grid_support, box_support = semiinf.box_support, Box.support
+        # a wrong closed form, one too large when two or more entries are
+        # nonzero: only an LP value can tell
+        box_support = Box.support
 
         def bump(values):
             return Q(1) if sum(1 for v in values if v) >= 2 else ZERO
 
-        monkeypatch.setattr(semiinf, "box_support", lambda system, sm:
-                            grid_support(system, sm) + bump(sm.value()))
         monkeypatch.setattr(Box, "support",
                             lambda self, d: box_support(self, d) + bump(d))
         with pytest.raises(InvariantViolation, match="LP value"):

@@ -38,12 +38,20 @@ stable Farkas check (`check_stability`) runs the same steps over the
 shifts of its tilts f - s.x - l: a lift l moves the minimum and the best
 dual value of its shift alike, so the statement and the certificate of
 each tilt are read off the shift's two values.
+
+The stable strong-duality check also samples the inclusion epi f* +
+certificate cone in epi (f + indicator of the feasible set)* at sum points
+drawn as integer weights on the generators of both sides. For a box
+target those weights, laid out on the multiplier columns of
+`engine.restricted_epigraph`, are a witness of the point's membership, and
+substituting it into that set's rows, in integers, proves it with no LP.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from math import lcm
 
 from . import calculus, engine, lp, sets
 from .engine import FarkasInstance
@@ -164,7 +172,10 @@ def _strong_report(primal: calculus.Minimum,
 
 
 def default_tilts(n: int, count: int = 25, seed: int = 0):
-    """(0, 0) followed by seeded integer tilt pairs (shift vector, lift)."""
+    """(0, 0) followed by seeded integer tilt pairs (shift vector, lift),
+    `count` >= 1 pairs in all."""
+    if count < 1:
+        raise ValueError("the tilt count must be >= 1")
     rng = random.Random(seed)
     tilts = [([ZERO] * n, ZERO)]
     while len(tilts) < count:
@@ -304,8 +315,10 @@ class StableDualityReport:
 
 def _sum_point_sample(inst: FarkasInstance, rng, generators, d, n_points,
                       free):
-    """(z, lam): a random point of epi f* + certificate cone short of its
-    target support, and the multiplier lam it drew. z is a convex
+    """(z, lam, weights): a random point of epi f* + certificate cone short
+    of its target support, the multiplier lam it drew and its integer
+    weights on the generators, from which `_box_witness` reads a proof of
+    its membership. z is a convex
     combination of the points of epi f*, plus nonnegative multiples of its
     rays and of the ray generators of the ground's support epigraph, plus
     (map^T lam, 0); adding sigma_target(lam) to its last entry gives the
@@ -333,7 +346,73 @@ def _sum_point_sample(inst: FarkasInstance, rng, generators, d, n_points,
         if w:
             for j, a in enumerate(g):
                 z[j] += w * a
-    return [Q(v, total * d) for v in z], lam
+    return [Q(v, total * d) for v in z], lam, weights
+
+
+def _box_witness(inst: FarkasInstance, weights, n_points) -> list:
+    """The witness w, over the columns of `engine.restricted_epigraph`, of
+    a sum point of a box target drawn with `weights` (`_sum_point_sample`),
+    as integers over the point weights' total. The weights follow the
+    generators: epi f*'s points, its vertical ray and dom f's support
+    epigraph rays, the ground's rays, then the map's rows. w's columns are
+    those of `calculus._dual_epigraph` over the one block feasible set meet
+    dom f: theta, then the meet's G rows (ground, the box's preimage, dom f),
+    then its E rows (ground, dom f). theta is the point weights; a G row of
+    the ground or dom f takes its ray's weight, an E row the net of its two
+    signed rays; the preimage's rows 2i (A_i, hi_i) and 2i+1 (-A_i, -lo_i)
+    take lam_i's positive and negative parts, whose budget is
+    sigma_box(lam). The vertical rays are slack in the budget row and take
+    no column."""
+    it = iter(weights)
+    theta = [next(it) for _ in range(n_points)]
+    next(it)  # epi f*'s vertical ray
+
+    def rays(p):  # its G rows, its E rows netted, then its vertical ray
+        g = [next(it) for _ in p.G]
+        e = [next(it) - next(it) for _ in p.E]
+        next(it)
+        return g, e
+
+    dom = inst.objective.domain
+    dom_g, dom_e = ([], []) if dom is None else rays(dom)
+    ground_g, ground_e = rays(inst.ground)
+    box = []
+    for mu in it:
+        box += [max(mu, 0), max(-mu, 0)]
+    return theta + ground_g + box + dom_g + ground_e + dom_e
+
+
+def _substituted(s: sets.LiftedSet, stacked) -> list:
+    """Per (x, d) in `stacked`, whether x / d, a point z and a witness w
+    stacked over the set's columns, satisfies every row of S and w's sign
+    flags, which proves z in S with no LP. Each row is put over its lcm
+    once, and the rows are then tested in plain integers."""
+    rows = []
+    for r, b in zip(s.G + s.E, s.h + s.e):
+        nums, _ = over_lcm(r + [b])
+        rows.append(([(j, a) for j, a in enumerate(nums[:-1]) if a],
+                     nums[-1]))
+    mG, width = len(s.G), s.dim + s.witness_dim
+    signed = [s.dim + j for j, flag in enumerate(s.witness_nonneg) if flag]
+    proved = []
+    for x, d in stacked:
+        if len(x) != width:
+            proved.append(False)
+            continue
+        slack = [b * d - sum(a * x[j] for j, a in row) for row, b in rows]
+        proved.append(all(v >= 0 for v in slack[:mG])
+                      and not any(slack[mG:])
+                      and all(x[j] >= 0 for j in signed))
+    return proved
+
+
+def _stacked(z, witness, total):
+    """(x, d): the point z and the witness `witness` / total over one
+    denominator d."""
+    nums, dz = over_lcm(z)
+    d = lcm(dz, total)
+    return ([a * (d // dz) for a in nums]
+            + [a * (d // total) for a in witness], d)
 
 
 def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
@@ -341,12 +420,20 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
                                 n_points: int = 20) -> StableDualityReport:
     """Strong duality under every sampled linear tilt of the objective,
     plus the one-sided containment of epi f* + cone in the restricted
-    conjugate epigraph, sampled at random sum points. Tilting shifts the
+    conjugate epigraph, sampled at `n_points` random sum points. For a box
+    target each point is proved a member by substituting the weights it
+    was drawn from, as a witness (`_box_witness`), into the restricted
+    epigraph's rows, with no LP; a polyhedral target's points, and any
+    point whose witness fails, are decided by one `sets.members` sweep. A
+    member whose witness failed means the witness layout is wrong, and
+    raises; so does a point outside the set. Tilting shifts the
     conjugate, so the criterion set only translates and stays closed; with
     a primal value below +infinity every tilt must then close the duality
     gap, and a miss raises. An infeasible primal leaves the tilt grid
     unforced, which the note records. The tilts run in the three batched
     steps of the module docstring, giving each its StrongDualityReport."""
+    if n_points < 0:
+        raise ValueError("the number of sum points must be >= 0")
     if tilts is None:
         tilts = [shift for shift, _ in default_tilts(inst.n, seed=seed)]
     rng = random.Random(seed + 1)
@@ -367,15 +454,31 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
     samples = [_sum_point_sample(inst, rng, generators, d, len(conj.points),
                                  free)
                for _ in range(n_points)]
-    points = [z for z, _ in samples]
-    for z, s in zip(points, inst.target_supports([lam for _, lam in samples])):
+    points = [z for z, _, _ in samples]
+    for z, s in zip(points,
+                    inst.target_supports([lam for _, lam, _ in samples])):
         z[-1] += s
-    if not all(sets.members(restricted, points)):
+    # the primal is infeasible exactly when the feasible set misses dom f,
+    # and that meet's emptiness is kept from the restricted epigraph, which
+    # is then the whole space, with no rows to substitute into
+    infeasible = inst.feasible_in_domain().is_empty()
+    witnessed = isinstance(inst.target, sets.Box) and not infeasible
+    proved = [False] * n_points
+    if witnessed:
+        proved = _substituted(restricted, [
+            _stacked(z, _box_witness(inst, weights, len(conj.points)),
+                     sum(weights[:len(conj.points)]))
+            for z, (_, _, weights) in zip(points, samples)])
+    unproved = [z for z, ok in zip(points, proved) if not ok]
+    if unproved and not all(sets.members(restricted, unproved)):
         raise InvariantViolation(
             "a sum point escapes the restricted conjugate epigraph")
-    # the primal is infeasible exactly when the feasible set misses dom f,
-    # and that meet's emptiness is kept from the restricted epigraph
-    if inst.feasible_in_domain().is_empty():
+    if witnessed and unproved:
+        raise InvariantViolation(
+            "a sum point's witness fails the restricted conjugate "
+            "epigraph's rows although the point is a member: the witness "
+            "layout (theta, the meet's G rows, its E rows) is wrong")
+    if infeasible:
         return StableDualityReport(
             tilts_checked=0, all_strong=True, containment_points=n_points,
             note="primal infeasible: per-tilt attainment is not forced; "

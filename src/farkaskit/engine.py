@@ -167,10 +167,13 @@ class FarkasInstance:
 # ---------------------------------------------------------------------------
 # The dual-side cones and epigraphs, as lifted representations.
 
+@kept
 def multiplier_cone(inst: FarkasInstance) -> sets.LiftedSet:
     """{(map^T lam, s) : sigma_target(lam) <= s}: the multiplier graph with
     its vertical rays, a convex cone in R^{n+1}. Built as the image of the
-    target's support-function epigraph under (lam, s) -> (map^T lam, s)."""
+    target's support-function epigraph under (lam, s) -> (map^T lam, s),
+    once per instance: every caller shares the one set, so none may change
+    its rows."""
     epi = calculus.support_epigraph(inst.target_polyhedron())
     m = inst.m
     rows = []

@@ -33,7 +33,8 @@ kernel's own optimality test there (Dantzig 1963, postoptimality), so its
 minimum is that basic solution's value. Only a cost that no kept ray or
 basis decides runs a phase 2, and its ray or basis is kept in turn. The
 minimum of c.x over the rows is one number, whatever pivots reach it, so
-each value equals a fresh `solve`'s bit for bit; the points and
+each value equals a fresh `solve`'s bit for bit (`maxima` asks `minima`
+of each cost's integers negated, and negates the values); the points and
 multipliers do depend on the pivot path, and `outcome` always runs a
 phase 2. `append` changes the rows, which may cut a kept ray and which no
 kept basis holds, so it drops them all. Every question puts a cost over
@@ -631,11 +632,10 @@ class System:
         t, z, d, q = run
         return t.outcome(z, d, q)
 
-    def _answers(self, costs, unique):
-        """Per cost in `costs`, INF when the rows are infeasible, else
-        `_proved` of it, once per distinct cost in order of first
+    def _answers(self, keys, unique):
+        """Per cost (nums, d) in `keys`, INF when the rows are infeasible,
+        else `_proved` of it, once per distinct cost in order of first
         appearance."""
-        keys = [self._cost(c) for c in costs]
         if not keys:
             return []
         self._kept()
@@ -676,8 +676,21 @@ class System:
         docstring); only a cost that none of them decides runs a phase 2,
         whose ray or final tableau is then kept. No point or multiplier is
         formed."""
+        return self._minima([self._cost(c) for c in costs])
+
+    def maxima(self, costs) -> list:
+        """max c.x over the rows for each c in `costs`: minus `minima` of
+        -c, so INF when unbounded above and NEG_INF when the rows are
+        infeasible. Each cost is negated as the integers `_cost` gives,
+        which are -c's own, so every value is the one `minima` of -c
+        gives, bit for bit."""
+        keys = [self._cost(c) for c in costs]
+        return [-v for v in self._minima(
+            [(tuple(-a for a in nums), d) for nums, d in keys])]
+
+    def _minima(self, keys):
         return [p[1] if isinstance(p, tuple) else p
-                for p in self._answers(costs, False)]
+                for p in self._answers(keys, False)]
 
     def unique_optima(self, costs) -> list:
         """Per cost c in `costs`, (x, value) when an optimal basis proves
@@ -690,7 +703,8 @@ class System:
         value, so each answer equals the x and value of `solve` of the
         program with cost c, bit for bit."""
         return [(p[0]._x(), p[1]) if isinstance(p, tuple) else None
-                for p in self._answers(costs, True)]
+                for p in self._answers([self._cost(c) for c in costs],
+                                       True)]
 
     def feasible(self, b) -> bool:
         """Whether G x <= b[:len(G)], E x = b[len(G):] has a solution under

@@ -190,9 +190,10 @@ def sweep(problem: ApproxProblem) -> list:
 
 
 def write_frontier(rows, path, degree_bound: int):
-    """CSV with header epsilon,objective,x1,...,xn; rationals as p/q."""
+    """CSV with header epsilon,objective,x1,...,xn; rationals as p/q; each
+    row ends in a bare newline."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epsilon", "objective"]
                         + [f"x{i}" for i in range(1, degree_bound + 1)])
         for row in rows:

@@ -132,16 +132,14 @@ def support(s: LiftedSet, d):
 
 def supports(s: LiftedSet, directions) -> list:
     """[support(s, d) for d in directions], on one `lp.System` of the set's
-    rows (`lp.System.minima`): phase 1 runs once, and a direction runs a
+    rows (`lp.System.maxima`): phase 1 runs once, and a direction runs a
     phase 2 only when no ray or optimal basis that an earlier direction
-    found decides it.
-    sup d.z is minus the minimum of -d.z, so an empty set's INF becomes
-    NEG_INF and an unbounded minimum's NEG_INF becomes INF."""
-    costs = []
-    for d in directions:
-        d = as_q_vector(d, s.dim, "direction dimension mismatch")
-        costs.append([-v for v in d] + [ZERO] * s.witness_dim)
-    return [-v for v in lp.System(_joint_lp(s)).minima(costs)]
+    found decides it. An empty set gives NEG_INF and an unbounded one
+    INF."""
+    pad = [ZERO] * s.witness_dim
+    return lp.System(_joint_lp(s)).maxima(
+        [as_q_vector(d, s.dim, "direction dimension mismatch") + pad
+         for d in directions])
 
 
 def minkowski_sum(a: LiftedSet, b: LiftedSet) -> LiftedSet:

@@ -236,6 +236,23 @@ class TestStableStrongDuality:
         assert rep.note is not None
         assert rep.containment_points == 20
 
+    def test_negative_point_count_raises(self):
+        # a negative count once reported containment_points=-4 and
+        # sampled nothing
+        with pytest.raises(ValueError, match="sum points"):
+            duality.check_stable_strong_duality(bounded_instance(),
+                                                n_points=-4)
+        rep = duality.check_stable_strong_duality(bounded_instance(),
+                                                  tilts=[], n_points=0)
+        assert rep.containment_points == 0
+
+    def test_tilt_count_below_one_raises(self):
+        # count=0 once returned the zero tilt alone
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="tilt count"):
+                duality.default_tilts(2, count=count)
+        assert duality.default_tilts(2, count=1) == [([Q(0), Q(0)], Q(0))]
+
     def test_domain_restricted(self):
         inst = FarkasInstance(
             ground=Box([(0, 5)]).to_polyhedron(), matrix=[[1]],
@@ -356,9 +373,9 @@ def test_sum_points_match_a_plain_fraction_redraw(monkeypatch):
         made = []
 
         def recorded(*args):
-            z, lam = sample(*args)
+            z, lam, weights = sample(*args)
             made.append((list(z), lam))
-            return z, lam
+            return z, lam, weights
 
         monkeypatch.setattr(duality, "_sum_point_sample", recorded)
         duality.check_stable_strong_duality(inst, tilts=[], seed=k,
@@ -557,15 +574,17 @@ def test_stable_check_solves_each_constraint_set_once(count_phase1,
     # kept epigraph's phase 1 makes no pivot, so its nonzero shifts were
     # solved fresh (33 runs, 105 pivots) until the tilts shared the kept
     # system's bases; posed there first they take 25 runs and 104 pivots
-    # (130 pivots before the bases were shared)
+    # (130 pivots before the bases were shared), and 24 runs and 86 pivots
+    # once the sum points were proved members by their drawn witnesses
+    # instead of one membership sweep (bounds 33 and 119 before)
     def check():
         return duality.check_stable_strong_duality(bounded_instance(), seed=2)
 
     rep, runs = count_phase1(check)
     assert rep.tilts_checked == 25
-    assert runs <= 33
+    assert runs <= 24
     _, pivots = count_pivots(check)
-    assert pivots <= 119
+    assert pivots <= 86
 
 
 def test_tilts_are_answered_on_the_kept_epigraph(count_phase1, count_pivots):
@@ -589,8 +608,10 @@ def test_tilts_are_answered_on_the_kept_epigraph(count_phase1, count_pivots):
 
 
 def test_sum_points_share_one_phase_1(count_phase1, monkeypatch):
-    # the 20 sampled sum points are decided on the basis the first one
-    # leaves: one phase 1 for all of them
+    # a box target's 20 sampled sum points are proved members by the
+    # weights they were drawn from, with no membership sweep (one sweep
+    # and one phase 1 before); a polyhedral target's 20 are decided on the
+    # basis the first one leaves: one phase 1 for all of them
     sweeps = []
     members = sets.members
 
@@ -601,7 +622,100 @@ def test_sum_points_share_one_phase_1(count_phase1, monkeypatch):
 
     monkeypatch.setattr(sets, "members", counted)
     duality.check_stable_strong_duality(bounded_instance(), seed=2)
+    assert sweeps == []
+    duality.check_stable_strong_duality(pentagon_target_instance(), seed=2)
     assert sweeps == [(20, True, 1)]
+
+
+def _box_witness_pool():
+    """Seeded box-target instances: each random feasible instance, its
+    twin with an equality row on the ground and on dom f, and a twin with
+    fractional map, box, slopes and offsets."""
+    rng = random.Random(2910)
+    for _ in range(14):
+        inst = instances.random_feasible_instance(rng)
+        yield inst
+        f = inst.objective
+        yield FarkasInstance(
+            ground=_with_equality_row(inst.ground), matrix=inst.matrix,
+            target=inst.target,
+            objective=f if f.domain is None else dataclasses.replace(
+                f, domain=_with_equality_row(f.domain)))
+        yield FarkasInstance(
+            ground=inst.ground,
+            matrix=[[a / 3 for a in row] for row in inst.matrix],
+            target=Box([(lo / 3 - Q(1, 5), hi / 3 + Q(2, 7))
+                        for lo, hi in inst.target.bounds]),
+            objective=dataclasses.replace(
+                f, slopes=[[a / 2 for a in row] for row in f.slopes],
+                offsets=[b + Q(1, 3) for b in f.offsets]))
+
+
+def test_box_sum_points_proved_by_their_witnesses_are_members(monkeypatch):
+    # every sum point of a box target is proved a member by substituting
+    # the weights it was drawn from, and sets.members, an LP on the same
+    # rows, agrees on each
+    real = duality._substituted
+    proved = []
+
+    def recorded(s, stacked):
+        got = real(s, stacked)
+        proved.extend((s, x, d, ok) for (x, d), ok in zip(stacked, got))
+        return got
+
+    monkeypatch.setattr(duality, "_substituted", recorded)
+    seen = set()
+    for k, inst in enumerate(_box_witness_pool()):
+        before = len(proved)
+        duality.check_stable_strong_duality(inst, tilts=[], seed=k,
+                                            n_points=6)
+        if inst.feasible_in_domain().is_empty():
+            assert len(proved) == before
+            seen.add("infeasible")
+            continue
+        assert len(proved) == before + 6
+        f = inst.objective
+        if f.domain is not None:
+            seen.add("domain equality row" if f.domain.E else "domain")
+        if inst.ground.E:
+            seen.add("ground equality row")
+        if any(v.denominator > 1 for row in inst.matrix for v in row):
+            seen.add("fractional")
+    assert seen == {"infeasible", "domain", "domain equality row",
+                    "ground equality row", "fractional"}
+    assert all(ok for *_, ok in proved)
+    points = [(s, [Q(a, d) for a in x[:s.dim]]) for s, x, d, _ in proved]
+    assert all(sets.member(s, z) for s, z in points)
+    assert any(v.denominator > 1 for _, z in points for v in z)
+
+
+def test_box_sum_point_below_its_budget_raises(monkeypatch):
+    # a sum point lowered far below the budget of its witness escapes the
+    # restricted epigraph, which the membership LP confirms
+    sample = duality._sum_point_sample
+
+    def lowered(*args):
+        z, lam, weights = sample(*args)
+        z[-1] -= 100
+        return z, lam, weights
+
+    monkeypatch.setattr(duality, "_sum_point_sample", lowered)
+    with pytest.raises(InvariantViolation, match="escapes"):
+        duality.check_stable_strong_duality(bounded_instance(), seed=2)
+
+
+def test_box_witness_in_the_wrong_columns_raises(monkeypatch):
+    # a witness shifted by one column fails the rows, while the point is
+    # still a member by LP: the layout, not the point, is wrong
+    witness = duality._box_witness
+
+    def shifted(*args):
+        w = witness(*args)
+        return w[1:] + w[:1]
+
+    monkeypatch.setattr(duality, "_box_witness", shifted)
+    with pytest.raises(InvariantViolation, match="witness layout"):
+        duality.check_stable_strong_duality(bounded_instance(), seed=2)
 
 
 def pentagon_target_instance():

@@ -494,6 +494,23 @@ class TestKeptSets:
             kept = getattr(inst, name)()
             assert getattr(inst, name)() is kept
 
+    def test_multiplier_cone_built_once(self, monkeypatch):
+        # check_existence and the dual criterion each built it twice, once
+        # inside certificate_cone and once directly
+        inst = basic_instance()
+        built = []
+        image = sets.linear_image
+
+        def counted(s, M):
+            built.append(M)
+            return image(s, M)
+
+        monkeypatch.setattr(sets, "linear_image", counted)
+        engine.check_existence(inst)
+        engine.check_dual_criterion(inst, n_random=2)
+        assert len(built) == 1
+        assert engine.multiplier_cone(inst) is engine.multiplier_cone(inst)
+
     def test_second_emptiness_check_solves_nothing(self, count_phase1):
         inst = basic_instance()
         for p in (inst.preimage_polyhedron(), inst.feasible_polyhedron()):

@@ -950,6 +950,30 @@ def test_minima_from_kept_rays_and_bases_match_fresh_solves(phase2_costs):
     assert decided["fresh"] < min(decided["ray"], decided["basis"])
 
 
+def test_maxima_are_minima_of_the_negated_costs(phase2_costs):
+    # maxima negates each cost's integers after putting it over its lcm;
+    # its values, and the costs it poses to a phase 2, are those of minima
+    # of the negated costs, bit for bit
+    rng = random.Random(20261020)
+    seen = set()
+    for program, costs in _reuse_draws(rng, 12):
+        phase2_costs.clear()
+        got = System(program).maxima(costs)
+        posed = list(phase2_costs)
+        phase2_costs.clear()
+        want = System(program).minima([[-a for a in c] for c in costs])
+        assert got == [-v for v in want] and posed == phase2_costs
+        assert all(type(v) is Q or v in (INF, NEG_INF) for v in got)
+        seen.update("INF" if v is INF else "value" for v in got)
+    assert seen == {"INF", "value"}
+    ray = LinearProgram(c=[0], G=[[1]], h=[1], E=[], e=[])
+    assert System(ray).maxima([[1], [-1], [Q(1, 3)]]) == [Q(1), INF,
+                                                          Q(1, 3)]
+    infeasible = LinearProgram(c=[0], G=[[1], [-1]], h=[1, -2], E=[], e=[])
+    assert System(infeasible).maxima([[1]]) == [NEG_INF]
+    assert System(ray).maxima([]) == []
+
+
 def test_minima_reuse_by_hand(phase2_costs, count_pivots):
     # x, y >= 0, x + y >= 1, y <= 2. (-1, 0) is unbounded along (1, 0),
     # which also decides (-1, 5); (2, 1) is optimal at (0, 1), whose basis

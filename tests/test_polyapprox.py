@@ -167,6 +167,15 @@ class TestSweep:
         assert got[1] == ["1/100", "1/3", "0", "0", "1"]
         assert got[2] == ["1/10", "1/3", "0", "0", "1"]
 
+    def test_csv_rows_end_in_a_bare_newline(self, tmp_path):
+        # the csv module's default row end was CRLF
+        out = tmp_path / "frontier.csv"
+        polyapprox.write_frontier(polyapprox.sweep(square_problem()), out,
+                                  degree_bound=3)
+        assert out.read_bytes() == (b"epsilon,objective,x1,x2,x3\n"
+                                    b"1/100,1/3,0,0,1\n"
+                                    b"1/10,1/3,0,0,1\n")
+
     def test_csv_unbounded_row(self, tmp_path):
         p = ApproxProblem(degree_bound=2, nodes=[0], values=[0],
                           epsilons=[1])

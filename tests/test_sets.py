@@ -107,6 +107,24 @@ class TestSupport:
         assert sets.support(s, [0, 0]) == Q(0)
         assert sets.support(s, [1, 0]) is INF
 
+    def test_supports_negate_no_direction_entry(self, monkeypatch):
+        # sup d.z is min -d.z negated; the directions are negated as the
+        # kernel's integers, so the only Fraction negations left are one
+        # per finite value (each direction's entries were negated before)
+        s = triangle_poly().to_lifted()
+        dirs = sets.probe_directions(2, n_random=6, seed=3)
+        want = [sets.support(s, d) for d in dirs]
+        negations = []
+        neg = Q.__neg__
+
+        def counted(x):
+            negations.append(x)
+            return neg(x)
+
+        monkeypatch.setattr(Q, "__neg__", counted)
+        assert sets.supports(s, dirs) == want
+        assert len(negations) == len(dirs)
+
     def test_box_support_closed_form_matches_lp(self):
         box = sets.Box(bounds=[(-1, 2), (0, 3), (Q(1, 2), Q(1, 2))])
         lifted = box.to_polyhedron().to_lifted()

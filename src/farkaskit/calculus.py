@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from . import lp, sets
 from .rational import INF, ONE, ZERO, as_q_matrix, as_q_vector, dot
 
+_MINUS_ONE = -ONE
+
 
 @dataclass
 class PiecewiseAffine:
@@ -102,16 +104,15 @@ def _tilt_costs(vectors, n, error):
 
 def epigraph_system(f: PiecewiseAffine, over: sets.Polyhedron) -> lp.System:
     """`_epigraph_program(f, over)` on one kept `lp.System`: the minimum of
-    f (`minimum_on`), of its tilts (`unique_tilted_minima`) and its
+    f (the cost t, `minimum_of`), of its tilts (`unique_tilted_minima`) and its
     conjugate values (`fenchel_values`) are costs on it."""
     return lp.System(_epigraph_program(f, over))
 
 
-def minimum_on(system: lp.System) -> Minimum:
-    """The minimum of f over a polyhedron, from the cost t on their
-    `epigraph_system`: a fresh solve's outcome, point and ray cut to x."""
-    n = system.program.n - 1
-    out = system.outcome(system.program.c)
+def minimum_of(out: lp.LPOutcome, n: int) -> Minimum:
+    """The minimum of f over a polyhedron, from the outcome of the cost t
+    on their `epigraph_system` (a fresh solve's): its status and value,
+    point and ray cut to x, of width n."""
     if out.status == lp.INFEASIBLE:
         return Minimum(out.status, INF)
     return Minimum(out.status, out.value, point=out.x[:n],
@@ -120,7 +121,8 @@ def minimum_on(system: lp.System) -> Minimum:
 
 def minimize_over(f: PiecewiseAffine, over: sets.Polyhedron) -> Minimum:
     """Minimize f over a polyhedron (intersected with dom f), exactly."""
-    return minimum_on(epigraph_system(f, over))
+    system = epigraph_system(f, over)
+    return minimum_of(system.outcome(system.program.c), f.dim)
 
 
 def unique_tilted_minima(system: lp.System, shifts) -> list:
@@ -142,19 +144,21 @@ def fenchel_values(f: PiecewiseAffine, points, over=None) -> list:
     is None; INF where the sup is unbounded, NEG_INF when `over` misses
     dom f.
 
-    The conjugate at u is sup_x (u . x - f(x)) = -min (t - u . x) over f's
+    The conjugate at u is sup_x (u . x - f(x)) = max (u . x - t) over f's
     epigraph rows (a.x + b <= t per piece, plus dom f and `over`). Only the
-    cost (-u, 1) depends on u, so one `lp.System` serves every point: phase
+    cost (u, -1) depends on u, so one `lp.System` serves every point: phase
     1 runs once per f, and a point runs a phase 2 only when no ray or
-    optimal basis of an earlier point decides it (`minima`). The minimum
-    is unique, so each value is the one a program per point would give. A
-    tilt needs no program of its own either: the conjugate of f - s.x - l
-    at u is f*(u + s) + l."""
+    optimal basis of an earlier point decides it (`maxima`, which poses
+    the cost (-u, 1) of min (t - u . x) and negates no rational). The
+    optimum value is unique, so each value is the one a program per point
+    would give. A tilt needs no program of its own either: the conjugate
+    of f - s.x - l at u is f*(u + s) + l."""
     n = f.dim
-    costs = _tilt_costs(points, n, "point dimension mismatch")
+    costs = [as_q_vector(u, n, "point dimension mismatch") + [_MINUS_ONE]
+             for u in points]
     if over is None:
         over = sets.whole_space_polyhedron(n)
-    return [-v for v in epigraph_system(f, over).minima(costs)]
+    return epigraph_system(f, over).maxima(costs)
 
 
 def fenchel_value(f: PiecewiseAffine, u):

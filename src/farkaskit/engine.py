@@ -32,7 +32,7 @@ from . import calculus, lp, sets
 from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
 from .rational import (INF, NEG_INF, ONE, ZERO, as_q_matrix, as_q_vector,
-                       is_finite, mat_vec, transpose_apply)
+                       dot, is_finite, mat_vec, transpose_apply)
 from .sets import Box, Polyhedron, kept, whole_space_polyhedron
 
 
@@ -156,12 +156,20 @@ class FarkasInstance:
                                         self.feasible_polyhedron())
 
     @kept
+    def minimum_outcome(self) -> lp.LPOutcome:
+        """The outcome of the cost t on the epigraph system, solved on the
+        first call only: at a finite minimum it carries the rows'
+        multipliers, which prove it (`_scale_candidate`). Shared, so
+        callers must not change it."""
+        system = self.epigraph_system()
+        return system.outcome(system.program.c)
+
+    @kept
     def minimum(self) -> calculus.Minimum:
-        """The exact minimum of the objective over the feasible set, solved
-        on the first call only, as the cost t on the epigraph system: its
-        point and ray are shared, so callers copy them before handing them
-        out."""
-        return calculus.minimum_on(self.epigraph_system())
+        """The exact minimum of the objective over the feasible set, read
+        off the kept `minimum_outcome`: its point and ray are shared, so
+        callers copy them before handing them out."""
+        return calculus.minimum_of(self.minimum_outcome(), self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +191,106 @@ def multiplier_cone(inst: FarkasInstance) -> sets.LiftedSet:
     return sets.linear_image(epi, rows)
 
 
+MULTIPLIER_CONE_LAYOUT = (
+    "multiplier cone's candidate at (0, -1) (columns lam, s, then the "
+    "target rows' multipliers; rows the budget, then the links to "
+    "(map^T lam, s), then lam = target rows^T mu)")
+
+
+def _unit_farkas(out: lp.LPOutcome, blocks) -> list:
+    """The Farkas pair `out` of the emptiness LP of the meet of `blocks`
+    (G rows block by block, then E rows block by block), scaled to value
+    -1, as one slice per block of its G rows then its E rows: the
+    multipliers of that block's support-epigraph columns."""
+    mu, nu = out.farkas_ineq, out.farkas_eq
+    k = -1 / (dot([b for p in blocks for b in p.h], mu)
+              + dot([b for p in blocks for b in p.e], nu))
+    mus, _ = _cut(mu, [len(p.G) for p in blocks])
+    nus, _ = _cut(nu, [len(p.E) for p in blocks])
+    return [[k * w for w in a + b] for a, b in zip(mus, nus)]
+
+
+def _cut(values, sizes):
+    """(slices of `values` of the given sizes, in turn; the rest)."""
+    out, i = [], 0
+    for k in sizes:
+        out.append(values[i:i + k])
+        i += k
+    return out, values[i:]
+
+
+def _multiplier_witness(inst: FarkasInstance, mu_t) -> list:
+    """The witness (lam, s, mu_t) over `multiplier_cone`'s columns of
+    target multipliers mu_t, one per target row, G rows then E rows:
+    lam = target rows^T mu_t, and s the budget of mu_t, which bounds
+    sigma_target(lam)."""
+    pre = inst.preimage_polyhedron()  # the target's rows, pulled back
+    return (_target_multiplier(inst, mu_t) + [dot(pre.h + pre.e, mu_t)]
+            + mu_t)
+
+
+def _witness_outcome(witness, cone: sets.LiftedSet) -> lp.LPOutcome:
+    """A witness of a point of `cone` as the outcome of its membership
+    program, whose cost is 0: optimal, value 0, zero multipliers."""
+    return lp.LPOutcome(lp.OPTIMAL, x=witness, value=ZERO,
+                        dual_ineq=[ZERO] * len(cone.G),
+                        dual_eq=[ZERO] * len(cone.E))
+
+
+def _multiplier_cone_candidate(inst: FarkasInstance,
+                               cone: sets.LiftedSet) -> lp.LPOutcome:
+    """A proof, for `sets.membership_program(multiplier_cone(inst),
+    (0, -1))`, that (0, -1) is in the cone exactly when the preimage is
+    empty, read off a kept emptiness LP: the feasible set's, else the
+    preimage's. From a preimage point x, the Farkas pair 1 on the budget
+    row, (x, -1) on the links and Ax on the rows lam = t^T mu; from the
+    preimage's Farkas pair scaled to value -1, the witness of its target
+    multipliers (`_multiplier_witness`)."""
+    out = inst.feasible_polyhedron().emptiness()
+    if out.status == lp.INFEASIBLE:
+        out = inst.preimage_polyhedron().emptiness()
+    if out.status != lp.INFEASIBLE:
+        return lp.LPOutcome(lp.INFEASIBLE, farkas_ineq=[ONE],
+                            farkas_eq=out.x + [-ONE] + inst.apply(out.x))
+    mu_t, = _unit_farkas(out, [inst.preimage_polyhedron()])
+    return _witness_outcome(_multiplier_witness(inst, mu_t), cone)
+
+
 def certificate_cone(inst: FarkasInstance) -> sets.LiftedSet:
     """epi sigma_ground + multiplier cone: the cone whose membership at the
     origin is exactly the existence of a certificate."""
     return sets.minkowski_sum(calculus.support_epigraph(inst.ground),
                               multiplier_cone(inst))
+
+
+CERTIFICATE_CONE_LAYOUT = (
+    "certificate cone's candidate at (0, -1) (columns z1 = (v, r), the "
+    "ground rows' multipliers, then the multiplier cone's; rows the two "
+    "budgets, then v = ground rows^T mu, then the multiplier cone's "
+    "links and rows)")
+
+
+def _certificate_cone_candidate(inst: FarkasInstance,
+                                cone: sets.LiftedSet) -> lp.LPOutcome:
+    """A proof, for `sets.membership_program(certificate_cone(inst),
+    (0, -1))`, that (0, -1) is in the cone exactly when the feasible set
+    is empty, read off its kept emptiness LP. From a feasible point x, the
+    Farkas pair 1 on both budget rows, x on the rows v = ground rows^T mu,
+    then (x, -1) on the links and Ax on the rows lam = t^T mu; from the
+    Farkas pair scaled to value -1, the witness of its multipliers mu_g on
+    the ground rows and mu_t on the preimage's: z1 = (ground rows^T mu_g,
+    budget of mu_g), mu_g, then `_multiplier_witness` of mu_t."""
+    g = inst.ground
+    out = inst.feasible_polyhedron().emptiness()
+    if out.status != lp.INFEASIBLE:
+        x = out.x
+        return lp.LPOutcome(lp.INFEASIBLE, farkas_ineq=[ONE, ONE],
+                            farkas_eq=x + x + [-ONE] + inst.apply(x))
+    mu_g, mu_t = _unit_farkas(out, [g, inst.preimage_polyhedron()])
+    z1 = (transpose_apply(g.G + g.E, mu_g, inst.n)
+          + [dot(g.h + g.e, mu_g)])
+    return _witness_outcome(z1 + mu_g + _multiplier_witness(inst, mu_t),
+                            cone)
 
 
 def restricted_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
@@ -258,6 +361,52 @@ def decoupled_residual_epigraph(inst: FarkasInstance) -> sets.LiftedSet:
         inst.objective, links,
         [inst.ground, inst.domain(), inst.target_polyhedron()], at=1)
 
+
+SCALE_LAYOUT = (
+    "scale candidate of the decoupled residual epigraph (columns x, v, d, "
+    "t; rows the pieces, then ground, domain and target G rows; the links "
+    "v = x and d = map(x), then ground, domain and target E rows)")
+
+
+def _scale_candidate(inst: FarkasInstance,
+                     rep: NonnegativityReport) -> lp.LPOutcome | None:
+    """A proof for the scale LP of `decoupled_residual_epigraph` at the
+    depth probe (`sets.scale_program`), over its columns (x, v, d, t) and
+    rows as `_graph_epigraph` lays them out, read off what the
+    nonnegativity check `rep` solved; None when the feasible set misses
+    dom f.
+
+    A feasible y with f(y) < 0 gives the unbounded outcome: the point
+    k (y, y, Ay, 1), k = -1/f(y), and the ray (y, y, Ay, 1). A finite
+    minimum >= 0 gives a Farkas pair, the epigraph LP's multipliers: the
+    pieces' weights theta, mu on the ground, domain and target rows (the
+    preimage's are the target's, pulled back), and on the links v = x and
+    d = map(x) minus what they sum to on v and on d, -(theta^T slopes +
+    dom rows^T mu) and -(target rows^T mu). Its weight on t is the minimum
+    and its value -sum theta = -1."""
+    f, n = inst.objective, inst.n
+    if rep.witness is not None:
+        y = rep.witness
+        value = f.value(y)
+        if not value < ZERO:
+            return None
+        ray = y + y + inst.apply(y) + [ONE]
+        k = -1 / value
+        return lp.LPOutcome(lp.UNBOUNDED, x=[k * v for v in ray],
+                            value=NEG_INF, ray=ray)
+    out = inst.minimum_outcome()
+    if out.status != lp.OPTIMAL:
+        return None
+    g, dom, t = inst.ground, inst.domain(), inst.target_polyhedron()
+    (mu_g, mu_t, mu_d), theta = _cut(out.dual_ineq,
+                                     [len(g.G), len(t.G), len(dom.G)])
+    (nu_g, nu_t, nu_d), _ = _cut(out.dual_eq,
+                                 [len(g.E), len(t.E), len(dom.E)])
+    on_v = transpose_apply(f.slopes + dom.G + dom.E, theta + mu_d + nu_d, n)
+    on_d = transpose_apply(t.G + t.E, mu_t + nu_t, inst.m)
+    return lp.LPOutcome(lp.INFEASIBLE, farkas_ineq=theta + mu_g + mu_d + mu_t,
+                        farkas_eq=([-a for a in on_v] + [-a for a in on_d]
+                                   + nu_g + nu_d + nu_t))
 
 # ---------------------------------------------------------------------------
 # Statements.
@@ -462,15 +611,15 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-def _criterion_report(inst: FarkasInstance, epigraph, probe, cert,
+def _criterion_report(rep: NonnegativityReport, closedness, probe, cert,
                       kind: str) -> CheckReport:
-    """A primal characterization: the implication is equivalent to the
-    existence of `cert`, found by the `kind` ("primal" or "reduced") search,
-    exactly when the conic hull of `epigraph` is closed at `probe`: one
-    scale LP, two if the probe is in the closure only (`sets`)."""
-    strict, closure = sets.cone_closed_regarding(epigraph, probe)
+    """A primal characterization: the implication, decided in `rep`, is
+    equivalent to the existence of `cert`, found by the `kind` ("primal"
+    or "reduced") search, exactly when the conic hull of the residual set
+    is closed at `probe`, where `sets.cone_closed_regarding` gave
+    `closedness`."""
+    strict, closure = closedness
     criterion = strict or not closure
-    rep = check_nonnegativity(inst)
     if strict == rep.verdict.holds:
         raise InvariantViolation(
             "depth probe membership must mirror a negative feasible value")
@@ -490,11 +639,16 @@ def _criterion_report(inst: FarkasInstance, epigraph, probe, cert,
 def check_primal_criterion(inst: FarkasInstance) -> CheckReport:
     """First characterization: the implication is equivalent to the
     certificate's existence exactly when the conic hull of the decoupled
-    residual set is closed at the depth probe (0, 0, -1)."""
-    return _criterion_report(
-        inst, decoupled_residual_epigraph(inst),
-        [ZERO] * (inst.n + inst.m) + [-ONE], find_certificate(inst),
-        "primal")
+    residual set is closed at the depth probe (0, 0, -1). Its scale LP
+    runs only when the proof that the nonnegativity check holds for it
+    (`_scale_candidate`) fails, as it does when that check is vacuous."""
+    rep = check_nonnegativity(inst)
+    probe = [ZERO] * (inst.n + inst.m) + [-ONE]
+    closedness = sets.cone_closed_regarding(
+        decoupled_residual_epigraph(inst), probe,
+        _scale_candidate(inst, rep), SCALE_LAYOUT)
+    return _criterion_report(rep, closedness, probe, find_certificate(inst),
+                             "primal")
 
 
 def check_reduced_criterion(inst: FarkasInstance) -> CheckReport:
@@ -509,8 +663,10 @@ def check_reduced_criterion(inst: FarkasInstance) -> CheckReport:
             and (find_certificate(inst) is None) != (reduced is None)):
         raise InvariantViolation(
             "full and reduced certificates must coexist when ground meets dom f")
-    return _criterion_report(inst, epigraph, [ZERO] * inst.m + [-ONE],
-                             reduced, "reduced")
+    probe = [ZERO] * inst.m + [-ONE]
+    return _criterion_report(check_nonnegativity(inst),
+                             sets.cone_closed_regarding(epigraph, probe),
+                             probe, reduced, "reduced")
 
 
 def check_dual_criterion(inst: FarkasInstance, n_random: int = 8,
@@ -577,18 +733,31 @@ class ExistenceReport:
 
 
 def check_existence(inst: FarkasInstance) -> ExistenceReport:
-    """Feasibility decided twice: a direct LP, and the dual route testing
-    whether (0, -1) escapes the certificate cone. Their forced agreement is
-    checked, as is the map-only variant against the multiplier cone."""
+    """Feasibility decided twice: by one direct LP, and by the dual route
+    testing whether (0, -1) escapes the certificate cone, answered by a
+    proof checked by substitution into the cone's membership program,
+    which the direct LP's point or Farkas pair gives
+    (`_certificate_cone_candidate`); the membership LP runs only when the
+    proof fails. Their forced agreement is checked, as is the map-only
+    variant against the multiplier cone, whose proof comes from a kept
+    point or Farkas pair too (`_multiplier_cone_candidate`): a feasible
+    point is a preimage point, so the preimage's LP runs only for an
+    empty feasible set."""
     point = inst.feasible_polyhedron().a_point()
     direct = point is not None
     depth = [ZERO] * inst.n + [-ONE]
-    via_cone = not sets.member(certificate_cone(inst), depth)
+    cone = certificate_cone(inst)
+    via_cone = not sets.member(cone, depth,
+                               _certificate_cone_candidate(inst, cone),
+                               CERTIFICATE_CONE_LAYOUT)
     if direct != via_cone:
         raise InvariantViolation(
             "feasibility LP and the (0,-1) cone probe disagree")
-    b_direct = not inst.preimage_polyhedron().is_empty()
-    b_cone = not sets.member(multiplier_cone(inst), depth)
+    b_direct = direct or not inst.preimage_polyhedron().is_empty()
+    cone = multiplier_cone(inst)
+    b_cone = not sets.member(cone, depth,
+                             _multiplier_cone_candidate(inst, cone),
+                             MULTIPLIER_CONE_LAYOUT)
     if b_direct != b_cone:
         raise InvariantViolation(
             "preimage feasibility and the multiplier cone probe disagree")

@@ -34,7 +34,8 @@ minimum is that basic solution's value. Only a cost that no kept ray or
 basis decides runs a phase 2, and its ray or basis is kept in turn. The
 minimum of c.x over the rows is one number, whatever pivots reach it, so
 each value equals a fresh `solve`'s bit for bit (`maxima` asks `minima`
-of each cost's integers negated, and negates the values); the points and
+of each cost's integers negated, and reads each value off the integers of
+the final objective row with the other sign); the points and
 multipliers do depend on the pivot path, and `outcome` always runs a
 phase 2. `append` changes the rows, which may cut a kept ray and which no
 kept basis holds, so it drops them all. Every question puts a cost over
@@ -647,18 +648,19 @@ class System:
 
     def _proved(self, nums, d, unique):
         """What the feasible rows prove about min c.x (c = nums/d): NEG_INF
-        when it is unbounded below, else (tableau, value) at a basis
-        optimal for c and, when `unique`, proving that optimum attained at
-        its point alone (`_Tableau.unique_point`), else None. A kept ray or
-        basis is tried first; only a cost that none decides runs a phase 2,
-        whose ray or final tableau is then kept."""
+        when it is unbounded below, else (tableau, n, zd) at a basis
+        optimal for c, the minimum being -n/zd, and, when `unique`,
+        proving that optimum attained at its point alone
+        (`_Tableau.unique_point`), else None. A kept ray or basis is tried
+        first; only a cost that none decides runs a phase 2, whose ray or
+        final tableau is then kept."""
         for r in self._rays:
             if sum(a * b for a, b in zip(nums, r) if a) < 0:
                 return NEG_INF
         for t in self._bases:
             z, zd = t.cost_row(nums, d)
             if t.unique_point(z) if unique else t.optimal(z):
-                return t, Q(-z[t.RHS], zd)
+                return t, z[t.RHS], zd
         t, z, zd, q = self._phase2(nums, d)
         if q is not None:
             self._rays.append(over_lcm(t.ray(q))[0])
@@ -666,7 +668,7 @@ class System:
         self._bases.append(t)
         if unique and not t.unique_point(z):
             return None
-        return t, Q(-z[t.RHS], zd)
+        return t, z[t.RHS], zd
 
     def minima(self, costs) -> list:
         """min c.x over the rows for each c in `costs`: the `solve` value
@@ -676,21 +678,23 @@ class System:
         docstring); only a cost that none of them decides runs a phase 2,
         whose ray or final tableau is then kept. No point or multiplier is
         formed."""
-        return self._minima([self._cost(c) for c in costs])
+        return [Q(-p[1], p[2]) if isinstance(p, tuple) else p
+                for p in self._answers([self._cost(c) for c in costs],
+                                       False)]
 
     def maxima(self, costs) -> list:
         """max c.x over the rows for each c in `costs`: minus `minima` of
         -c, so INF when unbounded above and NEG_INF when the rows are
         infeasible. Each cost is negated as the integers `_cost` gives,
-        which are -c's own, so every value is the one `minima` of -c
-        gives, bit for bit."""
+        which are -c's own, and each value is read off the integers that
+        give `minima`'s with the other sign, so every value is minus the
+        one `minima` of -c gives, bit for bit, and no rational is
+        negated."""
         keys = [self._cost(c) for c in costs]
-        return [-v for v in self._minima(
-            [(tuple(-a for a in nums), d) for nums, d in keys])]
-
-    def _minima(self, keys):
-        return [p[1] if isinstance(p, tuple) else p
-                for p in self._answers(keys, False)]
+        return [Q(p[1], p[2]) if isinstance(p, tuple) else -p
+                for p in self._answers(
+                    [(tuple(-a for a in nums), d) for nums, d in keys],
+                    False)]
 
     def unique_optima(self, costs) -> list:
         """Per cost c in `costs`, (x, value) when an optimal basis proves
@@ -702,7 +706,7 @@ class System:
         kept as `minima` keeps them. Every solve reaches that one point and
         value, so each answer equals the x and value of `solve` of the
         program with cost c, bit for bit."""
-        return [(p[0]._x(), p[1]) if isinstance(p, tuple) else None
+        return [(p[0]._x(), Q(-p[1], p[2])) if isinstance(p, tuple) else None
                 for p in self._answers([self._cost(c) for c in costs],
                                        True)]
 

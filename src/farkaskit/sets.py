@@ -94,29 +94,75 @@ def a_point_of(s: LiftedSet):
     return out.x[:s.dim]
 
 
-def member(s: LiftedSet, z) -> bool:
-    return members(s, [z])[0]
+def _witness_program(s: LiftedSet, b, c=None) -> lp.LinearProgram:
+    """S's rows over the witness w alone, at the right-hand sides b (G rows
+    then E rows), with cost c (0 when None): the rows of every membership
+    program of S."""
+    d, mG = s.dim, len(s.G)
+    return lp.LinearProgram(
+        c=[ZERO] * s.witness_dim if c is None else c,
+        G=[r[d:] for r in s.G], h=b[:mG], E=[r[d:] for r in s.E], e=b[mG:],
+        nonneg=s.witness_nonneg)
 
 
-def members(s: LiftedSet, points) -> list:
-    """[member(s, z) for z in points]. z is in S iff the witness parts of
-    the rows have a solution with right-hand side rhs - (z part) z, so
-    every point poses the same rows with a right-hand side of its own, and
-    one kept basis serves them all (`lp.System.feasible`)."""
+def _right_hand_sides(s: LiftedSet, points) -> list:
+    """Per point z, the right-hand sides rhs - (z part) z of S's rows, G
+    rows then E rows: z is in S iff the witness rows have a solution
+    there."""
     d = s.dim
     rows = [(r[:d], b) for r, b in zip(s.G + s.E, s.h + s.e)]
     rhss = []
     for z in points:
         z = as_q_vector(z, d, "point dimension mismatch")
         rhss.append([b - dot(r, z) for r, b in rows])
+    return rhss
+
+
+def membership_program(s: LiftedSet, z) -> lp.LinearProgram:
+    """The LP that decides z in S: S's rows over the witness w alone, at
+    the right-hand sides that z leaves, with cost 0. It is feasible
+    exactly when z is in S, and a solution is a witness of z."""
+    b, = _right_hand_sides(s, [z])
+    return _witness_program(s, b)
+
+
+def _refuse_confirmed(candidate, status, layout):
+    """Raise InvariantViolation when a candidate outcome that failed its
+    substitution check has the status that the LP then reached: the
+    answer was right and its proof was not, so `layout`, the columns and
+    rows its builder laid it out on, is wrong."""
+    if candidate is not None and candidate.status == status:
+        raise InvariantViolation(
+            f"the {layout} fails its substitution check although the LP "
+            f"reaches its status ({status}): the layout is wrong")
+
+
+def member(s: LiftedSet, z, candidate=None, layout="") -> bool:
+    """Whether z is in S. A `candidate` `lp.LPOutcome` of
+    `membership_program(s, z)` (a witness, or a Farkas pair) that passes
+    `lp.verify_certificate` there answers with no LP; otherwise the LP
+    decides, and one that confirms the candidate's status raises
+    (`_refuse_confirmed`, naming `layout`)."""
+    if candidate is not None and lp.verify_certificate(
+            membership_program(s, z), candidate):
+        return candidate.status != lp.INFEASIBLE
+    inside = members(s, [z])[0]
+    _refuse_confirmed(candidate, lp.OPTIMAL if inside else lp.INFEASIBLE,
+                      layout)
+    return inside
+
+
+def members(s: LiftedSet, points) -> list:
+    """[member(s, z) for z in points]. Every point poses the same witness
+    rows with right-hand sides of its own (`membership_program`), so one
+    kept basis serves them all (`lp.System.feasible`)."""
+    rhss = _right_hand_sides(s, points)
     mG = len(s.h)
     if s.witness_dim == 0:
         return [all(v >= ZERO for v in b[:mG])
                 and all(v == ZERO for v in b[mG:]) for b in rhss]
-    prog = lp.LinearProgram(
-        c=[ZERO] * s.witness_dim, G=[r[d:] for r in s.G], h=[ZERO] * mG,
-        E=[r[d:] for r in s.E], e=[ZERO] * len(s.e), nonneg=s.witness_nonneg)
-    return list(map(lp.System(prog).feasible, rhss))
+    rows = _witness_program(s, [ZERO] * (mG + len(s.E)))
+    return list(map(lp.System(rows).feasible, rhss))
 
 
 def _recession_cone(s: LiftedSet) -> LiftedSet:
@@ -187,30 +233,41 @@ def _homogenized(s: LiftedSet) -> LiftedSet:
                      witness_nonneg=s.witness_nonneg + [True])
 
 
-def cone_closed_regarding(s: LiftedSet, p):
+def scale_program(s: LiftedSet, p) -> lp.LinearProgram:
+    """The scale LP of `cone_closed_regarding` at p: max t, as min -t,
+    over the witness w and the scale t >= 0 of the homogenized rows: the
+    membership program of p in that set, with the cost -t."""
+    cone = _homogenized(s)
+    b, = _right_hand_sides(cone, [p])
+    return _witness_program(cone, b, [ZERO] * s.witness_dim + [-ONE])
+
+
+def cone_closed_regarding(s: LiftedSet, p, candidate=None, layout=""):
     """Does cl(R+ S) agree with R+ S at the point p?
 
     Returns (in_cone, in_closure). At p != 0 one LP, max t over the
-    homogenized rows at z = p, checked by substitution (InvariantViolation
-    if not): infeasible puts p outside the closure, t > 0 or unbounded puts
-    p/t in S. At t = 0 and at p = 0, p is in the closure iff S is nonempty
-    (one emptiness LP), and then in the cone iff p = 0.
+    homogenized rows at z = p (`scale_program`), checked by substitution
+    (InvariantViolation if not): infeasible puts p outside the closure,
+    t > 0 or unbounded puts p/t in S. At t = 0 and at p = 0, p is in the
+    closure iff S is nonempty (one emptiness LP), and then in the cone iff
+    p = 0. A `candidate` outcome of the scale LP that passes
+    `lp.verify_certificate` stands in for the LP; one that fails leaves
+    the question to the LP, and an LP that reaches the candidate's status
+    raises (`_refuse_confirmed`, naming `layout`).
     """
-    d = s.dim
-    p = as_q_vector(p, d, "point dimension mismatch")
+    p = as_q_vector(p, s.dim, "point dimension mismatch")
     if not any(p):
         nonempty = not is_empty(s)
         return nonempty, nonempty
-    cone = _homogenized(s)
-    prog = lp.LinearProgram(
-        c=[ZERO] * s.witness_dim + [-ONE],
-        G=[r[d:] for r in cone.G], h=[-dot(r[:d], p) for r in cone.G],
-        E=[r[d:] for r in cone.E], e=[-dot(r[:d], p) for r in cone.E],
-        nonneg=cone.witness_nonneg)
-    out = lp.solve(prog)
-    if not lp.verify_certificate(prog, out):
-        raise InvariantViolation(
-            "scale LP outcome failed its substitution check")
+    prog = scale_program(s, p)
+    if candidate is not None and lp.verify_certificate(prog, candidate):
+        out = candidate
+    else:
+        out = lp.solve(prog)
+        if not lp.verify_certificate(prog, out):
+            raise InvariantViolation(
+                "scale LP outcome failed its substitution check")
+        _refuse_confirmed(candidate, out.status, layout)
     # max t is -value, +oo when unbounded (value NEG_INF)
     inside = out.status != lp.INFEASIBLE
     strict = inside and out.value < ZERO
@@ -323,7 +380,8 @@ def require_equal_values(directions, a_values, b_values, what):
 @dataclass
 class Polyhedron:
     """Plain H-form set {x : G x <= h, E x = e} (no witnesses). It keeps
-    its point, solved once, so its rows must not change after construction."""
+    its emptiness LP's outcome, solved once, so its rows must not change
+    after construction."""
 
     dim: int
     G: list = field(default_factory=list)
@@ -362,16 +420,20 @@ class Polyhedron:
         return LiftedSet(dim=self.dim, G=self.G, h=self.h, E=self.E, e=self.e)
 
     @kept
-    def _point(self):
-        return a_point_of(self.to_lifted())
+    def emptiness(self) -> lp.LPOutcome:
+        """The outcome of this set's emptiness LP (cost 0 over its rows),
+        solved on the first call only: optimal with a point, or infeasible
+        with a Farkas pair over its G rows and its E rows. Shared, so
+        callers must not change it."""
+        return lp.solve(_joint_lp(self.to_lifted()))
 
     def a_point(self):
         """Some point of this set, as a new list, or None when it is empty:
         one LP, solved on the first call only."""
-        return None if self.is_empty() else list(self._point())
+        return None if self.is_empty() else list(self.emptiness().x)
 
     def is_empty(self) -> bool:
-        return self._point() is None
+        return self.emptiness().status == lp.INFEASIBLE
 
 
 def whole_space_polyhedron(dim: int) -> Polyhedron:

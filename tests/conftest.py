@@ -3,11 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from farkaskit import lp
+from farkaskit import engine, lp
 from farkaskit.rational import Q, ZERO
 
 # tests import shared oracle helpers as plain modules
 sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import spoiled  # noqa: E402
 
 
 def _counter(name):
@@ -67,7 +69,12 @@ def phase2_costs(monkeypatch):
 @pytest.fixture
 def tamper_scale_lp(monkeypatch):
     """Make each `lp.solve` that `sets.cone_closed_regarding` calls itself
-    answer "infeasible" with a zero Farkas pair, which proves nothing."""
+    answer "infeasible" with a zero Farkas pair, which proves nothing, and
+    spoil the primal criterion's scale candidate (`spoiled`), which would
+    otherwise answer in the LP's place."""
+    candidate = engine._scale_candidate
+    monkeypatch.setattr(engine, "_scale_candidate",
+                        lambda inst, rep: spoiled(candidate(inst, rep)))
     solve = lp.solve
 
     def tampered(program):

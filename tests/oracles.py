@@ -150,6 +150,12 @@ def certifies_outcome(program, out):
                                 program.nonneg))
 
 
+def spoiled(out):
+    """An outcome of `out`'s status with none of its proof, which fails
+    every substitution check (None stays None)."""
+    return None if out is None else lp.LPOutcome(out.status)
+
+
 def cone_two_lps(s, p):
     """(p in R+ S, p in cl(R+ S)) for a `sets.LiftedSet` S, by two LPs.
     Closure membership: S is nonempty and some (w, t >= 0) has

@@ -175,6 +175,34 @@ class TestFenchelValues:
         assert pivots_again == pivots
         assert again == once + once[::3] + [once[4]] * 3
 
+    def test_poses_the_minimum_costs_and_negates_no_rational(
+            self, phase2_costs, monkeypatch):
+        # fenchel_values asks maxima of (u, -1), which poses the costs
+        # (-u, 1) of minus the minima of t - u.x, as the values did before,
+        # and the only Fraction negations left build the epigraph rows
+        f = calculus.PiecewiseAffine(dim=2, slopes=[[1, 0], [0, 1], [-1, -1]],
+                                     offsets=[0, 1, 2])
+        whole = sets.whole_space_polyhedron(2)
+        points = [[Q(a, 2), Q(b)] for a in range(-3, 4) for b in range(-2, 3)]
+        want = [-v for v in calculus.epigraph_system(f, whole).minima(
+            [[-a for a in u] + [1] for u in points])]
+        posed = list(phase2_costs)
+        phase2_costs.clear()
+        negations = []
+        neg = Q.__neg__
+
+        def counted(x):
+            negations.append(x)
+            return neg(x)
+
+        monkeypatch.setattr(Q, "__neg__", counted)
+        calculus.epigraph_system(f, whole)
+        rows = len(negations)
+        assert calculus.fenchel_values(f, points) == want
+        assert len(negations) == 2 * rows
+        assert phase2_costs == posed
+        assert posed[0][1] == (Q(3, 2), Q(2), Q(1))
+
     def test_no_points_and_bad_width(self, count_phase1):
         assert count_phase1(calculus.fenchel_values, abs_fn(), []) == ([], 0)
         with pytest.raises(ValueError):

@@ -8,6 +8,8 @@ from click.testing import CliRunner
 from farkaskit import cli, engine
 from farkaskit.rational import ZERO
 
+from oracles import spoiled
+
 ALL_HOLDS = {
     "f": {"slopes": [[1, 1]], "offsets": [0]},
     "C": {"G": [[-1, 0], [0, -1], [1, 0], [0, 1]], "h": [0, 0, 1, 1]},
@@ -114,6 +116,19 @@ class TestCheck:
                                        "--theorem", "1"])
         assert res.exit_code == 3
         assert res.output.startswith("forced-identity alarm: scale LP")
+
+    def test_spoiled_scale_candidate_exits_3(self, runner, tmp_path,
+                                             monkeypatch):
+        # an honest scale LP confirms the status of a candidate that failed
+        # its check: the candidate's layout is wrong
+        candidate = engine._scale_candidate
+        monkeypatch.setattr(engine, "_scale_candidate",
+                            lambda inst, rep: spoiled(candidate(inst, rep)))
+        res = runner.invoke(cli.main, ["check", write(tmp_path, ALL_HOLDS),
+                                       "--theorem", "1"])
+        assert res.exit_code == 3
+        assert res.output.startswith(
+            "forced-identity alarm: the scale candidate")
 
     def test_truncated_file(self, runner, tmp_path):
         path = tmp_path / "broken.json"

@@ -109,8 +109,10 @@ class TestSupport:
 
     def test_supports_negate_no_direction_entry(self, monkeypatch):
         # sup d.z is min -d.z negated; the directions are negated as the
-        # kernel's integers, so the only Fraction negations left are one
-        # per finite value (each direction's entries were negated before)
+        # kernel's integers, and each value is read off the kernel's
+        # integers with the other sign, so no Fraction is negated (each
+        # direction's entries were negated before, and then each finite
+        # value, one per direction)
         s = triangle_poly().to_lifted()
         dirs = sets.probe_directions(2, n_random=6, seed=3)
         want = [sets.support(s, d) for d in dirs]
@@ -123,7 +125,7 @@ class TestSupport:
 
         monkeypatch.setattr(Q, "__neg__", counted)
         assert sets.supports(s, dirs) == want
-        assert len(negations) == len(dirs)
+        assert negations == []
 
     def test_box_support_closed_form_matches_lp(self):
         box = sets.Box(bounds=[(-1, 2), (0, 3), (Q(1, 2), Q(1, 2))])
@@ -449,6 +451,39 @@ def test_polyhedron_solves_its_point_once(count_phase1):
     assert count_phase1(empty.a_point) == (None, 1)
     assert count_phase1(empty.is_empty) == (True, 0)
     assert count_phase1(copy.deepcopy(empty).is_empty) == (True, 0)
+
+
+def test_polyhedron_keeps_its_emptiness_proof(count_phase1):
+    # the kept outcome is the emptiness LP's, a point or a Farkas pair
+    # over the rows, and a second reading solves nothing
+    for p in (triangle_poly(),
+              sets.Polyhedron(dim=2, G=[[1, 0], [-1, 0]], h=[0, -1],
+                              E=[[1, 1]], e=[3])):
+        program = lp.LinearProgram(c=[0] * p.dim, G=p.G, h=p.h, E=p.E,
+                                   e=p.e)
+        out, runs = count_phase1(p.emptiness)
+        assert runs == 1 and lp.verify_certificate(program, out)
+        assert count_phase1(p.emptiness) == (out, 0)
+        assert (out.status == lp.INFEASIBLE) == p.is_empty()
+
+
+def test_membership_and_scale_programs_are_the_swept_rows():
+    # members poses membership_program's rows, and the scale LP is the
+    # membership program of the homogenized set with the cost -t
+    rng = random.Random(77)
+    for _ in range(30):
+        s = _random_lifted(rng, set())
+        z = [Q(rng.randint(-2, 2)) for _ in range(s.dim)]
+        if s.witness_dim:
+            out = lp.solve(sets.membership_program(s, z))
+            assert (out.status != lp.INFEASIBLE) == sets.member(s, z)
+        if any(z):
+            scale = sets.scale_program(s, z)
+            assert scale.c == [0] * s.witness_dim + [-1]
+            assert scale.nonneg == s.witness_nonneg + [True]
+            out = lp.solve(scale)
+            strict = out.status != lp.INFEASIBLE and out.value < 0
+            assert strict == sets.cone_closed_regarding(s, z)[0]
 
 
 @st.composite

@@ -13,7 +13,7 @@ from dataclasses import replace
 from itertools import product
 
 from farkaskit import lp, sets
-from farkaskit.rational import ZERO, as_q
+from farkaskit.rational import Q, ZERO, as_q
 
 
 def brute_force_box_min(c, bounds):
@@ -148,6 +148,14 @@ def certifies_outcome(program, out):
     return (out.status == "infeasible"
             and certifies_empty(*data, out.farkas_ineq, out.farkas_eq,
                                 program.nonneg))
+
+
+def with_equality_row(p: sets.Polyhedron) -> sets.Polyhedron:
+    """A box polyhedron with its first coordinate also pinned by an equality
+    row to the midpoint of its bounds, so it stays nonempty."""
+    row = [Q(1)] + [Q(0)] * (p.dim - 1)
+    return sets.Polyhedron(dim=p.dim, G=p.G, h=p.h, E=p.E + [row],
+                           e=p.e + [(p.h[0] - p.h[1]) / 2])
 
 
 def spoiled(out):

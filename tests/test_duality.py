@@ -17,7 +17,7 @@ from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, Q
 from farkaskit.sets import Box, Polyhedron, whole_space_polyhedron
 
-from oracles import tilted
+from oracles import tilted, with_equality_row
 
 
 def bounded_instance(offset=0):
@@ -293,14 +293,6 @@ class TestStableStrongDuality:
         assert INF not in inst.target_supports(drawn)
 
 
-def _with_equality_row(p: Polyhedron) -> Polyhedron:
-    """A box polyhedron with its first coordinate also pinned by an equality
-    row to the midpoint of its bounds, so it stays nonempty."""
-    row = [Q(1)] + [Q(0)] * (p.dim - 1)
-    return Polyhedron(dim=p.dim, G=p.G, h=p.h, E=p.E + [row],
-                      e=p.e + [(p.h[0] - p.h[1]) / 2])
-
-
 def _tilt_pool():
     """About 60 seeded instances: domain-restricted objectives, polyhedral
     targets with equality rows, grounds open upwards (so some primals are
@@ -310,8 +302,8 @@ def _tilt_pool():
         inst = instances.random_feasible_instance(rng)
         yield inst
         yield FarkasInstance(
-            ground=_with_equality_row(inst.ground), matrix=inst.matrix,
-            target=_with_equality_row(inst.target_polyhedron()),
+            ground=with_equality_row(inst.ground), matrix=inst.matrix,
+            target=with_equality_row(inst.target_polyhedron()),
             objective=inst.objective)
         ground = inst.ground
         yield FarkasInstance(
@@ -536,7 +528,7 @@ def test_optimality_certificate_is_the_lifted_instance_certificate():
         inst = instances.random_feasible_instance(rng)
         pair = (inst, FarkasInstance(
             ground=inst.ground, matrix=inst.matrix,
-            target=_with_equality_row(inst.target_polyhedron()),
+            target=with_equality_row(inst.target_polyhedron()),
             objective=inst.objective))
         for inst in pair:
             if inst.feasible_in_domain().is_empty():
@@ -637,10 +629,10 @@ def _box_witness_pool():
         yield inst
         f = inst.objective
         yield FarkasInstance(
-            ground=_with_equality_row(inst.ground), matrix=inst.matrix,
+            ground=with_equality_row(inst.ground), matrix=inst.matrix,
             target=inst.target,
             objective=f if f.domain is None else dataclasses.replace(
-                f, domain=_with_equality_row(f.domain)))
+                f, domain=with_equality_row(f.domain)))
         yield FarkasInstance(
             ground=inst.ground,
             matrix=[[a / 3 for a in row] for row in inst.matrix],

@@ -14,7 +14,8 @@ from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, ONE, Q, ZERO, is_finite
 from farkaskit.sets import Box, Polyhedron
 
-from oracles import certifies_outcome, spoiled, tilted, tilted_function
+from oracles import (certifies_outcome, spoiled, tilted, tilted_function,
+                     with_equality_row)
 
 
 def unit_square():
@@ -614,14 +615,6 @@ class TestKeptSets:
         assert runs <= 8
 
 
-def _with_equality_row(p: Polyhedron) -> Polyhedron:
-    """A box polyhedron with its first coordinate also pinned by an equality
-    row to the midpoint of its bounds, so it stays nonempty."""
-    row = [Q(1)] + [Q(0)] * (p.dim - 1)
-    return Polyhedron(dim=p.dim, G=p.G, h=p.h, E=p.E + [row],
-                      e=p.e + [(p.h[0] - p.h[1]) / 2])
-
-
 def _candidate_families():
     """(family, instance) pairs, seeded: the certify workload's two
     generators (whose objectives may have a domain), grids, polyhedral
@@ -635,7 +628,7 @@ def _candidate_families():
         inst = random_feasible_instance(rng)
         yield "polyhedral", FarkasInstance(
             ground=inst.ground, matrix=inst.matrix,
-            target=_with_equality_row(inst.target_polyhedron()),
+            target=with_equality_row(inst.target_polyhedron()),
             objective=inst.objective)
     yield "hand", vacuous_no_cert()
     yield "hand", vacuous_with_cert()

@@ -28,8 +28,18 @@ optimum attained at one point (hence equal to a fresh solve), from the
 final basis of its own phase 2 or of an earlier tilt's. Otherwise f_s,
 the function with slopes a - s on f's own domain, is minimized over the
 kept feasible set. The tilt's multiplier program is
-`engine.full_program` of the instance at s, built on the slopes a - s,
-one LP per shift, and its u is read off those slopes. (2) The conjugate
+`engine.full_program` of the instance at s, built on the slopes a - s.
+The piece weights theta sum to 1, so its cancellation rows
+sum theta (a - s) + rows^T mu = 0 are the untilted rows at the right-hand
+side s: the program of f - s.x is the untilted program at the right-hand
+side (s, 1) in place of (0, 1), with the same budget cost, the same
+feasible set and the same optimal points, and its u is the untilted u
+minus s. Every shift is posed there at once (`lp.System.outcomes_at`):
+the zero shift is the untilted program's own outcome, and a nonzero shift
+is answered from a basis optimal for the zero tilt's cost where the
+kernel proves its point unique, hence equal to a fresh solve of the
+tilted program. Any other shift is solved as `engine.full_program` at s,
+its u read off the slopes a - s. (2) The conjugate
 values of all optimal duals from one `calculus.fenchel_values` call on
 the untilted f, and their ground supports from one `sets.supports` sweep.
 (3) The forced identities of each tilt, in tilt order. `solve_dual` and
@@ -56,8 +66,8 @@ from math import lcm
 from . import calculus, engine, lp, sets
 from .engine import FarkasInstance
 from .errors import InvariantViolation
-from .rational import (INF, NEG_INF, Q, ZERO, as_q_vector, dot, is_finite,
-                       over_lcm)
+from .rational import (INF, NEG_INF, ONE, Q, ZERO, as_q_vector, dot,
+                       is_finite, over_lcm)
 
 OPTIMAL = lp.OPTIMAL
 UNBOUNDED = lp.UNBOUNDED
@@ -91,16 +101,29 @@ class DualSolution:
 
 def _solve_duals(inst: FarkasInstance, shifts) -> list:
     """Steps 1 and 2 of the dual of each tilt f - shift . x: its
-    multiplier program, `engine.full_program` of the instance at the
-    shift, one LP per tilt; then the linked triples of the optimal ones
-    with their values, in one batch. Returns (outcome, engine.Certificate
-    or None) per tilt, unchecked."""
+    multiplier program, which is the untilted `engine.full_program` of the
+    instance at the right-hand side (shift, 1) (see the module docstring),
+    posed for all shifts at once (`lp.System.outcomes_at`). A shift
+    answered there reads u as the instance's u minus the shift; any other
+    is solved as `engine.full_program` of the instance at the shift. Then
+    the linked triples of the optimal ones with their values, in one
+    batch. Returns (outcome, engine.Certificate or None) per tilt,
+    unchecked."""
+    program, extract = engine.full_program(inst)
+    answers = lp.System(program).outcomes_at(
+        program.c, [[*shift, ONE] for shift in shifts])
     outs, found = [], []
-    for shift in shifts:
-        program, extract = engine.full_program(inst, shift)
-        out = lp.solve(program)
+    for shift, out in zip(shifts, answers):
+        if out is None:
+            tilted, read = engine.full_program(inst, shift)
+            out = lp.solve(tilted)
+            found.append(read(out.x) if out.status == OPTIMAL else None)
+        elif out.status == OPTIMAL:
+            u, lam = extract(out.x)
+            found.append(([a - s for a, s in zip(u, shift)], lam))
+        else:
+            found.append(None)
         outs.append(out)
-        found.append(extract(out.x) if out.status == OPTIMAL else None)
     return list(zip(outs, engine._certificates(inst, shifts, found)))
 
 

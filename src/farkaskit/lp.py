@@ -89,6 +89,25 @@ A row left negative with no negative real entry combines the rows into
 flips sigma applied, are that combination's weights: the Farkas pair, read
 by the same multiplier reader as the duals (`_Tableau._duals`).
 
+`outcomes_at(c, rhs)` poses one cost at a list of right-hand sides. A cost
+row does not read the right-hand side, so a basis optimal for c at one b
+stays dual feasible at every other, and it is optimal at b wherever its
+basic point B^-1 (sigma b) is nonnegative, with every basic artificial at
+zero (`_Tableau.optimum_at`, through the same reader of B^-1 as
+`feasible_at`); its value there is the one number min c.x, and the duals
+its cost row holds do not depend on b. At the program's own right-hand side
+the answer is `outcome(c)`, and its final tableau is the seed. Any other b
+is tried at the bases kept so far, with no pivot, and otherwise on a copy
+of the seed, made feasible at b by the zero-cost dual simplex of
+`feasible_at` and then run through a phase 2, whose final basis is kept. An
+answer away from the program's own right-hand side is taken only where its
+basis passes `unique_point`, so its point and value equal a fresh `solve`
+at b bit for bit; every other b answers None, and all of them when the seed
+itself fails the test (its basis then proves no point unique at any b where
+it needs no pivot). The question's bases sit at other right-hand sides than
+the kept tableau's, so they stay with the call and never join the bases
+that `minima` and `unique_optima` share and `append` drops.
+
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
 objective row included, is a dense list of plain integer numerators, its
 right-hand side last, over one positive integer denominator, kept in lowest
@@ -408,24 +427,34 @@ class _Tableau:
                                     [(j, v) for j, v in enumerate(T[i]) if v])
         return row, d
 
-    def feasible_at(self, b):
-        """Whether the constraint rows with right-hand side b (h entries,
-        then e entries) have a solution, decided from the current basis B
-        (see the module docstring): the right-hand side becomes
-        B^-1 (sigma b), each row over its own denominator again in lowest
-        terms, and a zero-cost dual simplex restores its signs. B is left
-        feasible for b when the answer is True."""
-        T, D, basis, RHS, m = self.T, self.D, self.basis, self.RHS, self.m
+    def _rhs_at(self, b, rows):
+        """(L, values): L the lcm of the denominators of the right-hand side
+        b (h entries, then e entries), and per row of `rows` (rows of this
+        tableau: constraint rows, or an objective row in its basis) the
+        numerator, over the row's own denominator times L, of its
+        right-hand side at b. A row's entries at the columns basic at
+        set-up (its artificial, else its slack) hold its row of B^-1, the
+        starting basis being the identity, so a constraint row's value is
+        its entry of B^-1 (sigma b) and an objective row's is minus
+        c_B B^-1 (sigma b), slacks and artificials costing 0 in it."""
         nums, L = over_lcm(b)
-        # per row, the column basic at set-up (its artificial, else its
-        # slack): their current entries hold B^-1
         starts = [self.slack0 + k if a is None else a
                   for k, a in enumerate(self.art_col)]
         rhs = [(sigma * v, k)
                for sigma, v, k in zip(self.sigma, nums, starts) if v]
-        for i in range(m):
+        return L, [sum(w * row[k] for w, k in rhs) for row in rows]
+
+    def feasible_at(self, b):
+        """Whether the constraint rows with right-hand side b (h entries,
+        then e entries) have a solution, decided from the current basis B
+        (see the module docstring): the right-hand side becomes
+        B^-1 (sigma b) (`_rhs_at`), each row over its own denominator again
+        in lowest terms, and a zero-cost dual simplex restores its signs. B
+        is left feasible for b when the answer is True."""
+        T, D, basis, RHS, m = self.T, self.D, self.basis, self.RHS, self.m
+        L, values = self._rhs_at(b, T)
+        for i, value in enumerate(values):
             Ti = T[i]
-            value = sum(w * Ti[k] for w, k in rhs)  # over D[i] * L
             if L > 1:
                 Ti = [v * L for v in Ti]
             Ti[RHS] = value
@@ -436,6 +465,24 @@ class _Tableau:
         if any(basis[i] >= nreal and T[i][RHS] for i in range(m)):
             return False
         return self.dual_simplex() is None
+
+    def optimum_at(self, b, z, d):
+        """The outcome of min c.x at right-hand side b read off this basis
+        with no pivot, where z/d is c's reduced-cost row in it and `optimal`:
+        the basic point B^-1 (sigma b) (`_rhs_at`) when it is nonnegative
+        with every basic artificial at zero, its value, and the duals that z
+        holds, which do not depend on b. None when the basis is not
+        feasible at b."""
+        D, basis, m, nreal = self.D, self.basis, self.m, self.nreal
+        L, values = self._rhs_at(b, [*self.T, z])
+        if any(v < 0 or (v and basis[i] >= nreal)
+               for i, v in enumerate(values[:m])):
+            return None
+        mu, nu = self._duals(z, d, 0)
+        x = self._per_variable({q: Q(values[i], D[i] * L)
+                                for i, q in enumerate(basis)})
+        return LPOutcome(OPTIMAL, x=x, value=Q(-values[m], d * L),
+                         dual_ineq=mu, dual_eq=nu)
 
     def dual_simplex(self):
         """Restore nonnegative values by the zero-cost dual simplex of the
@@ -625,7 +672,11 @@ class System:
         """`solve` of the program with cost c in place of its c, by a phase
         2 of its own; infeasible rows give their Farkas outcome, with lists
         of its own."""
-        run = self._phase2(*self._cost(c))
+        return self._answer(self._phase2(*self._cost(c)))
+
+    def _answer(self, run) -> LPOutcome:
+        """The outcome of a `_phase2` run: the Farkas outcome, with lists
+        of its own, when there is none."""
         if run is None:
             mu, nu = self._farkas
             return LPOutcome(INFEASIBLE, farkas_ineq=list(mu),
@@ -710,6 +761,55 @@ class System:
                 for p in self._answers([self._cost(c) for c in costs],
                                        True)]
 
+    def outcomes_at(self, c, rhs) -> list:
+        """Per right-hand side b in `rhs` (h entries, then e entries), the
+        outcome of min c.x over the program's rows at b, or None (see the
+        module docstring). At the program's own h and e it is `outcome(c)`,
+        whose final tableau is the seed; c's phase 2 runs once. At any
+        other b it is an optimal outcome whose point and value equal those
+        of `solve` at b, bit for bit, where a basis optimal for c proves
+        that point unique, read with no pivot off a kept basis
+        (`_Tableau.optimum_at`) or found on a copy of the seed
+        (`_Tableau.feasible_at`, then a phase 2, whose basis is kept). None
+        where the rows are infeasible at b, c is unbounded or no such basis
+        proves the point unique, and at every other b when the seed itself
+        fails that test."""
+        own = self.program.h + self.program.e
+        bs = [as_q_vector(b, len(own),
+                          "right-hand side length != number of rows")
+              for b in rhs]
+        if not bs:
+            return []
+        nums, d = self._cost(c)
+        run = self._phase2(nums, d)
+        fresh = self._answer(run)
+        # (tableau, z, zd) of the bases that prove c's point unique, the
+        # seed first
+        kept = []
+        if fresh.status == OPTIMAL:
+            seed, z, zd, _ = run
+            if seed.unique_point(z):
+                kept.append((seed, z, zd))
+        answers = []
+        for b in bs:
+            if b == own:
+                answers.append(fresh)
+                continue
+            got = None
+            for t, z, zd in kept:
+                got = t.optimum_at(b, z, zd)
+                if got is not None:
+                    break
+            if got is None and kept:
+                t = kept[0][0].copy()
+                if t.feasible_at(b):
+                    z, zd, q = t.phase2(nums, d)
+                    if q is None and t.unique_point(z):
+                        kept.append((t, z, zd))
+                        got = t.outcome(z, zd, q)
+            answers.append(got)
+        return answers
+
     def feasible(self, b) -> bool:
         """Whether G x <= b[:len(G)], E x = b[len(G):] has a solution under
         the program's sign flags (its h and e, and rows appended since, are
@@ -767,22 +867,18 @@ def _point_feasible(lp, x):
 
 
 def _stationarity(lp, mu, nu, c):
-    # c_j + (G^T mu + E^T nu)_j, must vanish at free variables and be
-    # nonnegative at nonneg-flagged ones
-    for j in range(lp.n):
-        s = c[j]
-        for row, m_i in zip(lp.G, mu):
-            if m_i and row[j]:
-                s += row[j] * m_i
-        for row, n_k in zip(lp.E, nu):
-            if n_k and row[j]:
-                s += row[j] * n_k
-        if lp.nonneg[j]:
-            if s < ZERO:
-                return False
-        elif s != ZERO:
-            return False
-    return True
+    # c + G^T mu + E^T nu, summed row by row over the nonzero multipliers,
+    # must vanish at free variables and be nonnegative at nonneg-flagged
+    # ones
+    s = list(c)
+    for rows, weights in ((lp.G, mu), (lp.E, nu)):
+        for row, w in zip(rows, weights):
+            if w:
+                for j, a in enumerate(row):
+                    if a:
+                        s[j] += a * w
+    return all(v >= ZERO if flag else v == ZERO
+               for v, flag in zip(s, lp.nonneg))
 
 
 def verify_certificate(lp: LinearProgram, out: LPOutcome) -> bool:

@@ -17,7 +17,7 @@ from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, Q
 from farkaskit.sets import Box, Polyhedron, whole_space_polyhedron
 
-from oracles import tilted, with_equality_row
+from oracles import satisfies_rows, tilted, with_equality_row
 
 
 def bounded_instance(offset=0):
@@ -452,6 +452,84 @@ def test_tilt_programs_are_the_builders_at_the_tilted_slopes():
     assert seen == {"domain", "polyhedral target", "equality rows",
                     "integer shift", "rational shift", "optimal dual",
                     "refused tilt"}
+
+
+def test_tilt_duals_answered_at_a_right_hand_side_are_the_tilted_programs():
+    # the piece weights sum to 1, so the multiplier program of f - s.x is
+    # the untilted one at the right-hand side (s, 1): every tilt answered
+    # there certifies itself on that program, and its point is feasible on
+    # the tilted program, full_program at s, with the same value, which is
+    # the fresh solve's point and value
+    rng = random.Random(31)
+    seen = set()
+    for inst in _tilt_pool():
+        n = inst.n
+        shifts = [shift for shift, _ in
+                  duality.default_tilts(n, count=8, seed=rng.randrange(99))]
+        shifts += [[Q(rng.randint(-6, 6), rng.choice((2, 3, 7)))
+                    for _ in range(n)] for _ in range(3)]
+        program, _ = engine.full_program(inst)
+        rhs = [[*shift, Q(1)] for shift in shifts]
+        answers = lp.System(program).outcomes_at(program.c, rhs)
+        assert answers[0] == lp.solve(program)
+        for shift, b, out in zip(shifts[1:], rhs[1:], answers[1:]):
+            if not any(shift):
+                assert out == answers[0]
+                continue
+            if out is None:
+                seen.add("refused")
+                continue
+            at_b = dataclasses.replace(program, e=b)
+            assert lp.verify_certificate(at_b, out)
+            tilted_program, _ = engine.full_program(inst, shift)
+            assert satisfies_rows(tilted_program.G, tilted_program.h,
+                                  tilted_program.E, tilted_program.e, out.x)
+            assert all(x >= 0 for x, flag in zip(out.x, tilted_program.nonneg)
+                       if flag)
+            assert sum(a * x for a, x in zip(tilted_program.c, out.x)) \
+                == out.value
+            fresh = lp.solve(tilted_program)
+            assert (out.x, out.value) == (fresh.x, fresh.value)
+            seen.add("box" if isinstance(inst.target, Box) else "polyhedral")
+            if inst.ground.E or inst.target_polyhedron().E:
+                seen.add("equality row")
+            if inst.objective.domain is not None:
+                seen.add("domain")
+            if any(s.denominator > 1 for s in shift):
+                seen.add("rational shift")
+    assert seen == {"box", "polyhedral", "equality row", "domain",
+                    "rational shift", "refused"}
+
+
+def test_stable_check_answers_tilt_duals_at_right_hand_sides(count_phase1,
+                                                             monkeypatch):
+    # a seeded instance whose zero tilt's final basis passes the uniqueness
+    # test: its 13 distinct nonzero shifts are right-hand sides answered
+    # from that basis, so `_solve_duals` runs 3 phase 1s (the multiplier
+    # rows, then the conjugate and ground support sweeps of the triples),
+    # 16 when each shift's multiplier program ran a phase 1 of its own
+    rng = random.Random(7)
+    for _ in range(4):
+        inst = instances.random_feasible_instance(rng)
+    program, _ = engine.full_program(inst)
+    kept = lp.System(program)
+    seed, z, _, q = kept._phase2(*kept._cost(program.c))
+    assert q is None and seed.unique_point(z)
+    shifts = [shift for shift, _ in duality.default_tilts(inst.n, seed=2)]
+    runs = []
+    solve_duals = duality._solve_duals
+
+    def counted(inst, shifts):
+        got, n = count_phase1(solve_duals, inst, shifts)
+        runs.append((len([s for s in shifts if any(s)]), n))
+        return got
+
+    monkeypatch.setattr(duality, "_solve_duals", counted)
+    rep = duality.check_stable_strong_duality(inst, seed=2)
+    assert rep.tilts_checked == 25
+    assert runs == [(13, 3)]
+    assert rep.per_tilt == [duality.check_strong_duality(tilted(inst, shift))
+                            for shift in shifts]
 
 
 def test_stability_reading_matches_the_certificate_route():

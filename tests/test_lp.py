@@ -1167,6 +1167,58 @@ def test_unique_optima_from_kept_proofs_by_hand(phase2_costs, count_pivots):
         assert answer == (out.x, out.value)
 
 
+def _at_rhs(program, c, b):
+    """The program with cost c and right-hand side b (h entries, then e
+    entries)."""
+    mG = len(program.G)
+    return LinearProgram(c=c, G=program.G, h=b[:mG], E=program.E, e=b[mG:],
+                         nonneg=program.nonneg)
+
+
+def test_outcomes_at_by_hand(phase2_costs, count_pivots):
+    # x, y >= 0, x + y >= 1 and x <= 3 (its own right-hand side (-1, 3)).
+    # min x + 2y has its one minimizer (1, 0); at (-2, 3) that basis is
+    # still feasible, (2, 0) with no pivot; at (-4, 3) it is not (x = 4 >
+    # 3), and a copy of it reaches (3, 1) by one dual simplex pivot and a
+    # phase 2, whose basis then answers (-4, 5/2) with no pivot; at
+    # (-1, -1) the rows ask x <= -1. min x + y ties along x + y = 1, so its
+    # seed proves nothing and only its own right-hand side is answered;
+    # min -y is unbounded, and rows infeasible at their own right-hand side
+    # answer their Farkas outcome there and None elsewhere.
+    rows = LinearProgram(c=[0, 0], G=[[-1, -1], [1, 0]], h=[-1, 3], E=[],
+                         e=[], nonneg=[True, True])
+    kept = System(rows)
+    own = [-1, 3]
+    assert kept.outcomes_at([1, 2], [own]) == [solve(_at_rhs(rows, [1, 2],
+                                                             own))]
+    phase2_costs.clear()
+    got, pivots = count_pivots(kept.outcomes_at, [1, 2], [[-2, 3]])
+    assert pivots == 0 and phase2_costs == [(rows, (1, 2))]
+    assert (got[0].x, got[0].value) == ([2, 0], 2)
+    got, pivots = count_pivots(kept.outcomes_at, [1, 2],
+                               [[-4, 3], [-4, Q(5, 2)]])
+    assert pivots == 1
+    assert [(g.x, g.value) for g in got] == [([3, 1], 5),
+                                             ([Q(5, 2), Q(3, 2)], Q(11, 2))]
+    assert kept.outcomes_at([1, 2], [[-1, -1]]) == [None]
+    assert solve(_at_rhs(rows, [1, 2], [-1, -1])).status == INFEASIBLE
+    for b, g in zip([[-4, 3], [-4, Q(5, 2)]], got):
+        lp = _at_rhs(rows, [1, 2], b)
+        _certified(lp, g)
+        assert (g.x, g.value) == (solve(lp).x, solve(lp).value)
+    ties = kept.outcomes_at([1, 1], [own, [-2, 3], [-4, 3]])
+    assert ties == [solve(_at_rhs(rows, [1, 1], own)), None, None]
+    assert solve(_at_rhs(rows, [1, 1], [-2, 3])).status == OPTIMAL
+    unbounded = kept.outcomes_at([0, -1], [[-2, 3], own])
+    assert unbounded == [None, solve(_at_rhs(rows, [0, -1], own))]
+    assert unbounded[1].status == UNBOUNDED
+    infeasible = System(LinearProgram(c=[0], G=[[1], [-1]], h=[1, -2],
+                                      E=[], e=[]))
+    got = infeasible.outcomes_at([1], [[3, -2], [1, -2]])
+    assert got[0] is None and got[1].status == INFEASIBLE
+    assert kept.outcomes_at([1, 2], []) == []
+
+
 def test_tableau_layout_by_hand():
     # x0 free (columns 0 and 1), x1 nonnegative (column 2); slacks 3 and 4;
     # artificials on the flipped row (column 5) and the equality row
@@ -1232,6 +1284,29 @@ def test_optimal_value_is_a_lower_bound(lp, probe):
     feas = feas and all(sum(a * b for a, b in zip(row, x)) == bb for row, bb in zip(lp.E, lp.e))
     if feas:
         assert sum(a * b for a, b in zip(lp.c, x)) >= out.value
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_lps(), st.lists(st.lists(st.integers(-4, 4), min_size=5,
+                                      max_size=5), min_size=1, max_size=4))
+def test_outcomes_at_equal_solves_at_each_right_hand_side(lp, draws):
+    # the program's own right-hand side first, then drawn ones cut to its
+    # row count: every answer is the solve at its b in x and value, and
+    # where that solve is not optimal the answer is None
+    m = len(lp.G) + len(lp.E)
+    bs = [lp.h + lp.e] + [[Q(v) for v in b[:m]] for b in draws]
+    got = System(lp).outcomes_at(lp.c, bs)
+    assert got[0] == solve(lp)
+    for b, answer in zip(bs[1:], got[1:]):
+        at = _at_rhs(lp, lp.c, b)
+        out = solve(at)
+        if b == bs[0]:
+            assert answer == out
+        elif out.status != OPTIMAL:
+            assert answer is None
+        elif answer is not None:
+            assert (answer.x, answer.value) == (out.x, out.value)
+            _certified(at, answer)
 
 
 def test_verify_rejects_corrupted_certificates():

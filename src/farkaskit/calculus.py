@@ -157,7 +157,7 @@ def fenchel_values(f: PiecewiseAffine, points, over=None) -> list:
     costs = [as_q_vector(u, n, "point dimension mismatch") + [_MINUS_ONE]
              for u in points]
     if over is None:
-        over = sets.whole_space_polyhedron(n)
+        over = sets.whole_space(n)
     return epigraph_system(f, over).maxima(costs)
 
 

@@ -121,7 +121,7 @@ def load_document(path: str) -> dict:
 
 def _ground(doc: dict, n: int) -> sets.Polyhedron:
     if "C" not in doc:
-        return sets.whole_space_polyhedron(n)
+        return sets.whole_space(n)
     return _polyhedron(doc["C"], n, "C")
 
 

@@ -33,7 +33,7 @@ from .calculus import PiecewiseAffine
 from .errors import InvariantViolation
 from .rational import (INF, NEG_INF, ONE, ZERO, as_q_matrix, as_q_vector,
                        dot, is_finite, mat_vec, transpose_apply)
-from .sets import Box, Polyhedron, kept, whole_space_polyhedron
+from .sets import Box, Polyhedron, kept, whole_space
 
 
 class TriVerdict(Enum):
@@ -109,7 +109,7 @@ class FarkasInstance:
         from one `sets.supports` sweep (one phase 1) on a polyhedron."""
         if isinstance(self.target, Box):
             return [self.target.support(lam) for lam in lams]
-        return sets.supports(self.target.to_lifted(), lams)
+        return sets.supports(self.target, lams)
 
     @kept
     def preimage_polyhedron(self) -> Polyhedron:
@@ -133,7 +133,7 @@ class FarkasInstance:
     def domain(self) -> Polyhedron:
         """dom objective, the whole space when it is unrestricted."""
         d = self.objective.domain
-        return whole_space_polyhedron(self.n) if d is None else d
+        return whole_space(self.n) if d is None else d
 
     @kept
     def ground_in_domain(self) -> Polyhedron:
@@ -528,7 +528,7 @@ def _certificates(inst: FarkasInstance, shifts, found) -> list:
     conj = calculus.fenchel_values(
         inst.objective,
         [[a + s for a, s in zip(u, shifts[k])] for k, u in zip(hits, us)])
-    gsup = sets.supports(inst.ground.to_lifted(), vs)
+    gsup = sets.supports(inst.ground, vs)
     tsup = inst.target_supports(lams)
     certs = [None] * len(found)
     for k, u, v, lam, c, g, t in zip(hits, us, vs, lams, conj, gsup, tsup):
@@ -684,6 +684,8 @@ def check_dual_criterion(inst: FarkasInstance, n_random: int = 8,
 def _dual_criterion(inst: FarkasInstance, n_random: int, seed: int):
     """check_dual_criterion's report, its probe directions and the
     certificate cone's support values along them."""
+    # drawn first, so that a bad count raises before any LP
+    dirs = sets.probe_directions(inst.n + 1, n_random=n_random, seed=seed)
     if inst.feasible_in_domain().is_empty():
         raise ValueError("no feasible point inside the objective's domain")
     cone = certificate_cone(inst)
@@ -699,7 +701,6 @@ def _dual_criterion(inst: FarkasInstance, n_random: int, seed: int):
     if rep.verdict.holds != (cert is not None):
         raise InvariantViolation(
             "closed dual criterion requires the equivalence to hold")
-    dirs = sets.probe_directions(inst.n + 1, n_random=n_random, seed=seed)
     # the preimage holds the feasible point the hypothesis asks for
     multiplier_values = sets.supports(multiplier_cone(inst), dirs)
     feasible_values = preimage_values = sets.supports(
@@ -791,9 +792,8 @@ def check_sublevel(inst: FarkasInstance) -> SublevelReport:
     feas = inst.feasible_polyhedron()
     if feas.is_empty():
         raise ValueError("sublevel check needs a nonempty feasible set")
-    lifted = feas.to_lifted()
     maximum = NEG_INF
-    for s, b in zip(sets.supports(lifted, inst.objective.slopes),
+    for s, b in zip(sets.supports(feas, inst.objective.slopes),
                     inst.objective.offsets):
         val = s if s is INF else s + b
         if val > maximum:

@@ -50,7 +50,7 @@ def g1_instance() -> FarkasInstance:
     # one free variable; the map collapses everything to 0, which the
     # target {1} never meets, and f = -x defeats every affine minorant
     return FarkasInstance(
-        ground=sets.whole_space_polyhedron(1),
+        ground=sets.whole_space(1),
         matrix=[[0]],
         target=sets.Box([(1, 1)]),
         objective=PiecewiseAffine(dim=1, slopes=[[-1]], offsets=[0]))

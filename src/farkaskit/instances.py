@@ -129,7 +129,7 @@ def random_grid(rng: random.Random) -> FarkasInstance:
         upper = lower + Q(rng.randint(0, 4))
         rows.append((functional, lower, upper))
     if rng.random() < 1 / 2:
-        ground = sets.whole_space_polyhedron(n)
+        ground = sets.whole_space(n)
     else:
         center = [Q(rng.randint(-2, 2)) for _ in range(n)]
         ground = sets.Box(_box_around(rng, center, 3)).to_polyhedron()

@@ -21,27 +21,28 @@ phase 1 once and, per cost asked, a phase 2 on its own copy of the kept
 tableau, so each answer equals a fresh `solve` (which is `outcome` of the
 program's own c) bit for bit.
 
-`minima` wants only the value min c.x, all that a support or conjugate
-value needs, and it first tries to decide each cost from what the phase 2s
-of earlier costs on the same rows proved. An unbounded phase 2 ends with an
-improving ray r of the rows' recession cone, kept in the program's
-variables as integers: the rows are feasible, so any later c with c.r < 0
-is unbounded below too. An optimal phase 2 ends at a basis whose final
-tableau is kept: a later c whose reduced-cost row in that basis
-(`_Tableau.cost_row`) has no negative entry at a real column meets the
-kernel's own optimality test there (Dantzig 1963, postoptimality), so its
-minimum is that basic solution's value. Only a cost that no kept ray or
-basis decides runs a phase 2, and its ray or basis is kept in turn. The
-minimum of c.x over the rows is one number, whatever pivots reach it, so
-each value equals a fresh `solve`'s bit for bit (`maxima` asks `minima`
-of each cost's integers negated, and reads each value off the integers of
-the final objective row with the other sign); the points and
-multipliers do depend on the pivot path, and `outcome` always runs a
-phase 2. `append` changes the rows, which may cut a kept ray and which no
-kept basis holds, so it drops them all. Every question puts a cost over
-one denominator once (`System._cost`, by `over_lcm`): those integers tell
-costs apart, are tested against the kept rays and bases, and are the cost
-that a phase 2 poses.
+`maxima` wants only the value max c.x, all that a support or conjugate
+value needs. It poses the minimum of -c, and it first tries to decide each
+posed cost from what the phase 2s of earlier costs on the same rows
+proved. An unbounded phase 2 ends with an improving ray r of the rows'
+recession cone, kept in the program's variables as integers: the rows are
+feasible, so any later posed cost c with c.r < 0 is unbounded below too.
+An optimal phase 2 ends at a basis whose final tableau is kept: a later c
+whose reduced-cost row in that basis (`_Tableau.cost_row`) has no
+negative entry at a real column meets the kernel's own optimality test
+there (Dantzig 1963, postoptimality), so its minimum is that basic
+solution's value. Only a cost that no kept ray or basis decides runs a
+phase 2, and its ray or basis is kept in turn. The minimum of c.x over the
+rows is one number, whatever pivots reach it, so each maximum equals minus
+a fresh `solve`'s value of -c bit for bit (`maxima` negates each cost's
+integers, and reads each value off the integers of the final objective
+row with the other sign); the points and multipliers do depend on the
+pivot path, and `outcome` always runs a phase 2. `append` changes the
+rows, which may cut a kept ray and which no kept basis holds, so it drops
+them all. Every question puts a cost over one denominator once
+(`System._cost`, by `over_lcm`): those integers tell costs apart, are
+tested against the kept rays and bases, and are the cost that a phase 2
+poses.
 
 `unique_optima` reads a cost's optimal point and value only where a basis
 proves the optimum attained at one point (Mangasarian 1979): every
@@ -56,7 +57,7 @@ program with that cost, a fresh `solve` with its own phase 1 included,
 ends at an optimal point, and there is only one, so the answer equals the
 fresh point and value bit for bit (its multipliers need not, and are not
 given). The basis need not be c's own: `unique_optima` shares the kept
-rays and bases of `minima`. A kept ray that c descends leaves no optimum,
+rays and bases of `maxima`. A kept ray that c descends leaves no optimum,
 and a kept basis whose reduced costs for c pass the test holds the one
 optimal point. Any other cost runs a phase 2, whose ray or basis is kept.
 The test is sufficient, not necessary: a degenerate vertex may fail it
@@ -106,7 +107,7 @@ at b bit for bit; every other b answers None, and all of them when the seed
 itself fails the test (its basis then proves no point unique at any b where
 it needs no pivot). The question's bases sit at other right-hand sides than
 the kept tableau's, so they stay with the call and never join the bases
-that `minima` and `unique_optima` share and `append` drops.
+that `maxima` and `unique_optima` share and `append` drops.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
 objective row included, is a dense list of plain integer numerators, its
@@ -622,7 +623,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
 class System:
     """The rows of a program on one kept tableau, which the first question
     builds; the program's c is not read (see the module docstring).
-    `outcome`, `minima`, `unique_optima` and `append` share one phase 1
+    `outcome`, `maxima`, `unique_optima` and `append` share one phase 1
     at the program's own right-hand sides, and `feasible` sweeps its own on
     a tableau of its own, so every answer equals a fresh solve."""
 
@@ -634,7 +635,7 @@ class System:
         self._sweep = None
         # the Farkas pair (mu, nu) once the rows are infeasible, else None
         self._farkas = None
-        # what the fresh phase 2s of `minima` and `unique_optima` proved
+        # what the fresh phase 2s of `maxima` and `unique_optima` proved
         # about the rows: the improving rays of unbounded costs, as
         # integers in the program's variables, and the final tableaux of
         # optimal ones
@@ -721,26 +722,17 @@ class System:
             return None
         return t, z[t.RHS], zd
 
-    def minima(self, costs) -> list:
-        """min c.x over the rows for each c in `costs`: the `solve` value
-        when it is optimal, NEG_INF when unbounded below, INF when the rows
-        are infeasible. Each distinct cost is first tried against the rays
-        and optimal bases that earlier costs found (see the module
-        docstring); only a cost that none of them decides runs a phase 2,
-        whose ray or final tableau is then kept. No point or multiplier is
-        formed."""
-        return [Q(-p[1], p[2]) if isinstance(p, tuple) else p
-                for p in self._answers([self._cost(c) for c in costs],
-                                       False)]
-
     def maxima(self, costs) -> list:
-        """max c.x over the rows for each c in `costs`: minus `minima` of
-        -c, so INF when unbounded above and NEG_INF when the rows are
-        infeasible. Each cost is negated as the integers `_cost` gives,
-        which are -c's own, and each value is read off the integers that
-        give `minima`'s with the other sign, so every value is minus the
-        one `minima` of -c gives, bit for bit, and no rational is
-        negated."""
+        """max c.x over the rows for each c in `costs`: minus the `solve`
+        value of -c when it is optimal, INF when c.x is unbounded above,
+        NEG_INF when the rows are infeasible. Each cost is negated as the
+        integers `_cost` gives, which are -c's own, and each distinct one
+        is first tried against the rays and optimal bases that earlier
+        costs found (see the module docstring); only a cost that none of
+        them decides runs a phase 2, whose ray or final tableau is then
+        kept. Each value is read off the integers of the minimum of -c with
+        the other sign, so no rational is negated, and no point or
+        multiplier is formed."""
         keys = [self._cost(c) for c in costs]
         return [Q(p[1], p[2]) if isinstance(p, tuple) else -p
                 for p in self._answers(
@@ -754,7 +746,7 @@ class System:
         ray that c descends answers None, and a kept basis of an earlier
         cost whose reduced costs for c pass the point test answers with its
         point; any other cost runs a phase 2, whose ray or final tableau is
-        kept as `minima` keeps them. Every solve reaches that one point and
+        kept as `maxima` keeps them. Every solve reaches that one point and
         value, so each answer equals the x and value of `solve` of the
         program with cost c, bit for bit."""
         return [(p[0]._x(), Q(-p[1], p[2])) if isinstance(p, tuple) else None

@@ -37,7 +37,7 @@ from .errors import InvariantViolation
 from .rational import (NEG_INF, ONE, Q, ZERO, as_q, as_q_vector, dot,
                        over_lcm, q_str, transpose_apply)
 from .semiinf import SignedMultiplier
-from .sets import whole_space_polyhedron
+from .sets import whole_space
 
 
 def uniform_nodes(count: int):
@@ -90,7 +90,7 @@ def to_grid(problem: ApproxProblem, epsilon) -> engine.FarkasInstance:
     return semiinf.grid(
         [(problem.vandermonde_row(t), g, g + epsilon)
          for t, g in zip(problem.nodes, problem.values)],
-        whole_space_polyhedron(problem.degree_bound),
+        whole_space(problem.degree_bound),
         PiecewiseAffine(dim=problem.degree_bound,
                         slopes=[problem.objective_slope()], offsets=[ZERO]))
 

@@ -203,7 +203,10 @@ def check_moment_sandwich(inst: engine.FarkasInstance, n_random: int = 20,
     multiplier graph point (unit multipliers realize it with exact support
     value), every sampled multiplier graph point lies in the moment cone
     once vertical rays are added, and the two cones then have identical
-    supports along the probe grid."""
+    supports along the probe grid. A negative n_random raises
+    ValueError."""
+    if n_random < 0:
+        raise ValueError("the number of random multipliers must be >= 0")
     # Each loop decides its points' membership in one sweep, then raises at
     # the first failed identity in the order of the points, each point's
     # closed form before its membership.
@@ -228,7 +231,7 @@ def check_moment_sandwich(inst: engine.FarkasInstance, n_random: int = 20,
     lams = [[Q(rng.randint(-3, 3)) for _ in range(inst.m)]
             for _ in range(n_random)]
     # the closed form `Box.support` against LPs over the box's rows
-    lp_sups = sets.supports(inst.target_polyhedron().to_lifted(), lams)
+    lp_sups = sets.supports(inst.target_polyhedron(), lams)
     identities, graphs = [], []
     for lam, lp_sup in zip(lams, lp_sups):
         sup = inst.target.support(lam)

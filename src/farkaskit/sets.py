@@ -25,33 +25,6 @@ from .errors import InvariantViolation
 from .rational import ONE, Q, ZERO, as_q_matrix, as_q_vector, dot
 
 
-@dataclass
-class LiftedSet:
-    """{z in R^dim : exists w in R^witness_dim, G (z, w) <= h,
-    E (z, w) = e}, each row over the stacked columns (z, w), z first;
-    witness_nonneg flags w components known >= 0."""
-
-    dim: int
-    witness_dim: int = 0
-    G: list = field(default_factory=list)
-    h: list = field(default_factory=list)
-    E: list = field(default_factory=list)
-    e: list = field(default_factory=list)
-    witness_nonneg: list | None = None
-
-    def __post_init__(self):
-        width = self.dim + self.witness_dim
-        error = "row width != dim + witness_dim"
-        self.G = as_q_matrix(self.G, width, error)
-        self.h = as_q_vector(self.h, len(self.G), "row/rhs count mismatch")
-        self.E = as_q_matrix(self.E, width, error)
-        self.e = as_q_vector(self.e, len(self.E), "row/rhs count mismatch")
-        if self.witness_nonneg is None:
-            self.witness_nonneg = [False] * self.witness_dim
-        if len(self.witness_nonneg) != self.witness_dim:
-            raise ValueError("witness flag count != witness_dim")
-
-
 def kept(method):
     """A method of no arguments (or a function of one object) whose first
     result is kept in the object's __dict__ for later calls on the same
@@ -67,12 +40,91 @@ def kept(method):
     return get
 
 
-def empty_set(dim: int) -> LiftedSet:
-    return LiftedSet(dim=dim, G=[[ZERO] * dim], h=[-1])
+@dataclass
+class LiftedSet:
+    """{z in R^dim : exists w in R^witness_dim, G (z, w) <= h,
+    E (z, w) = e}, each row over the stacked columns (z, w), z first;
+    witness_nonneg flags w components known >= 0. It keeps its emptiness
+    LP's outcome, solved once, so its rows must not change after
+    construction."""
+
+    dim: int
+    witness_dim: int = 0
+    G: list = field(default_factory=list)
+    h: list = field(default_factory=list)
+    E: list = field(default_factory=list)
+    e: list = field(default_factory=list)
+    witness_nonneg: list | None = None
+
+    def __post_init__(self):
+        width = self.dim + self.witness_dim
+        error = "row width != dim" + (" + witness_dim" if self.witness_dim
+                                      else "")
+        self.G = as_q_matrix(self.G, width, error)
+        self.h = as_q_vector(self.h, len(self.G), "row/rhs count mismatch")
+        self.E = as_q_matrix(self.E, width, error)
+        self.e = as_q_vector(self.e, len(self.E), "row/rhs count mismatch")
+        if self.witness_nonneg is None:
+            self.witness_nonneg = [False] * self.witness_dim
+        if len(self.witness_nonneg) != self.witness_dim:
+            raise ValueError("witness flag count != witness_dim")
+
+    @kept
+    def emptiness(self) -> lp.LPOutcome:
+        """The outcome of this set's emptiness LP (`_joint_lp`, cost 0 over
+        its rows), solved on the first call only: optimal with a point
+        (z, w), or infeasible with a Farkas pair over its G rows and its E
+        rows. Shared, so callers must not change it."""
+        return lp.solve(_joint_lp(self))
+
+    def a_point(self):
+        """Some point of this set, as a new list, or None when it is empty:
+        one LP, solved on the first call only."""
+        return None if self.is_empty() else self.emptiness().x[:self.dim]
+
+    def is_empty(self) -> bool:
+        return self.emptiness().status == lp.INFEASIBLE
 
 
-def whole_space(dim: int) -> LiftedSet:
-    return LiftedSet(dim=dim)
+class Polyhedron(LiftedSet):
+    """Plain H-form set {x : G x <= h, E x = e}: the lifted set with no
+    witness columns."""
+
+    def __post_init__(self):
+        if self.witness_dim:
+            raise ValueError("a polyhedron has no witness columns")
+        super().__post_init__()
+
+    def contains(self, x) -> bool:
+        return members(self, [x])[0]
+
+    def intersect(self, other: Polyhedron | None) -> Polyhedron:
+        """This set meet `other`, with this set's rows first; None stands
+        for the whole space."""
+        if other is None:
+            return self
+        return Polyhedron(dim=self.dim, G=self.G + other.G, h=self.h + other.h,
+                          E=self.E + other.E, e=self.e + other.e)
+
+    def active_at(self, x) -> Polyhedron:
+        """The inequality rows tight at x and all equality rows: the rows
+        whose multipliers span the normal cone at x."""
+        tight = [k for k, (r, b) in enumerate(zip(self.G, self.h))
+                 if dot(r, x) == b]
+        return Polyhedron(dim=self.dim, G=[self.G[k] for k in tight],
+                          h=[self.h[k] for k in tight], E=self.E, e=self.e)
+
+    def to_lifted(self) -> LiftedSet:
+        """This set, which is a lifted set already."""
+        return self
+
+
+def empty_set(dim: int) -> Polyhedron:
+    return Polyhedron(dim=dim, G=[[ZERO] * dim], h=[-1])
+
+
+def whole_space(dim: int) -> Polyhedron:
+    return Polyhedron(dim=dim)
 
 
 def _joint_lp(s: LiftedSet):
@@ -80,18 +132,6 @@ def _joint_lp(s: LiftedSet):
     return lp.LinearProgram(c=[ZERO] * (s.dim + s.witness_dim), G=s.G, h=s.h,
                             E=s.E, e=s.e,
                             nonneg=[False] * s.dim + s.witness_nonneg)
-
-
-def is_empty(s: LiftedSet) -> bool:
-    return a_point_of(s) is None
-
-
-def a_point_of(s: LiftedSet):
-    """Some point of S, or None when S is empty."""
-    out = lp.solve(_joint_lp(s))
-    if out.status == lp.INFEASIBLE:
-        return None
-    return out.x[:s.dim]
 
 
 def _witness_program(s: LiftedSet, b, c=None) -> lp.LinearProgram:
@@ -249,15 +289,15 @@ def cone_closed_regarding(s: LiftedSet, p, candidate=None, layout=""):
     homogenized rows at z = p (`scale_program`), checked by substitution
     (InvariantViolation if not): infeasible puts p outside the closure,
     t > 0 or unbounded puts p/t in S. At t = 0 and at p = 0, p is in the
-    closure iff S is nonempty (one emptiness LP), and then in the cone iff
-    p = 0. A `candidate` outcome of the scale LP that passes
+    closure iff S is nonempty (its kept emptiness LP), and then in the
+    cone iff p = 0. A `candidate` outcome of the scale LP that passes
     `lp.verify_certificate` stands in for the LP; one that fails leaves
     the question to the LP, and an LP that reaches the candidate's status
     raises (`_refuse_confirmed`, naming `layout`).
     """
     p = as_q_vector(p, s.dim, "point dimension mismatch")
     if not any(p):
-        nonempty = not is_empty(s)
+        nonempty = not s.is_empty()
         return nonempty, nonempty
     prog = scale_program(s, p)
     if candidate is not None and lp.verify_certificate(prog, candidate):
@@ -271,7 +311,7 @@ def cone_closed_regarding(s: LiftedSet, p, candidate=None, layout=""):
     # max t is -value, +oo when unbounded (value NEG_INF)
     inside = out.status != lp.INFEASIBLE
     strict = inside and out.value < ZERO
-    return strict, strict or (inside and not is_empty(s))
+    return strict, strict or (inside and not s.is_empty())
 
 
 @dataclass
@@ -317,9 +357,12 @@ def probe_directions(dim: int, n_random: int = 0, seed: int = 0):
     n_random extra seeded integer directions. The grid's directions are
     nonzero and distinct by construction; a draw is told from those kept
     by its integers, before it is made rational. A dimension below 1 has
-    no nonzero direction to draw and raises ValueError."""
+    no nonzero direction to draw, and a negative n_random no count to
+    draw; both raise ValueError."""
     if dim < 1:
         raise ValueError("probe directions need dimension >= 1")
+    if n_random < 0:
+        raise ValueError("the number of random directions must be >= 0")
     dirs = []
     for i in range(dim):
         for si in (1, -1):
@@ -375,69 +418,6 @@ def require_equal_values(directions, a_values, b_values, what):
         if sa != sb:
             raise InvariantViolation(
                 f"{what}: support {sa} vs {sb} along {list(d)}")
-
-
-@dataclass
-class Polyhedron:
-    """Plain H-form set {x : G x <= h, E x = e} (no witnesses). It keeps
-    its emptiness LP's outcome, solved once, so its rows must not change
-    after construction."""
-
-    dim: int
-    G: list = field(default_factory=list)
-    h: list = field(default_factory=list)
-    E: list = field(default_factory=list)
-    e: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.G = as_q_matrix(self.G, self.dim, "row width != dim")
-        self.h = as_q_vector(self.h, len(self.G), "row/rhs count mismatch")
-        self.E = as_q_matrix(self.E, self.dim, "row width != dim")
-        self.e = as_q_vector(self.e, len(self.E), "row/rhs count mismatch")
-
-    def contains(self, x) -> bool:
-        x = as_q_vector(x, self.dim, "point dimension mismatch")
-        return (all(dot(r, x) <= b for r, b in zip(self.G, self.h))
-                and all(dot(r, x) == b for r, b in zip(self.E, self.e)))
-
-    def intersect(self, other: Polyhedron | None) -> Polyhedron:
-        """This set meet `other`, with this set's rows first; None stands
-        for the whole space."""
-        if other is None:
-            return self
-        return Polyhedron(dim=self.dim, G=self.G + other.G, h=self.h + other.h,
-                          E=self.E + other.E, e=self.e + other.e)
-
-    def active_at(self, x) -> Polyhedron:
-        """The inequality rows tight at x and all equality rows: the rows
-        whose multipliers span the normal cone at x."""
-        tight = [k for k, (r, b) in enumerate(zip(self.G, self.h))
-                 if dot(r, x) == b]
-        return Polyhedron(dim=self.dim, G=[self.G[k] for k in tight],
-                          h=[self.h[k] for k in tight], E=self.E, e=self.e)
-
-    def to_lifted(self) -> LiftedSet:
-        return LiftedSet(dim=self.dim, G=self.G, h=self.h, E=self.E, e=self.e)
-
-    @kept
-    def emptiness(self) -> lp.LPOutcome:
-        """The outcome of this set's emptiness LP (cost 0 over its rows),
-        solved on the first call only: optimal with a point, or infeasible
-        with a Farkas pair over its G rows and its E rows. Shared, so
-        callers must not change it."""
-        return lp.solve(_joint_lp(self.to_lifted()))
-
-    def a_point(self):
-        """Some point of this set, as a new list, or None when it is empty:
-        one LP, solved on the first call only."""
-        return None if self.is_empty() else list(self.emptiness().x)
-
-    def is_empty(self) -> bool:
-        return self.emptiness().status == lp.INFEASIBLE
-
-
-def whole_space_polyhedron(dim: int) -> Polyhedron:
-    return Polyhedron(dim=dim)
 
 
 @dataclass

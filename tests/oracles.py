@@ -173,7 +173,7 @@ def cone_two_lps(s, p):
     in R+ S iff tau > 0; p = 0 is in it iff S is nonempty)."""
     p = [as_q(v) for v in p]
     d = s.dim
-    nonempty = not sets.is_empty(s)
+    nonempty = not s.is_empty()
     scaled = lp.solve(lp.LinearProgram(
         c=[0] * (s.witness_dim + 1),
         G=[r[d:] + [-b] for r, b in zip(s.G, s.h)],

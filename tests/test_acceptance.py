@@ -76,7 +76,7 @@ def test_criterion_2_statement_iff_certificate_on_feasible_instances(capsys):
                        for u, v, a in zip(cert.u, cert.v, adj)), \
                 f"instance {k}: linkage broken"
             conj = calculus.fenchel_value(inst.objective, cert.u)
-            gsup = sets.support(inst.ground.to_lifted(), cert.v)
+            gsup = sets.support(inst.ground, cert.v)
             tsup = inst.target_support(cert.lam)
             assert conj == cert.conjugate_value
             assert gsup == cert.ground_support
@@ -146,7 +146,7 @@ def test_criterion_6_moment_cone_sandwich_and_box_support(capsys):
         for k in range(30):
             grid = instances.random_grid(rng)
             semiinf.check_moment_sandwich(grid, n_random=20, seed=SEED + k)
-            lifted = grid.target.to_polyhedron().to_lifted()
+            lifted = grid.target.to_polyhedron()
             for _ in range(100):
                 lam = [Q(rng.randint(-4, 4)) for _ in range(grid.m)]
                 assert grid.target.support(lam) == sets.support(lifted, lam), \

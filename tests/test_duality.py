@@ -15,7 +15,7 @@ from farkaskit.duality import INFEASIBLE, OPTIMAL, UNBOUNDED
 from farkaskit.engine import FarkasInstance
 from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, Q
-from farkaskit.sets import Box, Polyhedron, whole_space_polyhedron
+from farkaskit.sets import Box, Polyhedron, whole_space
 
 from oracles import satisfies_rows, tilted, with_equality_row
 
@@ -41,7 +41,7 @@ def pivoting_instance():
 
 def unbounded_instance():
     return FarkasInstance(
-        ground=whole_space_polyhedron(1), matrix=[[1]],
+        ground=whole_space(1), matrix=[[1]],
         target=Polyhedron(dim=1, G=[[-1]], h=[0], E=[], e=[]),
         objective=PiecewiseAffine(dim=1, slopes=[[-1]], offsets=[0]))
 
@@ -49,7 +49,7 @@ def unbounded_instance():
 def infeasible_dual_infeasible():
     # no feasible point and no linked dual triple either: infinite gap
     return FarkasInstance(
-        ground=whole_space_polyhedron(1), matrix=[[0]],
+        ground=whole_space(1), matrix=[[0]],
         target=Box([(1, 1)]),
         objective=PiecewiseAffine(dim=1, slopes=[[-1]], offsets=[0]))
 
@@ -834,7 +834,7 @@ def test_target_supports_are_one_sweep_per_batch(count_phase1, monkeypatch):
         PENTAGON_SUM_POINTS
     lams = [[Q(1), Q(-2)], [Q(0), Q(0)], [Q(-1, 3), Q(1)]]
     assert inst.target_supports(lams) == [
-        sets.support(inst.target.to_lifted(), lam) for lam in lams] == \
+        sets.support(inst.target, lam) for lam in lams] == \
         [Q(2), Q(0), Q(2)]
     box = bounded_instance()
     assert box.target_supports(lams) == [box.target.support(lam)
@@ -849,7 +849,7 @@ OPTIMALITY_PROGRAMS = ("525573d2942aa63f1518648575ffd2a3"
 def _optimality_programs(phase2_costs):
     """sha256 over the sorted reprs of every program, with its cost, that
     reaches a phase 2 of the kernel (`lp.System._phase2`, behind `solve`,
-    `System.outcome` and `System.minima`, recorded by the `phase2_costs`
+    `System.outcome` and `System.maxima`, recorded by the `phase2_costs`
     fixture) inside check_optimality, at the minimizer and two sampled
     feasible points of each feasible instance of the tilt pool, and the
     kinds of data reached on the way."""

@@ -23,7 +23,7 @@ def unit_square():
 
 
 def whole_line():
-    return sets.whole_space_polyhedron(1)
+    return sets.whole_space(1)
 
 
 def plain(fn_slopes, fn_offsets, dim=None):
@@ -269,6 +269,17 @@ class TestDualCriterion:
     def test_hypothesis_error_on_infeasible(self):
         with pytest.raises(ValueError):
             engine.check_dual_criterion(vacuous_no_cert())
+
+    def test_negative_random_count_raises(self, count_phase1):
+        # the count reaches `sets.probe_directions`, which refuses it
+        # before any LP
+        inst = basic_instance()
+
+        def refused():
+            with pytest.raises(ValueError, match="random directions must"):
+                engine.check_dual_criterion(inst, n_random=-1)
+
+        assert count_phase1(refused)[1] == 0
 
     def test_polyhedral_target_and_domain(self):
         inst = FarkasInstance(
@@ -764,11 +775,14 @@ class TestInstanceValidation:
                 objective=plain([[1]], [0]))
 
     def test_rejects_a_target_of_another_kind(self):
+        # [0, 1] as the image of the segment {w : 0 <= w <= 1} under z = w:
+        # a lifted set with a witness column, which is no Polyhedron
+        segment = sets.LiftedSet(dim=1, witness_dim=1,
+                                 G=[[0, 1], [0, -1]], h=[1, 0],
+                                 E=[[1, -1]], e=[0])
         with pytest.raises(ValueError) as caught:
-            FarkasInstance(
-                ground=whole_line(), matrix=[[1]],
-                target=Box([(0, 1)]).to_polyhedron().to_lifted(),
-                objective=plain([[1]], [0]))
+            FarkasInstance(ground=whole_line(), matrix=[[1]], target=segment,
+                           objective=plain([[1]], [0]))
         assert str(caught.value) == "target must be a Box or a Polyhedron"
 
     def test_rejects_dimension_mismatch(self):

@@ -6,9 +6,9 @@ all row surgery on the instance data, and the LP kernel sees those rows
 exactly as they are built. Two builders that describe the same set with
 rows in another order, or with another sign flag, give the same verdicts
 but other pivots, so other certificates. This test hashes every such set
-as the program it poses (a lifted set as its dimensions and the rows,
-right-hand sides and sign flags of `sets._joint_lp`, a polyhedron or a
-program as its repr) over a seeded pool of feasible, infeasible and
+as the program it poses (a lifted set, a polyhedron included, as its
+dimensions and the rows, right-hand sides and sign flags of
+`sets._joint_lp`, a program as its repr) over a seeded pool of feasible, infeasible and
 equality-pinned instances, plus instances whose ground misses dom f, and
 compares the hash with the recorded one. Hashing the posed program, not
 the set's fields, keeps the pin valid across a change of how a set holds
@@ -18,19 +18,20 @@ To re-record after an intended change of rows, print `_digest()[0]` and
 replace GOLDEN, saying in the change why the rows moved.
 """
 
+import dataclasses
 import functools
 import hashlib
 import random
 
-from farkaskit import calculus, engine, instances, polyapprox, sets
+from farkaskit import calculus, engine, instances, lp, polyapprox, sets
 from farkaskit.calculus import PiecewiseAffine
 from farkaskit.engine import FarkasInstance
 from farkaskit.rational import Q
-from farkaskit.sets import Box, LiftedSet, whole_space_polyhedron
+from farkaskit.sets import Box, LiftedSet, Polyhedron
 
 from test_golden_certificates import _pinned
 
-GOLDEN = "c746d2795c73da450aec63dbbbfe8837db016c8a7a2bbaf11b73e1141bf5d549"
+GOLDEN = "b2419d1ef750fd1757c51381d74eac7590c5749eb8e890506dbe1c4f4b76f306"
 POOL = 40  # instances of each kind
 
 
@@ -76,7 +77,7 @@ def _sets(inst: FarkasInstance):
     yield "target support", calculus.support_epigraph(inst.target)
     for p in (inst.ground, pre, feas):
         yield "support", calculus.support_epigraph(p)
-    for over in (inst.ground, feas, whole_space_polyhedron(inst.n)):
+    for over in (inst.ground, feas, Polyhedron(dim=inst.n)):
         yield "restricted", calculus.restricted_conjugate_epigraph(f, over)
     p, _ = engine.full_program(inst)
     yield "full program", (p.E, p.e, p.c, p.nonneg)
@@ -92,8 +93,11 @@ def _band():
 
 
 def _posed(obj):
-    """A lifted set as the program the kernel solves for it; anything
-    else as it is."""
+    """A lifted set, a polyhedron included (by `to_lifted`, the lifted
+    set it is), as the program the kernel solves for it; anything else as
+    it is."""
+    if isinstance(obj, Polyhedron):
+        obj = obj.to_lifted()
     if not isinstance(obj, LiftedSet):
         return obj
     p = sets._joint_lp(obj)
@@ -118,7 +122,7 @@ def _digest():
                 seen.add("missed domain")
             h.update(repr((tag, _posed(obj))).encode() + b"\n")
     for tag, obj in _band():
-        h.update(repr((tag, obj)).encode() + b"\n")
+        h.update(repr((tag, _posed(obj))).encode() + b"\n")
     return h.hexdigest(), frozenset(seen)
 
 
@@ -129,3 +133,34 @@ def test_pool_reaches_every_block():
 
 def test_set_rows_match_recorded_hash():
     assert _digest()[0] == GOLDEN
+
+
+def _pool_sets():
+    """Every set of the pool, lifted sets and polyhedra alike."""
+    for inst in _pool():
+        yield from ((tag, obj) for tag, obj in _sets(inst)
+                    if isinstance(obj, LiftedSet))
+    yield from _band()
+
+
+def test_every_pool_set_keeps_one_fresh_emptiness(count_phase1):
+    # each set's kept emptiness outcome is a fresh solve's, bit for bit;
+    # its LP runs once per set, on a copy that `dataclasses.replace` built
+    # with nothing kept; and a point is a new list each time, a member
+    kinds = set()
+    for tag, s in _pool_sets():
+        fresh = lp.solve(sets._joint_lp(s))
+        t = dataclasses.replace(s)
+        kept, runs = count_phase1(t.emptiness)
+        assert kept == fresh == s.emptiness() and runs == 1
+        assert count_phase1(t.emptiness) == (kept, 0)
+        point = t.a_point()
+        if point is None:
+            assert fresh.status == lp.INFEASIBLE
+        else:
+            assert point == fresh.x[:t.dim] and point is not t.a_point()
+            assert sets.members(t, [point]) == [True]
+        kinds.add((type(t).__name__, point is None))
+    # every lifted set the pool builds holds a point; polyhedra may not
+    assert kinds == {("LiftedSet", False), ("Polyhedron", False),
+                     ("Polyhedron", True)}

@@ -28,7 +28,7 @@ def program():
 
 def triangle():
     return sets.Polyhedron(dim=2, G=[[-1, 0], [0, -1], [1, 1]],
-                           h=[0, 0, 2]).to_lifted()
+                           h=[0, 0, 2])
 
 
 def unit_square():
@@ -68,8 +68,8 @@ CASES = [
                  id="LinearProgram.nonneg"),
     pytest.param(lambda: lp.System(program()).outcome([1, 2]),
                  "cost width != number of variables", id="System.outcome"),
-    pytest.param(lambda: lp.System(program()).minima([[]]),
-                 "cost width != number of variables", id="System.minima"),
+    pytest.param(lambda: lp.System(program()).maxima([[]]),
+                 "cost width != number of variables", id="System.maxima"),
     pytest.param(lambda: lp.System(program()).feasible([0, 0]),
                  "right-hand side length != number of rows",
                  id="System.feasible"),
@@ -81,7 +81,8 @@ CASES = [
                  "row width != dim + witness_dim", id="LiftedSet.G"),
     pytest.param(lambda: sets.LiftedSet(dim=1, G=[[1]], h=[]),
                  "row/rhs count mismatch", id="LiftedSet.h"),
-    pytest.param(lambda: sets.LiftedSet(dim=2, E=[[1, 0, 0]], e=[0]),
+    pytest.param(lambda: sets.LiftedSet(dim=1, witness_dim=1,
+                                        E=[[1, 0, 0]], e=[0]),
                  "row width != dim + witness_dim", id="LiftedSet.E"),
     pytest.param(lambda: sets.LiftedSet(dim=1, witness_dim=1, E=[[1, 1]],
                                         e=[0, 1]),
@@ -118,6 +119,10 @@ CASES = [
                  "row width != dim", id="Polyhedron.E"),
     pytest.param(lambda: sets.Polyhedron(dim=1, E=[[1]], e=[0, 1]),
                  "row/rhs count mismatch", id="Polyhedron.e"),
+    pytest.param(lambda: sets.Polyhedron(dim=1, witness_dim=1, G=[[1, 1]],
+                                         h=[0]),
+                 "a polyhedron has no witness columns",
+                 id="Polyhedron.witness_dim"),
     pytest.param(lambda: sets.Polyhedron(dim=2, G=[[1, 1]],
                                          h=[0]).contains([-5]),
                  "point dimension mismatch", id="Polyhedron.contains"),
@@ -137,17 +142,17 @@ CASES = [
                  id="PiecewiseAffine.offsets"),
     pytest.param(lambda: calculus.PiecewiseAffine(
                      dim=2, slopes=[[1, 1]], offsets=[0],
-                     domain=sets.whole_space_polyhedron(1)),
+                     domain=sets.whole_space(1)),
                  "domain dimension mismatch", id="PiecewiseAffine.domain"),
     pytest.param(lambda: two_dim_function().value([3]),
                  "point dimension mismatch", id="PiecewiseAffine.value"),
     pytest.param(lambda: calculus.fenchel_values(two_dim_function(), [[1]]),
                  "point dimension mismatch", id="calculus.fenchel_values"),
     pytest.param(lambda: calculus.minimize_over(
-                     two_dim_function(), sets.whole_space_polyhedron(1)),
+                     two_dim_function(), sets.whole_space(1)),
                  "dimension mismatch", id="calculus.minimize_over"),
     pytest.param(lambda: calculus.restricted_conjugate_epigraph(
-                     two_dim_function(), sets.whole_space_polyhedron(1)),
+                     two_dim_function(), sets.whole_space(1)),
                  "dimension mismatch",
                  id="calculus.restricted_conjugate_epigraph"),
     # engine

@@ -607,8 +607,15 @@ def test_growing_system_matches_solve_per_append(count_phase1):
                         [ZERO] * (n + 1), ZERO)[1] == 0
 
 
+def _minima(system, costs):
+    """min c.x over the rows of `system` for each c in `costs`, by the
+    kernel's one value question: minus `System.maxima` of -c, which poses
+    c's own integers to a phase 2."""
+    return [-v for v in system.maxima([[-a for a in c] for c in costs])]
+
+
 def test_system_mixed_questions_match_fresh_solves():
-    # one System per draw answers several outcomes and minima calls, over
+    # one System per draw answers several outcomes and value calls, over
     # repeated and zero costs, and then rows appended between further
     # calls (cuts near the last point it returned, or random rows). Before
     # any append each answer equals a fresh solve bit for bit; after each
@@ -638,7 +645,7 @@ def test_system_mixed_questions_match_fresh_solves():
                 G.append(a)
                 h.append(b)
             outs = [kept.outcome(c) for c in asked]
-            values = kept.minima(asked)
+            values = _minima(kept, asked)
             for c, out, value in zip(asked, outs, values):
                 lp = LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg)
                 fresh = solve(lp)
@@ -660,7 +667,7 @@ def test_system_mixed_questions_match_fresh_solves():
 
 
 def test_system_feasible_between_other_questions_matches_fresh_solves():
-    # feasible sweeps interleaved with append, outcomes and minima on one
+    # feasible sweeps interleaved with append, outcomes and values on one
     # System, feasible asked first: each verdict equals a fresh solve at its
     # right-hand side, and every other answer a fresh solve at the program's
     # own right-hand sides, bit for bit before any append and, after one,
@@ -693,7 +700,7 @@ def test_system_feasible_between_other_questions_matches_fresh_solves():
                 assert out.status == solve(grown).status
                 _certified(grown, out)
             outs = [kept.outcome(c) for c in costs]
-            values = kept.minima(costs)
+            values = _minima(kept, costs)
             for c, out, value in zip(costs, outs, values):
                 lp = LinearProgram(c=c, G=rows, h=rhs, E=E, e=e,
                                    nonneg=nonneg)
@@ -840,7 +847,7 @@ def test_minima_equal_solve_values_and_outcomes_certify():
         costs += [[ZERO] * n, costs[0]]
         shared = LinearProgram(c=[ZERO] * n, G=G, h=h, E=E, e=e,
                                nonneg=nonneg)
-        values = System(shared).minima(costs)
+        values = _minima(System(shared), costs)
         assert len(values) == len(costs)
         for c, value in zip(costs, values):
             lp = LinearProgram(c=c, G=G, h=h, E=E, e=e, nonneg=nonneg)
@@ -866,23 +873,23 @@ def test_minima_equal_solve_values_and_outcomes_certify():
 def test_minima_edge_cases(count_phase1, count_pivots):
     square = LinearProgram(c=[0, 0], G=[[1, 0], [0, 1]], h=[1, 1], E=[],
                            e=[], nonneg=[True, True])
-    assert count_phase1(System(square).minima, []) == ([], 0)
+    assert count_phase1(_minima, System(square), []) == ([], 0)
     # a repeated cost: one phase 1, and no phase 2 of its own
     once = [[-1, 0], [0, -2]]
-    values, runs = count_phase1(System(square).minima, once + [[-1, 0]])
+    values, runs = count_phase1(_minima, System(square), once + [[-1, 0]])
     assert values == [Q(-1), Q(-2), Q(-1)] and runs == 1
-    assert (count_pivots(System(square).minima, once + [[-1, 0]])[1]
-            == count_pivots(System(square).minima, once)[1])
+    assert (count_pivots(_minima, System(square), once + [[-1, 0]])[1]
+            == count_pivots(_minima, System(square), once)[1])
     # later questions on the same System run no phase 1 again
     kept = System(square)
-    assert count_phase1(kept.minima, once)[1] == 1
-    assert count_phase1(kept.minima, [[0, -1]]) == ([Q(-1)], 0)
-    assert count_phase1(_raises_value_error, System(square).minima,
+    assert count_phase1(_minima, kept, once)[1] == 1
+    assert count_phase1(_minima, kept, [[0, -1]]) == ([Q(-1)], 0)
+    assert count_phase1(_raises_value_error, System(square).maxima,
                         [[1]])[1] == 0
     ray = LinearProgram(c=[0], G=[[1]], h=[1], E=[], e=[])
-    assert System(ray).minima([[1], [-1]]) == [NEG_INF, Q(-1)]
+    assert _minima(System(ray), [[1], [-1]]) == [NEG_INF, Q(-1)]
     infeasible = LinearProgram(c=[0], G=[[1], [-1]], h=[1, -2], E=[], e=[])
-    assert System(infeasible).minima([[1], [-1]]) == [INF, INF]
+    assert _minima(System(infeasible), [[1], [-1]]) == [INF, INF]
 
 
 def _swept_costs(rng, n):
@@ -936,7 +943,7 @@ def test_minima_from_kept_rays_and_bases_match_fresh_solves(phase2_costs):
         memo = {}
         for order in (costs, rng.sample(costs, len(costs))):
             phase2_costs.clear()
-            values = System(program).minima(order)
+            values = _minima(System(program), order)
             ran = {c for _, c in phase2_costs}
             assert len(ran) == len(phase2_costs)
             for c, value in zip(order, values):
@@ -951,21 +958,23 @@ def test_minima_from_kept_rays_and_bases_match_fresh_solves(phase2_costs):
 
 
 def test_maxima_are_minima_of_the_negated_costs(phase2_costs):
-    # maxima negates each cost's integers after putting it over its lcm;
-    # its values, and the costs it poses to a phase 2, are those of minima
-    # of the negated costs, bit for bit
+    # maxima negates each cost's integers after putting it over its lcm:
+    # each cost it poses to a phase 2 is -c's own, and each value is minus
+    # a fresh solve's of -c, bit for bit
     rng = random.Random(20261020)
     seen = set()
     for program, costs in _reuse_draws(rng, 12):
         phase2_costs.clear()
         got = System(program).maxima(costs)
-        posed = list(phase2_costs)
-        phase2_costs.clear()
-        want = System(program).minima([[-a for a in c] for c in costs])
-        assert got == [-v for v in want] and posed == phase2_costs
+        negated = [[-a for a in c] for c in costs]
+        posed = [c for _, c in phase2_costs]
+        assert set(posed) <= {tuple(c) for c in negated}
+        seen.update(["posed"] if posed else [])
+        memo = {}
+        assert got == [-_fresh_value(program, c, memo) for c in negated]
         assert all(type(v) is Q or v in (INF, NEG_INF) for v in got)
         seen.update("INF" if v is INF else "value" for v in got)
-    assert seen == {"INF", "value"}
+    assert seen == {"INF", "value", "posed"}
     ray = LinearProgram(c=[0], G=[[1]], h=[1], E=[], e=[])
     assert System(ray).maxima([[1], [-1], [Q(1, 3)]]) == [Q(1), INF,
                                                           Q(1, 3)]
@@ -982,12 +991,12 @@ def test_minima_reuse_by_hand(phase2_costs, count_pivots):
     rows = LinearProgram(c=[0, 0], G=[[-1, -1], [0, 1]], h=[-1, 2], E=[],
                          e=[], nonneg=[True, True])
     costs = [[-1, 0], [-1, 5], [2, 1], [3, 1]]
-    values, pivots = count_pivots(System(rows).minima, costs)
+    values, pivots = count_pivots(_minima, System(rows), costs)
     assert values == [NEG_INF, NEG_INF, Q(1), Q(1)]
     assert [c for _, c in phase2_costs] == [(-1, 0), (2, 1)]
-    assert pivots == count_pivots(System(rows).minima, costs[::2])[1]
-    phase1 = count_pivots(System(rows).minima, [[0, 0]])[1]
-    assert count_pivots(System(rows).minima, [costs[3]])[1] > phase1
+    assert pivots == count_pivots(_minima, System(rows), costs[::2])[1]
+    phase1 = count_pivots(_minima, System(rows), [[0, 0]])[1]
+    assert count_pivots(_minima, System(rows), [costs[3]])[1] > phase1
     for c, value in zip(costs, values):
         assert value == _fresh_value(rows, c, {})
 
@@ -999,11 +1008,11 @@ def test_append_drops_kept_rays_and_bases():
     rows = LinearProgram(c=[0, 0], G=[[-1, -1], [0, 1]], h=[-1, 2], E=[],
                          e=[], nonneg=[True, True])
     kept = System(rows)
-    assert kept.minima([[-1, 0], [2, 1]]) == [NEG_INF, Q(1)]
-    assert kept.minima([[-1, 1], [3, 1]]) == [NEG_INF, Q(1)]
+    assert _minima(kept, [[-1, 0], [2, 1]]) == [NEG_INF, Q(1)]
+    assert _minima(kept, [[-1, 1], [3, 1]]) == [NEG_INF, Q(1)]
     kept.append([1, 0], 3)
     kept.append([0, 1], Q(1, 2))
-    assert kept.minima([[-1, 1], [3, 1]]) == [Q(-3), Q(2)]
+    assert _minima(kept, [[-1, 1], [3, 1]]) == [Q(-3), Q(2)]
     grown = LinearProgram(c=[0, 0], G=rows.G + [[1, 0], [0, 1]],
                           h=rows.h + [3, Q(1, 2)], E=[], e=[],
                           nonneg=[True, True])
@@ -1030,7 +1039,7 @@ def test_minima_reuse_between_feasible_sweeps(phase2_costs):
             verdicts.add(verdict)
             phase2_costs.clear()
             chunk = costs[k:k + 6]
-            values = kept.minima(chunk)
+            values = _minima(kept, chunk)
             reused += k > 0 and len(phase2_costs) < len(chunk)
             for c, value in zip(chunk, values):
                 assert value == _fresh_value(program, c, memo)
@@ -1109,7 +1118,7 @@ def test_unique_optima_between_minima_match_fresh_solves(phase2_costs):
             chunk = costs[k:k + 4]
             phase2_costs.clear()
             if k % 8:
-                for c, value in zip(chunk, kept.minima(chunk)):
+                for c, value in zip(chunk, _minima(kept, chunk)):
                     assert value == _fresh_value(program, c, memo)
                 continue
             answers = kept.unique_optima(chunk)

@@ -67,7 +67,7 @@ class TestSplitAndSupport:
 
     def test_box_support_matches_lp(self):
         g = simple_grid()
-        box = g.target_polyhedron().to_lifted()
+        box = g.target_polyhedron()
         for lam in ([0, 0], [1, 1], [-2, 5], [Q(1, 2), Q(-7, 3)]):
             assert g.target.support(lam) == sets.support(box, lam)
 
@@ -86,7 +86,7 @@ class TestSplitAndSupport:
         assert sm.value() == [Q(v) for v in lam]
         by_split = sum(p * hi - m * lo for p, m, (lo, hi)
                        in zip(sm.plus, sm.minus, g.target.bounds))
-        box = g.target_polyhedron().to_lifted()
+        box = g.target_polyhedron()
         assert by_split == g.target.support(lam) == sets.support(box, lam)
 
 
@@ -100,6 +100,19 @@ class TestMomentCone:
         assert rep.verdict == "consistent"
         assert rep.generators_checked == 4
         assert rep.graph_points_checked == 20
+
+    def test_sandwich_refuses_a_negative_count(self, count_phase1):
+        # a negative count reported graph_points_checked=-5 having checked
+        # none; it raises, before any LP
+        grid = simple_grid()
+
+        def refused():
+            with pytest.raises(ValueError, match="random multipliers must"):
+                semiinf.check_moment_sandwich(grid, n_random=-5)
+
+        assert count_phase1(refused)[1] == 0
+        rep = semiinf.check_moment_sandwich(grid, n_random=0)
+        assert rep.graph_points_checked == 0
 
     def test_sandwich_consults_an_lp(self, monkeypatch):
         # a wrong closed form, one too large when two or more entries are
@@ -155,8 +168,9 @@ class TestGridChecks:
     def test_grid_dual_reads_the_criterion_cone_supports(self, phase2_costs):
         # phase 2s that pose a (program, cost) pair already posed on the
         # same grid, from its construction through check_grid_dual and
-        # check_stability, on 11 seeded grids: 20 before `System.minima`
-        # answered costs from the rays and bases that earlier costs found.
+        # check_stability, on 11 seeded grids: 20 before the kernel's value
+        # sweep (now `System.maxima`) answered costs from the rays and
+        # bases that earlier costs found.
         # Counted per (program, cost list) before that: 31 when
         # check_grid_dual swept the certificate cone again along the
         # criterion's probe directions, 20 when the 6 grids with a
@@ -191,7 +205,7 @@ class TestGridChecks:
         rows = [([1, 0], 0, 2), ([1, -1], -1, 1), ([0, 1], -2, 2)]
         f = PiecewiseAffine(dim=2, slopes=[[1, 0]], offsets=[0])
         reports = []
-        for ground in (sets.whole_space_polyhedron(2),
+        for ground in (sets.whole_space(2),
                        Polyhedron(dim=2, G=[[0, 0]], h=[1])):
             calls.clear()
             reports.append(semiinf.check_grid_dual(
@@ -214,7 +228,7 @@ class TestGridChecks:
 
     def test_infeasible_grid_hypothesis_error(self):
         g = semiinf.grid(
-            [([0], 1, 1)], sets.whole_space_polyhedron(1),
+            [([0], 1, 1)], sets.whole_space(1),
             PiecewiseAffine(dim=1, slopes=[[-1]], offsets=[0]))
         rep = engine.check_primal_criterion(g)
         assert not rep.criterion_holds  # genuine closedness gap
@@ -282,7 +296,7 @@ def _exchange_system(rng):
         rows[t] = (a, hi + shift, hi + shift + Q(rng.randint(0, 1), 4))
     kind = rng.randrange(3)
     if kind == 0:
-        ground = sets.whole_space_polyhedron(n)
+        ground = sets.whole_space(n)
     else:
         ground = Box([(v - rng.randint(0, 2), v + rng.randint(0, 2))
                       for v in x0]).to_polyhedron()
@@ -356,7 +370,7 @@ class TestBandPoint:
 
     def test_bad_farkas_vector_raises(self, monkeypatch):
         system = semiinf.grid([([1], 0, 1), ([1], 2, 3)],
-                              sets.whole_space_polyhedron(1),
+                              sets.whole_space(1),
                               PiecewiseAffine(dim=1, slopes=[[0]],
                                               offsets=[0]))
         assert semiinf.band_point(system).x is None

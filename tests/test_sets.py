@@ -30,16 +30,16 @@ def triangle_gen():
 
 class TestMembership:
     def test_triangle_contains_interior_point(self):
-        s = triangle_poly().to_lifted()
+        s = triangle_poly()
         assert sets.member(s, [Q(1, 2), Q(1, 2)])
 
     def test_triangle_contains_vertices(self):
-        s = triangle_poly().to_lifted()
+        s = triangle_poly()
         for v in ([0, 0], [2, 0], [0, 2]):
             assert sets.member(s, v)
 
     def test_triangle_excludes_outside_point(self):
-        s = triangle_poly().to_lifted()
+        s = triangle_poly()
         assert not sets.member(s, [2, 1])
         assert not sets.member(s, [-1, 0])
 
@@ -52,22 +52,22 @@ class TestMembership:
 
     def test_empty_set_has_no_members(self):
         s = sets.empty_set(3)
-        assert sets.is_empty(s)
+        assert s.is_empty()
         assert not sets.member(s, [0, 0, 0])
-        assert sets.a_point_of(s) is None
+        assert s.a_point() is None
 
     def test_whole_space_has_all_members(self):
         s = sets.whole_space(2)
-        assert not sets.is_empty(s)
+        assert not s.is_empty()
         assert sets.member(s, [Q(-31, 7), Q(10, 3)])
 
     def test_a_point_of_returns_a_member(self):
-        s = triangle_poly().to_lifted()
-        p = sets.a_point_of(s)
+        s = triangle_poly()
+        p = s.a_point()
         assert p is not None and sets.member(s, p)
 
     def test_dimension_mismatch_is_rejected(self):
-        s = triangle_poly().to_lifted()
+        s = triangle_poly()
         with pytest.raises(ValueError):
             sets.member(s, [1, 2, 3])
 
@@ -86,7 +86,7 @@ class TestMembership:
 
 class TestSupport:
     def test_triangle_supports(self):
-        s = triangle_poly().to_lifted()
+        s = triangle_poly()
         assert sets.support(s, [1, 1]) == Q(2)
         assert sets.support(s, [1, 0]) == Q(2)
         assert sets.support(s, [-1, -1]) == Q(0)
@@ -95,7 +95,7 @@ class TestSupport:
 
     def test_unbounded_direction_gives_inf(self):
         # {x >= 1} in one dimension
-        s = sets.Polyhedron(dim=1, G=[[-1]], h=[-1]).to_lifted()
+        s = sets.Polyhedron(dim=1, G=[[-1]], h=[-1])
         assert sets.support(s, [1]) is INF
         assert sets.support(s, [-1]) == Q(-1)
 
@@ -113,7 +113,7 @@ class TestSupport:
         # integers with the other sign, so no Fraction is negated (each
         # direction's entries were negated before, and then each finite
         # value, one per direction)
-        s = triangle_poly().to_lifted()
+        s = triangle_poly()
         dirs = sets.probe_directions(2, n_random=6, seed=3)
         want = [sets.support(s, d) for d in dirs]
         negations = []
@@ -129,7 +129,7 @@ class TestSupport:
 
     def test_box_support_closed_form_matches_lp(self):
         box = sets.Box(bounds=[(-1, 2), (0, 3), (Q(1, 2), Q(1, 2))])
-        lifted = box.to_polyhedron().to_lifted()
+        lifted = box.to_polyhedron()
         for d in sets.probe_directions(3, n_random=6, seed=11):
             assert box.support(d) == sets.support(lifted, d)
 
@@ -143,21 +143,21 @@ class TestSupport:
 def recedes(s, d):
     """Whether d is a recession direction of the nonempty set S, as
     `contains_generated` decides it for a point of S plus the ray d."""
-    ray = sets.GeneratedSet(dim=s.dim, points=[sets.a_point_of(s)], rays=[d])
+    ray = sets.GeneratedSet(dim=s.dim, points=[s.a_point()], rays=[d])
     return sets.contains_generated(s, ray)
 
 
 class TestRecession:
     def test_recession_of_shifted_quadrant(self):
         # {x >= 1, y >= 2}: recession cone is the nonnegative quadrant
-        s = sets.Polyhedron(dim=2, G=[[-1, 0], [0, -1]], h=[-1, -2]).to_lifted()
+        s = sets.Polyhedron(dim=2, G=[[-1, 0], [0, -1]], h=[-1, -2])
         assert recedes(s, [1, 0])
         assert recedes(s, [3, 7])
         assert recedes(s, [0, 0])
         assert not recedes(s, [-1, 0])
 
     def test_bounded_set_recession_is_origin_only(self):
-        s = triangle_poly().to_lifted()
+        s = triangle_poly()
         assert recedes(s, [0, 0])
         assert not recedes(s, [1, 0])
 
@@ -171,7 +171,7 @@ class TestRecession:
 
 class TestMinkowskiAndImages:
     def test_sum_of_unit_boxes(self):
-        box = sets.Box(bounds=[(0, 1), (0, 1)]).to_polyhedron().to_lifted()
+        box = sets.Box(bounds=[(0, 1), (0, 1)]).to_polyhedron()
         s = sets.minkowski_sum(box, box)
         assert sets.member(s, [2, 2])
         assert sets.member(s, [Q(3, 2), 0])
@@ -180,24 +180,24 @@ class TestMinkowskiAndImages:
         assert sets.support(s, [-1, 0]) == Q(0)
 
     def test_sum_with_point_equals_translate(self):
-        tri = triangle_poly().to_lifted()
+        tri = triangle_poly()
         point = sets.as_lifted(sets.GeneratedSet(dim=2, points=[[1, -1]]))
         summed = sets.minkowski_sum(tri, point)
         # conv{(1,-1), (3,-1), (1,1)}: the triangle moved by (1, -1)
         shifted = sets.Polyhedron(dim=2, G=[[-1, 0], [0, -1], [1, 1]],
-                                  h=[-1, 1, 2]).to_lifted()
+                                  h=[-1, 1, 2])
         dirs = sets.probe_directions(2, n_random=4, seed=3)
         assert sets.support_mismatches(summed, shifted, dirs) == []
         assert sets.member(summed, [1, -1]) and sets.member(shifted, [1, -1])
         assert not sets.member(summed, [0, 0])
 
     def test_sum_with_empty_is_empty(self):
-        tri = triangle_poly().to_lifted()
+        tri = triangle_poly()
         s = sets.minkowski_sum(tri, sets.empty_set(2))
-        assert sets.is_empty(s)
+        assert s.is_empty()
 
     def test_projection_of_triangle(self):
-        s = sets.linear_image(triangle_poly().to_lifted(), [[1, 1]])
+        s = sets.linear_image(triangle_poly(), [[1, 1]])
         assert sets.member(s, [2])
         assert sets.member(s, [0])
         assert not sets.member(s, [Q(5, 2)])
@@ -206,14 +206,14 @@ class TestMinkowskiAndImages:
 
     def test_embedding_image(self):
         # x |-> (x1, x2, x1 + x2) of the triangle
-        s = sets.linear_image(triangle_poly().to_lifted(), [[1, 0], [0, 1], [1, 1]])
+        s = sets.linear_image(triangle_poly(), [[1, 0], [0, 1], [1, 1]])
         assert sets.member(s, [1, 0, 1])
         assert not sets.member(s, [1, 0, 0])
         assert sets.support(s, [0, 0, 1]) == Q(2)
 
     def test_image_of_empty_is_empty(self):
         s = sets.linear_image(sets.empty_set(2), [[1, 1]])
-        assert sets.is_empty(s)
+        assert s.is_empty()
 
 
 def in_cone(s, p):
@@ -232,7 +232,7 @@ class TestConicHull:
     def test_cone_of_segment(self):
         # segment x = 1, 0 <= y <= 1; closed conic hull is {0 <= y <= x}
         seg = sets.Polyhedron(dim=2, G=[[0, -1], [0, 1]], h=[0, 1],
-                              E=[[1, 0]], e=[1]).to_lifted()
+                              E=[[1, 0]], e=[1])
         assert in_closure(seg, [0, 0])
         assert in_closure(seg, [3, 3])
         assert in_closure(seg, [5, 2])
@@ -244,7 +244,7 @@ class TestConicHull:
     def test_half_open_cone_from_horizontal_line(self):
         # line y = 1: conic hull is the open upper half plane plus the origin;
         # its closure also holds the whole x-axis
-        line = sets.Polyhedron(dim=2, E=[[0, 1]], e=[1]).to_lifted()
+        line = sets.Polyhedron(dim=2, E=[[0, 1]], e=[1])
         assert in_cone(line, [4, 2])
         assert in_cone(line, [0, 0])
         assert not in_cone(line, [1, 0])
@@ -261,28 +261,36 @@ class TestConicHull:
 
     def test_cone_strict_unbounded_scale(self):
         # quadrant through the probe: any positive multiple works
-        quad = sets.Polyhedron(dim=2, G=[[-1, 0], [0, -1]], h=[0, 0]).to_lifted()
+        quad = sets.Polyhedron(dim=2, G=[[-1, 0], [0, -1]], h=[0, 0])
         assert in_cone(quad, [1, 1])
 
     def test_closed_regarding_never_contradicts(self):
-        tri = triangle_poly().to_lifted()
+        tri = triangle_poly()
         for p in sets.probe_directions(2):
             strict, closed = sets.cone_closed_regarding(tri, p)
             assert closed or not strict
 
     def test_one_lp_per_point_two_when_closure_only(self, count_phase1):
-        line = sets.Polyhedron(dim=2, E=[[0, 1]], e=[1]).to_lifted()
+        def line():
+            return sets.Polyhedron(dim=2, E=[[0, 1]], e=[1])
+
+        kept = line()
+        # [1, 0] asks the scale LP and then the emptiness LP, which the set
+        # keeps: the origin before it has solved it, so it runs only the
+        # scale LP here, and both on a set of its own
         for p, answer, runs in (([4, 2], (True, True), 1),
                                 ([0, -1], (False, False), 1),
                                 ([0, 0], (True, True), 1),
-                                ([1, 0], (False, True), 2)):
-            assert count_phase1(sets.cone_closed_regarding, line, p) == (
+                                ([1, 0], (False, True), 1)):
+            assert count_phase1(sets.cone_closed_regarding, kept, p) == (
                 answer, runs)
+        assert count_phase1(sets.cone_closed_regarding, line(), [1, 0]) == (
+            (False, True), 2)
         with pytest.raises(ValueError):
-            sets.cone_closed_regarding(line, [1])
+            sets.cone_closed_regarding(kept, [1])
 
     def test_tampered_scale_lp_raises(self, tamper_scale_lp):
-        line = sets.Polyhedron(dim=2, E=[[0, 1]], e=[1]).to_lifted()
+        line = sets.Polyhedron(dim=2, E=[[0, 1]], e=[1])
         with pytest.raises(InvariantViolation, match="scale LP"):
             sets.cone_closed_regarding(line, [4, 2])
         # the origin asks only the emptiness LP, which goes untampered
@@ -315,7 +323,7 @@ def _random_lifted(rng, kinds):
                        G=joint(mG), h=[rng.randint(-2, 2) for _ in range(mG)],
                        E=joint(mE), e=[rng.randint(-2, 2) for _ in range(mE)],
                        witness_nonneg=nonneg)
-    if sets.is_empty(s):
+    if s.is_empty():
         kinds.add("empty")
     return s
 
@@ -345,23 +353,23 @@ def test_scale_lp_matches_the_two_lp_reference(monkeypatch):
 
 class TestGeneratedContainment:
     def test_generated_inside_its_own_h_form(self):
-        assert sets.contains_generated(triangle_poly().to_lifted(), triangle_gen())
+        assert sets.contains_generated(triangle_poly(), triangle_gen())
 
     def test_extra_ray_breaks_containment(self):
         g = sets.GeneratedSet(dim=2, points=[[0, 0]], rays=[[1, 0]])
-        assert not sets.contains_generated(triangle_poly().to_lifted(), g)
+        assert not sets.contains_generated(triangle_poly(), g)
 
     def test_outside_point_breaks_containment(self):
         g = sets.GeneratedSet(dim=2, points=[[0, 0], [3, 0]])
-        assert not sets.contains_generated(triangle_poly().to_lifted(), g)
+        assert not sets.contains_generated(triangle_poly(), g)
 
     def test_pointless_generated_set_is_contained_everywhere(self):
         g = sets.GeneratedSet(dim=2, rays=[[1, 0]])
         assert sets.contains_generated(sets.empty_set(2), g)
-        assert sets.is_empty(sets.as_lifted(g))
+        assert sets.as_lifted(g).is_empty()
 
     def test_ray_containment_in_unbounded_set(self):
-        quad = sets.Polyhedron(dim=2, G=[[-1, 0], [0, -1]], h=[0, 0]).to_lifted()
+        quad = sets.Polyhedron(dim=2, G=[[-1, 0], [0, -1]], h=[0, 0])
         g = sets.GeneratedSet(dim=2, points=[[1, 1]], rays=[[2, 3], [0, 1]])
         assert sets.contains_generated(quad, g)
 
@@ -403,9 +411,15 @@ class TestProbesAndBoxes:
             with pytest.raises(ValueError, match="dimension >= 1"):
                 sets.probe_directions(dim, n_random=count)
 
+    def test_negative_random_count_raises(self):
+        # a negative count used to draw nothing, silently
+        with pytest.raises(ValueError, match="random directions must be"):
+            sets.probe_directions(2, n_random=-4)
+        assert len(sets.probe_directions(2, n_random=0)) == 8
+
     def test_support_mismatch_detects_difference(self):
-        tri = triangle_poly().to_lifted()
-        box = sets.Box(bounds=[(0, 2), (0, 2)]).to_polyhedron().to_lifted()
+        tri = triangle_poly()
+        box = sets.Box(bounds=[(0, 2), (0, 2)]).to_polyhedron()
         bad = sets.support_mismatches(tri, box, [[1, 1], [1, 0]])
         assert bad == [([Q(1), Q(1)], Q(2), Q(4))]
         sets.require_equal_supports(tri, tri, [[1, 1], [1, 0]], "same")
@@ -547,7 +561,7 @@ def test_supports_run_phase_1_once(count_pivots):
     assert values == [v for v, _ in singles]
     assert INF in values and Q(0) in values
     # a zero cost makes no phase-2 pivot, so this is one phase-1 run
-    _, phase1 = count_pivots(sets.is_empty, cone)
+    _, phase1 = count_pivots(cone.is_empty)
     per_direction = sum(n for _, n in singles)
     assert (phase1, swept, per_direction) == (6, 22, 442)
     # one phase 1, and fewer phase-2 pivots than one phase 2 per direction
@@ -570,7 +584,7 @@ def test_repeated_directions_cost_no_pivots(count_pivots):
 
 
 def test_supports_checks_every_direction():
-    s = sets.Polyhedron(dim=2, G=[[1, 0], [0, 1]], h=[1, 2]).to_lifted()
+    s = sets.Polyhedron(dim=2, G=[[1, 0], [0, 1]], h=[1, 2])
     assert sets.supports(s, [[1, 0], [0, 1], [-1, 0]]) == [1, 2, INF]
     assert sets.supports(sets.empty_set(2), [[1, 0], [0, -1]]) == \
         [NEG_INF, NEG_INF]
@@ -637,7 +651,7 @@ def _test_points(s, rng, count):
     non-members both."""
     zs = [[Q(rng.randint(-3, 3)) for _ in range(s.dim)]
           for _ in range(count // 3)]
-    z0 = sets.a_point_of(s)
+    z0 = s.a_point()
     zs.append(z0)
     while len(zs) < count:
         d = [Q(rng.randint(-2, 2)) for _ in range(s.dim)]
@@ -661,11 +675,11 @@ def test_members_match_a_fresh_member_and_the_kernel():
             ("multiplier", lambda: engine.multiplier_cone(inst)),
             ("support", lambda: calculus.support_epigraph(inst.ground)),
             ("decoupled", lambda: engine.decoupled_residual_epigraph(inst)),
-            ("no witness", lambda: inst.ground.to_lifted()),
+            ("no witness", lambda: inst.ground),
         ]
         for name, build in candidates:
             s = build()
-            if sets.is_empty(s):
+            if s.is_empty():
                 continue
             family = [(name, s)]
             if s.witness_dim:
@@ -741,7 +755,7 @@ def _large_polytope(rng, dim):
                          for _ in range(8)]))
     box = sets.Box([(-rng.randint(0, 2), rng.randint(0, 2))
                     for _ in range(dim)])
-    return sets.minkowski_sum(hull, box.to_polyhedron().to_lifted())
+    return sets.minkowski_sum(hull, box.to_polyhedron())
 
 
 def test_large_set_supports_match_highs():

@@ -68,3 +68,25 @@ def test_no_module_imports_copy():
     probe = ast.parse("import copy\nfrom copy import copy\nimport copyreg\n"
                       "from . import copy")
     assert list(_imported_modules(probe)) == ["copy", "copy", "copyreg"]
+
+
+def _to_lifted_calls(tree):
+    """The line of every `.to_lifted()` call in a tree."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "to_lifted"):
+            yield node.lineno
+
+
+def test_no_module_calls_to_lifted():
+    # a polyhedron is a lifted set with no witness columns, so every set
+    # is passed as itself; `to_lifted` stays for outside callers only
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _to_lifted_calls(tree)]
+    assert found == []
+    probe = ast.parse("p.to_lifted()\nto_lifted(p)\nf = p.to_lifted\n"
+                      "sets.supports(inst.ground.to_lifted(), vs)")
+    assert sorted(_to_lifted_calls(probe)) == [1, 4]

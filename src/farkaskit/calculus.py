@@ -29,7 +29,9 @@ class PiecewiseAffine:
     """max_i (slopes[i] . x + offsets[i]), restricted to `domain` if given.
 
     At least one piece is required and a given domain must be nonempty, so
-    the function is always proper.
+    the function is always proper. It keeps the system of its conjugate
+    values (`fenchel_values`), so its data must not change after
+    construction.
     """
 
     dim: int
@@ -149,16 +151,24 @@ def fenchel_values(f: PiecewiseAffine, points, over=None) -> list:
     cost (u, -1) depends on u, so one `lp.System` serves every point: phase
     1 runs once per f, and a point runs a phase 2 only when no ray or
     optimal basis of an earlier point decides it (`maxima`, which poses
-    the cost (-u, 1) of min (t - u . x) and negates no rational). The
-    optimum value is unique, so each value is the one a program per point
-    would give. A tilt needs no program of its own either: the conjugate
-    of f - s.x - l at u is f*(u + s) + l."""
-    n = f.dim
-    costs = [as_q_vector(u, n, "point dimension mismatch") + [_MINUS_ONE]
+    the cost (-u, 1) of min (t - u . x) and negates no rational). With no
+    `over`, that system is the one f keeps (`_conjugate_system`), which
+    later calls share. The optimum value is unique, so each value is the
+    one a program per point would give. A tilt needs no program of its own
+    either: the conjugate of f - s.x - l at u is f*(u + s) + l."""
+    costs = [as_q_vector(u, f.dim, "point dimension mismatch") + [_MINUS_ONE]
              for u in points]
-    if over is None:
-        over = sets.whole_space(n)
-    return epigraph_system(f, over).maxima(costs)
+    system = (_conjugate_system(f) if over is None
+              else epigraph_system(f, over))
+    return system.maxima(costs)
+
+
+@sets.kept
+def _conjugate_system(f: PiecewiseAffine) -> lp.System:
+    """f's `epigraph_system` over the whole space, built on the first call
+    only: every `fenchel_values` call on f with no `over` shares its phase
+    1 and the rays and optimal bases that earlier points proved."""
+    return epigraph_system(f, sets.whole_space(f.dim))
 
 
 def fenchel_value(f: PiecewiseAffine, u):
@@ -224,12 +234,15 @@ def support_epigraph(p) -> sets.LiftedSet:
     """Epigraph of the support function of a Polyhedron or Box, as a lifted
     set over (direction, value). Exact: for a nonempty polyhedron the LP dual
     of sup is attained, and an empty set has support -infinity everywhere, so
-    the epigraph is the whole space."""
+    the epigraph is the whole space. A box is nonempty by construction, so
+    its rows run no emptiness LP. The set of a nonempty p records p
+    (`sets.record_support_epigraph`), and `sets.supports` answers it by
+    p's polar, with no LP."""
     if isinstance(p, sets.Box):
         p = p.to_polyhedron()
-    if p.is_empty():
+    elif p.is_empty():
         return sets.whole_space(p.dim + 1)
-    return _dual_epigraph(p.dim, [], [p])
+    return sets.record_support_epigraph(_dual_epigraph(p.dim, [], [p]), p)
 
 
 def support_epigraph_generators(p: sets.Polyhedron) -> list:

@@ -363,7 +363,7 @@ def _sum_point_sample(inst: FarkasInstance, rng, generators, d, n_points,
     mu = [rng.randint(-2, 2) if f else rng.randint(0, 2) for f in free]
     weights += [total * k for k in mu]
     lam = (mu if isinstance(inst.target, sets.Box)
-           else engine._target_multiplier(inst, mu))
+           else engine._target_multiplier(inst.target, mu))
     z = [0] * (inst.n + 1)
     for w, g in zip(weights, generators):
         if w:

@@ -182,7 +182,7 @@ def multiplier_cone(inst: FarkasInstance) -> sets.LiftedSet:
     target's support-function epigraph under (lam, s) -> (map^T lam, s),
     once per instance: every caller shares the one set, so none may change
     its rows."""
-    epi = calculus.support_epigraph(inst.target_polyhedron())
+    epi = calculus.support_epigraph(inst.target)
     m = inst.m
     rows = []
     for j in range(inst.n):
@@ -225,8 +225,8 @@ def _multiplier_witness(inst: FarkasInstance, mu_t) -> list:
     lam = target rows^T mu_t, and s the budget of mu_t, which bounds
     sigma_target(lam)."""
     pre = inst.preimage_polyhedron()  # the target's rows, pulled back
-    return (_target_multiplier(inst, mu_t) + [dot(pre.h + pre.e, mu_t)]
-            + mu_t)
+    return (_target_multiplier(inst.target, mu_t)
+            + [dot(pre.h + pre.e, mu_t)] + mu_t)
 
 
 def _witness_outcome(witness, cone: sets.LiftedSet) -> lp.LPOutcome:
@@ -471,15 +471,14 @@ def _validate_certificate(inst: FarkasInstance, cert: Certificate):
         raise InvariantViolation("certificate value budget exceeded")
 
 
-def _target_multiplier(inst: FarkasInstance, mu_t) -> list:
+def _target_multiplier(target, mu_t) -> list:
     """lam = t^T mu_t, from the multipliers mu_t of the preimage rows,
-    which are the target rows t pulled back. A box's rows come in
+    which are the rows t of `target` pulled back. A box's rows come in
     `Box.pullback` order, e_i then -e_i, so there lam_i = mu_t[2i] -
     mu_t[2i + 1], with no dense box to form."""
-    if isinstance(inst.target, Box):
+    if isinstance(target, Box):
         return [p - q for p, q in zip(mu_t[::2], mu_t[1::2])]
-    t = inst.target
-    return transpose_apply(t.G + t.E, mu_t, inst.m)
+    return transpose_apply(target.G + target.E, mu_t, target.dim)
 
 
 def full_program(inst: FarkasInstance, shift=None):
@@ -489,18 +488,35 @@ def full_program(inst: FarkasInstance, shift=None):
     certificate search. Given a shift s, it is the program of the tilt
     f - s.x, whose pieces have the slopes a - s. Returns (program,
     extract), where extract(w) gives (u, lam), u read off the slopes the
-    program was built on."""
+    program was built on. The untilted pair is built once per instance
+    and kept, so its callers share it and none may change it."""
+    if shift is None:
+        return _untilted_program(inst)
+    return _sloped_program(inst,
+                           calculus.tilted_slopes(inst.objective, shift))
+
+
+@kept
+def _untilted_program(inst: FarkasInstance):
+    """`full_program(inst)`, built on the first call only."""
+    return _sloped_program(inst, inst.objective.slopes)
+
+
+def _sloped_program(inst: FarkasInstance, slopes):
+    """`full_program` with the pieces' slopes replaced by `slopes`."""
     f, dom = inst.objective, inst.domain()
-    slopes = f.slopes if shift is None else calculus.tilted_slopes(f, shift)
     program, split = calculus.multiplier_program(
         inst.n, list(zip(slopes, f.offsets)),
         [dom, inst.ground, inst.preimage_polyhedron()])
 
+    # extract holds no reference to inst, which keeps the untilted pair:
+    # that cycle would leave each instance to the cyclic garbage collector
+    n, target = inst.n, inst.target
+
     def extract(w):
         theta, mu_dom, _, mu_t = split(w)
-        return (transpose_apply(slopes + dom.G + dom.E, theta + mu_dom,
-                                inst.n),
-                _target_multiplier(inst, mu_t))
+        return (transpose_apply(slopes + dom.G + dom.E, theta + mu_dom, n),
+                _target_multiplier(target, mu_t))
 
     return program, extract
 
@@ -582,7 +598,7 @@ def find_reduced_certificate(inst: FarkasInstance) -> ReducedCertificate | None:
     if out.status == lp.INFEASIBLE:
         return None
     _, _, mu_t = split(out.x)
-    lam = _target_multiplier(inst, mu_t)
+    lam = _target_multiplier(inst.target, mu_t)
     cert = ReducedCertificate(
         lam=lam,
         restricted_conjugate=calculus.fenchel_values(

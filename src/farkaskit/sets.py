@@ -11,7 +11,9 @@ LPs or plain row surgery on that representation. No numeric closure is
 ever taken: the closed conic hull of a nonempty polyhedral projection is
 its coned form plus its recession cone, both of which the homogenized
 representation captures exactly; one LP on it, the largest scale at
-z = p, places p in the hull or its closure.
+z = p, places p in the hull or its closure. The support epigraph of a
+polyhedron is a closed cone, whose supports are read off its polar, the
+cone over the polyhedron, by substitution into the polyhedron's rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field, replace
 
 from . import lp
 from .errors import InvariantViolation
-from .rational import ONE, Q, ZERO, as_q_matrix, as_q_vector, dot
+from .rational import (INF, ONE, Q, ZERO, as_q_matrix, as_q_vector, dot,
+                       over_lcm)
 
 
 def kept(method):
@@ -45,8 +48,8 @@ class LiftedSet:
     """{z in R^dim : exists w in R^witness_dim, G (z, w) <= h,
     E (z, w) = e}, each row over the stacked columns (z, w), z first;
     witness_nonneg flags w components known >= 0. It keeps its emptiness
-    LP's outcome, solved once, so its rows must not change after
-    construction."""
+    LP's outcome, solved once, and the system of its support sweeps, so
+    its rows must not change after construction."""
 
     dim: int
     witness_dim: int = 0
@@ -216,16 +219,67 @@ def support(s: LiftedSet, d):
     return supports(s, [d])[0]
 
 
+# the key under which a support epigraph keeps the polyhedron it supports
+_SUPPORTED = "_kept_supported"
+
+
+def record_support_epigraph(s: LiftedSet, p: Polyhedron) -> LiftedSet:
+    """s, recorded as the epigraph of the support function of the nonempty
+    polyhedron p, so that `supports` answers s by p's polar. The record is
+    kept state: a set that `dataclasses.replace` builds from s answers by
+    LP on its own rows."""
+    s.__dict__[_SUPPORTED] = p
+    return s
+
+
+@kept
+def _sweep(s: LiftedSet) -> lp.System:
+    """The set's rows (`_joint_lp`) on one `lp.System`, built on the first
+    call only: every `supports` sweep of the set shares its phase 1 and
+    the rays and optimal bases that earlier sweeps proved."""
+    return lp.System(_joint_lp(s))
+
+
 def supports(s: LiftedSet, directions) -> list:
-    """[support(s, d) for d in directions], on one `lp.System` of the set's
-    rows (`lp.System.maxima`): phase 1 runs once, and a direction runs a
-    phase 2 only when no ray or optimal basis that an earlier direction
-    found decides it. An empty set gives NEG_INF and an unbounded one
-    INF."""
+    """[support(s, d) for d in directions]. A set recorded as the support
+    epigraph of a polyhedron (`record_support_epigraph`) is answered by
+    its polar, with no LP (`_polar_supports`). Any other set is answered on
+    the one `lp.System` of its rows that it keeps (`lp.System.maxima`):
+    phase 1 runs once per set, and a direction runs a phase 2 only when no
+    ray or optimal basis that an earlier direction found decides it. An
+    empty set gives NEG_INF and an unbounded one INF."""
+    p = s.__dict__.get(_SUPPORTED)
+    if p is not None:
+        return _polar_supports(p, directions)
     pad = [ZERO] * s.witness_dim
-    return lp.System(_joint_lp(s)).maxima(
+    return _sweep(s).maxima(
         [as_q_vector(d, s.dim, "direction dimension mismatch") + pad
          for d in directions])
+
+
+def _polar_supports(p: Polyhedron, directions) -> list:
+    """[support(epi sigma_p, (d, delta)) for (d, delta) in directions],
+    for a nonempty polyhedron p, in integers and with no LP. epi sigma_p
+    is a closed cone, so its support is 0 on its polar cone and INF off
+    it. That polar is the closed cone over the points (x, -1), x in p:
+    (d, delta) is in it iff delta <= 0, G d + delta h <= 0 and
+    E d + delta e = 0, that is, d / (-delta) is in p when delta < 0 and
+    d is a recession direction of p when delta = 0. Each row, with its
+    right-hand side last, and each direction are read as integers over
+    their lcm, a positive scale, which keeps every sign."""
+    G = [over_lcm(r + [b])[0] for r, b in zip(p.G, p.h)]
+    E = [over_lcm(r + [b])[0] for r, b in zip(p.E, p.e)]
+    values = []
+    for d in directions:
+        z, _ = over_lcm(as_q_vector(d, p.dim + 1,
+                                    "direction dimension mismatch"))
+        inside = (z[-1] <= 0
+                  and all(sum(a * b for a, b in zip(r, z) if a) <= 0
+                          for r in G)
+                  and all(sum(a * b for a, b in zip(r, z) if a) == 0
+                          for r in E))
+        values.append(ZERO if inside else INF)
+    return values
 
 
 def minkowski_sum(a: LiftedSet, b: LiftedSet) -> LiftedSet:

@@ -173,8 +173,15 @@ class TestFenchelValues:
         once, pivots = count_pivots(calculus.fenchel_values, f, points)
         again, pivots_again = count_pivots(calculus.fenchel_values, f,
                                            repeated)
-        assert pivots_again == pivots
+        # f kept the system of the first call, whose rays and bases decide
+        # every point posed there
+        assert pivots > 0 and pivots_again == 0
         assert again == once + once[::3] + [once[4]] * 3
+        # on a fresh copy of f, which keeps no system, the repeats cost no
+        # pivot beyond the distinct points
+        fresh = dataclasses.replace(f)
+        assert count_pivots(calculus.fenchel_values, fresh, repeated) == \
+            (again, pivots)
 
     def test_poses_the_minimum_costs_and_negates_no_rational(
             self, phase2_costs, monkeypatch):
@@ -212,6 +219,53 @@ class TestFenchelValues:
         assert count_phase1(calculus.fenchel_values, abs_fn(), []) == ([], 0)
         with pytest.raises(ValueError):
             calculus.fenchel_values(abs_fn(), [[1, 2]])
+
+
+def _fresh_support(s, d):
+    """sup d.z over S by one fresh `lp.solve` of its rows."""
+    program = sets._joint_lp(s)
+    out = lp.solve(dataclasses.replace(
+        program, c=[-a for a in d] + [0] * s.witness_dim))
+    if out.status == lp.INFEASIBLE:
+        return NEG_INF
+    return INF if out.status == lp.UNBOUNDED else -out.value
+
+
+def _fresh_conjugate(f, u):
+    """f*(u) by one fresh `lp.solve` of f's epigraph rows over the whole
+    space with the cost (-u, 1): minus its minimum."""
+    program = calculus._epigraph_program(f, sets.whole_space(f.dim))
+    out = lp.solve(dataclasses.replace(program, c=[-a for a in u] + [1]))
+    return INF if out.status == lp.UNBOUNDED else -out.value
+
+
+def test_interleaved_sweeps_equal_fresh_solves(count_phase1):
+    # one set and one f, each keeping the system of its sweeps, swept in
+    # turns with overlapping batches: every value is a fresh solve's, and
+    # each keeps one phase 1 for all its batches
+    rng = random.Random(83)
+    s = sets.linear_image(
+        sets.Polyhedron(dim=3, G=[[1, 1, 0], [-1, 0, 1], [0, -1, -1]],
+                        h=[2, 1, 3], E=[[1, -1, 2]], e=[1]),
+        [[1, 0, 1], [0, 2, -1]])
+    f = instances.random_objective(rng, 2, [Q(1), Q(-1)])
+    f = dataclasses.replace(f, domain=sets.Polyhedron(
+        dim=2, G=[[1, 0], [0, 1]], h=[3, 3]))
+    runs = values = 0
+    kinds = set()
+    for _ in range(5):
+        dirs = [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)]
+                for _ in range(4)]
+        got, k = count_phase1(sets.supports, s, dirs)
+        assert got == [_fresh_support(s, d) for d in dirs]
+        points = dirs[:2] + [[Q(rng.randint(-3, 3)) for _ in range(2)]
+                             for _ in range(3)]
+        conj, j = count_phase1(calculus.fenchel_values, f, points)
+        assert conj == [_fresh_conjugate(f, u) for u in points]
+        runs += k + j
+        values += len(got) + len(conj)
+        kinds.update("inf" if v is INF else "finite" for v in got + conj)
+    assert (runs, values) == (2, 45) and kinds == {"inf", "finite"}
 
 
 class TestTilt:
@@ -289,9 +343,11 @@ class TestSupportEpigraph:
         assert sets.member(s, [-1, -1, 0])
         assert not sets.member(s, [-1, -1, Q(-1, 2)])
 
-    def test_box_support_epigraph_matches_closed_form(self):
+    def test_box_support_epigraph_matches_closed_form(self, count_phase1):
         box = sets.Box(bounds=[(-1, 2), (0, 3)])
-        s = calculus.support_epigraph(box)
+        # a box is nonempty by construction: no emptiness LP
+        s, runs = count_phase1(calculus.support_epigraph, box)
+        assert runs == 0
         for d in sets.probe_directions(2, n_random=5, seed=2):
             v = box.support(d)
             assert sets.member(s, list(d) + [v])

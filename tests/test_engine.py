@@ -1,6 +1,9 @@
 """Engine checks against hand-worked instances and random consistency."""
 
+import gc
 import random
+import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -290,6 +293,94 @@ class TestDualCriterion:
                 domain=unit_square()))
         rep = engine.check_dual_criterion(inst)
         assert rep.criterion_holds and rep.certificate is not None
+
+
+def unit_interval_instance():
+    # ground R, map id, target [0, 1], f = 1: the implication, its
+    # certificate and the origin's membership hold on any interval, so
+    # among the dual criterion's checks only the support identities see
+    # an interval changed
+    return FarkasInstance(ground=whole_line(), matrix=[[1]],
+                          target=Box([(0, 1)]), objective=plain([[0]], [1]))
+
+
+class TestDualIdentityCatchesMutations:
+    # the multiplier cone's supports come from an LP sweep, the preimage
+    # support epigraph's from its polar, with no LP: a change on either
+    # side moves some probe direction's value, and the criterion raises
+
+    def test_mutated_multiplier_cone_row(self, monkeypatch):
+        inst = unit_interval_instance()
+        cone = engine.multiplier_cone(inst)
+        epi = calculus.support_epigraph(inst.preimage_polyhedron())
+        dirs = sets.probe_directions(2)
+        assert sets.support_mismatches(cone, epi, dirs) == []
+        # every target row's right-hand side on the budget row plus 1:
+        # the cone of the target [-1, 2]
+        budget = cone.G[0]
+        k = len(inst.target_polyhedron().G)
+        mutated = replace(cone, G=[budget[:-k] + [v + 1 for v in budget[-k:]]])
+        assert sets.support_mismatches(mutated, epi, dirs) != []
+        monkeypatch.setattr(engine, "multiplier_cone", lambda inst: mutated)
+        with pytest.raises(InvariantViolation,
+                           match="multiplier cone vs preimage"):
+            engine.check_dual_criterion(unit_interval_instance())
+
+    def test_mutated_preimage_row(self, monkeypatch):
+        inst = unit_interval_instance()
+        pre = inst.preimage_polyhedron()
+        # the row -x <= 0 of the preimage made -x <= 1: the interval [-1, 1]
+        mutated = Polyhedron(dim=1, G=pre.G, h=[pre.h[0], pre.h[1] + 1])
+        assert sets.support_mismatches(
+            engine.multiplier_cone(inst), calculus.support_epigraph(mutated),
+            sets.probe_directions(2)) != []
+        monkeypatch.setattr(FarkasInstance, "preimage_polyhedron",
+                            lambda inst: mutated)
+        with pytest.raises(InvariantViolation,
+                           match="multiplier cone vs preimage"):
+            engine.check_dual_criterion(unit_interval_instance())
+
+
+def test_one_multiplier_program_per_instance(monkeypatch):
+    # the certificate search of the primal criterion and the dual of
+    # strong duality read the one untilted program the instance keeps
+    built = []
+    program = calculus.multiplier_program
+
+    def counting(*args):
+        built.append(args)
+        return program(*args)
+
+    monkeypatch.setattr(calculus, "multiplier_program", counting)
+    for inst in (basic_instance(), vacuous_with_cert()):
+        built.clear()
+        engine.check_primal_criterion(inst)
+        duality.check_strong_duality(inst)
+        assert len(built) == 1
+
+
+def test_box_target_multiplier_cone_runs_no_lp(count_phase1):
+    # the cone is built on the box itself, which needs no emptiness LP,
+    # not on its polyhedron
+    inst = unit_interval_instance()
+    cone, runs = count_phase1(engine.multiplier_cone, inst)
+    assert runs == 0 and cone.dim == 2
+
+
+def test_checked_instance_is_freed_by_reference_counting():
+    # an instance keeps its untilted program with its extract, which must
+    # not hold the instance: a cycle would leave every instance, with its
+    # kept sets and systems, to the cyclic garbage collector
+    inst = basic_instance()
+    engine.check_primal_criterion(inst)
+    duality.check_strong_duality(inst)
+    ref = weakref.ref(inst)
+    gc.disable()
+    try:
+        del inst
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestBuildersAreFaithful:

@@ -5,6 +5,7 @@ boxes, a shifted segment) so every assertion is checkable by hand.
 """
 
 import copy
+import dataclasses
 import hashlib
 import random
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from farkaskit import calculus, engine, instances, lp, sets
 from farkaskit.errors import InvariantViolation
-from farkaskit.rational import INF, NEG_INF, Q
+from farkaskit.rational import INF, NEG_INF, Q, ZERO
 
 from oracles import (certifies_empty, certifies_outcome, cone_two_lps,
                      satisfies_rows)
@@ -557,7 +558,9 @@ def test_supports_run_phase_1_once(count_pivots):
     dirs = sets.probe_directions(3, n_random=50, seed=11)[:50]
     assert len(dirs) == 50
     values, swept = count_pivots(sets.supports, cone, dirs)
-    singles = [count_pivots(sets.support, cone, d) for d in dirs]
+    # each single on a fresh copy of the cone, which keeps no sweep system
+    singles = [count_pivots(sets.support, dataclasses.replace(cone), d)
+               for d in dirs]
     assert values == [v for v, _ in singles]
     assert INF in values and Q(0) in values
     # a zero cost makes no phase-2 pivot, so this is one phase-1 run
@@ -568,6 +571,9 @@ def test_supports_run_phase_1_once(count_pivots):
     # (148 = 6 + 142 when each direction ran one): most directions are
     # decided by a ray or an optimal basis an earlier direction found
     assert swept < phase1 + sum(n - phase1 for _, n in singles)
+    # the cone kept its sweep system, so a single now costs no pivot
+    assert [count_pivots(sets.support, cone, d) for d in dirs] == \
+        [(v, 0) for v in values]
 
 
 def test_repeated_directions_cost_no_pivots(count_pivots):
@@ -579,8 +585,14 @@ def test_repeated_directions_cost_no_pivots(count_pivots):
     repeated = dirs + dirs[::2] + [dirs[0]] * 3
     once, pivots = count_pivots(sets.supports, cone, dirs)
     again, pivots_again = count_pivots(sets.supports, cone, repeated)
-    assert pivots_again == pivots
+    # the cone kept the system of its first sweep, whose rays and bases
+    # decide every direction posed there
+    assert (pivots, pivots_again) == (22, 0)
     assert again == once + once[::2] + [once[0]] * 3
+    # on a fresh copy, which keeps no system, the repeats cost no pivot
+    # beyond the distinct directions
+    fresh = dataclasses.replace(cone)
+    assert count_pivots(sets.supports, fresh, repeated) == (again, pivots)
 
 
 def test_supports_checks_every_direction():
@@ -591,6 +603,94 @@ def test_supports_checks_every_direction():
     assert sets.supports(s, []) == []
     with pytest.raises(ValueError):
         sets.supports(s, [[1, 0], [1, 0, 0]])
+
+
+def test_empty_witnessed_set_keeps_a_farkas_pair(count_phase1):
+    # an empty set with witness columns: its kept emptiness outcome is a
+    # Farkas pair over the lifted rows, which substitution checks, and a
+    # fresh solve's bit for bit
+    s = sets.linear_image(sets.empty_set(2), [[1, 2], [0, -1], [3, 1]])
+    assert (s.dim, s.witness_dim) == (3, 2)
+    out, runs = count_phase1(s.emptiness)
+    assert out.status == lp.INFEASIBLE and runs == 1
+    assert lp.verify_certificate(sets._joint_lp(s), out)
+    assert out == lp.solve(sets._joint_lp(s))
+    assert s.is_empty() and s.a_point() is None
+    assert sets.supports(s, [[1, 0, 0], [0, 0, 0]]) == [NEG_INF, NEG_INF]
+
+
+def _seeded_polyhedron(rng):
+    """A polyhedron of dimension 1 to 3 with up to three inequality rows
+    and at most one equality row, small integer or half-integer data."""
+    n = rng.randint(1, 3)
+
+    def rows(count):
+        return [[rng.randint(-2, 2) for _ in range(n)] for _ in range(count)]
+
+    G, E = rows(rng.randint(0, 3)), rows(rng.randint(0, 1))
+    return sets.Polyhedron(
+        dim=n, G=G, h=[Q(rng.randint(-3, 5), rng.randint(1, 2)) for _ in G],
+        E=E, e=[rng.randint(-2, 2) for _ in E])
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def test_support_epigraph_polar_matches_its_lp(count_phase1):
+    # a support epigraph is answered by its polyhedron's polar, with no
+    # LP; the LP sweep of the same lifted rows, with nothing recorded,
+    # gives the same value along every direction: for delta < 0, = 0
+    # and > 0, on bounded and unbounded polyhedra, with equality rows
+    rng = random.Random(29)
+    seen, checked = set(), 0
+    while checked < 60:
+        p = _seeded_polyhedron(rng)
+        if p.is_empty():
+            continue
+        checked += 1
+        n = p.dim
+        dirs = sets.probe_directions(n + 1, n_random=6,
+                                     seed=rng.randrange(1000))
+        dirs += [[Q(rng.randint(-4, 4), rng.randint(1, 3))
+                  for _ in range(n + 1)] for _ in range(6)]
+        values, runs = count_phase1(sets.supports,
+                                    calculus.support_epigraph(p), dirs)
+        lifted = calculus._dual_epigraph(n, [], [p])
+        pad = [ZERO] * lifted.witness_dim
+        assert values == lp.System(sets._joint_lp(lifted)).maxima(
+            [list(d) + pad for d in dirs])
+        assert runs == 0
+        seen.update((_sign(d[-1]), v) for d, v in zip(dirs, values))
+        if p.E:
+            seen.add("equality rows")
+        if INF in sets.supports(p, sets.probe_directions(n)):
+            seen.add("unbounded")
+    assert seen == {"equality rows", "unbounded", (-1, ZERO), (-1, INF),
+                    (0, ZERO), (0, INF), (1, INF)}
+
+
+def test_replaced_support_epigraph_answers_by_its_own_rows(count_phase1):
+    # the recorded polyhedron is kept state, which a set that
+    # dataclasses.replace builds starts without: the copy runs its own LP,
+    # on its own rows
+    p = sets.Polyhedron(dim=2, G=[[1, 2], [-3, 1], [1, -1], [0, -1]],
+                        h=[4, 3, 2, 1])
+    epi = calculus.support_epigraph(p)
+    dirs = sets.probe_directions(3, n_random=20, seed=3)
+    polar, runs = count_phase1(sets.supports, epi, dirs)
+    assert runs == 0 and ZERO in polar and INF in polar
+    assert count_phase1(sets.supports, dataclasses.replace(epi), dirs) == \
+        (polar, 1)
+    # the budget row with every right-hand side doubled: the rows of the
+    # support epigraph of 2p, whose polar differs from p's
+    budget = epi.G[0]
+    doubled = dataclasses.replace(epi, G=[
+        budget[:epi.dim] + [2 * v for v in budget[epi.dim:]]])
+    twice = sets.Polyhedron(dim=2, G=p.G, h=[2 * b for b in p.h])
+    values, runs = count_phase1(sets.supports, doubled, dirs)
+    assert values == sets.supports(calculus.support_epigraph(twice), dirs)
+    assert runs == 1 and values != polar
 
 
 def _membership_rows(s, z):

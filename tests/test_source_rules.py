@@ -90,3 +90,58 @@ def test_no_module_calls_to_lifted():
     probe = ast.parse("p.to_lifted()\nto_lifted(p)\nf = p.to_lifted\n"
                       "sets.supports(inst.ground.to_lifted(), vs)")
     assert sorted(_to_lifted_calls(probe)) == [1, 4]
+
+
+def _name_of(func):
+    """The called name of a call's func: an attribute's or a bare name's."""
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return getattr(func, "id", None)
+
+
+def _joint_lp_systems(tree, where=None):
+    """The enclosing function's name (None at module level) of every
+    `System(...)` call, `lp.System` or bare, that takes a `_joint_lp(...)`
+    call, `sets._joint_lp` or bare, as an argument."""
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.Call) and _name_of(node.func) == "System"
+                and any(isinstance(a, ast.Call)
+                        and _name_of(a.func) == "_joint_lp"
+                        for a in node.args)):
+            yield where
+        inner = node.name if isinstance(node, ast.FunctionDef) else where
+        yield from _joint_lp_systems(node, inner)
+
+
+def _joint_lp_references(tree):
+    """The line of every `sets._joint_lp` attribute and every import of
+    `_joint_lp` in a tree."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "_joint_lp"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sets"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from (node.lineno for alias in node.names
+                        if alias.name == "_joint_lp")
+
+
+def test_only_the_kept_sweep_puts_a_sets_rows_on_a_system():
+    # a set's support sweeps share the one System it keeps (`sets._sweep`);
+    # a System built on its rows anywhere else would run a phase 1 of its
+    # own, and so would a fresh one in another module
+    systems, references = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        systems += [(path.name, where) for where in _joint_lp_systems(tree)]
+        if path.name != "sets.py":
+            references += [f"{path.name}:{line}"
+                           for line in _joint_lp_references(tree)]
+    assert systems == [("sets.py", "_sweep")]
+    assert references == []
+    probe = ast.parse("def f(s):\n    return lp.System(_joint_lp(s))\n"
+                      "lp.System(sets._joint_lp(s)).maxima(c)\n"
+                      "lp.solve(_joint_lp(s))\nfrom .sets import _joint_lp\n"
+                      "g = sets._joint_lp\nlp.System(program(s))\n")
+    assert list(_joint_lp_systems(probe)) == ["f", None]
+    assert sorted(_joint_lp_references(probe)) == [3, 5, 6]

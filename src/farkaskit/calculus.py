@@ -47,6 +47,8 @@ class PiecewiseAffine:
             self.offsets, len(self.slopes),
             "piece count mismatch between slopes and offsets")
         if self.domain is not None:
+            if not isinstance(self.domain, sets.Polyhedron):
+                raise ValueError("domain must be a Polyhedron")
             if self.domain.dim != self.dim:
                 raise ValueError("domain dimension mismatch")
             if self.domain.is_empty():
@@ -237,9 +239,11 @@ def support_epigraph(p) -> sets.LiftedSet:
     the epigraph is the whole space. A box is nonempty by construction, so
     its rows run no emptiness LP. The set of a nonempty p records p
     (`sets.record_support_epigraph`), and `sets.supports` answers it by
-    p's polar, with no LP."""
+    p's polar, with no LP. Any other set raises ValueError."""
     if isinstance(p, sets.Box):
         p = p.to_polyhedron()
+    elif not isinstance(p, sets.Polyhedron):
+        raise ValueError("a support epigraph needs a Polyhedron or a Box")
     elif p.is_empty():
         return sets.whole_space(p.dim + 1)
     return sets.record_support_epigraph(_dual_epigraph(p.dim, [], [p]), p)

@@ -54,7 +54,7 @@ certificate cone in epi (f + indicator of the feasible set)* at sum points
 drawn as integer weights on the generators of both sides. For a box
 target those weights, laid out on the multiplier columns of
 `engine.restricted_epigraph`, are a witness of the point's membership, and
-substituting it into that set's rows, in integers, proves it with no LP.
+substituting it into that set's rows (`sets.satisfied`) proves it with no LP.
 """
 
 from __future__ import annotations
@@ -405,30 +405,6 @@ def _box_witness(inst: FarkasInstance, weights, n_points) -> list:
     return theta + ground_g + box + dom_g + ground_e + dom_e
 
 
-def _substituted(s: sets.LiftedSet, stacked) -> list:
-    """Per (x, d) in `stacked`, whether x / d, a point z and a witness w
-    stacked over the set's columns, satisfies every row of S and w's sign
-    flags, which proves z in S with no LP. Each row is put over its lcm
-    once, and the rows are then tested in plain integers."""
-    rows = []
-    for r, b in zip(s.G + s.E, s.h + s.e):
-        nums, _ = over_lcm(r + [b])
-        rows.append(([(j, a) for j, a in enumerate(nums[:-1]) if a],
-                     nums[-1]))
-    mG, width = len(s.G), s.dim + s.witness_dim
-    signed = [s.dim + j for j, flag in enumerate(s.witness_nonneg) if flag]
-    proved = []
-    for x, d in stacked:
-        if len(x) != width:
-            proved.append(False)
-            continue
-        slack = [b * d - sum(a * x[j] for j, a in row) for row, b in rows]
-        proved.append(all(v >= 0 for v in slack[:mG])
-                      and not any(slack[mG:])
-                      and all(x[j] >= 0 for j in signed))
-    return proved
-
-
 def _stacked(z, witness, total):
     """(x, d): the point z and the witness `witness` / total over one
     denominator d."""
@@ -488,7 +464,7 @@ def check_stable_strong_duality(inst: FarkasInstance, tilts=None,
     witnessed = isinstance(inst.target, sets.Box) and not infeasible
     proved = [False] * n_points
     if witnessed:
-        proved = _substituted(restricted, [
+        proved = sets.satisfied(restricted, [
             _stacked(z, _box_witness(inst, weights, len(conj.points)),
                      sum(weights[:len(conj.points)]))
             for z, (_, _, weights) in zip(points, samples)])

@@ -50,13 +50,13 @@ class TriVerdict(Enum):
 
 @dataclass
 class FarkasInstance:
-    """Standing data: ground set in R^n, map rows (m x n), target set in
-    R^m, and the tested function. Ground and target must be nonempty and the
-    function proper, which the constructor enforces. The derived sets are
-    built on first use and kept, with their points, so the data must not
-    change after construction. A tilt f - s.x - l is posed as a cost on
-    the instance's kept epigraph system, or on programs built from the
-    tilted slopes (see `duality`)."""
+    """Standing data: ground polyhedron in R^n, map rows (m x n), target
+    set in R^m, and the tested function. Ground and target must be
+    nonempty and the function proper, which the constructor enforces. The
+    derived sets are built on first use and kept, with their points, so
+    the data must not change after construction. A tilt f - s.x - l is
+    posed as a cost on the instance's kept epigraph system, or on programs
+    built from the tilted slopes (see `duality`)."""
 
     ground: Polyhedron
     matrix: list
@@ -64,6 +64,8 @@ class FarkasInstance:
     objective: PiecewiseAffine
 
     def __post_init__(self):
+        if not isinstance(self.ground, Polyhedron):
+            raise ValueError("ground must be a Polyhedron")
         self.matrix = as_q_matrix(self.matrix, self.ground.dim,
                                   "map row width != ground dimension")
         if not isinstance(self.target, (Box, Polyhedron)):

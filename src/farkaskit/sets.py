@@ -13,7 +13,9 @@ its coned form plus its recession cone, both of which the homogenized
 representation captures exactly; one LP on it, the largest scale at
 z = p, places p in the hull or its closure. The support epigraph of a
 polyhedron is a closed cone, whose supports are read off its polar, the
-cone over the polyhedron, by substitution into the polyhedron's rows.
+cone over the polyhedron. That polar, a polyhedron's membership and a
+witnessed point of any lifted set are proofs by substitution, all answered
+in integers by one row test (`satisfied`), which duality calls too.
 """
 
 from __future__ import annotations
@@ -196,16 +198,39 @@ def member(s: LiftedSet, z, candidate=None, layout="") -> bool:
 
 
 def members(s: LiftedSet, points) -> list:
-    """[member(s, z) for z in points]. Every point poses the same witness
-    rows with right-hand sides of its own (`membership_program`), so one
-    kept basis serves them all (`lp.System.feasible`)."""
-    rhss = _right_hand_sides(s, points)
-    mG = len(s.h)
+    """[member(s, z) for z in points]: by substitution (`satisfied`) on a
+    set with no witness columns; otherwise every point poses the same
+    witness rows with right-hand sides of its own (`membership_program`),
+    so one kept basis serves them all (`lp.System.feasible`)."""
     if s.witness_dim == 0:
-        return [all(v >= ZERO for v in b[:mG])
-                and all(v == ZERO for v in b[mG:]) for b in rhss]
-    rows = _witness_program(s, [ZERO] * (mG + len(s.E)))
-    return list(map(lp.System(rows).feasible, rhss))
+        return satisfied(s, [
+            over_lcm(as_q_vector(z, s.dim, "point dimension mismatch"))
+            for z in points])
+    rows = _witness_program(s, [ZERO] * (len(s.G) + len(s.E)))
+    return list(map(lp.System(rows).feasible, _right_hand_sides(s, points)))
+
+
+def satisfied(s: LiftedSet, stacked) -> list:
+    """Per integer pair (x, d) in `stacked`, d >= 0, whether G x <= d h,
+    E x = d e and every flagged witness entry of x is >= 0: at d > 0 a
+    proof that x / d, a point z and its witness w stacked over the set's
+    columns, is in S, and at d = 0 that x is in S's lifted recession cone.
+    An x of another width satisfies nothing. Each row, its right-hand side
+    last, is put over its lcm once, and a pair's rows are tested in plain
+    integers up to the first that fails."""
+    def over(rows, rhs):  # each row's nonzero entries over its lcm
+        return [[(j, a) for j, a in enumerate(over_lcm(r + [b])[0]) if a]
+                for r, b in zip(rows, rhs)]
+
+    G, E, width = over(s.G, s.h), over(s.E, s.e), s.dim + s.witness_dim
+    signed = [s.dim + j for j, flag in enumerate(s.witness_nonneg) if flag]
+
+    def holds(y):  # every row at y = (x, -d)
+        return (all(y[j] >= 0 for j in signed)
+                and all(sum(a * y[j] for j, a in r) <= 0 for r in G)
+                and not any(sum(a * y[j] for j, a in r) for r in E))
+
+    return [len(x) == width and holds([*x, -d]) for x, d in stacked]
 
 
 def _recession_cone(s: LiftedSet) -> LiftedSet:
@@ -259,27 +284,18 @@ def supports(s: LiftedSet, directions) -> list:
 
 def _polar_supports(p: Polyhedron, directions) -> list:
     """[support(epi sigma_p, (d, delta)) for (d, delta) in directions],
-    for a nonempty polyhedron p, in integers and with no LP. epi sigma_p
-    is a closed cone, so its support is 0 on its polar cone and INF off
-    it. That polar is the closed cone over the points (x, -1), x in p:
-    (d, delta) is in it iff delta <= 0, G d + delta h <= 0 and
-    E d + delta e = 0, that is, d / (-delta) is in p when delta < 0 and
-    d is a recession direction of p when delta = 0. Each row, with its
-    right-hand side last, and each direction are read as integers over
-    their lcm, a positive scale, which keeps every sign."""
-    G = [over_lcm(r + [b])[0] for r, b in zip(p.G, p.h)]
-    E = [over_lcm(r + [b])[0] for r, b in zip(p.E, p.e)]
-    values = []
-    for d in directions:
-        z, _ = over_lcm(as_q_vector(d, p.dim + 1,
-                                    "direction dimension mismatch"))
-        inside = (z[-1] <= 0
-                  and all(sum(a * b for a, b in zip(r, z) if a) <= 0
-                          for r in G)
-                  and all(sum(a * b for a, b in zip(r, z) if a) == 0
-                          for r in E))
-        values.append(ZERO if inside else INF)
-    return values
+    for a nonempty polyhedron p, with no LP. epi sigma_p is a closed cone,
+    so its support is 0 on its polar cone and INF off it. That polar is
+    the closed cone over the points (x, -1), x in p: (d, delta), read as
+    integers over its lcm (a positive scale keeps every sign), is in it
+    iff delta <= 0 and `satisfied(p, [(d, -delta)])`, where scale 0 asks
+    for a recession direction."""
+    scaled = [over_lcm(as_q_vector(d, p.dim + 1,
+                                   "direction dimension mismatch"))[0]
+              for d in directions]
+    inside = iter(satisfied(p, [(z[:-1], -z[-1]) for z in scaled
+                                if z[-1] <= 0]))
+    return [ZERO if z[-1] <= 0 and next(inside) else INF for z in scaled]
 
 
 def minkowski_sum(a: LiftedSet, b: LiftedSet) -> LiftedSet:

@@ -55,6 +55,14 @@ class TestEvaluation:
                 dim=1, slopes=[[1]], offsets=[0],
                 domain=sets.Polyhedron(dim=1, G=[[1], [-1]], h=[-1, 0]))
 
+    def test_domain_of_another_kind_is_refused(self):
+        segment = sets.linear_image(interval(0, 1), [[2]])
+        for domain in (segment, sets.Box([(0, 2)])):
+            with pytest.raises(ValueError) as caught:
+                calculus.PiecewiseAffine(dim=1, slopes=[[1]], offsets=[0],
+                                         domain=domain)
+            assert str(caught.value) == "domain must be a Polyhedron"
+
 
 class TestMinimize:
     def test_min_of_abs_over_shifted_interval(self):
@@ -367,6 +375,15 @@ class TestSupportEpigraph:
             rays=calculus.support_epigraph_generators(tri))
         dirs = sets.probe_directions(3, n_random=6, seed=4)
         assert sets.support_mismatches(lifted, sets.as_lifted(gens), dirs) == []
+
+    def test_lifted_set_with_witness_columns_is_refused(self):
+        # the segment [0, 2] as the image of the unit square under [1, 1]:
+        # 1 is in it, so its support epigraph's support along (1, -1) is
+        # 0, but the rows built from its z columns alone sweep +oo there
+        square = sets.Box([(0, 1), (0, 1)]).to_polyhedron()
+        segment = sets.linear_image(square, [[1, 1]])
+        with pytest.raises(ValueError, match="Polyhedron or a Box"):
+            calculus.support_epigraph(segment)
 
     def test_generators_of_empty_set_rejected(self):
         empty = sets.Polyhedron(dim=1, G=[[1], [-1]], h=[-1, 0])

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -724,16 +725,27 @@ def _box_witness_pool():
 def test_box_sum_points_proved_by_their_witnesses_are_members(monkeypatch):
     # every sum point of a box target is proved a member by substituting
     # the weights it was drawn from, and sets.members, an LP on the same
-    # rows, agrees on each
-    real = duality._substituted
-    proved = []
+    # rows, agrees on each. sets.satisfied also answers the membership
+    # sweeps and polars of polyhedra inside sets, so only the calls the
+    # stable check makes itself, on the restricted epigraph, are recorded:
+    # duality sees a copy of the sets module whose satisfied records
+    build = engine.restricted_epigraph
+    restricted, proved = [], []
+
+    def built(inst):
+        restricted.append(build(inst))
+        return restricted[-1]
 
     def recorded(s, stacked):
-        got = real(s, stacked)
+        assert s is restricted[-1]
+        got = sets.satisfied(s, stacked)
         proved.extend((s, x, d, ok) for (x, d), ok in zip(stacked, got))
         return got
 
-    monkeypatch.setattr(duality, "_substituted", recorded)
+    view = types.ModuleType(sets.__name__)
+    view.__dict__.update(vars(sets), satisfied=recorded)
+    monkeypatch.setattr(engine, "restricted_epigraph", built)
+    monkeypatch.setattr(duality, "sets", view)
     seen = set()
     for k, inst in enumerate(_box_witness_pool()):
         before = len(proved)

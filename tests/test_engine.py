@@ -876,6 +876,19 @@ class TestInstanceValidation:
                            objective=plain([[1]], [0]))
         assert str(caught.value) == "target must be a Box or a Polyhedron"
 
+    def test_rejects_a_ground_of_another_kind(self):
+        # the segment [0, 2] as the image of the unit square under [1, 1]
+        # has witness columns, and a box has no rows of its own: neither
+        # is a Polyhedron, which every check reads the ground as
+        segment = sets.linear_image(Box([(0, 1), (0, 1)]).to_polyhedron(),
+                                    [[1, 1]])
+        for ground in (segment, Box([(0, 2)])):
+            with pytest.raises(ValueError) as caught:
+                FarkasInstance(ground=ground, matrix=[[1]],
+                               target=Box([(0, 1)]),
+                               objective=plain([[1]], [0]))
+            assert str(caught.value) == "ground must be a Polyhedron"
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             FarkasInstance(

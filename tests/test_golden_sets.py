@@ -146,9 +146,13 @@ def _pool_sets():
 def test_every_pool_set_keeps_one_fresh_emptiness(count_phase1):
     # each set's kept emptiness outcome is a fresh solve's, bit for bit;
     # its LP runs once per set, on a copy that `dataclasses.replace` built
-    # with nothing kept; and a point is a new list each time, a member
+    # with nothing kept; a point is a new list each time, a member; and an
+    # empty set's Farkas pair passes substitution into its rows
     kinds = set()
-    for tag, s in _pool_sets():
+    # every lifted set the pool builds holds a point, so an empty one with
+    # witness columns is added here, outside the hashed pool
+    empty_image = sets.linear_image(sets.empty_set(2), [[1, 1]])
+    for tag, s in [*_pool_sets(), ("empty image", empty_image)]:
         fresh = lp.solve(sets._joint_lp(s))
         t = dataclasses.replace(s)
         kept, runs = count_phase1(t.emptiness)
@@ -157,10 +161,10 @@ def test_every_pool_set_keeps_one_fresh_emptiness(count_phase1):
         point = t.a_point()
         if point is None:
             assert fresh.status == lp.INFEASIBLE
+            assert lp.verify_certificate(sets._joint_lp(t), kept)
         else:
             assert point == fresh.x[:t.dim] and point is not t.a_point()
             assert sets.members(t, [point]) == [True]
         kinds.add((type(t).__name__, point is None))
-    # every lifted set the pool builds holds a point; polyhedra may not
-    assert kinds == {("LiftedSet", False), ("Polyhedron", False),
-                     ("Polyhedron", True)}
+    assert kinds == {("LiftedSet", False), ("LiftedSet", True),
+                     ("Polyhedron", False), ("Polyhedron", True)}

@@ -670,6 +670,96 @@ def test_support_epigraph_polar_matches_its_lp(count_phase1):
                     (0, ZERO), (0, INF), (1, INF)}
 
 
+def _set_around(rng, point, ray, dim):
+    """A seeded set over the columns of `point`, its first `dim` the z
+    part and the rest the witness (a Polyhedron when there is none), whose
+    rows hold at `point` and along `ray`: up to three inequality rows,
+    each signed so that row . ray <= 0, with right-hand sides at or above
+    row . point, and up to two equality rows through `point` and made
+    orthogonal to `ray` by one fractional entry. A witness entry may be
+    flagged only where `point` and `ray` are both >= 0."""
+    width = len(point)
+    k = next(j for j, v in enumerate(ray) if v)
+
+    def dot(r, x):
+        return sum((a * v for a, v in zip(r, x)), Q(0))
+
+    def row():
+        return [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(width)]
+
+    G = [row() for _ in range(rng.randint(0, 3))]
+    G = [[-a for a in r] if dot(r, ray) > 0 else r for r in G]
+    E = [row() for _ in range(rng.randint(0, 2))]
+    for r in E:
+        r[k] -= dot(r, ray) / ray[k]
+    h = [dot(r, point) + Q(rng.randint(0, 2), rng.randint(1, 2)) for r in G]
+    e = [dot(r, point) for r in E]
+    if width == dim:
+        return sets.Polyhedron(dim=dim, G=G, h=h, E=E, e=e)
+    flags = [point[j] >= 0 and ray[j] >= 0 and rng.random() < 0.7
+             for j in range(dim, width)]
+    return sets.LiftedSet(dim=dim, witness_dim=width - dim, G=G, h=h, E=E,
+                          e=e, witness_nonneg=flags)
+
+
+def _oracle_satisfied(s, x, d):
+    """Whether the integer pair (x, d) meets S's rows and sign flags, by
+    Fraction substitution: x / d into the rows at d > 0, x into the rows
+    with zero right-hand sides at d = 0."""
+    if len(x) != s.dim + s.witness_dim:
+        return False
+    if any(v < 0 for v, f in zip(x[s.dim:], s.witness_nonneg) if f):
+        return False
+    if d:
+        return satisfies_rows(s.G, s.h, s.E, s.e, [Q(v, d) for v in x])
+    return satisfies_rows(s.G, [0] * len(s.G), s.E, [0] * len(s.E), x)
+
+
+def test_satisfied_matches_the_fraction_oracle():
+    # the one integer row test against Fraction substitution, on polyhedra
+    # and lifted sets with and without equality rows and with fractional
+    # entries: at scale d > 0 (points) and d = 0 (recession directions),
+    # at a point and a direction the rows hold for, at moved copies of
+    # both, with a flagged witness entry below 0 and at a wrong width
+    rng = random.Random(34)
+    seen = set()
+    for _ in range(120):
+        dim, wd = rng.randint(1, 3), rng.randint(0, 2)
+        scale = rng.choice([1, 2, 3, 6])
+        x0 = [rng.randint(-4, 4) for _ in range(dim + wd)]
+        ray = [rng.randint(-2, 2) for _ in range(dim + wd)]
+        ray[rng.randrange(dim + wd)] = rng.choice([-1, 1])
+        for j in range(dim, dim + wd):
+            if rng.random() < 0.5:
+                x0[j], ray[j] = abs(x0[j]), abs(ray[j])
+        s = _set_around(rng, [Q(v, scale) for v in x0], ray, dim)
+        pairs = [(x0, scale), (ray, 0)]
+        for x, d in list(pairs):
+            moved = list(x)
+            moved[rng.randrange(len(x))] += rng.choice([-1, 1])
+            pairs += [(moved, d), (x + [0], d), (x[:-1], d)]
+            for j, flag in enumerate(s.witness_nonneg):
+                if flag:
+                    pairs.append((x[:dim + j] + [-1] + x[dim + j + 1:], d))
+                    seen.add("flagged below 0")
+        pairs += [([rng.randint(-3, 3) for _ in x0], rng.randint(0, 3))
+                  for _ in range(4)]
+        got = sets.satisfied(s, pairs)
+        assert got == [_oracle_satisfied(s, x, d) for x, d in pairs]
+        assert got[:2] == [True, True]
+        seen.update(("scale 0" if d == 0 else "scale > 0", ok)
+                    for (_, d), ok in zip(pairs, got))
+        seen.add(type(s).__name__ + (" with equality rows" if s.E else ""))
+        if any(v.denominator > 1 for r in s.G + s.E for v in r):
+            seen.add("fractional")
+    assert seen == {
+        "Polyhedron", "Polyhedron with equality rows", "LiftedSet",
+        "LiftedSet with equality rows", "fractional", "flagged below 0",
+        ("scale > 0", True), ("scale > 0", False), ("scale 0", True),
+        ("scale 0", False)}
+    assert sets.satisfied(triangle_poly(), []) == []
+
+
 def test_replaced_support_epigraph_answers_by_its_own_rows(count_phase1):
     # the recorded polyhedron is kept state, which a set that
     # dataclasses.replace builds starts without: the copy runs its own LP,

@@ -145,3 +145,29 @@ def test_only_the_kept_sweep_puts_a_sets_rows_on_a_system():
                       "g = sets._joint_lp\nlp.System(program(s))\n")
     assert list(_joint_lp_systems(probe)) == ["f", None]
     assert sorted(_joint_lp_references(probe)) == [3, 5, 6]
+
+
+def _witness_layout_reads(tree):
+    """The line of every `.witness_dim` or `.witness_nonneg` attribute in a
+    tree; a keyword argument of that name is no read."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("witness_dim", "witness_nonneg")):
+            yield node.lineno
+
+
+def test_only_sets_reads_a_witness_layout():
+    # proofs by substitution into a set's rows are answered in sets
+    # (`sets.satisfied`), so no other module needs to know which columns
+    # are witnesses or which of them are signed
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "sets.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _witness_layout_reads(tree)]
+    assert found == []
+    probe = ast.parse("s.witness_dim\nLiftedSet(witness_dim=2)\n"
+                      "[f for f in s.witness_nonneg]\nwitness_nonneg = []\n"
+                      "getattr(s, 'witness_dim')\nt.s.witness_dim + 1\n")
+    assert sorted(_witness_layout_reads(probe)) == [1, 3, 6]

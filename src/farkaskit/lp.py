@@ -878,8 +878,8 @@ def verify_certificate(lp: LinearProgram, out: LPOutcome) -> bool:
 
     Shares no code with the solver's pivot path, so a passing check is an
     actual proof: optimality via matching primal/dual values, unboundedness
-    via a feasible point plus an improving recession direction, infeasibility
-    via a Farkas vector.
+    via a feasible point plus an improving recession direction (and the
+    value -oo), infeasibility via a Farkas vector.
     """
     if out.status == OPTIMAL:
         if out.x is None or out.dual_ineq is None or out.dual_eq is None:
@@ -897,7 +897,9 @@ def verify_certificate(lp: LinearProgram, out: LPOutcome) -> bool:
         return out.value == -(dot(lp.h, out.dual_ineq) + dot(lp.e, out.dual_eq))
     if out.status == UNBOUNDED:
         d = out.ray
-        if d is None or len(d) != lp.n or not _point_feasible(lp, out.x):
+        if out.value is not NEG_INF or d is None or len(d) != lp.n:
+            return False
+        if not _point_feasible(lp, out.x):
             return False
         if any(dot(row, d) > ZERO for row in lp.G):
             return False

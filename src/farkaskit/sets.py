@@ -15,19 +15,28 @@ z = p, places p in the hull or its closure. The support epigraph of a
 polyhedron is a closed cone, whose supports are read off its polar, the
 cone over the polyhedron. That polar, a polyhedron's membership and a
 witnessed point of any lifted set are proofs by substitution, all answered
-in integers by one row test (`satisfied`), which duality calls too.
+in integers by one row test (`satisfied`), which duality calls too. A
+candidate proof for a membership or scale question (`member`,
+`cone_closed_regarding`) is substituted into the set's own rows the same
+way: a witness, point or ray by `satisfied`, a Farkas pair or an optimum's
+multipliers by their integer combination of the rows (`_refuted`), with
+the homogenization's scale column read off the right-hand sides. So a
+candidate that holds builds no program; `membership_program` and
+`scale_program` are the programs an LP solves when one fails, and the
+tests' reference for what each check proves.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from math import lcm
 from dataclasses import dataclass, field, replace
 
 from . import lp
 from .errors import InvariantViolation
-from .rational import (INF, ONE, Q, ZERO, as_q_matrix, as_q_vector, dot,
-                       over_lcm)
+from .rational import (INF, NEG_INF, ONE, Q, ZERO, as_q_matrix, as_q_vector,
+                       dot, over_lcm)
 
 
 def kept(method):
@@ -166,7 +175,10 @@ def _right_hand_sides(s: LiftedSet, points) -> list:
 def membership_program(s: LiftedSet, z) -> lp.LinearProgram:
     """The LP that decides z in S: S's rows over the witness w alone, at
     the right-hand sides that z leaves, with cost 0. It is feasible
-    exactly when z is in S, and a solution is a witness of z."""
+    exactly when z is in S, and a solution is a witness of z. `members`
+    poses its rows without building it, and `member` checks a candidate
+    outcome of it on S's own rows (`_proves_membership`); it is kept as
+    the tests' reference program for both."""
     b, = _right_hand_sides(s, [z])
     return _witness_program(s, b)
 
@@ -184,17 +196,29 @@ def _refuse_confirmed(candidate, status, layout):
 
 def member(s: LiftedSet, z, candidate=None, layout="") -> bool:
     """Whether z is in S. A `candidate` `lp.LPOutcome` of
-    `membership_program(s, z)` (a witness, or a Farkas pair) that passes
-    `lp.verify_certificate` there answers with no LP; otherwise the LP
-    decides, and one that confirms the candidate's status raises
-    (`_refuse_confirmed`, naming `layout`)."""
-    if candidate is not None and lp.verify_certificate(
-            membership_program(s, z), candidate):
+    `membership_program(s, z)`, a witness or a Farkas pair, that passes
+    its integer substitution into S's own rows (`_proves_membership`)
+    answers with no program built and no LP; otherwise the LP decides, and
+    one that confirms the candidate's status raises (`_refuse_confirmed`,
+    naming `layout`). A z of another width raises ValueError first."""
+    z = as_q_vector(z, s.dim, "point dimension mismatch")
+    if candidate is not None and _proves_membership(s, z, candidate):
         return candidate.status != lp.INFEASIBLE
     inside = members(s, [z])[0]
     _refuse_confirmed(candidate, lp.OPTIMAL if inside else lp.INFEASIBLE,
                       layout)
     return inside
+
+
+def _proves_membership(s: LiftedSet, z, out) -> bool:
+    """Whether `out`, an outcome of `membership_program(s, z)` at a point z
+    of S's width, proves its status by integer substitution into S's own
+    rows: a witness w by `satisfied` at (z, w), a Farkas pair by
+    `_refuted` at z. The program itself is never built."""
+    if out.status == lp.OPTIMAL:
+        return out.x is not None and satisfied(s, [over_lcm(z + out.x)])[0]
+    return (out.status == lp.INFEASIBLE
+            and _refuted(s, out.farkas_ineq, out.farkas_eq, *over_lcm(z)))
 
 
 def members(s: LiftedSet, points) -> list:
@@ -210,19 +234,26 @@ def members(s: LiftedSet, points) -> list:
     return list(map(lp.System(rows).feasible, _right_hand_sides(s, points)))
 
 
+def _row_over_lcm(row, b) -> tuple:
+    """The row with its right-hand side b appended, over the lcm L of its
+    denominators: (its nonzero integer entries as (column, entry) pairs,
+    L). Every substitution reads S's rows in this form."""
+    nonzero = [(j, a) for j, a in enumerate(row + [b]) if a]
+    nums, m = over_lcm([a for _, a in nonzero])
+    return [(j, a) for (j, _), a in zip(nonzero, nums)], m
+
+
 def satisfied(s: LiftedSet, stacked) -> list:
     """Per integer pair (x, d) in `stacked`, d >= 0, whether G x <= d h,
     E x = d e and every flagged witness entry of x is >= 0: at d > 0 a
     proof that x / d, a point z and its witness w stacked over the set's
     columns, is in S, and at d = 0 that x is in S's lifted recession cone.
     An x of another width satisfies nothing. Each row, its right-hand side
-    last, is put over its lcm once, and a pair's rows are tested in plain
-    integers up to the first that fails."""
-    def over(rows, rhs):  # each row's nonzero entries over its lcm
-        return [[(j, a) for j, a in enumerate(over_lcm(r + [b])[0]) if a]
-                for r, b in zip(rows, rhs)]
-
-    G, E, width = over(s.G, s.h), over(s.E, s.e), s.dim + s.witness_dim
+    last, is put over its lcm once (`_row_over_lcm`), and a pair's rows are
+    tested in plain integers up to the first that fails."""
+    G = [_row_over_lcm(r, b)[0] for r, b in zip(s.G, s.h)]
+    E = [_row_over_lcm(r, b)[0] for r, b in zip(s.E, s.e)]
+    width = s.dim + s.witness_dim
     signed = [s.dim + j for j, flag in enumerate(s.witness_nonneg) if flag]
 
     def holds(y):  # every row at y = (x, -d)
@@ -231,6 +262,53 @@ def satisfied(s: LiftedSet, stacked) -> list:
                 and not any(sum(a * y[j] for j, a in r) for r in E))
 
     return [len(x) == width and holds([*x, -d]) for x, d in stacked]
+
+
+def _combination(s: LiftedSet, mu, nu):
+    """(c, k), c integers with c / k = G^T mu + E^T nu over S's columns
+    (z, w) and h.mu + e.nu last: each row with a nonzero multiplier, its
+    right-hand side last, over its lcm L_i (`_row_over_lcm`), weighed by its
+    multiplier over the multipliers' one denominator D times L / L_i, L
+    the lcm of those L_i, so k = D L. None unless mu has one entry per G
+    row and nu one per E row, mu >= 0, and c is 0 at each free witness
+    column and >= 0 at each flagged one, as the multipliers of S's rows in
+    any program over its witness columns must be."""
+    if (mu is None or nu is None or len(mu) != len(s.G)
+            or len(nu) != len(s.E) or any(v < 0 for v in mu)):
+        return None
+    used = [(_row_over_lcm(r, b), v)
+            for r, b, v in zip(s.G + s.E, s.h + s.e, [*mu, *nu]) if v]
+    weights, d = over_lcm([v for _, v in used])
+    scale = lcm(*[m for (_, m), _ in used])
+    c = [0] * (s.dim + s.witness_dim + 1)
+    for ((row, m), _), w in zip(used, weights):
+        w *= scale // m
+        for j, a in row:
+            c[j] += w * a
+    if any(v < 0 if flag else v
+           for v, flag in zip(c[s.dim:-1], s.witness_nonneg)):
+        return None
+    return c, d * scale
+
+
+def _refuted(s: LiftedSet, mu, nu, x, d) -> bool:
+    """The twin of `satisfied` for a Farkas pair, mu on S's G rows and nu
+    on its E rows, at an integer pair (x, d), x over S's z columns: whether
+    it proves that no witness w has G (x, w) <= d h and E (x, w) = d e.
+    It must pass `_combination`, and the right-hand side that x leaves,
+    (d h - G_z x).mu + (d e - E_z x).nu, must be negative. At d > 0 that
+    puts x / d outside S. At d = 0 the rows are S's homogenized rows, in
+    which the scale t >= 0 is one more flagged witness column with entries
+    -h and -e, so the combination must also be <= 0 at the right-hand
+    side: then no (w, t) has G (x, w) <= t h and E (x, w) = t e, and x is
+    outside the closed conic hull of S."""
+    comb = _combination(s, mu, nu)
+    if comb is None:
+        return False
+    c, _ = comb
+    if d == 0 and c[-1] > 0:
+        return False
+    return sum(a * v for a, v in zip(c, x)) - c[-1] * d > 0
 
 
 def _recession_cone(s: LiftedSet) -> LiftedSet:
@@ -360,19 +438,21 @@ def cone_closed_regarding(s: LiftedSet, p, candidate=None, layout=""):
     (InvariantViolation if not): infeasible puts p outside the closure,
     t > 0 or unbounded puts p/t in S. At t = 0 and at p = 0, p is in the
     closure iff S is nonempty (its kept emptiness LP), and then in the
-    cone iff p = 0. A `candidate` outcome of the scale LP that passes
-    `lp.verify_certificate` stands in for the LP; one that fails leaves
-    the question to the LP, and an LP that reaches the candidate's status
-    raises (`_refuse_confirmed`, naming `layout`).
+    cone iff p = 0. A `candidate` outcome of the scale LP that passes its
+    integer substitution into S's own rows (`_proves_scale`) stands in for
+    the LP, with no program built; one that fails leaves the question to
+    the LP, and an LP that reaches the candidate's status raises
+    (`_refuse_confirmed`, naming `layout`). A p of another width raises
+    ValueError first.
     """
     p = as_q_vector(p, s.dim, "point dimension mismatch")
     if not any(p):
         nonempty = not s.is_empty()
         return nonempty, nonempty
-    prog = scale_program(s, p)
-    if candidate is not None and lp.verify_certificate(prog, candidate):
+    if candidate is not None and _proves_scale(s, p, candidate):
         out = candidate
     else:
+        prog = scale_program(s, p)
         out = lp.solve(prog)
         if not lp.verify_certificate(prog, out):
             raise InvariantViolation(
@@ -382,6 +462,43 @@ def cone_closed_regarding(s: LiftedSet, p, candidate=None, layout=""):
     inside = out.status != lp.INFEASIBLE
     strict = inside and out.value < ZERO
     return strict, strict or (inside and not s.is_empty())
+
+
+def _proves_scale(s: LiftedSet, p, out) -> bool:
+    """Whether `out`, an outcome of `scale_program(s, p)` at a nonzero point
+    p of S's width, proves its status by integer substitution into S's own
+    rows; the program and the homogenized set are never built. Its columns
+    are (w, t), and its rows S's rows at z = p, each right-hand side times
+    t >= 0. A point (w, t) is `satisfied` at ((p, w), t); a ray (w', t'),
+    t' > 0, at ((0, w'), t'), and it makes the value NEG_INF; a Farkas pair
+    is `_refuted` at (p, 0). An optimum is a point at t = -value whose
+    multipliers pass `_combination`, are <= -1 at the right-hand side (the
+    cost -1 on t) and give the value (G_z^T mu + E_z^T nu).p."""
+    if out.status == lp.INFEASIBLE:
+        return _refuted(s, out.farkas_ineq, out.farkas_eq, over_lcm(p)[0], 0)
+    x = out.x
+    if x is None or len(x) != s.witness_dim + 1:
+        return False
+    point, k = over_lcm(p + x)
+    if point[-1] < 0:
+        return False
+    at = (point[:-1], point[-1])
+    if out.status == lp.UNBOUNDED:
+        ray = out.ray
+        if out.value is not NEG_INF or ray is None or len(ray) != len(x):
+            return False
+        ray, _ = over_lcm(ray)
+        return ray[-1] > 0 and all(
+            satisfied(s, [at, ([0] * s.dim + ray[:-1], ray[-1])]))
+    if out.status != lp.OPTIMAL or not satisfied(s, [at])[0]:
+        return False
+    comb = _combination(s, out.dual_ineq, out.dual_eq)
+    if comb is None:
+        return False
+    c, m = comb
+    at_p, d = over_lcm(p)
+    return (c[-1] <= -m and out.value == Q(-point[-1], k)
+            == Q(sum(a * v for a, v in zip(c, at_p)), m * d))
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import replace
 from itertools import product
 
 from farkaskit import lp, sets
-from farkaskit.rational import Q, ZERO, as_q
+from farkaskit.rational import NEG_INF, Q, ZERO, as_q
 
 
 def brute_force_box_min(c, bounds):
@@ -143,8 +143,9 @@ def certifies_outcome(program, out):
         return certifies_optimal(program.c, *data, program.nonneg, out.x,
                                  out.value, out.dual_ineq, out.dual_eq)
     if out.status == "unbounded":
-        return certifies_unbounded(program.c, *data, program.nonneg, out.x,
-                                   out.ray)
+        # the value is read as the minimum, so it must be -oo
+        return out.value is NEG_INF and certifies_unbounded(
+            program.c, *data, program.nonneg, out.x, out.ray)
     return (out.status == "infeasible"
             and certifies_empty(*data, out.farkas_ineq, out.farkas_eq,
                                 program.nonneg))
@@ -162,6 +163,42 @@ def spoiled(out):
     """An outcome of `out`'s status with none of its proof, which fails
     every substitution check (None stays None)."""
     return None if out is None else lp.LPOutcome(out.status)
+
+
+# the fields an outcome's answer reads, per program: a membership answer
+# is its status, proved by a witness or a Farkas pair (the cost is 0, so
+# its multipliers prove nothing more), and a scale answer also reads the
+# value, proved by the point, the ray or the multipliers
+MEMBERSHIP_FIELDS = ("x", "farkas_ineq", "farkas_eq")
+SCALE_FIELDS = ("x", "value", "ray", "dual_ineq", "dual_eq", "farkas_ineq",
+                "farkas_eq")
+
+
+def mutations(out, fields):
+    """(label, copy of `out` with one field spoiled) for each of `fields`
+    that `out` sets: each entry of a point or ray shifted by one, the
+    ray's last entry (the scale t) set to 0, each nonzero multiplier's
+    sign flipped, a value -oo made 0 and a finite one raised by one, and
+    each list one entry too long."""
+    for name in fields:
+        old = getattr(out, name)
+        if old is None:
+            continue
+        if name == "value":
+            yield name, replace(out, value=ZERO if old is NEG_INF
+                                else old + 1)
+            continue
+        changed = [old + [ZERO]]
+        if name in ("x", "ray"):
+            changed += [old[:j] + [v + 1] + old[j + 1:]
+                        for j, v in enumerate(old)]
+        else:
+            changed += [old[:j] + [-v] + old[j + 1:]
+                        for j, v in enumerate(old) if v]
+        if name == "ray" and old:
+            changed.append(old[:-1] + [ZERO])
+        for new in changed:
+            yield name, replace(out, **{name: new})
 
 
 def cone_two_lps(s, p):

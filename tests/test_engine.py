@@ -1,7 +1,9 @@
 """Engine checks against hand-worked instances and random consistency."""
 
+import collections
 import gc
 import random
+import sys
 import weakref
 from dataclasses import replace
 
@@ -17,7 +19,8 @@ from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, ONE, Q, ZERO, is_finite
 from farkaskit.sets import Box, Polyhedron
 
-from oracles import (certifies_outcome, spoiled, tilted, tilted_function,
+from oracles import (MEMBERSHIP_FIELDS, SCALE_FIELDS, certifies_outcome,
+                     mutations, spoiled, tilted, tilted_function,
                      with_equality_row)
 
 
@@ -738,22 +741,25 @@ def _candidate_families():
 
 def _candidates(inst):
     """The three candidates of the primal criterion and the existence
-    check, each with the program it stands in for, and the nonnegativity
-    report the scale candidate is read from."""
+    check, each with the program it stands in for and that program's set
+    and point, and the nonnegativity report the scale candidate is read
+    from."""
     rep = engine.check_nonnegativity(inst)
     probe = [ZERO] * (inst.n + inst.m) + [-ONE]
     depth = [ZERO] * inst.n + [-ONE]
+    residual = engine.decoupled_residual_epigraph(inst)
     certificates = engine.certificate_cone(inst)
     multipliers = engine.multiplier_cone(inst)
     return rep, [
         ("scale", engine._scale_candidate(inst, rep),
-         sets.scale_program(engine.decoupled_residual_epigraph(inst), probe)),
+         sets.scale_program(residual, probe), residual, probe),
         ("certificate cone",
          engine._certificate_cone_candidate(inst, certificates),
-         sets.membership_program(certificates, depth)),
+         sets.membership_program(certificates, depth), certificates, depth),
         ("multiplier cone",
          engine._multiplier_cone_candidate(inst, multipliers),
-         sets.membership_program(multipliers, depth))]
+         sets.membership_program(multipliers, depth), multipliers, depth)]
+
 
 
 class TestCandidates:
@@ -764,7 +770,7 @@ class TestCandidates:
         seen = set()
         for family, inst in _candidate_families():
             rep, candidates = _candidates(inst)
-            for name, out, program in candidates:
+            for name, out, program, _, _ in candidates:
                 if out is None:
                     # only the scale question of a vacuous statement
                     assert name == "scale" and rep.minimum is INF
@@ -801,6 +807,77 @@ class TestCandidates:
             ("certificate cone", lp.OPTIMAL),
             ("multiplier cone", lp.INFEASIBLE),
             ("multiplier cone", lp.OPTIMAL)}
+
+    def test_substitution_checks_agree_with_the_kernel_verifier(self):
+        # each candidate, and each mutation of a field its answer reads,
+        # gets the same verdict from the integer check on the set's own
+        # rows as from lp.verify_certificate, and from the test oracle, on
+        # the program it replaces
+        checks = {"scale": (sets._proves_scale, SCALE_FIELDS),
+                  "certificate cone": (sets._proves_membership,
+                                       MEMBERSHIP_FIELDS),
+                  "multiplier cone": (sets._proves_membership,
+                                      MEMBERSHIP_FIELDS)}
+        seen = set()
+        for _, inst in _candidate_families():
+            _, candidates = _candidates(inst)
+            for name, out, program, s, z in candidates:
+                if out is None:
+                    continue
+                proves, fields = checks[name]
+                assert proves(s, z, out)
+                for field, bad in mutations(out, fields):
+                    verdict = lp.verify_certificate(program, bad)
+                    assert proves(s, z, bad) == verdict, (name, field)
+                    assert certifies_outcome(program, bad) == verdict
+                    seen.add((name, out.status, verdict))
+        assert {(name, status) for name, status, _ in seen} == {
+            ("scale", lp.UNBOUNDED), ("scale", lp.INFEASIBLE),
+            ("certificate cone", lp.INFEASIBLE),
+            ("certificate cone", lp.OPTIMAL),
+            ("multiplier cone", lp.INFEASIBLE),
+            ("multiplier cone", lp.OPTIMAL)}
+        assert {verdict for *_, verdict in seen} == {True, False}
+
+    def test_passing_candidates_build_no_program(self, monkeypatch):
+        # a candidate that passes answers its cone question with no
+        # lp.LinearProgram built, no phase 1 run and no
+        # lp.verify_certificate: a profile hook counts those calls into
+        # lp.py made inside sets.member and sets.cone_closed_regarding
+        counted = collections.Counter()
+
+        def hook(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_filename == lp.__file__
+                    and code.co_name in ("__post_init__", "phase1",
+                                         "verify_certificate")):
+                counted[code.co_name] += 1
+
+        def counting(check):
+            def run(s, p, candidate=None, layout=""):
+                assert candidate is not None
+                counted["questions"] += 1
+                previous = sys.getprofile()
+                sys.setprofile(hook)
+                try:
+                    return check(s, p, candidate, layout)
+                finally:
+                    sys.setprofile(previous)
+            return run
+
+        for name in ("member", "cone_closed_regarding"):
+            monkeypatch.setattr(sets, name, counting(getattr(sets, name)))
+        rng = random.Random(3535)
+        feasible = set()
+        for inst in (random_feasible_instance(rng),
+                     random_feasible_instance(rng),
+                     random_infeasible_instance(rng)):
+            if not inst.feasible_polyhedron().is_empty():
+                # the vacuous scale question has no candidate
+                engine.check_primal_criterion(inst)
+            feasible.add(engine.check_existence(inst).feasible)
+        assert counted == {"questions": 8}
+        assert feasible == {True, False}
 
     @pytest.mark.parametrize("builder, check, layout", [
         ("_scale_candidate", engine.check_primal_criterion,

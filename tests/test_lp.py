@@ -1380,6 +1380,9 @@ _VERIFY_PROGRAMS = {
     (INFEASIBLE, {"farkas_eq": [1]}),  # combines to nonzero at free x1
     (INFEASIBLE, {"farkas_ineq": [0, 0]}),  # value 0, not negative
     (OPTIMAL, {"status": "bogus"}),
+    # last, so the ids above keep their numbers: an unbounded outcome's
+    # value must be -oo, which callers read as its value
+    (UNBOUNDED, {"value": 0}),
 ])
 def test_verify_rejects_each_corrupted_field(status, change):
     lp = _VERIFY_PROGRAMS[status]

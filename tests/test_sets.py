@@ -16,7 +16,8 @@ from farkaskit import calculus, engine, instances, lp, sets
 from farkaskit.errors import InvariantViolation
 from farkaskit.rational import INF, NEG_INF, Q, ZERO
 
-from oracles import (certifies_empty, certifies_outcome, cone_two_lps,
+from oracles import (MEMBERSHIP_FIELDS, SCALE_FIELDS, certifies_empty,
+                     certifies_outcome, cone_two_lps, mutations,
                      satisfies_rows)
 
 
@@ -499,6 +500,67 @@ def test_membership_and_scale_programs_are_the_swept_rows():
             out = lp.solve(scale)
             strict = out.status != lp.INFEASIBLE and out.value < 0
             assert strict == sets.cone_closed_regarding(s, z)[0]
+
+
+def test_substitution_checks_agree_with_the_kernel_verifier():
+    # the integer checks that answer a candidate without its program give
+    # lp.verify_certificate's verdict on that program, and so does the
+    # test oracle, on the LP's own outcomes and on every mutation of a
+    # field the answer reads
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(150):
+        s = _random_lifted(rng, set())
+        z = [Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(s.dim)]
+        checks = [("membership", sets.membership_program(s, z),
+                   sets._proves_membership, MEMBERSHIP_FIELDS)]
+        if any(z):
+            checks.append(("scale", sets.scale_program(s, z),
+                           sets._proves_scale, SCALE_FIELDS))
+        for name, program, proves, fields in checks:
+            out = lp.solve(program)
+            assert certifies_outcome(program, out)
+            assert proves(s, z, out) and lp.verify_certificate(program, out)
+            for field, bad in mutations(out, fields):
+                verdict = lp.verify_certificate(program, bad)
+                assert proves(s, z, bad) == verdict, (name, field, bad)
+                assert certifies_outcome(program, bad) == verdict
+                seen.add((name, out.status, field, verdict))
+    statuses = {(name, status) for name, status, _, _ in seen}
+    assert statuses == {("membership", lp.OPTIMAL),
+                        ("membership", lp.INFEASIBLE),
+                        ("scale", lp.OPTIMAL), ("scale", lp.UNBOUNDED),
+                        ("scale", lp.INFEASIBLE)}
+    assert {verdict for *_, verdict in seen} == {True, False}
+
+
+def test_an_unbounded_scale_candidate_must_carry_the_value_neg_inf():
+    # the ray proves max t = +oo, and a finite value would read as t = 0:
+    # outside the cone, although 2 is in it. The proof fails, and the LP
+    # then reaches the candidate's status, so its layout is called wrong
+    s = sets.Polyhedron(dim=1, G=[[-1]], h=[0])
+    out = lp.solve(sets.scale_program(s, [2]))
+    assert out.status == lp.UNBOUNDED and out.value is NEG_INF
+    assert sets.cone_closed_regarding(s, [2], candidate=out,
+                                      layout="x") == (True, True)
+    with pytest.raises(InvariantViolation, match="^the x fails"):
+        sets.cone_closed_regarding(
+            s, [2], candidate=dataclasses.replace(out, value=ZERO),
+            layout="x")
+
+
+def test_a_candidate_does_not_excuse_a_wrong_width_point():
+    s = sets.linear_image(sets.Polyhedron(dim=2, G=[[1, 1]], h=[1]),
+                          [[1, 0]])
+    witness = lp.LPOutcome(lp.OPTIMAL, x=[0, 0], value=ZERO, dual_ineq=[0],
+                           dual_eq=[0])
+    ray = lp.LPOutcome(lp.UNBOUNDED, x=[0, 0, 1], value=NEG_INF,
+                       ray=[0, 0, 1])
+    for z in ([0, 0], []):
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            sets.member(s, z, witness, "x")
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            sets.cone_closed_regarding(s, z, ray, "x")
 
 
 @st.composite
